@@ -85,10 +85,6 @@ class KTooLarge(PeerchainError):
     """Requested more peers than candidates available."""
 
 
-class DrawBudgetExceeded(PeerchainError):
-    """Rejection sampler hit its configured draw cap."""
-
-
 # -- gas accounting ---------------------------------------------------------
 
 class UnknownOpKind(PeerchainError):

@@ -7,8 +7,18 @@ table entries matters for the cost trends; the shipped defaults follow
 Ethereum yellow-paper-era constants so desk numbers are comparable across
 implementations.
 
-Cost patterns charged by `charge_settlement_compute` (per answer matrix
-with T total answers, n_q answerers on question q, t_i answers by agent i):
+`charge_settlement_compute` prices the same `mechanisms.cell_plan` that
+the reward paths score: C cells (answered cells with at least one peer),
+V peer visits over those cells, the distinct DG pairs they use, and the
+peer pool of each cell.  In sampled mode it builds that plan itself, so
+the peers of every cell are drawn a second time; the draw is a pure
+function of the seed and the cell, so it picks the same peers the
+mechanism scored.  The draw stays because the function's signature takes
+the matrix, not a plan, and the round benchmark counts two sampler calls
+per cell; removing it is a change to that benchmark.
+
+Cost patterns (T total answers, n_q answerers on question q, t_i answers
+by agent i):
 
 optimized paths
   prelude (all mechanisms): read every answer once into memory,
@@ -27,15 +37,17 @@ optimized paths
 sampled peers (replaces the per-cell peer set)
   per cell: candidate pool copy (n_q - 1 memory words), one seed hash
       (hash_base + 3 hash words), exactly k' = min(k, pool) draws at
-      5 arithmetic + 3 memory words each, then per sampled peer
-      memory_word + comparison_op + 2 arithmetic (+ the DG penalty read).
+      5 arithmetic + 3 memory words each.  The table's match counts do
+      not cover a sample, so OA and PTSC pay memory_word + comparison_op
+      + 2 arithmetic per sampled peer, and OA only 2 arithmetic per cell.
   DG penalties are charged only for distinct pairs actually sampled.
 
 naive paths re-read storage wherever the optimized path reads memory:
   OA per cell scans peers straight from storage; PTSC recomputes R_i(y)
   by scanning all T answers per cell; DG recomputes each pair penalty at
-  every use with storage reads.  These reproduce the baseline the
-  intermediary-value optimization is measured against.
+  every use with storage reads, (t_i + t_p) per peer visit.  These
+  reproduce the baseline the intermediary-value optimization is measured
+  against.
 """
 
 from __future__ import annotations
@@ -202,54 +214,9 @@ def cost_of_commit_scheme(n_answers: int, packed: bool, table: GasTable | None =
     return commit_batches(n_answers, packed) * per_batch
 
 
-def cost_of_sampling(
-    method: str,
-    k: int,
-    pool_size: int,
-    table: GasTable | None = None,
-    draws_used: int | None = None,
-) -> int:
-    """Cost of drawing k distinct peers from a pool.
-
-    method 2 ("prefix") runs a Fisher-Yates prefix and needs exactly k
-    draws.  method 1 ("rejection") redraws on collision, so its cost
-    depends on the run: pass the observed draws_used.  The unbounded gap
-    between the two is the reason rejection sampling is unsuited to a
-    contract with a gas limit.
-    """
-    table = table or DEFAULT_GAS_TABLE
-    if method == "prefix":
-        draws = k
-    elif method == "rejection":
-        if draws_used is None:
-            raise ValueError("rejection cost needs the observed draws_used")
-        draws = draws_used
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    pool_copy = pool_size * table.memory_word
-    seed = table.hash_base + 3 * table.hash_per_word
-    per_draw = 5 * table.arithmetic_op + 3 * table.memory_word
-    # rejection keeps a seen-set membership check per draw
-    if method == "rejection":
-        per_draw += k * table.comparison_op
-    return pool_copy + seed + draws * per_draw
-
-
 # ---------------------------------------------------------------------------
 # settlement compute costs (Figs. 2b-2d)
 # ---------------------------------------------------------------------------
-
-def _sampled_cells(matrix: "AnswerMatrix", peer_mode: "PeerMode"):
-    """Replay the per-cell sampling; the gas charged must reflect the
-    draws the settlement computation actually makes."""
-    from .mechanisms import peers_for_cell
-
-    per_cell: dict[tuple[str, str], list[str]] = {}
-    for agent in matrix.agents:
-        for q in matrix.answers_by_agent[agent]:
-            per_cell[(agent, q)] = peers_for_cell(matrix, agent, q, peer_mode)
-    return per_cell
-
 
 def charge_settlement_compute(
     gas: GasLedger,
@@ -262,41 +229,27 @@ def charge_settlement_compute(
 ) -> int:
     """Charge the reward-computation pattern documented in the module
     docstring.  Returns the gas added."""
-    from .mechanisms import ALL_PEERS, AllPeers, Mechanism
+    from .mechanisms import ALL_PEERS, AllPeers, Mechanism, cell_plan
 
     peer_mode = peer_mode or ALL_PEERS
-    all_peers = isinstance(peer_mode, AllPeers)
+    sampled = not isinstance(peer_mode, AllPeers)
     before = gas.total
 
     T = matrix.total_answers
     n_agents = len(matrix.agents)
     n_questions = len(matrix.questions)
-    answers_per_agent = {a: len(matrix.answers_by_agent[a]) for a in matrix.agents}
-    peers_per_question = {q: len(matrix.answerers_by_question[q]) - 1 for q in matrix.questions}
+    answers = {a: len(matrix.answers_by_agent[a]) for a in matrix.agents}
 
-    def used_pairs_all() -> set[tuple[str, str]]:
-        pairs = set()
-        for q in matrix.questions:
-            answerers = matrix.answerers_by_question[q]
-            for i, a in enumerate(answerers):
-                for b in answerers[i + 1:]:
-                    pairs.add((a, b))
-        return pairs
-
-    if all_peers:
-        per_cell_peers = {
-            (a, q): peers_per_question[q]
-            for a in matrix.agents
-            for q in matrix.answers_by_agent[a]
-        }
-        per_cell_lists: dict[tuple[str, str], list[str]] = {}
-    else:
-        per_cell_lists = _sampled_cells(matrix, peer_mode)
-        per_cell_peers = {cell: len(peers) for cell, peers in per_cell_lists.items()}
-
-    cells_with_peers = sum(1 for n in per_cell_peers.values() if n > 0)
-    total_peer_visits = sum(per_cell_peers.values())
-    draws = total_peer_visits if not all_peers else 0  # prefix sampler: one draw per peer kept
+    cells = visits = pool_words = scan = 0
+    pairs: set[tuple[str, str]] = set()
+    for agent, agent_cells in cell_plan(matrix, peer_mode).items():
+        for c in agent_cells:
+            cells += 1
+            visits += len(c.peers)
+            pool_words += len(matrix.answerers_by_question[c.q]) - 1
+            if mechanism is Mechanism.DG:
+                scan += len(c.peers) * answers[agent] + sum(answers[p] for p in c.peers)
+                pairs.update((agent, p) if agent < p else (p, agent) for p in c.peers)
 
     if optimized:
         # prelude: cache answers, count per question
@@ -304,93 +257,64 @@ def charge_settlement_compute(
         gas.charge(phase, party, "memory_word", T)
         gas.charge(phase, party, "arithmetic_op", T)
         gas.charge(phase, party, "memory_word", 2 * n_questions)
-    else:
-        # naive paths read storage at every use; no shared prelude
-        pass
 
-    if not all_peers:
-        # per-cell sampling: pool copy, seed hash, k draws
-        pool_words = sum(peers_per_question[q] for (a, q) in per_cell_peers)
+    if sampled:
+        # per-cell sampling: pool copy, seed hash, one draw per peer kept;
+        # the per-question counts do not cover a sample, so optimized OA
+        # and PTSC scan the drawn peers' answers
         gas.charge(phase, party, "memory_word", pool_words)
-        gas.charge(phase, party, "hash_base", cells_with_peers)
-        gas.charge(phase, party, "hash_per_word", 3 * cells_with_peers)
-        gas.charge(phase, party, "arithmetic_op", 5 * draws)
-        gas.charge(phase, party, "memory_word", 3 * draws)
+        gas.charge(phase, party, "hash_base", cells)
+        gas.charge(phase, party, "hash_per_word", 3 * cells)
+        gas.charge(phase, party, "arithmetic_op", 5 * visits)
+        gas.charge(phase, party, "memory_word", 3 * visits)
+        if optimized and mechanism is not Mechanism.DG:
+            gas.charge(phase, party, "memory_word", visits)
+            gas.charge(phase, party, "comparison_op", visits)
+            gas.charge(phase, party, "arithmetic_op", 2 * visits)
+    elif optimized and mechanism is Mechanism.OA:
+        # all-peers OA reads each cell's match count from the counts
+        gas.charge(phase, party, "arithmetic_op", 2 * cells)
 
     if mechanism is Mechanism.OA:
         if optimized:
-            if all_peers:
-                gas.charge(phase, party, "arithmetic_op", 4 * cells_with_peers)
-            else:
-                gas.charge(phase, party, "memory_word", total_peer_visits)
-                gas.charge(phase, party, "comparison_op", total_peer_visits)
-                gas.charge(phase, party, "arithmetic_op", 2 * total_peer_visits + 2 * cells_with_peers)
+            gas.charge(phase, party, "arithmetic_op", 2 * cells)  # accumulate
         else:
             # scan each peer's answer from storage, compare, accumulate
-            gas.charge(phase, party, "storage_read_word", total_peer_visits + cells_with_peers)
-            gas.charge(phase, party, "comparison_op", total_peer_visits)
-            gas.charge(phase, party, "arithmetic_op", 2 * total_peer_visits + 2 * cells_with_peers)
+            gas.charge(phase, party, "storage_read_word", visits + cells)
+            gas.charge(phase, party, "comparison_op", visits)
+            gas.charge(phase, party, "arithmetic_op", 2 * visits + 2 * cells)
 
     elif mechanism is Mechanism.PTSC:
         if optimized:
             gas.charge(phase, party, "arithmetic_op", T + 2 * n_agents)
             gas.charge(phase, party, "memory_word", 2 * n_agents)
-            per_cell = 6 * cells_with_peers
-            gas.charge(phase, party, "arithmetic_op", per_cell)
-            gas.charge(phase, party, "comparison_op", cells_with_peers)
-            if not all_peers:
-                gas.charge(phase, party, "memory_word", total_peer_visits)
-                gas.charge(phase, party, "comparison_op", total_peer_visits)
-                gas.charge(phase, party, "arithmetic_op", 2 * total_peer_visits)
+            gas.charge(phase, party, "arithmetic_op", 6 * cells)
+            gas.charge(phase, party, "comparison_op", cells)
         else:
             # R_i(y) recomputed per cell by scanning all answers from storage
-            gas.charge(phase, party, "storage_read_word", T * cells_with_peers)
-            gas.charge(phase, party, "arithmetic_op", T * cells_with_peers + 6 * cells_with_peers)
-            gas.charge(phase, party, "storage_read_word", total_peer_visits + cells_with_peers)
-            gas.charge(phase, party, "comparison_op", total_peer_visits + cells_with_peers)
-            gas.charge(phase, party, "arithmetic_op", 2 * total_peer_visits)
+            gas.charge(phase, party, "storage_read_word", T * cells)
+            gas.charge(phase, party, "arithmetic_op", T * cells + 6 * cells)
+            gas.charge(phase, party, "storage_read_word", visits + cells)
+            gas.charge(phase, party, "comparison_op", visits + cells)
+            gas.charge(phase, party, "arithmetic_op", 2 * visits)
 
     elif mechanism is Mechanism.DG:
-        if all_peers:
-            pairs = used_pairs_all()
-        else:
-            pairs = set()
-            for (agent, _q), plist in per_cell_lists.items():
-                for p in plist:
-                    pairs.add((agent, p) if agent < p else (p, agent))
         if optimized:
-            pair_scan = sum(answers_per_agent[a] + answers_per_agent[b] for a, b in pairs)
+            pair_scan = sum(answers[a] + answers[b] for a, b in pairs)
             gas.charge(phase, party, "comparison_op", pair_scan)
             gas.charge(phase, party, "memory_word", pair_scan + 4 * len(pairs))
             gas.charge(phase, party, "arithmetic_op", 5 * len(pairs))
             # peer loop: match + cached-penalty read per peer
-            gas.charge(phase, party, "memory_word", total_peer_visits)
-            gas.charge(phase, party, "comparison_op", total_peer_visits)
-            gas.charge(phase, party, "arithmetic_op", 2 * total_peer_visits + 2 * cells_with_peers)
+            gas.charge(phase, party, "memory_word", visits)
+            gas.charge(phase, party, "comparison_op", visits)
+            gas.charge(phase, party, "arithmetic_op", 2 * visits + 2 * cells)
         else:
             # penalty recomputed per use: storage scan of both agents' rows
-            if all_peers:
-                row_sum = {
-                    q: sum(answers_per_agent[a] for a in matrix.answerers_by_question[q])
-                    for q in matrix.questions
-                }
-                scan = 0
-                for agent in matrix.agents:
-                    t_i = answers_per_agent[agent]
-                    for q in matrix.answers_by_agent[agent]:
-                        if peers_per_question[q] > 0:
-                            scan += peers_per_question[q] * t_i + (row_sum[q] - t_i)
-            else:
-                scan = sum(
-                    answers_per_agent[agent] + answers_per_agent[p]
-                    for (agent, _q), plist in per_cell_lists.items()
-                    for p in plist
-                )
             gas.charge(phase, party, "storage_read_word", scan)
             gas.charge(phase, party, "comparison_op", scan)
-            gas.charge(phase, party, "storage_read_word", total_peer_visits + cells_with_peers)
-            gas.charge(phase, party, "comparison_op", total_peer_visits)
-            gas.charge(phase, party, "arithmetic_op", 2 * total_peer_visits + 2 * cells_with_peers)
+            gas.charge(phase, party, "storage_read_word", visits + cells)
+            gas.charge(phase, party, "comparison_op", visits)
+            gas.charge(phase, party, "arithmetic_op", 2 * visits + 2 * cells)
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
 

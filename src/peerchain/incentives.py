@@ -254,15 +254,6 @@ class IncentiveScenario:
         return alpha_bound(self.n, self.c, self.beliefs)
 
 
-def expected_payment_per_agent(scenario: IncentiveScenario) -> Fraction:
-    """Closed-form payment cap: the budget that suffices per agent is alpha.
-
-    `payment_mc` estimates the realized expectation for the upper-bound
-    check (it never exceeds alpha beyond Monte-Carlo error).
-    """
-    return scenario.alpha
-
-
 def saving_lower_bound(scenario: IncentiveScenario) -> Fraction:
     """Closed-form saving floor: p1*(2-p1) - alpha/c."""
     p1 = scenario.beliefs.agents[0].prior_1

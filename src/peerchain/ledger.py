@@ -126,6 +126,9 @@ class LedgerConfig:
             raise ValueError("scale must be positive")
         if min(self.selection_blocks, self.commit_blocks, self.reveal_blocks) < 1:
             raise ValueError("phase windows must be at least one block")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, Fraction)):
+            raise ValueError(f"alpha must be an int or Fraction, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         _peer_mode_payload(self.peer_mode)  # reject non-serializable seeds

@@ -18,10 +18,13 @@ cache) and a naive path that rederives everything from scratch at each
 use.  Both produce bitwise-identical exact rationals; the naive path is
 the reference oracle and the baseline for cost accounting.
 
-Peers are either all co-answerers of a question or a seeded sample drawn
-per (agent, question) cell; sampling uses a substream so results do not
-depend on evaluation order.  All arithmetic is ``fractions.Fraction``;
-conversion to integer units happens only at ledger settlement.
+The optimized paths and the gas model read one per-round ``cell_plan``:
+for every agent, the answered cells that have peers, each with its peers
+in scoring order and its match count.  Peers are either all co-answerers
+of a question or a seeded sample drawn per (agent, question) cell;
+sampling uses a substream so results do not depend on evaluation order.
+All arithmetic is ``fractions.Fraction``; conversion to integer units
+happens only at ledger settlement.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EmptyMatrix, NoNonCommonQuestions
 from .peer_selection import SeedLike, cell_stream, sample_peers
@@ -104,12 +107,16 @@ class AnswerMatrix:
         self.question_index = {q: j for j, q in enumerate(self.questions)}
         self.answers_by_agent: dict[str, dict[str, int]] = {a: {} for a in self.agents}
         self.answerers_by_question: dict[str, list[str]] = {q: [] for q in self.questions}
+        self._question_counts: dict[str, tuple[int, int]] = {}
         for q in self.questions:
+            counts = [0, 0]
             for a in self.agents:
                 bit = self.cells.get((a, q))
                 if bit is not None:
                     self.answers_by_agent[a][q] = bit
                     self.answerers_by_question[q].append(a)
+                    counts[bit] += 1
+            self._question_counts[q] = (counts[0], counts[1])
 
     @property
     def total_answers(self) -> int:
@@ -117,8 +124,7 @@ class AnswerMatrix:
 
     def question_counts(self, q: str) -> tuple[int, int]:
         """(count of 0s, count of 1s) among the answers to question q."""
-        ones = sum(self.cells[(a, q)] for a in self.answerers_by_question[q])
-        return len(self.answerers_by_question[q]) - ones, ones
+        return self._question_counts[q]
 
     def relabeled(self, agent_map: Mapping[str, str], question_map: Mapping[str, str]) -> "AnswerMatrix":
         return AnswerMatrix(
@@ -207,6 +213,39 @@ def _mean(contribs: list[Fraction]) -> Fraction:
     return sum(contribs, ZERO) / len(contribs)
 
 
+class Cell(NamedTuple):
+    """One answered cell with at least one peer, as the optimized paths score it."""
+
+    q: str
+    y: int
+    peers: list[str]
+    matches: int  # peers whose answer to q equals y
+
+
+def cell_plan(matrix: AnswerMatrix, peer_mode: PeerMode) -> dict[str, list[Cell]]:
+    """Every agent (matrix order) -> its answered cells that have peers.
+
+    Cells keep the agent's question order and their peers come from
+    ``peers_for_cell``, so the mechanisms and the gas model score and price
+    the same draws.  A cell whose peers are all co-answerers of q takes its
+    match count from the question's cached 0/1 counts.
+    """
+    plan = {}
+    for agent in matrix.agents:
+        cells = []
+        for q, y in matrix.answers_by_agent[agent].items():
+            peers = peers_for_cell(matrix, agent, q, peer_mode)
+            if not peers:
+                continue
+            if len(peers) == len(matrix.answerers_by_question[q]) - 1:
+                matches = matrix.question_counts(q)[y] - 1
+            else:
+                matches = sum(1 for p in peers if matrix.cells[(p, q)] == y)
+            cells.append(Cell(q, y, peers, matches))
+        plan[agent] = cells
+    return plan
+
+
 # ---------------------------------------------------------------------------
 # optimized paths
 # ---------------------------------------------------------------------------
@@ -218,24 +257,10 @@ def oa_rewards(matrix: AnswerMatrix, peer_mode: PeerMode = ALL_PEERS) -> RewardR
     an agent with no scoreable question gets reward 0.
     """
     _require_answers(matrix)
-    all_peers = isinstance(peer_mode, AllPeers)
-    rewards = {}
-    for agent in matrix.agents:
-        contribs = []
-        for q, y in matrix.answers_by_agent[agent].items():
-            if all_peers:
-                n = len(matrix.answerers_by_question[q])
-                if n < 2:
-                    continue
-                matches = matrix.question_counts(q)[y] - 1
-                contribs.append(Fraction(matches, n - 1))
-            else:
-                peers = peers_for_cell(matrix, agent, q, peer_mode)
-                if not peers:
-                    continue
-                matches = sum(1 for p in peers if matrix.cells[(p, q)] == y)
-                contribs.append(Fraction(matches, len(peers)))
-        rewards[agent] = _mean(contribs)
+    rewards = {
+        agent: _mean([Fraction(c.matches, len(c.peers)) for c in cells])
+        for agent, cells in cell_plan(matrix, peer_mode).items()
+    }
     return RewardReport(rewards, Mechanism.OA, ONE, peer_mode)
 
 
@@ -270,24 +295,13 @@ def dg_rewards(matrix: AnswerMatrix, peer_mode: PeerMode = ALL_PEERS) -> RewardR
     """Dasgupta-Ghosh: per-peer score = match on the shared question minus
     the pair's mean agreement over non-common question pairs."""
     _require_answers(matrix)
-    all_peers = isinstance(peer_mode, AllPeers)
     penalties = _PenaltyCache(matrix)
     rewards = {}
-    for agent in matrix.agents:
+    for agent, cells in cell_plan(matrix, peer_mode).items():
         contribs = []
-        for q, y in matrix.answers_by_agent[agent].items():
-            if all_peers:
-                peers = [a for a in matrix.answerers_by_question[q] if a != agent]
-                if not peers:
-                    continue
-                matches = matrix.question_counts(q)[y] - 1
-            else:
-                peers = peers_for_cell(matrix, agent, q, peer_mode)
-                if not peers:
-                    continue
-                matches = sum(1 for p in peers if matrix.cells[(p, q)] == y)
-            pen_sum = sum((penalties.penalty(agent, p) for p in peers), ZERO)
-            contribs.append((matches - pen_sum) / len(peers))
+        for c in cells:
+            pen_sum = sum((penalties.penalty(agent, p) for p in c.peers), ZERO)
+            contribs.append((c.matches - pen_sum) / len(c.peers))
         rewards[agent] = _mean(contribs)
     return RewardReport(rewards, Mechanism.DG, ONE, peer_mode)
 
@@ -302,30 +316,19 @@ def ptsc_rewards(
     if alpha <= 0:
         raise ValueError("alpha must be strictly positive")
     _require_answers(matrix)
-    all_peers = isinstance(peer_mode, AllPeers)
     table = FrequencyTable.from_matrix(matrix)
     r_min: Fraction | None = None
     rewards = {}
-    for agent in matrix.agents:
+    for agent, cells in cell_plan(matrix, peer_mode).items():
         contribs = []
-        for q, y in matrix.answers_by_agent[agent].items():
-            if all_peers:
-                n = len(matrix.answerers_by_question[q])
-                if n < 2:
-                    continue
-                match_avg = Fraction(matrix.question_counts(q)[y] - 1, n - 1)
-            else:
-                peers = peers_for_cell(matrix, agent, q, peer_mode)
-                if not peers:
-                    continue
-                match_avg = Fraction(sum(1 for p in peers if matrix.cells[(p, q)] == y), len(peers))
-            r = table.relative_frequency(agent, y)
+        for c in cells:
+            r = table.relative_frequency(agent, c.y)
             if r == 0:
                 contribs.append(ZERO)
                 continue
             if r_min is None or r < r_min:
                 r_min = r
-            contribs.append(match_avg / r - 1)
+            contribs.append(Fraction(c.matches, len(c.peers)) / r - 1)
         rewards[agent] = alpha * _mean(contribs)
     return RewardReport(rewards, Mechanism.PTSC, alpha, peer_mode, r_min=r_min)
 
@@ -347,12 +350,6 @@ def compute_rewards(
 # ---------------------------------------------------------------------------
 # naive reference path
 # ---------------------------------------------------------------------------
-
-def _naive_cell_peers(matrix: AnswerMatrix, agent: str, q: str, peer_mode: PeerMode) -> list[str]:
-    # Shares the sampling substream with the optimized path on purpose:
-    # both paths must score the exact same peers.
-    return peers_for_cell(matrix, agent, q, peer_mode)
-
 
 def _naive_dg_penalty(matrix: AnswerMatrix, agent: str, peer: str) -> Fraction:
     mine = matrix.answers_by_agent[agent]
@@ -400,7 +397,8 @@ def rewards_naive(
     for agent in matrix.agents:
         contribs = []
         for q, y in matrix.answers_by_agent[agent].items():
-            peers = _naive_cell_peers(matrix, agent, q, peer_mode)
+            # the same substream as the optimized path: both score the same peers
+            peers = peers_for_cell(matrix, agent, q, peer_mode)
             if not peers:
                 continue
             if mechanism is Mechanism.OA:

@@ -13,11 +13,10 @@ bit for bit.  Exact constants:
     derive  : finalize(seed ^ finalize((tag+1) * GOLDEN)), one finalize
               chain per tag, used for per-(agent, question) substreams
 
-Two samplers are provided.  ``sample_peers`` is the bounded-work scheme
-(draw an index mod the shrinking pool, swap the tail in: a Fisher-Yates
-prefix) and consumes exactly k draws.  ``sample_peers_rejection`` redraws
-on collisions; its draw count is unbounded, which is exactly why a gas
--metered contract cannot rely on it, so it exists for cost comparison.
+``sample_peers`` is the bounded-work scheme: draw an index mod the
+shrinking pool and swap the tail in (a Fisher-Yates prefix), so it
+consumes exactly k draws.  Redrawing on collisions instead would make the
+draw count unbounded, which a gas-metered contract cannot rely on.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DrawBudgetExceeded, KTooLarge
+from .errors import KTooLarge
 from .keccak import keccak256
 
 _MASK64 = (1 << 64) - 1
@@ -112,36 +111,6 @@ def sample_peers(candidates: Sequence[str], k: int, seed: SeedLike) -> list[str]
         pool[idx] = pool[-1]
         pool.pop()
     return picked
-
-
-def sample_peers_rejection(
-    candidates: Sequence[str],
-    k: int,
-    seed: SeedLike,
-    draw_cap: int | None = None,
-) -> tuple[list[str], int]:
-    """Draw-and-retry sampling; returns (peers, draws consumed).
-
-    Collisions with already-picked peers force redraws, so the draw count
-    has no a-priori bound.  ``draw_cap`` models a transaction gas limit;
-    hitting it raises DrawBudgetExceeded.
-    """
-    if not 1 <= k <= len(candidates):
-        raise KTooLarge(f"k={k} outside 1..{len(candidates)}")
-    stream = _as_stream(seed)
-    picked: list[str] = []
-    picked_idx: set[int] = set()
-    draws = 0
-    while len(picked) < k:
-        if draw_cap is not None and draws >= draw_cap:
-            raise DrawBudgetExceeded(f"needed more than {draw_cap} draws for k={k}")
-        idx = stream.next() % len(candidates)
-        draws += 1
-        if idx in picked_idx:
-            continue
-        picked_idx.add(idx)
-        picked.append(candidates[idx])
-    return picked, draws
 
 
 def cell_stream(seed: SeedLike, agent_index: int, question_index: int) -> SplitMix64:

@@ -12,7 +12,6 @@ from peerchain.gas_model import (
     charge_settlement_compute,
     commit_batches,
     cost_of_commit_scheme,
-    cost_of_sampling,
 )
 from peerchain.mechanisms import ALL_PEERS, Mechanism, SampledPeers
 
@@ -24,6 +23,22 @@ DESK_SETTLE_GAS = {
     ("dg", False): 855_699_948,
     ("ptsc", True): 429_394,
     ("ptsc", False): 632_990_338,
+}
+
+# the same with SampledPeers(k, 0): (mechanism, k, optimized) -> gas
+DESK_SAMPLED_SETTLE_GAS = {
+    ("oa", 1, True): 728_350,
+    ("oa", 1, False): 1_056_721,
+    ("dg", 1, True): 1_141_108,
+    ("dg", 1, False): 25_757_761,
+    ("ptsc", 1, True): 777_842,
+    ("ptsc", 1, False): 621_041_523,
+    ("oa", 5, True): 1_076_150,
+    ("oa", 5, False): 2_774_853,
+    ("dg", 5, True): 1_632_741,
+    ("dg", 5, False): 126_313_954,
+    ("ptsc", 5, True): 1_125_642,
+    ("ptsc", 5, False): 622_759_655,
 }
 
 
@@ -87,19 +102,6 @@ def test_commit_scheme_costs():
         assert cost_of_commit_scheme(n, False) / cost_of_commit_scheme(n, True) >= min(n, 5)
 
 
-def test_sampling_costs():
-    assert cost_of_sampling("prefix", 3, 10) == 180
-    assert cost_of_sampling("rejection", 3, 10, draws_used=5) == 293
-    assert cost_of_sampling("rejection", 3, 10, draws_used=3) < 293
-    with pytest.raises(ValueError):
-        cost_of_sampling("rejection", 3, 10)  # draws_used required
-    with pytest.raises(ValueError):
-        cost_of_sampling("bogus", 3, 10)
-    # prefix cost is linear in k, independent of luck
-    assert (cost_of_sampling("prefix", 6, 10) - cost_of_sampling("prefix", 3, 10)
-            == 3 * (5 * 5 + 3 * 3))
-
-
 def test_settlement_compute_frozen_desk_values(desk_truth):
     for (mech, optimized), expected in DESK_SETTLE_GAS.items():
         gas = GasLedger(DEFAULT_GAS_TABLE)
@@ -107,6 +109,15 @@ def test_settlement_compute_frozen_desk_values(desk_truth):
             gas, desk_truth, Mechanism(mech), ALL_PEERS, optimized=optimized
         )
         assert got == gas.total == expected, (mech, optimized)
+
+
+def test_settlement_compute_frozen_desk_sampled_values(desk_truth):
+    for (mech, k, optimized), expected in DESK_SAMPLED_SETTLE_GAS.items():
+        gas = GasLedger(DEFAULT_GAS_TABLE)
+        got = charge_settlement_compute(
+            gas, desk_truth, Mechanism(mech), SampledPeers(k, 0), optimized=optimized
+        )
+        assert got == gas.total == expected, (mech, k, optimized)
 
 
 def test_settlement_compute_orderings(desk_truth):
@@ -122,7 +133,7 @@ def test_settlement_compute_orderings(desk_truth):
     sampled = charge_settlement_compute(
         gas, desk_truth, Mechanism.DG, SampledPeers(1, 0), optimized=True
     )
-    assert sampled == 1_141_108 < g[("dg", True)]
+    assert sampled == DESK_SAMPLED_SETTLE_GAS[("dg", 1, True)] < g[("dg", True)]
 
 
 def test_settlement_compute_monotone_in_matrix_size(desk_truth):

@@ -20,7 +20,6 @@ from peerchain.incentives import (
     beta,
     calibrate_world,
     equilibrium_check,
-    expected_payment_per_agent,
     gamma,
     max_saving,
     payment_mc,
@@ -81,7 +80,6 @@ def test_max_saving_exact():
 def test_saving_lower_bound_formula():
     sc = example_scenario(alpha=F(1, 2))
     assert saving_lower_bound(sc) == F(399, 400) - F(1, 2)
-    assert expected_payment_per_agent(sc) == F(1, 2)
 
 
 def test_world_calibration():

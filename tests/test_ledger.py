@@ -70,6 +70,15 @@ def test_config_validation_and_min_deposits():
     assert LedgerConfig(mechanism=Mechanism.PTSC, alpha=F(1, 3)).min_agent_deposit == 333333334
 
 
+def test_config_alpha_must_be_exact():
+    cfg = LedgerConfig(mechanism=Mechanism.PTSC, alpha=2)
+    assert type(cfg.alpha) is F and cfg.alpha == 2
+    assert Ledger(cfg).config.to_payload()["alpha"] == [2, 1]
+    for bad in (0.5, "x", True, None):
+        with pytest.raises(ValueError):
+            LedgerConfig(alpha=bad)
+
+
 def test_config_payload_roundtrip():
     for cfg in (
         LedgerConfig(),

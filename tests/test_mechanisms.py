@@ -13,6 +13,7 @@ from peerchain.mechanisms import (
     FrequencyTable,
     Mechanism,
     SampledPeers,
+    cell_plan,
     compute_rewards,
     peers_for_cell,
     rewards_naive,
@@ -227,6 +228,23 @@ def test_sampled_peers_subset_and_determinism():
             assert peers == peers_for_cell(m, a, q, mode)
     full = peers_for_cell(m, m.agents[0], m.questions[0], ALL_PEERS)
     assert full == [p for p in m.answerers_by_question[m.questions[0]] if p != m.agents[0]]
+
+
+def test_cell_plan_matches_peer_scan():
+    rng = random.Random(17)
+    for trial in range(20):
+        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), p_answer=0.7)
+        # k=6 usually keeps the whole pool, so the cached counts supply matches
+        for mode in (ALL_PEERS, SampledPeers(1, trial), SampledPeers(6, trial)):
+            plan = cell_plan(m, mode)
+            assert list(plan) == list(m.agents)
+            for agent, cells in plan.items():
+                expected = []
+                for q, y in m.answers_by_agent[agent].items():
+                    peers = peers_for_cell(m, agent, q, mode)
+                    if peers:
+                        expected.append((q, y, peers, sum(m.cells[(p, q)] == y for p in peers)))
+                assert [tuple(c) for c in cells] == expected
 
 
 def test_sampled_rewards_match_manual_recomputation():

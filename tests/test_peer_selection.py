@@ -6,13 +6,12 @@ from collections import Counter
 import pytest
 from scipy import stats
 
-from peerchain.errors import DrawBudgetExceeded, KTooLarge
+from peerchain.errors import KTooLarge
 from peerchain.peer_selection import (
     SelectionSeed,
     SplitMix64,
     cell_stream,
     sample_peers,
-    sample_peers_rejection,
 )
 
 
@@ -75,8 +74,6 @@ def test_sample_peers_bounds_checked():
         sample_peers(["a"], 2, 0)
     with pytest.raises(KTooLarge):
         sample_peers(["a", "b"], 0, 0)
-    with pytest.raises(KTooLarge):
-        sample_peers_rejection(["a"], 2, 0)
 
 
 def test_sampler_uniformity_chi_squared():
@@ -88,28 +85,6 @@ def test_sampler_uniformity_chi_squared():
     observed = [counts[p] for p in pool]
     p_value = stats.chisquare(observed).pvalue
     assert p_value > 1e-3, f"chi-squared rejected uniformity: p={p_value}"
-
-
-def test_rejection_sampler_matches_marginals_and_budget():
-    pool = [f"p{i}" for i in range(6)]
-    inclusion = Counter()
-    total_draws = 0
-    for trial in range(4_000):
-        picked, draws = sample_peers_rejection(pool, 3, SplitMix64(trial))
-        total_draws += draws
-        assert len(set(picked)) == 3
-        inclusion.update(picked)
-    # every candidate appears in about half the samples (3 of 6 slots)
-    for p in pool:
-        assert abs(inclusion[p] / 4_000 - 0.5) < 0.05
-    # collisions force extra draws on average
-    assert total_draws > 3 * 4_000
-
-    with pytest.raises(DrawBudgetExceeded):
-        # k = pool size needs the full coupon-collector tail; 6 draws
-        # almost never suffice, so some trial hits the cap quickly
-        for trial in range(100):
-            sample_peers_rejection(pool, 6, SplitMix64(trial), draw_cap=6)
 
 
 def test_full_pool_prefix_sample_is_permutation():

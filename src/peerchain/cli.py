@@ -24,7 +24,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,17 +55,12 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _fraction_arg(s: str) -> Fraction:
-    try:
-        if "/" in s:
-            return Fraction(s)
-        return Fraction(Decimal(s))
-    except (InvalidOperation, ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a decimal or p/q rational: {s!r}")
-
-
 def _alpha_arg(s: str) -> str | Fraction:
-    return s if s == "auto" or s.startswith("auto*") else _fraction_arg(s)
+    try:
+        alpha, auto = inc.parse_alpha(s)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return s if auto else alpha
 
 
 def _peers_arg(s: str):
@@ -89,12 +83,6 @@ def _gas_table(args) -> GasTable:
     return GasTable.load(args.gas_table) if args.gas_table else DEFAULT_GAS_TABLE
 
 
-def _auto_alpha(n: int) -> Fraction:
-    """2x the truthfulness bound for the running-example beliefs at n agents."""
-    model = inc.BeliefModel.from_bump(DEFAULT_PRIOR, DEFAULT_BUMP)
-    return 2 * inc.alpha_bound(max(n, 2), 1, model)
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -113,7 +101,9 @@ def cmd_round(args) -> int:
     dataset = _dataset(args)
     agents = min(args.agents, dataset.n_agents)
     peer_mode = ALL_PEERS if args.peers == "all" else SampledPeers(args.peers, args.seed)
-    alpha = _auto_alpha(agents) if isinstance(args.alpha, str) else args.alpha
+    # auto alphas scale the truthfulness bound of the running-example beliefs
+    alpha = inc.IncentiveScenario.from_parameters(
+        max(agents, 2), 1, args.alpha, DEFAULT_PRIOR, DEFAULT_BUMP).alpha
     config = ExperimentConfig(
         mechanism=Mechanism(args.mechanism),
         peer_mode=peer_mode,
@@ -217,16 +207,6 @@ def _load_scenarios(args) -> list[dict]:
     return raw
 
 
-def _scenario_fraction(v) -> Fraction:
-    if isinstance(v, str):
-        return Fraction(v) if "/" in v else Fraction(Decimal(v))
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(Decimal(str(v)))
-    raise ValueError(f"expected a number or numeric string, got {v!r}")
-
-
 INCENTIVES_HEADER = (
     "scenario_id,alpha_bound,alpha_used,payment_mc,saving_bound,saving_mc,"
     "verdict_always_0,verdict_always_1,verdict_flip,verdict_random,alpha_bound_exact"
@@ -239,15 +219,12 @@ def cmd_incentives(args) -> int:
     summary = []
     for spec_ in _load_scenarios(args):
         sid = spec_.get("scenario_id", f"n{spec_.get('n', '?')}")
-        alpha = spec_.get("alpha", "auto")
-        if not (isinstance(alpha, str) and (alpha == "auto" or alpha.startswith("auto*"))):
-            alpha = _scenario_fraction(alpha)
         scenario = inc.IncentiveScenario.from_parameters(
             n=int(spec_["n"]),
-            c=_scenario_fraction(spec_.get("c", 1)),
-            alpha=alpha,
-            prior_1=_scenario_fraction(spec_["prior"]),
-            bump=_scenario_fraction(spec_["bump"]),
+            c=inc.exact_number(spec_.get("c", 1)),
+            alpha=spec_.get("alpha", "auto"),
+            prior_1=inc.exact_number(spec_["prior"]),
+            bump=inc.exact_number(spec_["bump"]),
         )
         bound = scenario.bound()
         rounds = args.rounds
@@ -292,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mechanism", choices=[m.value for m in Mechanism], default="oa")
     p.add_argument("--alpha", type=_alpha_arg, default="auto",
-                   help="PTSC scaling: decimal, p/q, or 'auto' (default)")
+                   help="PTSC scaling: decimal, p/q, 'auto' (2x the bound, default) or 'auto*M'")
     p.add_argument("--peers", type=_peers_arg, default="all", help="'all' or K sampled peers")
     p.add_argument("--pack", choices=["on", "off"], default="on")
     p.add_argument("--agents", type=int, default=50)

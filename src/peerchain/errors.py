@@ -65,18 +65,8 @@ class NoCommitment(PeerchainError):
     """Reveal without a matching commitment on record."""
 
 
-class DepositExhausted(PeerchainError):
-    """A negative reward exceeded the agent's deposit.
-
-    Settlement never raises this: the penalty is clamped at the deposit
-    and the shortfall is recorded for audit.  The class exists so callers
-    can construct and match the audit record uniformly.
-    """
-
-    def __init__(self, agent: str, shortfall: int):
-        super().__init__(f"deposit of {agent!r} short by {shortfall} units")
-        self.agent = agent
-        self.shortfall = shortfall
+class ReplayDivergence(PeerchainError):
+    """A replayed event log line differs from the line it was rebuilt from."""
 
 
 # -- peer selection ---------------------------------------------------------

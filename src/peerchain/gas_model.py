@@ -96,10 +96,6 @@ class GasTable:
         except AttributeError:
             raise UnknownOpKind(op_kind) from None
 
-    @property
-    def op_kinds(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self))
-
     def to_json(self) -> str:
         return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2) + "\n"
 

@@ -28,6 +28,7 @@ share the common random numbers of the world and the peer draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import sqrt
 
@@ -210,6 +211,35 @@ def calibrate_world(prior_1, post_1_given_1, tol: float = 1e-12) -> GenerativeWo
 # scenarios
 # ---------------------------------------------------------------------------
 
+def exact_number(v) -> Fraction:
+    """An exact rational from an int, Fraction, float (by its shortest
+    decimal repr) or a decimal or p/q string."""
+    try:
+        if isinstance(v, str):
+            return Fraction(v) if "/" in v else Fraction(Decimal(v))
+        if isinstance(v, (int, Fraction)):
+            return Fraction(v)
+        if isinstance(v, float):
+            return Fraction(Decimal(str(v)))
+    except (ArithmeticError, ValueError):
+        pass
+    raise ValueError(f"not a decimal or p/q rational: {v!r}")
+
+
+def parse_alpha(spec) -> tuple[Fraction, bool]:
+    """Read an alpha spec: a number, "auto" (2x the truthfulness bound) or
+    "auto*m" (m times the bound, m > 0).
+
+    Returns (alpha, False) for a number and (m, True) for the auto forms.
+    """
+    if isinstance(spec, str) and (spec == "auto" or spec.startswith("auto*")):
+        margin = Fraction(2) if spec == "auto" else exact_number(spec[5:])
+        if margin <= 0:
+            raise ValueError(f"alpha margin must be positive, got {spec!r}")
+        return margin, True
+    return exact_number(spec), False
+
+
 @dataclass(frozen=True)
 class IncentiveScenario:
     n: int
@@ -235,20 +265,14 @@ class IncentiveScenario:
 
     @classmethod
     def from_parameters(cls, n: int, c, alpha, prior_1, bump) -> "IncentiveScenario":
-        """Build a consistent scenario; alpha may be the string
-        "auto" (= 2x the truthfulness bound) or "auto*m" for margin m."""
+        """Build a consistent scenario; alpha is any spec `parse_alpha` reads."""
         c = Fraction(c)
         beliefs = BeliefModel.from_bump(prior_1, bump)
         world = calibrate_world(prior_1, Fraction(prior_1) + Fraction(bump))
-        if isinstance(alpha, str):
-            if alpha == "auto":
-                margin = Fraction(2)
-            elif alpha.startswith("auto*"):
-                margin = Fraction(alpha[5:])
-            else:
-                raise ValueError(f"alpha spec {alpha!r} not understood")
-            alpha = margin * alpha_bound(n, c, beliefs)
-        return cls(n, c, Fraction(alpha), beliefs, world)
+        alpha, auto = parse_alpha(alpha)
+        if auto:
+            alpha *= alpha_bound(n, c, beliefs)
+        return cls(n, c, alpha, beliefs, world)
 
     def bound(self) -> Fraction:
         return alpha_bound(self.n, self.c, self.beliefs)
@@ -332,6 +356,8 @@ def _draw_peers(rng: np.random.Generator, rounds: int, n: int) -> np.ndarray:
 
 def _mc_loop(scenario, rounds, master_seed, per_round):
     """Drive chunked simulation; per_round maps a chunk to a 1-d statistic."""
+    if rounds < 1:
+        raise ValueError(f"Monte-Carlo estimates need at least one round, got {rounds}")
     total = 0
     acc_sum = 0.0
     acc_sq = 0.0

@@ -39,10 +39,10 @@ from math import ceil
 
 from . import commitment as cmt
 from .errors import (
-    DepositExhausted,
     DuplicateCommitment,
     InsufficientDeposit,
     NoCommitment,
+    ReplayDivergence,
     UnknownQuestion,
     UnregisteredAgent,
     WrongPhase,
@@ -177,11 +177,20 @@ class LedgerConfig:
 
 
 @dataclass(frozen=True)
-class CommitRecord:
+class LedgerNote:
+    """A non-fatal outcome the round records for audit.
+
+    kind is "malformed" or "failed-verification" (a reveal that discarded
+    its batch), "duplicate" (a reveal of an already decided batch) or
+    "deposit-shortfall" (a penalty clamped at the deposit; batch is None
+    and shortfall holds the units the deposit could not cover).
+    """
+
+    kind: str
     agent: str
-    batch: int
-    commitment: cmt.Commitment
-    submitted_at: int
+    batch: int | None
+    block: int
+    shortfall: int = 0
 
 
 @dataclass
@@ -217,27 +226,29 @@ class Ledger:
     REQUESTER = GasLedger.REQUESTER
     CHAIN = "chain"
 
-    def __init__(self, config: LedgerConfig, _replay: bool = False):
+    def __init__(self, config: LedgerConfig):
         self.config = config
         self.block = 0
         self.phase = Phase.POSTING
         self.questions: tuple[str, ...] = ()
         self.budget = 0
         self.requester_deposit = 0
-        self.selected: dict[str, tuple[str, ...]] = {}
+        # registration order; each agent's selection in posted order, sliced into batches
+        self.batches: dict[str, tuple[tuple[str, ...], ...]] = {}
         self.agent_deposits: dict[str, int] = {}
-        self.commitments: dict[tuple[str, int], CommitRecord] = {}
+        self.commitments: dict[tuple[str, int], cmt.Commitment] = {}
+        self._uncommitted = 0  # registered batches without a commitment
+        # a committed batch's first reveal puts it in exactly one of these two
         self.accepted: dict[tuple[str, int], tuple[int, int]] = {}  # (message, key value)
-        self.discarded: list[tuple[str, int, int]] = []
+        self.discarded: dict[tuple[str, int], LedgerNote] = {}
         self.revealed_cells: dict[tuple[str, str], int] = {}
         self.gas = GasLedger(config.gas_table)
         self.transfers: dict[str, int] = {}
-        self.notes: list[str] = []
+        self.notes: list[LedgerNote] = []
         self.events: list[str] = []
         self.settlement: SettlementReport | None = None
         self._selection_end = self._commit_end = self._reveal_end = None
-        if not _replay:
-            self._record("genesis", self.CHAIN, config.to_payload())
+        self._record("genesis", self.CHAIN, config.to_payload())
 
     # -- event plumbing -----------------------------------------------------
 
@@ -252,19 +263,22 @@ class Ledger:
     # -- block time -----------------------------------------------------------
 
     def tick(self, blocks: int = 1) -> None:
-        """Advance the logical block counter, crossing phase deadlines."""
-        if blocks < 1:
-            raise ValueError("tick must advance at least one block")
-        self._record("tick", self.CHAIN, {"blocks": blocks})
-        for _ in range(blocks):
-            self.block += 1
-            self._deadline_transitions()
+        """Advance the logical block counter, crossing phase deadlines.
 
-    def _deadline_transitions(self) -> None:
-        if self.phase is Phase.SELECTION and self.block >= self._selection_end:
+        Each deadline crossed is entered at its own block, so the next
+        window is measured from there, as if the blocks came one by one.
+        """
+        if not isinstance(blocks, int) or blocks < 1:
+            raise ValueError("tick must advance a positive integer number of blocks")
+        self._record("tick", self.CHAIN, {"blocks": blocks})
+        target = self.block + blocks
+        if self.phase is Phase.SELECTION and target >= self._selection_end:
+            self.block = self._selection_end
             self._enter_commit()
-        if self.phase is Phase.COMMIT and self.block >= self._commit_end:
+        if self.phase is Phase.COMMIT and target >= self._commit_end:
+            self.block = self._commit_end
             self._enter_reveal()
+        self.block = target
 
     def _enter_commit(self) -> None:
         self.phase = Phase.COMMIT
@@ -300,15 +314,16 @@ class Ledger:
 
     def select_questions(self, agent: str, question_ids, deposit: int = 0) -> None:
         self._require_phase(Phase.SELECTION)
-        if agent in self.selected:
+        if agent in self.batches:
             raise ValueError(f"agent {agent!r} already registered")
         if agent == self.REQUESTER or agent == self.CHAIN:
             raise ValueError(f"{agent!r} is a reserved party name")
         ids = tuple(question_ids)
         if not ids or len(set(ids)) != len(ids):
             raise ValueError("question selection must be nonempty and unique")
+        order = {q: i for i, q in enumerate(self.questions)}
         for q in ids:
-            if q not in self.questions:
+            if q not in order:
                 raise UnknownQuestion(f"question {q!r} was never posted")
         if deposit < self.config.min_agent_deposit:
             raise InsufficientDeposit(
@@ -317,19 +332,20 @@ class Ledger:
             )
         self._record("select", agent, {"questions": list(ids), "deposit": deposit})
         # canonical posted order makes batch slicing independent of input order
-        order = {q: i for i, q in enumerate(self.questions)}
-        self.selected[agent] = tuple(sorted(ids, key=order.__getitem__))
+        sel = tuple(sorted(ids, key=order.__getitem__))
+        bs = self.config.batch_size
+        self.batches[agent] = tuple(sel[i:i + bs] for i in range(0, len(sel), bs))
+        self._uncommitted += len(self.batches[agent])
         self.agent_deposits[agent] = deposit
         self.gas.charge("selection", agent, "tx_base")
         self.gas.charge("selection", agent, "storage_write_new_word", 1 + ceil(len(ids) / 16))
 
-    def agent_batches(self, agent: str) -> list[tuple[str, ...]]:
+    def agent_batches(self, agent: str) -> tuple[tuple[str, ...], ...]:
         """The agent's selected questions sliced into commitment batches."""
-        if agent not in self.selected:
-            raise UnregisteredAgent(f"agent {agent!r} never selected questions")
-        sel = self.selected[agent]
-        bs = self.config.batch_size
-        return [sel[i:i + bs] for i in range(0, len(sel), bs)]
+        try:
+            return self.batches[agent]
+        except KeyError:
+            raise UnregisteredAgent(f"agent {agent!r} never selected questions") from None
 
     # -- commit / reveal --------------------------------------------------------
 
@@ -341,28 +357,26 @@ class Ledger:
         if (agent, batch) in self.commitments:
             raise DuplicateCommitment(f"batch {batch} of agent {agent!r} already committed")
         self._record("commit", agent, {"batch": batch, "commitment": commitment_.hex()})
-        self.commitments[(agent, batch)] = CommitRecord(agent, batch, commitment_, self.block)
+        self.commitments[(agent, batch)] = commitment_
         self.gas.charge("commit", agent, "tx_base")
         self.gas.charge("commit", agent, "storage_write_new_word", 1)
-        if all(
-            (a, b) in self.commitments
-            for a in self.selected
-            for b in range(len(self.agent_batches(a)))
-        ):
+        self._uncommitted -= 1
+        if not self._uncommitted:
             self._enter_reveal()
 
     def reveal(self, agent: str, batch: int, message: int, key_value: int) -> bool:
         """Open a commitment.  Returns True iff the reveal was accepted.
 
-        A failed verification discards the answers without raising: the
-        contract cannot tell tampering from honest corruption, and other
-        agents' reveals must proceed either way.
+        A batch's first reveal decides it.  A failed verification discards
+        the answers without raising: the contract cannot tell tampering
+        from honest corruption, and other agents' reveals must proceed
+        either way.  A later reveal of the batch is a duplicate: it pays
+        its gas and changes nothing else.
         """
         self._require_phase(Phase.REVEAL)
-        if agent not in self.selected:
-            raise UnregisteredAgent(f"agent {agent!r} never selected questions")
-        record = self.commitments.get((agent, batch))
-        if record is None:
+        batches = self.agent_batches(agent)
+        commitment_ = self.commitments.get((agent, batch))
+        if commitment_ is None:
             raise NoCommitment(f"no commitment on record for {agent!r} batch {batch}")
         self._record("reveal", agent, {"batch": batch, "message": message, "key": key_value})
         self.gas.charge("reveal", agent, "tx_base")
@@ -370,26 +384,27 @@ class Ledger:
         self.gas.charge("reveal", agent, "hash_base", 1)
         self.gas.charge("reveal", agent, "hash_per_word", 1)
         self.gas.charge("reveal", agent, "comparison_op", 1)
-        if (agent, batch) in self.accepted:
-            self.notes.append(f"duplicate reveal for {agent} batch {batch} discarded")
+        if (agent, batch) in self.accepted or (agent, batch) in self.discarded:
+            self.notes.append(LedgerNote("duplicate", agent, batch, self.block))
             return False
-        order = self.agent_batches(agent)[batch]
         try:
-            vector = cmt.decode(message, order)
+            vector = cmt.decode(message, batches[batch])
             key = cmt.SecretKey(key_value)
         except (ValueError, cmt.TooManyAnswers):
-            self.discarded.append((agent, batch, self.block))
-            self.notes.append(f"malformed reveal for {agent} batch {batch} discarded")
-            return False
-        if not cmt.verify_reveal(record.commitment, vector, key):
-            self.discarded.append((agent, batch, self.block))
-            self.notes.append(f"reveal for {agent} batch {batch} failed verification")
-            return False
+            return self._discard("malformed", agent, batch)
+        if not cmt.verify_reveal(commitment_, vector, key):
+            return self._discard("failed-verification", agent, batch)
         self.accepted[(agent, batch)] = (message, key_value)
         for q, bit in vector.answers().items():
             self.revealed_cells[(agent, q)] = bit
         self.gas.charge("reveal", agent, "storage_write_new_word", 1)
         return True
+
+    def _discard(self, kind: str, agent: str, batch: int) -> bool:
+        note = LedgerNote(kind, agent, batch, self.block)
+        self.notes.append(note)
+        self.discarded[(agent, batch)] = note
+        return False
 
     def reveal_vector(self, agent: str, batch: int, vector: cmt.PackedAnswerVector, key: cmt.SecretKey) -> bool:
         """Convenience wrapper over `reveal` for already-packed answers."""
@@ -397,17 +412,14 @@ class Ledger:
 
     # -- settlement ---------------------------------------------------------------
 
-    def _reveal_complete(self) -> bool:
-        resolved = set(self.accepted) | {(a, b) for a, b, _ in self.discarded}
-        return all(key in resolved for key in self.commitments)
-
     def revealed_matrix(self) -> AnswerMatrix:
         """Registered agents x posted questions holding every accepted answer."""
-        return AnswerMatrix(tuple(self.selected), self.questions, dict(self.revealed_cells))
+        return AnswerMatrix(tuple(self.batches), self.questions, dict(self.revealed_cells))
 
     def settle(self) -> SettlementReport:
         self._require_phase(Phase.REVEAL)
-        if self.block < self._reveal_end and not self._reveal_complete():
+        outstanding = len(self.commitments) - len(self.accepted) - len(self.discarded)
+        if self.block < self._reveal_end and outstanding:
             raise WrongPhase(
                 f"reveal window open until block {self._reveal_end} "
                 f"and reveals are still outstanding at block {self.block}"
@@ -419,78 +431,45 @@ class Ledger:
             rewards = report.per_agent_reward
         else:
             report = None
-            rewards = {a: Fraction(0) for a in self.selected}
+            rewards = {a: Fraction(0) for a in self.batches}
 
         self._record("settle", self.REQUESTER, {})
         self.gas.charge("settle", self.REQUESTER, "tx_base")
-        if matrix.total_answers > 0:
+        if report is not None:
             charge_settlement_compute(
                 self.gas, matrix, self.config.mechanism, self.config.peer_mode,
                 self.config.optimized,
             )
-
-        scale = self.config.scale
-        positive_total = sum((r for r in rewards.values() if r > 0), Fraction(0))
-        payments: dict[str, int] = {}
-        penalties: dict[str, int] = {}
-        for agent in self.selected:
-            r = rewards[agent]
-            if r > 0 and positive_total > 0:
-                payments[agent] = int(Fraction(self.budget) * r / positive_total)
-            else:
-                payments[agent] = 0
-            if r < 0:
-                raw = int(-r * scale)
-                deposit = self.agent_deposits[agent]
-                penalties[agent] = min(deposit, raw)
-                if raw > deposit:
-                    self.notes.append(str(DepositExhausted(agent, raw - deposit)))
-            else:
-                penalties[agent] = 0
-
-        # gas reimbursement from the requester's deposit, registration order
+        self.gas.charge("settle", self.REQUESTER, "storage_write_update_word", len(self.batches) + 1)
         agent_gas = self.gas.per_agent
+
+        positive_total = sum((r for r in rewards.values() if r > 0), Fraction(0))
         revealed_agents = {a for (a, _b) in self.accepted}
-        reimbursements: dict[str, int] = {}
-        remaining = self.requester_deposit
-        for agent in self.selected:
-            if agent in revealed_agents and remaining > 0:
-                reimb = min(agent_gas.get(agent, 0), remaining)
-                reimbursements[agent] = reimb
-                remaining -= reimb
-            else:
-                reimbursements[agent] = 0
-
-        self.gas.charge("settle", self.REQUESTER, "storage_write_update_word", len(self.selected) + 1)
-
+        remaining = self.requester_deposit  # gas reimbursements, registration order
+        budget_paid = penalties = 0
         transfers: dict[str, int] = {}
         rows = []
-        for agent in self.selected:
-            pay = payments[agent]
-            pen = penalties[agent]
-            reimb = reimbursements[agent]
-            transfers[agent] = pay - pen + reimb
-            rows.append(SettlementRow(
-                agent=agent,
-                mechanism_reward=rewards[agent],
-                payment_units=pay,
-                deposit_returned=self.agent_deposits[agent] - pen,
-                gas_reimbursed=reimb,
-            ))
-        transfers[self.REQUESTER] = (
-            sum(penalties.values()) - sum(payments.values()) - sum(reimbursements.values())
-        )
+        for agent, deposit in self.agent_deposits.items():
+            r = rewards[agent]
+            pay = int(self.budget * r / positive_total) if r > 0 else 0
+            penalty = 0
+            if r < 0:
+                raw = int(-r * self.config.scale)
+                penalty = min(deposit, raw)
+                if raw > deposit:
+                    self.notes.append(LedgerNote("deposit-shortfall", agent, None, self.block, raw - deposit))
+            reimb = min(agent_gas[agent], remaining) if agent in revealed_agents else 0
+            remaining -= reimb
+            budget_paid += pay
+            penalties += penalty
+            transfers[agent] = pay - penalty + reimb
+            rows.append(SettlementRow(agent, r, pay, deposit - penalty, reimb))
+        transfers[self.REQUESTER] = penalties - budget_paid - (self.requester_deposit - remaining)
         assert sum(transfers.values()) == 0, "settlement must be zero-sum"
 
         self.transfers = transfers
         self.phase = Phase.SETTLED
-        self.settlement = SettlementReport(
-            rows=rows,
-            reward_report=report,
-            transfers=transfers,
-            budget_paid=sum(payments.values()),
-            penalties_collected=sum(penalties.values()),
-        )
+        self.settlement = SettlementReport(rows, report, transfers, budget_paid, penalties)
         return self.settlement
 
     # -- log replay -----------------------------------------------------------------
@@ -500,19 +479,21 @@ class Ledger:
 
     @classmethod
     def load(cls, text: str) -> "Ledger":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty event log")
-        block, event_type, party, payload_hex = lines[0].split(",", 3)
-        if event_type != "genesis":
-            raise ValueError("event log must start with a genesis event")
-        config = LedgerConfig.from_payload(json.loads(bytes.fromhex(payload_hex)))
-        ledger = cls(config, _replay=True)
-        ledger._record("genesis", cls.CHAIN, config.to_payload())
-        for line in lines[1:]:
+        """Rebuild a ledger by re-running its log.
+
+        Every regenerated line must equal the line it came from; the first
+        that does not raises `ReplayDivergence`, so a replay either
+        reproduces the log byte for byte or fails.
+        """
+        ledger = None
+        for number, line in enumerate(text.splitlines(), 1):
             _block, event_type, party, payload_hex = line.split(",", 3)
             payload = json.loads(bytes.fromhex(payload_hex))
-            if event_type == "tick":
+            if ledger is None:
+                if event_type != "genesis":
+                    raise ValueError("event log must start with a genesis event")
+                ledger = cls(LedgerConfig.from_payload(payload))
+            elif event_type == "tick":
                 ledger.tick(payload["blocks"])
             elif event_type == "post":
                 ledger.post_questions(payload["questions"], payload["budget"], payload["deposit"])
@@ -526,6 +507,10 @@ class Ledger:
                 ledger.settle()
             else:
                 raise ValueError(f"unknown event type {event_type!r}")
+            if ledger.events[-1] != line:
+                raise ReplayDivergence(f"event log line {number} ({event_type}) does not replay byte for byte")
+        if ledger is None:
+            raise ValueError("empty event log")
         return ledger
 
     # -- audit -------------------------------------------------------------------------
@@ -533,26 +518,15 @@ class Ledger:
     def audit(self) -> list[str]:
         """Hard-invariant findings; an empty list means the round is clean."""
         findings = []
-        last_block = 0
-        for line in self.events:
-            b = int(line.split(",", 1)[0])
-            if b < last_block:
-                findings.append(f"event log block numbers regress at block {b}")
-            last_block = b
-        for (agent, batch), (message, key_value) in self.accepted.items():
-            record = self.commitments.get((agent, batch))
-            if record is None:
-                findings.append(f"accepted reveal without commitment: {agent} batch {batch}")
-                continue
-            order = self.agent_batches(agent)[batch]
-            vector = cmt.decode(message, order)
-            if not cmt.verify_reveal(record.commitment, vector, cmt.SecretKey(key_value)):
-                findings.append(f"stored reveal fails verification: {agent} batch {batch}")
         accepted_cells = set()
-        for (agent, batch), (message, _key) in self.accepted.items():
-            order = self.agent_batches(agent)[batch]
-            for q in cmt.decode(message, order).answers():
-                accepted_cells.add((agent, q))
+        for (agent, batch), (message, key_value) in self.accepted.items():
+            vector = cmt.decode(message, self.batches[agent][batch])
+            accepted_cells.update((agent, q) for q in vector.answers())
+            commitment_ = self.commitments.get((agent, batch))
+            if commitment_ is None:
+                findings.append(f"accepted reveal without commitment: {agent} batch {batch}")
+            elif not cmt.verify_reveal(commitment_, vector, cmt.SecretKey(key_value)):
+                findings.append(f"stored reveal fails verification: {agent} batch {batch}")
         for cell in self.revealed_cells:
             if cell not in accepted_cells:
                 findings.append(f"revealed cell {cell} lacks an accepted batch")

@@ -49,8 +49,7 @@ class Mechanism(str, Enum):
 
 @dataclass(frozen=True)
 class AllPeers:
-    def describe(self) -> str:
-        return "all"
+    """Score every peer who answered the cell."""
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,6 @@ class SampledPeers:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-
-    def describe(self) -> str:
-        return f"sampled(k={self.k})"
 
 
 PeerMode = AllPeers | SampledPeers

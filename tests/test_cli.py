@@ -1,6 +1,7 @@
 """CLI exit codes, output files, and rerun determinism."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,25 @@ def test_round_rerun_is_byte_identical(tmp_path):
                     "--peers", "3", "--seed", "9", "--out", str(out)]) == 0
     for name in ("settlement.csv", "gas.csv", "events.log"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_round_alpha_margin_reaches_the_ledger(tmp_path):
+    alphas = {}
+    for spec in ("auto", "auto*3"):
+        out = tmp_path / spec.replace("*", "x")
+        assert run(["round", "--mechanism", "ptsc", "--agents", "6", "--alpha", spec,
+                    "--out", str(out)]) == 0
+        genesis = (out / "events.log").read_text().split("\n", 1)[0]
+        alphas[spec] = Fraction(*json.loads(bytes.fromhex(genesis.rsplit(",", 1)[1]))["alpha"])
+    assert alphas["auto*3"] == Fraction(3, 2) * alphas["auto"]
+
+
+@pytest.mark.parametrize("spec", ["auto*abc", "auto*", "auto*0", "auto*-2"])
+def test_round_rejects_bad_alpha_margins(tmp_path, capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        run(["round", "--alpha", spec, "--agents", "4", "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_round_with_custom_gas_table(tmp_path):
@@ -108,6 +128,11 @@ def test_incentives_scenario_file_and_bad_beliefs(tmp_path, capsys):
     malformed.write_text(json.dumps("just a string"))
     assert run(["incentives", "--scenario", str(malformed),
                 "--out", str(tmp_path / "i3")]) == 2
+
+
+def test_incentives_without_rounds_is_a_usage_error(tmp_path, capsys):
+    assert run(["incentives", "--rounds", "0", "--out", str(tmp_path / "i")]) == 2
+    assert "at least one round" in capsys.readouterr().err
 
 
 def test_gas_bench_writes_sweep_csvs(tmp_path):

@@ -22,6 +22,7 @@ from peerchain.incentives import (
     equilibrium_check,
     gamma,
     max_saving,
+    parse_alpha,
     payment_mc,
     saving_lower_bound,
     saving_mc,
@@ -114,6 +115,28 @@ def test_scenario_construction_and_auto_alpha():
     sc3 = IncentiveScenario.from_parameters(n=10, c=F(1), alpha="auto*3",
                                             prior_1=PRIOR, bump=BUMP)
     assert sc3.alpha == 3 * F(323, 500)
+
+
+def test_alpha_spec_grammar():
+    assert parse_alpha("auto") == (F(2), True)
+    assert parse_alpha("auto*1/2") == parse_alpha("auto*0.5") == (F(1, 2), True)
+    assert parse_alpha("0.25") == parse_alpha("1/4") == parse_alpha(0.25) == (F(1, 4), False)
+    assert parse_alpha(F(3, 7)) == (F(3, 7), False)
+    for bad in ("auto*abc", "auto*", "auto*0", "auto*-1", "autox", "1/0", "inf", None):
+        with pytest.raises(ValueError):
+            parse_alpha(bad)
+
+
+def test_mc_estimates_need_a_round():
+    sc = example_scenario()
+
+    def equilibrium(scenario, rounds):
+        return equilibrium_check(scenario, ALWAYS_0, rounds=rounds)
+
+    for estimate in (payment_mc, saving_mc, equilibrium):
+        for rounds in (0, -1):
+            with pytest.raises(ValueError):
+                estimate(sc, rounds=rounds)
 
 
 def test_mc_estimate_verdicts():

@@ -1,5 +1,7 @@
 """Ledger state machine: lifecycle, integrity, settlement, replay."""
 
+import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,7 @@ from peerchain.errors import (
     DuplicateCommitment,
     InsufficientDeposit,
     NoCommitment,
+    ReplayDivergence,
     UnknownQuestion,
     UnregisteredAgent,
     WrongPhase,
@@ -236,7 +239,7 @@ def test_reveal_integrity_paths():
         ledger.reveal("A", 1, 0, 0)
     # wrong key: discarded, not raised
     assert not ledger.reveal("A", 0, vec.message(), key.value ^ 1)
-    assert ("A", 0) in {(a, b) for a, b, _ in ledger.discarded}
+    assert ("A", 0) in ledger.discarded
     # malformed message: answer bit without answered bit
     assert not ledger.reveal("B", 0, 0b10, kb.value)
     # honest reveal still lands after a failed attempt? no: one discard
@@ -247,8 +250,8 @@ def test_reveal_integrity_paths():
     report = ledger.settle()
     assert report.reward_report is None
     assert all(r.payment_units == 0 for r in report.rows)
-    assert any("failed verification" in n for n in ledger.notes)
-    assert any("malformed" in n for n in ledger.notes)
+    assert any(n.kind == "failed-verification" for n in ledger.notes)
+    assert any(n.kind == "malformed" for n in ledger.notes)
 
 
 def test_duplicate_reveal_discarded():
@@ -261,8 +264,27 @@ def test_duplicate_reveal_discarded():
     ledger.submit_commitment("A", 0, cmt.commit(vec, key))
     assert ledger.reveal_vector("A", 0, vec, key)
     assert not ledger.reveal_vector("A", 0, vec, key)
-    assert any("duplicate" in n for n in ledger.notes)
+    assert any(n.kind == "duplicate" for n in ledger.notes)
     assert ledger.revealed_cells == {("A", "q1"): 1}
+
+
+def test_discard_is_final():
+    ledger = Ledger(LedgerConfig())
+    ledger.post_questions(("q1",), budget=100)
+    ledger.select_questions("A", ("q1",))
+    ledger.tick(10)
+    vec = cmt.pack([("q1", 1)], ("q1",))
+    key = cmt.SecretKey(4)
+    ledger.submit_commitment("A", 0, cmt.commit(vec, key))
+    assert not ledger.reveal("A", 0, vec.message(), key.value ^ 1)
+    gas = ledger.gas.total
+    # the right key comes too late: it pays its gas and lands nothing
+    assert not ledger.reveal_vector("A", 0, vec, key)
+    assert ledger.gas.total > gas and ledger.events[-1].split(",")[1] == "reveal"
+    assert ledger.revealed_cells == {} and ledger.accepted == {}
+    assert list(ledger.discarded) == [("A", 0)]
+    assert [n.kind for n in ledger.notes] == ["failed-verification", "duplicate"]
+    assert ledger.settle().reward_report is None
 
 
 def test_batching_splits_along_posted_order():
@@ -325,7 +347,76 @@ def test_replay_rejects_corrupt_logs():
         Ledger.load("\n".join(lines))
 
 
+def _bump_settle_block(dump):
+    head, last = dump.rstrip("\n").rsplit("\n", 1)
+    block, rest = last.split(",", 1)
+    return f"{head}\n{int(block) + 999},{rest}\n"
+
+
+def _reorder_reveal_payload(dump):
+    lines = dump.splitlines()
+    i = max(j for j, line in enumerate(lines) if ",reveal," in line)
+    head, payload_hex = lines[i].rsplit(",", 1)
+    payload = json.loads(bytes.fromhex(payload_hex))
+    reordered = json.dumps(dict(reversed(payload.items())), separators=(",", ":"))
+    lines[i] = f"{head},{reordered.encode().hex()}"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("tamper", [_bump_settle_block, _reorder_reveal_payload])
+def test_replay_raises_on_a_line_it_does_not_reproduce(tamper):
+    ledger = _oa_round()
+    ledger.settle()
+    tampered = tamper(ledger.dump())
+    assert tampered != ledger.dump()
+    with pytest.raises(ReplayDivergence):
+        Ledger.load(tampered)
+
+
 def test_tick_validation():
     ledger = Ledger(LedgerConfig())
     with pytest.raises(ValueError):
         ledger.tick(0)
+
+
+def _tick_splits(total):
+    """Every way of cutting `total` blocks into ticks, in order."""
+    for cuts in itertools.product((False, True), repeat=total - 1):
+        split, run = [], 1
+        for cut in cuts:
+            if cut:
+                split.append(run)
+                run = 0
+            run += 1
+        yield split + [run]
+
+
+def test_tick_jumps_agree_with_block_by_block_time():
+    for pre, sel, com, rev in itertools.product((0, 2), (1, 2, 3), (1, 3), (1, 2)):
+        for split in _tick_splits(7):
+            ledger = Ledger(LedgerConfig(selection_blocks=sel, commit_blocks=com, reveal_blocks=rev))
+            if pre:
+                ledger.tick(pre)
+            ledger.post_questions(("q1",), budget=10)
+            t = pre
+            for blocks in split:
+                ledger.tick(blocks)
+                t += blocks
+                # block by block, deadlines fall at fixed blocks after posting
+                want = (Phase.SELECTION if t < pre + sel
+                        else Phase.COMMIT if t < pre + sel + com else Phase.REVEAL)
+                assert (ledger.block, ledger.phase) == (t, want), (pre, sel, com, split)
+            if ledger.phase is Phase.REVEAL:
+                assert ledger._reveal_end == pre + sel + com + rev
+
+
+def test_tick_is_constant_time_and_takes_only_whole_blocks():
+    ledger = Ledger(LedgerConfig())
+    ledger.post_questions(("q1",), budget=10)
+    ledger.tick(10**12)
+    assert ledger.block == 10**12 and ledger.phase is Phase.REVEAL
+    events = list(ledger.events)
+    for bad in (1.5, "2", None):
+        with pytest.raises(ValueError):
+            ledger.tick(bad)
+    assert ledger.events == events

@@ -13,7 +13,7 @@ from .commitment import (
     verify_reveal,
 )
 from .errors import PeerchainError
-from .gas_model import DEFAULT_GAS_TABLE, GasLedger, GasTable, cost_of_commit_scheme
+from .gas_model import DEFAULT_GAS_TABLE, GasLedger, GasTable
 from .incentives import (
     BeliefModel,
     GenerativeWorld,

@@ -196,8 +196,8 @@ def cmd_gas_bench(args) -> int:
 
 def _load_scenarios(args) -> list[dict]:
     if not args.scenario:
-        return [{"scenario_id": "example-n10", "n": 10, "c": "1",
-                 "prior": "0.95", "bump": "0.01", "alpha": "auto"}]
+        return [{"scenario_id": "example-n10", "n": 10,
+                 "prior": DEFAULT_PRIOR, "bump": DEFAULT_BUMP, "alpha": "auto"}]
     with open(args.scenario, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if isinstance(raw, dict):
@@ -220,7 +220,7 @@ def cmd_incentives(args) -> int:
     for spec_ in _load_scenarios(args):
         sid = spec_.get("scenario_id", f"n{spec_.get('n', '?')}")
         scenario = inc.IncentiveScenario.from_parameters(
-            n=int(spec_["n"]),
+            n=spec_["n"],
             c=inc.exact_number(spec_.get("c", 1)),
             alpha=spec_.get("alpha", "auto"),
             prior_1=inc.exact_number(spec_["prior"]),

@@ -1,10 +1,12 @@
 """Deterministic gas accounting for the simulated contract.
 
 Gas is assigned by a configurable table of per-operation costs, not by
-instrumenting host code: every ledger operation documents its storage and
-compute pattern here and charges accordingly.  Only the ordering of the
-table entries matters for the cost trends; the shipped defaults follow
-Ethereum yellow-paper-era constants so desk numbers are comparable across
+instrumenting host code.  The ledger charges each posting, selection,
+commit and reveal event from the table (its module docstring lists the
+words), so packing shows as fewer commit and reveal events; this module
+prices settlement compute.  Only the ordering of the table entries
+matters for the cost trends; the shipped defaults follow Ethereum
+yellow-paper-era constants so desk numbers are comparable across
 implementations.
 
 `charge_settlement_compute` prices the same `mechanisms.cell_plan` that
@@ -54,15 +56,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from math import ceil
 from typing import TYPE_CHECKING
 
 from .errors import UnknownOpKind
 
 if TYPE_CHECKING:
     from .mechanisms import AnswerMatrix, Mechanism, PeerMode
-
-MAX_BATCH = 42  # answers per packed commitment (see commitment module)
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,6 @@ class GasTable:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-
 
 DEFAULT_GAS_TABLE = GasTable()
 
@@ -158,10 +153,6 @@ class GasLedger:
         return gas
 
     @property
-    def rows(self) -> list[GasRow]:
-        return list(self._rows.values())
-
-    @property
     def total(self) -> int:
         return sum(r.gas for r in self._rows.values())
 
@@ -183,31 +174,9 @@ class GasLedger:
     def per_agent(self) -> dict[str, int]:
         return {p: g for p, g in self.per_party.items() if p != self.REQUESTER}
 
-    def phase_total(self, phase: str) -> int:
-        return self.per_phase.get(phase, 0)
-
     def report_rows(self) -> list[tuple[str, str, str, int, int]]:
         """Rows for the gas report CSV: phase, party, op_kind, words, gas."""
         return [(r.phase, r.party, r.op_kind, r.words, r.gas) for r in self._rows.values()]
-
-
-# ---------------------------------------------------------------------------
-# commitment-scheme writing costs
-# ---------------------------------------------------------------------------
-
-def commit_batches(n_answers: int, packed: bool) -> int:
-    if n_answers < 1:
-        raise ValueError("n_answers must be at least 1")
-    return ceil(n_answers / MAX_BATCH) if packed else n_answers
-
-
-def cost_of_commit_scheme(n_answers: int, packed: bool, table: GasTable | None = None) -> int:
-    """Writing cost of the commit phase: one stored word plus one hash per
-    commitment.  Packed mode needs one commitment per 42 answers; the
-    unpacked baseline commits every answer separately."""
-    table = table or DEFAULT_GAS_TABLE
-    per_batch = table.storage_write_new_word + table.hash_base + table.hash_per_word
-    return commit_batches(n_answers, packed) * per_batch
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +187,16 @@ def charge_settlement_compute(
     gas: GasLedger,
     matrix: "AnswerMatrix",
     mechanism: "Mechanism",
-    peer_mode: "PeerMode | None" = None,
+    peer_mode: "PeerMode",
     optimized: bool = True,
-    phase: str = "settle",
-    party: str = GasLedger.REQUESTER,
 ) -> int:
     """Charge the reward-computation pattern documented in the module
-    docstring.  Returns the gas added."""
-    from .mechanisms import ALL_PEERS, AllPeers, Mechanism, cell_plan
+    docstring to the requester's settle phase.  Returns the gas added."""
+    from .mechanisms import AllPeers, Mechanism, cell_plan
 
-    peer_mode = peer_mode or ALL_PEERS
+    def charge(op_kind: str, words: int) -> None:
+        gas.charge("settle", GasLedger.REQUESTER, op_kind, words)
+
     sampled = not isinstance(peer_mode, AllPeers)
     before = gas.total
 
@@ -249,71 +218,71 @@ def charge_settlement_compute(
 
     if optimized:
         # prelude: cache answers, count per question
-        gas.charge(phase, party, "storage_read_word", T)
-        gas.charge(phase, party, "memory_word", T)
-        gas.charge(phase, party, "arithmetic_op", T)
-        gas.charge(phase, party, "memory_word", 2 * n_questions)
+        charge("storage_read_word", T)
+        charge("memory_word", T)
+        charge("arithmetic_op", T)
+        charge("memory_word", 2 * n_questions)
 
     if sampled:
         # per-cell sampling: pool copy, seed hash, one draw per peer kept;
         # the per-question counts do not cover a sample, so optimized OA
         # and PTSC scan the drawn peers' answers
-        gas.charge(phase, party, "memory_word", pool_words)
-        gas.charge(phase, party, "hash_base", cells)
-        gas.charge(phase, party, "hash_per_word", 3 * cells)
-        gas.charge(phase, party, "arithmetic_op", 5 * visits)
-        gas.charge(phase, party, "memory_word", 3 * visits)
+        charge("memory_word", pool_words)
+        charge("hash_base", cells)
+        charge("hash_per_word", 3 * cells)
+        charge("arithmetic_op", 5 * visits)
+        charge("memory_word", 3 * visits)
         if optimized and mechanism is not Mechanism.DG:
-            gas.charge(phase, party, "memory_word", visits)
-            gas.charge(phase, party, "comparison_op", visits)
-            gas.charge(phase, party, "arithmetic_op", 2 * visits)
+            charge("memory_word", visits)
+            charge("comparison_op", visits)
+            charge("arithmetic_op", 2 * visits)
     elif optimized and mechanism is Mechanism.OA:
         # all-peers OA reads each cell's match count from the counts
-        gas.charge(phase, party, "arithmetic_op", 2 * cells)
+        charge("arithmetic_op", 2 * cells)
 
     if mechanism is Mechanism.OA:
         if optimized:
-            gas.charge(phase, party, "arithmetic_op", 2 * cells)  # accumulate
+            charge("arithmetic_op", 2 * cells)  # accumulate
         else:
             # scan each peer's answer from storage, compare, accumulate
-            gas.charge(phase, party, "storage_read_word", visits + cells)
-            gas.charge(phase, party, "comparison_op", visits)
-            gas.charge(phase, party, "arithmetic_op", 2 * visits + 2 * cells)
+            charge("storage_read_word", visits + cells)
+            charge("comparison_op", visits)
+            charge("arithmetic_op", 2 * visits + 2 * cells)
 
     elif mechanism is Mechanism.PTSC:
         if optimized:
-            gas.charge(phase, party, "arithmetic_op", T + 2 * n_agents)
-            gas.charge(phase, party, "memory_word", 2 * n_agents)
-            gas.charge(phase, party, "arithmetic_op", 6 * cells)
-            gas.charge(phase, party, "comparison_op", cells)
+            charge("arithmetic_op", T + 2 * n_agents)
+            charge("memory_word", 2 * n_agents)
+            charge("arithmetic_op", 6 * cells)
+            charge("comparison_op", cells)
         else:
             # R_i(y) recomputed per cell by scanning all answers from storage
-            gas.charge(phase, party, "storage_read_word", T * cells)
-            gas.charge(phase, party, "arithmetic_op", T * cells + 6 * cells)
-            gas.charge(phase, party, "storage_read_word", visits + cells)
-            gas.charge(phase, party, "comparison_op", visits + cells)
-            gas.charge(phase, party, "arithmetic_op", 2 * visits)
+            charge("storage_read_word", T * cells)
+            charge("arithmetic_op", T * cells + 6 * cells)
+            charge("storage_read_word", visits + cells)
+            charge("comparison_op", visits + cells)
+            charge("arithmetic_op", 2 * visits)
 
     elif mechanism is Mechanism.DG:
         if optimized:
             pair_scan = sum(answers[a] + answers[b] for a, b in pairs)
-            gas.charge(phase, party, "comparison_op", pair_scan)
-            gas.charge(phase, party, "memory_word", pair_scan + 4 * len(pairs))
-            gas.charge(phase, party, "arithmetic_op", 5 * len(pairs))
+            charge("comparison_op", pair_scan)
+            charge("memory_word", pair_scan + 4 * len(pairs))
+            charge("arithmetic_op", 5 * len(pairs))
             # peer loop: match + cached-penalty read per peer
-            gas.charge(phase, party, "memory_word", visits)
-            gas.charge(phase, party, "comparison_op", visits)
-            gas.charge(phase, party, "arithmetic_op", 2 * visits + 2 * cells)
+            charge("memory_word", visits)
+            charge("comparison_op", visits)
+            charge("arithmetic_op", 2 * visits + 2 * cells)
         else:
             # penalty recomputed per use: storage scan of both agents' rows
-            gas.charge(phase, party, "storage_read_word", scan)
-            gas.charge(phase, party, "comparison_op", scan)
-            gas.charge(phase, party, "storage_read_word", visits + cells)
-            gas.charge(phase, party, "comparison_op", visits)
-            gas.charge(phase, party, "arithmetic_op", 2 * visits + 2 * cells)
+            charge("storage_read_word", scan)
+            charge("comparison_op", scan)
+            charge("storage_read_word", visits + cells)
+            charge("comparison_op", visits)
+            charge("arithmetic_op", 2 * visits + 2 * cells)
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
 
     # per-agent averaging
-    gas.charge(phase, party, "arithmetic_op", 2 * n_agents)
+    charge("arithmetic_op", 2 * n_agents)
     return gas.total - before

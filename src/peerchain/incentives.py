@@ -2,8 +2,8 @@
 
 Closed forms are exact rationals:
 
-* beta  = min over agents of P(x_p=1|x_i=1)/P(x_p=1) - P(x_p=0|x_i=1)/P(x_p=0)
-* gamma = max over agents of P(x_p=0|x_i=1)
+* beta  = P(x_p=1|x_i=1)/P(x_p=1) - P(x_p=0|x_i=1)/P(x_p=0)
+* gamma = P(x_p=0|x_i=1)
 * alpha_bound(n, c) = c * (1 + (n-1)*gamma) / (n*beta); any alpha strictly
   above it makes truth-telling a strict equilibrium against the refund
   incentive c * o_q paid to agents who report 0.
@@ -27,7 +27,7 @@ share the common random numbers of the world and the peer draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from math import sqrt
@@ -45,70 +45,49 @@ _TAG_WORLD, _TAG_PEERS, _TAG_DEVIATION = 1, 2, 3
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AgentBelief:
+class BeliefModel:
+    """Every agent's prior P(x=1) and posterior P(x_p=1|x_i=1), exact."""
+
     prior_1: Fraction
     post_1_given_1: Fraction
-    post_0_given_1: Fraction
-    post_0_given_0: Fraction
 
     def __post_init__(self):
-        for name in ("prior_1", "post_1_given_1", "post_0_given_1", "post_0_given_0"):
+        for name in ("prior_1", "post_1_given_1"):
             p = getattr(self, name)
             if not 0 <= p <= 1:
                 raise ValueError(f"{name} = {p} is not a probability")
-        if self.post_1_given_1 + self.post_0_given_1 != 1:
-            raise ValueError("posteriors given x_i=1 must sum to exactly 1")
-
-
-@dataclass(frozen=True)
-class BeliefModel:
-    agents: tuple[AgentBelief, ...]
-
-    def __post_init__(self):
-        if not self.agents:
-            raise ValueError("belief model needs at least one agent")
 
     @classmethod
-    def from_bump(cls, prior_1, bump, n_agents: int = 1) -> "BeliefModel":
-        """Homogeneous beliefs with P(x_p=1|x_i=1) = prior + bump.
-
-        post_0_given_0 is derived from the calibrated world since the
-        symmetric mixture leaves no freedom for it once the prior and the
-        x_i=1 posterior are fixed.
-        """
+    def from_bump(cls, prior_1, bump) -> "BeliefModel":
+        """Beliefs with P(x_p=1|x_i=1) = prior + bump."""
         prior_1 = Fraction(prior_1)
-        bump = Fraction(bump)
-        post11 = prior_1 + bump
-        world = calibrate_world(prior_1, post11)
-        post00 = Fraction(world.post_0_given_0()).limit_denominator(10**15)
-        belief = AgentBelief(prior_1, post11, 1 - post11, post00)
-        return cls((belief,) * n_agents)
+        return cls(prior_1, prior_1 + Fraction(bump))
 
 
 def _require_mixed(model: BeliefModel) -> None:
-    for b in model.agents:
-        if b.prior_1 in (0, 1):
-            raise DegeneratePrior(f"prior {b.prior_1} is not fully mixed")
+    if model.prior_1 in (0, 1):
+        raise DegeneratePrior(f"prior {model.prior_1} is not fully mixed")
 
 
 def beta(model: BeliefModel) -> Fraction:
-    """Minimum correlation strength across agents, exact."""
+    """Correlation strength, exact."""
     _require_mixed(model)
-    return min(
-        b.post_1_given_1 / b.prior_1 - b.post_0_given_1 / (1 - b.prior_1)
-        for b in model.agents
-    )
+    return model.post_1_given_1 / model.prior_1 - (1 - model.post_1_given_1) / (1 - model.prior_1)
 
 
 def gamma(model: BeliefModel) -> Fraction:
-    """Largest posterior weight any agent puts on a peer observing 0 given 1."""
+    """Posterior weight on a peer observing 0 given 1."""
     _require_mixed(model)
-    return max(b.post_0_given_1 for b in model.agents)
+    return 1 - model.post_1_given_1
+
+
+def _require_agents(n: int) -> None:
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"n must be a whole number of at least two agents, got {n!r}")
 
 
 def alpha_bound(n: int, c, model: BeliefModel) -> Fraction:
-    if n < 2:
-        raise ValueError("need at least two agents per question")
+    _require_agents(n)
     c = Fraction(c)
     if c <= 0:
         raise ValueError("refund coefficient c must be positive")
@@ -151,10 +130,6 @@ class GenerativeWorld:
     def post_1_given_1(self) -> float:
         p1 = self.prior_1()
         return (self.w * self.h**2 + (1 - self.w) * self.l**2) / p1
-
-    def post_0_given_0(self) -> float:
-        p0 = 1 - self.prior_1()
-        return (self.w * (1 - self.h) ** 2 + (1 - self.w) * self.h**2) / p0
 
     def sample_observations(self, rng: np.random.Generator, rounds: int, n: int) -> np.ndarray:
         """(rounds, n) int8 matrix of observations, one latent state per row."""
@@ -246,33 +221,28 @@ class IncentiveScenario:
     c: Fraction
     alpha: Fraction
     beliefs: BeliefModel
-    world: GenerativeWorld
+    world: GenerativeWorld = field(init=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        _require_agents(self.n)
         if self.c <= 0:
             raise ValueError("c must be positive")
         # alpha = 0 is allowed to demonstrate the PTSC-off failure mode;
         # the bound and payment helpers still demand a positive alpha.
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        for b in self.beliefs.agents:
-            if abs(self.world.prior_1() - float(b.prior_1)) > 1e-9:
-                raise ValueError("world marginal inconsistent with beliefs")
-            if abs(self.world.post_1_given_1() - float(b.post_1_given_1)) > 1e-9:
-                raise ValueError("world posterior inconsistent with beliefs")
+        world = calibrate_world(self.beliefs.prior_1, self.beliefs.post_1_given_1)
+        object.__setattr__(self, "world", world)
 
     @classmethod
     def from_parameters(cls, n: int, c, alpha, prior_1, bump) -> "IncentiveScenario":
         """Build a consistent scenario; alpha is any spec `parse_alpha` reads."""
         c = Fraction(c)
         beliefs = BeliefModel.from_bump(prior_1, bump)
-        world = calibrate_world(prior_1, Fraction(prior_1) + Fraction(bump))
         alpha, auto = parse_alpha(alpha)
         if auto:
             alpha *= alpha_bound(n, c, beliefs)
-        return cls(n, c, alpha, beliefs, world)
+        return cls(n, c, alpha, beliefs)
 
     def bound(self) -> Fraction:
         return alpha_bound(self.n, self.c, self.beliefs)
@@ -280,8 +250,7 @@ class IncentiveScenario:
 
 def saving_lower_bound(scenario: IncentiveScenario) -> Fraction:
     """Closed-form saving floor: p1*(2-p1) - alpha/c."""
-    p1 = scenario.beliefs.agents[0].prior_1
-    return max_saving(p1) - scenario.alpha / scenario.c
+    return max_saving(scenario.beliefs.prior_1) - scenario.alpha / scenario.c
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ Gas charges per event (words per the configured table):
 * select: tx_base; one deposit word plus one word per 16 chosen question
   indices.
 * commit: tx_base; one new storage word (the digest).  Hashing happened
-  off-ledger, so no hash gas here; `gas_model.cost_of_commit_scheme`
-  prices the writing side of the packing comparison.
+  off-ledger, so no hash gas here.  Packing shows as fewer commitments,
+  one per batch of up to 42 answers.
 * reveal: tx_base; one storage read (the digest), one hash of the 22-byte
   layout, one comparison; accepted reveals add one new storage word.
 * settle: tx_base; the mechanism's compute pattern via
@@ -82,6 +82,12 @@ def format_decimal(x: Fraction | int, sig: int = 12) -> str:
         ctx.prec = sig
         d = Decimal(x.numerator) / Decimal(x.denominator)
     return str(d)
+
+
+def _require_ints(**values) -> None:
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name} must be an int, got {v!r}")
 
 
 def _peer_mode_payload(mode: PeerMode) -> dict:
@@ -292,6 +298,7 @@ class Ledger:
 
     def post_questions(self, questions, budget: int, requester_deposit: int = 0) -> None:
         self._require_phase(Phase.POSTING)
+        _require_ints(budget=budget, requester_deposit=requester_deposit)
         questions = tuple(questions)
         if not questions or len(set(questions)) != len(questions):
             raise ValueError("questions must be a nonempty unique sequence")
@@ -314,6 +321,7 @@ class Ledger:
 
     def select_questions(self, agent: str, question_ids, deposit: int = 0) -> None:
         self._require_phase(Phase.SELECTION)
+        _require_ints(deposit=deposit)
         if agent in self.batches:
             raise ValueError(f"agent {agent!r} already registered")
         if agent == self.REQUESTER or agent == self.CHAIN:
@@ -351,6 +359,7 @@ class Ledger:
 
     def submit_commitment(self, agent: str, batch: int, commitment_: cmt.Commitment) -> None:
         self._require_phase(Phase.COMMIT)
+        _require_ints(batch=batch)
         batches = self.agent_batches(agent)
         if not 0 <= batch < len(batches):
             raise ValueError(f"agent {agent!r} has {len(batches)} batches, got index {batch}")
@@ -374,6 +383,7 @@ class Ledger:
         its gas and changes nothing else.
         """
         self._require_phase(Phase.REVEAL)
+        _require_ints(batch=batch, message=message, key_value=key_value)
         batches = self.agent_batches(agent)
         commitment_ = self.commitments.get((agent, batch))
         if commitment_ is None:
@@ -483,30 +493,39 @@ class Ledger:
 
         Every regenerated line must equal the line it came from; the first
         that does not raises `ReplayDivergence`, so a replay either
-        reproduces the log byte for byte or fails.
+        reproduces the log byte for byte or fails.  A payload that is not
+        an object, lacks a field or holds a field of the wrong type raises
+        `ValueError` naming its line.
         """
         ledger = None
         for number, line in enumerate(text.splitlines(), 1):
             _block, event_type, party, payload_hex = line.split(",", 3)
             payload = json.loads(bytes.fromhex(payload_hex))
-            if ledger is None:
-                if event_type != "genesis":
-                    raise ValueError("event log must start with a genesis event")
-                ledger = cls(LedgerConfig.from_payload(payload))
-            elif event_type == "tick":
-                ledger.tick(payload["blocks"])
-            elif event_type == "post":
-                ledger.post_questions(payload["questions"], payload["budget"], payload["deposit"])
-            elif event_type == "select":
-                ledger.select_questions(party, payload["questions"], payload["deposit"])
-            elif event_type == "commit":
-                ledger.submit_commitment(party, payload["batch"], cmt.Commitment.from_hex(payload["commitment"]))
-            elif event_type == "reveal":
-                ledger.reveal(party, payload["batch"], payload["message"], payload["key"])
-            elif event_type == "settle":
-                ledger.settle()
-            else:
-                raise ValueError(f"unknown event type {event_type!r}")
+            if not isinstance(payload, dict):
+                raise ValueError(f"event log line {number} ({event_type}): payload is not an object")
+            try:
+                if ledger is None:
+                    if event_type != "genesis":
+                        raise ValueError("event log must start with a genesis event")
+                    ledger = cls(LedgerConfig.from_payload(payload))
+                elif event_type == "tick":
+                    ledger.tick(payload["blocks"])
+                elif event_type == "post":
+                    ledger.post_questions(payload["questions"], payload["budget"], payload["deposit"])
+                elif event_type == "select":
+                    ledger.select_questions(party, payload["questions"], payload["deposit"])
+                elif event_type == "commit":
+                    ledger.submit_commitment(party, payload["batch"], cmt.Commitment.from_hex(payload["commitment"]))
+                elif event_type == "reveal":
+                    ledger.reveal(party, payload["batch"], payload["message"], payload["key"])
+                elif event_type == "settle":
+                    ledger.settle()
+                else:
+                    raise ValueError(f"unknown event type {event_type!r}")
+            except (KeyError, TypeError) as e:
+                raise ValueError(
+                    f"event log line {number} ({event_type}): malformed payload ({type(e).__name__}: {e})"
+                ) from None
             if ledger.events[-1] != line:
                 raise ReplayDivergence(f"event log line {number} ({event_type}) does not replay byte for byte")
         if ledger is None:

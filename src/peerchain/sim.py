@@ -18,7 +18,7 @@ Every output is a pure function of (config, seed).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import floor
@@ -220,6 +220,13 @@ def assert_dg_valid(matrix: AnswerMatrix) -> None:
 # experiments
 # ---------------------------------------------------------------------------
 
+# settings every experiment round shares: the 50/25/25 behavior mix, the
+# requester's budget and gas deposit (binarization keeps its 1-s default)
+POPULATION = AgentPopulation()
+BUDGET = 10**6
+REQUESTER_DEPOSIT = 10**5
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mechanism: Mechanism = Mechanism.OA
@@ -228,23 +235,16 @@ class ExperimentConfig:
     gas_table: GasTable = DEFAULT_GAS_TABLE
     agents: int = 50
     questions_per_agent: int | None = None
-    population: AgentPopulation = field(default_factory=AgentPopulation)
     alpha: Fraction = Fraction(1, 2)
-    budget: int = 10**6
-    requester_deposit: int = 10**5
-    threshold: float = 1.0
     optimized: bool = True
     seed: int = 0
     config_id: str = ""
 
-    def name(self) -> str:
-        if self.config_id:
-            return self.config_id
-        peers = str(self.peer_mode.k) if isinstance(self.peer_mode, SampledPeers) else "all"
-        return (
-            f"{self.mechanism.value}-{'packed' if self.packed else 'unpacked'}"
-            f"-peers_{peers}-seed{self.seed}"
-        )
+    def __post_init__(self):
+        if self.agents < 1:
+            raise ValueError(f"an experiment needs at least one agent, got {self.agents}")
+        if self.questions_per_agent is not None and self.questions_per_agent < 1:
+            raise ValueError(f"questions per agent must be at least 1, got {self.questions_per_agent}")
 
 
 @dataclass
@@ -270,7 +270,7 @@ class ExperimentReport:
         rows = []
         for phase, gas in self.gas_per_phase.items():
             rows.append(
-                f"{cfg.name()},{cfg.mechanism.value},{'on' if cfg.packed else 'off'},"
+                f"{cfg.config_id},{cfg.mechanism.value},{'on' if cfg.packed else 'off'},"
                 f"{self.k_peers()},{cfg.agents},{qpa},{phase},{gas},"
                 + ",".join(means)
             )
@@ -290,8 +290,8 @@ def run_experiment(config: ExperimentConfig, dataset: QoSDataset | None = None) 
     if dataset.n_agents < config.agents:
         raise ValueError(f"dataset has {dataset.n_agents} agents, config wants {config.agents}")
     dataset = dataset.corner(config.agents, dataset.n_services)
-    truth = binarize(dataset, config.threshold)
-    reports = generate_reports(truth, config.population, config.seed)
+    truth = binarize(dataset)
+    reports = generate_reports(truth, POPULATION, config.seed)
 
     # per-agent question set: answered columns in dataset order, truncated
     selections = {}
@@ -310,7 +310,7 @@ def run_experiment(config: ExperimentConfig, dataset: QoSDataset | None = None) 
         optimized=config.optimized,
     )
     ledger = Ledger(led_cfg)
-    ledger.post_questions(reports.questions, config.budget, config.requester_deposit)
+    ledger.post_questions(reports.questions, BUDGET, REQUESTER_DEPOSIT)
     deposit = led_cfg.min_agent_deposit
     active = [a for a in reports.agents if selections[a]]
     for a in active:
@@ -334,7 +334,7 @@ def run_experiment(config: ExperimentConfig, dataset: QoSDataset | None = None) 
     settlement = ledger.settle()
 
     reward_report = settlement.reward_report
-    behaviors = config.population.assign(reports.agents)
+    behaviors = POPULATION.assign(reports.agents)
     means: dict[Behavior, Fraction | None] = {}
     for b in Behavior:
         members = [a for a in active if behaviors[a] is b]
@@ -384,11 +384,3 @@ def sweep_peers(base: ExperimentConfig, dataset: QoSDataset, ks, sample_seed: in
         cfg = replace(base, peer_mode=SampledPeers(k, sample_seed), config_id=f"peers-{k}")
         out[str(k)] = run_experiment(cfg, dataset)
     return out
-
-
-def commit_reveal_gas(report: ExperimentReport) -> int:
-    return report.gas_per_phase.get("commit", 0) + report.gas_per_phase.get("reveal", 0)
-
-
-def settle_gas(report: ExperimentReport) -> int:
-    return report.gas_per_phase.get("settle", 0)

@@ -13,7 +13,6 @@ from statistics import mean, stdev
 
 import peerchain.commitment as cmt
 import peerchain.incentives as inc
-from peerchain.gas_model import commit_batches, cost_of_commit_scheme
 from peerchain.ledger import Ledger, LedgerConfig
 from peerchain.mechanisms import (
     ALL_PEERS,
@@ -26,9 +25,7 @@ from peerchain.mechanisms import (
 from peerchain.sim import (
     Behavior,
     ExperimentConfig,
-    commit_reveal_gas,
     run_experiment,
-    settle_gas,
     sweep_mechanisms,
     sweep_packing,
     sweep_peers,
@@ -135,25 +132,23 @@ def test_sampled_peer_unbiasedness():
 # -- 5. packing gas trend ---------------------------------------------------------
 
 def test_packing_gas_steps(desk_dataset):
-    ok = all(commit_batches(q, packed=True) == ceil(q / 42) for q in range(1, 170))
-    ok = ok and all(commit_batches(q, packed=False) == q for q in range(1, 170))
-    packed_costs = [cost_of_commit_scheme(q, True) for q in range(1, 130)]
-    ok = ok and len(set(packed_costs[:42])) == 1
-    ok = ok and packed_costs[42] == 2 * packed_costs[0]        # step exactly at 43
-    ok = ok and packed_costs[84] == 3 * packed_costs[0]        # and again at 85
-    unpacked_costs = [cost_of_commit_scheme(q, False) for q in range(1, 130)]
-    ok = ok and all(a < b for a, b in zip(unpacked_costs, unpacked_costs[1:]))
-
-    # the same shape must come out of full simulated rounds
     from peerchain.sim import QoSDataset
-    dense = QoSDataset.synthetic(4, 43, seed=0, p_miss=0.0)
-    base = ExperimentConfig(agents=4, seed=0)
+    agents = 4
+    dense = QoSDataset.synthetic(agents, 43, seed=0, p_miss=0.0)
+    base = ExperimentConfig(agents=agents, seed=0)
     reports = {
-        (r.config.packed, r.config.questions_per_agent): commit_reveal_gas(r)
+        (r.config.packed, r.config.questions_per_agent): r
         for r in sweep_packing(base, dense, questions=range(1, 44))
     }
-    packed_sim = [reports[(True, q)] for q in range(1, 44)]
-    unpacked_sim = [reports[(False, q)] for q in range(1, 44)]
+    # one commitment per 42 answers packed, one per answer unpacked
+    ok = all(
+        len(reports[(True, q)].ledger.commitments) == agents * ceil(q / 42)
+        and len(reports[(False, q)].ledger.commitments) == agents * q
+        for q in range(1, 44)
+    )
+    gas = {key: r.gas_per_phase["commit"] + r.gas_per_phase["reveal"] for key, r in reports.items()}
+    packed_sim = [gas[(True, q)] for q in range(1, 44)]
+    unpacked_sim = [gas[(False, q)] for q in range(1, 44)]
     ok = ok and len(set(packed_sim[:42])) == 1 and packed_sim[42] > packed_sim[41]
     ok = ok and all(a < b for a, b in zip(unpacked_sim, unpacked_sim[1:]))
     _verdict("packing: packed gas flat over 1-42, steps at 43; unpacked increasing",
@@ -164,7 +159,7 @@ def test_packing_gas_steps(desk_dataset):
 
 def test_mechanism_gas_ordering(desk_dataset):
     by_mech = sweep_mechanisms(ExperimentConfig(agents=50, seed=0), desk_dataset)
-    gas = {m: settle_gas(r) for m, r in by_mech.items()}
+    gas = {m: r.gas_per_phase["settle"] for m, r in by_mech.items()}
     ok = gas[Mechanism.DG] > gas[Mechanism.PTSC] and gas[Mechanism.DG] > gas[Mechanism.OA]
     _verdict("mechanisms: DG settlement gas above PTSC and OA on the 50x50 desk",
              ok, f"dg {gas[Mechanism.DG]}, ptsc {gas[Mechanism.PTSC]}, oa {gas[Mechanism.OA]}")
@@ -175,7 +170,7 @@ def test_mechanism_gas_ordering(desk_dataset):
 def test_peer_sampling_crossover(desk_dataset):
     base = ExperimentConfig(mechanism=Mechanism.DG, agents=50, seed=0)
     reports = sweep_peers(base, desk_dataset, ks=[1, 10, 25], sample_seed=1)
-    gas = {k: settle_gas(r) for k, r in reports.items()}
+    gas = {k: r.gas_per_phase["settle"] for k, r in reports.items()}
     ok = gas["1"] < gas["all"] and any(
         gas[k] > gas["all"] for k in gas if k != "all"
     )

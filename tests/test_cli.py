@@ -1,5 +1,6 @@
 """CLI exit codes, output files, and rerun determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,25 @@ from peerchain.gas_model import DEFAULT_GAS_TABLE
 
 def run(argv):
     return main(argv)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# SHA-256 of each file the two commands below write; a change that does not
+# mean to alter outputs must leave every byte as it is
+ROUND_RERUN_SHA256 = {
+    "settlement.csv": "dbc02a1989c38fc622b9dcbbbc819c78aeca703c4a5009f0579a83c44a023318",
+    "gas.csv": "4bf7bbd6523f03711996b08fa09520b78031e57eee55c02987639673c7d973fc",
+    "events.log": "95cac58b09280d4d750d566f0bf3727000e3b1fa53190c818661aa980eb4e728",
+}
+GAS_BENCH_SKIP_ONE_SHA256 = {
+    "packing.csv": "3fca29fdd4a2934b6d50472d848cf7f84a508a4b422b8d3ee3638cf7db5ff878",
+    "optimization.csv": "45dc6f4c1847ed401e37eaeffe907e170779d19e98e6a600f2f1e89ceb62a821",
+    "mechanisms.csv": "668ea27d5e295eb91edc3775282c12ad7bfbb04e15bbdafb60cb6e5d682a12fc",
+    "peers.csv": "9ad8241a355de413e96aed9ecd1c892d8c240d9be51ff758523fb2134904b0f1",
+}
 
 
 def test_sample_dataset_ships():
@@ -34,8 +54,9 @@ def test_round_rerun_is_byte_identical(tmp_path):
     for out in (a, b):
         assert run(["round", "--mechanism", "ptsc", "--alpha", "1/2",
                     "--peers", "3", "--seed", "9", "--out", str(out)]) == 0
-    for name in ("settlement.csv", "gas.csv", "events.log"):
+    for name, digest in ROUND_RERUN_SHA256.items():
         assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert sha256(a / name) == digest, name
 
 
 def test_round_alpha_margin_reaches_the_ledger(tmp_path):
@@ -55,6 +76,16 @@ def test_round_rejects_bad_alpha_margins(tmp_path, capsys, spec):
         run(["round", "--alpha", spec, "--agents", "4", "--out", str(tmp_path / "r")])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--agents", "-3"], ["--agents", "0"], ["--questions", "-2"], ["--questions", "0"],
+])
+def test_round_rejects_nonpositive_counts(tmp_path, capsys, flags):
+    out = tmp_path / "r"
+    assert run(["round", *flags, "--out", str(out)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_round_with_custom_gas_table(tmp_path):
@@ -130,6 +161,18 @@ def test_incentives_scenario_file_and_bad_beliefs(tmp_path, capsys):
                 "--out", str(tmp_path / "i3")]) == 2
 
 
+@pytest.mark.parametrize("scenario", [
+    {"n": 2.7, "prior": "0.9", "bump": "0.05"},       # n is not a whole number
+    {"n": 5, "prior": "0.95", "bump": "0.1"},         # posterior above 1
+])
+def test_incentives_rejects_impossible_scenarios(tmp_path, capsys, scenario):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["incentives", "--scenario", str(path), "--rounds", "1000",
+                "--out", str(tmp_path / "inc")]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_incentives_without_rounds_is_a_usage_error(tmp_path, capsys):
     assert run(["incentives", "--rounds", "0", "--out", str(tmp_path / "i")]) == 2
     assert "at least one round" in capsys.readouterr().err
@@ -146,7 +189,8 @@ def test_gas_bench_writes_sweep_csvs(tmp_path):
     out = tmp_path / "bench"
     assert run(["gas-bench", "--agents", "8", "--dataset", str(path),
                 "--out", str(out)]) == 0
-    for name in ("packing.csv", "optimization.csv", "mechanisms.csv", "peers.csv"):
+    for name, digest in GAS_BENCH_SKIP_ONE_SHA256.items():
         lines = (out / name).read_text().splitlines()
         assert lines[0].startswith("config_id,mechanism,packing")
         assert len(lines) > 1
+        assert sha256(out / name) == digest, name

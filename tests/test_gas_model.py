@@ -10,8 +10,6 @@ from peerchain.gas_model import (
     GasLedger,
     GasTable,
     charge_settlement_compute,
-    commit_batches,
-    cost_of_commit_scheme,
 )
 from peerchain.mechanisms import ALL_PEERS, Mechanism, SampledPeers
 
@@ -63,7 +61,7 @@ def test_table_validation_and_cost():
 
 def test_table_json_roundtrip(tmp_path):
     path = tmp_path / "table.json"
-    DEFAULT_GAS_TABLE.save(path)
+    path.write_text(DEFAULT_GAS_TABLE.to_json())
     assert GasTable.load(path) == DEFAULT_GAS_TABLE
     parsed = json.loads(path.read_text())
     assert parsed["tx_base"] == 21000
@@ -82,24 +80,9 @@ def test_ledger_aggregation_and_invariant():
     assert gas.total == 2 * 21000 + 30 * 2 + 5 * 10
     assert gas.total == sum(gas.per_phase.values()) == sum(gas.per_party.values())
     assert gas.per_agent == {"a1": 42_060}
-    assert gas.phase_total("commit") == 42_060
+    assert gas.per_phase["commit"] == 42_060
     rows = gas.report_rows()
     assert ("commit", "a1", "tx_base", 2, 42000) in rows
-
-
-def test_commit_scheme_costs():
-    per_batch = 20000 + 30 + 6
-    for n in (1, 7, 42):
-        assert cost_of_commit_scheme(n, packed=True) == per_batch == 20036
-        assert cost_of_commit_scheme(n, packed=False) == n * per_batch
-    assert cost_of_commit_scheme(43, packed=True) == 2 * per_batch
-    assert cost_of_commit_scheme(85, packed=True) == 3 * per_batch
-    assert commit_batches(84, True) == 2
-    with pytest.raises(ValueError):
-        commit_batches(0, True)
-    # packed saving is exactly the batch count ratio
-    for n in (5, 42, 100):
-        assert cost_of_commit_scheme(n, False) / cost_of_commit_scheme(n, True) >= min(n, 5)
 
 
 def test_settlement_compute_frozen_desk_values(desk_truth):

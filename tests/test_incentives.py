@@ -11,7 +11,6 @@ from peerchain.incentives import (
     ALWAYS_1,
     FLIP,
     TRUTHFUL,
-    AgentBelief,
     BeliefModel,
     Deviation,
     IncentiveScenario,
@@ -39,8 +38,8 @@ def example_scenario(n=10, alpha="auto"):
 
 def test_running_example_exact_rationals():
     model = BeliefModel.from_bump(PRIOR, BUMP)
-    assert model.agents[0].prior_1 == PRIOR
-    assert model.agents[0].post_1_given_1 == F(24, 25)
+    assert model.prior_1 == PRIOR
+    assert model.post_1_given_1 == F(24, 25)
     assert beta(model) == F(4, 19)
     assert gamma(model) == F(1, 25)
     assert alpha_bound(10, 1, model) == F(323, 500)
@@ -61,7 +60,7 @@ def test_alpha_bound_monotone_decreasing_in_n():
 
 
 def test_degenerate_and_uncorrelated_beliefs_rejected():
-    certain = BeliefModel((AgentBelief(F(1), F(1), F(0), F(0)),))
+    certain = BeliefModel(F(1), F(1))
     with pytest.raises(DegeneratePrior):
         beta(certain)
     flat = BeliefModel.from_bump(F(1, 2), F(0))  # posterior equals prior
@@ -87,7 +86,6 @@ def test_world_calibration():
     world = calibrate_world(0.95, 0.96)
     assert abs(world.prior_1() - 0.95) < 1e-9
     assert abs(world.post_1_given_1() - 0.96) < 1e-9
-    assert 0.23 < world.post_0_given_0() < 0.25
     assert 0.5 < world.h < 1 and 0 < world.w < 1
     # empirical check of the conditional structure
     rng = np.random.default_rng(1)
@@ -103,6 +101,21 @@ def test_world_calibration_infeasible_cases():
         calibrate_world(0.95, 1.0)
     with pytest.raises(NoSolution):
         calibrate_world(1.0, 0.99)
+
+
+def test_world_is_calibrated_once_per_scenario(monkeypatch):
+    calls = []
+
+    def counting(prior_1, post_1_given_1):
+        calls.append((prior_1, post_1_given_1))
+        return calibrate_world(prior_1, post_1_given_1)
+
+    monkeypatch.setattr("peerchain.incentives.calibrate_world", counting)
+    BeliefModel.from_bump(PRIOR, BUMP)
+    assert calls == []
+    sc = example_scenario()
+    assert calls == [(PRIOR, PRIOR + BUMP)]
+    assert abs(sc.world.post_1_given_1() - 0.96) < 1e-9
 
 
 def test_scenario_construction_and_auto_alpha():

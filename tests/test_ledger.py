@@ -345,6 +345,18 @@ def test_replay_rejects_corrupt_logs():
     lines.insert(3, "2,quantum,chain,7b7d")
     with pytest.raises(ValueError):
         Ledger.load("\n".join(lines))
+    # malformed payloads: not an object, or missing a field
+    for payload in ({}, [1], "x", None):
+        lines = dump.splitlines()
+        lines.insert(3, f"2,tick,chain,{json.dumps(payload).encode().hex()}")
+        with pytest.raises(ValueError, match="line 4 "):
+            Ledger.load("\n".join(lines))
+    head, genesis_hex = dump.split("\n", 1)[0].rsplit(",", 1)
+    genesis = json.loads(bytes.fromhex(genesis_hex))
+    del genesis["scale"]
+    no_scale = f"{head},{json.dumps(genesis, sort_keys=True, separators=(',', ':')).encode().hex()}"
+    with pytest.raises(ValueError, match="line 1 "):
+        Ledger.load(no_scale + "\n" + dump.split("\n", 1)[1])
 
 
 def _bump_settle_block(dump):
@@ -371,6 +383,42 @@ def test_replay_raises_on_a_line_it_does_not_reproduce(tamper):
     assert tampered != ledger.dump()
     with pytest.raises(ReplayDivergence):
         Ledger.load(tampered)
+
+
+def _staged(phase):
+    """A one-agent OA ledger driven to `phase`, with that agent's batch."""
+    ledger = Ledger(LedgerConfig(mechanism=Mechanism.OA))
+    vec = cmt.pack([("q1", 1), ("q2", 0)], ("q1", "q2"))
+    key = cmt.SecretKey(7)
+    if phase is not Phase.POSTING:
+        ledger.post_questions(("q1", "q2"), 1000)
+    if phase in (Phase.COMMIT, Phase.REVEAL):
+        ledger.select_questions("A", ("q1", "q2"))
+        ledger.tick(10)
+    if phase is Phase.REVEAL:
+        ledger.submit_commitment("A", 0, cmt.commit(vec, key))
+    assert ledger.phase is phase
+    return ledger, vec, key
+
+
+@pytest.mark.parametrize("phase, call", [
+    (Phase.POSTING, lambda led, vec, key: led.post_questions(("q1",), 2.5)),
+    (Phase.POSTING, lambda led, vec, key: led.post_questions(("q1",), True)),
+    (Phase.POSTING, lambda led, vec, key: led.post_questions(("q1",), 10, 0.0)),
+    (Phase.SELECTION, lambda led, vec, key: led.select_questions("A", ("q1",), 0.0)),
+    (Phase.COMMIT, lambda led, vec, key: led.submit_commitment("A", 0.0, cmt.commit(vec, key))),
+    (Phase.REVEAL, lambda led, vec, key: led.reveal("A", 0.0, vec.message(), key.value)),
+    (Phase.REVEAL, lambda led, vec, key: led.reveal("A", False, vec.message(), key.value)),
+    (Phase.REVEAL, lambda led, vec, key: led.reveal("A", 0, "x", key.value)),
+    (Phase.REVEAL, lambda led, vec, key: led.reveal("A", 0, vec.message(), 5.0)),
+], ids=["budget-float", "budget-bool", "requester-deposit-float", "deposit-float", "commit-batch-float",
+        "reveal-batch-float", "reveal-batch-bool", "reveal-message-str", "reveal-key-float"])
+def test_entry_points_take_only_ints(phase, call):
+    ledger, vec, key = _staged(phase)
+    events, gas = list(ledger.events), ledger.gas.total
+    with pytest.raises(ValueError):
+        call(ledger, vec, key)
+    assert (ledger.events, ledger.gas.total) == (events, gas)
 
 
 def test_tick_validation():

@@ -16,10 +16,8 @@ from peerchain.sim import (
     QoSDataset,
     assert_dg_valid,
     binarize,
-    commit_reveal_gas,
     generate_reports,
     run_experiment,
-    settle_gas,
     sweep_mechanisms,
     sweep_packing,
     sweep_peers,
@@ -139,9 +137,9 @@ def test_sweep_packing_shapes(desk_dataset):
     base = ExperimentConfig(agents=6, seed=2)
     reports = sweep_packing(base, desk_dataset, questions=[1, 3])
     assert len(reports) == 4
-    by_id = {r.config.config_id: r for r in reports}
-    assert commit_reveal_gas(by_id["pack-off-q3"]) > commit_reveal_gas(by_id["pack-on-q3"])
-    assert commit_reveal_gas(by_id["pack-off-q3"]) > commit_reveal_gas(by_id["pack-off-q1"])
+    gas = {r.config.config_id: r.gas_per_phase["commit"] + r.gas_per_phase["reveal"] for r in reports}
+    assert gas["pack-off-q3"] > gas["pack-on-q3"]
+    assert gas["pack-off-q3"] > gas["pack-off-q1"]
 
 
 def test_sweep_mechanisms_and_peers(desk_dataset):
@@ -149,9 +147,9 @@ def test_sweep_mechanisms_and_peers(desk_dataset):
     ds = QoSDataset.skip_one(10, 50, seed=2)
     mechs = sweep_mechanisms(base, ds)
     assert set(mechs) == set(Mechanism)
-    assert all(settle_gas(r) > 0 for r in mechs.values())
+    assert all(r.gas_per_phase["settle"] > 0 for r in mechs.values())
 
     peers = sweep_peers(ExperimentConfig(mechanism=Mechanism.DG, agents=10, seed=2), ds, ks=[1])
     assert set(peers) == {"all", "1"}
     assert isinstance(peers["1"].config.peer_mode, SampledPeers)
-    assert settle_gas(peers["1"]) < settle_gas(peers["all"])
+    assert peers["1"].gas_per_phase["settle"] < peers["all"].gas_per_phase["settle"]

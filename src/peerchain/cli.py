@@ -101,9 +101,11 @@ def cmd_round(args) -> int:
     dataset = _dataset(args)
     agents = min(args.agents, dataset.n_agents)
     peer_mode = ALL_PEERS if args.peers == "all" else SampledPeers(args.peers, args.seed)
-    # auto alphas scale the truthfulness bound of the running-example beliefs
-    alpha = inc.IncentiveScenario.from_parameters(
-        max(agents, 2), 1, args.alpha, DEFAULT_PRIOR, DEFAULT_BUMP).alpha
+    alpha = args.alpha
+    if isinstance(alpha, str):
+        # auto alphas scale the truthfulness bound of the running-example beliefs
+        alpha = inc.IncentiveScenario.from_parameters(
+            max(agents, 2), 1, alpha, DEFAULT_PRIOR, DEFAULT_BUMP).alpha
     config = ExperimentConfig(
         mechanism=Mechanism(args.mechanism),
         peer_mode=peer_mode,
@@ -137,6 +139,8 @@ def cmd_round(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gas_bench(args) -> int:
+    if args.agents < 1:
+        raise ValueError(f"gas-bench needs at least one agent, got {args.agents}")
     out = _out_dir(args)
     table = _gas_table(args)
     if args.dataset:

@@ -9,15 +9,17 @@ matters for the cost trends; the shipped defaults follow Ethereum
 yellow-paper-era constants so desk numbers are comparable across
 implementations.
 
-`charge_settlement_compute` prices the same `mechanisms.cell_plan` that
-the reward paths score: C cells (answered cells with at least one peer),
-V peer visits over those cells, the distinct DG pairs they use, and the
-peer pool of each cell.  In sampled mode it builds that plan itself, so
-the peers of every cell are drawn a second time; the draw is a pure
-function of the seed and the cell, so it picks the same peers the
-mechanism scored.  The draw stays because the function's signature takes
-the matrix, not a plan, and the round benchmark counts two sampler calls
-per cell; removing it is a change to that benchmark.
+`charge_settlement_compute` prices the cells the reward paths score:
+C cells (answered cells with at least one peer), V peer visits over those
+cells, the distinct DG pairs they use, and the peer pool of each cell.
+With all peers these come from the per-question answer counts and, for
+DG, from `mechanisms.PairCounts`.  In sampled mode it builds the
+`mechanisms.cell_plan` itself, so the peers of every cell are drawn a
+second time; the draw is a pure function of the seed and the cell, so it
+picks the same peers the mechanism scored.  The draw stays because the
+function's signature takes the matrix, not a plan, and the round
+benchmark counts two sampler calls per cell; removing it is a change to
+that benchmark.
 
 Cost patterns (T total answers, n_q answerers on question q, t_i answers
 by agent i):
@@ -30,9 +32,9 @@ optimized paths
   PTSC: adds per-agent counts (T arithmetic + 2 memory words per agent)
       and global counts; per cell 6 arithmetic + 1 comparison.
   DG: adds one penalty per used pair, (t_i + t_p) comparisons and memory
-      words plus 4 memory words and 5 arithmetic; per cell the peer loop
-      costs (memory_word + arithmetic_op) per peer since penalties differ
-      per pair and cannot be folded into counts.  This loop is why DG
+      words plus 4 memory words and 5 arithmetic; per cell the priced
+      contract's peer loop costs (memory_word + arithmetic_op) per peer,
+      reading each pair's cached penalty.  This loop is why DG
       settlement exceeds OA and PTSC on the same matrix.
   finalize: 2 arithmetic ops per agent.
 
@@ -57,6 +59,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import UnknownOpKind
 
@@ -192,7 +196,7 @@ def charge_settlement_compute(
 ) -> int:
     """Charge the reward-computation pattern documented in the module
     docstring to the requester's settle phase.  Returns the gas added."""
-    from .mechanisms import AllPeers, Mechanism, cell_plan
+    from .mechanisms import AllPeers, Mechanism, PairCounts, cell_plan
 
     def charge(op_kind: str, words: int) -> None:
         gas.charge("settle", GasLedger.REQUESTER, op_kind, words)
@@ -205,16 +209,34 @@ def charge_settlement_compute(
     n_questions = len(matrix.questions)
     answers = {a: len(matrix.answers_by_agent[a]) for a in matrix.agents}
 
-    cells = visits = pool_words = scan = 0
-    pairs: set[tuple[str, str]] = set()
-    for agent, agent_cells in cell_plan(matrix, peer_mode).items():
-        for c in agent_cells:
-            cells += 1
-            visits += len(c.peers)
-            pool_words += len(matrix.answerers_by_question[c.q]) - 1
-            if mechanism is Mechanism.DG:
-                scan += len(c.peers) * answers[agent] + sum(answers[p] for p in c.peers)
-                pairs.update((agent, p) if agent < p else (p, agent) for p in c.peers)
+    # n_pairs and pair_scan: the distinct DG pairs used and the sum of both
+    # agents' answer counts over them; scan: that sum over every peer visit
+    cells = visits = pool_words = n_pairs = pair_scan = scan = 0
+    if sampled:
+        pairs: set[tuple[str, str]] = set()
+        for agent, agent_cells in cell_plan(matrix, peer_mode).items():
+            for c in agent_cells:
+                cells += 1
+                visits += len(c.peers)
+                pool_words += len(matrix.answerers_by_question[c.q]) - 1
+                if mechanism is Mechanism.DG:
+                    scan += len(c.peers) * answers[agent] + sum(answers[p] for p in c.peers)
+                    pairs.update((agent, p) if agent < p else (p, agent) for p in c.peers)
+        n_pairs = len(pairs)
+        pair_scan = sum(answers[a] + answers[b] for a, b in pairs)
+    else:
+        for answerers in matrix.answerers_by_question.values():
+            if len(answerers) > 1:
+                cells += len(answerers)
+                visits += len(answerers) * (len(answerers) - 1)
+        pool_words = visits
+        if mechanism is Mechanism.DG:
+            counts = PairCounts(matrix)
+            common, t = counts.common, counts.answered.sum(axis=1)
+            both = t[:, None] + t[None, :]
+            n_pairs = int(np.count_nonzero(common)) // 2
+            pair_scan = int(both[common > 0].sum()) // 2
+            scan = int((common * both).sum())
 
     if optimized:
         # prelude: cache answers, count per question
@@ -265,10 +287,9 @@ def charge_settlement_compute(
 
     elif mechanism is Mechanism.DG:
         if optimized:
-            pair_scan = sum(answers[a] + answers[b] for a, b in pairs)
             charge("comparison_op", pair_scan)
-            charge("memory_word", pair_scan + 4 * len(pairs))
-            charge("arithmetic_op", 5 * len(pairs))
+            charge("memory_word", pair_scan + 4 * n_pairs)
+            charge("arithmetic_op", 5 * n_pairs)
             # peer loop: match + cached-penalty read per peer
             charge("memory_word", visits)
             charge("comparison_op", visits)

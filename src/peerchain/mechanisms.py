@@ -13,26 +13,40 @@ Three mechanisms are implemented:
   own, across all questions; 0 whenever R_i(y) = 0.
 
 Every mechanism has an optimized path that precomputes intermediary
-values (per-question counts, the frequency table, a pairwise penalty
-cache) and a naive path that rederives everything from scratch at each
+values and a naive path that rederives everything from scratch at each
 use.  Both produce bitwise-identical exact rationals; the naive path is
 the reference oracle and the baseline for cost accounting.
 
-The optimized paths and the gas model read one per-round ``cell_plan``:
-for every agent, the answered cells that have peers, each with its peers
-in scoring order and its match count.  Peers are either all co-answerers
-of a question or a seeded sample drawn per (agent, question) cell;
-sampling uses a substream so results do not depend on evaluation order.
-All arithmetic is ``fractions.Fraction``; conversion to integer units
-happens only at ledger settlement.
+The optimized paths are exact integer kernels.  Each agent's reward is a
+sum of rationals whose numerators are summed as integers per denominator
+and turned into one ``Fraction`` per agent at the end.  A cell scored
+against all co-answerers reads its match count from the per-question 0/1
+counts.  The DG penalty of a pair, (a0*b0 + a1*b1) / (|ex_i| * |ex_p|),
+depends only on 0/1 counts over the two agents' exclusive questions, so
+``PairCounts`` derives every pair's numerator and denominator from
+products of the agents x questions 0/1 matrices; with all peers, a pair's
+penalty is weighted by how many questions of each pool size it shares,
+so no peer is visited one by one.
+
+Peers are either all co-answerers of a question or a seeded sample drawn
+per (agent, question) cell; sampling uses a substream so results do not
+depend on evaluation order.  Sampled cells come from one per-round
+``cell_plan``: for every agent, the answered cells that have peers, each
+with its peers in scoring order and its match count.  The gas model
+prices the same cells.  Conversion to integer units happens only at
+ledger settlement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import EmptyMatrix, NoNonCommonQuestions
 from .peer_selection import SeedLike, cell_stream, sample_peers
@@ -210,7 +224,7 @@ def _mean(contribs: list[Fraction]) -> Fraction:
 
 
 class Cell(NamedTuple):
-    """One answered cell with at least one peer, as the optimized paths score it."""
+    """One answered cell with at least one peer, as the sampled paths score it."""
 
     q: str
     y: int
@@ -242,8 +256,88 @@ def cell_plan(matrix: AnswerMatrix, peer_mode: PeerMode) -> dict[str, list[Cell]
     return plan
 
 
+def _tallies(matrix: AnswerMatrix, peer_mode: PeerMode):
+    """Every agent (matrix order) -> (y, peer count, matches) of each scored
+    cell, plus the sampled ``cell_plan`` (None for all peers).
+
+    With all peers the counts come from the per-question 0/1 counts and no
+    peer list is built; sampled cells are the plan's draws.
+    """
+    if isinstance(peer_mode, AllPeers):
+        tallies = {}
+        for agent, answers in matrix.answers_by_agent.items():
+            cells = []
+            for q, y in answers.items():
+                n = len(matrix.answerers_by_question[q]) - 1
+                if n:
+                    cells.append((y, n, matrix.question_counts(q)[y] - 1))
+            tallies[agent] = cells
+        return tallies, None
+    plan = cell_plan(matrix, peer_mode)
+    return {a: [(c.y, len(c.peers), c.matches) for c in cells] for a, cells in plan.items()}, plan
+
+
+class PairCounts:
+    """Integer counts over agent pairs, from products of 0/1 matrices.
+
+    Rows and columns follow ``matrix.agents``.  ``answered`` is the agents x
+    questions answer indicator and ``common[i, p]`` the number of questions
+    two distinct agents both answered (0 on the diagonal).  The DG penalty
+    of a pair is ``num[i, p] / den[i, p]``: with a0, a1 the 0s and 1s of i
+    on the questions only i answered and b0, b1 those of p on the questions
+    only p answered, num = a0*b0 + a1*b1 and den = |ex_i| * |ex_p|, which is
+    0 when either side has no exclusive question.
+    """
+
+    def __init__(self, matrix: AnswerMatrix):
+        shape = (len(matrix.agents), len(matrix.questions))
+        # counts are at most Q, their products at most Q**2 and sums of
+        # products over all pairs at most (n*Q)**2: all far inside int64
+        assert shape[0] * shape[1] < 2**31
+        answered = np.zeros(shape, dtype=np.int64)
+        ones = np.zeros(shape, dtype=np.int64)
+        rows = [matrix.agent_index[a] for a, _q in matrix.cells]
+        cols = [matrix.question_index[q] for _a, q in matrix.cells]
+        answered[rows, cols] = 1
+        ones[rows, cols] = list(matrix.cells.values())
+        common = answered @ answered.T
+        exclusive = answered.sum(axis=1)[:, None] - common  # row i: |ex_i| against p
+        ex1 = ones.sum(axis=1)[:, None] - ones @ answered.T
+        ex0 = exclusive - ex1
+        np.fill_diagonal(common, 0)
+        self.answered = answered
+        self.common = common
+        self.num = ex0 * ex0.T + ex1 * ex1.T
+        self.den = exclusive * exclusive.T
+
+    def require_exclusive_questions(self, matrix: AnswerMatrix) -> None:
+        """Raise for the first co-answering pair without exclusive questions
+        on both sides, in the order the naive path visits peers: agent, then
+        the agent's questions, then peers in matrix order."""
+        bad = (self.common > 0) & (self.den == 0)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad.any(axis=1)))
+        _q, p = min(
+            (int(np.argmax(self.answered[i] & self.answered[p])), int(p))
+            for p in np.flatnonzero(bad[i])
+        )
+        raise NoNonCommonQuestions(matrix.agents[i], matrix.agents[p])
+
+
+def _exact_mean(sums: Mapping[int, int], count: int, scale: Fraction = ONE) -> Fraction:
+    """scale * (sum of numerator/denominator over ``sums``) / count, built as
+    one Fraction; 0 for an agent with no scored cell."""
+    if not count:
+        return ZERO
+    common = lcm(*sums)
+    total = sum(num * (common // den) for den, num in sums.items())
+    return Fraction(scale.numerator * total, scale.denominator * common * count)
+
+
 # ---------------------------------------------------------------------------
-# optimized paths
+# optimized paths: integer numerators summed per denominator, one Fraction
+# per agent
 # ---------------------------------------------------------------------------
 
 def oa_rewards(matrix: AnswerMatrix, peer_mode: PeerMode = ALL_PEERS) -> RewardReport:
@@ -253,52 +347,54 @@ def oa_rewards(matrix: AnswerMatrix, peer_mode: PeerMode = ALL_PEERS) -> RewardR
     an agent with no scoreable question gets reward 0.
     """
     _require_answers(matrix)
-    rewards = {
-        agent: _mean([Fraction(c.matches, len(c.peers)) for c in cells])
-        for agent, cells in cell_plan(matrix, peer_mode).items()
-    }
+    tallies, _plan = _tallies(matrix, peer_mode)
+    rewards = {}
+    for agent, cells in tallies.items():
+        sums = defaultdict(int)
+        for _y, n, m in cells:
+            sums[n] += m
+        rewards[agent] = _exact_mean(sums, len(cells))
     return RewardReport(rewards, Mechanism.OA, ONE, peer_mode)
-
-
-class _PenaltyCache:
-    """Pairwise DG penalties, computed once per used (unordered) pair."""
-
-    def __init__(self, matrix: AnswerMatrix):
-        self.matrix = matrix
-        self.cache: dict[tuple[str, str], Fraction] = {}
-
-    def penalty(self, agent: str, peer: str) -> Fraction:
-        key = (agent, peer) if agent < peer else (peer, agent)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        mine = self.matrix.answers_by_agent[agent]
-        theirs = self.matrix.answers_by_agent[peer]
-        ex_mine = [q for q in mine if q not in theirs]
-        ex_theirs = [q for q in theirs if q not in mine]
-        if not ex_mine or not ex_theirs:
-            raise NoNonCommonQuestions(agent, peer)
-        a1 = sum(mine[q] for q in ex_mine)
-        a0 = len(ex_mine) - a1
-        b1 = sum(theirs[q] for q in ex_theirs)
-        b0 = len(ex_theirs) - b1
-        value = Fraction(a0 * b0 + a1 * b1, len(ex_mine) * len(ex_theirs))
-        self.cache[key] = value
-        return value
 
 
 def dg_rewards(matrix: AnswerMatrix, peer_mode: PeerMode = ALL_PEERS) -> RewardReport:
     """Dasgupta-Ghosh: per-peer score = match on the shared question minus
-    the pair's mean agreement over non-common question pairs."""
+    the pair's mean agreement over non-common question pairs.
+
+    A cell with n peers adds matches/n and takes penalty/n per peer.  With
+    all peers, pair (i, p) is penalised once per question both answered, so
+    its penalty is weighted by the count of those questions per pool size.
+    Sampled cells visit their drawn peers; only pairs drawn are checked.
+    """
     _require_answers(matrix)
-    penalties = _PenaltyCache(matrix)
+    tallies, plan = _tallies(matrix, peer_mode)
+    counts = PairCounts(matrix)
+    num, den = counts.num.tolist(), counts.den.tolist()
+    sums = [defaultdict(int) for _ in matrix.agents]
+    if plan is None:
+        counts.require_exclusive_questions(matrix)
+        pools = counts.answered.sum(axis=0) - 1
+        for s in np.unique(pools[pools > 0]).tolist():
+            block = counts.answered[:, pools == s]
+            shared = block @ block.T  # questions with s peers both answered
+            np.fill_diagonal(shared, 0)
+            rows, cols = np.nonzero(shared)
+            for i, p, w in zip(rows.tolist(), cols.tolist(), shared[rows, cols].tolist()):
+                sums[i][den[i][p] * s] -= num[i][p] * w
+    else:
+        for i, (agent, cells) in enumerate(plan.items()):
+            for c in cells:
+                n = len(c.peers)
+                for peer in c.peers:
+                    p = matrix.agent_index[peer]
+                    if not den[i][p]:
+                        raise NoNonCommonQuestions(agent, peer)
+                    sums[i][den[i][p] * n] -= num[i][p]
     rewards = {}
-    for agent, cells in cell_plan(matrix, peer_mode).items():
-        contribs = []
-        for c in cells:
-            pen_sum = sum((penalties.penalty(agent, p) for p in c.peers), ZERO)
-            contribs.append((c.matches - pen_sum) / len(c.peers))
-        rewards[agent] = _mean(contribs)
+    for acc, (agent, cells) in zip(sums, tallies.items()):
+        for _y, n, m in cells:
+            acc[n] += m
+        rewards[agent] = _exact_mean(acc, len(cells))
     return RewardReport(rewards, Mechanism.DG, ONE, peer_mode)
 
 
@@ -313,19 +409,25 @@ def ptsc_rewards(
         raise ValueError("alpha must be strictly positive")
     _require_answers(matrix)
     table = FrequencyTable.from_matrix(matrix)
+    tallies, _plan = _tallies(matrix, peer_mode)
     r_min: Fraction | None = None
     rewards = {}
-    for agent, cells in cell_plan(matrix, peer_mode).items():
-        contribs = []
-        for c in cells:
-            r = table.relative_frequency(agent, c.y)
-            if r == 0:
-                contribs.append(ZERO)
-                continue
+    for agent, cells in tallies.items():
+        others = table.excluding(agent)
+        total = others[0] + others[1]
+        sums = defaultdict(int)
+        used = set()
+        for y, n, m in cells:
+            if total and others[y]:
+                # (m / n) / R_i(y) - 1 with R_i(y) = others[y] / total
+                d = n * others[y]
+                sums[d] += m * total - d
+                used.add(y)
+        for y in used:
+            r = table.relative_frequency(agent, y)
             if r_min is None or r < r_min:
                 r_min = r
-            contribs.append(Fraction(c.matches, len(c.peers)) / r - 1)
-        rewards[agent] = alpha * _mean(contribs)
+        rewards[agent] = _exact_mean(sums, len(cells), alpha)
     return RewardReport(rewards, Mechanism.PTSC, alpha, peer_mode, r_min=r_min)
 
 

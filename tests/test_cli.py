@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from peerchain import incentives as inc
 from peerchain.cli import INCENTIVES_HEADER, SAMPLE_DATASET, build_parser, main
 from peerchain.gas_model import DEFAULT_GAS_TABLE
 
@@ -86,6 +87,27 @@ def test_round_rejects_nonpositive_counts(tmp_path, capsys, flags):
     assert run(["round", *flags, "--out", str(out)]) == 2
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["--alpha=-1", "--alpha=0"])
+def test_round_rejects_nonpositive_alpha(tmp_path, capsys, alpha):
+    out = tmp_path / "r"
+    assert run(["round", "--mechanism", "ptsc", alpha, "--agents", "4", "--out", str(out)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_round_with_numeric_alpha_builds_no_scenario(tmp_path, monkeypatch):
+    # only auto alphas read the truthfulness bound of a calibrated world
+    def no_scenario(*args, **kwargs):
+        raise AssertionError("numeric alpha built an IncentiveScenario")
+
+    monkeypatch.setattr(inc.IncentiveScenario, "from_parameters", no_scenario)
+    out = tmp_path / "r"
+    assert run(["round", "--mechanism", "ptsc", "--alpha", "1/2", "--agents", "4",
+                "--out", str(out)]) == 0
+    genesis = (out / "events.log").read_text().split("\n", 1)[0]
+    assert json.loads(bytes.fromhex(genesis.rsplit(",", 1)[1]))["alpha"] == [1, 2]
 
 
 def test_round_with_custom_gas_table(tmp_path):
@@ -176,6 +198,14 @@ def test_incentives_rejects_impossible_scenarios(tmp_path, capsys, scenario):
 def test_incentives_without_rounds_is_a_usage_error(tmp_path, capsys):
     assert run(["incentives", "--rounds", "0", "--out", str(tmp_path / "i")]) == 2
     assert "at least one round" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("agents", ["-3", "0"])
+def test_gas_bench_rejects_nonpositive_agents(tmp_path, capsys, agents):
+    out = tmp_path / "bench"
+    assert run(["gas-bench", "--agents", agents, "--out", str(out)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gas_bench_writes_sweep_csvs(tmp_path):

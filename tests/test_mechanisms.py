@@ -1,5 +1,6 @@
 """Reward mechanisms against hand-computed and brute-force oracles."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -18,6 +19,7 @@ from peerchain.mechanisms import (
     peers_for_cell,
     rewards_naive,
 )
+from peerchain.sim import assert_dg_valid
 
 from conftest import random_matrix, skip_one_matrix
 
@@ -272,6 +274,85 @@ def test_optimized_equals_naive_with_sampling():
             a = compute_rewards(m, mech, alpha=F(1), peer_mode=mode).per_agent_reward
             b = rewards_naive(m, mech, alpha=F(1), peer_mode=mode).per_agent_reward
             assert a == b
+
+
+def _outcome(fn, m, mode):
+    """Rewards, or the (agent, peer) pair named by NoNonCommonQuestions."""
+    try:
+        return fn(m, Mechanism.DG, peer_mode=mode).per_agent_reward
+    except NoNonCommonQuestions as e:
+        return (e.agent, e.peer)
+
+
+DG_MODES = (ALL_PEERS, SampledPeers(1, 3), SampledPeers(2, 4), SampledPeers(3, 5))
+
+
+def test_dg_optimized_equals_naive_on_sparse_matrices():
+    # DG-valid sparse matrices: exclusive sets of unequal sizes give penalty
+    # denominators above 1, unlike skip-one matrices where every one is 1
+    rng = random.Random(41)
+    checked = denominators = 0
+    while checked < 30:
+        m = random_matrix(rng, rng.randint(3, 7), rng.randint(6, 12), p_answer=0.6)
+        try:
+            assert_dg_valid(m)
+        except AssertionError:
+            continue
+        sizes = {a: set(m.answers_by_agent[a]) for a in m.agents}
+        denominators += any(len(sizes[a] - sizes[b]) * len(sizes[b] - sizes[a]) > 1
+                            for a in m.agents for b in m.agents if a != b)
+        for mode in DG_MODES:
+            fast = compute_rewards(m, Mechanism.DG, peer_mode=mode).per_agent_reward
+            assert fast == rewards_naive(m, Mechanism.DG, peer_mode=mode).per_agent_reward
+        checked += 1
+    assert denominators == checked
+
+
+def test_dg_raises_exactly_when_naive_raises():
+    rng = random.Random(43)
+    outcomes = Counter()
+    for _ in range(80):
+        m = random_matrix(rng, rng.randint(2, 6), rng.randint(2, 6), p_answer=0.75)
+        for mode in DG_MODES:
+            naive = _outcome(rewards_naive, m, mode)
+            assert _outcome(compute_rewards, m, mode) == naive
+            outcomes[type(naive)] += 1
+    assert outcomes[tuple] and outcomes[dict]
+
+    # A and B answer the same questions; sampling one peer per cell, seed 0
+    # never pairs them, so neither path raises
+    m = AnswerMatrix(("A", "B", "C", "D"), ("q1", "q2", "q3"), {
+        ("A", "q1"): 1, ("A", "q2"): 0,
+        ("B", "q1"): 1, ("B", "q2"): 1,
+        ("C", "q1"): 0, ("C", "q3"): 1,
+        ("D", "q2"): 1, ("D", "q3"): 0,
+    })
+    with pytest.raises(NoNonCommonQuestions):
+        compute_rewards(m, Mechanism.DG)
+    undrawn_seeds = [seed for seed in range(20)
+                     if isinstance(_outcome(rewards_naive, m, SampledPeers(1, seed)), dict)]
+    assert undrawn_seeds
+    for seed in undrawn_seeds:
+        mode = SampledPeers(1, seed)
+        assert compute_rewards(m, Mechanism.DG, peer_mode=mode).per_agent_reward == \
+            rewards_naive(m, Mechanism.DG, peer_mode=mode).per_agent_reward
+
+
+# SHA-256 of the sorted exact DG rewards ("p/q" lines) on a skip-one 120x120
+# matrix, recorded from the per-visit Fraction kernel; the naive oracle is
+# too slow to run at this size
+SKIP_ONE_120_DG_SHA256 = {
+    ALL_PEERS: "5cce475403ff7d4e775503456e7ce9c5711f2cc516cd0d94bbf3c13ec132c17b",
+    SampledPeers(10, 1): "b6a877c0c519981f3c354beee7e0c5de36e1ff30341c1e4add36d2595dac333c",
+}
+
+
+def test_dg_large_skip_one_pins():
+    m = skip_one_matrix(random.Random(120), 120)
+    for mode, digest in SKIP_ONE_120_DG_SHA256.items():
+        rewards = compute_rewards(m, Mechanism.DG, peer_mode=mode).per_agent_reward
+        text = "\n".join(f"{r.numerator}/{r.denominator}" for r in sorted(rewards.values()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, mode
 
 
 def test_desk_regression_pins(desk_truth):

@@ -13,13 +13,13 @@ implementations.
 C cells (answered cells with at least one peer), V peer visits over those
 cells, the distinct DG pairs they use, and the peer pool of each cell.
 With all peers these come from the per-question answer counts and, for
-DG, from `mechanisms.PairCounts`.  In sampled mode it builds the
-`mechanisms.cell_plan` itself, so the peers of every cell are drawn a
-second time; the draw is a pure function of the seed and the cell, so it
-picks the same peers the mechanism scored.  The draw stays because the
-function's signature takes the matrix, not a plan, and the round
-benchmark counts two sampler calls per cell; removing it is a change to
-that benchmark.
+DG, from `AnswerMatrix.pair_counts`, the one build that the DG kernel
+also reads.  In sampled mode it builds the `mechanisms.cell_plan`
+itself, so the peers of every cell are drawn a second time; the draw is
+a pure function of the seed and the cell, so it picks the same peers the
+mechanism scored.  The draw stays because the function's signature
+takes the matrix, not a plan, and the round benchmark counts two sampler
+calls per cell; removing it is a change to that benchmark.
 
 Cost patterns (T total answers, n_q answerers on question q, t_i answers
 by agent i):
@@ -83,7 +83,7 @@ class GasTable:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not isinstance(v, int) or v <= 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
                 raise ValueError(f"gas table entry {f.name} must be a positive integer, got {v!r}")
         if not (
             self.storage_write_new_word
@@ -105,6 +105,8 @@ class GasTable:
     @classmethod
     def from_json(cls, text: str) -> "GasTable":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError(f"gas table must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(raw) - known
         if unknown:
@@ -196,7 +198,7 @@ def charge_settlement_compute(
 ) -> int:
     """Charge the reward-computation pattern documented in the module
     docstring to the requester's settle phase.  Returns the gas added."""
-    from .mechanisms import AllPeers, Mechanism, PairCounts, cell_plan
+    from .mechanisms import AllPeers, Mechanism, cell_plan
 
     def charge(op_kind: str, words: int) -> None:
         gas.charge("settle", GasLedger.REQUESTER, op_kind, words)
@@ -231,7 +233,7 @@ def charge_settlement_compute(
                 visits += len(answerers) * (len(answerers) - 1)
         pool_words = visits
         if mechanism is Mechanism.DG:
-            counts = PairCounts(matrix)
+            counts = matrix.pair_counts
             common, t = counts.common, counts.answered.sum(axis=1)
             both = t[:, None] + t[None, :]
             n_pairs = int(np.count_nonzero(common)) // 2

@@ -4,9 +4,25 @@ This is the original Keccak (pad byte 0x01) as used on Ethereum, not the
 finalized SHA-3 standard (pad byte 0x06).  Both variants share the
 Keccak-f[1600] permutation, which lets the test suite cross-check this
 implementation against ``hashlib.sha3_256`` on the SHA-3 padding path.
+
+The permutation is one straight-line round body over 25 local ints, run
+24 times.  Lane x + 5*y is the local ``a<x + 5*y>``.  Each round computes
+theta's column parities and the five ``d`` values, then applies theta's
+xor, rho's rotation and pi's move in one expression per lane, then chi
+row by row and iota.  No lane is read through a list or a table inside
+the rounds: the rho offsets and pi destinations are written into the
+code.  The rounds run on a lane-complemented state (Bertoni, Daemen,
+Peeters, Van Assche and Van Keer, "Keccak implementation overview",
+section 2.2): lanes 1, 2, 8, 12, 17 and 20 are held inverted, which lets
+chi use ``|`` where it would use ``~x & y`` and leaves five NOTs a round
+instead of 25.  The sponge absorbs each 136-byte block with one
+little-endian ``struct`` unpack of 17 lanes and squeezes the digest with
+one pack of 4.
 """
 
 from __future__ import annotations
+
+import struct
 
 _MASK = (1 << 64) - 1
 
@@ -21,84 +37,146 @@ _ROUND_CONSTANTS = (
     0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 )
 
-# Combined rho+pi step: destination lane d takes source lane _PI_SOURCE[d]
-# rotated left by _RHO_BY_DEST[d].  Lane index is x + 5*y.
-_PI_SOURCE = [0] * 25
-_RHO_BY_DEST = [0] * 25
-_RHO_OFFSETS = (
-    0, 1, 62, 28, 27,
-    36, 44, 6, 55, 20,
-    3, 10, 43, 25, 39,
-    41, 45, 15, 21, 8,
-    18, 2, 61, 56, 14,
-)
-for _x in range(5):
-    for _y in range(5):
-        _src = _x + 5 * _y
-        _dst = _y + 5 * ((2 * _x + 3 * _y) % 5)
-        _PI_SOURCE[_dst] = _src
-        _RHO_BY_DEST[_dst] = _RHO_OFFSETS[_src]
+# rho offsets by source lane x + 5*y, as written into the round body below:
+#    0,  1, 62, 28, 27,
+#   36, 44,  6, 55, 20,
+#    3, 10, 43, 25, 39,
+#   41, 45, 15, 21,  8,
+#   18,  2, 61, 56, 14
 
 _RATE_BYTES = 136  # 1600 - 2*256 bits
+_BLOCK = struct.Struct("<17Q")  # one rate block as lanes 0..16
+_DIGEST = struct.Struct("<4Q")  # 32 bytes from lanes 0..3
 
 
 def _keccak_f1600(lanes: list[int]) -> list[int]:
     """One full 24-round Keccak-f[1600] permutation over 25 64-bit lanes."""
+    M = _MASK
+    (
+        a0, a1, a2, a3, a4,
+        a5, a6, a7, a8, a9,
+        a10, a11, a12, a13, a14,
+        a15, a16, a17, a18, a19,
+        a20, a21, a22, a23, a24,
+    ) = lanes
+    # run the rounds with lanes 1, 2, 8, 12, 17 and 20 complemented
+    a1, a2, a8, a12, a17, a20 = a1 ^ M, a2 ^ M, a8 ^ M, a12 ^ M, a17 ^ M, a20 ^ M
     for rc in _ROUND_CONSTANTS:
-        # theta
-        c0 = lanes[0] ^ lanes[5] ^ lanes[10] ^ lanes[15] ^ lanes[20]
-        c1 = lanes[1] ^ lanes[6] ^ lanes[11] ^ lanes[16] ^ lanes[21]
-        c2 = lanes[2] ^ lanes[7] ^ lanes[12] ^ lanes[17] ^ lanes[22]
-        c3 = lanes[3] ^ lanes[8] ^ lanes[13] ^ lanes[18] ^ lanes[23]
-        c4 = lanes[4] ^ lanes[9] ^ lanes[14] ^ lanes[19] ^ lanes[24]
-        d0 = c4 ^ (((c1 << 1) | (c1 >> 63)) & _MASK)
-        d1 = c0 ^ (((c2 << 1) | (c2 >> 63)) & _MASK)
-        d2 = c1 ^ (((c3 << 1) | (c3 >> 63)) & _MASK)
-        d3 = c2 ^ (((c4 << 1) | (c4 >> 63)) & _MASK)
-        d4 = c3 ^ (((c0 << 1) | (c0 >> 63)) & _MASK)
-        for y in (0, 5, 10, 15, 20):
-            lanes[y] ^= d0
-            lanes[y + 1] ^= d1
-            lanes[y + 2] ^= d2
-            lanes[y + 3] ^= d3
-            lanes[y + 4] ^= d4
-        # rho + pi
-        b = [0] * 25
-        for dst in range(25):
-            v = lanes[_PI_SOURCE[dst]]
-            r = _RHO_BY_DEST[dst]
-            b[dst] = ((v << r) | (v >> (64 - r))) & _MASK if r else v
-        # chi
-        for y in (0, 5, 10, 15, 20):
-            b0, b1, b2, b3, b4 = b[y], b[y + 1], b[y + 2], b[y + 3], b[y + 4]
-            lanes[y] = b0 ^ (~b1 & b2)
-            lanes[y + 1] = b1 ^ (~b2 & b3)
-            lanes[y + 2] = b2 ^ (~b3 & b4)
-            lanes[y + 3] = b3 ^ (~b4 & b0)
-            lanes[y + 4] = b4 ^ (~b0 & b1)
-        # iota
-        lanes[0] = (lanes[0] ^ rc) & _MASK
-    return lanes
+        # theta: column parities, and the d that every lane of column x takes
+        c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20
+        c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21
+        c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22
+        c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23
+        c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24
+        d0 = c4 ^ ((c1 << 1 | c1 >> 63) & M)
+        d1 = c0 ^ ((c2 << 1 | c2 >> 63) & M)
+        d2 = c1 ^ ((c3 << 1 | c3 >> 63) & M)
+        d3 = c2 ^ ((c4 << 1 | c4 >> 63) & M)
+        d4 = c3 ^ ((c0 << 1 | c0 >> 63) & M)
+        # theta's xor, rho and pi in one step per lane: b[y + 5*((2x + 3y) % 5)]
+        # is a[x + 5y] ^ d[x] rotated left by the rho offset of lane x + 5y
+        b0 = a0 ^ d0
+        t = a6 ^ d1
+        b1 = (t << 44 | t >> 20) & M
+        t = a12 ^ d2
+        b2 = (t << 43 | t >> 21) & M
+        t = a18 ^ d3
+        b3 = (t << 21 | t >> 43) & M
+        t = a24 ^ d4
+        b4 = (t << 14 | t >> 50) & M
+        t = a3 ^ d3
+        b5 = (t << 28 | t >> 36) & M
+        t = a9 ^ d4
+        b6 = (t << 20 | t >> 44) & M
+        t = a10 ^ d0
+        b7 = (t << 3 | t >> 61) & M
+        t = a16 ^ d1
+        b8 = (t << 45 | t >> 19) & M
+        t = a22 ^ d2
+        b9 = (t << 61 | t >> 3) & M
+        t = a1 ^ d1
+        b10 = (t << 1 | t >> 63) & M
+        t = a7 ^ d2
+        b11 = (t << 6 | t >> 58) & M
+        t = a13 ^ d3
+        b12 = (t << 25 | t >> 39) & M
+        t = a19 ^ d4
+        b13 = (t << 8 | t >> 56) & M
+        t = a20 ^ d0
+        b14 = (t << 18 | t >> 46) & M
+        t = a4 ^ d4
+        b15 = (t << 27 | t >> 37) & M
+        t = a5 ^ d0
+        b16 = (t << 36 | t >> 28) & M
+        t = a11 ^ d1
+        b17 = (t << 10 | t >> 54) & M
+        t = a17 ^ d2
+        b18 = (t << 15 | t >> 49) & M
+        t = a23 ^ d3
+        b19 = (t << 56 | t >> 8) & M
+        t = a2 ^ d2
+        b20 = (t << 62 | t >> 2) & M
+        t = a8 ^ d3
+        b21 = (t << 55 | t >> 9) & M
+        t = a14 ^ d4
+        b22 = (t << 39 | t >> 25) & M
+        t = a15 ^ d0
+        b23 = (t << 41 | t >> 23) & M
+        t = a21 ^ d1
+        b24 = (t << 2 | t >> 62) & M
+        # chi along each row, then iota.  b lanes 0, 2, 3, 5, 7, 10, 12, 16,
+        # 18, 19, 20 and 23 arrive inverted; each row is chi rewritten so
+        # that its outputs land in the state's pattern, with five NOTs
+        n13 = b13 ^ M
+        n18 = b18 ^ M
+        n21 = b21 ^ M
+        a0 = b0 ^ (b1 | b2)
+        a1 = b1 ^ ((b2 ^ M) | b3)
+        a2 = b2 ^ (b3 & b4)
+        a3 = b3 ^ (b4 | b0)
+        a4 = b4 ^ (b0 & b1)
+        a5 = b5 ^ (b6 | b7)
+        a6 = b6 ^ (b7 & b8)
+        a7 = b7 ^ (b8 | (b9 ^ M))
+        a8 = b8 ^ (b9 | b5)
+        a9 = b9 ^ (b5 & b6)
+        a10 = b10 ^ (b11 | b12)
+        a11 = b11 ^ (b12 & b13)
+        a12 = b12 ^ (n13 & b14)
+        a13 = n13 ^ (b14 | b10)
+        a14 = b14 ^ (b10 & b11)
+        a15 = b15 ^ (b16 & b17)
+        a16 = b16 ^ (b17 | b18)
+        a17 = b17 ^ (n18 | b19)
+        a18 = n18 ^ (b19 & b15)
+        a19 = b19 ^ (b15 | b16)
+        a20 = b20 ^ (n21 & b22)
+        a21 = n21 ^ (b22 | b23)
+        a22 = b22 ^ (b23 & b24)
+        a23 = b23 ^ (b24 | b20)
+        a24 = b24 ^ (b20 & b21)
+        a0 ^= rc
+    a1, a2, a8, a12, a17, a20 = a1 ^ M, a2 ^ M, a8 ^ M, a12 ^ M, a17 ^ M, a20 ^ M
+    return [
+        a0, a1, a2, a3, a4,
+        a5, a6, a7, a8, a9,
+        a10, a11, a12, a13, a14,
+        a15, a16, a17, a18, a19,
+        a20, a21, a22, a23, a24,
+    ]
 
 
 def _sponge_256(data: bytes, pad_byte: int) -> bytes:
-    padded_len = ((len(data) // _RATE_BYTES) + 1) * _RATE_BYTES
     padded = bytearray(data)
     padded.append(pad_byte)
-    padded.extend(b"\x00" * (padded_len - len(padded)))
+    padded += bytes(-len(padded) % _RATE_BYTES)
     padded[-1] ^= 0x80
 
     lanes = [0] * 25
-    for block_start in range(0, padded_len, _RATE_BYTES):
-        block = padded[block_start:block_start + _RATE_BYTES]
-        for i in range(_RATE_BYTES // 8):
-            lanes[i] ^= int.from_bytes(block[8 * i:8 * i + 8], "little")
-        _keccak_f1600(lanes)
-
-    out = bytearray()
-    for i in range(4):  # 32 bytes from the first four lanes
-        out.extend(lanes[i].to_bytes(8, "little"))
-    return bytes(out)
+    for offset in range(0, len(padded), _RATE_BYTES):
+        block = _BLOCK.unpack_from(padded, offset)
+        lanes = _keccak_f1600([a ^ w for a, w in zip(lanes, block)] + lanes[17:])
+    return _DIGEST.pack(*lanes[:4])
 
 
 def keccak256(data: bytes) -> bytes:

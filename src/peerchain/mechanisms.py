@@ -43,6 +43,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
@@ -135,6 +136,12 @@ class AnswerMatrix:
     def question_counts(self, q: str) -> tuple[int, int]:
         """(count of 0s, count of 1s) among the answers to question q."""
         return self._question_counts[q]
+
+    @cached_property
+    def pair_counts(self) -> "PairCounts":
+        """The matrix's ``PairCounts``, built on first use and kept, so the
+        DG kernel and the gas model of one settle share one build."""
+        return PairCounts(self)
 
     def relabeled(self, agent_map: Mapping[str, str], question_map: Mapping[str, str]) -> "AnswerMatrix":
         return AnswerMatrix(
@@ -368,7 +375,7 @@ def dg_rewards(matrix: AnswerMatrix, peer_mode: PeerMode = ALL_PEERS) -> RewardR
     """
     _require_answers(matrix)
     tallies, plan = _tallies(matrix, peer_mode)
-    counts = PairCounts(matrix)
+    counts = matrix.pair_counts
     num, den = counts.num.tolist(), counts.den.tolist()
     sums = [defaultdict(int) for _ in matrix.agents]
     if plan is None:

@@ -22,6 +22,7 @@ draw count unbounded, which a gas-metered contract cannot rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import KTooLarge
@@ -75,6 +76,12 @@ class SelectionSeed:
             raise ValueError("timestamp and difficulty are unsigned")
 
     def seed64(self) -> int:
+        return self._seed64
+
+    @cached_property
+    def _seed64(self) -> int:
+        # hashed on first use and kept: every sampled cell derives its
+        # substream from this value, so rehashing would cost one keccak a cell
         payload = self.block_timestamp.to_bytes(32, "big") + self.difficulty.to_bytes(32, "big")
         return int.from_bytes(keccak256(payload)[:8], "big")
 

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import floor
+from math import floor, isfinite
 
 from . import commitment as cmt
 from .errors import EmptyDataset
@@ -53,6 +53,8 @@ class QoSDataset:
             if len(row) != width:
                 raise ValueError("ragged dataset rows")
             for v in row:
+                if v != MISSING and not isfinite(v):
+                    raise ValueError(f"response time {v} is not a finite number")
                 if v != MISSING and v < 0:
                     raise ValueError(f"negative response time {v}")
 

@@ -117,6 +117,26 @@ def test_round_with_custom_gas_table(tmp_path):
     assert run(["round", "--gas-table", str(table_path), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("text", ["[1]", '"x"', "null", "3", '{"tx_base": true}'])
+def test_round_rejects_malformed_gas_tables(tmp_path, capsys, text):
+    table_path = tmp_path / "gt.json"
+    table_path.write_text(text)
+    assert run(["round", "--gas-table", str(table_path), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: gas table") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_round_rejects_non_finite_response_times(tmp_path, capsys, value):
+    dataset = tmp_path / "rt.txt"
+    dataset.write_text(f"0.5 0.5\n0.5 {value}\n")
+    out = tmp_path / "r"
+    assert run(["round", "--dataset", str(dataset), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "not a finite number" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_dg_on_dense_dataset_is_a_protocol_error(tmp_path, capsys):
     dense = tmp_path / "dense.txt"
     dense.write_text("0.5 0.5\n0.5 0.5\n")

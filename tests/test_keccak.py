@@ -1,8 +1,9 @@
 """Keccak-256 against published vectors and NIST SHA3-256 divergence."""
 
 import hashlib
+import random
 
-from peerchain.keccak import keccak256
+from peerchain.keccak import keccak256, sha3_256
 
 # canonical vectors used across the Ethereum ecosystem
 VECTORS = {
@@ -19,6 +20,12 @@ BOUNDARY = {
     137: "4f38ae164a67b80212ba70c0ad76dbbf3ccbe763db6722f200a29d2c0c0114e5",
 }
 
+# SHA-256 over the concatenated digests of PIN_MESSAGES random messages of
+# 0-400 bytes (up to three rate blocks), recorded with the earlier
+# list-indexed permutation
+PIN_MESSAGES = 1000
+PIN_SHA256 = "c800aabb59b41bbfee072a824cb8d60e839712f85c57e38205403b3c12ad815c"
+
 
 def test_golden_vectors():
     for msg, digest in VECTORS.items():
@@ -28,6 +35,23 @@ def test_golden_vectors():
 def test_rate_boundary_pins():
     for n, digest in BOUNDARY.items():
         assert keccak256(b"\x01" * n).hex() == digest
+
+
+def test_sha3_path_equals_hashlib_for_every_length_to_300():
+    # the SHA-3 pad drives the same permutation and sponge as keccak256;
+    # lengths 135-137 and 271-273 cross the one- and two-block boundaries
+    rng = random.Random("sha3-cross-check")
+    for n in range(301):
+        msg = rng.randbytes(n)
+        assert sha3_256(msg) == hashlib.sha3_256(msg).digest(), n
+
+
+def test_random_message_pin():
+    rng = random.Random("keccak-pin")
+    pin = hashlib.sha256()
+    for _ in range(PIN_MESSAGES):
+        pin.update(keccak256(rng.randbytes(rng.randint(0, 400))))
+    assert pin.hexdigest() == PIN_SHA256
 
 
 def test_digest_length_and_determinism():

@@ -5,9 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from peerchain import mechanisms, peer_selection
 from peerchain.errors import EmptyDataset
-from peerchain.ledger import Phase
+from peerchain.ledger import Ledger, Phase
 from peerchain.mechanisms import Mechanism, SampledPeers
+from peerchain.peer_selection import SelectionSeed
 from peerchain.sim import (
     MISSING,
     AgentPopulation,
@@ -31,6 +33,9 @@ def test_dataset_validation():
         QoSDataset(((1.0, 2.0), (1.0,)))
     with pytest.raises(ValueError):
         QoSDataset(((-0.5,),))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            QoSDataset(((0.5, bad),))
     ds = QoSDataset(((0.5, MISSING), (MISSING, 2.0)))
     assert ds.n_agents == 2 and ds.n_services == 2
 
@@ -155,3 +160,55 @@ def test_sweep_mechanisms_and_peers(desk_dataset):
     assert set(peers) == {"all", "1"}
     assert isinstance(peers["1"].config.peer_mode, SampledPeers)
     assert peers["1"].gas_per_phase["settle"] < peers["all"].gas_per_phase["settle"]
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_selection_seed_is_hashed_once_per_round_and_replay(monkeypatch):
+    # every sampled cell derives its substream from the seed; the keccak
+    # behind it runs once per SelectionSeed, not once per cell
+    ds = QoSDataset.skip_one(12, 12, seed=5)
+    cfg = ExperimentConfig(peer_mode=SampledPeers(3, SelectionSeed(12, 34)), agents=12, seed=5)
+    hashes = _counting(monkeypatch, peer_selection, "keccak256")
+    report = run_experiment(cfg, ds)
+    assert len(hashes) <= 1
+    hashes.clear()
+    Ledger.load(report.ledger.dump())  # a new SelectionSeed from the log
+    assert len(hashes) <= 1
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_selection_seed_rounds_equal_its_seed64_rounds(mechanism):
+    ds = QoSDataset.skip_one(12, 12, seed=5)
+    reports = [
+        run_experiment(ExperimentConfig(mechanism=mechanism, peer_mode=SampledPeers(3, s),
+                                        agents=12, seed=5), ds)
+        for s in (SelectionSeed(12, 34), SelectionSeed(12, 34).seed64())
+    ]
+    a, b = (r.reward_report.per_agent_reward for r in reports)
+    assert a == b
+    a, b = (r.ledger.gas.report_rows() for r in reports)
+    assert a == b
+
+
+def test_dg_settle_builds_pair_counts_once(monkeypatch):
+    # the DG kernel and the gas model read one build per matrix, in the
+    # round and again in its replay
+    ds = QoSDataset.skip_one(12, 12, seed=5)
+    builds = _counting(monkeypatch, mechanisms.PairCounts, "__init__")
+    report = run_experiment(ExperimentConfig(mechanism=Mechanism.DG, agents=12, seed=5), ds)
+    assert len(builds) == 1
+    builds.clear()
+    Ledger.load(report.ledger.dump())
+    assert len(builds) == 1

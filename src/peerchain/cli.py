@@ -198,17 +198,33 @@ def cmd_gas_bench(args) -> int:
 # incentives
 # ---------------------------------------------------------------------------
 
-def _load_scenarios(args) -> list[dict]:
+def _load_scenarios(args) -> list[tuple[str, inc.IncentiveScenario]]:
+    """(scenario id, scenario) for each spec, all built before any output."""
     if not args.scenario:
-        return [{"scenario_id": "example-n10", "n": 10,
-                 "prior": DEFAULT_PRIOR, "bump": DEFAULT_BUMP, "alpha": "auto"}]
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if isinstance(raw, dict):
-        raw = [raw]
-    if not isinstance(raw, list) or not all(isinstance(s, dict) for s in raw):
-        raise ValueError("scenario file must hold a JSON object or list of objects")
-    return raw
+        raw = [{"scenario_id": "example-n10", "n": 10,
+                "prior": DEFAULT_PRIOR, "bump": DEFAULT_BUMP, "alpha": "auto"}]
+    else:
+        with open(args.scenario, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if isinstance(raw, dict):
+            raw = [raw]
+        if not isinstance(raw, list) or not all(isinstance(s, dict) for s in raw):
+            raise ValueError("scenario file must hold a JSON object or list of objects")
+    scenarios = []
+    for position, spec_ in enumerate(raw, 1):
+        missing = [key for key in ("n", "prior", "bump") if key not in spec_]
+        if missing:
+            name = repr(spec_["scenario_id"]) if "scenario_id" in spec_ else f"#{position}"
+            raise ValueError(f"scenario {name} lacks the key(s) {', '.join(map(repr, missing))}")
+        scenario = inc.IncentiveScenario.from_parameters(
+            n=spec_["n"],
+            c=inc.exact_number(spec_.get("c", 1)),
+            alpha=spec_.get("alpha", "auto"),
+            prior_1=inc.exact_number(spec_["prior"]),
+            bump=inc.exact_number(spec_["bump"]),
+        )
+        scenarios.append((spec_.get("scenario_id", f"n{spec_['n']}"), scenario))
+    return scenarios
 
 
 INCENTIVES_HEADER = (
@@ -218,18 +234,11 @@ INCENTIVES_HEADER = (
 
 
 def cmd_incentives(args) -> int:
+    scenarios = _load_scenarios(args)
     out = _out_dir(args)
     rows = [INCENTIVES_HEADER]
     summary = []
-    for spec_ in _load_scenarios(args):
-        sid = spec_.get("scenario_id", f"n{spec_.get('n', '?')}")
-        scenario = inc.IncentiveScenario.from_parameters(
-            n=spec_["n"],
-            c=inc.exact_number(spec_.get("c", 1)),
-            alpha=spec_.get("alpha", "auto"),
-            prior_1=inc.exact_number(spec_["prior"]),
-            bump=inc.exact_number(spec_["bump"]),
-        )
+    for sid, scenario in scenarios:
         bound = scenario.bound()
         rounds = args.rounds
         pay = inc.payment_mc(scenario, rounds=rounds, master_seed=args.seed)

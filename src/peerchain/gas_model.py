@@ -12,12 +12,12 @@ implementations.
 `charge_settlement_compute` prices the cells the reward paths score:
 C cells (answered cells with at least one peer), V peer visits over those
 cells, the distinct DG pairs they use, and the peer pool of each cell.
-With all peers these come from the per-question answer counts and, for
-DG, from `AnswerMatrix.pair_counts`, the one build that the DG kernel
-also reads.  In sampled mode it builds the `mechanisms.cell_plan`
-itself, so the peers of every cell are drawn a second time; the draw is
-a pure function of the seed and the cell, so it picks the same peers the
-mechanism scored.  The draw stays because the function's signature
+With all peers these come from the matrix's 0/1 arrays: the
+per-question answerer counts, the per-agent answer counts and, for DG,
+`AnswerMatrix.pair_counts`, the one build that the DG kernel also reads.
+In sampled mode it builds the `mechanisms.cell_plan` itself, so the peers
+of every cell are drawn a second time; the draw is a pure function of the
+seed and the cell, so it picks the same peers the mechanism scored.  The draw stays because the function's signature
 takes the matrix, not a plan, and the round benchmark counts two sampler
 calls per cell; removing it is a change to that benchmark.
 
@@ -209,12 +209,13 @@ def charge_settlement_compute(
     T = matrix.total_answers
     n_agents = len(matrix.agents)
     n_questions = len(matrix.questions)
-    answers = {a: len(matrix.answers_by_agent[a]) for a in matrix.agents}
+    per_agent = matrix.answered.sum(axis=1)
 
     # n_pairs and pair_scan: the distinct DG pairs used and the sum of both
     # agents' answer counts over them; scan: that sum over every peer visit
     cells = visits = pool_words = n_pairs = pair_scan = scan = 0
     if sampled:
+        answers = dict(zip(matrix.agents, per_agent.tolist()))
         pairs: set[tuple[str, str]] = set()
         for agent, agent_cells in cell_plan(matrix, peer_mode).items():
             for c in agent_cells:
@@ -227,15 +228,13 @@ def charge_settlement_compute(
         n_pairs = len(pairs)
         pair_scan = sum(answers[a] + answers[b] for a, b in pairs)
     else:
-        for answerers in matrix.answerers_by_question.values():
-            if len(answerers) > 1:
-                cells += len(answerers)
-                visits += len(answerers) * (len(answerers) - 1)
+        n_q = matrix.answerers_per_question
+        cells = int(n_q[n_q > 1].sum())
+        visits = int((n_q * (n_q - 1)).sum())
         pool_words = visits
         if mechanism is Mechanism.DG:
-            counts = matrix.pair_counts
-            common, t = counts.common, counts.answered.sum(axis=1)
-            both = t[:, None] + t[None, :]
+            common = matrix.pair_counts.common
+            both = per_agent[:, None] + per_agent[None, :]
             n_pairs = int(np.count_nonzero(common)) // 2
             pair_scan = int(both[common > 0].sum()) // 2
             scan = int((common * both).sum())

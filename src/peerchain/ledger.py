@@ -126,6 +126,12 @@ class LedgerConfig:
     optimized: bool = True
 
     def __post_init__(self):
+        _require_ints(
+            batch_size=self.batch_size, scale=self.scale, selection_blocks=self.selection_blocks,
+            commit_blocks=self.commit_blocks, reveal_blocks=self.reveal_blocks,
+        )
+        if not isinstance(self.optimized, bool):
+            raise ValueError(f"optimized must be a bool, got {self.optimized!r}")
         if not 1 <= self.batch_size <= cmt.MAX_ANSWERS:
             raise ValueError(f"batch_size must be in 1..{cmt.MAX_ANSWERS}")
         if self.scale < 1:
@@ -168,9 +174,13 @@ class LedgerConfig:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "LedgerConfig":
+        alpha = payload["alpha"]
+        if not isinstance(alpha, list) or len(alpha) != 2 or alpha[1] == 0:
+            raise ValueError(f"alpha must be [numerator, nonzero denominator], got {alpha!r}")
+        _require_ints(alpha_numerator=alpha[0], alpha_denominator=alpha[1])
         return cls(
             mechanism=Mechanism(payload["mechanism"]),
-            alpha=Fraction(*payload["alpha"]),
+            alpha=Fraction(*alpha),
             peer_mode=_peer_mode_from_payload(payload["peer_mode"]),
             batch_size=payload["batch_size"],
             scale=payload["scale"],

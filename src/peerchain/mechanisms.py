@@ -17,16 +17,21 @@ values and a naive path that rederives everything from scratch at each
 use.  Both produce bitwise-identical exact rationals; the naive path is
 the reference oracle and the baseline for cost accounting.
 
+``AnswerMatrix`` turns answers into numbers once, as 0/1 arrays and their
+per-question sums that the kernels, the gas model and the DG validity
+check read; its dict views are derived from the arrays on first use.
+
 The optimized paths are exact integer kernels.  Each agent's reward is a
 sum of rationals whose numerators are summed as integers per denominator
-and turned into one ``Fraction`` per agent at the end.  A cell scored
-against all co-answerers reads its match count from the per-question 0/1
-counts.  The DG penalty of a pair, (a0*b0 + a1*b1) / (|ex_i| * |ex_p|),
-depends only on 0/1 counts over the two agents' exclusive questions, so
-``PairCounts`` derives every pair's numerator and denominator from
-products of the agents x questions 0/1 matrices; with all peers, a pair's
-penalty is weighted by how many questions of each pool size it shares,
-so no peer is visited one by one.
+and turned into one ``Fraction`` per agent at the end; array counts enter
+that arithmetic only as Python ints.  A cell scored against all
+co-answerers reads its match count from the per-question counts, and
+PTSC's R_i(y) from the per-agent row sums.  The DG penalty of a pair,
+(a0*b0 + a1*b1) / (|ex_i| * |ex_p|), depends only on 0/1 counts over the
+two agents' exclusive questions, so ``PairCounts`` derives every pair's
+numerator and denominator from products of the matrix's 0/1 arrays; with
+all peers, a pair's penalty is weighted by how many questions of each
+pool size it shares, so no peer is visited one by one.
 
 Peers are either all co-answerers of a question or a seeded sample drawn
 per (agent, question) cell; sampling uses a substream so results do not
@@ -75,6 +80,8 @@ class SampledPeers:
     seed: SeedLike
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            raise ValueError(f"k must be an int, got {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
 
@@ -87,7 +94,9 @@ class AnswerMatrix:
     """Sparse agent x question matrix of binary reports.
 
     ``cells`` maps (agent, question) to 0/1; absence means the agent did
-    not answer that question.
+    not answer that question.  ``answered`` and ``ones`` are the agents x
+    questions int64 0/1 arrays (answered, answered 1) in matrix order, and
+    ``answerers_per_question`` and ``ones_per_question`` their column sums.
     """
 
     def __init__(
@@ -98,89 +107,59 @@ class AnswerMatrix:
     ):
         self.agents = tuple(agents)
         self.questions = tuple(questions)
-        if len(set(self.agents)) != len(self.agents):
+        self.agent_index = {a: i for i, a in enumerate(self.agents)}
+        self.question_index = {q: j for j, q in enumerate(self.questions)}
+        if len(self.agent_index) != len(self.agents):
             raise ValueError("duplicate agent ids")
-        if len(set(self.questions)) != len(self.questions):
+        if len(self.question_index) != len(self.questions):
             raise ValueError("duplicate question ids")
-        agent_set = set(self.agents)
-        question_set = set(self.questions)
         for (a, q), bit in cells.items():
-            if a not in agent_set:
+            if a not in self.agent_index:
                 raise ValueError(f"cell references unknown agent {a!r}")
-            if q not in question_set:
+            if q not in self.question_index:
                 raise ValueError(f"cell references unknown question {q!r}")
             if bit not in (0, 1):
                 raise ValueError(f"cell ({a!r}, {q!r}) holds {bit!r}, want 0 or 1")
         self.cells = dict(cells)
 
-        # Indexes in canonical (matrix) order; all iteration below follows them.
-        self.agent_index = {a: i for i, a in enumerate(self.agents)}
-        self.question_index = {q: j for j, q in enumerate(self.questions)}
-        self.answers_by_agent: dict[str, dict[str, int]] = {a: {} for a in self.agents}
-        self.answerers_by_question: dict[str, list[str]] = {q: [] for q in self.questions}
-        self._question_counts: dict[str, tuple[int, int]] = {}
-        for q in self.questions:
-            counts = [0, 0]
-            for a in self.agents:
-                bit = self.cells.get((a, q))
-                if bit is not None:
-                    self.answers_by_agent[a][q] = bit
-                    self.answerers_by_question[q].append(a)
-                    counts[bit] += 1
-            self._question_counts[q] = (counts[0], counts[1])
+        shape = (len(self.agents), len(self.questions))
+        # counts are at most Q, their products at most Q**2 and sums of
+        # products over all pairs at most (n*Q)**2: all far inside int64
+        assert shape[0] * shape[1] < 2**31
+        self.answered = np.zeros(shape, dtype=np.int64)
+        self.ones = np.zeros(shape, dtype=np.int64)
+        at = (np.array([self.agent_index[a] for a, _q in self.cells], dtype=np.intp),
+              np.array([self.question_index[q] for _a, q in self.cells], dtype=np.intp))
+        self.answered[at] = 1
+        self.ones[at] = list(self.cells.values())
+        self.answerers_per_question = self.answered.sum(axis=0)
+        self.ones_per_question = self.ones.sum(axis=0)
 
     @property
     def total_answers(self) -> int:
         return len(self.cells)
 
-    def question_counts(self, q: str) -> tuple[int, int]:
-        """(count of 0s, count of 1s) among the answers to question q."""
-        return self._question_counts[q]
+    @cached_property
+    def answers_by_agent(self) -> dict[str, dict[str, int]]:
+        """Agent -> {question: bit}, both in matrix order."""
+        return {
+            a: {q: bit for q, seen, bit in zip(self.questions, answered, ones) if seen}
+            for a, answered, ones in zip(self.agents, self.answered.tolist(), self.ones.tolist())
+        }
+
+    @cached_property
+    def answerers_by_question(self) -> dict[str, list[str]]:
+        """Question -> the agents who answered it, in matrix order."""
+        return {
+            q: [a for a, seen in zip(self.agents, column) if seen]
+            for q, column in zip(self.questions, self.answered.T.tolist())
+        }
 
     @cached_property
     def pair_counts(self) -> "PairCounts":
         """The matrix's ``PairCounts``, built on first use and kept, so the
         DG kernel and the gas model of one settle share one build."""
-        return PairCounts(self)
-
-    def relabeled(self, agent_map: Mapping[str, str], question_map: Mapping[str, str]) -> "AnswerMatrix":
-        return AnswerMatrix(
-            (agent_map[a] for a in self.agents),
-            (question_map[q] for q in self.questions),
-            {(agent_map[a], question_map[q]): bit for (a, q), bit in self.cells.items()},
-        )
-
-
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Intermediary answer counts reused across agents by the PTSC path."""
-
-    per_agent_counts: dict[str, tuple[int, int]]
-    global_counts: tuple[int, int]
-
-    @classmethod
-    def from_matrix(cls, matrix: AnswerMatrix) -> "FrequencyTable":
-        per_agent = {}
-        g0 = g1 = 0
-        for a in matrix.agents:
-            ones = sum(matrix.answers_by_agent[a].values())
-            zeros = len(matrix.answers_by_agent[a]) - ones
-            per_agent[a] = (zeros, ones)
-            g0 += zeros
-            g1 += ones
-        return cls(per_agent, (g0, g1))
-
-    def excluding(self, agent: str) -> tuple[int, int]:
-        own = self.per_agent_counts.get(agent, (0, 0))
-        return self.global_counts[0] - own[0], self.global_counts[1] - own[1]
-
-    def relative_frequency(self, agent: str, y: int) -> Fraction:
-        """R_i(y); Fraction(0) when the count (or the whole pool) is empty."""
-        num = self.excluding(agent)
-        denom = num[0] + num[1]
-        if denom == 0 or num[y] == 0:
-            return ZERO
-        return Fraction(num[y], denom)
+        return PairCounts(self.answered, self.ones)
 
 
 @dataclass
@@ -245,8 +224,10 @@ def cell_plan(matrix: AnswerMatrix, peer_mode: PeerMode) -> dict[str, list[Cell]
     Cells keep the agent's question order and their peers come from
     ``peers_for_cell``, so the mechanisms and the gas model score and price
     the same draws.  A cell whose peers are all co-answerers of q takes its
-    match count from the question's cached 0/1 counts.
+    match count from the question's 0/1 counts.
     """
+    answerers = matrix.answerers_per_question.tolist()
+    ones = matrix.ones_per_question.tolist()
     plan = {}
     for agent in matrix.agents:
         cells = []
@@ -254,8 +235,9 @@ def cell_plan(matrix: AnswerMatrix, peer_mode: PeerMode) -> dict[str, list[Cell]
             peers = peers_for_cell(matrix, agent, q, peer_mode)
             if not peers:
                 continue
-            if len(peers) == len(matrix.answerers_by_question[q]) - 1:
-                matches = matrix.question_counts(q)[y] - 1
+            j = matrix.question_index[q]
+            if len(peers) == answerers[j] - 1:
+                matches = (ones[j] if y else answerers[j] - ones[j]) - 1
             else:
                 matches = sum(1 for p in peers if matrix.cells[(p, q)] == y)
             cells.append(Cell(q, y, peers, matches))
@@ -271,14 +253,15 @@ def _tallies(matrix: AnswerMatrix, peer_mode: PeerMode):
     peer list is built; sampled cells are the plan's draws.
     """
     if isinstance(peer_mode, AllPeers):
-        tallies = {}
-        for agent, answers in matrix.answers_by_agent.items():
-            cells = []
-            for q, y in answers.items():
-                n = len(matrix.answerers_by_question[q]) - 1
-                if n:
-                    cells.append((y, n, matrix.question_counts(q)[y] - 1))
-            tallies[agent] = cells
+        answerers, ones = matrix.answerers_per_question, matrix.ones_per_question
+        pools = answerers - 1
+        # a cell's matches: the other answerers of its question with the same bit
+        matches = np.where(matrix.ones == 1, ones, answerers - ones) - 1
+        scored = (matrix.answered == 1) & (pools > 0)
+        tallies = {
+            agent: list(zip(matrix.ones[i, s].tolist(), pools[s].tolist(), matches[i, s].tolist()))
+            for i, (agent, s) in enumerate(zip(matrix.agents, scored))
+        }
         return tallies, None
     plan = cell_plan(matrix, peer_mode)
     return {a: [(c.y, len(c.peers), c.matches) for c in cells] for a, cells in plan.items()}, plan
@@ -287,32 +270,21 @@ def _tallies(matrix: AnswerMatrix, peer_mode: PeerMode):
 class PairCounts:
     """Integer counts over agent pairs, from products of 0/1 matrices.
 
-    Rows and columns follow ``matrix.agents``.  ``answered`` is the agents x
-    questions answer indicator and ``common[i, p]`` the number of questions
-    two distinct agents both answered (0 on the diagonal).  The DG penalty
-    of a pair is ``num[i, p] / den[i, p]``: with a0, a1 the 0s and 1s of i
-    on the questions only i answered and b0, b1 those of p on the questions
-    only p answered, num = a0*b0 + a1*b1 and den = |ex_i| * |ex_p|, which is
-    0 when either side has no exclusive question.
+    Built from a matrix's ``answered`` and ``ones``; rows and columns follow
+    its agents.  ``common[i, p]`` is the number of questions two distinct
+    agents both answered (0 on the diagonal).  The DG penalty of a pair is
+    ``num[i, p] / den[i, p]``: with a0, a1 the 0s and 1s of i on the
+    questions only i answered and b0, b1 those of p on the questions only p
+    answered, num = a0*b0 + a1*b1 and den = |ex_i| * |ex_p|, which is 0 when
+    either side has no exclusive question.
     """
 
-    def __init__(self, matrix: AnswerMatrix):
-        shape = (len(matrix.agents), len(matrix.questions))
-        # counts are at most Q, their products at most Q**2 and sums of
-        # products over all pairs at most (n*Q)**2: all far inside int64
-        assert shape[0] * shape[1] < 2**31
-        answered = np.zeros(shape, dtype=np.int64)
-        ones = np.zeros(shape, dtype=np.int64)
-        rows = [matrix.agent_index[a] for a, _q in matrix.cells]
-        cols = [matrix.question_index[q] for _a, q in matrix.cells]
-        answered[rows, cols] = 1
-        ones[rows, cols] = list(matrix.cells.values())
+    def __init__(self, answered: np.ndarray, ones: np.ndarray):
         common = answered @ answered.T
         exclusive = answered.sum(axis=1)[:, None] - common  # row i: |ex_i| against p
         ex1 = ones.sum(axis=1)[:, None] - ones @ answered.T
         ex0 = exclusive - ex1
         np.fill_diagonal(common, 0)
-        self.answered = answered
         self.common = common
         self.num = ex0 * ex0.T + ex1 * ex1.T
         self.den = exclusive * exclusive.T
@@ -326,7 +298,7 @@ class PairCounts:
             return
         i = int(np.argmax(bad.any(axis=1)))
         _q, p = min(
-            (int(np.argmax(self.answered[i] & self.answered[p])), int(p))
+            (int(np.argmax(matrix.answered[i] & matrix.answered[p])), int(p))
             for p in np.flatnonzero(bad[i])
         )
         raise NoNonCommonQuestions(matrix.agents[i], matrix.agents[p])
@@ -380,9 +352,9 @@ def dg_rewards(matrix: AnswerMatrix, peer_mode: PeerMode = ALL_PEERS) -> RewardR
     sums = [defaultdict(int) for _ in matrix.agents]
     if plan is None:
         counts.require_exclusive_questions(matrix)
-        pools = counts.answered.sum(axis=0) - 1
+        pools = matrix.answerers_per_question - 1
         for s in np.unique(pools[pools > 0]).tolist():
-            block = counts.answered[:, pools == s]
+            block = matrix.answered[:, pools == s]
             shared = block @ block.T  # questions with s peers both answered
             np.fill_diagonal(shared, 0)
             rows, cols = np.nonzero(shared)
@@ -415,13 +387,16 @@ def ptsc_rewards(
     if alpha <= 0:
         raise ValueError("alpha must be strictly positive")
     _require_answers(matrix)
-    table = FrequencyTable.from_matrix(matrix)
     tallies, _plan = _tallies(matrix, peer_mode)
+    # R_i(y) counts every answer but agent i's own
+    all_ones = int(matrix.ones_per_question.sum())
     r_min: Fraction | None = None
     rewards = {}
-    for agent, cells in tallies.items():
-        others = table.excluding(agent)
-        total = others[0] + others[1]
+    for (agent, cells), answers, ones in zip(
+        tallies.items(), matrix.answered.sum(axis=1).tolist(), matrix.ones.sum(axis=1).tolist()
+    ):
+        total = matrix.total_answers - answers
+        others = (total - (all_ones - ones), all_ones - ones)
         sums = defaultdict(int)
         used = set()
         for y, n, m in cells:
@@ -431,7 +406,7 @@ def ptsc_rewards(
                 sums[d] += m * total - d
                 used.add(y)
         for y in used:
-            r = table.relative_frequency(agent, y)
+            r = Fraction(others[y], total)
             if r_min is None or r < r_min:
                 r_min = r
         rewards[agent] = _exact_mean(sums, len(cells), alpha)

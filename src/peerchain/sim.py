@@ -23,6 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from math import floor, isfinite
 
+import numpy as np
+
 from . import commitment as cmt
 from .errors import EmptyDataset
 from .gas_model import DEFAULT_GAS_TABLE, GasTable
@@ -208,14 +210,16 @@ def generate_reports(truth: AnswerMatrix, population: AgentPopulation, seed: int
 
 
 def assert_dg_valid(matrix: AnswerMatrix) -> None:
-    """Every co-answering pair must leave both sides exclusive questions."""
-    sets = {a: set(matrix.answers_by_agent[a]) for a in matrix.agents}
-    for q in matrix.questions:
-        answerers = matrix.answerers_by_question[q]
-        for i, a in enumerate(answerers):
-            for b in answerers[i + 1:]:
-                if sets[a] <= sets[b] or sets[b] <= sets[a]:
-                    raise AssertionError(f"pair ({a}, {b}) has no exclusive questions")
+    """Every co-answering pair must leave both sides exclusive questions.
+
+    Names the failing pair whose first shared question comes first, then
+    the pair first in matrix order."""
+    counts = matrix.pair_counts
+    bad = np.argwhere((counts.common > 0) & (counts.den == 0))
+    if len(bad):
+        _q, i, p = min((int(np.argmax(matrix.answered[i] & matrix.answered[p])), i, p)
+                       for i, p in bad.tolist())
+        raise AssertionError(f"pair ({matrix.agents[i]}, {matrix.agents[p]}) has no exclusive questions")
 
 
 # ---------------------------------------------------------------------------

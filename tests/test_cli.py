@@ -213,6 +213,23 @@ def test_incentives_rejects_impossible_scenarios(tmp_path, capsys, scenario):
     assert run(["incentives", "--scenario", str(path), "--rounds", "1000",
                 "--out", str(tmp_path / "inc")]) == 2
     assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "inc").exists()
+
+
+@pytest.mark.parametrize("scenarios, named", [
+    ({"n": 10}, "scenario #1 lacks the key(s) 'prior', 'bump'"),
+    ([{"scenario_id": "ok", "n": 3, "prior": "0.9", "bump": "0.05"},
+      {"scenario_id": "short", "n": 3, "bump": "0.05"}], "scenario 'short' lacks the key(s) 'prior'"),
+    ([{"n": 3, "prior": "0.9", "bump": "0.05"}, {"prior": "0.9", "bump": "0.05"}],
+     "scenario #2 lacks the key(s) 'n'"),
+], ids=["object", "by-id", "by-position"])
+def test_incentives_names_a_missing_scenario_key(tmp_path, capsys, scenarios, named):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenarios))
+    out = tmp_path / "inc"
+    assert run(["incentives", "--scenario", str(path), "--rounds", "1000", "--out", str(out)]) == 2
+    assert f"usage error: {named}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_incentives_without_rounds_is_a_usage_error(tmp_path, capsys):

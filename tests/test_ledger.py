@@ -353,10 +353,22 @@ def test_replay_rejects_corrupt_logs():
             Ledger.load("\n".join(lines))
     head, genesis_hex = dump.split("\n", 1)[0].rsplit(",", 1)
     genesis = json.loads(bytes.fromhex(genesis_hex))
-    del genesis["scale"]
-    no_scale = f"{head},{json.dumps(genesis, sort_keys=True, separators=(',', ':')).encode().hex()}"
+
+    def load_with(genesis_payload):
+        blob = json.dumps(genesis_payload, sort_keys=True, separators=(",", ":")).encode().hex()
+        return Ledger.load(f"{head},{blob}\n" + dump.split("\n", 1)[1])
+
+    no_scale = {k: v for k, v in genesis.items() if k != "scale"}
     with pytest.raises(ValueError, match="line 1 "):
-        Ledger.load(no_scale + "\n" + dump.split("\n", 1)[1])
+        load_with(no_scale)
+    # fields of the wrong type or value
+    sampled = {"kind": "sampled", "seed": 1}
+    for field, value in (("alpha", [1, 0]), ("alpha", [1]), ("alpha", [1.5, 2]), ("alpha", "1/2"),
+                         ("batch_size", 2.5), ("scale", 1.5), ("selection_blocks", 1.5),
+                         ("optimized", "yes"), ("peer_mode", {**sampled, "k": True}),
+                         ("peer_mode", {**sampled, "k": 2.0})):
+        with pytest.raises(ValueError):
+            load_with({**genesis, field: value})
 
 
 def _bump_settle_block(dump):
@@ -411,8 +423,18 @@ def _staged(phase):
     (Phase.REVEAL, lambda led, vec, key: led.reveal("A", False, vec.message(), key.value)),
     (Phase.REVEAL, lambda led, vec, key: led.reveal("A", 0, "x", key.value)),
     (Phase.REVEAL, lambda led, vec, key: led.reveal("A", 0, vec.message(), 5.0)),
+    (Phase.POSTING, lambda led, vec, key: SampledPeers(2.0, 1)),
+    (Phase.POSTING, lambda led, vec, key: SampledPeers(True, 1)),
+    (Phase.POSTING, lambda led, vec, key: LedgerConfig(batch_size=2.5)),
+    (Phase.POSTING, lambda led, vec, key: LedgerConfig(scale=1.5)),
+    (Phase.POSTING, lambda led, vec, key: LedgerConfig(selection_blocks=1.5)),
+    (Phase.POSTING, lambda led, vec, key: LedgerConfig(commit_blocks=True)),
+    (Phase.POSTING, lambda led, vec, key: LedgerConfig(reveal_blocks=2.0)),
+    (Phase.POSTING, lambda led, vec, key: LedgerConfig(optimized="yes")),
 ], ids=["budget-float", "budget-bool", "requester-deposit-float", "deposit-float", "commit-batch-float",
-        "reveal-batch-float", "reveal-batch-bool", "reveal-message-str", "reveal-key-float"])
+        "reveal-batch-float", "reveal-batch-bool", "reveal-message-str", "reveal-key-float",
+        "k-float", "k-bool", "batch-size-float", "scale-float", "selection-blocks-float",
+        "commit-blocks-bool", "reveal-blocks-float", "optimized-str"])
 def test_entry_points_take_only_ints(phase, call):
     ledger, vec, key = _staged(phase)
     events, gas = list(ledger.events), ledger.gas.total

@@ -5,13 +5,13 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from peerchain.errors import EmptyMatrix, NoNonCommonQuestions
 from peerchain.mechanisms import (
     ALL_PEERS,
     AnswerMatrix,
-    FrequencyTable,
     Mechanism,
     SampledPeers,
     cell_plan,
@@ -49,22 +49,58 @@ def test_matrix_validation():
 
 def test_matrix_views():
     assert M1.total_answers == 6
-    assert M1.question_counts("q1") == (1, 2)
+    assert M1.answered.tolist() == [[1, 1], [1, 1], [1, 1]]
+    assert M1.ones.tolist() == [[1, 0], [1, 1], [0, 1]]
+    assert M1.answerers_per_question.tolist() == [3, 3]
+    assert M1.ones_per_question.tolist() == [2, 2]
     assert M1.answers_by_agent["A"] == {"q1": 1, "q2": 0}
     assert M1.answerers_by_question["q2"] == ["A", "B", "C"]
 
 
-def test_frequency_table_excludes_own_answers():
-    table = FrequencyTable.from_matrix(M1)
-    assert table.global_counts == (2, 4)
-    assert table.excluding("A") == (1, 3)  # A contributed one 0 and one 1
-    assert table.relative_frequency("A", 1) == F(3, 4)
-    assert table.relative_frequency("B", 0) == F(1, 2)
-    # zero count for the answer value -> frequency 0 by convention
-    lone = FrequencyTable.from_matrix(
-        AnswerMatrix(("A", "B"), ("q1",), {("A", "q1"): 1, ("B", "q1"): 1})
-    )
-    assert lone.relative_frequency("A", 0) == F(0)
+def test_matrix_arrays_and_views_match_cells():
+    rng = random.Random(3)
+    matrices = [
+        AnswerMatrix(("A", "B"), ("q1", "q2"), {}),
+        # C answers nothing and nobody answers q2
+        AnswerMatrix(("A", "B", "C"), ("q1", "q2", "q3"),
+                     {("B", "q1"): 0, ("A", "q3"): 0, ("A", "q1"): 1}),
+    ]
+    matrices += [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), p_answer=0.5)
+                 for _ in range(40)]
+    for m in matrices:
+        shape = (len(m.agents), len(m.questions))
+        assert m.answered.shape == m.ones.shape == shape
+        assert m.answered.dtype == m.ones.dtype == np.int64
+        for i, a in enumerate(m.agents):
+            for j, q in enumerate(m.questions):
+                bit = m.cells.get((a, q))
+                assert m.answered[i, j] == (bit is not None)
+                assert m.ones[i, j] == (bit == 1)
+        for j, q in enumerate(m.questions):
+            bits = [m.cells[(a, q)] for a in m.agents if (a, q) in m.cells]
+            assert (m.answerers_per_question[j], m.ones_per_question[j]) == (len(bits), sum(bits))
+        # the views keep matrix order on both axes, not the order of cells
+        assert [(a, list(row.items())) for a, row in m.answers_by_agent.items()] == [
+            (a, [(q, m.cells[(a, q)]) for q in m.questions if (a, q) in m.cells]) for a in m.agents
+        ]
+        assert list(m.answerers_by_question.items()) == [
+            (q, [a for a in m.agents if (a, q) in m.cells]) for q in m.questions
+        ]
+
+
+def test_ptsc_frequency_excludes_own_answers():
+    # M1 holds two 0s and four 1s; without C's own answers its 0 is one of
+    # four answers, so R_C(0) = 1/4 is the smallest frequency used, not 1/3
+    for computer in (compute_rewards, rewards_naive):
+        assert computer(M1, Mechanism.PTSC).r_min == F(1, 4)
+    # a zero count gives frequency 0: the cell scores 0 and r_min skips it
+    lone = AnswerMatrix(("A", "B"), ("q1",), {("A", "q1"): 1, ("B", "q1"): 1})
+    split = AnswerMatrix(("A", "B"), ("q1",), {("A", "q1"): 1, ("B", "q1"): 0})
+    for m, r_min in ((lone, F(1)), (split, None)):
+        for computer in (compute_rewards, rewards_naive):
+            report = computer(m, Mechanism.PTSC)
+            assert report.per_agent_reward == {"A": F(0), "B": F(0)}
+            assert report.r_min == r_min
 
 
 def test_oa_hand_oracle():
@@ -208,7 +244,11 @@ def test_relabeling_invariance():
     m = skip_one_matrix(rng, 5)
     a_map = {a: f"agent-{a}" for a in m.agents}
     q_map = {q: f"question-{q}" for q in m.questions}
-    relabeled = m.relabeled(a_map, q_map)
+    relabeled = AnswerMatrix(
+        (a_map[a] for a in m.agents),
+        (q_map[q] for q in m.questions),
+        {(a_map[a], q_map[q]): bit for (a, q), bit in m.cells.items()},
+    )
     for mech in Mechanism:
         base = compute_rewards(m, mech, alpha=F(1), peer_mode=SampledPeers(2, 9))
         moved = compute_rewards(relabeled, mech, alpha=F(1), peer_mode=SampledPeers(2, 9))
@@ -361,6 +401,26 @@ def test_desk_regression_pins(desk_truth):
     assert float(sum(oa.values(), F(0))) == 41.7060141280139
     pt = compute_rewards(desk_truth, Mechanism.PTSC, alpha=F(1, 2))
     assert all(r >= -F(1, 2) for r in pt.per_agent_reward.values())
+
+
+EXACT_MODES = (ALL_PEERS, SampledPeers(1, 3), SampledPeers(2, 4), SampledPeers(3, 5), SampledPeers(50, 6))
+
+
+def test_rewards_are_exact_python_ints():
+    # numpy scalars must not leak into exact arithmetic: every numerator and
+    # denominator is a Python int on both paths
+    rng = random.Random(19)
+    matrices = [skip_one_matrix(rng, 5), skip_one_matrix(rng, 8)]
+    for m in matrices:
+        for mech in Mechanism:
+            for mode in EXACT_MODES:
+                for computer in (compute_rewards, rewards_naive):
+                    report = computer(m, mech, alpha=F(3, 2), peer_mode=mode)
+                    values = list(report.per_agent_reward.values())
+                    if mech is Mechanism.PTSC:
+                        values.append(report.r_min)
+                    for r in values:
+                        assert type(r.numerator) is int and type(r.denominator) is int, (mech, mode)
 
 
 def test_report_metadata():

@@ -12,14 +12,16 @@ implementations.
 `charge_settlement_compute` prices the cells the reward paths score:
 C cells (answered cells with at least one peer), V peer visits over those
 cells, the distinct DG pairs they use, and the peer pool of each cell.
-With all peers these come from the matrix's 0/1 arrays: the
-per-question answerer counts, the per-agent answer counts and, for DG,
-`AnswerMatrix.pair_counts`, the one build that the DG kernel also reads.
-In sampled mode it builds the `mechanisms.cell_plan` itself, so the peers
+C and the pool sizes come from the per-question answerer counts in both
+modes.  With all peers the rest comes from the matrix's 0/1 arrays too:
+the per-agent answer counts and, for DG, `AnswerMatrix.pair_counts`, the
+one build that the DG kernel also reads.  In sampled mode V and the DG
+pairs come from the `mechanisms.cell_plan` it builds itself, so the peers
 of every cell are drawn a second time; the draw is a pure function of the
-seed and the cell, so it picks the same peers the mechanism scored.  The draw stays because the function's signature
-takes the matrix, not a plan, and the round benchmark counts two sampler
-calls per cell; removing it is a change to that benchmark.
+seed and the cell, so it picks the same peers the mechanism scored.  The
+draw stays because the function's signature takes the matrix, not a plan,
+and the round benchmark counts two sampler calls per cell; removing it is
+a change to that benchmark.
 
 Cost patterns (T total answers, n_q answerers on question q, t_i answers
 by agent i):
@@ -211,27 +213,28 @@ def charge_settlement_compute(
     n_questions = len(matrix.questions)
     per_agent = matrix.answered.sum(axis=1)
 
+    # every answered cell with a peer is scored in both modes, and its
+    # candidate pool is the other answerers of its question
+    n_q = matrix.answerers_per_question
+    cells = int(n_q[n_q > 1].sum())
+    pool_words = int((n_q * (n_q - 1)).sum())
     # n_pairs and pair_scan: the distinct DG pairs used and the sum of both
     # agents' answer counts over them; scan: that sum over every peer visit
-    cells = visits = pool_words = n_pairs = pair_scan = scan = 0
+    n_pairs = pair_scan = scan = 0
     if sampled:
+        visits = 0
         answers = dict(zip(matrix.agents, per_agent.tolist()))
         pairs: set[tuple[str, str]] = set()
         for agent, agent_cells in cell_plan(matrix, peer_mode).items():
             for c in agent_cells:
-                cells += 1
                 visits += len(c.peers)
-                pool_words += len(matrix.answerers_by_question[c.q]) - 1
                 if mechanism is Mechanism.DG:
                     scan += len(c.peers) * answers[agent] + sum(answers[p] for p in c.peers)
                     pairs.update((agent, p) if agent < p else (p, agent) for p in c.peers)
         n_pairs = len(pairs)
         pair_scan = sum(answers[a] + answers[b] for a, b in pairs)
     else:
-        n_q = matrix.answerers_per_question
-        cells = int(n_q[n_q > 1].sum())
-        visits = int((n_q * (n_q - 1)).sum())
-        pool_words = visits
+        visits = pool_words
         if mechanism is Mechanism.DG:
             common = matrix.pair_counts.common
             both = per_agent[:, None] + per_agent[None, :]

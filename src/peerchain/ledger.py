@@ -503,17 +503,22 @@ class Ledger:
 
         Every regenerated line must equal the line it came from; the first
         that does not raises `ReplayDivergence`, so a replay either
-        reproduces the log byte for byte or fails.  A payload that is not
-        an object, lacks a field or holds a field of the wrong type raises
-        `ValueError` naming its line.
+        reproduces the log byte for byte or fails.  A `ValueError` raised
+        for a line names it: a line without four comma-separated fields, a
+        payload that is not hex-encoded UTF-8 JSON or not an object, and a
+        field that is missing or that the entry point it feeds rejects.  A
+        `PeerchainError` from a replayed entry point passes unchanged.
         """
         ledger = None
         for number, line in enumerate(text.splitlines(), 1):
-            _block, event_type, party, payload_hex = line.split(",", 3)
-            payload = json.loads(bytes.fromhex(payload_hex))
-            if not isinstance(payload, dict):
-                raise ValueError(f"event log line {number} ({event_type}): payload is not an object")
+            fields = line.split(",", 3)
+            event_type = fields[1] if len(fields) > 1 else "?"
             try:
+                if len(fields) != 4:
+                    raise ValueError(f"want 4 comma-separated fields, got {len(fields)}")
+                party, payload = fields[2], json.loads(bytes.fromhex(fields[3]))
+                if not isinstance(payload, dict):
+                    raise ValueError("payload is not an object")
                 if ledger is None:
                     if event_type != "genesis":
                         raise ValueError("event log must start with a genesis event")
@@ -536,6 +541,8 @@ class Ledger:
                 raise ValueError(
                     f"event log line {number} ({event_type}): malformed payload ({type(e).__name__}: {e})"
                 ) from None
+            except ValueError as e:
+                raise ValueError(f"event log line {number} ({event_type}): {e}") from None
             if ledger.events[-1] != line:
                 raise ReplayDivergence(f"event log line {number} ({event_type}) does not replay byte for byte")
         if ledger is None:

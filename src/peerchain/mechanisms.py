@@ -37,9 +37,14 @@ Peers are either all co-answerers of a question or a seeded sample drawn
 per (agent, question) cell; sampling uses a substream so results do not
 depend on evaluation order.  Sampled cells come from one per-round
 ``cell_plan``: for every agent, the answered cells that have peers, each
-with its peers in scoring order and its match count.  The gas model
-prices the same cells.  Conversion to integer units happens only at
-ledger settlement.
+with its peers in scoring order and its match count.  The plan reads the
+matrix's arrays: a cell's candidate pool is its question's answerer list
+with the agent sliced out at its rank in that column, every cell's
+substream seed comes from one numpy pass (``peer_selection.cell_seeds``),
+and the only per-cell call is one ``sample_peers``.  ``peers_for_cell`` is
+the cell-by-cell reference that the naive path uses; a test holds the plan
+equal to it.  The gas model prices the same cells.  Conversion to integer
+units happens only at ledger settlement.
 """
 
 from __future__ import annotations
@@ -49,13 +54,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import EmptyMatrix, NoNonCommonQuestions
-from .peer_selection import SeedLike, cell_stream, sample_peers
+from .peer_selection import SeedLike, cell_seeds, cell_stream, require_k, require_seed, sample_peers
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -80,8 +86,8 @@ class SampledPeers:
     seed: SeedLike
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, int):
-            raise ValueError(f"k must be an int, got {self.k!r}")
+        require_k(self.k)
+        require_seed(self.seed)
         if self.k < 1:
             raise ValueError("k must be at least 1")
 
@@ -221,26 +227,41 @@ class Cell(NamedTuple):
 def cell_plan(matrix: AnswerMatrix, peer_mode: PeerMode) -> dict[str, list[Cell]]:
     """Every agent (matrix order) -> its answered cells that have peers.
 
-    Cells keep the agent's question order and their peers come from
-    ``peers_for_cell``, so the mechanisms and the gas model score and price
-    the same draws.  A cell whose peers are all co-answerers of q takes its
-    match count from the question's 0/1 counts.
+    Cells keep the agent's question order and hold the peers that
+    ``peers_for_cell`` gives, so the mechanisms and the gas model score and
+    price the same draws; a test holds the two equal.  The plan is built
+    from the matrix's arrays rather than cell by cell: a cell's candidate
+    pool is its question's answerers with the agent sliced out at its rank
+    in that column, and its substream state comes from ``cell_seeds``.
+    A sampled cell makes one ``sample_peers`` call.  A cell whose peers are
+    all co-answerers of q takes its match count from the question's 0/1
+    counts; any other counts its peers among the question's 1-answerers.
     """
+    sampled = isinstance(peer_mode, SampledPeers)
     answerers = matrix.answerers_per_question.tolist()
     ones = matrix.ones_per_question.tolist()
+    columns = list(matrix.answerers_by_question.values())
+    said_one = [set(compress(matrix.agents, column)) for column in matrix.ones.T.tolist()]
+    # the agent's position among the answerers of each question it answered
+    ranks = (np.cumsum(matrix.answered, axis=0) - 1).tolist()
+    bits = matrix.ones.tolist()
+    scored = (matrix.answered == 1) & (matrix.answerers_per_question > 1)
+    if sampled:
+        seeds = cell_seeds(peer_mode.seed, len(matrix.agents), len(matrix.questions))
     plan = {}
-    for agent in matrix.agents:
+    for i, agent in enumerate(matrix.agents):
         cells = []
-        for q, y in matrix.answers_by_agent[agent].items():
-            peers = peers_for_cell(matrix, agent, q, peer_mode)
-            if not peers:
-                continue
-            j = matrix.question_index[q]
+        for j in np.flatnonzero(scored[i]).tolist():
+            col, r, y = columns[j], ranks[i][j], bits[i][j]
+            peers = col[:r] + col[r + 1:]
+            if sampled:
+                peers = sample_peers(peers, min(peer_mode.k, len(peers)), seeds[i][j])
             if len(peers) == answerers[j] - 1:
                 matches = (ones[j] if y else answerers[j] - ones[j]) - 1
             else:
-                matches = sum(1 for p in peers if matrix.cells[(p, q)] == y)
-            cells.append(Cell(q, y, peers, matches))
+                hits = len(said_one[j].intersection(peers))
+                matches = hits if y else len(peers) - hits
+            cells.append(Cell(matrix.questions[j], y, peers, matches))
         plan[agent] = cells
     return plan
 

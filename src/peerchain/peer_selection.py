@@ -17,6 +17,14 @@ bit for bit.  Exact constants:
 shrinking pool and swap the tail in (a Fisher-Yates prefix), so it
 consumes exactly k draws.  Redrawing on collisions instead would make the
 draw count unbounded, which a gas-metered contract cannot rely on.
+
+``cell_stream(seed, i, j)`` derives one cell's substream.  ``cell_seeds``
+derives the states of every cell of an agents x questions grid at once:
+the two finalize layers of ``derive`` run as numpy ``uint64`` array
+operations (wrapping adds, xor-shifts and multiplies), once over the agent
+tags and once over the question tags, and the result comes back as Python
+ints.  ``cell_seeds(seed, n, Q)[i][j] == cell_stream(seed, i, j).state``
+for every cell.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .errors import KTooLarge
 from .keccak import keccak256
@@ -52,8 +62,11 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK64
-        return _finalize(self.state)
+        # _finalize written out: draws are the hot loop of peer sampling
+        z = self.state = (self.state + _GOLDEN) & _MASK64
+        z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ z >> 27) * 0x94D049BB133111EB) & _MASK64
+        return z ^ z >> 31
 
     def derive(self, *tags: int) -> "SplitMix64":
         """Child stream keyed by integer tags (agent index, question index...)."""
@@ -92,11 +105,26 @@ class SelectionSeed:
 SeedLike = SelectionSeed | SplitMix64 | int
 
 
+def require_seed(seed: object) -> None:
+    """Raise ValueError unless seed is a SelectionSeed, a SplitMix64 or an int."""
+    if isinstance(seed, bool) or not isinstance(seed, (SelectionSeed, SplitMix64, int)):
+        raise ValueError(f"seed must be a SelectionSeed, a SplitMix64 or an int, got {seed!r}")
+
+
+def require_k(k: object) -> None:
+    """Raise ValueError unless k is an int (a bool is not)."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"k must be an int, got {k!r}")
+
+
 def _as_stream(seed: SeedLike) -> SplitMix64:
+    if type(seed) is int:  # checked first: a cell plan passes one int seed per sampled cell
+        return SplitMix64(seed)
     if isinstance(seed, SplitMix64):
         return seed
     if isinstance(seed, SelectionSeed):
         return seed.stream()
+    require_seed(seed)
     return SplitMix64(seed)
 
 
@@ -107,19 +135,42 @@ def sample_peers(candidates: Sequence[str], k: int, seed: SeedLike) -> list[str]
     is swapped out by the pool tail.  The modulo bias is below 2^-48 for
     any realistic pool and is accepted.
     """
-    if not 1 <= k <= len(candidates):
-        raise KTooLarge(f"k={k} outside 1..{len(candidates)}")
-    stream = _as_stream(seed)
+    require_k(k)
+    size = len(candidates)
+    if not 1 <= k <= size:
+        raise KTooLarge(f"k={k} outside 1..{size}")
+    draw = _as_stream(seed).next
     pool = list(candidates)
     picked = []
-    for _ in range(k):
-        idx = stream.next() % len(pool)
+    # the live pool is pool[:n]; its tail entry fills the slot just drawn
+    for n in range(size, size - k, -1):
+        idx = draw() % n
         picked.append(pool[idx])
-        pool[idx] = pool[-1]
-        pool.pop()
+        pool[idx] = pool[n - 1]
     return picked
 
 
 def cell_stream(seed: SeedLike, agent_index: int, question_index: int) -> SplitMix64:
     """Substream for one (agent, question) cell of a reward computation."""
     return _as_stream(seed).derive(agent_index, question_index)
+
+
+def _finalize_array(z: np.ndarray) -> np.ndarray:
+    """``_finalize`` on a uint64 array; array arithmetic wraps mod 2**64."""
+    z = z ^ z >> np.uint64(30)
+    z = z * np.uint64(0xBF58476D1CE4E5B9)
+    z = z ^ z >> np.uint64(27)
+    z = z * np.uint64(0x94D049BB133111EB)
+    return z ^ z >> np.uint64(31)
+
+
+def cell_seeds(seed: SeedLike, n_agents: int, n_questions: int) -> list[list[int]]:
+    """State of ``cell_stream(seed, i, j)`` at row i, column j, for every
+    cell of an n_agents x n_questions grid, as Python ints."""
+    # uint64 arrays even for the one base seed: numpy warns when a scalar
+    # overflows, while array arithmetic wraps silently
+    base = np.array([_as_stream(seed).state], dtype=np.uint64)
+    agent_tags = np.arange(1, n_agents + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    question_tags = np.arange(1, n_questions + 1, dtype=np.uint64) * np.uint64(_LEAP)
+    rows = _finalize_array(base ^ _finalize_array(agent_tags))
+    return _finalize_array(rows[:, None] ^ _finalize_array(question_tags)).tolist()

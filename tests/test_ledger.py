@@ -2,15 +2,20 @@
 
 import itertools
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import peerchain.commitment as cmt
 from peerchain.errors import (
     DuplicateCommitment,
     InsufficientDeposit,
     NoCommitment,
+    PeerchainError,
     ReplayDivergence,
     UnknownQuestion,
     UnregisteredAgent,
@@ -33,8 +38,8 @@ def _commit_and_reveal(ledger, agent, answers):
     return keys
 
 
-def _oa_round(budget=1000, requester_deposit=0):
-    ledger = Ledger(LedgerConfig(mechanism=Mechanism.OA))
+def _oa_round(budget=1000, requester_deposit=0, peer_mode=ALL_PEERS):
+    ledger = Ledger(LedgerConfig(mechanism=Mechanism.OA, peer_mode=peer_mode))
     ledger.post_questions(("q1", "q2"), budget, requester_deposit)
     ledger.select_questions("A", ("q1", "q2"))
     ledger.select_questions("B", ("q1", "q2"))
@@ -369,6 +374,132 @@ def test_replay_rejects_corrupt_logs():
                          ("peer_mode", {**sampled, "k": 2.0})):
         with pytest.raises(ValueError):
             load_with({**genesis, field: value})
+
+
+def _with_line(dump, number, line):
+    lines = dump.splitlines()
+    lines[number - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+def _with_payload(dump, number, **fields):
+    head, payload_hex = dump.splitlines()[number - 1].rsplit(",", 1)
+    payload = {**json.loads(bytes.fromhex(payload_hex)), **fields}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode().hex()
+    return _with_line(dump, number, f"{head},{blob}")
+
+
+def _line_of(dump, event_type):
+    return next(n for n, line in enumerate(dump.splitlines(), 1) if line.split(",")[1] == event_type)
+
+
+@pytest.mark.parametrize("tamper, event_type", [
+    (lambda d: _with_payload(d, _line_of(d, "post"), budget=2.5), "post"),
+    (lambda d: _with_payload(d, 1, batch_size=2.5), "genesis"),
+    (lambda d: _with_line(d, _line_of(d, "select"), "0,select,A"), "select"),
+    (lambda d: _with_line(d, _line_of(d, "tick"), "3"), "?"),
+    (lambda d: _with_line(d, _line_of(d, "tick"), d.splitlines()[_line_of(d, "tick") - 1] + "zz"), "tick"),
+    (lambda d: _with_line(d, _line_of(d, "tick"), "0,tick,chain," + b"\xff\xfe{".hex()), "tick"),
+    (lambda d: _with_line(d, _line_of(d, "tick"), "0,tick,chain," + b"{blocks: 1}".hex()), "tick"),
+], ids=["post-budget-float", "genesis-batch-size-float", "three-fields", "one-field", "non-hex-payload",
+        "payload-not-utf8", "payload-not-json"])
+def test_load_names_the_line_of_every_value_error(tamper, event_type):
+    ledger = _oa_round()
+    ledger.settle()
+    dump = ledger.dump()
+    tampered = tamper(dump)
+    number = next(n for n, (a, b) in enumerate(zip(dump.splitlines(), tampered.splitlines()), 1) if a != b)
+    with pytest.raises(ValueError, match=rf"^event log line {number} \({re.escape(event_type)}\): "):
+        Ledger.load(tampered)
+
+
+def test_load_keeps_domain_errors_and_divergence():
+    ledger = _oa_round()
+    ledger.settle()
+    lines = ledger.dump().splitlines()
+    commit = next(i for i, line in enumerate(lines) if ",commit," in line)
+    with pytest.raises(DuplicateCommitment):
+        Ledger.load("\n".join(lines[:commit + 1] + lines[commit:]) + "\n")
+    with pytest.raises(ReplayDivergence):
+        Ledger.load(_with_payload(ledger.dump(), len(lines), extra=1))
+
+
+# a fixed alphabet: a text strategy over all of unicode builds a character
+# map first, which takes seconds
+SHORT_TEXT = st.text(alphabet="a1,{\"é", max_size=3)
+WRONG_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+                        SHORT_TEXT, st.lists(st.integers(0, 2), max_size=2),
+                        st.dictionaries(SHORT_TEXT, st.integers(0, 2), max_size=1))
+LINE = st.integers(0, 20)  # taken modulo the line count
+MUTATION = st.one_of(
+    st.tuples(st.just("drop"), LINE),
+    st.tuples(st.just("duplicate"), LINE),
+    st.tuples(st.just("swap"), LINE, LINE),
+    st.tuples(st.just("truncate"), LINE, st.integers(0, 200)),
+    st.tuples(st.just("retype"), LINE, st.integers(0, 20), WRONG_VALUE),
+)
+
+
+def _mutate(lines, mutation):
+    op, i, *args = mutation
+    i %= len(lines)
+    if op == "drop":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        j = args[0] % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == "truncate":
+        lines[i] = lines[i][:args[0] % (len(lines[i]) + 1)]
+    elif lines[i].count(",") == 3:
+        head, payload_hex = lines[i].rsplit(",", 1)
+        try:
+            payload = json.loads(bytes.fromhex(payload_hex))
+        except ValueError:
+            return  # a line truncated earlier
+        # a top-level field, or a field of a nested object such as the seed
+        paths = [(k,) for k in payload] + [(k, sub) for k, v in payload.items() if isinstance(v, dict)
+                                            for sub in v]
+        if not paths:
+            return
+        *parents, leaf = paths[args[0] % len(paths)]
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[leaf] = args[1]
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode().hex()
+        lines[i] = f"{head},{blob}"
+
+
+def test_load_of_a_mutated_log_replays_it_or_raises_a_named_error(tmp_path):
+    # a small valid log: a settled sampled OA round whose genesis nests a seed
+    ledger = _oa_round(peer_mode=SampledPeers(1, SelectionSeed(5, 6)))
+    ledger.settle()
+    valid = ledger.dump().splitlines()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.lists(MUTATION, min_size=1, max_size=3))
+    def check(mutations):
+        lines = list(valid)
+        for mutation in mutations:
+            _mutate(lines, mutation)
+        text = "\n".join(lines) + "\n"
+        try:
+            ledger = Ledger.load(text)
+        except PeerchainError:
+            return
+        except ValueError as e:
+            assert "event log line" in str(e)
+            return
+        assert ledger.dump() == text
+
+    # keep Hypothesis' constants cache out of the working tree
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
 
 
 def _bump_settle_block(dump):

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from peerchain import mechanisms
 from peerchain.errors import EmptyMatrix, NoNonCommonQuestions
 from peerchain.mechanisms import (
     ALL_PEERS,
@@ -19,6 +20,7 @@ from peerchain.mechanisms import (
     peers_for_cell,
     rewards_naive,
 )
+from peerchain.peer_selection import SelectionSeed, sample_peers
 from peerchain.sim import assert_dg_valid
 
 from conftest import random_matrix, skip_one_matrix
@@ -272,6 +274,22 @@ def test_sampled_peers_subset_and_determinism():
     assert full == [p for p in m.answerers_by_question[m.questions[0]] if p != m.agents[0]]
 
 
+def _peer_scan(m, mode):
+    """The cell plan rebuilt cell by cell from ``peers_for_cell``."""
+    plan = {}
+    for agent in m.agents:
+        plan[agent] = []
+        for q, y in m.answers_by_agent[agent].items():
+            peers = peers_for_cell(m, agent, q, mode)
+            if peers:
+                plan[agent].append((q, y, peers, sum(m.cells[(p, q)] == y for p in peers)))
+    return plan
+
+
+def _plan_tuples(plan):
+    return {agent: [tuple(c) for c in cells] for agent, cells in plan.items()}
+
+
 def test_cell_plan_matches_peer_scan():
     rng = random.Random(17)
     for trial in range(20):
@@ -280,13 +298,39 @@ def test_cell_plan_matches_peer_scan():
         for mode in (ALL_PEERS, SampledPeers(1, trial), SampledPeers(6, trial)):
             plan = cell_plan(m, mode)
             assert list(plan) == list(m.agents)
-            for agent, cells in plan.items():
-                expected = []
-                for q, y in m.answers_by_agent[agent].items():
-                    peers = peers_for_cell(m, agent, q, mode)
-                    if peers:
-                        expected.append((q, y, peers, sum(m.cells[(p, q)] == y for p in peers)))
-                assert [tuple(c) for c in cells] == expected
+            assert _plan_tuples(plan) == _peer_scan(m, mode)
+
+
+@pytest.mark.parametrize("k", [1, 10, 54, 55, 56])
+def test_cell_plan_matches_peer_scan_on_skip_one(k):
+    # every pool holds 54 peers: k = 54 draws the whole pool, 55 and 56 cap at it
+    m = skip_one_matrix(random.Random(56), 56)
+    mode = SampledPeers(k, k if k % 2 else SelectionSeed(k, 56))
+    assert _plan_tuples(cell_plan(m, mode)) == _peer_scan(m, mode)
+
+
+def test_cell_plan_calls_the_sampler_once_per_sampled_cell(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        # positional, as the round benchmark reads k from the second argument
+        assert len(args) == 3 and not kwargs
+        calls.append(args[1])
+        return sample_peers(*args)
+
+    monkeypatch.setattr(mechanisms, "sample_peers", counting)
+    rng = random.Random(4)
+    matrices = [skip_one_matrix(rng, 12)] + [random_matrix(rng, 6, 6, p_answer=0.6) for _ in range(10)]
+    for m in matrices:
+        for k in (1, 3, 20):
+            calls.clear()
+            plan = cell_plan(m, SampledPeers(k, 7))
+            pools = [int(m.answerers_per_question[m.question_index[c.q]]) - 1
+                     for cells in plan.values() for c in cells]
+            assert calls == [min(k, pool) for pool in pools]
+    calls.clear()
+    cell_plan(matrices[0], ALL_PEERS)
+    assert calls == []
 
 
 def test_sampled_rewards_match_manual_recomputation():

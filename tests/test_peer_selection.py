@@ -7,9 +7,11 @@ import pytest
 from scipy import stats
 
 from peerchain.errors import KTooLarge
+from peerchain.mechanisms import SampledPeers
 from peerchain.peer_selection import (
     SelectionSeed,
     SplitMix64,
+    cell_seeds,
     cell_stream,
     sample_peers,
 )
@@ -107,3 +109,49 @@ def test_int_and_selection_seed_accepted_as_seed():
     by_int = sample_peers(pool, 2, 123)
     by_stream = sample_peers(pool, 2, SplitMix64(123))
     assert by_int == by_stream
+
+
+@pytest.mark.parametrize("k", [2.0, True, False, "2", None])
+def test_non_int_k_is_rejected(k):
+    with pytest.raises(ValueError, match="k must be an int"):
+        sample_peers(["a", "b", "c"], k, 0)
+    with pytest.raises(ValueError, match="k must be an int"):
+        SampledPeers(k, 0)
+
+
+@pytest.mark.parametrize("seed", ["7", 7.0, True, None, (1, 2)])
+def test_seed_must_be_a_selection_seed_a_stream_or_an_int(seed):
+    with pytest.raises(ValueError, match="seed must be"):
+        sample_peers(["a", "b", "c"], 2, seed)
+    with pytest.raises(ValueError, match="seed must be"):
+        SampledPeers(2, seed)
+    with pytest.raises(ValueError, match="seed must be"):
+        cell_seeds(seed, 2, 2)
+
+
+def test_accepted_seed_kinds_agree():
+    pool = ["a", "b", "c", "d"]
+    seed = SelectionSeed(1234, 5678)
+    assert sample_peers(pool, 3, seed) == sample_peers(pool, 3, seed.seed64())
+    for ok in (seed, SplitMix64(5), 5, -5, 2**70):
+        SampledPeers(2, ok)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -1, SplitMix64(99),
+                                  SelectionSeed(1234, 5678)], ids=repr)
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5), (60, 60)])
+def test_cell_seeds_equal_every_cell_stream(seed, shape):
+    n_agents, n_questions = shape
+    seeds = cell_seeds(seed, n_agents, n_questions)
+    assert seeds == [[cell_stream(seed, i, j).state for j in range(n_questions)]
+                     for i in range(n_agents)]
+    assert all(type(s) is int for row in seeds for s in row)
+    # the draws of a cell's seed are the draws of its substream
+    first = SplitMix64(seeds[-1][-1])
+    assert first.next() == cell_stream(seed, n_agents - 1, n_questions - 1).next()
+
+
+def test_cell_seeds_leave_a_stream_seed_unchanged():
+    stream = SplitMix64(42)
+    cell_seeds(stream, 4, 4)
+    assert stream.state == 42

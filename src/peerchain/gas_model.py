@@ -9,19 +9,19 @@ matters for the cost trends; the shipped defaults follow Ethereum
 yellow-paper-era constants so desk numbers are comparable across
 implementations.
 
-`charge_settlement_compute` prices the cells the reward paths score:
-C cells (answered cells with at least one peer), V peer visits over those
-cells, the distinct DG pairs they use, and the peer pool of each cell.
-C and the pool sizes come from the per-question answerer counts in both
-modes.  With all peers the rest comes from the matrix's 0/1 arrays too:
-the per-agent answer counts and, for DG, `AnswerMatrix.pair_counts`, the
-one build that the DG kernel also reads.  In sampled mode V and the DG
-pairs come from the `mechanisms.cell_plan` it builds itself, so the peers
-of every cell are drawn a second time; the draw is a pure function of the
-seed and the cell, so it picks the same peers the mechanism scored.  The
-draw stays because the function's signature takes the matrix, not a plan,
-and the round benchmark counts two sampler calls per cell; removing it is
-a change to that benchmark.
+`charge_settlement_compute` prices the cells the reward paths score, read
+from the `mechanisms.PeerVisits` that `mechanisms.peer_visits` builds:
+C cells (answered cells with at least one peer) and V peer visits over
+them from its per-cell peer counts, and the distinct DG pairs those
+visits use, with both agents' answer counts, from its per-pair visit
+counts.  Only the sampling charges ask for the peer mode; the pool sizes
+they price come from the per-question answerer counts.  The function
+builds its own `PeerVisits` because its signature takes the matrix, not
+the kernel's visits, so in sampled mode the peers of every cell are drawn
+a second time; the draw is a pure function of the seed and the cell, so
+it picks the peers the mechanism scored.  Passing the kernel's
+`PeerVisits` in instead would halve the sampler calls that the round
+benchmark counts, so it is left to a change of that benchmark.
 
 Cost patterns (T total answers, n_q answerers on question q, t_i answers
 by agent i):
@@ -200,7 +200,7 @@ def charge_settlement_compute(
 ) -> int:
     """Charge the reward-computation pattern documented in the module
     docstring to the requester's settle phase.  Returns the gas added."""
-    from .mechanisms import AllPeers, Mechanism, cell_plan
+    from .mechanisms import AllPeers, Mechanism, peer_visits
 
     def charge(op_kind: str, words: int) -> None:
         gas.charge("settle", GasLedger.REQUESTER, op_kind, words)
@@ -212,35 +212,23 @@ def charge_settlement_compute(
     n_agents = len(matrix.agents)
     n_questions = len(matrix.questions)
     per_agent = matrix.answered.sum(axis=1)
-
-    # every answered cell with a peer is scored in both modes, and its
-    # candidate pool is the other answerers of its question
+    # a cell's candidate pool is the other answerers of its question
     n_q = matrix.answerers_per_question
-    cells = int(n_q[n_q > 1].sum())
     pool_words = int((n_q * (n_q - 1)).sum())
+
+    scored = peer_visits(matrix, peer_mode)
+    cells = int(np.count_nonzero(scored.peers))
+    visits = int(scored.peers.sum())
     # n_pairs and pair_scan: the distinct DG pairs used and the sum of both
     # agents' answer counts over them; scan: that sum over every peer visit
     n_pairs = pair_scan = scan = 0
-    if sampled:
-        visits = 0
-        answers = dict(zip(matrix.agents, per_agent.tolist()))
-        pairs: set[tuple[str, str]] = set()
-        for agent, agent_cells in cell_plan(matrix, peer_mode).items():
-            for c in agent_cells:
-                visits += len(c.peers)
-                if mechanism is Mechanism.DG:
-                    scan += len(c.peers) * answers[agent] + sum(answers[p] for p in c.peers)
-                    pairs.update((agent, p) if agent < p else (p, agent) for p in c.peers)
-        n_pairs = len(pairs)
-        pair_scan = sum(answers[a] + answers[b] for a, b in pairs)
-    else:
-        visits = pool_words
-        if mechanism is Mechanism.DG:
-            common = matrix.pair_counts.common
-            both = per_agent[:, None] + per_agent[None, :]
-            n_pairs = int(np.count_nonzero(common)) // 2
-            pair_scan = int(both[common > 0].sum()) // 2
-            scan = int((common * both).sum())
+    if mechanism is Mechanism.DG:
+        visited = scored.visited()
+        used = visited + visited.T
+        both = per_agent[:, None] + per_agent[None, :]
+        n_pairs = int(np.count_nonzero(used)) // 2
+        pair_scan = int(both[used > 0].sum()) // 2
+        scan = int((visited * both).sum())
 
     if optimized:
         # prelude: cache answers, count per question

@@ -27,6 +27,7 @@ share the common random numbers of the world and the peer draws.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -188,17 +189,26 @@ def calibrate_world(prior_1, post_1_given_1, tol: float = 1e-12) -> GenerativeWo
 
 def exact_number(v) -> Fraction:
     """An exact rational from an int, Fraction, float (by its shortest
-    decimal repr) or a decimal or p/q string."""
+    decimal repr) or a decimal or p/q string.
+
+    A decimal whose exponent is beyond Python's integer string-conversion
+    limit (``sys.get_int_max_str_digits()``, under which the ledger's JSON
+    log is written) is refused before its power of ten is built.
+    """
+    d = None
     try:
-        if isinstance(v, str):
-            return Fraction(v) if "/" in v else Fraction(Decimal(v))
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, (int, Fraction)) or isinstance(v, str) and "/" in v:
             return Fraction(v)
-        if isinstance(v, float):
-            return Fraction(Decimal(str(v)))
+        if isinstance(v, (str, float)):
+            d = Decimal(str(v))
     except (ArithmeticError, ValueError):
         pass
-    raise ValueError(f"not a decimal or p/q rational: {v!r}")
+    if d is None or not d.is_finite():
+        raise ValueError(f"not a decimal or p/q rational: {v!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(d.as_tuple().exponent) > limit:
+        raise ValueError(f"decimal {v!r} has an exponent beyond {limit} digits")
+    return Fraction(d)
 
 
 def parse_alpha(spec) -> tuple[Fraction, bool]:
@@ -231,6 +241,14 @@ class IncentiveScenario:
         # the bound and payment helpers still demand a positive alpha.
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
+        # the Monte-Carlo estimates run in floats, and divide by c
+        for name in ("c", "alpha"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
+        if float(self.c) == 0:
+            raise ValueError("c is too small for a float")
         world = calibrate_world(self.beliefs.prior_1, self.beliefs.post_1_given_1)
         object.__setattr__(self, "world", world)
 

@@ -21,30 +21,31 @@ the reference oracle and the baseline for cost accounting.
 per-question sums that the kernels, the gas model and the DG validity
 check read; its dict views are derived from the arrays on first use.
 
-The optimized paths are exact integer kernels.  Each agent's reward is a
-sum of rationals whose numerators are summed as integers per denominator
-and turned into one ``Fraction`` per agent at the end; array counts enter
-that arithmetic only as Python ints.  A cell scored against all
-co-answerers reads its match count from the per-question counts, and
-PTSC's R_i(y) from the per-agent row sums.  The DG penalty of a pair,
-(a0*b0 + a1*b1) / (|ex_i| * |ex_p|), depends only on 0/1 counts over the
-two agents' exclusive questions, so ``PairCounts`` derives every pair's
-numerator and denominator from products of the matrix's 0/1 arrays; with
-all peers, a pair's penalty is weighted by how many questions of each
-pool size it shares, so no peer is visited one by one.
-
 Peers are either all co-answerers of a question or a seeded sample drawn
 per (agent, question) cell; sampling uses a substream so results do not
-depend on evaluation order.  Sampled cells come from one per-round
-``cell_plan``: for every agent, the answered cells that have peers, each
-with its peers in scoring order and its match count.  The plan reads the
-matrix's arrays: a cell's candidate pool is its question's answerer list
-with the agent sliced out at its rank in that column, every cell's
-substream seed comes from one numpy pass (``peer_selection.cell_seeds``),
-and the only per-cell call is one ``sample_peers``.  ``peers_for_cell`` is
-the cell-by-cell reference that the naive path uses; a test holds the plan
-equal to it.  The gas model prices the same cells.  Conversion to integer
-units happens only at ledger settlement.
+depend on evaluation order.  ``peer_visits`` is the one place a settle
+asks which: its ``PeerVisits`` holds, as int arrays, the peers scored in
+every cell, how many of them match, and per peer count s how often each
+agent's cells with s peers score each other agent.  With all peers these
+come from the matrix's 0/1 arrays; sampled cells are drawn in row-major
+order with one ``sample_peers`` call each, from the question's answerer
+list with the agent sliced out and a substream seed from one numpy pass
+(``peer_selection.cell_seeds``).  ``peers_for_cell`` is the cell-by-cell
+reference that the naive path uses; a test holds ``PeerVisits`` equal to
+it.  The gas model prices the same ``PeerVisits``.
+
+The optimized paths are exact integer kernels that read only
+``PeerVisits`` and the matrix's counts.  Each agent's reward is a sum of
+rationals whose numerators are summed as integers per denominator and
+turned into one ``Fraction`` per agent at the end; array counts enter that
+arithmetic only as Python ints.  PTSC's R_i(y) comes from the per-agent
+row sums.  The DG penalty of a pair, (a0*b0 + a1*b1) / (|ex_i| * |ex_p|),
+depends only on 0/1 counts over the two agents' exclusive questions, so
+``PairCounts`` derives every pair's numerator and denominator from
+products of the matrix's 0/1 arrays, and a pair's penalty is weighted by
+how many of the agent's cells of each peer count score it, so no peer is
+visited one by one.  Conversion to integer units happens only at ledger
+settlement.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -163,8 +163,8 @@ class AnswerMatrix:
 
     @cached_property
     def pair_counts(self) -> "PairCounts":
-        """The matrix's ``PairCounts``, built on first use and kept, so the
-        DG kernel and the gas model of one settle share one build."""
+        """The matrix's ``PairCounts``, built on first use and kept for every
+        later reader (the DG kernel, ``sim.assert_dg_valid``)."""
         return PairCounts(self.answered, self.ones)
 
 
@@ -215,77 +215,75 @@ def _mean(contribs: list[Fraction]) -> Fraction:
     return sum(contribs, ZERO) / len(contribs)
 
 
-class Cell(NamedTuple):
-    """One answered cell with at least one peer, as the sampled paths score it."""
+@dataclass(frozen=True)
+class PeerVisits:
+    """The peers a settle scores, as counts; rows and columns follow the
+    matrix's agents and questions.
 
-    q: str
-    y: int
-    peers: list[str]
-    matches: int  # peers whose answer to q equals y
-
-
-def cell_plan(matrix: AnswerMatrix, peer_mode: PeerMode) -> dict[str, list[Cell]]:
-    """Every agent (matrix order) -> its answered cells that have peers.
-
-    Cells keep the agent's question order and hold the peers that
-    ``peers_for_cell`` gives, so the mechanisms and the gas model score and
-    price the same draws; a test holds the two equal.  The plan is built
-    from the matrix's arrays rather than cell by cell: a cell's candidate
-    pool is its question's answerers with the agent sliced out at its rank
-    in that column, and its substream state comes from ``cell_seeds``.
-    A sampled cell makes one ``sample_peers`` call.  A cell whose peers are
-    all co-answerers of q takes its match count from the question's 0/1
-    counts; any other counts its peers among the question's 1-answerers.
+    ``peers[i, j]`` is the number of peers scored in cell (i, j), 0 when the
+    cell is not scored; ``matches[i, j]`` how many of them gave agent i's
+    answer; ``by_size[s][i, p]`` how many of agent i's cells with s peers
+    score agent p.
     """
-    sampled = isinstance(peer_mode, SampledPeers)
-    answerers = matrix.answerers_per_question.tolist()
-    ones = matrix.ones_per_question.tolist()
-    columns = list(matrix.answerers_by_question.values())
-    said_one = [set(compress(matrix.agents, column)) for column in matrix.ones.T.tolist()]
-    # the agent's position among the answerers of each question it answered
-    ranks = (np.cumsum(matrix.answered, axis=0) - 1).tolist()
-    bits = matrix.ones.tolist()
-    scored = (matrix.answered == 1) & (matrix.answerers_per_question > 1)
-    if sampled:
-        seeds = cell_seeds(peer_mode.seed, len(matrix.agents), len(matrix.questions))
-    plan = {}
-    for i, agent in enumerate(matrix.agents):
-        cells = []
-        for j in np.flatnonzero(scored[i]).tolist():
-            col, r, y = columns[j], ranks[i][j], bits[i][j]
-            peers = col[:r] + col[r + 1:]
-            if sampled:
-                peers = sample_peers(peers, min(peer_mode.k, len(peers)), seeds[i][j])
-            if len(peers) == answerers[j] - 1:
-                matches = (ones[j] if y else answerers[j] - ones[j]) - 1
-            else:
-                hits = len(said_one[j].intersection(peers))
-                matches = hits if y else len(peers) - hits
-            cells.append(Cell(matrix.questions[j], y, peers, matches))
-        plan[agent] = cells
-    return plan
+
+    peers: np.ndarray
+    matches: np.ndarray
+    by_size: dict[int, np.ndarray]
+
+    def visited(self) -> np.ndarray:
+        """[i, p]: how many of agent i's cells score agent p."""
+        n = len(self.peers)
+        return sum(self.by_size.values(), np.zeros((n, n), dtype=np.int64))
 
 
-def _tallies(matrix: AnswerMatrix, peer_mode: PeerMode):
-    """Every agent (matrix order) -> (y, peer count, matches) of each scored
-    cell, plus the sampled ``cell_plan`` (None for all peers).
+def peer_visits(matrix: AnswerMatrix, peer_mode: PeerMode) -> PeerVisits:
+    """The ``PeerVisits`` of scoring ``matrix`` under ``peer_mode``: every
+    answered cell whose question has another answerer is scored.
 
-    With all peers the counts come from the per-question 0/1 counts and no
-    peer list is built; sampled cells are the plan's draws.
+    A sampled cell makes one ``sample_peers`` call, in row-major order, on
+    the pool ``peers_for_cell`` draws from, held as agent indices; the
+    sampler picks by position, so the draws are the same.
     """
+    answered, ones = matrix.answered, matrix.ones
+    answerers, said_one = matrix.answerers_per_question, matrix.ones_per_question
+    pools = answerers - 1
+    scored = (answered == 1) & (pools > 0)
     if isinstance(peer_mode, AllPeers):
-        answerers, ones = matrix.answerers_per_question, matrix.ones_per_question
-        pools = answerers - 1
         # a cell's matches: the other answerers of its question with the same bit
-        matches = np.where(matrix.ones == 1, ones, answerers - ones) - 1
-        scored = (matrix.answered == 1) & (pools > 0)
-        tallies = {
-            agent: list(zip(matrix.ones[i, s].tolist(), pools[s].tolist(), matches[i, s].tolist()))
-            for i, (agent, s) in enumerate(zip(matrix.agents, scored))
-        }
-        return tallies, None
-    plan = cell_plan(matrix, peer_mode)
-    return {a: [(c.y, len(c.peers), c.matches) for c in cells] for a, cells in plan.items()}, plan
+        same = np.where(ones == 1, said_one, answerers - said_one) - 1
+        by_size = {}
+        for s in np.unique(pools[pools > 0]).tolist():
+            block = answered[:, pools == s]
+            shared = block @ block.T  # questions with s peers both answered
+            np.fill_diagonal(shared, 0)
+            by_size[s] = shared
+        return PeerVisits(np.where(scored, pools, 0), np.where(scored, same, 0), by_size)
+
+    n_agents, n_questions = answered.shape
+    peers = np.where(scored, np.minimum(pools, peer_mode.k), 0)
+    seeds = cell_seeds(peer_mode.seed, n_agents, n_questions)
+    columns = [np.flatnonzero(column).tolist() for column in answered.T]
+    # the agent's position among the answerers of each question it answered
+    ranks = (np.cumsum(answered, axis=0) - 1).tolist()
+    cells = np.flatnonzero(scored)
+    sizes = peers.flat[cells]
+    drawn = []
+    for cell, k in zip(cells.tolist(), sizes.tolist()):
+        i, j = divmod(cell, n_questions)
+        column, r = columns[j], ranks[i][j]
+        drawn += sample_peers(column[:r] + column[r + 1:], k, seeds[i][j])
+    # one entry per visit: its cell, the cell's agent and question, the peer
+    visit = np.repeat(cells, sizes)
+    agent, q = np.divmod(visit, n_questions)
+    drawn = np.array(drawn, dtype=np.intp)
+    agree = ones[drawn, q] == ones.flat[visit]
+    matches = np.bincount(visit[agree], minlength=peers.size).reshape(peers.shape)
+    pair, size = agent * n_agents + drawn, np.repeat(sizes, sizes)
+    by_size = {
+        s: np.bincount(pair[size == s], minlength=n_agents**2).reshape(n_agents, n_agents)
+        for s in np.unique(sizes).tolist()
+    }
+    return PeerVisits(peers, matches, by_size)
 
 
 class PairCounts:
@@ -310,20 +308,6 @@ class PairCounts:
         self.num = ex0 * ex0.T + ex1 * ex1.T
         self.den = exclusive * exclusive.T
 
-    def require_exclusive_questions(self, matrix: AnswerMatrix) -> None:
-        """Raise for the first co-answering pair without exclusive questions
-        on both sides, in the order the naive path visits peers: agent, then
-        the agent's questions, then peers in matrix order."""
-        bad = (self.common > 0) & (self.den == 0)
-        if not bad.any():
-            return
-        i = int(np.argmax(bad.any(axis=1)))
-        _q, p = min(
-            (int(np.argmax(matrix.answered[i] & matrix.answered[p])), int(p))
-            for p in np.flatnonzero(bad[i])
-        )
-        raise NoNonCommonQuestions(matrix.agents[i], matrix.agents[p])
-
 
 def _exact_mean(sums: Mapping[int, int], count: int, scale: Fraction = ONE) -> Fraction:
     """scale * (sum of numerator/denominator over ``sums``) / count, built as
@@ -335,10 +319,37 @@ def _exact_mean(sums: Mapping[int, int], count: int, scale: Fraction = ONE) -> F
     return Fraction(scale.numerator * total, scale.denominator * common * count)
 
 
+def _require_exclusive_questions(matrix: AnswerMatrix, peer_mode: PeerMode, visits: PeerVisits) -> None:
+    """Raise for the first scored pair without exclusive questions on both
+    sides, in the order the naive path visits peers: agent, then the
+    agent's questions, then the cell's peers in scoring order."""
+    bad = (visits.visited() > 0) & (matrix.pair_counts.den == 0)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad.any(axis=1)))
+    agent = matrix.agents[i]
+    for q in matrix.answers_by_agent[agent]:
+        for peer in peers_for_cell(matrix, agent, q, peer_mode):
+            if bad[i, matrix.agent_index[peer]]:
+                raise NoNonCommonQuestions(agent, peer)
+
+
 # ---------------------------------------------------------------------------
 # optimized paths: integer numerators summed per denominator, one Fraction
 # per agent
 # ---------------------------------------------------------------------------
+
+def _agreement(visits: PeerVisits) -> tuple[list[defaultdict], list[int]]:
+    """Every agent's matches summed per peer count, and its scored cells."""
+    sums = []
+    for ns, ms in zip(visits.peers.tolist(), visits.matches.tolist()):
+        acc = defaultdict(int)
+        for n, m in zip(ns, ms):
+            if n:
+                acc[n] += m
+        sums.append(acc)
+    return sums, np.count_nonzero(visits.peers, axis=1).tolist()
+
 
 def oa_rewards(matrix: AnswerMatrix, peer_mode: PeerMode = ALL_PEERS) -> RewardReport:
     """Output agreement: mean over peers of the match indicator, then over questions.
@@ -347,13 +358,10 @@ def oa_rewards(matrix: AnswerMatrix, peer_mode: PeerMode = ALL_PEERS) -> RewardR
     an agent with no scoreable question gets reward 0.
     """
     _require_answers(matrix)
-    tallies, _plan = _tallies(matrix, peer_mode)
+    visits = peer_visits(matrix, peer_mode)
     rewards = {}
-    for agent, cells in tallies.items():
-        sums = defaultdict(int)
-        for _y, n, m in cells:
-            sums[n] += m
-        rewards[agent] = _exact_mean(sums, len(cells))
+    for agent, sums, count in zip(matrix.agents, *_agreement(visits)):
+        rewards[agent] = _exact_mean(sums, count)
     return RewardReport(rewards, Mechanism.OA, ONE, peer_mode)
 
 
@@ -361,40 +369,22 @@ def dg_rewards(matrix: AnswerMatrix, peer_mode: PeerMode = ALL_PEERS) -> RewardR
     """Dasgupta-Ghosh: per-peer score = match on the shared question minus
     the pair's mean agreement over non-common question pairs.
 
-    A cell with n peers adds matches/n and takes penalty/n per peer.  With
-    all peers, pair (i, p) is penalised once per question both answered, so
-    its penalty is weighted by the count of those questions per pool size.
-    Sampled cells visit their drawn peers; only pairs drawn are checked.
+    A cell with n peers adds matches/n and takes penalty/n per peer, so
+    pair (i, p) is penalised once per cell of i that scores p, weighted by
+    the count of those cells per peer count.
     """
     _require_answers(matrix)
-    tallies, plan = _tallies(matrix, peer_mode)
-    counts = matrix.pair_counts
-    num, den = counts.num.tolist(), counts.den.tolist()
-    sums = [defaultdict(int) for _ in matrix.agents]
-    if plan is None:
-        counts.require_exclusive_questions(matrix)
-        pools = matrix.answerers_per_question - 1
-        for s in np.unique(pools[pools > 0]).tolist():
-            block = matrix.answered[:, pools == s]
-            shared = block @ block.T  # questions with s peers both answered
-            np.fill_diagonal(shared, 0)
-            rows, cols = np.nonzero(shared)
-            for i, p, w in zip(rows.tolist(), cols.tolist(), shared[rows, cols].tolist()):
-                sums[i][den[i][p] * s] -= num[i][p] * w
-    else:
-        for i, (agent, cells) in enumerate(plan.items()):
-            for c in cells:
-                n = len(c.peers)
-                for peer in c.peers:
-                    p = matrix.agent_index[peer]
-                    if not den[i][p]:
-                        raise NoNonCommonQuestions(agent, peer)
-                    sums[i][den[i][p] * n] -= num[i][p]
+    visits = peer_visits(matrix, peer_mode)
+    _require_exclusive_questions(matrix, peer_mode, visits)
+    num, den = matrix.pair_counts.num.tolist(), matrix.pair_counts.den.tolist()
+    sums, counts = _agreement(visits)
+    for s, visited in visits.by_size.items():
+        rows, cols = np.nonzero(visited)
+        for i, p, w in zip(rows.tolist(), cols.tolist(), visited[rows, cols].tolist()):
+            sums[i][den[i][p] * s] -= num[i][p] * w
     rewards = {}
-    for acc, (agent, cells) in zip(sums, tallies.items()):
-        for _y, n, m in cells:
-            acc[n] += m
-        rewards[agent] = _exact_mean(acc, len(cells))
+    for agent, acc, count in zip(matrix.agents, sums, counts):
+        rewards[agent] = _exact_mean(acc, count)
     return RewardReport(rewards, Mechanism.DG, ONE, peer_mode)
 
 
@@ -408,20 +398,22 @@ def ptsc_rewards(
     if alpha <= 0:
         raise ValueError("alpha must be strictly positive")
     _require_answers(matrix)
-    tallies, _plan = _tallies(matrix, peer_mode)
+    visits = peer_visits(matrix, peer_mode)
     # R_i(y) counts every answer but agent i's own
     all_ones = int(matrix.ones_per_question.sum())
     r_min: Fraction | None = None
     rewards = {}
-    for (agent, cells), answers, ones in zip(
-        tallies.items(), matrix.answered.sum(axis=1).tolist(), matrix.ones.sum(axis=1).tolist()
+    for agent, ys, ns, ms, count, answers, ones in zip(
+        matrix.agents, matrix.ones.tolist(), visits.peers.tolist(), visits.matches.tolist(),
+        np.count_nonzero(visits.peers, axis=1).tolist(),
+        matrix.answered.sum(axis=1).tolist(), matrix.ones.sum(axis=1).tolist(),
     ):
         total = matrix.total_answers - answers
         others = (total - (all_ones - ones), all_ones - ones)
         sums = defaultdict(int)
         used = set()
-        for y, n, m in cells:
-            if total and others[y]:
+        for y, n, m in zip(ys, ns, ms):
+            if n and total and others[y]:
                 # (m / n) / R_i(y) - 1 with R_i(y) = others[y] / total
                 d = n * others[y]
                 sums[d] += m * total - d
@@ -430,7 +422,7 @@ def ptsc_rewards(
             r = Fraction(others[y], total)
             if r_min is None or r < r_min:
                 r_min = r
-        rewards[agent] = _exact_mean(sums, len(cells), alpha)
+        rewards[agent] = _exact_mean(sums, count, alpha)
     return RewardReport(rewards, Mechanism.PTSC, alpha, peer_mode, r_min=r_min)
 
 

@@ -118,7 +118,7 @@ def require_k(k: object) -> None:
 
 
 def _as_stream(seed: SeedLike) -> SplitMix64:
-    if type(seed) is int:  # checked first: a cell plan passes one int seed per sampled cell
+    if type(seed) is int:  # checked first: `peer_visits` passes one int seed per sampled cell
         return SplitMix64(seed)
     if isinstance(seed, SplitMix64):
         return seed

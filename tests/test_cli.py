@@ -2,14 +2,19 @@
 
 import hashlib
 import json
+import time
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from peerchain import incentives as inc
 from peerchain.cli import INCENTIVES_HEADER, SAMPLE_DATASET, build_parser, main
-from peerchain.gas_model import DEFAULT_GAS_TABLE
+from peerchain.gas_model import DEFAULT_GAS_TABLE, GasTable
 
 
 def run(argv):
@@ -232,6 +237,40 @@ def test_incentives_names_a_missing_scenario_key(tmp_path, capsys, scenarios, na
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, named", [
+    ({"n": 10, "prior": "19/20", "bump": "1e-400"}, "alpha"),   # auto alpha near 1e400
+    ({"n": 10, "prior": "19/20", "bump": "0.01", "alpha": "1e400"}, "alpha"),
+    ({"n": 10, "prior": "19/20", "bump": "0.01", "c": "1e400"}, "c"),
+    ({"n": 10, "prior": "19/20", "bump": "0.01", "c": "1e-400"}, "c"),  # c underflows to 0.0
+], ids=["auto-alpha", "alpha", "c", "tiny-c"])
+def test_incentives_rejects_an_alpha_or_c_beyond_float(tmp_path, capsys, scenario, named):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "inc"
+    assert run(["incentives", "--scenario", str(path), "--rounds", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {named} is too" in err and "for a float" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e-999999999", "1e999999999"])
+def test_huge_decimal_exponents_are_refused_at_once(tmp_path, capsys, value):
+    # building 10**999999999 would run for hours
+    out = tmp_path / "r"
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run(["round", "--alpha", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"decimal '{value}' has an exponent beyond" in capsys.readouterr().err
+
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"n": 10, "prior": "19/20", "bump": value}))
+    assert run(["incentives", "--scenario", str(path), "--rounds", "10", "--out", str(out)]) == 2
+    assert f"usage error: decimal '{value}' has an exponent beyond" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
+    assert not out.exists()
+
+
 def test_incentives_without_rounds_is_a_usage_error(tmp_path, capsys):
     assert run(["incentives", "--rounds", "0", "--out", str(tmp_path / "i")]) == 2
     assert "at least one round" in capsys.readouterr().err
@@ -261,3 +300,85 @@ def test_gas_bench_writes_sweep_csvs(tmp_path):
         assert lines[0].startswith("config_id,mechanism,packing")
         assert len(lines) > 1
         assert sha256(out / name) == digest, name
+
+
+# ---------------------------------------------------------------------------
+# file inputs: any text ends in exit 0, 1 or 2, never in a traceback
+# ---------------------------------------------------------------------------
+
+# decimal strings from tiny to huge, so a value no float or power of ten can
+# hold turns up among ordinary ones
+DECIMAL = st.builds(
+    "{}e{}".format,
+    st.integers(1, 9) | st.integers(-99, 99),
+    st.sampled_from([-400, 400, -999999999, 999999999, -3, -2, -1, 0, 1, 2, 3]),
+)
+JUNK = st.one_of(
+    st.sampled_from(["1/0", "nan", "inf", "-1", "0", "abc", "", "auto*0"]),
+    st.integers(-3, 3), st.floats(), st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
+)
+# the running example with up to three fields replaced or left out
+SCENARIO = st.dictionaries(
+    st.sampled_from(["bump", "alpha", "c", "prior", "n", "scenario_id"]),
+    DECIMAL | DECIMAL.map("auto*{}".format) | st.just("omit") | JUNK,
+    min_size=1, max_size=3,
+).map(lambda fields: {key: value for key, value in
+                      {"n": 10, "prior": "19/20", "bump": "1/100", **fields}.items() if value != "omit"})
+GAS_VALUE = st.one_of(
+    st.integers(-2, 3 * 10**4), st.integers(min_value=2**64), st.booleans(), st.none(),
+    st.floats(), st.text(max_size=3),
+)
+GAS_TABLE = st.one_of(
+    st.dictionaries(st.sampled_from([f.name for f in fields(GasTable)] + ["gas_per_byte"]), GAS_VALUE),
+    st.lists(st.integers(), max_size=2),
+    GAS_VALUE,
+)
+RESPONSE = st.one_of(
+    st.sampled_from(["-1", "0", "0.4", "0.99", "1", "1.0", "2.5", "nan", "inf", "-0.5", "1e400", "x", ","]),
+    st.floats().map(repr),
+)
+DATASET = st.one_of(
+    st.lists(st.lists(RESPONSE, max_size=6).map(" ".join), max_size=6).map("\n".join),
+    st.text(max_size=20),
+)
+
+
+def _check_file_input(tmp_path, capsys, contents, flags, max_examples):
+    """Run the command that ``flags`` draws on a file of each drawn content."""
+    path = tmp_path / "input"
+
+    @settings(derandomize=True, database=None, max_examples=max_examples, deadline=None)
+    @given(contents, flags)
+    def check(text, argv):
+        path.write_text(text)
+        try:
+            code = run([*argv, str(path), "--out", str(tmp_path / "out")])
+        except SystemExit as exc:  # argparse rejects a flag value
+            code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    # keep Hypothesis' constants cache out of the working tree
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+def test_any_dataset_text_ends_in_an_exit_code(tmp_path, capsys):
+    flags = st.tuples(st.just("round"), st.just("--mechanism"), st.sampled_from(["oa", "dg", "ptsc"]),
+                      st.just("--peers"), st.sampled_from(["all", "2"]), st.just("--dataset"))
+    _check_file_input(tmp_path, capsys, DATASET, flags, max_examples=60)
+
+
+def test_any_gas_table_json_ends_in_an_exit_code(tmp_path, capsys):
+    flags = st.tuples(st.just("round"), st.just("--agents"), st.just("4"),
+                      st.just("--mechanism"), st.sampled_from(["oa", "dg"]), st.just("--gas-table"))
+    _check_file_input(tmp_path, capsys, GAS_TABLE.map(json.dumps), flags, max_examples=60)
+
+
+def test_any_scenario_json_ends_in_an_exit_code(tmp_path, capsys):
+    scenarios = (SCENARIO | st.lists(SCENARIO, max_size=2) | st.sampled_from([None, "x", 3])).map(json.dumps)
+    flags = st.just(("incentives", "--rounds", "10", "--scenario"))
+    _check_file_input(tmp_path, capsys, scenarios, flags, max_examples=80)

@@ -15,8 +15,8 @@ from peerchain.mechanisms import (
     AnswerMatrix,
     Mechanism,
     SampledPeers,
-    cell_plan,
     compute_rewards,
+    peer_visits,
     peers_for_cell,
     rewards_naive,
 )
@@ -275,30 +275,35 @@ def test_sampled_peers_subset_and_determinism():
 
 
 def _peer_scan(m, mode):
-    """The cell plan rebuilt cell by cell from ``peers_for_cell``."""
-    plan = {}
-    for agent in m.agents:
-        plan[agent] = []
+    """``peer_visits``' counts rebuilt cell by cell from ``peers_for_cell``."""
+    n = len(m.agents)
+    peers = np.zeros((n, len(m.questions)), dtype=np.int64)
+    matches = np.zeros_like(peers)
+    by_size = {}
+    for i, agent in enumerate(m.agents):
         for q, y in m.answers_by_agent[agent].items():
-            peers = peers_for_cell(m, agent, q, mode)
-            if peers:
-                plan[agent].append((q, y, peers, sum(m.cells[(p, q)] == y for p in peers)))
-    return plan
+            drawn = peers_for_cell(m, agent, q, mode)
+            if drawn:
+                j = m.question_index[q]
+                peers[i, j] = len(drawn)
+                matches[i, j] = sum(m.cells[(p, q)] == y for p in drawn)
+                visited = by_size.setdefault(len(drawn), np.zeros((n, n), dtype=np.int64))
+                for p in drawn:
+                    visited[i, m.agent_index[p]] += 1
+    return peers.tolist(), matches.tolist(), {s: v.tolist() for s, v in by_size.items()}
 
 
-def _plan_tuples(plan):
-    return {agent: [tuple(c) for c in cells] for agent, cells in plan.items()}
+def _visit_lists(visits):
+    return visits.peers.tolist(), visits.matches.tolist(), {s: v.tolist() for s, v in visits.by_size.items()}
 
 
 def test_cell_plan_matches_peer_scan():
     rng = random.Random(17)
     for trial in range(20):
         m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), p_answer=0.7)
-        # k=6 usually keeps the whole pool, so the cached counts supply matches
+        # k=6 usually keeps the whole pool
         for mode in (ALL_PEERS, SampledPeers(1, trial), SampledPeers(6, trial)):
-            plan = cell_plan(m, mode)
-            assert list(plan) == list(m.agents)
-            assert _plan_tuples(plan) == _peer_scan(m, mode)
+            assert _visit_lists(peer_visits(m, mode)) == _peer_scan(m, mode)
 
 
 @pytest.mark.parametrize("k", [1, 10, 54, 55, 56])
@@ -306,7 +311,7 @@ def test_cell_plan_matches_peer_scan_on_skip_one(k):
     # every pool holds 54 peers: k = 54 draws the whole pool, 55 and 56 cap at it
     m = skip_one_matrix(random.Random(56), 56)
     mode = SampledPeers(k, k if k % 2 else SelectionSeed(k, 56))
-    assert _plan_tuples(cell_plan(m, mode)) == _peer_scan(m, mode)
+    assert _visit_lists(peer_visits(m, mode)) == _peer_scan(m, mode)
 
 
 def test_cell_plan_calls_the_sampler_once_per_sampled_cell(monkeypatch):
@@ -315,7 +320,7 @@ def test_cell_plan_calls_the_sampler_once_per_sampled_cell(monkeypatch):
     def counting(*args, **kwargs):
         # positional, as the round benchmark reads k from the second argument
         assert len(args) == 3 and not kwargs
-        calls.append(args[1])
+        calls.append((len(args[0]), args[1]))
         return sample_peers(*args)
 
     monkeypatch.setattr(mechanisms, "sample_peers", counting)
@@ -324,12 +329,13 @@ def test_cell_plan_calls_the_sampler_once_per_sampled_cell(monkeypatch):
     for m in matrices:
         for k in (1, 3, 20):
             calls.clear()
-            plan = cell_plan(m, SampledPeers(k, 7))
-            pools = [int(m.answerers_per_question[m.question_index[c.q]]) - 1
-                     for cells in plan.values() for c in cells]
-            assert calls == [min(k, pool) for pool in pools]
+            peer_visits(m, SampledPeers(k, 7))
+            # one call per answered cell with a peer, in row-major order
+            pools = np.broadcast_to(m.answerers_per_question - 1, m.answered.shape)
+            scored = pools[(m.answered == 1) & (pools > 0)].tolist()
+            assert calls == [(pool, min(k, pool)) for pool in scored]
     calls.clear()
-    cell_plan(matrices[0], ALL_PEERS)
+    peer_visits(matrices[0], ALL_PEERS)
     assert calls == []
 
 

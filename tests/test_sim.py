@@ -203,8 +203,8 @@ def test_selection_seed_rounds_equal_its_seed64_rounds(mechanism):
 
 
 def test_dg_settle_builds_pair_counts_once(monkeypatch):
-    # the DG kernel and the gas model read one build per matrix, in the
-    # round and again in its replay
+    # the DG kernel builds it once per matrix, in the round and again in
+    # its replay
     ds = QoSDataset.skip_one(12, 12, seed=5)
     builds = _counting(monkeypatch, mechanisms.PairCounts, "__init__")
     report = run_experiment(ExperimentConfig(mechanism=Mechanism.DG, agents=12, seed=5), ds)

@@ -235,7 +235,6 @@ INCENTIVES_HEADER = (
 
 def cmd_incentives(args) -> int:
     scenarios = _load_scenarios(args)
-    out = _out_dir(args)
     rows = [INCENTIVES_HEADER]
     summary = []
     for sid, scenario in scenarios:
@@ -254,6 +253,7 @@ def cmd_incentives(args) -> int:
             f"{bound.numerator}/{bound.denominator}"
         )
         summary.append((sid, verdicts))
+    out = _out_dir(args)
     _atomic_write(out / "incentives.csv", "\n".join(rows) + "\n")
     for sid, verdicts in summary:
         print(f"{sid}: " + " ".join(verdicts))

@@ -7,6 +7,11 @@ commitment therefore covers a whole batch of an agent's answers; rounds
 with more than 42 selected questions use several batches, each under an
 independent secret key.
 
+A packed vector is its message, one int.  For a batch of n questions only
+the low 2n bits may be set, and an answer bit only with its answered bit;
+``decode`` refuses any other int, so a reveal opens to exactly the message
+that was hashed or to nothing.
+
 Canonical byte layout (22 bytes, 176 bits, bit i = bit i%8 of byte i//8):
 
     bits 0..84    secret key S (85 random bits)
@@ -30,6 +35,7 @@ MESSAGE_BITS = DIGEST_BITS // 3          # 85
 KEY_BITS = MESSAGE_BITS                  # 85
 MAX_ANSWERS = MESSAGE_BITS // 2          # 42
 LAYOUT_BYTES = 22                        # ceil((85 + 85 + 6 padding) / 8)
+ANSWERED = ((1 << 2 * MAX_ANSWERS) - 1) // 3  # bits 0, 2, ..., 82: the answered flags
 
 
 @dataclass(frozen=True)
@@ -71,43 +77,39 @@ class Commitment:
 
 @dataclass(frozen=True)
 class PackedAnswerVector:
-    """Per-slot (answered, answer) bit pairs over a fixed question order."""
+    """One batch's answers as its message m: slot j's bits 2j and 2j+1.
 
-    slots: tuple[tuple[int, int], ...]
+    ``bits`` is the message itself; no other form is kept.  It must fit in
+    the 2n slot bits of its n-question order, and no answer bit may be set
+    without its answered bit, so ``decode`` and ``message`` are inverses.
+    """
+
+    bits: int
     question_order: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.slots) != len(self.question_order):
-            raise ValueError("one slot per question required")
-        if len(self.slots) > MAX_ANSWERS:
-            raise TooManyAnswers(f"{len(self.slots)} slots exceed the {MAX_ANSWERS}-answer capacity")
-        for answered, answer in self.slots:
-            if answered not in (0, 1) or answer not in (0, 1):
-                raise ValueError("slot bits must be 0 or 1")
-            if answered == 0 and answer != 0:
-                raise ValueError("unanswered slots must carry answer bit 0")
+        n = len(self.question_order)
+        if n > MAX_ANSWERS:
+            raise TooManyAnswers(f"{n} slots exceed the {MAX_ANSWERS}-answer capacity")
+        if not 0 <= self.bits < 1 << 2 * n:
+            raise ValueError(f"message has bits beyond its {n} slots")
+        if self.bits >> 1 & ~self.bits & ANSWERED:
+            raise ValueError("unanswered slots must carry answer bit 0")
 
     def answers(self) -> dict[str, int]:
         """Mapping question id -> answer bit for the answered slots."""
-        return {
-            q: answer
-            for q, (answered, answer) in zip(self.question_order, self.slots)
-            if answered
-        }
+        m = self.bits
+        return {q: m >> 2 * j + 1 & 1 for j, q in enumerate(self.question_order) if m >> 2 * j & 1}
 
     def message(self) -> int:
         """The packed message m as an integer of at most 85 bits."""
-        m = 0
-        for j, (answered, answer) in enumerate(self.slots):
-            m |= answered << (2 * j)
-            m |= answer << (2 * j + 1)
-        return m
+        return self.bits
 
 
 def pack(answers: list[tuple[str, int]], question_order: list[str] | tuple[str, ...]) -> PackedAnswerVector:
     """Pack (question id, bit) pairs into slots following ``question_order``.
 
-    Questions absent from ``answers`` become (0, 0) slots.  Raises
+    Questions absent from ``answers`` stay unanswered (both bits 0).  Raises
     TooManyAnswers past the 42-slot capacity and UnknownQuestion for ids
     outside the order.
     """
@@ -118,33 +120,22 @@ def pack(answers: list[tuple[str, int]], question_order: list[str] | tuple[str, 
             f"(got {max(len(answers), len(order))})"
         )
     index = {q: j for j, q in enumerate(order)}
-    slots = [(0, 0)] * len(order)
-    seen = set()
+    m = 0
     for q, bit in answers:
         if q not in index:
             raise UnknownQuestion(f"question {q!r} not in the commitment's question order")
-        if q in seen:
+        shift = 2 * index[q]
+        if m >> shift & 1:
             raise DuplicateAnswer(f"question {q!r} answered twice")
         if bit not in (0, 1):
             raise ValueError("answers must be 0 or 1")
-        seen.add(q)
-        slots[index[q]] = (1, bit)
-    return PackedAnswerVector(tuple(slots), order)
+        m |= (0b11 if bit else 0b01) << shift
+    return PackedAnswerVector(m, order)
 
 
 def decode(message: int, question_order: list[str] | tuple[str, ...]) -> PackedAnswerVector:
-    """Inverse of ``PackedAnswerVector.message`` for a known question order."""
-    order = tuple(question_order)
-    if len(order) > MAX_ANSWERS:
-        raise TooManyAnswers(f"question order longer than {MAX_ANSWERS}")
-    if not 0 <= message < (1 << MESSAGE_BITS):
-        raise ValueError("message outside the 85-bit range")
-    slots = []
-    for j in range(len(order)):
-        answered = (message >> (2 * j)) & 1
-        answer = (message >> (2 * j + 1)) & 1
-        slots.append((answered, answer))
-    return PackedAnswerVector(tuple(slots), order)
+    """The vector whose message is ``message``; ValueError if none is."""
+    return PackedAnswerVector(message, tuple(question_order))
 
 
 def layout_bytes(v: PackedAnswerVector, s: SecretKey) -> bytes:

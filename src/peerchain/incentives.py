@@ -12,7 +12,7 @@ Closed forms are exact rationals:
 The claimed expectations are over a belief-consistent world, which is
 only available here by sampling, so the verification side is Monte-Carlo:
 a symmetric two-state mixture (weight w on the high state, emission h,
-low-state emission 1-h) is calibrated by bisection so its marginal and
+low-state emission 1-h) is calibrated in closed form so its marginal and
 posterior match the beliefs, then rounds are simulated with numpy and
 compared at a 3-standard-error margin.  Each agent is scored against one
 uniformly random peer; o_q counts the agent's own report; R(y) is the
@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -139,9 +139,11 @@ class GenerativeWorld:
         return (rng.random((rounds, n)) < emit[:, None]).astype(np.int8)
 
 
-def calibrate_world(prior_1, post_1_given_1, tol: float = 1e-12) -> GenerativeWorld:
-    """Solve w*h + (1-w)*(1-h) = prior and the posterior equation by
-    bisection over h; the mixture weight follows from the marginal."""
+def calibrate_world(prior_1, post_1_given_1) -> GenerativeWorld:
+    """Solve w*h + (1-w)*l = prior and w*h^2 + (1-w)*l^2 = post*prior in
+    closed form.  With h = 1 - l the two reduce to l^2 - l + c = 0 for
+    c = prior*(1 - post); l is the smaller root, and w follows from the
+    marginal."""
     p1 = float(prior_1)
     target = float(post_1_given_1)
     if not 0 < p1 < 1:
@@ -150,37 +152,11 @@ def calibrate_world(prior_1, post_1_given_1, tol: float = 1e-12) -> GenerativeWo
         raise NoSolution("posterior below prior needs negative correlation")
     if target >= 1:
         raise NoSolution("posterior 1 is not fully mixed")
-
-    lo = max(p1, 1 - p1)  # w = 1 (or 0); posterior equals the prior
-    hi = 1.0
-
-    def posterior(h: float) -> float:
-        if h == 0.5:
-            return p1
-        w = (p1 - (1 - h)) / (2 * h - 1)
-        l = 1 - h
-        return (w * h * h + (1 - w) * l * l) / p1
-
-    if target <= posterior(lo) + tol:
-        h = lo
-    else:
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if posterior(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < tol:
-                break
-        h = (lo + hi) / 2
-    w = 1.0 if h == 0.5 else (p1 - (1 - h)) / (2 * h - 1)
-    world = GenerativeWorld(min(max(w, 0.0), 1.0), h)
-    if abs(world.prior_1() - p1) > 1e-9 or abs(world.post_1_given_1() - target) > 1e-9:
-        raise NoSolution(
-            f"bisection finished at prior {world.prior_1():.12f}, "
-            f"posterior {world.post_1_given_1():.12f}; target unreachable"
-        )
-    return world
+    c = p1 * (1 - target)
+    l = 2 * c / (1 + sqrt(1 - 4 * c))  # (1 - sqrt(1 - 4c)) / 2 without cancellation
+    h = 1 - l
+    w = 1.0 if h == l else (p1 - l) / (h - l)
+    return GenerativeWorld(min(max(w, 0.0), 1.0), h)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +332,16 @@ def _mc_loop(scenario, rounds, master_seed, per_round):
         rng_dev = _chunk_rng(master_seed, _TAG_DEVIATION, chunk_index)
         x = scenario.world.sample_observations(rng_world, size, scenario.n)
         peers = _draw_peers(rng_peers, size, scenario.n)
-        stat = per_round(x, peers, rng_dev)
-        acc_sum += float(stat.sum())
-        acc_sq += float((stat * stat).sum())
+        # an overflow shows as a non-finite sum, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            stat = per_round(x, peers, rng_dev)
+            acc_sum += float(stat.sum())
+            acc_sq += float((stat * stat).sum())
+        if not (isfinite(acc_sum) and isfinite(acc_sq)):
+            raise ValueError(
+                f"Monte-Carlo sums overflow a float at alpha = {float(scenario.alpha):g}, "
+                f"c = {float(scenario.c):g}"
+            )
         total += size
         chunk_index += 1
     mean = acc_sum / total

@@ -23,7 +23,9 @@ Gas charges per event (words per the configured table):
   off-ledger, so no hash gas here.  Packing shows as fewer commitments,
   one per batch of up to 42 answers.
 * reveal: tx_base; one storage read (the digest), one hash of the 22-byte
-  layout, one comparison; accepted reveals add one new storage word.
+  layout, one comparison; accepted reveals add one new storage word.  A
+  message with any bit beyond its batch's slots is malformed and
+  discarded, so an accepted message is exactly the one that was hashed.
 * settle: tx_base; the mechanism's compute pattern via
   `gas_model.charge_settlement_compute`; one update word per party paid.
 """
@@ -58,7 +60,6 @@ from .mechanisms import (
     RewardReport,
     SampledPeers,
     compute_rewards,
-    rewards_naive,
 )
 from .peer_selection import SelectionSeed
 
@@ -123,7 +124,7 @@ class LedgerConfig:
     commit_blocks: int = 10
     reveal_blocks: int = 10
     gas_table: GasTable = DEFAULT_GAS_TABLE
-    optimized: bool = True
+    optimized: bool = True  # the settlement gas pattern; rewards do not depend on it
 
     def __post_init__(self):
         _require_ints(
@@ -446,8 +447,7 @@ class Ledger:
             )
         matrix = self.revealed_matrix()
         if matrix.total_answers > 0:
-            computer = compute_rewards if self.config.optimized else rewards_naive
-            report = computer(matrix, self.config.mechanism, self.config.alpha, self.config.peer_mode)
+            report = compute_rewards(matrix, self.config.mechanism, self.config.alpha, self.config.peer_mode)
             rewards = report.per_agent_reward
         else:
             report = None

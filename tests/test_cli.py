@@ -237,19 +237,27 @@ def test_incentives_names_a_missing_scenario_key(tmp_path, capsys, scenarios, na
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scenario, named", [
-    ({"n": 10, "prior": "19/20", "bump": "1e-400"}, "alpha"),   # auto alpha near 1e400
-    ({"n": 10, "prior": "19/20", "bump": "0.01", "alpha": "1e400"}, "alpha"),
-    ({"n": 10, "prior": "19/20", "bump": "0.01", "c": "1e400"}, "c"),
-    ({"n": 10, "prior": "19/20", "bump": "0.01", "c": "1e-400"}, "c"),  # c underflows to 0.0
-], ids=["auto-alpha", "alpha", "c", "tiny-c"])
-def test_incentives_rejects_an_alpha_or_c_beyond_float(tmp_path, capsys, scenario, named):
+@pytest.mark.parametrize("scenario, message", [
+    ({"n": 10, "prior": "19/20", "bump": "1e-400"},   # auto alpha near 1e400
+     "alpha is too large for a float"),
+    ({"n": 10, "prior": "19/20", "bump": "0.01", "alpha": "1e400"}, "alpha is too large for a float"),
+    ({"n": 10, "prior": "19/20", "bump": "0.01", "c": "1e400"}, "c is too large for a float"),
+    ({"n": 10, "prior": "19/20", "bump": "0.01", "c": "1e-400"},  # c underflows to 0.0
+     "c is too small for a float"),
+    # both are floats, but the Monte-Carlo sums overflow
+    ({"n": 10, "prior": "19/20", "bump": "0.01", "c": "1e308"},
+     "Monte-Carlo sums overflow a float at alpha = 1.292e+308, c = 1e+308"),
+    ({"n": 10, "prior": "19/20", "bump": "0.01", "alpha": "1e308"},
+     "Monte-Carlo sums overflow a float at alpha = 1e+308, c = 1"),
+], ids=["auto-alpha", "alpha", "c", "tiny-c", "huge-c", "huge-alpha"])
+def test_incentives_rejects_an_alpha_or_c_beyond_float(tmp_path, capsys, scenario, message):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(scenario))
     out = tmp_path / "inc"
     assert run(["incentives", "--scenario", str(path), "--rounds", "10", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"usage error: {named} is too" in err and "for a float" in err
+    assert f"usage error: {message}" in err
+    assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
 
 

@@ -3,6 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from peerchain.commitment import (
     KEY_BITS,
@@ -31,7 +34,6 @@ def test_capacity_constants_follow_from_digest_size():
 
 def test_pack_small_example_layout():
     vec = pack([("qa", 1)], ["qa", "qb"])
-    assert vec.slots == ((1, 1), (0, 0))
     assert vec.message() == 0b11
     raw = layout_bytes(vec, SecretKey(1))
     # key bit 0 -> byte 0; message bits 85,86 -> byte 10 bits 5,6
@@ -60,9 +62,9 @@ def test_pack_input_validation():
 
 def test_vector_validation():
     with pytest.raises(ValueError):
-        PackedAnswerVector(((0, 1),), ("qa",))  # unanswered slot with answer bit
+        PackedAnswerVector(0b10, ("qa",))  # unanswered slot with answer bit
     with pytest.raises(ValueError):
-        PackedAnswerVector(((1, 1),), ("qa", "qb"))  # slot/order mismatch
+        PackedAnswerVector(0b1100, ("qa",))  # bits beyond the slots
 
 
 def test_decode_rejects_malformed_messages():
@@ -70,6 +72,8 @@ def test_decode_rejects_malformed_messages():
         decode(1 << MESSAGE_BITS, ["qa"])
     with pytest.raises(ValueError):
         decode(0b10, ["qa"])  # answer bit set on an unanswered slot
+    with pytest.raises(ValueError):
+        decode(0b11 | 1 << 84, ["qa"])  # a bit beyond the batch's slots
 
 
 def test_roundtrip_random_vectors():
@@ -83,6 +87,44 @@ def test_roundtrip_random_vectors():
         back = decode(vec.message(), order)
         assert back == vec
         assert back.answers() == dict(answers)
+
+
+SLOT = st.sampled_from((0b00, 0b01, 0b11))  # unanswered, answered 0, answered 1
+
+
+@st.composite
+def order_and_message(draw):
+    """An order of 0-42 questions and an int in [-1, 2**85]: often a valid
+    message, often one with a single bit flipped, otherwise any int."""
+    n = draw(st.integers(0, MAX_ANSWERS))
+    slots = draw(st.lists(SLOT, min_size=n, max_size=n))
+    valid = sum(slot << 2 * j for j, slot in enumerate(slots))
+    message = draw(st.one_of(
+        st.just(valid),
+        st.integers(0, MESSAGE_BITS - 1).map(lambda bit: valid ^ 1 << bit),
+        st.integers(-1, 1 << MESSAGE_BITS),
+    ))
+    return [f"q{i}" for i in range(n)], message
+
+
+def test_decode_keeps_every_bit_or_refuses(tmp_path):
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(order_and_message())
+    def check(case):
+        order, message = case
+        try:
+            vec = decode(message, order)
+        except ValueError:
+            return
+        assert vec.message() == message
+        assert pack(list(vec.answers().items()), order) == vec
+
+    # keep Hypothesis' constants cache out of the working tree
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
 
 
 def test_key_range_checked():
@@ -105,9 +147,7 @@ def test_commit_verify_and_tampering():
         assert not verify_reveal(c, vec, SecretKey(key.value ^ (1 << bit)))
     # any single answer-bit flip is rejected
     for j in range(len(order)):
-        slots = list(vec.slots)
-        slots[j] = (1, 1 - slots[j][1])
-        assert not verify_reveal(c, PackedAnswerVector(tuple(slots), vec.question_order), key)
+        assert not verify_reveal(c, decode(vec.message() ^ 1 << (2 * j + 1), order), key)
 
 
 def test_commitment_hex_roundtrip():

@@ -94,6 +94,14 @@ def test_world_calibration():
     assert abs(p_match - 0.96) < 0.005
 
 
+@pytest.mark.parametrize("prior_1, post_1_given_1",
+                         [(0.5, 1 - 1e-15), (0.95, 0.96), (0.3, 0.5), (0.999, 0.9995)])
+def test_world_calibration_residuals_are_at_float_precision(prior_1, post_1_given_1):
+    world = calibrate_world(prior_1, post_1_given_1)
+    assert abs(world.prior_1() - prior_1) < 1e-15
+    assert abs(world.post_1_given_1() - post_1_given_1) < 1e-15
+
+
 def test_world_calibration_infeasible_cases():
     with pytest.raises(NoSolution):
         calibrate_world(0.95, 0.90)  # posterior below prior

@@ -2,10 +2,11 @@
 
 Each protocol operation runs in its own phase with arguments that are
 often wrong (unknown agents or questions, missing batches, short deposits,
-wrong keys, malformed messages, repeated reveals, early settlement); one
-more rule calls every operation the current phase forbids.  A rejected
-call must raise a `PeerchainError` or a `ValueError` and nothing else.
-After every step the audit is clean, no batch has two outcomes and the
+wrong keys, malformed or padded messages, repeated reveals, early
+settlement); one more rule calls every operation the current phase
+forbids.  A rejected call must raise a `PeerchainError` or a `ValueError`
+and nothing else.  After every step the audit is clean, no batch has two
+outcomes, every accepted (message, key) hashes to its commitment and the
 event log replays to itself; after settlement the transfers are zero-sum
 and no deposit is over- or under-returned.
 """
@@ -27,6 +28,7 @@ from hypothesis.stateful import (
 
 import peerchain.commitment as cmt
 from peerchain.errors import PeerchainError, WrongPhase
+from peerchain.keccak import keccak256
 from peerchain.ledger import Ledger, LedgerConfig, Phase
 from peerchain.mechanisms import ALL_PEERS, Mechanism, SampledPeers
 
@@ -128,7 +130,7 @@ class LedgerMachine(RuleBasedStateMachine):
     @in_phase(Phase.REVEAL)
     @rule(anywhere=st.booleans(), pick=st.integers(0, 63),
           agent=AGENT, batch=st.integers(-1, 3),
-          how=st.sampled_from(("honest", "honest", "wrong-key", "malformed", "out-of-range")))
+          how=st.sampled_from(("honest", "honest", "wrong-key", "malformed", "out-of-range", "padded")))
     def reveal(self, anywhere, pick, agent, batch, how):
         """Open a committed batch (perhaps again), or anywhere: any (agent, batch)."""
         if self.ledger.commitments and not anywhere:
@@ -141,12 +143,16 @@ class LedgerMachine(RuleBasedStateMachine):
             message = 0b10  # an answer bit without its answered bit
         elif how == "out-of-range":
             message = 1 << cmt.MESSAGE_BITS
+        elif how == "padded":  # the honest message plus one bit beyond its slots
+            message |= 1 << 2 * len(vector.question_order)
         decided = (agent, batch) in self.ledger.accepted or (agent, batch) in self.ledger.discarded
         accepted = self._call(self.ledger.reveal, agent, batch, message, key)
         if decided:
             assert accepted is False  # a batch's first reveal decides it
         elif how == "honest" and (agent, batch) in self.openings:
             assert accepted is True
+        if how == "padded":
+            assert accepted is not True
 
     @in_phase(Phase.REVEAL)
     @rule()
@@ -177,6 +183,12 @@ class LedgerMachine(RuleBasedStateMachine):
         accepted, discarded = set(self.ledger.accepted), set(self.ledger.discarded)
         assert not accepted & discarded
         assert accepted | discarded <= set(self.ledger.commitments)
+
+    @invariant()
+    def every_accepted_reveal_hashes_to_its_commitment(self):
+        for (agent, batch), (message, key) in self.ledger.accepted.items():
+            layout = (key | message << cmt.KEY_BITS).to_bytes(cmt.LAYOUT_BYTES, "little")
+            assert keccak256(layout) == self.ledger.commitments[(agent, batch)].digest
 
     @invariant()
     def audit_is_clean(self):

@@ -21,6 +21,7 @@ from .incentives import (
     alpha_bound,
     calibrate_world,
     equilibrium_check,
+    incentive_estimates,
     max_saving,
     payment_mc,
     saving_lower_bound,

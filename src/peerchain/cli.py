@@ -231,6 +231,7 @@ INCENTIVES_HEADER = (
     "scenario_id,alpha_bound,alpha_used,payment_mc,saving_bound,saving_mc,"
     "verdict_always_0,verdict_always_1,verdict_flip,verdict_random,alpha_bound_exact"
 )
+INCENTIVES_DEVIATIONS = (inc.ALWAYS_0, inc.ALWAYS_1, inc.FLIP, inc.Deviation("random", 0.5))
 
 
 def cmd_incentives(args) -> int:
@@ -239,17 +240,13 @@ def cmd_incentives(args) -> int:
     summary = []
     for sid, scenario in scenarios:
         bound = scenario.bound()
-        rounds = args.rounds
-        pay = inc.payment_mc(scenario, rounds=rounds, master_seed=args.seed)
-        save = inc.saving_mc(scenario, rounds=rounds, master_seed=args.seed)
-        verdicts = []
-        for dev in (inc.ALWAYS_0, inc.ALWAYS_1, inc.FLIP, inc.Deviation("random", 0.5)):
-            est = inc.equilibrium_check(scenario, dev, rounds=rounds, master_seed=args.seed)
-            verdicts.append(est.verdict())
+        est = inc.incentive_estimates(scenario, INCENTIVES_DEVIATIONS,
+                                      rounds=args.rounds, master_seed=args.seed)
+        verdicts = [gap.verdict() for gap in est.gaps]
         rows.append(
             f"{sid},{format_decimal(bound)},{format_decimal(scenario.alpha)},"
-            f"{_fnum(pay.mean)},{format_decimal(inc.saving_lower_bound(scenario))},"
-            f"{_fnum(save.mean)},{','.join(verdicts)},"
+            f"{_fnum(est.payment.mean)},{format_decimal(inc.saving_lower_bound(scenario))},"
+            f"{_fnum(est.saving.mean)},{','.join(verdicts)},"
             f"{bound.numerator}/{bound.denominator}"
         )
         summary.append((sid, verdicts))

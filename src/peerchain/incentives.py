@@ -17,25 +17,29 @@ posterior match the beliefs, then rounds are simulated with numpy and
 compared at a 3-standard-error margin.  Each agent is scored against one
 uniformly random peer; o_q counts the agent's own report; R(y) is the
 population answer frequency, which truthful play pins at the prior
-marginal (see `_ptsc_scores`).
+marginal (see `_Chunk.score_sums`).
 
-Monte-Carlo rounds are chunked; chunk seeds derive from
-SeedSequence([master_seed, stream_tag, chunk_index]) so results do not
-depend on chunk size or scheduling, and truthful-versus-deviation gaps
-share the common random numbers of the world and the peer draws.
+Monte-Carlo rounds run in chunks of CHUNK_ROUNDS seeded by
+SeedSequence([master_seed, stream_tag, chunk_index]), so an estimate depends
+only on (scenario, rounds, master_seed) at that chunk size, and deviation
+gaps share the common random numbers of the world and the peer draws.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from math import isfinite, sqrt
+from numbers import Real
+from operator import methodcaller
 
 import numpy as np
 
-from .errors import AlphaTooSmall, DegeneratePrior, NonPositiveBeta, NoSolution
+from .errors import AlphaTooSmall, DegeneratePrior, NonPositiveBeta, NoSolution, PeerchainError
 
 CHUNK_ROUNDS = 100_000
 _TAG_WORLD, _TAG_PEERS, _TAG_DEVIATION = 1, 2, 3
@@ -136,7 +140,7 @@ class GenerativeWorld:
         """(rounds, n) int8 matrix of observations, one latent state per row."""
         high = rng.random(rounds) < self.w
         emit = np.where(high, self.h, self.l)
-        return (rng.random((rounds, n)) < emit[:, None]).astype(np.int8)
+        return (rng.random((rounds, n)) < emit[:, None]).view(np.int8)
 
 
 def calibrate_world(prior_1, post_1_given_1) -> GenerativeWorld:
@@ -261,8 +265,11 @@ class Deviation:
     def __post_init__(self):
         if self.kind not in ("truthful", "always-0", "always-1", "flip", "random"):
             raise ValueError(f"unknown deviation {self.kind!r}")
+        if isinstance(self.p, bool) or not isinstance(self.p, Real):
+            raise ValueError(f"deviation probability must be a real number, got {self.p!r}")
         if not 0 <= self.p <= 1:
             raise ValueError("deviation probability must be in [0, 1]")
+        object.__setattr__(self, "p", float(self.p))
 
     @property
     def name(self) -> str:
@@ -292,112 +299,153 @@ class MCEstimate:
         return "Inconclusive"
 
 
+@dataclass(frozen=True)
+class IncentiveEstimates:
+    """The estimates of one `incentive_estimates` pass."""
+
+    payment: MCEstimate
+    saving: MCEstimate
+    gaps: tuple[MCEstimate, ...]  # one per deviation, in the order given
+
+
 def _chunk_rng(master_seed: int, tag: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, tag, chunk])))
 
 
-def _ptsc_scores(reports: np.ndarray, peers: np.ndarray, r1: float) -> np.ndarray:
-    """Unscaled per-agent scores 1[y=y_peer]/R(y) - 1.
+class _Chunk:
+    """One chunk's reports x (rounds x n) and peer draws, drawn once for all
+    the per-round statistics of a pass, which share what they build from them."""
 
-    R(y) is the population relative frequency of y over the whole answer
-    batch, which under truthful play converges to the marginal P(y); a
-    single agent's deviation cannot move it because her own answers are
-    excluded from R by definition.  The match, by contrast, is against a
-    peer on the shared question, where answers are correlated; that gap is
-    the whole PTSC incentive.
-    """
-    r_freq = np.where(reports == 1, r1, 1.0 - r1)
-    peer_reports = np.take_along_axis(reports, peers, axis=1)
-    match = (peer_reports == reports).astype(np.float64)
-    return match / r_freq - 1.0
+    def __init__(self, scenario: IncentiveScenario, master_seed: int, index: int, size: int):
+        self.n, self.alpha, self.c = scenario.n, float(scenario.alpha), float(scenario.c)
+        self.r1 = scenario.world.prior_1()
+        self.master_seed, self.index = master_seed, index
+        self.x = scenario.world.sample_observations(_chunk_rng(master_seed, _TAG_WORLD, index), size, self.n)
+        self.x0 = self.x[:, 0]
+        # draw j picks agent j's peer from the other n - 1 agents: a draw >= j is one agent up
+        peer_rng = _chunk_rng(master_seed, _TAG_PEERS, index)
+        self.draws = peer_rng.integers(0, self.n - 1, size=(size, self.n), dtype=np.int32)
+        self.row_starts = np.arange(0, size * self.n, self.n)
+
+    @cached_property
+    def zeros(self) -> np.ndarray:
+        return (self.x == 0).sum(axis=1)
+
+    @cached_property
+    def score_sums(self) -> np.ndarray:
+        """Each round's sum over agents of the PTSC score 1[y = y_peer]/R(y) - 1.
+
+        R(y) is the population relative frequency of y over the whole answer
+        batch, which under truthful play converges to the marginal P(y); a
+        single agent's deviation cannot move it because its own answers are
+        excluded from R by definition.  The match, by contrast, is against a
+        peer on the shared question, where answers are correlated; that gap
+        is the whole PTSC incentive.
+        """
+        peers = self.draws + (self.draws >= np.arange(self.n, dtype=np.int32))
+        peer_x = self.x.ravel().take(peers + self.row_starts[:, None])
+        r0, r1 = 1.0 - self.r1, self.r1
+        # indexed by 2 * own report + peer's report
+        score = np.array([1.0 / r0 - 1.0, 0.0 / r0 - 1.0, 0.0 / r1 - 1.0, 1.0 / r1 - 1.0])
+        return score[2 * self.x + peer_x].sum(axis=1)
+
+    @cached_property
+    def peer0(self) -> np.ndarray:
+        """Agent 0's peer's reports, which agent 0's deviation cannot move."""
+        return self.x.ravel().take(self.row_starts + self.draws[:, 0] + 1)
+
+    def utility0(self, y: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+        """Agent 0's scaled score and refund for reports y, with ``zeros`` 0 reports a round."""
+        r_freq = np.where(y == 1, self.r1, 1.0 - self.r1)
+        return self.alpha * ((self.peer0 == y) / r_freq - 1.0) + self.c * (zeros / self.n) * (y == 0)
+
+    @cached_property
+    def truthful0(self) -> np.ndarray:
+        return self.utility0(self.x0, self.zeros)
+
+    def payment(self) -> np.ndarray:
+        return self.alpha * (self.score_sums / self.n)
+
+    def saving(self) -> np.ndarray:
+        total_paid = self.alpha * self.score_sums + self.c * (self.zeros / self.n) * self.zeros
+        return (self.n * self.c - total_paid) / (self.n * self.c)
+
+    def gap(self, deviation: Deviation) -> np.ndarray:
+        """Agent 0's truthful utility minus its utility under the deviation."""
+        x0 = self.x0
+        if deviation.kind == "truthful":
+            y = x0
+        elif deviation.kind == "always-0":
+            y = np.zeros_like(x0)
+        elif deviation.kind == "always-1":
+            y = np.ones_like(x0)
+        elif deviation.kind == "flip":
+            y = 1 - x0
+        else:  # a fresh deviation stream for every random deviation
+            rng = _chunk_rng(self.master_seed, _TAG_DEVIATION, self.index)
+            y = (rng.random(len(x0)) < deviation.p).view(np.int8)
+        return self.truthful0 - self.utility0(y, self.zeros - (x0 == 0) + (y == 0))
 
 
-def _draw_peers(rng: np.random.Generator, rounds: int, n: int) -> np.ndarray:
-    raw = rng.integers(0, n - 1, size=(rounds, n))
-    return raw + (raw >= np.arange(n)[None, :])
-
-
-def _mc_loop(scenario, rounds, master_seed, per_round):
-    """Drive chunked simulation; per_round maps a chunk to a 1-d statistic."""
+def _require_mc_inputs(rounds: object, master_seed: object) -> None:
+    """Raise ValueError unless rounds >= 1 and master_seed >= 0 are ints (a bool is not)."""
+    for name, value in (("rounds", rounds), ("master_seed", master_seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if rounds < 1:
         raise ValueError(f"Monte-Carlo estimates need at least one round, got {rounds}")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
+
+
+def _mc_loop(scenario, rounds, master_seed, stats) -> list[MCEstimate]:
+    """Estimate every statistic, a map from a `_Chunk` to one value per round,
+    on one chunked simulation.  A statistic that needs random numbers of its
+    own opens the chunk's deviation stream afresh, so an estimate is the same
+    alone or beside others, and the estimates of one pass share the draws."""
+    _require_mc_inputs(rounds, master_seed)
+    sums = [[0.0, 0.0] for _ in stats]
     total = 0
-    acc_sum = 0.0
-    acc_sq = 0.0
     chunk_index = 0
     while total < rounds:
         size = min(CHUNK_ROUNDS, rounds - total)
-        rng_world = _chunk_rng(master_seed, _TAG_WORLD, chunk_index)
-        rng_peers = _chunk_rng(master_seed, _TAG_PEERS, chunk_index)
-        rng_dev = _chunk_rng(master_seed, _TAG_DEVIATION, chunk_index)
-        x = scenario.world.sample_observations(rng_world, size, scenario.n)
-        peers = _draw_peers(rng_peers, size, scenario.n)
+        chunk = _Chunk(scenario, master_seed, chunk_index, size)
         # an overflow shows as a non-finite sum, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            stat = per_round(x, peers, rng_dev)
-            acc_sum += float(stat.sum())
-            acc_sq += float((stat * stat).sum())
-        if not (isfinite(acc_sum) and isfinite(acc_sq)):
+            for acc, per_round in zip(sums, stats):
+                stat = per_round(chunk)
+                acc[0] += float(stat.sum())
+                acc[1] += float((stat * stat).sum())
+        if not all(isfinite(a) for acc in sums for a in acc):
             raise ValueError(
                 f"Monte-Carlo sums overflow a float at alpha = {float(scenario.alpha):g}, "
                 f"c = {float(scenario.c):g}"
             )
         total += size
         chunk_index += 1
-    mean = acc_sum / total
-    var = max(acc_sq / total - mean * mean, 0.0)
-    return MCEstimate(mean, sqrt(var / total), total)
+    estimates = []
+    for acc_sum, acc_sq in sums:
+        mean = acc_sum / total
+        var = max(acc_sq / total - mean * mean, 0.0)
+        estimates.append(MCEstimate(mean, sqrt(var / total), total))
+    return estimates
 
 
 def payment_mc(scenario: IncentiveScenario, rounds: int = 10**5, master_seed: int = 0) -> MCEstimate:
     """Expected PTSC payment per agent under truthful play (refunds excluded)."""
-    alpha = float(scenario.alpha)
-    r1 = scenario.world.prior_1()
-
-    def per_round(x, peers, _rng):
-        return alpha * _ptsc_scores(x, peers, r1).mean(axis=1)
-
-    return _mc_loop(scenario, rounds, master_seed, per_round)
+    return _mc_loop(scenario, rounds, master_seed, [_Chunk.payment])[0]
 
 
 def saving_mc(scenario: IncentiveScenario, rounds: int = 10**5, master_seed: int = 0) -> MCEstimate:
     """Relative saving (n*c - P)/(n*c) with P = PTSC payments + refunds."""
-    alpha = float(scenario.alpha)
-    c = float(scenario.c)
-    n = scenario.n
-    r1 = scenario.world.prior_1()
-
-    def per_round(x, peers, _rng):
-        ptsc = alpha * _ptsc_scores(x, peers, r1).sum(axis=1)
-        o_q = (x == 0).mean(axis=1)
-        refunds = c * o_q * (x == 0).sum(axis=1)
-        total_paid = ptsc + refunds
-        return (n * c - total_paid) / (n * c)
-
-    return _mc_loop(scenario, rounds, master_seed, per_round)
+    return _mc_loop(scenario, rounds, master_seed, [_Chunk.saving])[0]
 
 
-def _apply_deviation(x: np.ndarray, deviation: Deviation, rng: np.random.Generator) -> np.ndarray:
-    y = x.copy()
-    col = x[:, 0]
-    if deviation.kind == "truthful":
-        return y
-    if deviation.kind == "always-0":
-        y[:, 0] = 0
-    elif deviation.kind == "always-1":
-        y[:, 0] = 1
-    elif deviation.kind == "flip":
-        y[:, 0] = 1 - col
-    else:
-        y[:, 0] = (rng.random(x.shape[0]) < deviation.p).astype(np.int8)
-    return y
-
-
-def _agent0_utility(reports: np.ndarray, peers: np.ndarray, alpha: float, c: float, r1: float) -> np.ndarray:
-    scores = _ptsc_scores(reports, peers, r1)
-    o_q = (reports == 0).mean(axis=1)
-    refund = c * o_q * (reports[:, 0] == 0)
-    return alpha * scores[:, 0] + refund
+def _require_above_bound(scenario: IncentiveScenario) -> None:
+    if scenario.alpha <= scenario.bound():
+        raise AlphaTooSmall(
+            f"alpha = {scenario.alpha} is not above the truthfulness bound {scenario.bound()}"
+        )
 
 
 def equilibrium_check(
@@ -411,21 +459,39 @@ def equilibrium_check(
     deviating agent against truthful peers; StrictlyPositive at 3 standard
     errors confirms the strict equilibrium.
 
+    Only agent 0 is scored.  Its peer is never itself, so a deviation moves
+    only its own score and the round's count of 0 reports.  The statistic
+    runs in the chunk loop that `incentive_estimates` shares.
+
     Pass enforce_alpha_bound=False to probe the regime below the bound
     where nothing is guaranteed (such as alpha = 0, where PTSC is off and
     reporting 0 dominates).
     """
-    if enforce_alpha_bound and scenario.alpha <= scenario.bound():
-        raise AlphaTooSmall(
-            f"alpha = {scenario.alpha} is not above the truthfulness bound {scenario.bound()}"
-        )
-    alpha = float(scenario.alpha)
-    c = float(scenario.c)
-    r1 = scenario.world.prior_1()
+    if enforce_alpha_bound:
+        _require_above_bound(scenario)
+    return _mc_loop(scenario, rounds, master_seed, [methodcaller("gap", deviation)])[0]
 
-    def per_round(x, peers, rng_dev):
-        truthful = _agent0_utility(x, peers, alpha, c, r1)
-        deviant = _agent0_utility(_apply_deviation(x, deviation, rng_dev), peers, alpha, c, r1)
-        return truthful - deviant
 
-    return _mc_loop(scenario, rounds, master_seed, per_round)
+def incentive_estimates(
+    scenario: IncentiveScenario,
+    deviations: Iterable[Deviation],
+    rounds: int = 10**5,
+    master_seed: int = 0,
+) -> IncentiveEstimates:
+    """`payment_mc`, `saving_mc` and `equilibrium_check` for each deviation,
+    in one pass: each chunk is drawn once and agent 0's truthful utility
+    is computed once.
+
+    The estimates equal those of the separate calls, and so does the first
+    error: bad inputs or overflowing payment or saving sums come before a
+    refused alpha, and the deviations run only when alpha is above the bound.
+    """
+    stats = [_Chunk.payment, _Chunk.saving] + [methodcaller("gap", d) for d in deviations]
+    if len(stats) > 2:
+        try:
+            _require_above_bound(scenario)
+        except PeerchainError:
+            _mc_loop(scenario, rounds, master_seed, stats[:2])
+            raise
+    payment, saving, *gaps = _mc_loop(scenario, rounds, master_seed, stats)
+    return IncentiveEstimates(payment, saving, tuple(gaps))

@@ -38,6 +38,11 @@ GAS_BENCH_SKIP_ONE_SHA256 = {
     "mechanisms.csv": "668ea27d5e295eb91edc3775282c12ad7bfbb04e15bbdafb60cb6e5d682a12fc",
     "peers.csv": "9ad8241a355de413e96aed9ecd1c892d8c240d9be51ff758523fb2134904b0f1",
 }
+# incentives.csv of the default run (--rounds 200000) and of the "tiny" scenario file
+INCENTIVES_SHA256 = {
+    "default": "c5b19280b5b3f92852a725c3bc3ac20c554b6f01968355579d43f73f36d4a34b",
+    "tiny": "ec2a34312408f46dd74c133dd57683e14e819347e17a27661ef80eee7ada8898",
+}
 
 
 def test_sample_dataset_ships():
@@ -184,6 +189,7 @@ def test_incentives_default_scenario(tmp_path, capsys):
     assert fields[-1] == "323/500"
     assert fields[6:10] == ["StrictlyPositive"] * 4
     assert "example-n10" in capsys.readouterr().out
+    assert sha256(out / "incentives.csv") == INCENTIVES_SHA256["default"]
 
 
 def test_incentives_scenario_file_and_bad_beliefs(tmp_path, capsys):
@@ -194,6 +200,7 @@ def test_incentives_scenario_file_and_bad_beliefs(tmp_path, capsys):
     assert run(["incentives", "--scenario", str(good), "--rounds", "20000",
                 "--out", str(out)]) == 0
     assert (out / "incentives.csv").read_text().splitlines()[1].startswith("tiny,")
+    assert sha256(out / "incentives.csv") == INCENTIVES_SHA256["tiny"]
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario_id": "flat", "n": 5, "prior": "0.5",
@@ -258,6 +265,22 @@ def test_incentives_rejects_an_alpha_or_c_beyond_float(tmp_path, capsys, scenari
     err = capsys.readouterr().err
     assert f"usage error: {message}" in err
     assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, code, message", [
+    # alpha = 1 is below the bound 0.646e308 too, but the overflow is reported
+    ({"n": 10, "prior": "19/20", "bump": "0.01", "alpha": "1", "c": "1e308"}, 2,
+     "usage error: Monte-Carlo sums overflow a float at alpha = 1, c = 1e+308"),
+    ({"n": 10, "prior": "19/20", "bump": "0.01", "alpha": "1/2"}, 1,
+     "error: AlphaTooSmall: alpha = 1/2 is not above the truthfulness bound 323/500"),
+], ids=["overflow-first", "alpha-too-small"])
+def test_incentives_reports_an_overflow_before_a_small_alpha(tmp_path, capsys, scenario, code, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "inc"
+    assert run(["incentives", "--scenario", str(path), "--rounds", "10", "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

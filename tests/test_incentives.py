@@ -1,14 +1,19 @@
 """Belief formulas, world calibration, and Monte-Carlo equilibrium checks."""
 
 from fractions import Fraction as F
+from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from peerchain import incentives as inc
 from peerchain.errors import AlphaTooSmall, DegeneratePrior, NonPositiveBeta, NoSolution
 from peerchain.incentives import (
     ALWAYS_0,
     ALWAYS_1,
+    CHUNK_ROUNDS,
     FLIP,
     TRUTHFUL,
     BeliefModel,
@@ -20,6 +25,7 @@ from peerchain.incentives import (
     calibrate_world,
     equilibrium_check,
     gamma,
+    incentive_estimates,
     max_saving,
     parse_alpha,
     payment_mc,
@@ -151,13 +157,20 @@ def test_alpha_spec_grammar():
 def test_mc_estimates_need_a_round():
     sc = example_scenario()
 
-    def equilibrium(scenario, rounds):
-        return equilibrium_check(scenario, ALWAYS_0, rounds=rounds)
+    def equilibrium(scenario, **kwargs):
+        return equilibrium_check(scenario, ALWAYS_0, **kwargs)
 
-    for estimate in (payment_mc, saving_mc, equilibrium):
-        for rounds in (0, -1):
+    def one_pass(scenario, **kwargs):
+        return incentive_estimates(scenario, [ALWAYS_0], **kwargs)
+
+    for estimate in (payment_mc, saving_mc, equilibrium, one_pass):
+        # rounds and the seed are ints; a bool is not, and neither is 1e3
+        for rounds in (0, -1, 1e3, 1.0, True, "10", None, np.int64(10)):
             with pytest.raises(ValueError):
                 estimate(sc, rounds=rounds)
+        for seed in (-1, 0.5, False, "0", None):
+            with pytest.raises(ValueError):
+                estimate(sc, rounds=10, master_seed=seed)
 
 
 def test_mc_estimate_verdicts():
@@ -234,5 +247,158 @@ def test_saving_mc_meets_lower_bound():
 def test_deviation_validation():
     with pytest.raises(ValueError):
         Deviation("sideways")
-    with pytest.raises(ValueError):
-        Deviation("random", p=1.5)
+    for p in (1.5, -0.1, float("nan"), "0.5", None, True, 1j):
+        with pytest.raises(ValueError):
+            Deviation("random", p)
+    assert Deviation("random", 1) == Deviation("random", 1.0)
+    assert Deviation("random", F(1, 4)).name == "random(0.25)"
+
+
+# ---------------------------------------------------------------------------
+# reference: every agent scored, one estimate at a time
+# ---------------------------------------------------------------------------
+#
+# The library scores only agent 0 and shares each chunk's draws between the
+# statistics of a pass.  These are the whole-population formulas it must
+# agree with bit for bit: each estimate draws its own world and peers
+# (through astype and int64 draws), scores all n agents and reads agent 0.
+
+def _ref_chunk_rng(master_seed, tag, chunk):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, tag, chunk])))
+
+
+def _ref_observations(world, rng, rounds, n):
+    high = rng.random(rounds) < world.w
+    emit = np.where(high, world.h, world.l)
+    return (rng.random((rounds, n)) < emit[:, None]).astype(np.int8)
+
+
+def _ref_peers(rng, rounds, n):
+    raw = rng.integers(0, n - 1, size=(rounds, n))
+    return raw + (raw >= np.arange(n)[None, :])
+
+
+def _ref_ptsc_scores(reports, peers, r1):
+    r_freq = np.where(reports == 1, r1, 1.0 - r1)
+    peer_reports = np.take_along_axis(reports, peers, axis=1)
+    match = (peer_reports == reports).astype(np.float64)
+    return match / r_freq - 1.0
+
+
+def _ref_apply_deviation(x, deviation, rng):
+    y = x.copy()
+    if deviation.kind == "always-0":
+        y[:, 0] = 0
+    elif deviation.kind == "always-1":
+        y[:, 0] = 1
+    elif deviation.kind == "flip":
+        y[:, 0] = 1 - x[:, 0]
+    elif deviation.kind == "random":
+        y[:, 0] = (rng.random(x.shape[0]) < deviation.p).astype(np.int8)
+    return y
+
+
+def _ref_agent0_utility(reports, peers, alpha, c, r1):
+    scores = _ref_ptsc_scores(reports, peers, r1)
+    o_q = (reports == 0).mean(axis=1)
+    refund = c * o_q * (reports[:, 0] == 0)
+    return alpha * scores[:, 0] + refund
+
+
+def _ref_loop(scenario, rounds, master_seed, per_round):
+    total, acc_sum, acc_sq, chunk = 0, 0.0, 0.0, 0
+    while total < rounds:
+        size = min(CHUNK_ROUNDS, rounds - total)
+        x = _ref_observations(scenario.world, _ref_chunk_rng(master_seed, 1, chunk), size, scenario.n)
+        peers = _ref_peers(_ref_chunk_rng(master_seed, 2, chunk), size, scenario.n)
+        stat = per_round(x, peers, _ref_chunk_rng(master_seed, 3, chunk))
+        acc_sum += float(stat.sum())
+        acc_sq += float((stat * stat).sum())
+        total += size
+        chunk += 1
+    mean = acc_sum / total
+    var = max(acc_sq / total - mean * mean, 0.0)
+    return MCEstimate(mean, sqrt(var / total), total)
+
+
+def _ref_payment(scenario, rounds, master_seed):
+    alpha, r1 = float(scenario.alpha), scenario.world.prior_1()
+    return _ref_loop(scenario, rounds, master_seed,
+                     lambda x, peers, _rng: alpha * _ref_ptsc_scores(x, peers, r1).mean(axis=1))
+
+
+def _ref_saving(scenario, rounds, master_seed):
+    alpha, c, n, r1 = float(scenario.alpha), float(scenario.c), scenario.n, scenario.world.prior_1()
+
+    def per_round(x, peers, _rng):
+        ptsc = alpha * _ref_ptsc_scores(x, peers, r1).sum(axis=1)
+        refunds = c * (x == 0).mean(axis=1) * (x == 0).sum(axis=1)
+        return (n * c - (ptsc + refunds)) / (n * c)
+
+    return _ref_loop(scenario, rounds, master_seed, per_round)
+
+
+def _ref_gap(scenario, deviation, rounds, master_seed):
+    alpha, c, r1 = float(scenario.alpha), float(scenario.c), scenario.world.prior_1()
+
+    def per_round(x, peers, rng):
+        truthful = _ref_agent0_utility(x, peers, alpha, c, r1)
+        return truthful - _ref_agent0_utility(_ref_apply_deviation(x, deviation, rng), peers, alpha, c, r1)
+
+    return _ref_loop(scenario, rounds, master_seed, per_round)
+
+
+@st.composite
+def scenarios(draw):
+    """Feasible beliefs (posterior above the prior, below 1) at alpha above the bound."""
+    prior = F(draw(st.integers(1, 99)), 100)
+    bump = (1 - prior) * F(draw(st.integers(1, 99)), 100)
+    return IncentiveScenario.from_parameters(
+        n=draw(st.integers(2, 12)), c=F(draw(st.integers(1, 8)), 2),
+        alpha=draw(st.sampled_from(["auto", "auto*1.01", "auto*7"])), prior_1=prior, bump=bump)
+
+
+@pytest.mark.parametrize("rounds", [1, 7, CHUNK_ROUNDS, CHUNK_ROUNDS + 1])
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(sc=scenarios(), seed=st.integers(0, 2**64 - 1), p=st.floats(0, 1))
+def test_estimates_equal_the_whole_population_reference(rounds, sc, seed, p):
+    deviations = [TRUTHFUL, ALWAYS_0, ALWAYS_1, FLIP,
+                  Deviation("random", 0), Deviation("random", 1), Deviation("random", p)]
+    payment = _ref_payment(sc, rounds, seed)
+    saving = _ref_saving(sc, rounds, seed)
+    gaps = tuple(_ref_gap(sc, d, rounds, seed) for d in deviations)
+    assert payment_mc(sc, rounds, seed) == payment
+    assert saving_mc(sc, rounds, seed) == saving
+    assert tuple(equilibrium_check(sc, d, rounds, seed) for d in deviations) == gaps
+    assert incentive_estimates(sc, deviations, rounds, seed) == inc.IncentiveEstimates(payment, saving, gaps)
+    # below the bound only the separate check runs, and only when asked to
+    off = IncentiveScenario(sc.n, sc.c, F(0), sc.beliefs)
+    assert (equilibrium_check(off, ALWAYS_0, rounds, seed, enforce_alpha_bound=False)
+            == _ref_gap(off, ALWAYS_0, rounds, seed))
+    with pytest.raises(AlphaTooSmall):
+        incentive_estimates(off, [ALWAYS_0], rounds, seed)
+
+
+def test_one_pass_draws_each_chunk_once(monkeypatch):
+    calls = []
+    draw = inc.GenerativeWorld.sample_observations
+
+    def counting(world, rng, rounds, n):
+        calls.append(rounds)
+        return draw(world, rng, rounds, n)
+
+    monkeypatch.setattr(inc.GenerativeWorld, "sample_observations", counting)
+    incentive_estimates(example_scenario(), [ALWAYS_0, FLIP, Deviation("random", 0.5)], CHUNK_ROUNDS + 1, 0)
+    assert calls == [CHUNK_ROUNDS, 1]
+
+
+def test_one_pass_refuses_a_small_alpha_after_payment_and_saving():
+    # the payment and saving run first, so their errors win, as in separate calls
+    small = example_scenario(alpha=F(1, 2))
+    with pytest.raises(AlphaTooSmall):
+        incentive_estimates(small, [ALWAYS_0], 10)
+    assert incentive_estimates(small, [], 10) == inc.IncentiveEstimates(
+        payment_mc(small, 10), saving_mc(small, 10), ())
+    huge_c = IncentiveScenario.from_parameters(n=10, c=F(10) ** 308, alpha=F(1, 2), prior_1=PRIOR, bump=BUMP)
+    with pytest.raises(ValueError, match="overflow"):
+        incentive_estimates(huge_c, [ALWAYS_0], 10)

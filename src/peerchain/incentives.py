@@ -23,6 +23,16 @@ Monte-Carlo rounds run in chunks of CHUNK_ROUNDS seeded by
 SeedSequence([master_seed, stream_tag, chunk_index]), so an estimate depends
 only on (scenario, rounds, master_seed) at that chunk size, and deviation
 gaps share the common random numbers of the world and the peer draws.
+
+A chunk keeps two (rounds x n) arrays: the int8 reports and each agent's
+peer index (uint8 up to n = 256, uint16 above), so 2 bytes per (round,
+agent) up to n = 256 and 3 above.
+Everything else is drawn or scored in row blocks of about BLOCK_CELLS
+(round, agent) cells, or kept as one value per round.  Consecutive blocks
+consume a numpy stream exactly as one whole-chunk call would, and each
+round's score is summed within its row, so estimates do not depend on the
+block size.  The simulated population is capped at MAX_MC_AGENTS, where a
+chunk keeps about 300 MB; the closed forms take any n.
 """
 
 from __future__ import annotations
@@ -42,6 +52,8 @@ import numpy as np
 from .errors import AlphaTooSmall, DegeneratePrior, NonPositiveBeta, NoSolution, PeerchainError
 
 CHUNK_ROUNDS = 100_000
+BLOCK_CELLS = 1 << 16
+MAX_MC_AGENTS = 1_000
 _TAG_WORLD, _TAG_PEERS, _TAG_DEVIATION = 1, 2, 3
 
 
@@ -113,6 +125,18 @@ def max_saving(p1) -> Fraction:
 # generative world
 # ---------------------------------------------------------------------------
 
+def _block_rows(n: int) -> int:
+    """Rows of one row block of a (rounds, n) array: about BLOCK_CELLS cells."""
+    return max(1, BLOCK_CELLS // n)
+
+
+def _row_blocks(rounds: int, n: int):
+    """(start, stop) of each row block of a (rounds, n) array."""
+    step = _block_rows(n)
+    for start in range(0, rounds, step):
+        yield start, min(start + step, rounds)
+
+
 @dataclass(frozen=True)
 class GenerativeWorld:
     """Symmetric two-state mixture: state H with weight w emits 1 with
@@ -132,15 +156,15 @@ class GenerativeWorld:
     def prior_1(self) -> float:
         return self.w * self.h + (1 - self.w) * self.l
 
-    def post_1_given_1(self) -> float:
-        p1 = self.prior_1()
-        return (self.w * self.h**2 + (1 - self.w) * self.l**2) / p1
-
     def sample_observations(self, rng: np.random.Generator, rounds: int, n: int) -> np.ndarray:
-        """(rounds, n) int8 matrix of observations, one latent state per row."""
+        """(rounds, n) int8 matrix of observations, one latent state per row,
+        filled from the same uniforms as one (rounds, n) draw, a row block at a time."""
         high = rng.random(rounds) < self.w
         emit = np.where(high, self.h, self.l)
-        return (rng.random((rounds, n)) < emit[:, None]).view(np.int8)
+        x = np.empty((rounds, n), dtype=np.int8)
+        for s, e in _row_blocks(rounds, n):
+            np.less(rng.random((e - s, n)), emit[s:e, None], out=x[s:e].view(np.bool_))
+        return x
 
 
 def calibrate_world(prior_1, post_1_given_1) -> GenerativeWorld:
@@ -313,23 +337,38 @@ def _chunk_rng(master_seed: int, tag: int, chunk: int) -> np.random.Generator:
 
 
 class _Chunk:
-    """One chunk's reports x (rounds x n) and peer draws, drawn once for all
-    the per-round statistics of a pass, which share what they build from them."""
+    """One chunk's reports x (rounds x n, int8) and peer indices (rounds x n,
+    the smallest unsigned type that holds n - 1), drawn once for all the
+    per-round statistics of a pass, which share what they build from them.
+
+    Those two arrays are all the chunk keeps per (round, agent): 2 bytes up
+    to n = 256 and 3 above, about 300 MB for a whole chunk at MAX_MC_AGENTS.
+    The peers are drawn and the population scores summed one row block of
+    about BLOCK_CELLS cells at a time; every other statistic is a vector of
+    one value per round.
+    """
 
     def __init__(self, scenario: IncentiveScenario, master_seed: int, index: int, size: int):
         self.n, self.alpha, self.c = scenario.n, float(scenario.alpha), float(scenario.c)
+        n = self.n
         self.r1 = scenario.world.prior_1()
         self.master_seed, self.index = master_seed, index
-        self.x = scenario.world.sample_observations(_chunk_rng(master_seed, _TAG_WORLD, index), size, self.n)
+        self.x = scenario.world.sample_observations(_chunk_rng(master_seed, _TAG_WORLD, index), size, n)
         self.x0 = self.x[:, 0]
         # draw j picks agent j's peer from the other n - 1 agents: a draw >= j is one agent up
         peer_rng = _chunk_rng(master_seed, _TAG_PEERS, index)
-        self.draws = peer_rng.integers(0, self.n - 1, size=(size, self.n), dtype=np.int32)
-        self.row_starts = np.arange(0, size * self.n, self.n)
+        agents = np.arange(n, dtype=np.int32)
+        self.peers = np.empty((size, n), dtype=np.min_scalar_type(n - 1))
+        for s, e in _row_blocks(size, n):
+            draws = peer_rng.integers(0, n - 1, size=(e - s, n), dtype=np.int32)
+            self.peers[s:e] = draws + (draws >= agents)
 
     @cached_property
     def zeros(self) -> np.ndarray:
-        return (self.x == 0).sum(axis=1)
+        zeros = np.full(len(self.x), self.n, dtype=np.int32)
+        for column in self.x.T:
+            zeros -= column
+        return zeros
 
     @cached_property
     def score_sums(self) -> np.ndarray:
@@ -342,17 +381,21 @@ class _Chunk:
         peer on the shared question, where answers are correlated; that gap
         is the whole PTSC incentive.
         """
-        peers = self.draws + (self.draws >= np.arange(self.n, dtype=np.int32))
-        peer_x = self.x.ravel().take(peers + self.row_starts[:, None])
         r0, r1 = 1.0 - self.r1, self.r1
         # indexed by 2 * own report + peer's report
         score = np.array([1.0 / r0 - 1.0, 0.0 / r0 - 1.0, 0.0 / r1 - 1.0, 1.0 / r1 - 1.0])
-        return score[2 * self.x + peer_x].sum(axis=1)
+        sums = np.empty(len(self.x))
+        row_starts = np.arange(0, _block_rows(self.n) * self.n, self.n)[:, None]
+        for s, e in _row_blocks(len(self.x), self.n):
+            x = self.x[s:e]
+            peer_x = x.ravel().take(self.peers[s:e] + row_starts[:e - s])
+            score[2 * x + peer_x].sum(axis=1, out=sums[s:e])
+        return sums
 
     @cached_property
     def peer0(self) -> np.ndarray:
         """Agent 0's peer's reports, which agent 0's deviation cannot move."""
-        return self.x.ravel().take(self.row_starts + self.draws[:, 0] + 1)
+        return self.x[np.arange(len(self.x)), self.peers[:, 0]]
 
     def utility0(self, y: np.ndarray, zeros: np.ndarray) -> np.ndarray:
         """Agent 0's scaled score and refund for reports y, with ``zeros`` 0 reports a round."""
@@ -387,8 +430,9 @@ class _Chunk:
         return self.truthful0 - self.utility0(y, self.zeros - (x0 == 0) + (y == 0))
 
 
-def _require_mc_inputs(rounds: object, master_seed: object) -> None:
-    """Raise ValueError unless rounds >= 1 and master_seed >= 0 are ints (a bool is not)."""
+def _require_mc_inputs(n: int, rounds: object, master_seed: object) -> None:
+    """Raise ValueError unless rounds >= 1 and master_seed >= 0 are ints (a bool
+    is not) and the population n is at most MAX_MC_AGENTS."""
     for name, value in (("rounds", rounds), ("master_seed", master_seed)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")
@@ -396,6 +440,8 @@ def _require_mc_inputs(rounds: object, master_seed: object) -> None:
         raise ValueError(f"Monte-Carlo estimates need at least one round, got {rounds}")
     if master_seed < 0:
         raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
+    if n > MAX_MC_AGENTS:
+        raise ValueError(f"Monte-Carlo estimates simulate at most {MAX_MC_AGENTS} agents, got n = {n}")
 
 
 def _mc_loop(scenario, rounds, master_seed, stats) -> list[MCEstimate]:
@@ -403,7 +449,7 @@ def _mc_loop(scenario, rounds, master_seed, stats) -> list[MCEstimate]:
     on one chunked simulation.  A statistic that needs random numbers of its
     own opens the chunk's deviation stream afresh, so an estimate is the same
     alone or beside others, and the estimates of one pass share the draws."""
-    _require_mc_inputs(rounds, master_seed)
+    _require_mc_inputs(scenario.n, rounds, master_seed)
     sums = [[0.0, 0.0] for _ in stats]
     total = 0
     chunk_index = 0

@@ -228,6 +228,20 @@ def test_incentives_rejects_impossible_scenarios(tmp_path, capsys, scenario):
     assert not (tmp_path / "inc").exists()
 
 
+def test_incentives_refuses_a_population_beyond_the_monte_carlo_cap(tmp_path, capsys, monkeypatch):
+    # a (rounds, n) chunk at n = 10**7 would ask numpy for terabytes
+    draws = []
+    monkeypatch.setattr(inc.GenerativeWorld, "sample_observations", lambda *args: draws.append(args))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"n": 10**7, "prior": "19/20", "bump": "0.01"}))
+    out = tmp_path / "inc"
+    assert run(["incentives", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: Monte-Carlo estimates simulate at most {inc.MAX_MC_AGENTS} agents, got n = 10000000" in err
+    assert "Traceback" not in err
+    assert draws == [] and not out.exists()
+
+
 @pytest.mark.parametrize("scenarios, named", [
     ({"n": 10}, "scenario #1 lacks the key(s) 'prior', 'bump'"),
     ([{"scenario_id": "ok", "n": 3, "prior": "0.9", "bump": "0.05"},

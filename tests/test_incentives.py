@@ -1,5 +1,6 @@
 """Belief formulas, world calibration, and Monte-Carlo equilibrium checks."""
 
+import tracemalloc
 from fractions import Fraction as F
 from math import sqrt
 
@@ -15,6 +16,7 @@ from peerchain.incentives import (
     ALWAYS_1,
     CHUNK_ROUNDS,
     FLIP,
+    MAX_MC_AGENTS,
     TRUTHFUL,
     BeliefModel,
     Deviation,
@@ -88,10 +90,15 @@ def test_saving_lower_bound_formula():
     assert saving_lower_bound(sc) == F(399, 400) - F(1, 2)
 
 
+def posterior(world):
+    """P(x_p=1|x_i=1) of a calibrated world: two draws from one latent state."""
+    return (world.w * world.h**2 + (1 - world.w) * world.l**2) / world.prior_1()
+
+
 def test_world_calibration():
     world = calibrate_world(0.95, 0.96)
     assert abs(world.prior_1() - 0.95) < 1e-9
-    assert abs(world.post_1_given_1() - 0.96) < 1e-9
+    assert abs(posterior(world) - 0.96) < 1e-9
     assert 0.5 < world.h < 1 and 0 < world.w < 1
     # empirical check of the conditional structure
     rng = np.random.default_rng(1)
@@ -105,7 +112,7 @@ def test_world_calibration():
 def test_world_calibration_residuals_are_at_float_precision(prior_1, post_1_given_1):
     world = calibrate_world(prior_1, post_1_given_1)
     assert abs(world.prior_1() - prior_1) < 1e-15
-    assert abs(world.post_1_given_1() - post_1_given_1) < 1e-15
+    assert abs(posterior(world) - post_1_given_1) < 1e-15
 
 
 def test_world_calibration_infeasible_cases():
@@ -129,7 +136,7 @@ def test_world_is_calibrated_once_per_scenario(monkeypatch):
     assert calls == []
     sc = example_scenario()
     assert calls == [(PRIOR, PRIOR + BUMP)]
-    assert abs(sc.world.post_1_given_1() - 0.96) < 1e-9
+    assert abs(posterior(sc.world) - 0.96) < 1e-9
 
 
 def test_scenario_construction_and_auto_alpha():
@@ -358,10 +365,7 @@ def scenarios(draw):
         alpha=draw(st.sampled_from(["auto", "auto*1.01", "auto*7"])), prior_1=prior, bump=bump)
 
 
-@pytest.mark.parametrize("rounds", [1, 7, CHUNK_ROUNDS, CHUNK_ROUNDS + 1])
-@settings(derandomize=True, database=None, max_examples=6, deadline=None)
-@given(sc=scenarios(), seed=st.integers(0, 2**64 - 1), p=st.floats(0, 1))
-def test_estimates_equal_the_whole_population_reference(rounds, sc, seed, p):
+def _assert_equal_to_the_reference(sc, rounds, seed, p):
     deviations = [TRUTHFUL, ALWAYS_0, ALWAYS_1, FLIP,
                   Deviation("random", 0), Deviation("random", 1), Deviation("random", p)]
     payment = _ref_payment(sc, rounds, seed)
@@ -377,6 +381,61 @@ def test_estimates_equal_the_whole_population_reference(rounds, sc, seed, p):
             == _ref_gap(off, ALWAYS_0, rounds, seed))
     with pytest.raises(AlphaTooSmall):
         incentive_estimates(off, [ALWAYS_0], rounds, seed)
+
+
+@pytest.mark.parametrize("rounds", [
+    1, 7,
+    # one row short of a whole row block, and one row into the second
+    pytest.param(lambda n: inc._block_rows(n) - 1, id="block-1"),
+    pytest.param(lambda n: inc._block_rows(n) + 1, id="block+1"),
+    CHUNK_ROUNDS, CHUNK_ROUNDS + 1,
+])
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(sc=scenarios(), seed=st.integers(0, 2**64 - 1), p=st.floats(0, 1))
+def test_estimates_equal_the_whole_population_reference(rounds, sc, seed, p):
+    _assert_equal_to_the_reference(sc, rounds(sc.n) if callable(rounds) else rounds, seed, p)
+
+
+def test_estimates_equal_the_whole_population_reference_with_wide_peer_indices():
+    sc = example_scenario(n=300)
+    assert inc._Chunk(sc, 0, 0, 1).peers.dtype == np.uint16
+    # three row blocks, the last of one row
+    _assert_equal_to_the_reference(sc, 2 * inc._block_rows(sc.n) + 1, 2**64 - 1, 0.3)
+
+
+@pytest.mark.parametrize("estimate", [
+    payment_mc,
+    saving_mc,
+    lambda sc, rounds: equilibrium_check(sc, Deviation("random", 0.5), rounds),
+    lambda sc, rounds: incentive_estimates(sc, [ALWAYS_0, ALWAYS_1, FLIP, Deviation("random", 0.5)], rounds),
+], ids=["payment_mc", "saving_mc", "equilibrium_check", "incentive_estimates"])
+def test_a_chunk_peaks_below_ten_bytes_per_round_and_agent(estimate):
+    # a chunk keeps 2 bytes per (round, agent); whole-chunk temporaries
+    # (float64 uniforms and scores, int64 gather indices) would add 8 each
+    sc = example_scenario()
+    tracemalloc.start()
+    try:
+        estimate(sc, rounds=CHUNK_ROUNDS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (CHUNK_ROUNDS * sc.n) < 10
+
+
+def test_mc_population_is_capped_before_any_draw(monkeypatch):
+    assert payment_mc(example_scenario(n=MAX_MC_AGENTS), rounds=1).rounds == 1
+    draws = []
+    monkeypatch.setattr(inc.GenerativeWorld, "sample_observations", lambda *args: draws.append(args))
+    big = example_scenario(n=MAX_MC_AGENTS + 1)
+    for estimate in (payment_mc, saving_mc, lambda sc, rounds: equilibrium_check(sc, ALWAYS_0, rounds),
+                     lambda sc, rounds: incentive_estimates(sc, [ALWAYS_0], rounds)):
+        with pytest.raises(ValueError, match=f"at most {MAX_MC_AGENTS} agents, got n = {MAX_MC_AGENTS + 1}"):
+            estimate(big, rounds=1)
+    assert draws == []
+    # the closed forms take any population
+    huge = example_scenario(n=10**7)
+    assert 0 < huge.bound() < big.bound()
+    assert saving_lower_bound(huge) == max_saving(PRIOR) - huge.alpha
 
 
 def test_one_pass_draws_each_chunk_once(monkeypatch):

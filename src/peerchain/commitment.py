@@ -24,7 +24,6 @@ The digest is keccak256 over those 22 bytes.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 
 from .errors import DuplicateAnswer, TooManyAnswers, UnknownQuestion
@@ -47,11 +46,6 @@ class SecretKey:
     def __post_init__(self):
         if not 0 <= self.value < (1 << KEY_BITS):
             raise ValueError(f"secret key must fit in {KEY_BITS} bits")
-
-    @classmethod
-    def generate(cls) -> "SecretKey":
-        """Fresh key from the OS entropy source."""
-        return cls(secrets.randbits(KEY_BITS))
 
     @classmethod
     def from_rng(cls, rng) -> "SecretKey":

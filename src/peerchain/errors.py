@@ -1,9 +1,17 @@
 """Domain errors shared across the protocol modules.
 
 Every error the CLI maps to exit code 1 derives from ``PeerchainError``.
+``require_ints`` is the one check that a count, index or seed is an int.
 """
 
 from __future__ import annotations
+
+
+def require_ints(**values: object) -> None:
+    """Raise ValueError for the first value that is not an int (a bool is not)."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name} must be an int, got {v!r}")
 
 
 class PeerchainError(Exception):

@@ -200,7 +200,9 @@ def charge_settlement_compute(
 ) -> int:
     """Charge the reward-computation pattern documented in the module
     docstring to the requester's settle phase.  Returns the gas added."""
-    from .mechanisms import AllPeers, Mechanism, peer_visits
+    from .mechanisms import AllPeers, Mechanism, peer_visits, require_scoring
+
+    require_scoring(mechanism, peer_mode)  # before the first charge
 
     def charge(op_kind: str, words: int) -> None:
         gas.charge("settle", GasLedger.REQUESTER, op_kind, words)
@@ -277,7 +279,7 @@ def charge_settlement_compute(
             charge("comparison_op", visits + cells)
             charge("arithmetic_op", 2 * visits)
 
-    elif mechanism is Mechanism.DG:
+    else:  # DG
         if optimized:
             charge("comparison_op", pair_scan)
             charge("memory_word", pair_scan + 4 * n_pairs)
@@ -293,8 +295,6 @@ def charge_settlement_compute(
             charge("storage_read_word", visits + cells)
             charge("comparison_op", visits)
             charge("arithmetic_op", 2 * visits + 2 * cells)
-    else:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
 
     # per-agent averaging
     charge("arithmetic_op", 2 * n_agents)

@@ -49,7 +49,7 @@ from operator import methodcaller
 
 import numpy as np
 
-from .errors import AlphaTooSmall, DegeneratePrior, NonPositiveBeta, NoSolution, PeerchainError
+from .errors import AlphaTooSmall, DegeneratePrior, NonPositiveBeta, NoSolution, PeerchainError, require_ints
 
 CHUNK_ROUNDS = 100_000
 BLOCK_CELLS = 1 << 16
@@ -433,9 +433,7 @@ class _Chunk:
 def _require_mc_inputs(n: int, rounds: object, master_seed: object) -> None:
     """Raise ValueError unless rounds >= 1 and master_seed >= 0 are ints (a bool
     is not) and the population n is at most MAX_MC_AGENTS."""
-    for name, value in (("rounds", rounds), ("master_seed", master_seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    require_ints(rounds=rounds, master_seed=master_seed)
     if rounds < 1:
         raise ValueError(f"Monte-Carlo estimates need at least one round, got {rounds}")
     if master_seed < 0:

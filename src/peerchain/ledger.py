@@ -49,6 +49,7 @@ from .errors import (
     UnregisteredAgent,
     WrongPhase,
     ZeroBudget,
+    require_ints,
 )
 from .gas_model import DEFAULT_GAS_TABLE, GasLedger, GasTable, charge_settlement_compute
 from .mechanisms import (
@@ -60,6 +61,7 @@ from .mechanisms import (
     RewardReport,
     SampledPeers,
     compute_rewards,
+    require_scoring,
 )
 from .peer_selection import SelectionSeed
 
@@ -83,12 +85,6 @@ def format_decimal(x: Fraction | int, sig: int = 12) -> str:
         ctx.prec = sig
         d = Decimal(x.numerator) / Decimal(x.denominator)
     return str(d)
-
-
-def _require_ints(**values) -> None:
-    for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{name} must be an int, got {v!r}")
 
 
 def _peer_mode_payload(mode: PeerMode) -> dict:
@@ -127,10 +123,13 @@ class LedgerConfig:
     optimized: bool = True  # the settlement gas pattern; rewards do not depend on it
 
     def __post_init__(self):
-        _require_ints(
+        require_ints(
             batch_size=self.batch_size, scale=self.scale, selection_blocks=self.selection_blocks,
             commit_blocks=self.commit_blocks, reveal_blocks=self.reveal_blocks,
         )
+        require_scoring(self.mechanism, self.peer_mode)
+        if not isinstance(self.gas_table, GasTable):
+            raise ValueError(f"gas_table must be a GasTable, got {self.gas_table!r}")
         if not isinstance(self.optimized, bool):
             raise ValueError(f"optimized must be a bool, got {self.optimized!r}")
         if not 1 <= self.batch_size <= cmt.MAX_ANSWERS:
@@ -178,7 +177,7 @@ class LedgerConfig:
         alpha = payload["alpha"]
         if not isinstance(alpha, list) or len(alpha) != 2 or alpha[1] == 0:
             raise ValueError(f"alpha must be [numerator, nonzero denominator], got {alpha!r}")
-        _require_ints(alpha_numerator=alpha[0], alpha_denominator=alpha[1])
+        require_ints(alpha_numerator=alpha[0], alpha_denominator=alpha[1])
         return cls(
             mechanism=Mechanism(payload["mechanism"]),
             alpha=Fraction(*alpha),
@@ -285,7 +284,8 @@ class Ledger:
         Each deadline crossed is entered at its own block, so the next
         window is measured from there, as if the blocks came one by one.
         """
-        if not isinstance(blocks, int) or blocks < 1:
+        require_ints(blocks=blocks)
+        if blocks < 1:
             raise ValueError("tick must advance a positive integer number of blocks")
         self._record("tick", self.CHAIN, {"blocks": blocks})
         target = self.block + blocks
@@ -309,7 +309,7 @@ class Ledger:
 
     def post_questions(self, questions, budget: int, requester_deposit: int = 0) -> None:
         self._require_phase(Phase.POSTING)
-        _require_ints(budget=budget, requester_deposit=requester_deposit)
+        require_ints(budget=budget, requester_deposit=requester_deposit)
         questions = tuple(questions)
         if not questions or len(set(questions)) != len(questions):
             raise ValueError("questions must be a nonempty unique sequence")
@@ -332,7 +332,7 @@ class Ledger:
 
     def select_questions(self, agent: str, question_ids, deposit: int = 0) -> None:
         self._require_phase(Phase.SELECTION)
-        _require_ints(deposit=deposit)
+        require_ints(deposit=deposit)
         if agent in self.batches:
             raise ValueError(f"agent {agent!r} already registered")
         if agent == self.REQUESTER or agent == self.CHAIN:
@@ -370,7 +370,7 @@ class Ledger:
 
     def submit_commitment(self, agent: str, batch: int, commitment_: cmt.Commitment) -> None:
         self._require_phase(Phase.COMMIT)
-        _require_ints(batch=batch)
+        require_ints(batch=batch)
         batches = self.agent_batches(agent)
         if not 0 <= batch < len(batches):
             raise ValueError(f"agent {agent!r} has {len(batches)} batches, got index {batch}")
@@ -394,7 +394,7 @@ class Ledger:
         its gas and changes nothing else.
         """
         self._require_phase(Phase.REVEAL)
-        _require_ints(batch=batch, message=message, key_value=key_value)
+        require_ints(batch=batch, message=message, key_value=key_value)
         batches = self.agent_batches(agent)
         commitment_ = self.commitments.get((agent, batch))
         if commitment_ is None:

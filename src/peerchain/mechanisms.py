@@ -12,10 +12,14 @@ Three mechanisms are implemented:
   the relative frequency of answer y among all answers except agent i's
   own, across all questions; 0 whenever R_i(y) = 0.
 
-Every mechanism has an optimized path that precomputes intermediary
-values and a naive path that rederives everything from scratch at each
-use.  Both produce bitwise-identical exact rationals; the naive path is
-the reference oracle and the baseline for cost accounting.
+Two paths score every mechanism: ``compute_rewards``, one kernel that
+reads precomputed intermediary values, and ``rewards_naive``, which
+rederives everything from scratch at each use.  Both make the same input
+checks (``_require_inputs``; a mechanism must be a ``Mechanism`` and a
+peer mode an ``AllPeers`` or a ``SampledPeers``, else ``ValueError``) and
+return equal ``RewardReport``s: rewards, ``r_min`` and scaling as
+bitwise-identical exact rationals.  The naive path is the reference
+oracle and the baseline for cost accounting.
 
 ``AnswerMatrix`` turns answers into numbers once, as 0/1 arrays and their
 per-question sums that the kernels, the gas model and the DG validity
@@ -34,18 +38,20 @@ list with the agent sliced out and a substream seed from one numpy pass
 reference that the naive path uses; a test holds ``PeerVisits`` equal to
 it.  The gas model prices the same ``PeerVisits``.
 
-The optimized paths are exact integer kernels that read only
-``PeerVisits`` and the matrix's counts.  Each agent's reward is a sum of
+The optimized path is one exact integer kernel that reads only
+``PeerVisits`` and the matrix's counts.  It makes one ``peer_visits`` call
+and one pass over each agent's cells.  Each agent's reward is a sum of
 rationals whose numerators are summed as integers per denominator and
 turned into one ``Fraction`` per agent at the end; array counts enter that
-arithmetic only as Python ints.  PTSC's R_i(y) comes from the per-agent
-row sums.  The DG penalty of a pair, (a0*b0 + a1*b1) / (|ex_i| * |ex_p|),
-depends only on 0/1 counts over the two agents' exclusive questions, so
-``PairCounts`` derives every pair's numerator and denominator from
-products of the matrix's 0/1 arrays, and a pair's penalty is weighted by
-how many of the agent's cells of each peer count score it, so no peer is
-visited one by one.  Conversion to integer units happens only at ledger
-settlement.
+arithmetic only as Python ints.  OA and DG add a cell's matches under its
+peer count; PTSC adds its term under n times the count behind R_i(y),
+which comes from the per-agent row sums.  The DG penalty of a pair,
+(a0*b0 + a1*b1) / (|ex_i| * |ex_p|), depends only on 0/1 counts over the
+two agents' exclusive questions, so ``PairCounts`` derives every pair's
+numerator and denominator from products of the matrix's 0/1 arrays, and
+a pair's penalty is weighted by how many of the agent's cells of each
+peer count score it, so no peer is visited one by one.  Conversion to
+integer units happens only at ledger settlement.
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import EmptyMatrix, NoNonCommonQuestions
-from .peer_selection import SeedLike, cell_seeds, cell_stream, require_k, require_seed, sample_peers
+from .errors import EmptyMatrix, NoNonCommonQuestions, require_ints
+from .peer_selection import SeedLike, cell_seeds, cell_stream, require_seed, sample_peers
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -86,7 +92,7 @@ class SampledPeers:
     seed: SeedLike
 
     def __post_init__(self):
-        require_k(self.k)
+        require_ints(k=self.k)
         require_seed(self.seed)
         if self.k < 1:
             raise ValueError("k must be at least 1")
@@ -164,7 +170,7 @@ class AnswerMatrix:
     @cached_property
     def pair_counts(self) -> "PairCounts":
         """The matrix's ``PairCounts``, built on first use and kept for every
-        later reader (the DG kernel, ``sim.assert_dg_valid``)."""
+        later reader (``compute_rewards`` scoring DG, ``sim.assert_dg_valid``)."""
         return PairCounts(self.answered, self.ones)
 
 
@@ -190,9 +196,26 @@ class RewardReport:
                 raise AssertionError(f"{self.mechanism.value} reward {r} for {agent} out of range")
 
 
-def _require_answers(matrix: AnswerMatrix) -> None:
+def require_scoring(mechanism: object, peer_mode: object) -> None:
+    """Raise ValueError unless ``mechanism`` is a ``Mechanism`` and
+    ``peer_mode`` an ``AllPeers`` or a ``SampledPeers``; a string such as
+    "dg" is not taken for a mechanism."""
+    if not isinstance(mechanism, Mechanism):
+        raise ValueError(f"mechanism must be a Mechanism, got {mechanism!r}")
+    if not isinstance(peer_mode, (AllPeers, SampledPeers)):
+        raise ValueError(f"peer_mode must be AllPeers or SampledPeers, got {peer_mode!r}")
+
+
+def _require_inputs(matrix: AnswerMatrix, mechanism: object, alpha: Fraction | int, peer_mode: object) -> Fraction:
+    """The checks both reward paths make, in one order; returns alpha as a
+    Fraction."""
+    require_scoring(mechanism, peer_mode)
+    alpha = Fraction(alpha)
+    if mechanism is Mechanism.PTSC and alpha <= 0:
+        raise ValueError("alpha must be strictly positive")
     if matrix.total_answers == 0:
         raise EmptyMatrix("matrix holds no answers")
+    return alpha
 
 
 def peers_for_cell(matrix: AnswerMatrix, agent: str, q: str, peer_mode: PeerMode) -> list[str]:
@@ -335,96 +358,9 @@ def _require_exclusive_questions(matrix: AnswerMatrix, peer_mode: PeerMode, visi
 
 
 # ---------------------------------------------------------------------------
-# optimized paths: integer numerators summed per denominator, one Fraction
+# optimized path: integer numerators summed per denominator, one Fraction
 # per agent
 # ---------------------------------------------------------------------------
-
-def _agreement(visits: PeerVisits) -> tuple[list[defaultdict], list[int]]:
-    """Every agent's matches summed per peer count, and its scored cells."""
-    sums = []
-    for ns, ms in zip(visits.peers.tolist(), visits.matches.tolist()):
-        acc = defaultdict(int)
-        for n, m in zip(ns, ms):
-            if n:
-                acc[n] += m
-        sums.append(acc)
-    return sums, np.count_nonzero(visits.peers, axis=1).tolist()
-
-
-def oa_rewards(matrix: AnswerMatrix, peer_mode: PeerMode = ALL_PEERS) -> RewardReport:
-    """Output agreement: mean over peers of the match indicator, then over questions.
-
-    Questions where the agent has no peer are excluded from her average;
-    an agent with no scoreable question gets reward 0.
-    """
-    _require_answers(matrix)
-    visits = peer_visits(matrix, peer_mode)
-    rewards = {}
-    for agent, sums, count in zip(matrix.agents, *_agreement(visits)):
-        rewards[agent] = _exact_mean(sums, count)
-    return RewardReport(rewards, Mechanism.OA, ONE, peer_mode)
-
-
-def dg_rewards(matrix: AnswerMatrix, peer_mode: PeerMode = ALL_PEERS) -> RewardReport:
-    """Dasgupta-Ghosh: per-peer score = match on the shared question minus
-    the pair's mean agreement over non-common question pairs.
-
-    A cell with n peers adds matches/n and takes penalty/n per peer, so
-    pair (i, p) is penalised once per cell of i that scores p, weighted by
-    the count of those cells per peer count.
-    """
-    _require_answers(matrix)
-    visits = peer_visits(matrix, peer_mode)
-    _require_exclusive_questions(matrix, peer_mode, visits)
-    num, den = matrix.pair_counts.num.tolist(), matrix.pair_counts.den.tolist()
-    sums, counts = _agreement(visits)
-    for s, visited in visits.by_size.items():
-        rows, cols = np.nonzero(visited)
-        for i, p, w in zip(rows.tolist(), cols.tolist(), visited[rows, cols].tolist()):
-            sums[i][den[i][p] * s] -= num[i][p] * w
-    rewards = {}
-    for agent, acc, count in zip(matrix.agents, sums, counts):
-        rewards[agent] = _exact_mean(acc, count)
-    return RewardReport(rewards, Mechanism.DG, ONE, peer_mode)
-
-
-def ptsc_rewards(
-    matrix: AnswerMatrix,
-    alpha: Fraction | int = 1,
-    peer_mode: PeerMode = ALL_PEERS,
-) -> RewardReport:
-    """Peer truth serum: alpha * (match / R_i(y) - 1), 0 when R_i(y) = 0."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be strictly positive")
-    _require_answers(matrix)
-    visits = peer_visits(matrix, peer_mode)
-    # R_i(y) counts every answer but agent i's own
-    all_ones = int(matrix.ones_per_question.sum())
-    r_min: Fraction | None = None
-    rewards = {}
-    for agent, ys, ns, ms, count, answers, ones in zip(
-        matrix.agents, matrix.ones.tolist(), visits.peers.tolist(), visits.matches.tolist(),
-        np.count_nonzero(visits.peers, axis=1).tolist(),
-        matrix.answered.sum(axis=1).tolist(), matrix.ones.sum(axis=1).tolist(),
-    ):
-        total = matrix.total_answers - answers
-        others = (total - (all_ones - ones), all_ones - ones)
-        sums = defaultdict(int)
-        used = set()
-        for y, n, m in zip(ys, ns, ms):
-            if n and total and others[y]:
-                # (m / n) / R_i(y) - 1 with R_i(y) = others[y] / total
-                d = n * others[y]
-                sums[d] += m * total - d
-                used.add(y)
-        for y in used:
-            r = Fraction(others[y], total)
-            if r_min is None or r < r_min:
-                r_min = r
-        rewards[agent] = _exact_mean(sums, count, alpha)
-    return RewardReport(rewards, Mechanism.PTSC, alpha, peer_mode, r_min=r_min)
-
 
 def compute_rewards(
     matrix: AnswerMatrix,
@@ -432,12 +368,64 @@ def compute_rewards(
     alpha: Fraction | int = 1,
     peer_mode: PeerMode = ALL_PEERS,
 ) -> RewardReport:
-    """Optimized reward computation for any mechanism."""
-    if mechanism is Mechanism.OA:
-        return oa_rewards(matrix, peer_mode)
+    """Optimized reward computation for any mechanism.
+
+    A cell with n peers, m of them agreeing, scores m/n under OA and DG,
+    and under PTSC (m/n) / R_i(y) - 1 = (m*total - d) / d with
+    d = n*others[y], where R_i(y) = others[y] / total; a PTSC cell with
+    R_i(y) = 0 scores 0.  DG then takes penalty/n per peer, so pair
+    (i, p) is penalised once per cell of i that scores p, weighted by the
+    count of those cells per peer count.  Questions where the agent has no
+    peer are left out of its mean; an agent with no scored cell gets 0.
+    """
+    alpha = _require_inputs(matrix, mechanism, alpha, peer_mode)
+    visits = peer_visits(matrix, peer_mode)
+    ptsc = mechanism is Mechanism.PTSC
+    if ptsc:
+        # R_i(y) counts every answer but agent i's own
+        totals = (matrix.total_answers - matrix.answered.sum(axis=1)).tolist()
+        said_one = (int(matrix.ones_per_question.sum()) - matrix.ones.sum(axis=1)).tolist()
+        freqs = [((t - o, o), t) for t, o in zip(totals, said_one)]
+    else:
+        freqs = [((0, 0), 0)] * len(matrix.agents)  # OA and DG read no frequency
+    sums = []
+    for ys, ns, ms, (others, total) in zip(
+        matrix.ones.tolist(), visits.peers.tolist(), visits.matches.tolist(), freqs,
+    ):
+        acc = defaultdict(int)
+        for y, n, m in zip(ys, ns, ms):
+            if not n:
+                continue
+            if not ptsc:
+                acc[n] += m
+            elif others[y]:
+                d = n * others[y]
+                acc[d] += m * total - d
+        sums.append(acc)
+
     if mechanism is Mechanism.DG:
-        return dg_rewards(matrix, peer_mode)
-    return ptsc_rewards(matrix, alpha, peer_mode)
+        _require_exclusive_questions(matrix, peer_mode, visits)
+        num, den = matrix.pair_counts.num.tolist(), matrix.pair_counts.den.tolist()
+        for s, visited in visits.by_size.items():
+            rows, cols = np.nonzero(visited)
+            for i, p, w in zip(rows.tolist(), cols.tolist(), visited[rows, cols].tolist()):
+                sums[i][den[i][p] * s] -= num[i][p] * w
+
+    r_min: Fraction | None = None
+    if ptsc:
+        # the smallest nonzero R_i(y) of an answer y that agent i gave in a scored cell
+        scored = visits.peers > 0
+        gave = [(scored & (matrix.ones == y)).any(axis=1).tolist() for y in (0, 1)]
+        r_min = min(
+            (Fraction(others[y], total)
+             for i, (others, total) in enumerate(freqs)
+             for y in (0, 1) if gave[y][i] and others[y]),
+            default=None,
+        )
+    scale = alpha if ptsc else ONE
+    counts = np.count_nonzero(visits.peers, axis=1).tolist()
+    rewards = {agent: _exact_mean(acc, count, scale) for agent, acc, count in zip(matrix.agents, sums, counts)}
+    return RewardReport(rewards, mechanism, scale, peer_mode, r_min=r_min)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +469,8 @@ def rewards_naive(
     Recounts frequencies, matches and penalties from scratch wherever they
     are needed.  Output is exactly equal to the optimized path.
     """
-    alpha = Fraction(alpha)
-    if mechanism is Mechanism.PTSC and alpha <= 0:
-        raise ValueError("alpha must be strictly positive")
-    _require_answers(matrix)
+    alpha = _require_inputs(matrix, mechanism, alpha, peer_mode)
+    scale = alpha if mechanism is Mechanism.PTSC else ONE
     rewards = {}
     r_min: Fraction | None = None
     for agent in matrix.agents:
@@ -513,12 +499,5 @@ def rewards_naive(
                         for p in peers
                     ]
             contribs.append(_mean(scores))
-        scale = alpha if mechanism is Mechanism.PTSC else ONE
         rewards[agent] = scale * _mean(contribs)
-    return RewardReport(
-        rewards,
-        mechanism,
-        alpha if mechanism is Mechanism.PTSC else ONE,
-        peer_mode,
-        r_min=r_min if mechanism is Mechanism.PTSC else None,
-    )
+    return RewardReport(rewards, mechanism, scale, peer_mode, r_min=r_min)

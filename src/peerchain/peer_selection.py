@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import KTooLarge
+from .errors import KTooLarge, require_ints
 from .keccak import keccak256
 
 _MASK64 = (1 << 64) - 1
@@ -111,12 +111,6 @@ def require_seed(seed: object) -> None:
         raise ValueError(f"seed must be a SelectionSeed, a SplitMix64 or an int, got {seed!r}")
 
 
-def require_k(k: object) -> None:
-    """Raise ValueError unless k is an int (a bool is not)."""
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValueError(f"k must be an int, got {k!r}")
-
-
 def _as_stream(seed: SeedLike) -> SplitMix64:
     if type(seed) is int:  # checked first: `peer_visits` passes one int seed per sampled cell
         return SplitMix64(seed)
@@ -135,7 +129,7 @@ def sample_peers(candidates: Sequence[str], k: int, seed: SeedLike) -> list[str]
     is swapped out by the pool tail.  The modulo bias is below 2^-48 for
     any realistic pool and is accepted.
     """
-    require_k(k)
+    require_ints(k=k)
     size = len(candidates)
     if not 1 <= k <= size:
         raise KTooLarge(f"k={k} outside 1..{size}")

@@ -19,7 +19,6 @@ from peerchain.mechanisms import (
     Mechanism,
     SampledPeers,
     compute_rewards,
-    oa_rewards,
     rewards_naive,
 )
 from peerchain.sim import (
@@ -116,10 +115,10 @@ def test_mechanism_oracle_equivalence():
 
 def test_sampled_peer_unbiasedness():
     matrix = random_matrix(random.Random(7), 5, 5, p_answer=0.8)
-    target = float(sum(oa_rewards(matrix, ALL_PEERS).per_agent_reward.values()))
+    target = float(sum(compute_rewards(matrix, Mechanism.OA, peer_mode=ALL_PEERS).per_agent_reward.values()))
     seeds = 10_000
     totals = [
-        float(sum(oa_rewards(matrix, SampledPeers(1, s)).per_agent_reward.values()))
+        float(sum(compute_rewards(matrix, Mechanism.OA, peer_mode=SampledPeers(1, s)).per_agent_reward.values()))
         for s in range(seeds)
     ]
     mu = mean(totals)

@@ -119,6 +119,16 @@ def test_settlement_compute_orderings(desk_truth):
     assert sampled == DESK_SAMPLED_SETTLE_GAS[("dg", 1, True)] < g[("dg", True)]
 
 
+@pytest.mark.parametrize("mechanism, peer_mode", [
+    ("dg", ALL_PEERS), (None, SampledPeers(1, 0)), (Mechanism.OA, 5), (Mechanism.DG, None),
+], ids=["mechanism-dg-string", "mechanism-none", "peer-mode-int", "peer-mode-none"])
+def test_settlement_compute_checks_inputs_before_charging(desk_truth, mechanism, peer_mode):
+    gas = GasLedger(DEFAULT_GAS_TABLE)
+    with pytest.raises(ValueError, match="must be"):
+        charge_settlement_compute(gas, desk_truth, mechanism, peer_mode)
+    assert gas.report_rows() == []
+
+
 def test_settlement_compute_monotone_in_matrix_size(desk_truth):
     from conftest import random_matrix
     import random

@@ -78,6 +78,20 @@ def test_config_validation_and_min_deposits():
     assert LedgerConfig(mechanism=Mechanism.PTSC, alpha=F(1, 3)).min_agent_deposit == 333333334
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(mechanism="dg"), "mechanism must be a Mechanism"),
+    (dict(mechanism="oa"), "mechanism must be a Mechanism"),
+    (dict(peer_mode=None), "peer_mode must be"),
+    (dict(peer_mode=5), "peer_mode must be"),
+    (dict(gas_table={}), "gas_table must be a GasTable"),
+    (dict(gas_table=None), "gas_table must be a GasTable"),
+], ids=["mechanism-dg-string", "mechanism-oa-string", "peer-mode-none", "peer-mode-int",
+        "gas-table-dict", "gas-table-none"])
+def test_config_rejects_bad_mechanism_peer_mode_and_gas_table(bad, message):
+    with pytest.raises(ValueError, match=message):
+        Ledger(LedgerConfig(**bad))
+
+
 def test_config_alpha_must_be_exact():
     cfg = LedgerConfig(mechanism=Mechanism.PTSC, alpha=2)
     assert type(cfg.alpha) is F and cfg.alpha == 2
@@ -401,8 +415,9 @@ def _line_of(dump, event_type):
     (lambda d: _with_line(d, _line_of(d, "tick"), d.splitlines()[_line_of(d, "tick") - 1] + "zz"), "tick"),
     (lambda d: _with_line(d, _line_of(d, "tick"), "0,tick,chain," + b"\xff\xfe{".hex()), "tick"),
     (lambda d: _with_line(d, _line_of(d, "tick"), "0,tick,chain," + b"{blocks: 1}".hex()), "tick"),
+    (lambda d: _with_payload(d, _line_of(d, "tick"), blocks=True), "tick"),
 ], ids=["post-budget-float", "genesis-batch-size-float", "three-fields", "one-field", "non-hex-payload",
-        "payload-not-utf8", "payload-not-json"])
+        "payload-not-utf8", "payload-not-json", "tick-blocks-bool"])
 def test_load_names_the_line_of_every_value_error(tamper, event_type):
     ledger = _oa_round()
     ledger.settle()
@@ -617,7 +632,9 @@ def test_tick_is_constant_time_and_takes_only_whole_blocks():
     ledger.tick(10**12)
     assert ledger.block == 10**12 and ledger.phase is Phase.REVEAL
     events = list(ledger.events)
-    for bad in (1.5, "2", None):
+    # True is an int to Python; taken as one block it would write
+    # {"blocks":true} into the public log
+    for bad in (1.5, "2", None, True):
         with pytest.raises(ValueError):
             ledger.tick(bad)
     assert ledger.events == events

@@ -7,6 +7,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from peerchain import mechanisms
 from peerchain.errors import EmptyMatrix, NoNonCommonQuestions
@@ -471,6 +474,72 @@ def test_rewards_are_exact_python_ints():
                         values.append(report.r_min)
                     for r in values:
                         assert type(r.numerator) is int and type(r.denominator) is int, (mech, mode)
+
+
+@st.composite
+def scoring_cases(draw):
+    """A random sparse or skip-one matrix, a mechanism, an alpha and a peer
+    mode: all peers, or k from 1 to one past the largest pool with the
+    smallest or the largest 64-bit seed."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 7))
+        bits = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+        agents, questions = [f"a{i}" for i in range(n)], [f"q{j}" for j in range(n)]
+        cells = {(agents[i], questions[j]): bits[i * n + j] for i in range(n) for j in range(n) if i != j}
+    else:
+        n, n_q = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        slots = draw(st.lists(st.sampled_from((None, 0, 1)), min_size=n * n_q, max_size=n * n_q))
+        agents, questions = [f"a{i}" for i in range(n)], [f"q{j}" for j in range(n_q)]
+        cells = {(agents[i], questions[j]): slots[i * n_q + j]
+                 for i in range(n) for j in range(n_q) if slots[i * n_q + j] is not None}
+    mode = draw(st.one_of(
+        st.just(ALL_PEERS),
+        st.builds(SampledPeers, st.integers(1, n), st.sampled_from((0, 2**64 - 1))),
+    ))
+    mechanism = draw(st.sampled_from(Mechanism))
+    alpha = draw(st.sampled_from((1, F(3, 2), F(1, 7))))
+    return AnswerMatrix(agents, questions, cells), mechanism, alpha, mode
+
+
+def _report_or_error(computer, m, mechanism, alpha, mode):
+    """The whole report, or the error's type and, for NoNonCommonQuestions,
+    the (agent, peer) it names."""
+    try:
+        return computer(m, mechanism, alpha=alpha, peer_mode=mode)
+    except (EmptyMatrix, NoNonCommonQuestions) as e:
+        return type(e), getattr(e, "agent", None), getattr(e, "peer", None)
+
+
+def test_optimized_report_equals_naive_report(tmp_path):
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(scoring_cases())
+    def check(case):
+        m, mechanism, alpha, mode = case
+        naive = _report_or_error(rewards_naive, m, mechanism, alpha, mode)
+        # rewards, r_min, scaling, mechanism and peer mode, or the same error
+        assert _report_or_error(compute_rewards, m, mechanism, alpha, mode) == naive
+
+    # keep Hypothesis' constants cache out of the working tree
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+@pytest.mark.parametrize("computer", [compute_rewards, rewards_naive])
+@pytest.mark.parametrize("mechanism, peer_mode, message", [
+    ("dg", ALL_PEERS, "mechanism must be a Mechanism"),
+    ("oa", SampledPeers(1, 3), "mechanism must be a Mechanism"),
+    (None, ALL_PEERS, "mechanism must be a Mechanism"),
+    (Mechanism.OA, 5, "peer_mode must be"),
+    (Mechanism.DG, None, "peer_mode must be"),
+    (Mechanism.PTSC, "all", "peer_mode must be"),
+], ids=["mechanism-dg-string", "mechanism-oa-string", "mechanism-none",
+        "peer-mode-int", "peer-mode-none", "peer-mode-string"])
+def test_bad_mechanism_or_peer_mode_raises_value_error(computer, mechanism, peer_mode, message):
+    with pytest.raises(ValueError, match=message):
+        computer(M1, mechanism, peer_mode=peer_mode)
 
 
 def test_report_metadata():

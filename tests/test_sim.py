@@ -140,6 +140,14 @@ def test_run_experiment_rejects_small_dataset(desk_dataset):
         run_experiment(ExperimentConfig(agents=51), desk_dataset)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(mechanism="oa"), dict(mechanism="dg"), dict(peer_mode=None), dict(gas_table={}),
+], ids=["mechanism-oa-string", "mechanism-dg-string", "peer-mode-none", "gas-table-dict"])
+def test_run_experiment_rejects_bad_config_with_value_error(bad):
+    with pytest.raises(ValueError, match="must be"):
+        run_experiment(ExperimentConfig(agents=5, **bad))
+
+
 def test_sweep_packing_shapes(desk_dataset):
     base = ExperimentConfig(agents=6, seed=2)
     reports = sweep_packing(base, desk_dataset, questions=[1, 3])

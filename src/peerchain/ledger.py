@@ -61,6 +61,7 @@ from .mechanisms import (
     RewardReport,
     SampledPeers,
     compute_rewards,
+    require_alpha,
     require_scoring,
 )
 from .peer_selection import SelectionSeed
@@ -92,12 +93,8 @@ def _peer_mode_payload(mode: PeerMode) -> dict:
         return {"kind": "all"}
     seed = mode.seed
     if isinstance(seed, SelectionSeed):
-        seed_payload = {"timestamp": seed.block_timestamp, "difficulty": seed.difficulty}
-    elif isinstance(seed, int):
-        seed_payload = seed
-    else:
-        raise ValueError("config peer seeds must be an integer or a SelectionSeed")
-    return {"kind": "sampled", "k": mode.k, "seed": seed_payload}
+        seed = {"timestamp": seed.block_timestamp, "difficulty": seed.difficulty}
+    return {"kind": "sampled", "k": mode.k, "seed": seed}
 
 
 def _peer_mode_from_payload(payload: dict) -> PeerMode:
@@ -138,12 +135,7 @@ class LedgerConfig:
             raise ValueError("scale must be positive")
         if min(self.selection_blocks, self.commit_blocks, self.reveal_blocks) < 1:
             raise ValueError("phase windows must be at least one block")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, Fraction)):
-            raise ValueError(f"alpha must be an int or Fraction, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        _peer_mode_payload(self.peer_mode)  # reject non-serializable seeds
+        object.__setattr__(self, "alpha", require_alpha(self.alpha))
 
     @property
     def min_agent_deposit(self) -> int:

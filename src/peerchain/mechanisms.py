@@ -15,8 +15,9 @@ Three mechanisms are implemented:
 Two paths score every mechanism: ``compute_rewards``, one kernel that
 reads precomputed intermediary values, and ``rewards_naive``, which
 rederives everything from scratch at each use.  Both make the same input
-checks (``_require_inputs``; a mechanism must be a ``Mechanism`` and a
-peer mode an ``AllPeers`` or a ``SampledPeers``, else ``ValueError``) and
+checks (``_require_inputs``; a mechanism must be a ``Mechanism``, a peer
+mode an ``AllPeers`` or a ``SampledPeers`` and alpha a positive int or
+``Fraction`` for every mechanism, else ``ValueError``) and
 return equal ``RewardReport``s: rewards, ``r_min`` and scaling as
 bitwise-identical exact rationals.  The naive path is the reference
 oracle and the baseline for cost accounting.
@@ -67,7 +68,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import EmptyMatrix, NoNonCommonQuestions, require_ints
-from .peer_selection import SeedLike, cell_seeds, cell_stream, require_seed, sample_peers
+from .peer_selection import SelectionSeed, cell_seed, cell_seeds, sample_peers, seed_state
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -89,11 +90,11 @@ class SampledPeers:
     """Use min(k, available) seeded random peers per (agent, question)."""
 
     k: int
-    seed: SeedLike
+    seed: SelectionSeed | int
 
     def __post_init__(self):
         require_ints(k=self.k)
-        require_seed(self.seed)
+        seed_state(self.seed)  # raises for anything but a SelectionSeed or an int
         if self.k < 1:
             raise ValueError("k must be at least 1")
 
@@ -196,23 +197,37 @@ class RewardReport:
                 raise AssertionError(f"{self.mechanism.value} reward {r} for {agent} out of range")
 
 
-def require_scoring(mechanism: object, peer_mode: object) -> None:
-    """Raise ValueError unless ``mechanism`` is a ``Mechanism`` and
-    ``peer_mode`` an ``AllPeers`` or a ``SampledPeers``; a string such as
-    "dg" is not taken for a mechanism."""
-    if not isinstance(mechanism, Mechanism):
-        raise ValueError(f"mechanism must be a Mechanism, got {mechanism!r}")
+def require_peer_mode(peer_mode: object) -> None:
+    """Raise ValueError unless ``peer_mode`` is an ``AllPeers`` or a
+    ``SampledPeers``."""
     if not isinstance(peer_mode, (AllPeers, SampledPeers)):
         raise ValueError(f"peer_mode must be AllPeers or SampledPeers, got {peer_mode!r}")
 
 
-def _require_inputs(matrix: AnswerMatrix, mechanism: object, alpha: Fraction | int, peer_mode: object) -> Fraction:
+def require_scoring(mechanism: object, peer_mode: object) -> None:
+    """Raise ValueError unless ``mechanism`` is a ``Mechanism`` and
+    ``peer_mode`` a peer mode; a string such as "dg" is not taken for a
+    mechanism."""
+    if not isinstance(mechanism, Mechanism):
+        raise ValueError(f"mechanism must be a Mechanism, got {mechanism!r}")
+    require_peer_mode(peer_mode)
+
+
+def require_alpha(alpha: object) -> Fraction:
+    """``alpha`` as a Fraction; raises ValueError unless it is a positive
+    int or Fraction (a bool is neither)."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction)):
+        raise ValueError(f"alpha must be an int or Fraction, got {alpha!r}")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return Fraction(alpha)
+
+
+def _require_inputs(matrix: AnswerMatrix, mechanism: object, alpha: object, peer_mode: object) -> Fraction:
     """The checks both reward paths make, in one order; returns alpha as a
     Fraction."""
     require_scoring(mechanism, peer_mode)
-    alpha = Fraction(alpha)
-    if mechanism is Mechanism.PTSC and alpha <= 0:
-        raise ValueError("alpha must be strictly positive")
+    alpha = require_alpha(alpha)
     if matrix.total_answers == 0:
         raise EmptyMatrix("matrix holds no answers")
     return alpha
@@ -221,15 +236,16 @@ def _require_inputs(matrix: AnswerMatrix, mechanism: object, alpha: Fraction | i
 def peers_for_cell(matrix: AnswerMatrix, agent: str, q: str, peer_mode: PeerMode) -> list[str]:
     """Peers used for one (agent, question) cell, in the order scored.
 
-    Sampling derives a substream from (seed, agent index, question index),
+    Sampling draws from ``cell_seed(seed, agent index, question index)``,
     so the draw for one cell is independent of every other cell.
     """
+    require_peer_mode(peer_mode)
     candidates = [a for a in matrix.answerers_by_question[q] if a != agent]
     if not candidates or isinstance(peer_mode, AllPeers):
         return candidates
     k = min(peer_mode.k, len(candidates))
-    stream = cell_stream(peer_mode.seed, matrix.agent_index[agent], matrix.question_index[q])
-    return sample_peers(candidates, k, stream)
+    seed = cell_seed(peer_mode.seed, matrix.agent_index[agent], matrix.question_index[q])
+    return sample_peers(candidates, k, seed)
 
 
 def _mean(contribs: list[Fraction]) -> Fraction:
@@ -267,6 +283,7 @@ def peer_visits(matrix: AnswerMatrix, peer_mode: PeerMode) -> PeerVisits:
     the pool ``peers_for_cell`` draws from, held as agent indices; the
     sampler picks by position, so the draws are the same.
     """
+    require_peer_mode(peer_mode)
     answered, ones = matrix.answered, matrix.ones
     answerers, said_one = matrix.answerers_per_question, matrix.ones_per_question
     pools = answerers - 1

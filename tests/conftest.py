@@ -8,6 +8,16 @@ import pytest
 from peerchain.mechanisms import AnswerMatrix
 from peerchain.sim import QoSDataset, assert_dg_valid, binarize
 
+# (alpha, message) pairs that the reward paths and LedgerConfig all refuse
+BAD_ALPHAS = [
+    ("1/2", "alpha must be an int or Fraction"),
+    (0.1, "alpha must be an int or Fraction"),
+    (None, "alpha must be an int or Fraction"),
+    (True, "alpha must be an int or Fraction"),
+    (0, "alpha must be positive"),
+    (-1, "alpha must be positive"),
+]
+
 # (name, passed, detail) triples collected by tests/test_acceptance.py
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 

@@ -5,7 +5,6 @@ import json
 import time
 from dataclasses import fields
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings

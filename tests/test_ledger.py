@@ -26,6 +26,8 @@ from peerchain.ledger import Ledger, LedgerConfig, Phase, format_decimal
 from peerchain.mechanisms import ALL_PEERS, Mechanism, SampledPeers
 from peerchain.peer_selection import SelectionSeed
 
+from conftest import BAD_ALPHAS
+
 
 def _commit_and_reveal(ledger, agent, answers):
     """Commit and reveal one agent's answers across all batches."""
@@ -99,6 +101,14 @@ def test_config_alpha_must_be_exact():
     for bad in (0.5, "x", True, None):
         with pytest.raises(ValueError):
             LedgerConfig(alpha=bad)
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+@pytest.mark.parametrize("alpha, message", BAD_ALPHAS, ids=repr)
+def test_config_rejects_bad_alpha_for_every_mechanism(mechanism, alpha, message):
+    # the same rule and messages as both reward paths (mechanisms.require_alpha)
+    with pytest.raises(ValueError, match=message):
+        LedgerConfig(mechanism=mechanism, alpha=alpha)
 
 
 def test_config_payload_roundtrip():

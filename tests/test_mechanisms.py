@@ -26,7 +26,7 @@ from peerchain.mechanisms import (
 from peerchain.peer_selection import SelectionSeed, sample_peers
 from peerchain.sim import assert_dg_valid
 
-from conftest import random_matrix, skip_one_matrix
+from conftest import BAD_ALPHAS, random_matrix, skip_one_matrix
 
 # three agents, two questions; worked through by hand in the module docs
 M1 = AnswerMatrix(("A", "B", "C"), ("q1", "q2"), {
@@ -540,6 +540,22 @@ def test_optimized_report_equals_naive_report(tmp_path):
 def test_bad_mechanism_or_peer_mode_raises_value_error(computer, mechanism, peer_mode, message):
     with pytest.raises(ValueError, match=message):
         computer(M1, mechanism, peer_mode=peer_mode)
+
+
+@pytest.mark.parametrize("computer", [compute_rewards, rewards_naive])
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+@pytest.mark.parametrize("alpha, message", BAD_ALPHAS, ids=repr)
+def test_bad_alpha_raises_value_error_for_every_mechanism(computer, mechanism, alpha, message):
+    with pytest.raises(ValueError, match=message):
+        computer(M1, mechanism, alpha=alpha)
+
+
+@pytest.mark.parametrize("peer_mode", [5, None, "all"], ids=repr)
+def test_bad_peer_mode_raises_value_error_where_read(peer_mode):
+    with pytest.raises(ValueError, match="peer_mode must be"):
+        peer_visits(M1, peer_mode)
+    with pytest.raises(ValueError, match="peer_mode must be"):
+        peers_for_cell(M1, "A", "q1", peer_mode)
 
 
 def test_report_metadata():

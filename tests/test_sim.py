@@ -1,6 +1,5 @@
 """Dataset handling, behavior mixes, and the end-to-end experiment driver."""
 
-import random
 from fractions import Fraction as F
 
 import pytest

@@ -25,14 +25,17 @@ only on (scenario, rounds, master_seed) at that chunk size, and deviation
 gaps share the common random numbers of the world and the peer draws.
 
 A chunk keeps two (rounds x n) arrays: the int8 reports and each agent's
-peer index (uint8 up to n = 256, uint16 above), so 2 bytes per (round,
-agent) up to n = 256 and 3 above.
-Everything else is drawn or scored in row blocks of about BLOCK_CELLS
-(round, agent) cells, or kept as one value per round.  Consecutive blocks
-consume a numpy stream exactly as one whole-chunk call would, and each
-round's score is summed within its row, so estimates do not depend on the
-block size.  The simulated population is capped at MAX_MC_AGENTS, where a
-chunk keeps about 300 MB; the closed forms take any n.
+raw peer draw (uint8 up to n = 256, uint16 above), so 2 bytes per (round,
+agent) up to n = 256 and 3 above; a draw becomes a peer index only where a
+statistic reads one.  Everything else is drawn or scored in row blocks of
+about BLOCK_CELLS (round, agent) cells, through scratch buffers of one
+block made once per chunk, or kept as one value per round.  Consecutive
+blocks consume a numpy stream exactly as one whole-chunk call would, and
+each round's score is summed within its row, so estimates do not depend on
+the block size.  Agent 0's PTSC utility reads the same four-entry score
+table as the population's, scaled by alpha.  The simulated population is
+capped at MAX_MC_AGENTS, where a chunk keeps about 300 MB; the closed forms
+take any n.
 """
 
 from __future__ import annotations
@@ -137,6 +140,12 @@ def _row_blocks(rounds: int, n: int):
         yield start, min(start + step, rounds)
 
 
+def _block_scratch(rounds: int, n: int, dtype) -> np.ndarray:
+    """An uninitialised buffer for one row block of a (rounds, n) array; a
+    loop over the blocks fills a leading slice of it with ``out=``."""
+    return np.empty((min(rounds, _block_rows(n)), n), dtype=dtype)
+
+
 @dataclass(frozen=True)
 class GenerativeWorld:
     """Symmetric two-state mixture: state H with weight w emits 1 with
@@ -157,13 +166,21 @@ class GenerativeWorld:
         return self.w * self.h + (1 - self.w) * self.l
 
     def sample_observations(self, rng: np.random.Generator, rounds: int, n: int) -> np.ndarray:
-        """(rounds, n) int8 matrix of observations, one latent state per row,
-        filled from the same uniforms as one (rounds, n) draw, a row block at a time."""
-        high = rng.random(rounds) < self.w
-        emit = np.where(high, self.h, self.l)
+        """(rounds, n) int8 matrix of observations, one latent state per row.
+
+        The states take the stream's first ``rounds`` uniforms and the
+        observations the next rounds x n, as a (rounds,) and a (rounds, n)
+        draw would; both are drawn through one row block of scratch uniforms.
+        """
         x = np.empty((rounds, n), dtype=np.int8)
+        uniforms = _block_scratch(rounds, n, np.float64)
+        high = np.empty(rounds, dtype=np.bool_)
+        for s in range(0, rounds, uniforms.size):
+            e = min(s + uniforms.size, rounds)
+            np.less(rng.random(out=uniforms.ravel()[:e - s]), self.w, out=high[s:e])
         for s, e in _row_blocks(rounds, n):
-            np.less(rng.random((e - s, n)), emit[s:e, None], out=x[s:e].view(np.bool_))
+            u = rng.random(out=uniforms[:e - s])
+            np.less(u, np.where(high[s:e, None], self.h, self.l), out=x[s:e].view(np.bool_))
         return x
 
 
@@ -337,37 +354,53 @@ def _chunk_rng(master_seed: int, tag: int, chunk: int) -> np.random.Generator:
 
 
 class _Chunk:
-    """One chunk's reports x (rounds x n, int8) and peer indices (rounds x n,
+    """One chunk's reports x (rounds x n, int8) and raw peer draws (rounds x n,
     the smallest unsigned type that holds n - 1), drawn once for all the
     per-round statistics of a pass, which share what they build from them.
 
+    Agent j's draw d picks its peer from the other n - 1 agents: the peer is
+    agent d + (d >= j).  That index is derived only where a statistic reads
+    it: inside `score_sums`' row blocks, and as d + 1 for agent 0 (`peer0`),
+    so a chunk that only scores agent 0 never converts the whole matrix.
+
     Those two arrays are all the chunk keeps per (round, agent): 2 bytes up
     to n = 256 and 3 above, about 300 MB for a whole chunk at MAX_MC_AGENTS.
-    The peers are drawn and the population scores summed one row block of
-    about BLOCK_CELLS cells at a time; every other statistic is a vector of
-    one value per round.
+    The draws are made, and the population's scores and 0 reports summed,
+    one row block of about BLOCK_CELLS cells at a time; each such loop fills
+    scratch buffers of one block, made once per chunk, with ``out=``.  Every
+    other statistic is a vector of one value per round.
     """
 
     def __init__(self, scenario: IncentiveScenario, master_seed: int, index: int, size: int):
         self.n, self.alpha, self.c = scenario.n, float(scenario.alpha), float(scenario.c)
         n = self.n
-        self.r1 = scenario.world.prior_1()
         self.master_seed, self.index = master_seed, index
+        r1 = scenario.world.prior_1()
+        r0 = 1.0 - r1
+        # 1[y = y_peer]/R(y) - 1, indexed by 2 * own report + peer's report
+        self.score = np.array([1.0 / r0 - 1.0, 0.0 / r0 - 1.0, 0.0 / r1 - 1.0, 1.0 / r1 - 1.0])
         self.x = scenario.world.sample_observations(_chunk_rng(master_seed, _TAG_WORLD, index), size, n)
         self.x0 = self.x[:, 0]
-        # draw j picks agent j's peer from the other n - 1 agents: a draw >= j is one agent up
         peer_rng = _chunk_rng(master_seed, _TAG_PEERS, index)
-        agents = np.arange(n, dtype=np.int32)
-        self.peers = np.empty((size, n), dtype=np.min_scalar_type(n - 1))
+        self.draws = np.empty((size, n), dtype=np.min_scalar_type(n - 1))
         for s, e in _row_blocks(size, n):
-            draws = peer_rng.integers(0, n - 1, size=(e - s, n), dtype=np.int32)
-            self.peers[s:e] = draws + (draws >= agents)
+            self.draws[s:e] = peer_rng.integers(0, n - 1, size=(e - s, n), dtype=np.int32)
 
     @cached_property
     def zeros(self) -> np.ndarray:
-        zeros = np.full(len(self.x), self.n, dtype=np.int32)
-        for column in self.x.T:
-            zeros -= column
+        """Each round's count of 0 reports: n minus a float32 mat-vec of each
+        row block with ones.  Every partial sum is a whole number below
+        2**24, so the count is exact in any summation order."""
+        n = self.n
+        zeros = np.empty(len(self.x), dtype=np.int32)
+        reports = _block_scratch(len(self.x), n, np.float32)
+        ones_per_row = np.empty(len(reports), dtype=np.float32)
+        unit = np.ones(n, dtype=np.float32)
+        for s, e in _row_blocks(len(self.x), n):
+            b = e - s
+            np.copyto(reports[:b], self.x[s:e])
+            np.matmul(reports[:b], unit, out=ones_per_row[:b])
+            np.subtract(n, ones_per_row[:b], out=zeros[s:e], casting="unsafe")
         return zeros
 
     @cached_property
@@ -381,26 +414,40 @@ class _Chunk:
         peer on the shared question, where answers are correlated; that gap
         is the whole PTSC incentive.
         """
-        r0, r1 = 1.0 - self.r1, self.r1
-        # indexed by 2 * own report + peer's report
-        score = np.array([1.0 / r0 - 1.0, 0.0 / r0 - 1.0, 0.0 / r1 - 1.0, 1.0 / r1 - 1.0])
+        n = self.n
         sums = np.empty(len(self.x))
-        row_starts = np.arange(0, _block_rows(self.n) * self.n, self.n)[:, None]
-        for s, e in _row_blocks(len(self.x), self.n):
-            x = self.x[s:e]
-            peer_x = x.ravel().take(self.peers[s:e] + row_starts[:e - s])
-            score[2 * x + peer_x].sum(axis=1, out=sums[s:e])
+        up = _block_scratch(len(self.x), n, np.bool_)
+        flat = _block_scratch(len(self.x), n, np.int32)
+        code = _block_scratch(len(self.x), n, np.int8)
+        terms = _block_scratch(len(self.x), n, np.float64)
+        row_starts = np.arange(0, len(flat) * n, n, dtype=np.int32)[:, None]
+        agents = np.arange(n, dtype=self.draws.dtype)
+        for s, e in _row_blocks(len(self.x), n):
+            b, x, d = e - s, self.x[s:e], self.draws[s:e]
+            # the flat index within the block of each agent's peer's report
+            np.greater_equal(d, agents, out=up[:b])
+            np.add(d, row_starts[:b], out=flat[:b])
+            flat[:b] += up[:b]
+            # 2 * own report + peer's report; clip mode writes to out unbuffered
+            np.take(x.ravel(), flat[:b], out=code[:b], mode="clip")
+            code[:b] += x
+            code[:b] += x
+            np.take(self.score, code[:b], out=terms[:b], mode="clip")
+            terms[:b].sum(axis=1, out=sums[s:e])
         return sums
 
     @cached_property
     def peer0(self) -> np.ndarray:
-        """Agent 0's peer's reports, which agent 0's deviation cannot move."""
-        return self.x[np.arange(len(self.x)), self.peers[:, 0]]
+        """Agent 0's peer's reports, which agent 0's deviation cannot move.
+        No draw is below 0, so agent 0's peer is agent d + 1."""
+        flat = np.arange(1, len(self.x) * self.n, self.n, dtype=np.int32)
+        flat += self.draws[:, 0]
+        return self.x.ravel().take(flat)
 
     def utility0(self, y: np.ndarray, zeros: np.ndarray) -> np.ndarray:
-        """Agent 0's scaled score and refund for reports y, with ``zeros`` 0 reports a round."""
-        r_freq = np.where(y == 1, self.r1, 1.0 - self.r1)
-        return self.alpha * ((self.peer0 == y) / r_freq - 1.0) + self.c * (zeros / self.n) * (y == 0)
+        """Agent 0's scaled score and refund for reports y, with ``zeros`` 0 reports a round;
+        the score is the population's `score` entry scaled by alpha."""
+        return (self.alpha * self.score).take(y + y + self.peer0) + self.c * (zeros / self.n) * (y == 0)
 
     @cached_property
     def truthful0(self) -> np.ndarray:

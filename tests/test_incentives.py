@@ -398,9 +398,37 @@ def test_estimates_equal_the_whole_population_reference(rounds, sc, seed, p):
 
 def test_estimates_equal_the_whole_population_reference_with_wide_peer_indices():
     sc = example_scenario(n=300)
-    assert inc._Chunk(sc, 0, 0, 1).peers.dtype == np.uint16
+    assert inc._Chunk(sc, 0, 0, 1).draws.dtype == np.uint16
     # three row blocks, the last of one row
     _assert_equal_to_the_reference(sc, 2 * inc._block_rows(sc.n) + 1, 2**64 - 1, 0.3)
+
+
+def test_estimates_equal_the_whole_population_reference_at_the_population_cap():
+    sc = example_scenario(n=MAX_MC_AGENTS)
+    assert inc._Chunk(sc, 0, 0, 1).draws.dtype == np.uint16
+    # two row blocks and one row
+    _assert_equal_to_the_reference(sc, 2 * inc._block_rows(sc.n) + 1, 7, 0.6)
+
+
+@pytest.mark.parametrize("n", [2, 10, 300])
+@pytest.mark.parametrize("block_cells", [1, 7, 64])
+def test_estimates_do_not_depend_on_the_block_size(monkeypatch, n, block_cells):
+    # every row-block loop reuses one block of scratch; a short last block
+    # must read none of what the full blocks before it left there
+    deviations = [TRUTHFUL, ALWAYS_0, ALWAYS_1, FLIP, Deviation("random", 0.4)]
+    sc = example_scenario(n=n)
+
+    def estimates(rounds):
+        return (payment_mc(sc, rounds, 11), saving_mc(sc, rounds, 11),
+                tuple(equilibrium_check(sc, d, rounds, 11) for d in deviations),
+                incentive_estimates(sc, deviations, rounds, 11))
+
+    rows = max(1, block_cells // n)
+    rounds = 2 * rows + max(1, rows // 2)
+    default = estimates(rounds)
+    monkeypatch.setattr(inc, "BLOCK_CELLS", block_cells)
+    assert inc._block_rows(n) == rows
+    assert estimates(rounds) == default
 
 
 @pytest.mark.parametrize("estimate", [

@@ -7,7 +7,8 @@ Subcommands
                  writes packing.csv, optimization.csv, mechanisms.csv
                  and peers.csv
     incentives   alpha bounds, expected payments, savings and equilibrium
-                 verdicts per scenario; writes incentives.csv
+                 verdicts per scenario; writes incentives.csv (saving_bound
+                 assumes each round's share of 0 reports is 1 - p1; not a bound in general)
 
 Exit codes: 0 success, 1 domain error (the diagnostic names the error
 class), 2 usage or parse error.  Every run is deterministic given the
@@ -217,12 +218,7 @@ def _load_scenarios(args) -> list[tuple[str, inc.IncentiveScenario]]:
             name = repr(spec_["scenario_id"]) if "scenario_id" in spec_ else f"#{position}"
             raise ValueError(f"scenario {name} lacks the key(s) {', '.join(map(repr, missing))}")
         scenario = inc.IncentiveScenario.from_parameters(
-            n=spec_["n"],
-            c=inc.exact_number(spec_.get("c", 1)),
-            alpha=spec_.get("alpha", "auto"),
-            prior_1=inc.exact_number(spec_["prior"]),
-            bump=inc.exact_number(spec_["bump"]),
-        )
+            spec_["n"], spec_.get("c", 1), spec_.get("alpha", "auto"), spec_["prior"], spec_["bump"])
         scenarios.append((spec_.get("scenario_id", f"n{spec_['n']}"), scenario))
     return scenarios
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DuplicateAnswer, TooManyAnswers, UnknownQuestion
+from .errors import DuplicateAnswer, TooManyAnswers, UnknownQuestion, require_ints
 from .keccak import keccak256
 
 DIGEST_BITS = 256
@@ -44,6 +44,7 @@ class SecretKey:
     value: int
 
     def __post_init__(self):
+        require_ints(value=self.value)
         if not 0 <= self.value < (1 << KEY_BITS):
             raise ValueError(f"secret key must fit in {KEY_BITS} bits")
 
@@ -58,7 +59,7 @@ class Commitment:
     digest: bytes
 
     def __post_init__(self):
-        if len(self.digest) != DIGEST_BITS // 8:
+        if not isinstance(self.digest, bytes) or len(self.digest) != DIGEST_BITS // 8:
             raise ValueError("commitment digest must be 32 bytes")
 
     def hex(self) -> str:
@@ -82,6 +83,7 @@ class PackedAnswerVector:
     question_order: tuple[str, ...]
 
     def __post_init__(self):
+        require_ints(bits=self.bits)
         n = len(self.question_order)
         if n > MAX_ANSWERS:
             raise TooManyAnswers(f"{n} slots exceed the {MAX_ANSWERS}-answer capacity")

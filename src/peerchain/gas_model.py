@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import UnknownOpKind
+from .errors import UnknownOpKind, require_ints
 
 if TYPE_CHECKING:
     from .mechanisms import AnswerMatrix, Mechanism, PeerMode
@@ -83,10 +83,11 @@ class GasTable:
     comparison_op: int = 3
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
-                raise ValueError(f"gas table entry {f.name} must be a positive integer, got {v!r}")
+        entries = {f"gas table entry {f.name}": getattr(self, f.name) for f in fields(self)}
+        require_ints(**entries)
+        for name, v in entries.items():
+            if v <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if not (
             self.storage_write_new_word
             > self.storage_write_update_word

@@ -1,13 +1,14 @@
 """Belief models, the PTSC scaling bound, and Monte-Carlo equilibrium checks.
 
-Closed forms are exact rationals:
+Closed forms are exact rationals, every input read by `exact_number`:
 
 * beta  = P(x_p=1|x_i=1)/P(x_p=1) - P(x_p=0|x_i=1)/P(x_p=0)
 * gamma = P(x_p=0|x_i=1)
 * alpha_bound(n, c) = c * (1 + (n-1)*gamma) / (n*beta); any alpha strictly
   above it makes truth-telling a strict equilibrium against the refund
   incentive c * o_q paid to agents who report 0.
-* max_saving(p1) = p1*(2 - p1) and saving_lower_bound = max_saving - alpha/c.
+* max_saving(p1) = p1*(2 - p1) and saving_lower_bound = max_saving - alpha/c,
+  not a bound in general: it assumes each round's share of 0 reports is 1 - p1.
 
 The claimed expectations are over a belief-consistent world, which is
 only available here by sampling, so the verification side is Monte-Carlo:
@@ -34,8 +35,8 @@ blocks consume a numpy stream exactly as one whole-chunk call would, and
 each round's score is summed within its row, so estimates do not depend on
 the block size.  Agent 0's PTSC utility reads the same four-entry score
 table as the population's, scaled by alpha.  The simulated population is
-capped at MAX_MC_AGENTS, where a chunk keeps about 300 MB; the closed forms
-take any n.
+capped at MAX_MC_AGENTS, where a chunk keeps about 300 MB and an estimate,
+drawing each chunk beside the last, about 600 MB; the closed forms take any n.
 """
 
 from __future__ import annotations
@@ -66,49 +67,48 @@ _TAG_WORLD, _TAG_PEERS, _TAG_DEVIATION = 1, 2, 3
 
 @dataclass(frozen=True)
 class BeliefModel:
-    """Every agent's prior P(x=1) and posterior P(x_p=1|x_i=1), exact."""
+    """Every agent's prior P(x=1) and posterior P(x_p=1|x_i=1), exact; a prior
+    of 0 or 1 is DegeneratePrior and a posterior below it NonPositiveBeta."""
 
     prior_1: Fraction
     post_1_given_1: Fraction
 
     def __post_init__(self):
         for name in ("prior_1", "post_1_given_1"):
-            p = getattr(self, name)
+            p = exact_number(getattr(self, name))
             if not 0 <= p <= 1:
                 raise ValueError(f"{name} = {p} is not a probability")
+            object.__setattr__(self, name, p)
+        if self.prior_1 in (0, 1):
+            raise DegeneratePrior(f"prior {self.prior_1} is not fully mixed")
+        if self.post_1_given_1 < self.prior_1:
+            raise NonPositiveBeta("a posterior below the prior is negative correlation")
 
     @classmethod
     def from_bump(cls, prior_1, bump) -> "BeliefModel":
         """Beliefs with P(x_p=1|x_i=1) = prior + bump."""
-        prior_1 = Fraction(prior_1)
-        return cls(prior_1, prior_1 + Fraction(bump))
-
-
-def _require_mixed(model: BeliefModel) -> None:
-    if model.prior_1 in (0, 1):
-        raise DegeneratePrior(f"prior {model.prior_1} is not fully mixed")
+        return cls(prior_1, exact_number(prior_1) + exact_number(bump))
 
 
 def beta(model: BeliefModel) -> Fraction:
     """Correlation strength, exact."""
-    _require_mixed(model)
     return model.post_1_given_1 / model.prior_1 - (1 - model.post_1_given_1) / (1 - model.prior_1)
 
 
 def gamma(model: BeliefModel) -> Fraction:
     """Posterior weight on a peer observing 0 given 1."""
-    _require_mixed(model)
     return 1 - model.post_1_given_1
 
 
 def _require_agents(n: int) -> None:
-    if not isinstance(n, int) or n < 2:
+    require_ints(n=n)
+    if n < 2:
         raise ValueError(f"n must be a whole number of at least two agents, got {n!r}")
 
 
 def alpha_bound(n: int, c, model: BeliefModel) -> Fraction:
     _require_agents(n)
-    c = Fraction(c)
+    c = exact_number(c)
     if c <= 0:
         raise ValueError("refund coefficient c must be positive")
     b = beta(model)
@@ -118,7 +118,7 @@ def alpha_bound(n: int, c, model: BeliefModel) -> Fraction:
 
 
 def max_saving(p1) -> Fraction:
-    p1 = Fraction(p1)
+    p1 = exact_number(p1)
     if not 0 <= p1 <= 1:
         raise ValueError("p1 must be a probability")
     return p1 * (2 - p1)
@@ -210,7 +210,7 @@ def calibrate_world(prior_1, post_1_given_1) -> GenerativeWorld:
 
 def exact_number(v) -> Fraction:
     """An exact rational from an int, Fraction, float (by its shortest
-    decimal repr) or a decimal or p/q string.
+    decimal repr) or a decimal or p/q string; a bool is not a number.
 
     A decimal whose exponent is beyond Python's integer string-conversion
     limit (``sys.get_int_max_str_digits()``, under which the ledger's JSON
@@ -218,7 +218,7 @@ def exact_number(v) -> Fraction:
     """
     d = None
     try:
-        if isinstance(v, (int, Fraction)) or isinstance(v, str) and "/" in v:
+        if not isinstance(v, bool) and isinstance(v, (int, Fraction)) or isinstance(v, str) and "/" in v:
             return Fraction(v)
         if isinstance(v, (str, float)):
             d = Decimal(str(v))
@@ -256,6 +256,10 @@ class IncentiveScenario:
 
     def __post_init__(self):
         _require_agents(self.n)
+        if not isinstance(self.beliefs, BeliefModel):
+            raise ValueError(f"beliefs must be a BeliefModel, got {self.beliefs!r}")
+        for name in ("c", "alpha"):
+            object.__setattr__(self, name, exact_number(getattr(self, name)))
         if self.c <= 0:
             raise ValueError("c must be positive")
         # alpha = 0 is allowed to demonstrate the PTSC-off failure mode;
@@ -276,7 +280,6 @@ class IncentiveScenario:
     @classmethod
     def from_parameters(cls, n: int, c, alpha, prior_1, bump) -> "IncentiveScenario":
         """Build a consistent scenario; alpha is any spec `parse_alpha` reads."""
-        c = Fraction(c)
         beliefs = BeliefModel.from_bump(prior_1, bump)
         alpha, auto = parse_alpha(alpha)
         if auto:
@@ -288,7 +291,8 @@ class IncentiveScenario:
 
 
 def saving_lower_bound(scenario: IncentiveScenario) -> Fraction:
-    """Closed-form saving floor: p1*(2-p1) - alpha/c."""
+    """Closed-form saving floor p1*(2-p1) - alpha/c; it assumes each round's share
+    of 0 reports is fixed at 1 - p1, so it is not a bound in general."""
     return max_saving(scenario.beliefs.prior_1) - scenario.alpha / scenario.c
 
 
@@ -363,12 +367,12 @@ class _Chunk:
     it: inside `score_sums`' row blocks, and as d + 1 for agent 0 (`peer0`),
     so a chunk that only scores agent 0 never converts the whole matrix.
 
-    Those two arrays are all the chunk keeps per (round, agent): 2 bytes up
-    to n = 256 and 3 above, about 300 MB for a whole chunk at MAX_MC_AGENTS.
-    The draws are made, and the population's scores and 0 reports summed,
-    one row block of about BLOCK_CELLS cells at a time; each such loop fills
-    scratch buffers of one block, made once per chunk, with ``out=``.  Every
-    other statistic is a vector of one value per round.
+    Those two arrays are all the chunk keeps per (round, agent): 2 bytes up to
+    n = 256 and 3 above, about 300 MB a chunk at MAX_MC_AGENTS, and 600 MB
+    while `_mc_loop` draws the next.  The draws are made, and the population's
+    scores and 0 reports summed, one row block of about BLOCK_CELLS cells at a
+    time; each such loop fills scratch buffers of one block, made once per
+    chunk, with ``out=``; every other statistic holds one value per round.
     """
 
     def __init__(self, scenario: IncentiveScenario, master_seed: int, index: int, size: int):

@@ -26,7 +26,7 @@ from math import floor, isfinite
 import numpy as np
 
 from . import commitment as cmt
-from .errors import EmptyDataset
+from .errors import EmptyDataset, require_ints
 from .gas_model import DEFAULT_GAS_TABLE, GasTable
 from .ledger import Ledger, LedgerConfig, format_decimal
 from .mechanisms import (
@@ -158,6 +158,9 @@ class AgentPopulation:
 
     def __post_init__(self):
         fractions = (self.truthful, self.random_, self.adversarial)
+        for f in fractions:
+            if isinstance(f, bool) or not isinstance(f, (int, Fraction)):
+                raise ValueError(f"behavior fractions must be ints or Fractions, got {f!r}")
         if any(f < 0 for f in fractions):
             raise ValueError("behavior fractions must be nonnegative")
         if sum(fractions) != 1:
@@ -247,10 +250,16 @@ class ExperimentConfig:
     config_id: str = ""
 
     def __post_init__(self):
+        require_ints(agents=self.agents, seed=self.seed)
         if self.agents < 1:
             raise ValueError(f"an experiment needs at least one agent, got {self.agents}")
-        if self.questions_per_agent is not None and self.questions_per_agent < 1:
-            raise ValueError(f"questions per agent must be at least 1, got {self.questions_per_agent}")
+        if self.questions_per_agent is not None:
+            require_ints(questions_per_agent=self.questions_per_agent)
+            if self.questions_per_agent < 1:
+                raise ValueError(f"questions per agent must be at least 1, got {self.questions_per_agent}")
+        for name in ("packed", "optimized"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass

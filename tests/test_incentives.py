@@ -68,9 +68,8 @@ def test_alpha_bound_monotone_decreasing_in_n():
 
 
 def test_degenerate_and_uncorrelated_beliefs_rejected():
-    certain = BeliefModel(F(1), F(1))
-    with pytest.raises(DegeneratePrior):
-        beta(certain)
+    with pytest.raises(DegeneratePrior):  # the model itself refuses a prior of 1
+        BeliefModel(F(1), F(1))
     flat = BeliefModel.from_bump(F(1, 2), F(0))  # posterior equals prior
     with pytest.raises(NonPositiveBeta):
         alpha_bound(10, 1, flat)

@@ -363,6 +363,8 @@ class Ledger:
     def submit_commitment(self, agent: str, batch: int, commitment_: cmt.Commitment) -> None:
         self._require_phase(Phase.COMMIT)
         require_ints(batch=batch)
+        if not isinstance(commitment_, cmt.Commitment):
+            raise ValueError(f"commitment must be a Commitment, got {type(commitment_).__name__}")
         batches = self.agent_batches(agent)
         if not 0 <= batch < len(batches):
             raise ValueError(f"agent {agent!r} has {len(batches)} batches, got index {batch}")

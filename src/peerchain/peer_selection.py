@@ -32,7 +32,6 @@ for every cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -83,12 +82,6 @@ class SelectionSeed:
             raise ValueError("timestamp and difficulty are unsigned")
 
     def seed64(self) -> int:
-        return self._seed64
-
-    @cached_property
-    def _seed64(self) -> int:
-        # hashed on first use and kept: every sampled cell derives its
-        # seed from this value, so rehashing would cost one keccak a cell
         payload = self.block_timestamp.to_bytes(32, "big") + self.difficulty.to_bytes(32, "big")
         return int.from_bytes(keccak256(payload)[:8], "big")
 

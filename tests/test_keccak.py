@@ -1,9 +1,10 @@
-"""Keccak-256 against published vectors and NIST SHA3-256 divergence."""
+"""Keccak-256 against published vectors and NIST SHA3-256 divergence, and
+its digest memo against the unmemoised sponge."""
 
 import hashlib
 import random
 
-from peerchain.keccak import keccak256, sha3_256
+from peerchain.keccak import MEMO_SIZE, _keccak256_memo, _sponge_256, keccak256, sha3_256
 
 # canonical vectors used across the Ethereum ecosystem
 VECTORS = {
@@ -54,11 +55,42 @@ def test_random_message_pin():
     assert pin.hexdigest() == PIN_SHA256
 
 
-def test_digest_length_and_determinism():
-    for msg in (b"", b"x", b"y" * 1000):
-        d = keccak256(msg)
-        assert len(d) == 32
-        assert d == keccak256(msg)
+def test_memoised_digests_equal_the_sponge_cold_and_warm():
+    rng = random.Random("keccak-memo")
+    msgs = [rng.randbytes(n) for n in range(301)] + [b"y" * 1000]
+    _keccak256_memo.cache_clear()
+    for warm in (False, True):
+        hits = _keccak256_memo.cache_info().hits
+        for msg in msgs:
+            d = keccak256(msg)
+            assert len(d) == 32
+            assert d == _sponge_256(msg, 0x01), len(msg)
+        assert _keccak256_memo.cache_info().hits - hits == (len(msgs) if warm else 0)
+
+
+def test_bytes_like_inputs_give_the_bytes_digest():
+    msg = b"commit-reveal layout, 22B"
+    digest = _sponge_256(msg, 0x01)
+    for data in (bytearray(msg), memoryview(msg), memoryview(bytearray(msg))):
+        assert keccak256(data) == digest
+        assert type(keccak256(data)) is bytes
+
+
+def test_a_mutated_bytearray_gets_its_new_digest():
+    buf = bytearray(b"\x00" * 22)
+    assert keccak256(buf) == _sponge_256(bytes(22), 0x01)
+    buf[5] ^= 1
+    assert keccak256(buf) == _sponge_256(bytes(buf), 0x01) != _sponge_256(bytes(22), 0x01)
+    view = memoryview(buf)
+    buf[6] ^= 1
+    assert keccak256(view) == _sponge_256(bytes(buf), 0x01)
+
+
+def test_memo_stays_within_its_bound():
+    assert _keccak256_memo.cache_info().maxsize == MEMO_SIZE
+    for i in range(MEMO_SIZE + 1):
+        keccak256(b"distinct message %d" % i)
+    assert _keccak256_memo.cache_info().currsize == MEMO_SIZE
 
 
 def test_differs_from_nist_sha3():

@@ -22,6 +22,7 @@ from peerchain.errors import (
     WrongPhase,
     ZeroBudget,
 )
+from peerchain.keccak import _keccak256_memo
 from peerchain.ledger import Ledger, LedgerConfig, Phase, format_decimal
 from peerchain.mechanisms import ALL_PEERS, Mechanism, SampledPeers
 from peerchain.peer_selection import SelectionSeed
@@ -597,6 +598,75 @@ def test_entry_points_take_only_ints(phase, call):
     with pytest.raises(ValueError):
         call(ledger, vec, key)
     assert (ledger.events, ledger.gas.total) == (events, gas)
+
+
+@pytest.mark.parametrize("raw", [
+    lambda c: c.digest, lambda c: bytearray(c.digest), lambda c: c.hex(), lambda c: None,
+], ids=["digest-bytes", "digest-bytearray", "digest-hex", "none"])
+def test_submit_commitment_takes_only_a_commitment(raw):
+    ledger, vec, key = _staged(Phase.COMMIT)
+    commitment_ = cmt.commit(vec, key)
+    before = (list(ledger.events), ledger.gas.total, ledger._uncommitted)
+    with pytest.raises(ValueError, match="must be a Commitment"):
+        ledger.submit_commitment("A", 0, raw(commitment_))
+    assert (ledger.events, ledger.gas.total, ledger._uncommitted) == before
+    assert ledger.phase is Phase.COMMIT
+    ledger.submit_commitment("A", 0, commitment_)
+    assert ledger.phase is Phase.REVEAL
+    assert ledger.reveal_vector("A", 0, vec, key)
+
+
+def _settled_round_with_a_failed_reveal():
+    """A settled OA round: A and B reveal honestly, C with a wrong key."""
+    ledger = Ledger(LedgerConfig(mechanism=Mechanism.OA))
+    ledger.post_questions(("q1", "q2"), 1000)
+    for agent in "ABC":
+        ledger.select_questions(agent, ("q1", "q2"))
+    ledger.tick(10)
+    keys = {agent: _commit_and_reveal(ledger, agent, [("q1", 1), ("q2", i % 2)])
+            for i, agent in enumerate("ABC")}
+    for agent, batches in keys.items():
+        for b, (vec, key) in batches.items():
+            value = key.value ^ 1 if agent == "C" else key.value
+            assert ledger.reveal(agent, b, vec.message(), value) == (agent != "C")
+    ledger.settle()
+    return ledger
+
+
+def test_replay_outputs_do_not_depend_on_the_keccak_memo():
+    dump = _settled_round_with_a_failed_reveal().dump()
+    runs = []
+    for cold in (True, False):
+        if cold:
+            _keccak256_memo.cache_clear()
+        misses = _keccak256_memo.cache_info().misses
+        replayed = Ledger.load(dump)
+        clean = replayed.audit()
+        # a stored key with one bit flipped: its layout was never hashed
+        (agent, b), (message, key) = next(iter(replayed.accepted.items()))
+        replayed.accepted[(agent, b)] = (message, key ^ 1 << 40)
+        runs.append((replayed.dump(), clean, replayed.audit(), replayed.settlement.to_csv()))
+        # cold: the three reveals and the flipped key miss; warm: every layout hits
+        assert _keccak256_memo.cache_info().misses - misses == (4 if cold else 0)
+    assert runs[0] == runs[1]
+    assert runs[0][0] == dump and runs[0][1] == []
+    assert runs[0][2] == [f"stored reveal fails verification: {agent} batch {b}"]
+    assert any(n.kind == "failed-verification" and n.agent == "C" for n in replayed.notes)
+
+
+def test_a_flipped_key_bit_fails_verification_with_the_honest_layout_memoised():
+    vec = cmt.pack([("q1", 1), ("q2", 0)], ("q1", "q2"))
+    key = cmt.SecretKey(0x1234_5678_9ABC_DEF0_1357)
+    commitment_ = cmt.commit(vec, key)
+    for bit in range(cmt.KEY_BITS):
+        ledger, _vec, _key = _staged(Phase.COMMIT)
+        ledger.submit_commitment("A", 0, commitment_)
+        hits = _keccak256_memo.cache_info().hits
+        assert cmt.verify_reveal(commitment_, vec, key)
+        assert _keccak256_memo.cache_info().hits == hits + 1  # the honest layout is memoised
+        assert not ledger.reveal("A", 0, vec.message(), key.value ^ 1 << bit)
+        assert ledger.discarded[("A", 0)].kind == "failed-verification"
+        assert ledger.revealed_cells == {}
 
 
 def test_tick_validation():

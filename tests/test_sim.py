@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from peerchain import mechanisms, peer_selection
+from peerchain import keccak, mechanisms, peer_selection
 from peerchain.errors import EmptyDataset
 from peerchain.ledger import Ledger, Phase
 from peerchain.mechanisms import Mechanism, SampledPeers
@@ -183,16 +183,24 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_selection_seed_is_hashed_once_per_round_and_replay(monkeypatch):
-    # every sampled cell derives its substream from the seed; the keccak
-    # behind it runs once per SelectionSeed, not once per cell
+    # every sampled cell derives its substream from the seed; the seed is
+    # looked up once per pass over the cells, not once per cell, and the
+    # sponge behind it runs once per seed value: keccak256 memoises it
     ds = QoSDataset.skip_one(12, 12, seed=5)
-    cfg = ExperimentConfig(peer_mode=SampledPeers(3, SelectionSeed(12, 34)), agents=12, seed=5)
-    hashes = _counting(monkeypatch, peer_selection, "keccak256")
+    seed = SelectionSeed(12, 34)
+    cfg = ExperimentConfig(peer_mode=SampledPeers(3, seed), agents=12, seed=5)
+    payload = (12).to_bytes(32, "big") + (34).to_bytes(32, "big")
+    keccak._keccak256_memo.cache_clear()
+    sponges = _counting(monkeypatch, keccak, "_sponge_256")
+    lookups = _counting(monkeypatch, peer_selection, "keccak256")
     report = run_experiment(cfg, ds)
-    assert len(hashes) <= 1
-    hashes.clear()
+    assert [args[0] for args in sponges].count(payload) == 1
+    assert 1 <= len(lookups) <= 3  # the config check, the kernel and the gas model
+    sponges.clear()
+    lookups.clear()
     Ledger.load(report.ledger.dump())  # a new SelectionSeed from the log
-    assert len(hashes) <= 1
+    assert [args[0] for args in sponges].count(payload) == 0
+    assert 1 <= len(lookups) <= 3
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))

@@ -17,10 +17,13 @@ visits use, with both agents' answer counts, from its per-pair visit
 counts.  Only the sampling charges ask for the peer mode; the pool sizes
 they price come from the per-question answerer counts.  The function
 builds its own `PeerVisits` because its signature takes the matrix, not
-the kernel's visits, so in sampled mode the peers of every cell are drawn
-a second time; the draw is a pure function of the seed and the cell, so
-it picks the peers the mechanism scored.  Passing the kernel's
-`PeerVisits` in instead would halve the sampler calls that the round
+the kernel's visits, so in sampled mode every cell's `sample_peers` call
+is made a second time; the draw is a pure function of the seed and the
+cell, so it picks the peers the mechanism scored.  That second draw is
+a hit in the sampler's memo of drawn positions (`peer_selection`) while
+the settle has at most `DRAW_MEMO_SIZE` sampled cells, so it costs a
+lookup and a naming, not k draws.  Passing the kernel's `PeerVisits` in
+instead ("draw once") would halve the sampler calls that the round
 benchmark counts, so it is left to a change of that benchmark.
 
 Cost patterns (T total answers, n_q answerers on question q, t_i answers

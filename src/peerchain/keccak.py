@@ -27,7 +27,10 @@ replayed ledger.  With the memo the last three find the first one's
 digest.  The memo is keyed on the exact input bytes, so a hit returns
 the digest the sponge would compute; ``bytearray`` and ``memoryview``
 inputs are copied to ``bytes`` first, so a buffer mutated after it was
-hashed is hashed afresh.  ``MEMO_SIZE`` is 1,024 layouts, about 160 kB,
+hashed is hashed afresh.  Both digests take bytes-like input only,
+through ``memoryview``: an int, a str, a list of ints or ``None`` raises
+``TypeError`` rather than hash what ``bytes()`` would make of it (an int
+n makes n zero bytes).  ``MEMO_SIZE`` is 1,024 layouts, about 160 kB,
 well above the 112 commitments of a packed 56x56 round and the 333-353
 of a 12x40 unpacked one.  A hit costs about 0.5 us; a miss adds a lookup
 and an insert, under a microsecond, to a 180-300 us hash.  The memo
@@ -205,10 +208,16 @@ def _keccak256_memo(data: bytes) -> bytes:
 
 
 def keccak256(data: bytes) -> bytes:
-    """Ethereum-style Keccak-256 digest of ``data`` (any bytes-like)."""
-    return _keccak256_memo(bytes(data))
+    """Ethereum-style Keccak-256 digest of ``data`` (any bytes-like).
+
+    Anything that is not bytes-like, an int or a list of ints included,
+    raises TypeError: ``bytes(3)`` would be three zero bytes.
+    """
+    if type(data) is not bytes:
+        data = bytes(memoryview(data))
+    return _keccak256_memo(data)
 
 
 def sha3_256(data: bytes) -> bytes:
     """NIST SHA3-256 digest; exists only to cross-check the permutation."""
-    return _sponge_256(data, 0x06)
+    return _sponge_256(memoryview(data), 0x06)

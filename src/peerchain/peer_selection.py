@@ -20,6 +20,26 @@ shrinking pool and swap the tail in (a Fisher-Yates prefix), so it
 consumes exactly k draws.  Redrawing on collisions instead would make the
 draw count unbounded, which a gas-metered contract cannot rely on.
 
+The sampler draws positions, not names.  ``_draw_positions(size, k,
+state)`` runs the Fisher-Yates prefix over the positions ``0..size-1``
+and returns the k positions drawn; ``sample_peers`` names them from its
+candidates in a fresh list.  Which positions are drawn depends only on the
+pool size, k and the seed's state, so the draw is memoised on those three
+ints: a pool of agent names and a pool of agent indices of one size share
+an entry, and so do a ``SelectionSeed`` and its ``seed64()``.  A sampled
+settle draws each cell twice, in the reward kernel and in the gas model,
+and a replay of the log draws both again; with the memo the last three
+find the first one's positions.  The memo is an LRU of ``DRAW_MEMO_SIZE``
+= 4,096 draws, about 0.9 MiB at k = 10 (tracemalloc), above the 3,080
+sampled cells of a skip-one 56x56 settle.  A hit costs about 2 us and a
+draw 9-15 us (2-core Xeon, Python 3.11).  The kernel and the gas model
+each draw every cell in row-major order, so a settle with more sampled
+cells than ``DRAW_MEMO_SIZE`` (skip-one 100x100 has 9,900) gets no hits
+and pays for the memo on every draw: the naming step, the lookup, the
+insert and an eviction make its two ``peer_visits`` about 20% slower
+than drawing names directly.  A log replayed in a process that did not
+run its round draws every cell afresh in the kernel.
+
 ``cell_seed(seed, i, j)`` is the seed of one (agent, question) cell's
 draws.  ``cell_seeds`` derives the seeds of every cell of an agents x
 questions grid at once: the two finalize layers run as numpy ``uint64``
@@ -32,6 +52,7 @@ for every cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +63,8 @@ from .keccak import keccak256
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _LEAP = 0xD1B54A32D192ED03
+
+DRAW_MEMO_SIZE = 4096  # draws kept by _draw_positions
 
 
 def _finalize(z: int) -> int:
@@ -103,21 +126,29 @@ def sample_peers(candidates: Sequence[str], k: int, seed: SelectionSeed | int) -
 
     Each draw indexes the remaining pool modulo its size; the chosen entry
     is swapped out by the pool tail.  The modulo bias is below 2^-48 for
-    any realistic pool and is accepted.
+    any realistic pool and is accepted.  The draw picks positions, which
+    ``_draw_positions`` memoises; this names them, in a fresh list.
     """
     require_ints(k=k)
     size = len(candidates)
     if not 1 <= k <= size:
         raise KTooLarge(f"k={k} outside 1..{size}")
-    draw = SplitMix64(seed_state(seed)).next
-    pool = list(candidates)
+    return [candidates[p] for p in _draw_positions(size, k, seed_state(seed))]
+
+
+@lru_cache(maxsize=DRAW_MEMO_SIZE)
+def _draw_positions(size: int, k: int, state: int) -> tuple[int, ...]:
+    """The positions in ``0..size-1`` of the k peers drawn from a pool of
+    ``size`` by the stream at ``state``, in the order drawn."""
+    draw = SplitMix64(state).next
+    pool = list(range(size))
     picked = []
     # the live pool is pool[:n]; its tail entry fills the slot just drawn
     for n in range(size, size - k, -1):
         idx = draw() % n
         picked.append(pool[idx])
         pool[idx] = pool[n - 1]
-    return picked
+    return tuple(picked)
 
 
 def cell_seed(seed: SelectionSeed | int, agent_index: int, question_index: int) -> int:

@@ -1,8 +1,11 @@
 """Keccak-256 against published vectors and NIST SHA3-256 divergence, and
 its digest memo against the unmemoised sponge."""
 
+import array
 import hashlib
 import random
+
+import pytest
 
 from peerchain.keccak import MEMO_SIZE, _keccak256_memo, _sponge_256, keccak256, sha3_256
 
@@ -71,9 +74,21 @@ def test_memoised_digests_equal_the_sponge_cold_and_warm():
 def test_bytes_like_inputs_give_the_bytes_digest():
     msg = b"commit-reveal layout, 22B"
     digest = _sponge_256(msg, 0x01)
-    for data in (bytearray(msg), memoryview(msg), memoryview(bytearray(msg))):
+    for data in (bytearray(msg), memoryview(msg), memoryview(bytearray(msg)), array.array("B", msg)):
         assert keccak256(data) == digest
         assert type(keccak256(data)) is bytes
+        assert sha3_256(data) == hashlib.sha3_256(msg).digest()
+
+
+@pytest.mark.parametrize("data", [3, 0, True, [1, 2, 3], "abc", None, 2.0],
+                         ids=["int", "zero", "bool", "list", "str", "none", "float"])
+def test_only_bytes_like_input_is_hashed(data):
+    # bytes(3) is three zero bytes and bytes([1, 2, 3]) their values: neither
+    # is what a caller passing an int or a list meant to hash
+    with pytest.raises(TypeError):
+        keccak256(data)
+    with pytest.raises(TypeError):
+        sha3_256(data)
 
 
 def test_a_mutated_bytearray_gets_its_new_digest():

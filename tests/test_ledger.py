@@ -25,7 +25,8 @@ from peerchain.errors import (
 from peerchain.keccak import _keccak256_memo
 from peerchain.ledger import Ledger, LedgerConfig, Phase, format_decimal
 from peerchain.mechanisms import ALL_PEERS, Mechanism, SampledPeers
-from peerchain.peer_selection import SelectionSeed
+from peerchain.peer_selection import SelectionSeed, _draw_positions
+from peerchain.sim import ExperimentConfig, QoSDataset, run_experiment
 
 from conftest import BAD_ALPHAS
 
@@ -652,6 +653,37 @@ def test_replay_outputs_do_not_depend_on_the_keccak_memo():
     assert runs[0][0] == dump and runs[0][1] == []
     assert runs[0][2] == [f"stored reveal fails verification: {agent} batch {b}"]
     assert any(n.kind == "failed-verification" and n.agent == "C" for n in replayed.notes)
+
+
+@pytest.mark.parametrize("mechanism", [Mechanism.DG, Mechanism.OA], ids=["dg", "oa"])
+def test_replay_outputs_do_not_depend_on_the_draw_memo(mechanism):
+    config = ExperimentConfig(mechanism=mechanism, peer_mode=SampledPeers(3, SelectionSeed(5, 6)),
+                              agents=12, seed=3)
+    round_ = run_experiment(config, QoSDataset.skip_one(12, 12, seed=4)).ledger
+    dump = round_.dump()
+    number = _line_of(dump, "reveal")
+    key = json.loads(bytes.fromhex(dump.splitlines()[number - 1].rsplit(",", 1)[1]))["key"]
+    tampered = _with_payload(dump, number, key=key ^ 1)
+    cells = 12 * 11  # skip-one: every agent answers 11 of the 12 questions
+    runs = []
+    for cold in (True, False):
+        if cold:
+            _draw_positions.cache_clear()
+        misses = _draw_positions.cache_info().misses
+        replayed = Ledger.load(dump)
+        # cold: the kernel draws every sampled cell and the gas model finds it
+        assert _draw_positions.cache_info().misses - misses == (cells if cold else 0)
+        forged = Ledger.load(tampered)
+        runs.append((replayed.dump(), replayed.settlement.to_csv(), replayed.gas.report_rows(),
+                     replayed.audit(), forged.settlement.to_csv(), dict(forged.discarded)))
+    assert runs[0] == runs[1]
+    replay_dump, csv, gas_rows, findings, forged_csv, forged_discards = runs[0]
+    assert (replay_dump, csv, gas_rows) == (dump, round_.settlement.to_csv(), round_.gas.report_rows())
+    assert findings == []
+    # the forged key fails verification at replay, and the settlement moves
+    agent = dump.splitlines()[number - 1].split(",")[2]
+    assert [(a, n.kind) for (a, _b), n in forged_discards.items()] == [(agent, "failed-verification")]
+    assert forged_csv != csv
 
 
 def test_a_flipped_key_bit_fails_verification_with_the_honest_layout_memoised():

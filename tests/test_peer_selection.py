@@ -1,20 +1,39 @@
-"""SplitMix64 reference vectors, seed derivation, and sampler statistics."""
+"""SplitMix64 reference vectors, seed derivation, sampler statistics, and
+the draw memo against an unmemoised sampler."""
 
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from peerchain import peer_selection
 from peerchain.errors import KTooLarge
 from peerchain.mechanisms import SampledPeers
 from peerchain.peer_selection import (
+    DRAW_MEMO_SIZE,
     SelectionSeed,
     SplitMix64,
+    _draw_positions,
     cell_seed,
     cell_seeds,
     sample_peers,
+    seed_state,
 )
+
+
+def reference_sample(candidates, k, seed):
+    """The sampler without its memo: a Fisher-Yates prefix over the
+    candidates themselves, k draws from the seed's stream."""
+    draw = SplitMix64(seed_state(seed)).next
+    pool = list(candidates)
+    picked = []
+    for n in range(len(pool), len(pool) - k, -1):
+        idx = draw() % n
+        picked.append(pool[idx])
+        pool[idx] = pool[n - 1]
+    return picked
 
 
 def test_splitmix64_reference_vectors():
@@ -74,6 +93,7 @@ def test_sample_peers_exact_draw_count_and_distinctness(monkeypatch):
             return super().next()
 
     monkeypatch.setattr(peer_selection, "SplitMix64", CountingStream)
+    _draw_positions.cache_clear()
     pool = [f"p{i}" for i in range(10)]
     for k in (1, 3, 10):
         streams.clear()
@@ -81,6 +101,9 @@ def test_sample_peers_exact_draw_count_and_distinctness(monkeypatch):
         assert [stream.draws for stream in streams] == [k]
         assert len(picked) == len(set(picked)) == k
         assert set(picked) <= set(pool)
+        # a repeat finds the draw in the memo and opens no stream
+        assert sample_peers(pool, k, 99) == picked
+        assert [stream.draws for stream in streams] == [k]
 
 
 def test_sample_peers_bounds_checked():
@@ -159,3 +182,60 @@ def test_cell_seeds_equal_every_cell_stream(seed, shape):
     assert seeds == [[cell_seed(seed, i, j) for j in range(n_questions)]
                      for i in range(n_agents)]
     assert all(type(s) is int for row in seeds for s in row)
+
+
+SEEDS = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.integers(2**64, 2**80),
+    st.builds(SelectionSeed, st.integers(0, 2**64), st.integers(0, 2**64)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(size=st.integers(1, 60), names=st.booleans(), seed=SEEDS)
+def test_memoised_sampler_equals_the_unmemoised_reference_cold_and_warm(size, names, seed):
+    pool = [f"agent-{i}" for i in range(size)] if names else [7 * i + 3 for i in range(size)]
+    expected = [reference_sample(pool, k, seed) for k in range(1, size + 1)]
+    _draw_positions.cache_clear()
+    for warm in (False, True):
+        hits = _draw_positions.cache_info().hits
+        assert [sample_peers(pool, k, seed) for k in range(1, size + 1)] == expected
+        assert _draw_positions.cache_info().hits - hits == (size if warm else 0)
+
+
+def test_pools_of_one_size_share_their_drawn_positions():
+    names = [f"n{i}" for i in range(12)]
+    ints = list(range(100, 112))
+    _draw_positions.cache_clear()
+    for seed in (0, 5, 2**64 + 5, SelectionSeed(12, 34)):
+        picked = sample_peers(names, 4, seed)
+        positions = [names.index(name) for name in picked]
+        assert sample_peers(ints, 4, seed) == [ints[p] for p in positions]
+        assert sample_peers(ints, 4, seed) == reference_sample(ints, 4, seed)
+    # a SelectionSeed, its seed64() and that int plus 2**64 are one entry
+    seed = SelectionSeed(12, 34)
+    hits = _draw_positions.cache_info().hits
+    sample_peers(ints, 4, seed.seed64())
+    sample_peers(ints, 4, seed.seed64() + 2**64)
+    assert _draw_positions.cache_info().hits == hits + 2
+    # the same seed, another pool size or k: another draw, not a memo entry
+    assert sample_peers(names[:11], 4, 5) == reference_sample(names[:11], 4, 5)
+    assert sample_peers(names, 3, 5) == reference_sample(names, 3, 5)
+
+
+def test_a_mutated_sample_does_not_reach_the_next_call():
+    pool = ["a", "b", "c", "d", "e"]
+    picked = sample_peers(pool, 3, 11)
+    expected = list(picked)
+    picked.append("z")
+    picked[0] = "mutated"
+    assert sample_peers(pool, 3, 11) == expected
+    assert sample_peers(pool, 3, 11) is not sample_peers(pool, 3, 11)
+
+
+def test_draw_memo_stays_within_its_bound():
+    assert _draw_positions.cache_info().maxsize == DRAW_MEMO_SIZE
+    pool = list(range(5))
+    for seed in range(DRAW_MEMO_SIZE + 1):
+        sample_peers(pool, 2, seed)
+    assert _draw_positions.cache_info().currsize == DRAW_MEMO_SIZE

@@ -136,6 +136,10 @@ def decode(message: int, question_order: list[str] | tuple[str, ...]) -> PackedA
 
 def layout_bytes(v: PackedAnswerVector, s: SecretKey) -> bytes:
     """Canonical 22-byte layout hashed by ``commit`` (key low, message high)."""
+    if not (isinstance(v, PackedAnswerVector) and isinstance(s, SecretKey)):
+        raise ValueError(
+            f"a layout needs a PackedAnswerVector and a SecretKey, got {type(v).__name__} and {type(s).__name__}"
+        )
     return (s.value | (v.message() << KEY_BITS)).to_bytes(LAYOUT_BYTES, "little")
 
 
@@ -146,4 +150,6 @@ def commit(v: PackedAnswerVector, s: SecretKey) -> Commitment:
 
 def verify_reveal(c: Commitment, v: PackedAnswerVector, s: SecretKey) -> bool:
     """True iff the revealed (answers, key) reproduce the commitment."""
+    if not isinstance(c, Commitment):
+        raise ValueError(f"a reveal is checked against a Commitment, got {type(c).__name__}")
     return commit(v, s).digest == c.digest

@@ -1,4 +1,4 @@
-"""Keccak-256 in pure Python.
+"""Keccak-256: a pure-Python sponge and a numpy batch for one-block messages.
 
 This is the original Keccak (pad byte 0x01) as used on Ethereum, not the
 finalized SHA-3 standard (pad byte 0x06).  Both variants share the
@@ -19,31 +19,49 @@ instead of 25.  The sponge absorbs each 136-byte block with one
 little-endian ``struct`` unpack of 17 lanes and squeezes the digest with
 one pack of 4.
 
-``keccak256`` keeps a bounded memo of its last ``MEMO_SIZE`` digests.  A
+``keccak256_many`` hashes a list of messages of at most 135 bytes, each of
+which pads to one rate block, with one permutation over all of them: the
+state is a (25, N) ``uint64`` array, lane x + 5*y in row x + 5*y, and
+every step of a round is a numpy operation on whole rows (Bertoni,
+Daemen, Peeters and Van Assche, "The Keccak reference", 2011; the pad is
+FIPS 202's multi-rate padding).  Timed on a shared 2-core Xeon (Python
+3.11, numpy 2.4), a batch costs about 0.9 ms whatever its size plus about
+7 us a message, against 200-450 us a message for the sponge: it breaks
+even at 2-4 messages, and 353 messages take about 3 ms against 70-145 ms.
+Longer messages go through ``keccak256``.
+
+Both paths share one bounded memo of the last ``MEMO_SIZE`` digests, a
+plain dict kept in least-recently-used order: a hit pops its entry and
+puts it back at the end, a new entry evicts the first one.  A
 commitment's 22-byte layout is hashed four times: by the agent when it
 commits, by the contract when it checks the reveal, by ``Ledger.load``
 when a replay checks that reveal again, and by ``audit`` over the
-replayed ledger.  With the memo the last three find the first one's
-digest.  The memo is keyed on the exact input bytes, so a hit returns
-the digest the sponge would compute; ``bytearray`` and ``memoryview``
-inputs are copied to ``bytes`` first, so a buffer mutated after it was
-hashed is hashed afresh.  Both digests take bytes-like input only,
-through ``memoryview``: an int, a str, a list of ints or ``None`` raises
-``TypeError`` rather than hash what ``bytes()`` would make of it (an int
-n makes n zero bytes).  ``MEMO_SIZE`` is 1,024 layouts, about 160 kB,
-well above the 112 commitments of a packed 56x56 round and the 333-353
-of a 12x40 unpacked one.  A hit costs about 0.5 us; a miss adds a lookup
-and an insert, under a microsecond, to a 180-300 us hash.  The memo
-evicts the least recently used layout, and a round commits every batch
-before it reveals any, so a round with more commitments than
-``MEMO_SIZE`` finds none of them at reveal time and pays the sponge as
-if there were no memo.  ``sha3_256`` is not memoised.
+replayed ledger.  ``sim.run_experiment`` hashes every layout of a round
+through ``keccak256_many`` before it commits, so each of the four
+``keccak256`` calls finds the digest in the memo.  The memo is keyed on
+the exact input bytes, so a hit returns the digest the sponge would
+compute; ``bytearray`` and ``memoryview`` inputs are copied to ``bytes``
+first, so a buffer mutated after it was hashed is hashed afresh.  Every
+digest takes bytes-like input only, through ``memoryview``: an int, a
+str, a list of ints or ``None`` raises ``TypeError`` rather than hash
+what ``bytes()`` would make of it (an int n makes n zero bytes).
+``MEMO_SIZE`` is 1,024 layouts, about 160 kB, well above the 112
+commitments of a packed 56x56 round and the 333-353 of a 12x40 unpacked
+one.  A hit costs about 0.25 us; a miss of ``keccak256`` adds a lookup
+and an insert, under a microsecond, to the sponge.  A batch of more than
+``MEMO_SIZE`` distinct messages returns every digest but leaves only the
+last ``MEMO_SIZE`` in the memo.  So ``run_experiment`` hashes and commits
+``MEMO_SIZE`` layouts at a time, and passes each slice through
+``keccak256_many`` again before it reveals it: all hits while the round
+fits in the memo, one batch for the evicted layouts of a round that does
+not.  ``sha3_256`` is not memoised.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 
@@ -58,18 +76,32 @@ _ROUND_CONSTANTS = (
     0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 )
 
-# rho offsets by source lane x + 5*y, as written into the round body below:
-#    0,  1, 62, 28, 27,
-#   36, 44,  6, 55, 20,
-#    3, 10, 43, 25, 39,
-#   41, 45, 15, 21,  8,
-#   18,  2, 61, 56, 14
+# rho offsets by source lane x + 5*y, as written into the round body below
+_RHO = (
+    0, 1, 62, 28, 27,
+    36, 44, 6, 55, 20,
+    3, 10, 43, 25, 39,
+    41, 45, 15, 21, 8,
+    18, 2, 61, 56, 14,
+)
 
 _RATE_BYTES = 136  # 1600 - 2*256 bits
 _BLOCK = struct.Struct("<17Q")  # one rate block as lanes 0..16
 _DIGEST = struct.Struct("<4Q")  # 32 bytes from lanes 0..3
 
-MEMO_SIZE = 1024  # digests kept by keccak256
+MEMO_SIZE = 1024  # digests kept by the memo
+
+# the batch's tables: pi moves lane x + 5y to y + 5*((2x + 3y) % 5), so row
+# d of the rho-pi step is row _PI_SOURCE[d] rotated left by _ROTATE[d]
+_PI_SOURCE = np.array(sorted(range(25), key=lambda i: i // 5 + 5 * ((2 * (i % 5) + 3 * (i // 5)) % 5)))
+_ROTATE = np.array([_RHO[i] for i in _PI_SOURCE], dtype=np.uint64)[:, None]
+_ROTATE_BACK = np.array([-_RHO[i] % 64 for i in _PI_SOURCE], dtype=np.uint64)[:, None]
+_NEXT = np.array([1, 2, 3, 4, 0])      # column x + 1
+_AFTER_NEXT = np.array([2, 3, 4, 0, 1])  # column x + 2
+_PREVIOUS = np.array([4, 0, 1, 2, 3])  # column x - 1
+_ROUND_CONSTANTS_U64 = tuple(np.uint64(rc) for rc in _ROUND_CONSTANTS)
+
+_memo: dict[bytes, bytes] = {}  # message -> digest, least recently used first
 
 
 def _keccak_f1600(lanes: list[int]) -> list[int]:
@@ -202,9 +234,39 @@ def _sponge_256(data: bytes, pad_byte: int) -> bytes:
     return _DIGEST.pack(*lanes[:4])
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _keccak256_memo(data: bytes) -> bytes:
-    return _sponge_256(data, 0x01)
+def _keccak_f1600_rows(a: np.ndarray) -> np.ndarray:
+    """Keccak-f[1600] on every column of a (25, N) ``uint64`` lane array."""
+    n = a.shape[1]
+    for rc in _ROUND_CONSTANTS_U64:
+        # theta: column parities c[x], and d[x] = c[x - 1] ^ rotl(c[x + 1], 1)
+        c = a[0:5] ^ a[5:10]
+        c ^= a[10:15]
+        c ^= a[15:20]
+        c ^= a[20:25]
+        t = c[_NEXT]
+        d = c[_PREVIOUS] ^ ((t << 1) | (t >> 63))
+        a.reshape(5, 5, n)[...] ^= d
+        # rho and pi
+        t = a[_PI_SOURCE]
+        b = ((t << _ROTATE) | (t >> _ROTATE_BACK)).reshape(5, 5, n)
+        # chi along each row, then iota
+        a = (b ^ (~b[:, _NEXT] & b[:, _AFTER_NEXT])).reshape(25, n)
+        a[0] ^= rc
+    return a
+
+
+def _sponge_256_many(messages: list[bytes], pad_byte: int) -> list[bytes]:
+    """The 256-bit sponge of each message of at most 135 bytes, in one pass."""
+    n = len(messages)
+    blocks = bytearray(_RATE_BYTES * n)
+    for offset, m in zip(range(0, len(blocks), _RATE_BYTES), messages):
+        blocks[offset:offset + len(m)] = m
+        blocks[offset + len(m)] = pad_byte
+        blocks[offset + _RATE_BYTES - 1] ^= 0x80
+    lanes = np.zeros((25, n), dtype=np.uint64)
+    lanes[:17] = np.frombuffer(blocks, dtype="<u8").reshape(n, 17).T
+    digests = _keccak_f1600_rows(lanes)[:4].T.astype("<u8").tobytes()
+    return [digests[i:i + 32] for i in range(0, len(digests), 32)]
 
 
 def keccak256(data: bytes) -> bytes:
@@ -215,7 +277,36 @@ def keccak256(data: bytes) -> bytes:
     """
     if type(data) is not bytes:
         data = bytes(memoryview(data))
-    return _keccak256_memo(data)
+    digest = _memo.pop(data, None)
+    if digest is None:
+        digest = _sponge_256(data, 0x01)
+        if len(_memo) >= MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+    _memo[data] = digest
+    return digest
+
+
+def keccak256_many(messages) -> list[bytes]:
+    """``[keccak256(m) for m in messages]``, with one permutation for the lot.
+
+    Every message must be bytes-like (TypeError otherwise) and at most 135
+    bytes long, so that it pads to one rate block (ValueError otherwise).
+    Digests the memo holds are read from it and the rest are computed
+    together; then every digest enters the memo as most recently used, in
+    the order the messages first appear.
+    """
+    data = [m if type(m) is bytes else bytes(memoryview(m)) for m in messages]
+    if data and max(map(len, data)) >= _RATE_BYTES:
+        raise ValueError(f"keccak256_many hashes messages of at most {_RATE_BYTES - 1} bytes")
+    digests = {m: _memo.pop(m, None) for m in dict.fromkeys(data)}
+    fresh = [m for m, digest in digests.items() if digest is None]
+    if fresh:
+        digests.update(zip(fresh, _sponge_256_many(fresh, 0x01)))
+    for m, digest in digests.items():
+        if len(_memo) >= MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+        _memo[m] = digest
+    return [digests[m] for m in data]
 
 
 def sha3_256(data: bytes) -> bytes:

@@ -28,6 +28,7 @@ import numpy as np
 from . import commitment as cmt
 from .errors import EmptyDataset, require_ints
 from .gas_model import DEFAULT_GAS_TABLE, GasTable
+from .keccak import MEMO_SIZE, keccak256_many
 from .ledger import Ledger, LedgerConfig, format_decimal
 from .mechanisms import (
     ALL_PEERS,
@@ -299,7 +300,14 @@ CSV_HEADER = (
 
 
 def run_experiment(config: ExperimentConfig, dataset: QoSDataset | None = None) -> ExperimentReport:
-    """One full protocol round; deterministic in (config, dataset)."""
+    """One full protocol round; deterministic in (config, dataset).
+
+    The requester posts, every agent with answers selects its questions,
+    and the agents prepare every commitment off-ledger (pack each batch,
+    draw its key, hash its layout) before any is submitted; then every
+    batch is committed, revealed and the round settled.  Key draws, and
+    commits and reveals, follow agent order and batch order.
+    """
     if dataset is None:
         dataset = QoSDataset.synthetic(config.agents, 50, seed=config.seed)
     if dataset.n_agents < config.agents:
@@ -332,20 +340,27 @@ def run_experiment(config: ExperimentConfig, dataset: QoSDataset | None = None) 
         ledger.select_questions(a, selections[a], deposit)
     ledger.tick(led_cfg.selection_blocks)
 
-    keys: dict[tuple[str, int], cmt.SecretKey] = {}
-    vectors: dict[tuple[str, int], cmt.PackedAnswerVector] = {}
+    # off-ledger, every agent packs its batches, draws their keys and hashes
+    # their layouts; the hashing runs as one batch per MEMO_SIZE commitments,
+    # so each digest is still in the memo when `commit` and the contract's
+    # reveal check ask for it
+    prepared: list[tuple[str, int, cmt.PackedAnswerVector, cmt.SecretKey]] = []
     for a in active:
         key_rng = random.Random(f"key:{config.seed}:{a}")
         row = reports.answers_by_agent[a]
         for b, batch_qs in enumerate(ledger.agent_batches(a)):
             answers = [(q, row[q]) for q in batch_qs if q in row]
-            vec = cmt.pack(answers, batch_qs)
-            key = cmt.SecretKey.from_rng(key_rng)
-            keys[(a, b)] = key
-            vectors[(a, b)] = vec
+            prepared.append((a, b, cmt.pack(answers, batch_qs), cmt.SecretKey.from_rng(key_rng)))
+    slices = [prepared[i:i + MEMO_SIZE] for i in range(0, len(prepared), MEMO_SIZE)]
+    layouts = [[cmt.layout_bytes(vec, key) for _a, _b, vec, key in part] for part in slices]
+    for part, part_layouts in zip(slices, layouts):
+        keccak256_many(part_layouts)
+        for a, b, vec, key in part:
             ledger.submit_commitment(a, b, cmt.commit(vec, key))
-    for (a, b), vec in vectors.items():
-        ledger.reveal_vector(a, b, vec, keys[(a, b)])
+    for part, part_layouts in zip(slices, layouts):
+        keccak256_many(part_layouts)  # memo hits, unless the round outgrew the memo
+        for a, b, vec, key in part:
+            ledger.reveal_vector(a, b, vec, key)
     settlement = ledger.settle()
 
     reward_report = settlement.reward_report

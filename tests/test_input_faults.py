@@ -16,6 +16,8 @@ from peerchain import incentives as inc
 from peerchain.errors import DegeneratePrior, NonPositiveBeta, PeerchainError
 
 BELIEFS = inc.BeliefModel(F(19, 20), F(24, 25))
+VECTOR = cmt.pack([("q", 1)], ("q",))
+KEY = cmt.SecretKey(1)
 
 FAULTS = {
     # incentive scenarios: every number goes through exact_number
@@ -41,6 +43,12 @@ FAULTS = {
     "decode-float": (lambda: cmt.decode(1.0, ("q",)), ValueError),
     "vector-bool": (lambda: cmt.PackedAnswerVector(True, ("q",)), ValueError),
     "commitment-str": (lambda: cmt.Commitment("x" * 32), ValueError),
+    "commit-vector-none": (lambda: cmt.commit(None, KEY), ValueError),
+    "commit-key-int": (lambda: cmt.commit(VECTOR, 5), ValueError),
+    "layout-message-int": (lambda: cmt.layout_bytes(VECTOR.message(), KEY), ValueError),
+    "verify-commitment-none": (lambda: cmt.verify_reveal(None, VECTOR, KEY), ValueError),
+    "verify-commitment-digest": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY).digest, VECTOR, KEY), ValueError),
+    "verify-key-int": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), VECTOR, 1), ValueError),
     # experiments
     "agents-float": (lambda: sim.ExperimentConfig(agents=2.5), ValueError),
     "agents-bool": (lambda: sim.ExperimentConfig(agents=True), ValueError),

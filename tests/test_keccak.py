@@ -1,5 +1,6 @@
-"""Keccak-256 against published vectors and NIST SHA3-256 divergence, and
-its digest memo against the unmemoised sponge."""
+"""Keccak-256 against published vectors and NIST SHA3-256 divergence, its
+one-block batch against the scalar sponge, and their digest memo against
+the unmemoised sponge."""
 
 import array
 import hashlib
@@ -7,7 +8,16 @@ import random
 
 import pytest
 
-from peerchain.keccak import MEMO_SIZE, _keccak256_memo, _sponge_256, keccak256, sha3_256
+from peerchain import keccak
+from peerchain.keccak import (
+    MEMO_SIZE,
+    _memo,
+    _sponge_256,
+    _sponge_256_many,
+    keccak256,
+    keccak256_many,
+    sha3_256,
+)
 
 # canonical vectors used across the Ethereum ecosystem
 VECTORS = {
@@ -58,17 +68,32 @@ def test_random_message_pin():
     assert pin.hexdigest() == PIN_SHA256
 
 
-def test_memoised_digests_equal_the_sponge_cold_and_warm():
+def _sponge_runs(monkeypatch, name="_sponge_256"):
+    """Record the first argument of every call keccak makes to ``name``."""
+    runs = []
+    real = getattr(keccak, name)
+
+    def counted(data, pad_byte):
+        runs.append(data)
+        return real(data, pad_byte)
+
+    monkeypatch.setattr(keccak, name, counted)
+    return runs
+
+
+def test_memoised_digests_equal_the_sponge_cold_and_warm(monkeypatch):
     rng = random.Random("keccak-memo")
     msgs = [rng.randbytes(n) for n in range(301)] + [b"y" * 1000]
-    _keccak256_memo.cache_clear()
+    _memo.clear()
+    runs = _sponge_runs(monkeypatch)
     for warm in (False, True):
-        hits = _keccak256_memo.cache_info().hits
+        runs.clear()
         for msg in msgs:
             d = keccak256(msg)
             assert len(d) == 32
             assert d == _sponge_256(msg, 0x01), len(msg)
-        assert _keccak256_memo.cache_info().hits - hits == (len(msgs) if warm else 0)
+        hits = len(msgs) - len(runs)
+        assert hits == (len(msgs) if warm else 0)
 
 
 def test_bytes_like_inputs_give_the_bytes_digest():
@@ -102,10 +127,93 @@ def test_a_mutated_bytearray_gets_its_new_digest():
 
 
 def test_memo_stays_within_its_bound():
-    assert _keccak256_memo.cache_info().maxsize == MEMO_SIZE
-    for i in range(MEMO_SIZE + 1):
-        keccak256(b"distinct message %d" % i)
-    assert _keccak256_memo.cache_info().currsize == MEMO_SIZE
+    _memo.clear()
+    msgs = [b"distinct message %d" % i for i in range(MEMO_SIZE + 1)]
+    for msg in msgs[:MEMO_SIZE]:
+        keccak256(msg)
+    assert len(_memo) == MEMO_SIZE  # nothing is evicted below the bound
+    keccak256(msgs[0])  # a hit makes the first message the most recently used
+    keccak256(msgs[MEMO_SIZE])
+    assert len(_memo) == MEMO_SIZE
+    assert msgs[1] not in _memo and msgs[0] in _memo and msgs[MEMO_SIZE] in _memo
+
+
+# --- keccak256_many ----------------------------------------------------------
+
+def test_batch_equals_the_sponge_for_every_one_block_length():
+    rng = random.Random("keccak-many-lengths")
+    msgs = [rng.randbytes(n) for n in range(136)]
+    _memo.clear()
+    assert keccak256_many(msgs) == [_sponge_256(m, 0x01) for m in msgs]
+    # length 135 puts the pad byte and the final bit in one byte, 0x81
+    _memo.clear()
+    assert keccak256_many([b"\x01" * 135])[0].hex() == BOUNDARY[135]
+    assert [keccak256_many([m])[0] for m in VECTORS] == [bytes.fromhex(d) for d in VECTORS.values()]
+
+
+def test_batch_permutation_under_the_sha3_pad_equals_hashlib():
+    rng = random.Random("keccak-many-sha3")
+    msgs = [rng.randbytes(n) for n in range(136)]
+    assert _sponge_256_many(msgs, 0x06) == [hashlib.sha3_256(m).digest() for m in msgs]
+
+
+@pytest.mark.parametrize("size", [1, 2, 353, MEMO_SIZE + 1])
+def test_batches_of_any_size_equal_the_sponge(size):
+    rng = random.Random(f"keccak-many-{size}")
+    msgs = [rng.randbytes(22) for _ in range(size)]
+    _memo.clear()
+    assert keccak256_many(msgs) == [_sponge_256(m, 0x01) for m in msgs]
+    assert len(_memo) == min(size, MEMO_SIZE)
+    # a batch past the bound keeps its last MEMO_SIZE digests
+    assert all(m in _memo for m in msgs[-MEMO_SIZE:])
+    assert keccak256_many([]) == []
+
+
+def test_a_repeated_message_is_hashed_once(monkeypatch):
+    msgs = [b"a" * 22, b"b" * 22, b"a" * 22, b"a" * 22]
+    _memo.clear()
+    runs = _sponge_runs(monkeypatch, "_sponge_256_many")
+    digests = keccak256_many(msgs)
+    assert digests == [_sponge_256(m, 0x01) for m in msgs]
+    assert runs == [[b"a" * 22, b"b" * 22]]
+    assert list(_memo) == [b"a" * 22, b"b" * 22]
+    # repeated and already memoised: read from the memo, never hashed
+    assert keccak256_many(msgs) == digests
+    assert runs == [[b"a" * 22, b"b" * 22]]
+
+
+def test_batch_and_scalar_share_one_memo(monkeypatch):
+    rng = random.Random("keccak-many-memo")
+    old, new = rng.randbytes(22), rng.randbytes(22)
+    _memo.clear()
+    keccak256(old)
+    batch_runs = _sponge_runs(monkeypatch, "_sponge_256_many")
+    scalar_runs = _sponge_runs(monkeypatch)
+    # the batch reads old from the memo and hashes only new ...
+    assert keccak256_many([new, old]) == [_sponge_256(new, 0x01), _sponge_256(old, 0x01)]
+    assert batch_runs == [[new]]
+    # ... and keccak256 finds both; a batch of hits runs no permutation
+    assert keccak256(new) == _sponge_256(new, 0x01) and keccak256(old) == _sponge_256(old, 0x01)
+    assert keccak256_many([bytearray(old), memoryview(new)]) == [keccak256(old), keccak256(new)]
+    assert scalar_runs == [] and batch_runs == [[new]]
+    assert list(_memo) == [old, new]
+
+
+@pytest.mark.parametrize("messages, error", [
+    ([b"x" * 136], ValueError),
+    ([b"ok", b"x" * 200], ValueError),
+    ([b"ok", 3], TypeError),
+    (["abc"], TypeError),
+    ([None], TypeError),
+    ([[1, 2, 3]], TypeError),
+    (3, TypeError),
+], ids=["136-bytes", "200-bytes", "int", "str", "none", "list", "not-a-list"])
+def test_batch_refuses_a_long_or_non_bytes_message(messages, error):
+    _memo.clear()
+    keccak256(b"ok")
+    with pytest.raises(error):
+        keccak256_many(messages)
+    assert list(_memo) == [b"ok"]  # a refused batch leaves the memo as it was
 
 
 def test_differs_from_nist_sha3():

@@ -22,7 +22,8 @@ from peerchain.errors import (
     WrongPhase,
     ZeroBudget,
 )
-from peerchain.keccak import _keccak256_memo
+from peerchain import keccak
+from peerchain.keccak import _memo
 from peerchain.ledger import Ledger, LedgerConfig, Phase, format_decimal
 from peerchain.mechanisms import ALL_PEERS, Mechanism, SampledPeers
 from peerchain.peer_selection import SelectionSeed, _draw_positions
@@ -634,13 +635,27 @@ def _settled_round_with_a_failed_reveal():
     return ledger
 
 
-def test_replay_outputs_do_not_depend_on_the_keccak_memo():
+def _sponge_runs(monkeypatch):
+    """Record every message that keccak256 hashes with its sponge: its misses."""
+    runs = []
+    real = keccak._sponge_256
+
+    def counted(data, pad_byte):
+        runs.append(data)
+        return real(data, pad_byte)
+
+    monkeypatch.setattr(keccak, "_sponge_256", counted)
+    return runs
+
+
+def test_replay_outputs_do_not_depend_on_the_keccak_memo(monkeypatch):
     dump = _settled_round_with_a_failed_reveal().dump()
+    misses = _sponge_runs(monkeypatch)
     runs = []
     for cold in (True, False):
         if cold:
-            _keccak256_memo.cache_clear()
-        misses = _keccak256_memo.cache_info().misses
+            _memo.clear()
+        misses.clear()
         replayed = Ledger.load(dump)
         clean = replayed.audit()
         # a stored key with one bit flipped: its layout was never hashed
@@ -648,7 +663,7 @@ def test_replay_outputs_do_not_depend_on_the_keccak_memo():
         replayed.accepted[(agent, b)] = (message, key ^ 1 << 40)
         runs.append((replayed.dump(), clean, replayed.audit(), replayed.settlement.to_csv()))
         # cold: the three reveals and the flipped key miss; warm: every layout hits
-        assert _keccak256_memo.cache_info().misses - misses == (4 if cold else 0)
+        assert len(misses) == (4 if cold else 0)
     assert runs[0] == runs[1]
     assert runs[0][0] == dump and runs[0][1] == []
     assert runs[0][2] == [f"stored reveal fails verification: {agent} batch {b}"]
@@ -686,16 +701,17 @@ def test_replay_outputs_do_not_depend_on_the_draw_memo(mechanism):
     assert forged_csv != csv
 
 
-def test_a_flipped_key_bit_fails_verification_with_the_honest_layout_memoised():
+def test_a_flipped_key_bit_fails_verification_with_the_honest_layout_memoised(monkeypatch):
     vec = cmt.pack([("q1", 1), ("q2", 0)], ("q1", "q2"))
     key = cmt.SecretKey(0x1234_5678_9ABC_DEF0_1357)
     commitment_ = cmt.commit(vec, key)
+    misses = _sponge_runs(monkeypatch)
     for bit in range(cmt.KEY_BITS):
         ledger, _vec, _key = _staged(Phase.COMMIT)
         ledger.submit_commitment("A", 0, commitment_)
-        hits = _keccak256_memo.cache_info().hits
+        misses.clear()
         assert cmt.verify_reveal(commitment_, vec, key)
-        assert _keccak256_memo.cache_info().hits == hits + 1  # the honest layout is memoised
+        assert misses == []  # the honest layout is memoised
         assert not ledger.reveal("A", 0, vec.message(), key.value ^ 1 << bit)
         assert ledger.discarded[("A", 0)].kind == "failed-verification"
         assert ledger.revealed_cells == {}

@@ -1,9 +1,11 @@
 """Dataset handling, behavior mixes, and the end-to-end experiment driver."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
+from peerchain import commitment as cmt
 from peerchain import keccak, mechanisms, peer_selection
 from peerchain.errors import EmptyDataset
 from peerchain.ledger import Ledger, Phase
@@ -190,7 +192,7 @@ def test_selection_seed_is_hashed_once_per_round_and_replay(monkeypatch):
     seed = SelectionSeed(12, 34)
     cfg = ExperimentConfig(peer_mode=SampledPeers(3, seed), agents=12, seed=5)
     payload = (12).to_bytes(32, "big") + (34).to_bytes(32, "big")
-    keccak._keccak256_memo.cache_clear()
+    keccak._memo.clear()
     sponges = _counting(monkeypatch, keccak, "_sponge_256")
     lookups = _counting(monkeypatch, peer_selection, "keccak256")
     report = run_experiment(cfg, ds)
@@ -201,6 +203,44 @@ def test_selection_seed_is_hashed_once_per_round_and_replay(monkeypatch):
     Ledger.load(report.ledger.dump())  # a new SelectionSeed from the log
     assert [args[0] for args in sponges].count(payload) == 0
     assert 1 <= len(lookups) <= 3
+
+
+# (config, dataset, commitments, gas total, SHA-256 of the event log and of
+# the settlement CSV), the outputs recorded before the batch hash existed
+LAYOUT_ROUNDS = {
+    "packed": (
+        ExperimentConfig(mechanism=Mechanism.PTSC, agents=30, seed=3), QoSDataset.synthetic(30, 50, seed=3),
+        30, 6871828,
+        "7047d2e89a133d78d797e5f22875ef6dd04017aff2e46b53e4ae44e9aa740688",
+        "d773c44fa0177494587eaa9c08b3b30854f5ca9626d1b994a656d37b7930a517",
+    ),
+    "unpacked-past-the-memo": (
+        ExperimentConfig(packed=False, agents=40, seed=4), QoSDataset.synthetic(40, 40, seed=4),
+        1090, 94236670,
+        "239907758e0a9898c3dcd0f2ca62e772523a998d8efab00abc1bdb63dbbf46b7",
+        "9f8ecc4e35d24866f3d215f528b1989b6c2e976bd802394d83f15613b778b847",
+    ),
+}
+
+
+@pytest.mark.parametrize("config, dataset, commitments, gas, log_sha, csv_sha",
+                         LAYOUT_ROUNDS.values(), ids=LAYOUT_ROUNDS.keys())
+def test_a_round_never_runs_the_sponge_on_a_commitment_layout(monkeypatch, config, dataset, commitments,
+                                                              gas, log_sha, csv_sha):
+    # the agents' batch hash fills the memo slice by slice; every commit and
+    # reveal check finds its layout there, also past MEMO_SIZE commitments
+    keccak._memo.clear()
+    sponges = _counting(monkeypatch, keccak, "_sponge_256")
+    report = run_experiment(config, dataset)
+    assert [args[0] for args in sponges if len(args[0]) == cmt.LAYOUT_BYTES] == []
+    assert len(report.ledger.commitments) == commitments
+    assert report.gas_total == gas
+    assert hashlib.sha256(report.ledger.dump().encode()).hexdigest() == log_sha
+    assert hashlib.sha256(report.ledger.settlement.to_csv().encode()).hexdigest() == csv_sha
+
+
+def test_the_large_layout_round_outgrows_the_memo():
+    assert LAYOUT_ROUNDS["unpacked-past-the-memo"][2] > keccak.MEMO_SIZE
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))

@@ -63,14 +63,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import UnknownOpKind, require_ints
-
-if TYPE_CHECKING:
-    from .mechanisms import AnswerMatrix, Mechanism, PeerMode
+from .mechanisms import AllPeers, AnswerMatrix, Mechanism, PeerMode, peer_visits, require_scoring
 
 
 @dataclass(frozen=True)
@@ -197,15 +194,13 @@ class GasLedger:
 
 def charge_settlement_compute(
     gas: GasLedger,
-    matrix: "AnswerMatrix",
-    mechanism: "Mechanism",
-    peer_mode: "PeerMode",
+    matrix: AnswerMatrix,
+    mechanism: Mechanism,
+    peer_mode: PeerMode,
     optimized: bool = True,
 ) -> int:
     """Charge the reward-computation pattern documented in the module
     docstring to the requester's settle phase.  Returns the gas added."""
-    from .mechanisms import AllPeers, Mechanism, peer_visits, require_scoring
-
     require_scoring(mechanism, peer_mode)  # before the first charge
 
     def charge(op_kind: str, words: int) -> None:

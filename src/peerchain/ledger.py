@@ -325,6 +325,9 @@ class Ledger:
     def select_questions(self, agent: str, question_ids, deposit: int = 0) -> None:
         self._require_phase(Phase.SELECTION)
         require_ints(deposit=deposit)
+        # the party is a comma-separated field of one log line
+        if not isinstance(agent, str) or "," in agent or "".join(agent.splitlines()) != agent:
+            raise ValueError(f"agent id must be a str without a comma or a line break, got {agent!r}")
         if agent in self.batches:
             raise ValueError(f"agent {agent!r} already registered")
         if agent == self.REQUESTER or agent == self.CHAIN:

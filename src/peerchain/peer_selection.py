@@ -101,8 +101,9 @@ class SelectionSeed:
     difficulty: int
 
     def __post_init__(self):
-        if self.block_timestamp < 0 or self.difficulty < 0:
-            raise ValueError("timestamp and difficulty are unsigned")
+        require_ints(block_timestamp=self.block_timestamp, difficulty=self.difficulty)
+        if not (0 <= self.block_timestamp < 1 << 256 and 0 <= self.difficulty < 1 << 256):
+            raise ValueError("timestamp and difficulty are uint256")
 
     def seed64(self) -> int:
         payload = self.block_timestamp.to_bytes(32, "big") + self.difficulty.to_bytes(32, "big")

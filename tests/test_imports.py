@@ -1,8 +1,9 @@
-"""Every name a module or test imports is used in it.
+"""Every name a module or test imports is used in it, and every private
+module-level definition of the package is read somewhere in the package.
 
-The package's ``__init__.py`` re-exports its imports and is left out.  A
-name read only inside a string annotation (``gas_model``'s
-``TYPE_CHECKING`` imports) counts as used.
+The package's ``__init__.py`` re-exports its imports and is left out of
+the import check.  A name read only inside a string annotation does not
+count as used: no module needs a ``TYPE_CHECKING`` import.
 """
 
 import ast
@@ -11,8 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for p in [*(ROOT / "src" / "peerchain").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-               if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "peerchain").glob("*.py"))
+FILES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")] if p.name != "__init__.py")
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -28,30 +29,39 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def _annotations(tree: ast.Module):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.arg):
-            yield node.annotation
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.returns
-        elif isinstance(node, ast.AnnAssign):
-            yield node.annotation
-
-
-def _used(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for annotation in filter(None, _annotations(tree)):
-        for node in ast.walk(annotation):
-            # a string annotation such as "AnswerMatrix" or "list[PeerMode]"
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                parsed = ast.parse(node.value, mode="eval")
-                used |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
-    return used
-
-
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    used = _used(tree)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _definitions(tree: ast.Module):
+    """(name, line) of each module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Every name the module loads, as a name, an attribute or an import."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return read
+
+
+def test_every_private_definition_is_read_in_the_package():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    read = set().union(*map(_read, trees.values()))
+    dead = [f"{path.name}:{line} {name}" for path, tree in trees.items()
+            for name, line in _definitions(tree)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert not dead, f"private definitions nothing in the package reads: {dead}"

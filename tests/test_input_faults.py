@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from peerchain import cli, commitment as cmt, sim
 from peerchain import incentives as inc
 from peerchain.errors import DegeneratePrior, NonPositiveBeta, PeerchainError
+from peerchain.peer_selection import SelectionSeed
 
 BELIEFS = inc.BeliefModel(F(19, 20), F(24, 25))
 VECTOR = cmt.pack([("q", 1)], ("q",))
@@ -49,6 +50,11 @@ FAULTS = {
     "verify-commitment-none": (lambda: cmt.verify_reveal(None, VECTOR, KEY), ValueError),
     "verify-commitment-digest": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY).digest, VECTOR, KEY), ValueError),
     "verify-key-int": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), VECTOR, 1), ValueError),
+    # peer selection seeds: two uint256 words
+    "seed-timestamp-float": (lambda: SelectionSeed(1.5, 2), ValueError),
+    "seed-timestamp-2**256": (lambda: SelectionSeed(2**256, 1), ValueError),
+    "seed-timestamp-bool": (lambda: SelectionSeed(True, 1), ValueError),
+    "seed-difficulty-none": (lambda: SelectionSeed(1, None), ValueError),
     # experiments
     "agents-float": (lambda: sim.ExperimentConfig(agents=2.5), ValueError),
     "agents-bool": (lambda: sim.ExperimentConfig(agents=True), ValueError),

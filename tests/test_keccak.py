@@ -1,6 +1,7 @@
-"""Keccak-256 against published vectors and NIST SHA3-256 divergence, its
-one-block batch against the scalar sponge, and their digest memo against
-the unmemoised sponge."""
+"""Keccak-256 against published vectors and frozen pins, its sponge under
+the SHA-3 pad against ``hashlib.sha3_256``, its one-block batch against
+one message at a time, and their digest memo against the unmemoised
+sponge."""
 
 import array
 import hashlib
@@ -9,15 +10,7 @@ import random
 import pytest
 
 from peerchain import keccak
-from peerchain.keccak import (
-    MEMO_SIZE,
-    _memo,
-    _sponge_256,
-    _sponge_256_many,
-    keccak256,
-    keccak256_many,
-    sha3_256,
-)
+from peerchain.keccak import MEMO_SIZE, _memo, _sponge_256, keccak256, keccak256_many
 
 # canonical vectors used across the Ethereum ecosystem
 VECTORS = {
@@ -27,7 +20,8 @@ VECTORS = {
         "4d741b6f1eb29cb2a9b9911c82f56fa8d73b04959d3d9d222895df6c0b28aa15",
 }
 
-# regression pins around the 136-byte rate boundary (frozen outputs)
+# regression pins around the 136-byte rate boundary (frozen outputs of the
+# earlier pure-Python permutation)
 BOUNDARY = {
     135: "3c172af358851e71c45d39b53a91bb503e72de2548ea55caedbb5202f6d34bdb",
     136: "782165b181823a770bd1c5d6c0b5e7c5f1b53e91da289c27b3622c49fcb91402",
@@ -51,13 +45,21 @@ def test_rate_boundary_pins():
         assert keccak256(b"\x01" * n).hex() == digest
 
 
-def test_sha3_path_equals_hashlib_for_every_length_to_300():
+def _unmemoised(msg):
+    return _sponge_256([bytes(msg)], 0x01)[0]
+
+
+def test_sponge_under_the_sha3_pad_equals_hashlib_for_every_length_to_300():
     # the SHA-3 pad drives the same permutation and sponge as keccak256;
     # lengths 135-137 and 271-273 cross the one- and two-block boundaries
     rng = random.Random("sha3-cross-check")
-    for n in range(301):
-        msg = rng.randbytes(n)
-        assert sha3_256(msg) == hashlib.sha3_256(msg).digest(), n
+    msgs = [rng.randbytes(n) for n in range(301)]
+    for msg in msgs:
+        assert _sponge_256([msg], 0x06) == [hashlib.sha3_256(msg).digest()], len(msg)
+    # a batch of one, two and three rate blocks a message
+    for lengths in (range(0, 136), range(136, 272), range(272, 301)):
+        batch = msgs[lengths.start:lengths.stop]
+        assert _sponge_256(batch, 0x06) == [hashlib.sha3_256(m).digest() for m in batch], lengths
 
 
 def test_random_message_pin():
@@ -68,16 +70,16 @@ def test_random_message_pin():
     assert pin.hexdigest() == PIN_SHA256
 
 
-def _sponge_runs(monkeypatch, name="_sponge_256"):
-    """Record the first argument of every call keccak makes to ``name``."""
+def _sponge_runs(monkeypatch):
+    """Record the messages of every call keccak makes to its sponge."""
     runs = []
-    real = getattr(keccak, name)
+    real = keccak._sponge_256
 
-    def counted(data, pad_byte):
-        runs.append(data)
-        return real(data, pad_byte)
+    def counted(messages, pad_byte):
+        runs.append(list(messages))
+        return real(messages, pad_byte)
 
-    monkeypatch.setattr(keccak, name, counted)
+    monkeypatch.setattr(keccak, "_sponge_256", counted)
     return runs
 
 
@@ -91,18 +93,18 @@ def test_memoised_digests_equal_the_sponge_cold_and_warm(monkeypatch):
         for msg in msgs:
             d = keccak256(msg)
             assert len(d) == 32
-            assert d == _sponge_256(msg, 0x01), len(msg)
-        hits = len(msgs) - len(runs)
+            assert d == _unmemoised(msg), len(msg)
+        hits = len(msgs) - sum(map(len, runs))
         assert hits == (len(msgs) if warm else 0)
 
 
 def test_bytes_like_inputs_give_the_bytes_digest():
     msg = b"commit-reveal layout, 22B"
-    digest = _sponge_256(msg, 0x01)
+    digest = _unmemoised(msg)
     for data in (bytearray(msg), memoryview(msg), memoryview(bytearray(msg)), array.array("B", msg)):
         assert keccak256(data) == digest
         assert type(keccak256(data)) is bytes
-        assert sha3_256(data) == hashlib.sha3_256(msg).digest()
+        assert keccak256_many([data]) == [digest]
 
 
 @pytest.mark.parametrize("data", [3, 0, True, [1, 2, 3], "abc", None, 2.0],
@@ -112,18 +114,16 @@ def test_only_bytes_like_input_is_hashed(data):
     # is what a caller passing an int or a list meant to hash
     with pytest.raises(TypeError):
         keccak256(data)
-    with pytest.raises(TypeError):
-        sha3_256(data)
 
 
 def test_a_mutated_bytearray_gets_its_new_digest():
     buf = bytearray(b"\x00" * 22)
-    assert keccak256(buf) == _sponge_256(bytes(22), 0x01)
+    assert keccak256(buf) == _unmemoised(bytes(22))
     buf[5] ^= 1
-    assert keccak256(buf) == _sponge_256(bytes(buf), 0x01) != _sponge_256(bytes(22), 0x01)
+    assert keccak256(buf) == _unmemoised(buf) != _unmemoised(bytes(22))
     view = memoryview(buf)
     buf[6] ^= 1
-    assert keccak256(view) == _sponge_256(bytes(buf), 0x01)
+    assert keccak256(view) == _unmemoised(buf)
 
 
 def test_memo_stays_within_its_bound():
@@ -140,29 +140,23 @@ def test_memo_stays_within_its_bound():
 
 # --- keccak256_many ----------------------------------------------------------
 
-def test_batch_equals_the_sponge_for_every_one_block_length():
+def test_batch_equals_one_message_at_a_time_for_every_one_block_length():
     rng = random.Random("keccak-many-lengths")
     msgs = [rng.randbytes(n) for n in range(136)]
     _memo.clear()
-    assert keccak256_many(msgs) == [_sponge_256(m, 0x01) for m in msgs]
+    assert keccak256_many(msgs) == [_unmemoised(m) for m in msgs]
     # length 135 puts the pad byte and the final bit in one byte, 0x81
     _memo.clear()
     assert keccak256_many([b"\x01" * 135])[0].hex() == BOUNDARY[135]
     assert [keccak256_many([m])[0] for m in VECTORS] == [bytes.fromhex(d) for d in VECTORS.values()]
 
 
-def test_batch_permutation_under_the_sha3_pad_equals_hashlib():
-    rng = random.Random("keccak-many-sha3")
-    msgs = [rng.randbytes(n) for n in range(136)]
-    assert _sponge_256_many(msgs, 0x06) == [hashlib.sha3_256(m).digest() for m in msgs]
-
-
 @pytest.mark.parametrize("size", [1, 2, 353, MEMO_SIZE + 1])
-def test_batches_of_any_size_equal_the_sponge(size):
+def test_batches_of_any_size_equal_one_message_at_a_time(size):
     rng = random.Random(f"keccak-many-{size}")
     msgs = [rng.randbytes(22) for _ in range(size)]
     _memo.clear()
-    assert keccak256_many(msgs) == [_sponge_256(m, 0x01) for m in msgs]
+    assert keccak256_many(msgs) == [_unmemoised(m) for m in msgs]
     assert len(_memo) == min(size, MEMO_SIZE)
     # a batch past the bound keeps its last MEMO_SIZE digests
     assert all(m in _memo for m in msgs[-MEMO_SIZE:])
@@ -172,9 +166,9 @@ def test_batches_of_any_size_equal_the_sponge(size):
 def test_a_repeated_message_is_hashed_once(monkeypatch):
     msgs = [b"a" * 22, b"b" * 22, b"a" * 22, b"a" * 22]
     _memo.clear()
-    runs = _sponge_runs(monkeypatch, "_sponge_256_many")
+    runs = _sponge_runs(monkeypatch)
     digests = keccak256_many(msgs)
-    assert digests == [_sponge_256(m, 0x01) for m in msgs]
+    assert digests == [_unmemoised(m) for m in msgs]
     assert runs == [[b"a" * 22, b"b" * 22]]
     assert list(_memo) == [b"a" * 22, b"b" * 22]
     # repeated and already memoised: read from the memo, never hashed
@@ -182,20 +176,19 @@ def test_a_repeated_message_is_hashed_once(monkeypatch):
     assert runs == [[b"a" * 22, b"b" * 22]]
 
 
-def test_batch_and_scalar_share_one_memo(monkeypatch):
+def test_batch_and_single_message_share_one_memo(monkeypatch):
     rng = random.Random("keccak-many-memo")
     old, new = rng.randbytes(22), rng.randbytes(22)
     _memo.clear()
     keccak256(old)
-    batch_runs = _sponge_runs(monkeypatch, "_sponge_256_many")
-    scalar_runs = _sponge_runs(monkeypatch)
+    runs = _sponge_runs(monkeypatch)
     # the batch reads old from the memo and hashes only new ...
-    assert keccak256_many([new, old]) == [_sponge_256(new, 0x01), _sponge_256(old, 0x01)]
-    assert batch_runs == [[new]]
+    assert keccak256_many([new, old]) == [_unmemoised(new), _unmemoised(old)]
+    assert runs == [[new]]
     # ... and keccak256 finds both; a batch of hits runs no permutation
-    assert keccak256(new) == _sponge_256(new, 0x01) and keccak256(old) == _sponge_256(old, 0x01)
+    assert keccak256(new) == _unmemoised(new) and keccak256(old) == _unmemoised(old)
     assert keccak256_many([bytearray(old), memoryview(new)]) == [keccak256(old), keccak256(new)]
-    assert scalar_runs == [] and batch_runs == [[new]]
+    assert runs == [[new]]
     assert list(_memo) == [old, new]
 
 

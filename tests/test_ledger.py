@@ -423,14 +423,16 @@ def _line_of(dump, event_type):
 @pytest.mark.parametrize("tamper, event_type", [
     (lambda d: _with_payload(d, _line_of(d, "post"), budget=2.5), "post"),
     (lambda d: _with_payload(d, 1, batch_size=2.5), "genesis"),
+    (lambda d: _with_payload(d, 1, peer_mode={"kind": "sampled", "k": 1,
+                                              "seed": {"timestamp": 1.5, "difficulty": 2}}), "genesis"),
     (lambda d: _with_line(d, _line_of(d, "select"), "0,select,A"), "select"),
     (lambda d: _with_line(d, _line_of(d, "tick"), "3"), "?"),
     (lambda d: _with_line(d, _line_of(d, "tick"), d.splitlines()[_line_of(d, "tick") - 1] + "zz"), "tick"),
     (lambda d: _with_line(d, _line_of(d, "tick"), "0,tick,chain," + b"\xff\xfe{".hex()), "tick"),
     (lambda d: _with_line(d, _line_of(d, "tick"), "0,tick,chain," + b"{blocks: 1}".hex()), "tick"),
     (lambda d: _with_payload(d, _line_of(d, "tick"), blocks=True), "tick"),
-], ids=["post-budget-float", "genesis-batch-size-float", "three-fields", "one-field", "non-hex-payload",
-        "payload-not-utf8", "payload-not-json", "tick-blocks-bool"])
+], ids=["post-budget-float", "genesis-batch-size-float", "genesis-seed-float", "three-fields", "one-field",
+        "non-hex-payload", "payload-not-utf8", "payload-not-json", "tick-blocks-bool"])
 def test_load_names_the_line_of_every_value_error(tamper, event_type):
     ledger = _oa_round()
     ledger.settle()
@@ -618,6 +620,29 @@ def test_submit_commitment_takes_only_a_commitment(raw):
     assert ledger.reveal_vector("A", 0, vec, key)
 
 
+# a comma would split the party field and a line break the line itself:
+# Ledger.load could not read the log back
+@pytest.mark.parametrize("agent", ["a,b", ",", "a\nb", "a\n", "a\r\nb", "\r", "a\x0bb", "a\x0cb", "a\x1cb",
+                                   "a\x85b", "a\u2028b", "a\u2029b", 5, None, b"A", ("A",)])
+def test_select_questions_refuses_an_agent_id_its_log_cannot_carry(agent):
+    ledger, _vec, _key = _staged(Phase.SELECTION)
+    before = (list(ledger.events), ledger.gas.total)
+    with pytest.raises(ValueError, match="agent id"):
+        ledger.select_questions(agent, ("q1", "q2"))
+    assert (ledger.events, ledger.gas.total, ledger.batches) == (*before, {})
+
+
+def test_a_plain_agent_id_replays_byte_for_byte():
+    ledger, vec, key = _staged(Phase.SELECTION)
+    agent = "agent 7: é\t;"
+    ledger.select_questions(agent, ("q1", "q2"))
+    ledger.tick(10)
+    ledger.submit_commitment(agent, 0, cmt.commit(vec, key))
+    assert ledger.reveal_vector(agent, 0, vec, key)
+    ledger.settle()
+    assert Ledger.load(ledger.dump()).dump() == ledger.dump()
+
+
 def _settled_round_with_a_failed_reveal():
     """A settled OA round: A and B reveal honestly, C with a wrong key."""
     ledger = Ledger(LedgerConfig(mechanism=Mechanism.OA))
@@ -636,13 +661,13 @@ def _settled_round_with_a_failed_reveal():
 
 
 def _sponge_runs(monkeypatch):
-    """Record every message that keccak256 hashes with its sponge: its misses."""
+    """Record every message that keccak hashes with its sponge: its misses."""
     runs = []
     real = keccak._sponge_256
 
-    def counted(data, pad_byte):
-        runs.append(data)
-        return real(data, pad_byte)
+    def counted(messages, pad_byte):
+        runs.extend(messages)
+        return real(messages, pad_byte)
 
     monkeypatch.setattr(keccak, "_sponge_256", counted)
     return runs

@@ -1,6 +1,7 @@
 """Dataset handling, behavior mixes, and the end-to-end experiment driver."""
 
 import hashlib
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -196,12 +197,12 @@ def test_selection_seed_is_hashed_once_per_round_and_replay(monkeypatch):
     sponges = _counting(monkeypatch, keccak, "_sponge_256")
     lookups = _counting(monkeypatch, peer_selection, "keccak256")
     report = run_experiment(cfg, ds)
-    assert [args[0] for args in sponges].count(payload) == 1
+    assert [m for messages, _pad in sponges for m in messages].count(payload) == 1
     assert 1 <= len(lookups) <= 3  # the config check, the kernel and the gas model
     sponges.clear()
     lookups.clear()
     Ledger.load(report.ledger.dump())  # a new SelectionSeed from the log
-    assert [args[0] for args in sponges].count(payload) == 0
+    assert [m for messages, _pad in sponges for m in messages].count(payload) == 0
     assert 1 <= len(lookups) <= 3
 
 
@@ -228,11 +229,22 @@ LAYOUT_ROUNDS = {
 def test_a_round_never_runs_the_sponge_on_a_commitment_layout(monkeypatch, config, dataset, commitments,
                                                               gas, log_sha, csv_sha):
     # the agents' batch hash fills the memo slice by slice; every commit and
-    # reveal check finds its layout there, also past MEMO_SIZE commitments
+    # reveal check finds its layout there, also past MEMO_SIZE commitments,
+    # and so do the replay and audit of a round that fits in the memo
     keccak._memo.clear()
-    sponges = _counting(monkeypatch, keccak, "_sponge_256")
+    single = []  # the messages keccak256 passes to the sponge: its misses
+    real = keccak._sponge_256
+
+    def sponge(messages, pad_byte):
+        if sys._getframe(1).f_code.co_name != "keccak256_many":
+            single.extend(messages)
+        return real(messages, pad_byte)
+
+    monkeypatch.setattr(keccak, "_sponge_256", sponge)
     report = run_experiment(config, dataset)
-    assert [args[0] for args in sponges if len(args[0]) == cmt.LAYOUT_BYTES] == []
+    if commitments <= keccak.MEMO_SIZE:
+        assert Ledger.load(report.ledger.dump()).audit() == []
+    assert [m for m in single if len(m) == cmt.LAYOUT_BYTES] == []
     assert len(report.ledger.commitments) == commitments
     assert report.gas_total == gas
     assert hashlib.sha256(report.ledger.dump().encode()).hexdigest() == log_sha

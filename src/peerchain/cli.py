@@ -265,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--dataset", help="response-time matrix file (default: bundled sample)")
-        p.add_argument("--gas-table", help="gas table JSON (default: built-in constants)")
+    def common(p, inputs: bool = True):
+        if inputs:
+            p.add_argument("--dataset", help="response-time matrix file (default: bundled sample)")
+            p.add_argument("--gas-table", help="gas table JSON (default: built-in constants)")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default="out", help="output directory (default ./out)")
 
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", type=int, default=50)
 
     p = sub.add_parser("incentives", help="bounds, payments, savings, equilibrium verdicts")
-    common(p)
+    common(p, inputs=False)
     p.add_argument("--scenario", help="scenario JSON file (default: running example)")
     p.add_argument("--rounds", type=int, default=2 * 10**5,
                    help="Monte-Carlo rounds per estimate (default 200000)")

@@ -9,6 +9,10 @@ matters for the cost trends; the shipped defaults follow Ethereum
 yellow-paper-era constants so desk numbers are comparable across
 implementations.
 
+`GasLedger` stores only the words charged per (phase, party, op kind);
+every gas figure it reports is derived as words x the table's cost, and
+`GasTable.cost` answers only for the table's own entries.
+
 `charge_settlement_compute` prices the cells the reward paths score, read
 from the `mechanisms.PeerVisits` that `mechanisms.peer_visits` builds:
 C cells (answered cells with at least one peer) and V peer visits over
@@ -62,7 +66,7 @@ naive paths re-read storage wherever the optimized path reads memory:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -97,21 +101,23 @@ class GasTable:
             raise ValueError("gas table must order new-write > update > read > memory word")
 
     def cost(self, op_kind: str) -> int:
+        """The entry named ``op_kind``.  The instance dict holds exactly the
+        table's fields, so any other name, a method or dunder name included,
+        is UnknownOpKind."""
         try:
-            return getattr(self, op_kind)
-        except AttributeError:
+            return self.__dict__[op_kind]
+        except (KeyError, TypeError):
             raise UnknownOpKind(op_kind) from None
 
     def to_json(self) -> str:
-        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "GasTable":
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError(f"gas table must be a JSON object, got {type(raw).__name__}")
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - known
+        unknown = raw.keys() - cls.__dataclass_fields__.keys()
         if unknown:
             raise UnknownOpKind(", ".join(sorted(unknown)))
         return cls(**raw)
@@ -125,17 +131,9 @@ class GasTable:
 DEFAULT_GAS_TABLE = GasTable()
 
 
-@dataclass
-class GasRow:
-    phase: str
-    party: str
-    op_kind: str
-    words: int
-    gas: int
-
-
 class GasLedger:
-    """Itemized gas charges, aggregated per (phase, party, op kind).
+    """Itemized gas charges: the words charged per (phase, party, op kind)
+    in first-charge order; gas is words x the table's cost when read.
 
     ``party`` is an agent id or the literal string "requester"; the
     per-agent view excludes the requester so that
@@ -146,46 +144,43 @@ class GasLedger:
 
     def __init__(self, table: GasTable | None = None):
         self.table = table or DEFAULT_GAS_TABLE
-        self._rows: dict[tuple[str, str, str], GasRow] = {}
+        self._words: dict[tuple[str, str, str], int] = {}
 
     def charge(self, phase: str, party: str, op_kind: str, words: int = 1) -> int:
         if words < 0:
             raise ValueError("word count must be nonnegative")
         gas = self.table.cost(op_kind) * words
         key = (phase, party, op_kind)
-        row = self._rows.get(key)
-        if row is None:
-            self._rows[key] = GasRow(phase, party, op_kind, words, gas)
-        else:
-            row.words += words
-            row.gas += gas
+        self._words[key] = self._words.get(key, 0) + words
         return gas
+
+    def report_rows(self) -> list[tuple[str, str, str, int, int]]:
+        """Rows for the gas report CSV: phase, party, op_kind, words, gas."""
+        cost = self.table.cost
+        return [(phase, party, op_kind, words, cost(op_kind) * words)
+                for (phase, party, op_kind), words in self._words.items()]
+
+    def _gas_by(self, column: int) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for row in self.report_rows():
+            out[row[column]] = out.get(row[column], 0) + row[4]
+        return out
 
     @property
     def total(self) -> int:
-        return sum(r.gas for r in self._rows.values())
+        return sum(row[4] for row in self.report_rows())
 
     @property
     def per_phase(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self._rows.values():
-            out[r.phase] = out.get(r.phase, 0) + r.gas
-        return out
+        return self._gas_by(0)
 
     @property
     def per_party(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self._rows.values():
-            out[r.party] = out.get(r.party, 0) + r.gas
-        return out
+        return self._gas_by(1)
 
     @property
     def per_agent(self) -> dict[str, int]:
         return {p: g for p, g in self.per_party.items() if p != self.REQUESTER}
-
-    def report_rows(self) -> list[tuple[str, str, str, int, int]]:
-        """Rows for the gas report CSV: phase, party, op_kind, words, gas."""
-        return [(r.phase, r.party, r.op_kind, r.words, r.gas) for r in self._rows.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +198,13 @@ def charge_settlement_compute(
     docstring to the requester's settle phase.  Returns the gas added."""
     require_scoring(mechanism, peer_mode)  # before the first charge
 
+    added = 0
+
     def charge(op_kind: str, words: int) -> None:
-        gas.charge("settle", GasLedger.REQUESTER, op_kind, words)
+        nonlocal added
+        added += gas.charge("settle", GasLedger.REQUESTER, op_kind, words)
 
     sampled = not isinstance(peer_mode, AllPeers)
-    before = gas.total
 
     T = matrix.total_answers
     n_agents = len(matrix.agents)
@@ -297,4 +294,4 @@ def charge_settlement_compute(
 
     # per-agent averaging
     charge("arithmetic_op", 2 * n_agents)
-    return gas.total - before
+    return added

@@ -33,7 +33,7 @@ Gas charges per event (words per the configured table):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -160,7 +160,7 @@ class LedgerConfig:
             "selection_blocks": self.selection_blocks,
             "commit_blocks": self.commit_blocks,
             "reveal_blocks": self.reveal_blocks,
-            "gas_table": json.loads(self.gas_table.to_json()),
+            "gas_table": asdict(self.gas_table),
             "optimized": self.optimized,
         }
 
@@ -239,6 +239,7 @@ class Ledger:
         self.block = 0
         self.phase = Phase.POSTING
         self.questions: tuple[str, ...] = ()
+        self._posted_order: dict[str, int] = {}  # question -> its index in self.questions
         self.budget = 0
         self.requester_deposit = 0
         # registration order; each agent's selection in posted order, sliced into batches
@@ -315,6 +316,7 @@ class Ledger:
             {"questions": list(questions), "budget": budget, "deposit": requester_deposit},
         )
         self.questions = questions
+        self._posted_order = {q: i for i, q in enumerate(questions)}
         self.budget = budget
         self.requester_deposit = requester_deposit
         self.gas.charge("posting", self.REQUESTER, "tx_base")
@@ -335,7 +337,7 @@ class Ledger:
         ids = tuple(question_ids)
         if not ids or len(set(ids)) != len(ids):
             raise ValueError("question selection must be nonempty and unique")
-        order = {q: i for i, q in enumerate(self.questions)}
+        order = self._posted_order
         for q in ids:
             if q not in order:
                 raise UnknownQuestion(f"question {q!r} was never posted")

@@ -120,6 +120,11 @@ class AnswerMatrix:
     ):
         self.agents = tuple(agents)
         self.questions = tuple(questions)
+        shape = (len(self.agents), len(self.questions))
+        # counts are at most Q, their products at most Q**2 and sums of
+        # products over all pairs at most (n*Q)**2: all far inside int64
+        if shape[0] * shape[1] >= 2**31:
+            raise ValueError(f"{shape[0]} agents x {shape[1]} questions is 2**31 cells or more")
         self.agent_index = {a: i for i, a in enumerate(self.agents)}
         self.question_index = {q: j for j, q in enumerate(self.questions)}
         if len(self.agent_index) != len(self.agents):
@@ -135,10 +140,6 @@ class AnswerMatrix:
                 raise ValueError(f"cell ({a!r}, {q!r}) holds {bit!r}, want 0 or 1")
         self.cells = dict(cells)
 
-        shape = (len(self.agents), len(self.questions))
-        # counts are at most Q, their products at most Q**2 and sums of
-        # products over all pairs at most (n*Q)**2: all far inside int64
-        assert shape[0] * shape[1] < 2**31
         self.answered = np.zeros(shape, dtype=np.int64)
         self.ones = np.zeros(shape, dtype=np.int64)
         at = (np.array([self.agent_index[a] for a, _q in self.cells], dtype=np.intp),
@@ -171,7 +172,7 @@ class AnswerMatrix:
     @cached_property
     def pair_counts(self) -> "PairCounts":
         """The matrix's ``PairCounts``, built on first use and kept for every
-        later reader (``compute_rewards`` scoring DG, ``sim.assert_dg_valid``)."""
+        later reader (``compute_rewards`` scoring DG, ``require_exclusive_questions``)."""
         return PairCounts(self.answered, self.ones)
 
 
@@ -330,21 +331,17 @@ class PairCounts:
     """Integer counts over agent pairs, from products of 0/1 matrices.
 
     Built from a matrix's ``answered`` and ``ones``; rows and columns follow
-    its agents.  ``common[i, p]`` is the number of questions two distinct
-    agents both answered (0 on the diagonal).  The DG penalty of a pair is
-    ``num[i, p] / den[i, p]``: with a0, a1 the 0s and 1s of i on the
-    questions only i answered and b0, b1 those of p on the questions only p
-    answered, num = a0*b0 + a1*b1 and den = |ex_i| * |ex_p|, which is 0 when
-    either side has no exclusive question.
+    its agents.  The DG penalty of a pair is ``num[i, p] / den[i, p]``:
+    with a0, a1 the 0s and 1s of i on the questions only i answered and
+    b0, b1 those of p on the questions only p answered, num = a0*b0 + a1*b1
+    and den = |ex_i| * |ex_p|, which is 0 when either side has no exclusive
+    question (so on the diagonal).
     """
 
     def __init__(self, answered: np.ndarray, ones: np.ndarray):
-        common = answered @ answered.T
-        exclusive = answered.sum(axis=1)[:, None] - common  # row i: |ex_i| against p
+        exclusive = answered.sum(axis=1)[:, None] - answered @ answered.T  # row i: |ex_i| against p
         ex1 = ones.sum(axis=1)[:, None] - ones @ answered.T
         ex0 = exclusive - ex1
-        np.fill_diagonal(common, 0)
-        self.common = common
         self.num = ex0 * ex0.T + ex1 * ex1.T
         self.den = exclusive * exclusive.T
 
@@ -359,10 +356,11 @@ def _exact_mean(sums: Mapping[int, int], count: int, scale: Fraction = ONE) -> F
     return Fraction(scale.numerator * total, scale.denominator * common * count)
 
 
-def _require_exclusive_questions(matrix: AnswerMatrix, peer_mode: PeerMode, visits: PeerVisits) -> None:
-    """Raise for the first scored pair without exclusive questions on both
-    sides, in the order the naive path visits peers: agent, then the
-    agent's questions, then the cell's peers in scoring order."""
+def require_exclusive_questions(matrix: AnswerMatrix, peer_mode: PeerMode, visits: PeerVisits) -> None:
+    """The DG-validity rule: raise ``NoNonCommonQuestions`` for the first
+    pair that ``visits`` scores without exclusive questions on both sides,
+    in the order the naive path visits peers: agent, then the agent's
+    questions, then the cell's peers in scoring order."""
     bad = (visits.visited() > 0) & (matrix.pair_counts.den == 0)
     if not bad.any():
         return
@@ -421,7 +419,7 @@ def compute_rewards(
         sums.append(acc)
 
     if mechanism is Mechanism.DG:
-        _require_exclusive_questions(matrix, peer_mode, visits)
+        require_exclusive_questions(matrix, peer_mode, visits)
         num, den = matrix.pair_counts.num.tolist(), matrix.pair_counts.den.tolist()
         for s, visited in visits.by_size.items():
             rows, cols = np.nonzero(visited)

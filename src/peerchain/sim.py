@@ -23,10 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from math import floor, isfinite
 
-import numpy as np
-
 from . import commitment as cmt
-from .errors import EmptyDataset, require_ints
+from .errors import EmptyDataset, NoNonCommonQuestions, require_ints
 from .gas_model import DEFAULT_GAS_TABLE, GasTable
 from .keccak import MEMO_SIZE, keccak256_many
 from .ledger import Ledger, LedgerConfig, format_decimal
@@ -37,6 +35,8 @@ from .mechanisms import (
     PeerMode,
     RewardReport,
     SampledPeers,
+    peer_visits,
+    require_exclusive_questions,
 )
 
 MISSING = -1.0
@@ -216,14 +216,13 @@ def generate_reports(truth: AnswerMatrix, population: AgentPopulation, seed: int
 def assert_dg_valid(matrix: AnswerMatrix) -> None:
     """Every co-answering pair must leave both sides exclusive questions.
 
-    Names the failing pair whose first shared question comes first, then
-    the pair first in matrix order."""
-    counts = matrix.pair_counts
-    bad = np.argwhere((counts.common > 0) & (counts.den == 0))
-    if len(bad):
-        _q, i, p = min((int(np.argmax(matrix.answered[i] & matrix.answered[p])), i, p)
-                       for i, p in bad.tolist())
-        raise AssertionError(f"pair ({matrix.agents[i]}, {matrix.agents[p]}) has no exclusive questions")
+    Applies DG's own rule (`require_exclusive_questions`) under all peers,
+    where a pair is scored iff it co-answers, and re-raises the pair it
+    names as AssertionError."""
+    try:
+        require_exclusive_questions(matrix, ALL_PEERS, peer_visits(matrix, ALL_PEERS))
+    except NoNonCommonQuestions as e:
+        raise AssertionError(f"pair ({e.agent}, {e.peer}) has no exclusive questions") from None
 
 
 # ---------------------------------------------------------------------------

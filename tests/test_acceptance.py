@@ -13,6 +13,7 @@ from statistics import mean, stdev
 
 import peerchain.commitment as cmt
 import peerchain.incentives as inc
+from peerchain.keccak import MEMO_SIZE, keccak256_many
 from peerchain.ledger import Ledger, LedgerConfig
 from peerchain.mechanisms import (
     ALL_PEERS,
@@ -63,26 +64,45 @@ def test_commitment_capacity():
 
 # -- 2. commit-reveal integrity ---------------------------------------------------
 
+def _prehashed(trials: list, layouts: list[list[bytes]]):
+    """Yield ``trials`` in order.  Each run of trials whose ``layouts`` fit
+    in the keccak memo is hashed first in one ``keccak256_many`` batch, so
+    every commit and reveal check of those layouts is a memo hit."""
+    start = 0
+    while start < len(trials):
+        end, size = start, 0
+        while end < len(trials) and size + len(layouts[end]) <= MEMO_SIZE:
+            size += len(layouts[end])
+            end += 1
+        end = max(end, start + 1)
+        keccak256_many([m for run in layouts[start:end] for m in run])
+        yield from trials[start:end]
+        start = end
+
+
 def test_commit_reveal_integrity():
     rng = random.Random("integrity")
     trials = 10_000
-    honest_ok = tampered_rejected = 0
+    drawn = []  # (honest vector, key, tampered vector, tampered key)
     for _ in range(trials):
         order = [f"q{j}" for j in range(rng.randint(1, 42))]
         answers = [(q, rng.randint(0, 1)) for q in order]
         vec = cmt.pack(answers, order)
         key = cmt.SecretKey.from_rng(rng)
-        com = cmt.commit(vec, key)
-        honest_ok += cmt.verify_reveal(com, vec, key)
         if rng.random() < 0.5:
             # flip one bit of the secret key
-            bad_key = cmt.SecretKey(key.value ^ (1 << rng.randrange(cmt.KEY_BITS)))
-            tampered_rejected += not cmt.verify_reveal(com, vec, bad_key)
+            drawn.append((vec, key, vec, cmt.SecretKey(key.value ^ (1 << rng.randrange(cmt.KEY_BITS)))))
         else:
             # flip one answer bit of an answered slot
             j = rng.randrange(len(order))
-            bad_vec = cmt.decode(vec.message() ^ (1 << (2 * j + 1)), order)
-            tampered_rejected += not cmt.verify_reveal(com, bad_vec, key)
+            drawn.append((vec, key, cmt.decode(vec.message() ^ (1 << (2 * j + 1)), order), key))
+    layouts = [[cmt.layout_bytes(vec, key), cmt.layout_bytes(bad_vec, bad_key)]
+               for vec, key, bad_vec, bad_key in drawn]
+    honest_ok = tampered_rejected = 0
+    for vec, key, bad_vec, bad_key in _prehashed(drawn, layouts):
+        com = cmt.commit(vec, key)
+        honest_ok += cmt.verify_reveal(com, vec, key)
+        tampered_rejected += not cmt.verify_reveal(com, bad_vec, bad_key)
     ok = honest_ok == trials and tampered_rejected == trials
     _verdict("commit-reveal integrity: all tampers rejected, honest accepted",
              ok, f"{trials} trials, {tampered_rejected} rejections")
@@ -267,7 +287,10 @@ def test_relative_saving():
 
 # -- 12. ledger conservation ------------------------------------------------------
 
-def _random_round(rng: random.Random, mech: Mechanism):
+def _draw_round(rng: random.Random, mech: Mechanism):
+    """A random round up to its commit phase, with every draw it takes:
+    the matrix, the config, the budget, each batch's key and which reveals
+    are skipped.  Returns (ledger, reveals, skips, budget, deposit)."""
     if mech is Mechanism.DG:
         matrix = skip_one_matrix(rng, rng.randint(3, 5))
     else:
@@ -292,21 +315,22 @@ def _random_round(rng: random.Random, mech: Mechanism):
         row = matrix.answers_by_agent[a]
         for b, order in enumerate(ledger.agent_batches(a)):
             vec = cmt.pack([(q, row[q]) for q in order if q in row], order)
-            key = cmt.SecretKey.from_rng(rng)
-            ledger.submit_commitment(a, b, cmt.commit(vec, key))
-            reveals.append((a, b, vec, key))
-    skipped = False
+            reveals.append((a, b, vec, cmt.SecretKey.from_rng(rng)))
+    # DG needs the full skip-one pattern to stay valid, so only OA and
+    # PTSC rounds exercise the non-revealer path
+    skips = [mech is not Mechanism.DG and rng.random() < 0.1 for _ in reveals]
+    return ledger, reveals, skips, budget, deposit
+
+
+def _play_round(ledger: Ledger, reveals, skips):
     for a, b, vec, key in reveals:
-        # DG needs the full skip-one pattern to stay valid, so only OA and
-        # PTSC rounds exercise the non-revealer path
-        if mech is not Mechanism.DG and rng.random() < 0.1:
-            skipped = True
-            continue
-        assert ledger.reveal_vector(a, b, vec, key)
-    if skipped:
-        ledger.tick(cfg.reveal_blocks)
-    report = ledger.settle()
-    return ledger, report, budget, deposit
+        ledger.submit_commitment(a, b, cmt.commit(vec, key))
+    for (a, b, vec, key), skipped in zip(reveals, skips):
+        if not skipped:
+            assert ledger.reveal_vector(a, b, vec, key)
+    if any(skips):
+        ledger.tick(ledger.config.reveal_blocks)
+    return ledger.settle()
 
 
 def test_ledger_conservation():
@@ -314,9 +338,11 @@ def test_ledger_conservation():
     rounds = 1_000
     negative_rounds = 0
     ok = True
-    for i in range(rounds):
-        mech = list(Mechanism)[i % 3]
-        ledger, report, budget, deposit = _random_round(rng, mech)
+    drawn = [_draw_round(rng, list(Mechanism)[i % 3]) for i in range(rounds)]
+    layouts = [[cmt.layout_bytes(vec, key) for _a, _b, vec, key in reveals]
+               for _ledger, reveals, _skips, _budget, _deposit in drawn]
+    for ledger, reveals, skips, budget, deposit in _prehashed(drawn, layouts):
+        report = _play_round(ledger, reveals, skips)
         if sum(report.transfers.values()) != 0:
             ok = False
             break

@@ -167,6 +167,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--dataset", "--gas-table"])
+def test_incentives_refuses_the_round_input_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["incentives", flag, str(tmp_path / "missing"), "--out", str(tmp_path / "i")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "i").exists()
+
+
 def test_parser_defaults():
     args = build_parser().parse_args(["round"])
     assert (args.mechanism, args.alpha, args.peers, args.pack) == ("oa", "auto", "all", "on")

@@ -1,6 +1,7 @@
 """Gas table, ledger aggregation, and the documented cost patterns."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -57,6 +58,8 @@ def test_table_validation_and_cost():
     assert DEFAULT_GAS_TABLE.cost("storage_read_word") == 200
     with pytest.raises(UnknownOpKind):
         DEFAULT_GAS_TABLE.cost("quantum_op")
+    # cost looks names up in the instance dict, which must hold the fields only
+    assert vars(DEFAULT_GAS_TABLE).keys() == {f.name for f in fields(GasTable)}
 
 
 def test_table_json_roundtrip(tmp_path):
@@ -81,17 +84,37 @@ def test_ledger_aggregation_and_invariant():
     assert gas.total == sum(gas.per_phase.values()) == sum(gas.per_party.values())
     assert gas.per_agent == {"a1": 42_060}
     assert gas.per_phase["commit"] == 42_060
-    rows = gas.report_rows()
-    assert ("commit", "a1", "tx_base", 2, 42000) in rows
+    assert gas.report_rows() == [          # first-charge order, gas = words x cost
+        ("commit", "a1", "tx_base", 2, 42000),
+        ("commit", "a1", "hash_base", 2, 60),
+        ("settle", "requester", "arithmetic_op", 10, 50),
+    ]
+
+
+@pytest.mark.parametrize("op_kind", ["to_json", "cost", "__doc__", "", "__init__", None, ["tx_base"]])
+def test_charge_refuses_names_outside_the_table(op_kind):
+    gas = GasLedger(DEFAULT_GAS_TABLE)
+    gas.charge("posting", "requester", "tx_base")
+    with pytest.raises(UnknownOpKind):
+        gas.charge("posting", "requester", op_kind, 1)
+    assert gas.report_rows() == [("posting", "requester", "tx_base", 1, 21000)]
+    assert gas.total == 21000
+
+
+def test_table_json_missing_entry_gets_its_default():
+    table = GasTable.from_json(json.dumps({"tx_base": 30000}))
+    assert table == GasTable(tx_base=30000)
+    assert table.cost("hash_base") == DEFAULT_GAS_TABLE.hash_base
 
 
 def test_settlement_compute_frozen_desk_values(desk_truth):
     for (mech, optimized), expected in DESK_SETTLE_GAS.items():
         gas = GasLedger(DEFAULT_GAS_TABLE)
+        gas.charge("settle", "requester", "tx_base")  # charges made before are not counted
         got = charge_settlement_compute(
             gas, desk_truth, Mechanism(mech), ALL_PEERS, optimized=optimized
         )
-        assert got == gas.total == expected, (mech, optimized)
+        assert got == gas.total - 21000 == expected, (mech, optimized)
 
 
 def test_settlement_compute_frozen_desk_sampled_values(desk_truth):

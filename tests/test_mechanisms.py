@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -50,6 +51,19 @@ def test_matrix_validation():
         AnswerMatrix(("A",), ("q1",), {("A", "q1"): 2})
     with pytest.raises(ValueError):
         AnswerMatrix(("A", "A"), ("q1",), {("A", "q1"): 1})
+
+
+def test_matrix_refuses_2_31_cells_before_allocating():
+    agents = [f"a{i}" for i in range(2**16)]
+    questions = [f"q{j}" for j in range(2**15)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\*\\*31 cells"):
+            AnswerMatrix(agents, questions, {})
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24  # the two 16 GiB int64 arrays were never asked for
 
 
 def test_matrix_views():

@@ -1,6 +1,7 @@
 """Dataset handling, behavior mixes, and the end-to-end experiment driver."""
 
 import hashlib
+import random
 import sys
 from fractions import Fraction as F
 
@@ -8,9 +9,9 @@ import pytest
 
 from peerchain import commitment as cmt
 from peerchain import keccak, mechanisms, peer_selection
-from peerchain.errors import EmptyDataset
+from peerchain.errors import EmptyDataset, NoNonCommonQuestions
 from peerchain.ledger import Ledger, Phase
-from peerchain.mechanisms import Mechanism, SampledPeers
+from peerchain.mechanisms import Mechanism, SampledPeers, compute_rewards
 from peerchain.peer_selection import SelectionSeed
 from peerchain.sim import (
     MISSING,
@@ -26,6 +27,7 @@ from peerchain.sim import (
     sweep_packing,
     sweep_peers,
 )
+from conftest import random_matrix
 
 
 def test_dataset_validation():
@@ -115,8 +117,29 @@ def test_skip_one_is_dg_valid():
 
 def test_assert_dg_valid_catches_subsets():
     bad = QoSDataset(((0.5, 0.5), (0.5, MISSING)))  # row 1 answers a subset
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"pair \(a000, a001\)"):
         assert_dg_valid(binarize(bad))
+
+
+def test_assert_dg_valid_is_dgs_own_rule():
+    # assert_dg_valid raises iff all-peers DG scoring does, naming the same pair
+    rng = random.Random(17)
+    raised = 0
+    for _ in range(300):
+        m = random_matrix(rng, rng.randint(2, 6), rng.randint(2, 8), p_answer=rng.choice((0.5, 0.8)))
+        try:
+            compute_rewards(m, Mechanism.DG)
+            dg = None
+        except NoNonCommonQuestions as e:
+            dg = f"pair ({e.agent}, {e.peer}) has no exclusive questions"
+        try:
+            assert_dg_valid(m)
+            valid = None
+        except AssertionError as e:
+            valid = str(e)
+        assert valid == dg
+        raised += dg is not None
+    assert 0 < raised < 300
 
 
 def test_run_experiment_deterministic_and_reconciled(desk_dataset):

@@ -66,7 +66,7 @@ naive paths re-read storage wherever the optimized path reads memory:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -109,18 +109,20 @@ class GasTable:
         except (KeyError, TypeError):
             raise UnknownOpKind(op_kind) from None
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
-
     @classmethod
-    def from_json(cls, text: str) -> "GasTable":
-        raw = json.loads(text)
+    def from_dict(cls, raw: object) -> "GasTable":
+        """The one reader of a gas-table object (a ``--gas-table`` file, a
+        genesis ``gas_table``): a missing entry keeps its default."""
         if not isinstance(raw, dict):
             raise ValueError(f"gas table must be a JSON object, got {type(raw).__name__}")
         unknown = raw.keys() - cls.__dataclass_fields__.keys()
         if unknown:
             raise UnknownOpKind(", ".join(sorted(unknown)))
         return cls(**raw)
+
+    @classmethod
+    def from_json(cls, text: str) -> "GasTable":
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def load(cls, path) -> "GasTable":
@@ -147,8 +149,9 @@ class GasLedger:
         self._words: dict[tuple[str, str, str], int] = {}
 
     def charge(self, phase: str, party: str, op_kind: str, words: int = 1) -> int:
-        if words < 0:
-            raise ValueError("word count must be nonnegative")
+        # a type test, not require_ints: a round makes thousands of charges
+        if type(words) is not int or words < 0:
+            raise ValueError(f"word count must be a nonnegative int, got {words!r}")
         gas = self.table.cost(op_kind) * words
         key = (phase, party, op_kind)
         self._words[key] = self._words.get(key, 0) + words

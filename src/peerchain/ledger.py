@@ -7,6 +7,11 @@ per event: ``block_number,event_type,party,payload_hex`` with the payload
 hex-encoding canonical JSON.  Replaying a dumped log rebuilds the ledger
 bit for bit, gas totals included.
 
+The first line, genesis, holds the `LedgerConfig`: one key per field, the
+mechanism, alpha, peer mode and gas table encoded.  A payload whose keys
+are not the fields is refused; the gas table is read by `GasTable.from_dict`
+(an unknown entry is `UnknownOpKind`, as from `--gas-table`).
+
 Money is integer units throughout.  Mechanism rewards stay exact rationals
 until settlement, where the fixed-point scale (10^9 units per mechanism
 unit) converts penalties and the requester's budget is divided
@@ -33,7 +38,7 @@ Gas charges per event (words per the configured table):
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -106,6 +111,13 @@ def _peer_mode_from_payload(payload: dict) -> PeerMode:
     return SampledPeers(payload["k"], seed)
 
 
+def _alpha_from_payload(alpha: object) -> Fraction:
+    if not isinstance(alpha, list) or len(alpha) != 2 or alpha[1] == 0:
+        raise ValueError(f"alpha must be [numerator, nonzero denominator], got {alpha!r}")
+    require_ints(alpha_numerator=alpha[0], alpha_denominator=alpha[1])
+    return Fraction(*alpha)
+
+
 @dataclass(frozen=True)
 class LedgerConfig:
     mechanism: Mechanism = Mechanism.OA
@@ -151,37 +163,24 @@ class LedgerConfig:
         return 0
 
     def to_payload(self) -> dict:
-        return {
-            "mechanism": self.mechanism.value,
-            "alpha": [self.alpha.numerator, self.alpha.denominator],
-            "peer_mode": _peer_mode_payload(self.peer_mode),
-            "batch_size": self.batch_size,
-            "scale": self.scale,
-            "selection_blocks": self.selection_blocks,
-            "commit_blocks": self.commit_blocks,
-            "reveal_blocks": self.reveal_blocks,
-            "gas_table": asdict(self.gas_table),
-            "optimized": self.optimized,
-        }
+        """The genesis payload: each field under its name, four of them encoded."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "mechanism": self.mechanism.value, "alpha": [self.alpha.numerator, self.alpha.denominator],
+                "peer_mode": _peer_mode_payload(self.peer_mode), "gas_table": asdict(self.gas_table)}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "LedgerConfig":
-        alpha = payload["alpha"]
-        if not isinstance(alpha, list) or len(alpha) != 2 or alpha[1] == 0:
-            raise ValueError(f"alpha must be [numerator, nonzero denominator], got {alpha!r}")
-        require_ints(alpha_numerator=alpha[0], alpha_denominator=alpha[1])
-        return cls(
-            mechanism=Mechanism(payload["mechanism"]),
-            alpha=Fraction(*alpha),
-            peer_mode=_peer_mode_from_payload(payload["peer_mode"]),
-            batch_size=payload["batch_size"],
-            scale=payload["scale"],
-            selection_blocks=payload["selection_blocks"],
-            commit_blocks=payload["commit_blocks"],
-            reveal_blocks=payload["reveal_blocks"],
-            gas_table=GasTable(**payload["gas_table"]),
-            optimized=payload["optimized"],
-        )
+        """The config a genesis payload holds.  Its keys must be the fields;
+        past the form of the encoded four, every check is the constructor's."""
+        names = [f.name for f in fields(cls)]
+        faults = [f"missing key {name!r}" for name in names if name not in payload]
+        faults += [f"unknown key {key!r}" for key in sorted(payload.keys() - set(names))]
+        if faults:
+            raise ValueError(f"genesis payload: {', '.join(faults)}")
+        return cls(**{**payload, "mechanism": Mechanism(payload["mechanism"]),
+                      "alpha": _alpha_from_payload(payload["alpha"]),
+                      "peer_mode": _peer_mode_from_payload(payload["peer_mode"]),
+                      "gas_table": GasTable.from_dict(payload["gas_table"])})
 
 
 @dataclass(frozen=True)
@@ -228,6 +227,12 @@ class SettlementReport:
         return "\n".join(lines) + "\n"
 
 
+def _require_question_ids(ids: tuple) -> None:
+    for q in ids:
+        if not isinstance(q, str):
+            raise ValueError(f"question ids must be str, got {q!r}")
+
+
 class Ledger:
     """Single-writer round state machine; see the module docstring."""
 
@@ -252,7 +257,6 @@ class Ledger:
         self.discarded: dict[tuple[str, int], LedgerNote] = {}
         self.revealed_cells: dict[tuple[str, str], int] = {}
         self.gas = GasLedger(config.gas_table)
-        self.transfers: dict[str, int] = {}
         self.notes: list[LedgerNote] = []
         self.events: list[str] = []
         self.settlement: SettlementReport | None = None
@@ -304,6 +308,7 @@ class Ledger:
         self._require_phase(Phase.POSTING)
         require_ints(budget=budget, requester_deposit=requester_deposit)
         questions = tuple(questions)
+        _require_question_ids(questions)
         if not questions or len(set(questions)) != len(questions):
             raise ValueError("questions must be a nonempty unique sequence")
         if budget <= 0:
@@ -335,6 +340,7 @@ class Ledger:
         if agent == self.REQUESTER or agent == self.CHAIN:
             raise ValueError(f"{agent!r} is a reserved party name")
         ids = tuple(question_ids)
+        _require_question_ids(ids)
         if not ids or len(set(ids)) != len(ids):
             raise ValueError("question selection must be nonempty and unique")
         order = self._posted_order
@@ -486,7 +492,6 @@ class Ledger:
         transfers[self.REQUESTER] = penalties - budget_paid - (self.requester_deposit - remaining)
         assert sum(transfers.values()) == 0, "settlement must be zero-sum"
 
-        self.transfers = transfers
         self.phase = Phase.SETTLED
         self.settlement = SettlementReport(rows, report, transfers, budget_paid, penalties)
         return self.settlement
@@ -566,7 +571,7 @@ class Ledger:
             if cell not in accepted_cells:
                 findings.append(f"revealed cell {cell} lacks an accepted batch")
         if self.phase is Phase.SETTLED:
-            if sum(self.transfers.values()) != 0:
+            if sum(self.settlement.transfers.values()) != 0:
                 findings.append("settlement transfers do not sum to zero")
             for row in self.settlement.rows:
                 dep = self.agent_deposits[row.agent]

@@ -18,7 +18,7 @@ Every output is a pure function of (config, seed).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from math import floor, isfinite
@@ -198,12 +198,9 @@ def generate_reports(truth: AnswerMatrix, population: AgentPopulation, seed: int
     behaviors = population.assign(truth.agents)
     rng = random.Random(f"reports:{seed}")
     cells = {}
-    for a in truth.agents:
+    for a, row in truth.answers_by_agent.items():
         b = behaviors[a]
-        for q in truth.questions:
-            bit = truth.cells.get((a, q))
-            if bit is None:
-                continue
+        for q, bit in row.items():
             if b is Behavior.TRUTHFUL:
                 cells[(a, q)] = bit
             elif b is Behavior.RANDOM:
@@ -248,6 +245,8 @@ class ExperimentConfig:
     optimized: bool = True
     seed: int = 0
     config_id: str = ""
+    # the round's settings, built from the fields above at construction, so its checks run then
+    ledger_config: LedgerConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_ints(agents=self.agents, seed=self.seed)
@@ -257,9 +256,11 @@ class ExperimentConfig:
             require_ints(questions_per_agent=self.questions_per_agent)
             if self.questions_per_agent < 1:
                 raise ValueError(f"questions per agent must be at least 1, got {self.questions_per_agent}")
-        for name in ("packed", "optimized"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not isinstance(self.packed, bool):
+            raise ValueError(f"packed must be a bool, got {self.packed!r}")
+        object.__setattr__(self, "ledger_config", LedgerConfig(
+            mechanism=self.mechanism, alpha=self.alpha, peer_mode=self.peer_mode, gas_table=self.gas_table,
+            batch_size=cmt.MAX_ANSWERS if self.packed else 1, optimized=self.optimized))
 
 
 @dataclass
@@ -271,12 +272,9 @@ class ExperimentReport:
     behavior_means: dict[Behavior, Fraction | None]
     ledger: Ledger
 
-    def k_peers(self) -> str:
-        pm = self.config.peer_mode
-        return str(pm.k) if isinstance(pm, SampledPeers) else "all"
-
     def csv_rows(self) -> list[str]:
         cfg = self.config
+        k_peers = str(cfg.peer_mode.k) if isinstance(cfg.peer_mode, SampledPeers) else "all"
         qpa = cfg.questions_per_agent if cfg.questions_per_agent is not None else ""
         means = [
             "" if self.behavior_means[b] is None else format_decimal(self.behavior_means[b])
@@ -286,7 +284,7 @@ class ExperimentReport:
         for phase, gas in self.gas_per_phase.items():
             rows.append(
                 f"{cfg.config_id},{cfg.mechanism.value},{'on' if cfg.packed else 'off'},"
-                f"{self.k_peers()},{cfg.agents},{qpa},{phase},{gas},"
+                f"{k_peers},{cfg.agents},{qpa},{phase},{gas},"
                 + ",".join(means)
             )
         return rows
@@ -316,21 +314,9 @@ def run_experiment(config: ExperimentConfig, dataset: QoSDataset | None = None) 
     reports = generate_reports(truth, POPULATION, config.seed)
 
     # per-agent question set: answered columns in dataset order, truncated
-    selections = {}
-    for a in reports.agents:
-        qs = list(reports.answers_by_agent[a])
-        if config.questions_per_agent is not None:
-            qs = qs[:config.questions_per_agent]
-        selections[a] = qs
+    selections = {a: list(row)[:config.questions_per_agent] for a, row in reports.answers_by_agent.items()}
 
-    led_cfg = LedgerConfig(
-        mechanism=config.mechanism,
-        alpha=config.alpha,
-        peer_mode=config.peer_mode,
-        batch_size=cmt.MAX_ANSWERS if config.packed else 1,
-        gas_table=config.gas_table,
-        optimized=config.optimized,
-    )
+    led_cfg = config.ledger_config
     ledger = Ledger(led_cfg)
     ledger.post_questions(reports.questions, BUDGET, REQUESTER_DEPOSIT)
     deposit = led_cfg.min_agent_deposit

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 import pytest
@@ -121,9 +121,12 @@ def test_round_with_numeric_alpha_builds_no_scenario(tmp_path, monkeypatch):
 
 def test_round_with_custom_gas_table(tmp_path):
     table_path = tmp_path / "gt.json"
-    table_path.write_text(DEFAULT_GAS_TABLE.to_json())
+    entries = {**asdict(DEFAULT_GAS_TABLE), "tx_base": 30000}
+    table_path.write_text(json.dumps(entries))
     out = tmp_path / "r"
     assert run(["round", "--gas-table", str(table_path), "--out", str(out)]) == 0
+    genesis = (out / "events.log").read_text().split("\n", 1)[0]
+    assert json.loads(bytes.fromhex(genesis.rsplit(",", 1)[1]))["gas_table"] == entries
 
 
 @pytest.mark.parametrize("text", ["[1]", '"x"', "null", "3", '{"tx_base": true}'])

@@ -1,8 +1,9 @@
 """Gas table, ledger aggregation, and the documented cost patterns."""
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
+import numpy as np
 import pytest
 
 from peerchain.errors import UnknownOpKind
@@ -64,7 +65,7 @@ def test_table_validation_and_cost():
 
 def test_table_json_roundtrip(tmp_path):
     path = tmp_path / "table.json"
-    path.write_text(DEFAULT_GAS_TABLE.to_json())
+    path.write_text(json.dumps(asdict(DEFAULT_GAS_TABLE)))
     assert GasTable.load(path) == DEFAULT_GAS_TABLE
     parsed = json.loads(path.read_text())
     assert parsed["tx_base"] == 21000
@@ -91,7 +92,7 @@ def test_ledger_aggregation_and_invariant():
     ]
 
 
-@pytest.mark.parametrize("op_kind", ["to_json", "cost", "__doc__", "", "__init__", None, ["tx_base"]])
+@pytest.mark.parametrize("op_kind", ["from_dict", "cost", "__doc__", "", "__init__", None, ["tx_base"]])
 def test_charge_refuses_names_outside_the_table(op_kind):
     gas = GasLedger(DEFAULT_GAS_TABLE)
     gas.charge("posting", "requester", "tx_base")
@@ -99,6 +100,14 @@ def test_charge_refuses_names_outside_the_table(op_kind):
         gas.charge("posting", "requester", op_kind, 1)
     assert gas.report_rows() == [("posting", "requester", "tx_base", 1, 21000)]
     assert gas.total == 21000
+
+
+@pytest.mark.parametrize("words", [1.5, True, np.int64(1), -1], ids=repr)
+def test_charge_takes_only_a_nonnegative_int_word_count(words):
+    gas = GasLedger(DEFAULT_GAS_TABLE)
+    with pytest.raises(ValueError, match="word count must be a nonnegative int"):
+        gas.charge("posting", "requester", "tx_base", words)
+    assert gas.report_rows() == []
 
 
 def test_table_json_missing_entry_gets_its_default():

@@ -1,5 +1,8 @@
-"""Every name a module or test imports is used in it, and every private
-module-level definition of the package is read somewhere in the package.
+"""Every name a module or test imports is used in it, every private
+module-level definition of the package is read somewhere in the package,
+and every public function, class and method of the package is read
+outside the tests: in the package, the benchmark's ``perfbench/pcbench``
+or the README.
 
 The package's ``__init__.py`` re-exports its imports and is left out of
 the import check.  A name read only inside a string annotation does not
@@ -7,12 +10,15 @@ count as used: no module needs a ``TYPE_CHECKING`` import.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "peerchain").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench" / "pcbench").glob("*.py"))
+README = ROOT / "README.md"
 FILES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")] if p.name != "__init__.py")
 
 
@@ -65,3 +71,27 @@ def test_every_private_definition_is_read_in_the_package():
             for name, line in _definitions(tree)
             if name.startswith("_") and not name.startswith("__") and name not in read]
     assert not dead, f"private definitions nothing in the package reads: {dead}"
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, line) of each public module-level function and class and of
+    each public method of those classes; dunders are not public."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node.lineno
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{m.name}", m.lineno) for m in node.body
+                            if isinstance(m, defs) and not m.name.startswith("_"))
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    # library code that only tests use is deleted or wired into an output
+    # a re-export from the package's __init__ is not a use
+    readers = [path for path in [*PACKAGE, *BENCHMARK] if path.name != "__init__.py"]
+    read = set().union(*(_read(ast.parse(path.read_text(), filename=str(path))) for path in readers))
+    read |= set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
+    unread = [f"{path.name}:{line} {name}" for path in PACKAGE
+              for name, line in _public_definitions(ast.parse(path.read_text(), filename=str(path)))
+              if name.rsplit(".", 1)[-1] not in read]
+    assert not unread, f"public definitions only the tests read: {unread}"

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -17,12 +18,14 @@ from peerchain.errors import (
     NoCommitment,
     PeerchainError,
     ReplayDivergence,
+    UnknownOpKind,
     UnknownQuestion,
     UnregisteredAgent,
     WrongPhase,
     ZeroBudget,
 )
 from peerchain import keccak
+from peerchain.gas_model import GasTable
 from peerchain.keccak import _memo
 from peerchain.ledger import Ledger, LedgerConfig, Phase, format_decimal
 from peerchain.mechanisms import ALL_PEERS, Mechanism, SampledPeers
@@ -122,6 +125,82 @@ def test_config_payload_roundtrip():
         LedgerConfig(peer_mode=SampledPeers(3, SelectionSeed(12, 34))),
     ):
         assert LedgerConfig.from_payload(cfg.to_payload()) == cfg
+
+
+def _gas_table(words, others):
+    """A table whose four word costs are ``words`` in decreasing order."""
+    new, update, read, memory = sorted(words, reverse=True)
+    return GasTable(*others[:1], new, update, read, *others[1:3], memory, *others[3:])
+
+
+GAS_TABLES = st.builds(_gas_table, st.lists(st.integers(1, 10**6), min_size=4, max_size=4, unique=True),
+                       st.lists(st.integers(1, 10**6), min_size=5, max_size=5))
+SEEDS = st.one_of(st.integers(-2**70, 2**70),
+                  st.builds(SelectionSeed, st.integers(0, 2**256 - 1), st.integers(0, 2**256 - 1)))
+LEDGER_CONFIGS = st.builds(
+    LedgerConfig,
+    mechanism=st.sampled_from(Mechanism),
+    alpha=st.one_of(st.integers(1, 10**6), st.fractions(min_value=F(1, 10**6), max_value=10**6)),
+    peer_mode=st.one_of(st.just(ALL_PEERS), st.builds(SampledPeers, st.integers(1, 100), SEEDS)),
+    batch_size=st.integers(1, cmt.MAX_ANSWERS),
+    scale=st.integers(1, 10**18),
+    selection_blocks=st.integers(1, 10**6),
+    commit_blocks=st.integers(1, 10**6),
+    reveal_blocks=st.integers(1, 10**6),
+    gas_table=GAS_TABLES,
+    optimized=st.booleans(),
+)
+
+
+def test_genesis_replays_every_config(tmp_path):
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(LEDGER_CONFIGS)
+    def check(cfg):
+        dump = Ledger(cfg).dump()
+        assert Ledger.load(dump).config == cfg
+        genesis = json.loads(bytes.fromhex(dump.split(",", 3)[3]))
+        assert genesis.keys() == {f.name for f in fields(LedgerConfig)}
+
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+def _genesis_log(**changes):
+    """A one-line log: the default genesis with payload keys set or, for a
+    value of None, dropped."""
+    head, payload_hex = Ledger(LedgerConfig()).dump().rstrip("\n").rsplit(",", 1)
+    payload = {**json.loads(bytes.fromhex(payload_hex)), **changes}
+    payload = {k: v for k, v in payload.items() if v is not None}
+    return f"{head},{json.dumps(payload, sort_keys=True, separators=(',', ':')).encode().hex()}\n"
+
+
+def test_genesis_gas_table_is_read_like_a_gas_table_file():
+    entries = {**LedgerConfig().to_payload()["gas_table"], "quantum_op": 5}
+    with pytest.raises(UnknownOpKind, match="quantum_op") as from_file:
+        GasTable.from_json(json.dumps(entries))
+    with pytest.raises(UnknownOpKind, match="quantum_op") as from_log:
+        Ledger.load(_genesis_log(gas_table=entries))
+    assert str(from_log.value) == str(from_file.value)
+    # a missing entry keeps its default, as in a --gas-table file (a log that
+    # leaves one out then fails to replay byte for byte)
+    payload = {**LedgerConfig().to_payload(), "gas_table": {"tx_base": 30000}}
+    assert LedgerConfig.from_payload(payload).gas_table == GasTable(tx_base=30000)
+    with pytest.raises(ReplayDivergence):
+        Ledger.load(_genesis_log(gas_table={"tx_base": 30000}))
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(scale=None), "missing key 'scale'"),
+    (dict(optimized=None, alpha=None), "missing key 'alpha', missing key 'optimized'"),
+    (dict(quantum=1), "unknown key 'quantum'"),
+    (dict(batch_size=None, transfers={}), "missing key 'batch_size', unknown key 'transfers'"),
+], ids=["missing", "two-missing", "unknown", "missing-and-unknown"])
+def test_genesis_keys_must_be_the_config_fields(changes, message):
+    with pytest.raises(ValueError, match=rf"^event log line 1 \(genesis\): genesis payload: {message}$"):
+        Ledger.load(_genesis_log(**changes))
 
 
 def test_oa_round_settles_evenly():
@@ -362,7 +441,7 @@ def test_event_log_replay_is_byte_identical():
     assert replayed.gas.total == ledger.gas.total
     assert replayed.phase is Phase.SETTLED
     assert replayed.settlement.to_csv() == ledger.settlement.to_csv()
-    assert replayed.transfers == ledger.transfers
+    assert replayed.settlement.transfers == ledger.settlement.transfers
     assert replayed.audit() == []
 
 
@@ -630,6 +709,27 @@ def test_select_questions_refuses_an_agent_id_its_log_cannot_carry(agent):
     with pytest.raises(ValueError, match="agent id"):
         ledger.select_questions(agent, ("q1", "q2"))
     assert (ledger.events, ledger.gas.total, ledger.batches) == (*before, {})
+
+
+@pytest.mark.parametrize("bad_id", [["q1"], 1, None, True], ids=repr)
+def test_question_ids_must_be_str(bad_id):
+    fresh = Ledger(LedgerConfig())
+    with pytest.raises(ValueError, match="question ids must be str"):
+        fresh.post_questions(("q1", bad_id), 1000)
+    assert (fresh.phase, len(fresh.events), fresh.gas.total) == (Phase.POSTING, 1, 0)
+    ledger = _oa_round()
+    ledger.settle()
+    dump = ledger.dump()
+    selecting = _staged(Phase.SELECTION)[0]
+    with pytest.raises(ValueError, match="question ids must be str"):
+        selecting.select_questions("A", ("q1", bad_id))
+    assert "A" not in selecting.batches
+    # a log line that carries one is named
+    for event_type in ("post", "select"):
+        number = _line_of(dump, event_type)
+        tampered = _with_payload(dump, number, questions=["q1", bad_id])
+        with pytest.raises(ValueError, match=rf"^event log line {number} \({event_type}\): question ids must be str"):
+            Ledger.load(tampered)
 
 
 def test_a_plain_agent_id_replays_byte_for_byte():

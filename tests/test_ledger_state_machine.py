@@ -203,7 +203,7 @@ class LedgerMachine(RuleBasedStateMachine):
     def settlement_is_zero_sum_and_bounded(self):
         if self.ledger.phase is not Phase.SETTLED:
             return
-        assert sum(self.ledger.transfers.values()) == 0
+        assert sum(self.ledger.settlement.transfers.values()) == 0
         for row in self.ledger.settlement.rows:
             assert 0 <= row.deposit_returned <= self.ledger.agent_deposits[row.agent]
 

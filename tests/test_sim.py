@@ -8,9 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 from peerchain import commitment as cmt
-from peerchain import keccak, mechanisms, peer_selection
+from peerchain import keccak, mechanisms, peer_selection, sim
 from peerchain.errors import EmptyDataset, NoNonCommonQuestions
-from peerchain.ledger import Ledger, Phase
+from peerchain.ledger import Ledger, LedgerConfig, Phase
 from peerchain.mechanisms import Mechanism, SampledPeers, compute_rewards
 from peerchain.peer_selection import SelectionSeed
 from peerchain.sim import (
@@ -167,10 +167,28 @@ def test_run_experiment_rejects_small_dataset(desk_dataset):
 
 @pytest.mark.parametrize("bad", [
     dict(mechanism="oa"), dict(mechanism="dg"), dict(peer_mode=None), dict(gas_table={}),
-], ids=["mechanism-oa-string", "mechanism-dg-string", "peer-mode-none", "gas-table-dict"])
+    dict(alpha=0), dict(alpha=0.5), dict(optimized="no"),
+], ids=["mechanism-oa-string", "mechanism-dg-string", "peer-mode-none", "gas-table-dict",
+        "alpha-zero", "alpha-float", "optimized-str"])
 def test_run_experiment_rejects_bad_config_with_value_error(bad):
-    with pytest.raises(ValueError, match="must be"):
-        run_experiment(ExperimentConfig(agents=5, **bad))
+    # the experiment's round settings fail when it is configured, by LedgerConfig's rule
+    with pytest.raises(ValueError) as ledger_error:
+        LedgerConfig(**bad)
+    with pytest.raises(ValueError) as experiment_error:
+        ExperimentConfig(agents=5, **bad)
+    assert str(experiment_error.value) == str(ledger_error.value)
+
+
+def test_run_experiment_plays_the_configs_own_ledger_config(monkeypatch):
+    config = ExperimentConfig(mechanism=Mechanism.PTSC, packed=False, optimized=False, agents=6, seed=2)
+    assert config.ledger_config == LedgerConfig(mechanism=Mechanism.PTSC, alpha=F(1, 2), batch_size=1,
+                                                optimized=False)
+
+    def no_config(*args, **kwargs):
+        raise AssertionError("run_experiment built a LedgerConfig")
+
+    monkeypatch.setattr(sim, "LedgerConfig", no_config)
+    assert run_experiment(config).ledger.config is config.ledger_config
 
 
 def test_sweep_packing_shapes(desk_dataset):

@@ -23,12 +23,14 @@ they price come from the per-question answerer counts.  The function
 builds its own `PeerVisits` because its signature takes the matrix, not
 the kernel's visits, so in sampled mode every cell's `sample_peers` call
 is made a second time; the draw is a pure function of the seed and the
-cell, so it picks the peers the mechanism scored.  That second draw is
-a hit in the sampler's memo of drawn positions (`peer_selection`) while
-the settle has at most `DRAW_MEMO_SIZE` sampled cells, so it costs a
-lookup and a naming, not k draws.  Passing the kernel's `PeerVisits` in
-instead ("draw once") would halve the sampler calls that the round
-benchmark counts, so it is left to a change of that benchmark.
+cell, so it picks the peers the mechanism scored.  Every second draw is
+a hit in the sampler's memo of drawn positions (`peer_selection`): the
+kernel's `peer_visits` filled it a batch of `DRAW_MEMO_SIZE` cells at a
+time, and this one passes the same batches through it again, so each
+cell costs a lookup and a naming, not k draws, however many cells the
+settle has.  Passing the kernel's `PeerVisits` in instead ("draw once")
+would halve the sampler calls that the round benchmark counts, so it is
+left to a change of that benchmark.
 
 Cost patterns (T total answers, n_q answerers on question q, t_i answers
 by agent i):

@@ -32,10 +32,13 @@ depend on evaluation order.  ``peer_visits`` is the one place a settle
 asks which: its ``PeerVisits`` holds, as int arrays, the peers scored in
 every cell, how many of them match, and per peer count s how often each
 agent's cells with s peers score each other agent.  With all peers these
-come from the matrix's 0/1 arrays; sampled cells are drawn in row-major
-order with one ``sample_peers`` call each, from the question's answerer
-list with the agent sliced out and a substream seed from one numpy pass
-(``peer_selection.cell_seeds``).  ``peers_for_cell`` is the cell-by-cell
+come from the matrix's 0/1 arrays.  Sampled cells take their substream
+seeds from one numpy pass (``peer_selection.cell_seeds``); each batch of
+``DRAW_MEMO_SIZE`` of them is drawn in one numpy pass
+(``peer_selection.draw_positions_many``) into the sampler's memo, and
+then every cell makes one ``sample_peers`` call, in row-major order, from
+the question's answerer list with the agent sliced out, which finds its
+draw there.  ``peers_for_cell`` is the cell-by-cell
 reference that the naive path uses; a test holds ``PeerVisits`` equal to
 it.  The gas model prices the same ``PeerVisits``.
 
@@ -68,7 +71,15 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import EmptyMatrix, NoNonCommonQuestions, require_ints
-from .peer_selection import SelectionSeed, cell_seed, cell_seeds, sample_peers, seed_state
+from .peer_selection import (
+    DRAW_MEMO_SIZE,
+    SelectionSeed,
+    cell_seed,
+    cell_seeds,
+    draw_positions_many,
+    sample_peers,
+    seed_state,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -282,7 +293,9 @@ def peer_visits(matrix: AnswerMatrix, peer_mode: PeerMode) -> PeerVisits:
 
     A sampled cell makes one ``sample_peers`` call, in row-major order, on
     the pool ``peers_for_cell`` draws from, held as agent indices; the
-    sampler picks by position, so the draws are the same.
+    sampler picks by position, so the draws are the same.  Each
+    ``DRAW_MEMO_SIZE`` cells are first drawn as one batch, so those calls
+    find their draws in the memo.
     """
     require_peer_mode(peer_mode)
     answered, ones = matrix.answered, matrix.ones
@@ -301,18 +314,23 @@ def peer_visits(matrix: AnswerMatrix, peer_mode: PeerMode) -> PeerVisits:
         return PeerVisits(np.where(scored, pools, 0), np.where(scored, same, 0), by_size)
 
     n_agents, n_questions = answered.shape
-    peers = np.where(scored, np.minimum(pools, peer_mode.k), 0)
-    seeds = cell_seeds(peer_mode.seed, n_agents, n_questions)
+    # k capped at n_agents, above every pool, so a huge k never meets numpy
+    peers = np.where(scored, np.minimum(pools, min(peer_mode.k, n_agents)), 0)
     columns = [np.flatnonzero(column).tolist() for column in answered.T]
     # the agent's position among the answerers of each question it answered
     ranks = (np.cumsum(answered, axis=0) - 1).tolist()
     cells = np.flatnonzero(scored)
     sizes = peers.flat[cells]
+    cell_list, pool_list, k_list = cells.tolist(), pools[cells % n_questions].tolist(), sizes.tolist()
+    states = cell_seeds(peer_mode.seed, n_agents, n_questions).flat[cells].tolist()
     drawn = []
-    for cell, k in zip(cells.tolist(), sizes.tolist()):
-        i, j = divmod(cell, n_questions)
-        column, r = columns[j], ranks[i][j]
-        drawn += sample_peers(column[:r] + column[r + 1:], k, seeds[i][j])
+    for start in range(0, len(cells), DRAW_MEMO_SIZE):
+        part = slice(start, start + DRAW_MEMO_SIZE)
+        draw_positions_many(pool_list[part], k_list[part], states[part])
+        for cell, k, state in zip(cell_list[part], k_list[part], states[part]):
+            i, j = divmod(cell, n_questions)
+            column, r = columns[j], ranks[i][j]
+            drawn += sample_peers(column[:r] + column[r + 1:], k, state)
     # one entry per visit: its cell, the cell's agent and question, the peer
     visit = np.repeat(cells, sizes)
     agent, q = np.divmod(visit, n_questions)

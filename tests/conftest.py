@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from peerchain import peer_selection
 from peerchain.mechanisms import AnswerMatrix
 from peerchain.sim import QoSDataset, assert_dg_valid, binarize
 
@@ -77,3 +78,23 @@ def skip_one_matrix(rng: random.Random, n: int) -> AnswerMatrix:
 
 def frac(a, b=1) -> Fraction:
     return Fraction(a, b)
+
+
+def count_draws(monkeypatch) -> tuple[list, list]:
+    """Record every draw the sampler computes instead of finding it in its
+    memo: the (size, k, state) keys of the scalar ``_draw_positions`` calls,
+    and those of the rows that batches draw with ``_draw_rows``."""
+    scalar, batched = [], []
+    draw_one, draw_rows = peer_selection._draw_positions, peer_selection._draw_rows
+
+    def counted_one(*key):
+        scalar.append(key)
+        return draw_one(*key)
+
+    def counted_rows(sizes, ks, states):
+        batched.extend(zip(sizes.tolist(), ks.tolist(), states.tolist()))
+        return draw_rows(sizes, ks, states)
+
+    monkeypatch.setattr(peer_selection, "_draw_positions", counted_one)
+    monkeypatch.setattr(peer_selection, "_draw_rows", counted_rows)
+    return scalar, batched

@@ -14,6 +14,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from peerchain import incentives as inc
 from peerchain.cli import INCENTIVES_HEADER, SAMPLE_DATASET, build_parser, main
 from peerchain.gas_model import DEFAULT_GAS_TABLE, GasTable
+from peerchain.ledger import Ledger
 
 
 def run(argv):
@@ -67,6 +68,21 @@ def test_round_rerun_is_byte_identical(tmp_path):
     for name, digest in ROUND_RERUN_SHA256.items():
         assert (a / name).read_bytes() == (b / name).read_bytes()
         assert sha256(a / name) == digest, name
+
+
+@pytest.mark.parametrize("k", [2**63, 10**30])
+def test_round_with_a_k_beyond_numpy_integers_draws_every_pool_whole(tmp_path, k):
+    # the sample dataset's pools hold at most 4 peers, so k = 50 draws each one whole
+    outs = {}
+    for peers in (str(k), "50"):
+        outs[peers] = tmp_path / peers
+        assert run(["round", "--mechanism", "dg", "--peers", peers, "--seed", "4",
+                    "--out", str(outs[peers])]) == 0
+    for name in ("settlement.csv", "gas.csv"):
+        assert (outs[str(k)] / name).read_bytes() == (outs["50"] / name).read_bytes()
+    log = (outs[str(k)] / "events.log").read_text()
+    assert json.loads(bytes.fromhex(log.splitlines()[0].rsplit(",", 1)[1]))["peer_mode"]["k"] == k
+    assert Ledger.load(log).dump() == log
 
 
 def test_round_alpha_margin_reaches_the_ledger(tmp_path):

@@ -29,10 +29,10 @@ from peerchain.gas_model import GasTable
 from peerchain.keccak import _memo
 from peerchain.ledger import Ledger, LedgerConfig, Phase, format_decimal
 from peerchain.mechanisms import ALL_PEERS, Mechanism, SampledPeers
-from peerchain.peer_selection import SelectionSeed, _draw_positions
+from peerchain.peer_selection import SelectionSeed, _memo as _draw_memo
 from peerchain.sim import ExperimentConfig, QoSDataset, run_experiment
 
-from conftest import BAD_ALPHAS
+from conftest import BAD_ALPHAS, count_draws
 
 
 def _commit_and_reveal(ledger, agent, answers):
@@ -796,7 +796,7 @@ def test_replay_outputs_do_not_depend_on_the_keccak_memo(monkeypatch):
 
 
 @pytest.mark.parametrize("mechanism", [Mechanism.DG, Mechanism.OA], ids=["dg", "oa"])
-def test_replay_outputs_do_not_depend_on_the_draw_memo(mechanism):
+def test_replay_outputs_do_not_depend_on_the_draw_memo(mechanism, monkeypatch):
     config = ExperimentConfig(mechanism=mechanism, peer_mode=SampledPeers(3, SelectionSeed(5, 6)),
                               agents=12, seed=3)
     round_ = run_experiment(config, QoSDataset.skip_one(12, 12, seed=4)).ledger
@@ -805,14 +805,16 @@ def test_replay_outputs_do_not_depend_on_the_draw_memo(mechanism):
     key = json.loads(bytes.fromhex(dump.splitlines()[number - 1].rsplit(",", 1)[1]))["key"]
     tampered = _with_payload(dump, number, key=key ^ 1)
     cells = 12 * 11  # skip-one: every agent answers 11 of the 12 questions
+    scalar, batched = count_draws(monkeypatch)
     runs = []
     for cold in (True, False):
         if cold:
-            _draw_positions.cache_clear()
-        misses = _draw_positions.cache_info().misses
+            _draw_memo.clear()
+        scalar.clear()
+        batched.clear()
         replayed = Ledger.load(dump)
-        # cold: the kernel draws every sampled cell and the gas model finds it
-        assert _draw_positions.cache_info().misses - misses == (cells if cold else 0)
+        # cold: the kernel's batch draws every sampled cell and the gas model finds it
+        assert (len(scalar), len(batched)) == (0, cells if cold else 0)
         forged = Ledger.load(tampered)
         runs.append((replayed.dump(), replayed.settlement.to_csv(), replayed.gas.report_rows(),
                      replayed.audit(), forged.settlement.to_csv(), dict(forged.discarded)))
@@ -824,6 +826,21 @@ def test_replay_outputs_do_not_depend_on_the_draw_memo(mechanism):
     agent = dump.splitlines()[number - 1].split(",")[2]
     assert [(a, n.kind) for (a, _b), n in forged_discards.items()] == [(agent, "failed-verification")]
     assert forged_csv != csv
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_a_cold_sampled_round_draws_in_batches_and_its_replay_draws_nothing(mechanism, monkeypatch):
+    config = ExperimentConfig(mechanism=mechanism, peer_mode=SampledPeers(4, 11), agents=14, seed=2)
+    dataset = QoSDataset.skip_one(14, 14, seed=5)
+    _draw_memo.clear()
+    scalar, batched = count_draws(monkeypatch)
+    round_ = run_experiment(config, dataset).ledger
+    # the kernel draws every sampled cell in its batch, the gas model finds them
+    assert (len(scalar), len(batched)) == (0, 14 * 13)
+    batched.clear()
+    replayed = Ledger.load(round_.dump())
+    assert (scalar, batched) == ([], [])
+    assert replayed.dump() == round_.dump()
 
 
 def test_a_flipped_key_bit_fails_verification_with_the_honest_layout_memoised(monkeypatch):

@@ -24,10 +24,10 @@ from peerchain.mechanisms import (
     peers_for_cell,
     rewards_naive,
 )
-from peerchain.peer_selection import SelectionSeed, sample_peers
+from peerchain.peer_selection import DRAW_MEMO_SIZE, SelectionSeed, _memo, sample_peers
 from peerchain.sim import assert_dg_valid
 
-from conftest import BAD_ALPHAS, random_matrix, skip_one_matrix
+from conftest import BAD_ALPHAS, count_draws, random_matrix, skip_one_matrix
 
 # three agents, two questions; worked through by hand in the module docs
 M1 = AnswerMatrix(("A", "B", "C"), ("q1", "q2"), {
@@ -331,6 +331,18 @@ def test_cell_plan_matches_peer_scan_on_skip_one(k):
     assert _visit_lists(peer_visits(m, mode)) == _peer_scan(m, mode)
 
 
+def test_cell_plan_draws_more_cells_than_the_memo_holds_in_batches(monkeypatch):
+    # 9,900 sampled cells: three batches of at most DRAW_MEMO_SIZE cells
+    m = skip_one_matrix(random.Random(100), 100)
+    mode = SampledPeers(10, SelectionSeed(100, 10))
+    _memo.clear()
+    scalar, batched = count_draws(monkeypatch)
+    visits = peer_visits(m, mode)
+    assert scalar == [] and len(batched) == 9_900 > 2 * DRAW_MEMO_SIZE
+    assert len(_memo) == DRAW_MEMO_SIZE
+    assert _visit_lists(visits) == _peer_scan(m, mode)
+
+
 def test_cell_plan_calls_the_sampler_once_per_sampled_cell(monkeypatch):
     calls = []
 
@@ -381,6 +393,18 @@ def test_optimized_equals_naive_with_sampling():
             a = compute_rewards(m, mech, alpha=F(1), peer_mode=mode).per_agent_reward
             b = rewards_naive(m, mech, alpha=F(1), peer_mode=mode).per_agent_reward
             assert a == b
+
+
+@pytest.mark.parametrize("k", [2**63, 10**30])
+def test_a_k_beyond_numpy_integers_scores_like_the_naive_path(k):
+    rng = random.Random(63)
+    for m in (skip_one_matrix(rng, 6), random_matrix(rng, 5, 6, p_answer=0.7)):
+        mode = SampledPeers(k, 9)
+        for mech in Mechanism:
+            naive = _report_or_error(rewards_naive, m, mech, F(1), mode)
+            assert _report_or_error(compute_rewards, m, mech, F(1), mode) == naive
+            # every pool is drawn whole, as with a k of the largest pool
+            assert _visit_lists(peer_visits(m, mode)) == _visit_lists(peer_visits(m, SampledPeers(len(m.agents), 9)))
 
 
 def _outcome(fn, m, mode):

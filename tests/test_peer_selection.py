@@ -1,8 +1,9 @@
 """SplitMix64 reference vectors, seed derivation, sampler statistics, and
-the draw memo against an unmemoised sampler."""
+the draw memo and its batch fill against an unmemoised sampler."""
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +17,15 @@ from peerchain.peer_selection import (
     SelectionSeed,
     SplitMix64,
     _draw_positions,
+    _memo,
     cell_seed,
     cell_seeds,
+    draw_positions_many,
     sample_peers,
     seed_state,
 )
+
+from conftest import count_draws
 
 
 def reference_sample(candidates, k, seed):
@@ -93,7 +98,7 @@ def test_sample_peers_exact_draw_count_and_distinctness(monkeypatch):
             return super().next()
 
     monkeypatch.setattr(peer_selection, "SplitMix64", CountingStream)
-    _draw_positions.cache_clear()
+    _memo.clear()
     pool = [f"p{i}" for i in range(10)]
     for k in (1, 3, 10):
         streams.clear()
@@ -179,9 +184,9 @@ def test_accepted_seed_kinds_agree():
 def test_cell_seeds_equal_every_cell_stream(seed, shape):
     n_agents, n_questions = shape
     seeds = cell_seeds(seed, n_agents, n_questions)
-    assert seeds == [[cell_seed(seed, i, j) for j in range(n_questions)]
-                     for i in range(n_agents)]
-    assert all(type(s) is int for row in seeds for s in row)
+    assert seeds.dtype == np.uint64 and seeds.shape == shape
+    assert seeds.tolist() == [[cell_seed(seed, i, j) for j in range(n_questions)]
+                              for i in range(n_agents)]
 
 
 SEEDS = st.one_of(
@@ -196,17 +201,20 @@ SEEDS = st.one_of(
 def test_memoised_sampler_equals_the_unmemoised_reference_cold_and_warm(size, names, seed):
     pool = [f"agent-{i}" for i in range(size)] if names else [7 * i + 3 for i in range(size)]
     expected = [reference_sample(pool, k, seed) for k in range(1, size + 1)]
-    _draw_positions.cache_clear()
-    for warm in (False, True):
-        hits = _draw_positions.cache_info().hits
-        assert [sample_peers(pool, k, seed) for k in range(1, size + 1)] == expected
-        assert _draw_positions.cache_info().hits - hits == (size if warm else 0)
+    _memo.clear()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        scalar, _batched = count_draws(monkeypatch)
+        for warm in (False, True):
+            scalar.clear()
+            assert [sample_peers(pool, k, seed) for k in range(1, size + 1)] == expected
+            # cold: one draw per k; warm: every call is a hit
+            assert len(scalar) == (0 if warm else size)
 
 
-def test_pools_of_one_size_share_their_drawn_positions():
+def test_pools_of_one_size_share_their_drawn_positions(monkeypatch):
     names = [f"n{i}" for i in range(12)]
     ints = list(range(100, 112))
-    _draw_positions.cache_clear()
+    _memo.clear()
     for seed in (0, 5, 2**64 + 5, SelectionSeed(12, 34)):
         picked = sample_peers(names, 4, seed)
         positions = [names.index(name) for name in picked]
@@ -214,13 +222,14 @@ def test_pools_of_one_size_share_their_drawn_positions():
         assert sample_peers(ints, 4, seed) == reference_sample(ints, 4, seed)
     # a SelectionSeed, its seed64() and that int plus 2**64 are one entry
     seed = SelectionSeed(12, 34)
-    hits = _draw_positions.cache_info().hits
+    scalar, _batched = count_draws(monkeypatch)
     sample_peers(ints, 4, seed.seed64())
     sample_peers(ints, 4, seed.seed64() + 2**64)
-    assert _draw_positions.cache_info().hits == hits + 2
+    assert scalar == []
     # the same seed, another pool size or k: another draw, not a memo entry
     assert sample_peers(names[:11], 4, 5) == reference_sample(names[:11], 4, 5)
     assert sample_peers(names, 3, 5) == reference_sample(names, 3, 5)
+    assert scalar == [(11, 4, 5), (12, 3, 5)]
 
 
 def test_a_mutated_sample_does_not_reach_the_next_call():
@@ -233,9 +242,93 @@ def test_a_mutated_sample_does_not_reach_the_next_call():
     assert sample_peers(pool, 3, 11) is not sample_peers(pool, 3, 11)
 
 
-def test_draw_memo_stays_within_its_bound():
-    assert _draw_positions.cache_info().maxsize == DRAW_MEMO_SIZE
+def test_draw_memo_stays_within_its_bound(monkeypatch):
     pool = list(range(5))
+    _memo.clear()
+    scalar, _batched = count_draws(monkeypatch)
     for seed in range(DRAW_MEMO_SIZE + 1):
         sample_peers(pool, 2, seed)
-    assert _draw_positions.cache_info().currsize == DRAW_MEMO_SIZE
+        assert len(_memo) <= DRAW_MEMO_SIZE
+    assert len(_memo) == DRAW_MEMO_SIZE
+    # least recently used first: seed 0 is gone, and a hit on seed 1 moves it last
+    assert next(iter(_memo)) == (5, 2, 1)
+    sample_peers(pool, 2, 1)
+    assert list(_memo)[-1] == (5, 2, 1)
+    assert len(scalar) == DRAW_MEMO_SIZE + 1
+    sample_peers(pool, 2, 0)
+    assert len(scalar) == DRAW_MEMO_SIZE + 2 and (5, 2, 2) not in _memo
+
+
+STATES = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 16, 2**64 - 1), st.integers(0, 15))
+KEYS = st.integers(1, 60).flatmap(lambda size: st.tuples(st.just(size), st.integers(1, size), STATES))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(keys=st.lists(KEYS, min_size=1, max_size=40), held=st.sets(st.integers(0, 39)),
+       repeats=st.lists(st.integers(0, 39), max_size=10))
+def test_batch_draws_equal_the_scalar_draws(keys, held, repeats):
+    keys = keys + [keys[r % len(keys)] for r in repeats]
+    held = {keys[h % len(keys)] for h in held}
+    _memo.clear()
+    for key in held:  # drawn before the batch, one by one
+        sample_peers(range(key[0]), key[1], key[2])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        scalar, batched = count_draws(monkeypatch)
+        draw_positions_many(*zip(*keys))
+        # the keys the memo lacked are drawn once each, in batch order, all in the batch
+        assert scalar == []
+        assert batched == [key for key in dict.fromkeys(keys) if key not in held]
+    for key in keys:
+        assert _memo[key] == _draw_positions(*key)
+        size, k, state = key
+        assert list(_memo[key]) == reference_sample(range(size), k, state)
+    # the batch's keys end the memo: those it held first, then the new ones
+    tail = list(_memo)[-len(set(keys)):]
+    assert set(tail) == set(keys)
+    assert tail[len(held):] == [key for key in dict.fromkeys(keys) if key not in held]
+
+
+def test_batch_fills_the_memo_up_to_its_bound(monkeypatch):
+    _memo.clear()
+    keys = [(7, 3, state) for state in range(DRAW_MEMO_SIZE + 1)]
+    scalar, batched = count_draws(monkeypatch)
+    draw_positions_many(*zip(*keys))
+    assert scalar == [] and batched == keys
+    assert list(_memo) == keys[1:]
+    # the memo's entries are found by sample_peers, not drawn again
+    assert [sample_peers("abcdefg", 3, state) for _size, _k, state in keys[-3:]] == [
+        reference_sample("abcdefg", 3, state) for _size, _k, state in keys[-3:]]
+    assert scalar == []
+
+
+def test_a_batch_keeps_its_hits_in_a_full_memo(monkeypatch):
+    _memo.clear()
+    held = [(9, 4, state) for state in range(10)]
+    fresh = [(9, 4, state) for state in range(10, 20)]
+    # the batch's hits are the memo's oldest entries, and the memo is full
+    draw_positions_many(*zip(*held))
+    draw_positions_many(*zip(*[(6, 2, state) for state in range(DRAW_MEMO_SIZE - len(held))]))
+    assert list(_memo)[:len(held)] == held and len(_memo) == DRAW_MEMO_SIZE
+    scalar, batched = count_draws(monkeypatch)
+    draw_positions_many(*zip(*(held + fresh)))
+    assert batched == fresh
+    assert list(_memo)[-20:] == held + fresh
+    # so every cell of the batch finds its draw
+    for size, k, state in held + fresh:
+        assert sample_peers(range(size), k, state) == reference_sample(range(size), k, state)
+    assert scalar == []
+
+
+@pytest.mark.parametrize("sizes, ks, states, error, message", [
+    ([3, 4], [1, 5], [0, 0], KTooLarge, "k=5 outside 1..4"),
+    ([3], [0], [0], KTooLarge, "k=0 outside 1..3"),
+    ([3], [2.0], [0], ValueError, "must be ints"),
+    ([3], [True], [0], ValueError, "must be ints"),
+    ([3], [2], [-1], ValueError, "lie in 0..2..64-1"),
+    ([3], [2], [2**64], ValueError, "lie in 0..2..64-1"),
+], ids=repr)
+def test_batch_refuses_keys_the_scalar_sampler_refuses(sizes, ks, states, error, message):
+    _memo.clear()
+    with pytest.raises(error, match=message):
+        draw_positions_many(sizes, ks, states)
+    assert len(_memo) == 0

@@ -10,7 +10,7 @@ independent secret key.
 A packed vector is its message, one int.  For a batch of n questions only
 the low 2n bits may be set, and an answer bit only with its answered bit;
 ``decode`` refuses any other int, so a reveal opens to exactly the message
-that was hashed or to nothing.
+that was hashed or to nothing.  ``answers_of`` is the one slot decoder.
 
 Canonical byte layout (22 bytes, 176 bits, bit i = bit i%8 of byte i//8):
 
@@ -35,6 +35,7 @@ KEY_BITS = MESSAGE_BITS                  # 85
 MAX_ANSWERS = MESSAGE_BITS // 2          # 42
 LAYOUT_BYTES = 22                        # ceil((85 + 85 + 6 padding) / 8)
 ANSWERED = ((1 << 2 * MAX_ANSWERS) - 1) // 3  # bits 0, 2, ..., 82: the answered flags
+_BIT = {"0": 0, "1": 1}
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,17 @@ class PackedAnswerVector:
 
     def answers(self) -> dict[str, int]:
         """Mapping question id -> answer bit for the answered slots."""
-        m = self.bits
-        return {q: m >> 2 * j + 1 & 1 for j, q in enumerate(self.question_order) if m >> 2 * j & 1}
+        return answers_of(self.bits, self.question_order)
 
     def message(self) -> int:
         """The packed message m as an integer of at most 85 bits."""
         return self.bits
+
+
+def answers_of(message: int, question_order: tuple[str, ...]) -> dict[str, int]:
+    """Question id -> bit of each answered slot j: characters 2j, 2j+1 of the reversed binary string."""
+    bits = iter(bin(message)[:1:-1] + "0")  # the 0 completes a top slot; slots past the end are unanswered
+    return {q: _BIT[answer] for q, flag, answer in zip(question_order, bits, bits) if flag == "1"}
 
 
 def pack(answers: list[tuple[str, int]], question_order: list[str] | tuple[str, ...]) -> PackedAnswerVector:

@@ -23,9 +23,9 @@ which pads to one rate block, with one permutation over all of them: a
 batch costs about 0.9 ms whatever its size plus about 7 us a message.
 Longer messages go through ``keccak256``.
 
-Both share one bounded memo of the last ``MEMO_SIZE`` digests, a plain
-dict kept in least-recently-used order: a hit pops its entry and puts it
-back at the end, a new entry evicts the first one.  A commitment's
+Both share one bounded memo of the last ``MEMO_SIZE`` digests, an
+``OrderedDict`` in LRU order: a hit calls ``move_to_end``, and a new
+entry evicts the oldest with ``popitem(last=False)``.  A commitment's
 22-byte layout is hashed four times: by the agent when it commits, by the
 contract when it checks the reveal, by ``Ledger.load`` when a replay
 checks that reveal again, and by ``audit`` over the replayed ledger.
@@ -40,7 +40,7 @@ ints or ``None`` raises ``TypeError`` rather than hash what ``bytes()``
 would make of it (an int n makes n zero bytes).  ``MEMO_SIZE`` is 1,024
 layouts, about 160 kB, well above the 112 commitments of a packed 56x56
 round and the 333-353 of a 12x40 unpacked one.  A hit costs about
-0.25 us.  A batch of more than ``MEMO_SIZE`` distinct messages returns
+0.3 us.  A batch of more than ``MEMO_SIZE`` distinct messages returns
 every digest but leaves only the last ``MEMO_SIZE`` in the memo.  So
 ``run_experiment`` hashes and commits ``MEMO_SIZE`` layouts at a time,
 and passes each slice through ``keccak256_many`` again before it reveals
@@ -49,6 +49,8 @@ layouts of a round that does not.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 
@@ -85,7 +87,7 @@ _NEXT = np.array([1, 2, 3, 4, 0])      # column x + 1
 _AFTER_NEXT = np.array([2, 3, 4, 0, 1])  # column x + 2
 _PREVIOUS = np.array([4, 0, 1, 2, 3])  # column x - 1
 
-_memo: dict[bytes, bytes] = {}  # message -> digest, least recently used first
+_memo: OrderedDict[bytes, bytes] = OrderedDict()  # message -> digest, least recently used first
 
 
 def _keccak_f1600_rows(a: np.ndarray) -> np.ndarray:
@@ -133,12 +135,12 @@ def keccak256(data: bytes) -> bytes:
     """
     if type(data) is not bytes:
         data = bytes(memoryview(data))
-    digest = _memo.pop(data, None)
+    digest = _memo.get(data)
     if digest is None:
         digest = _sponge_256([data], 0x01)[0]
-        if len(_memo) >= MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-    _memo[data] = digest
+        _remember(data, digest)
+    else:
+        _memo.move_to_end(data)
     return digest
 
 
@@ -154,12 +156,17 @@ def keccak256_many(messages) -> list[bytes]:
     data = [m if type(m) is bytes else bytes(memoryview(m)) for m in messages]
     if data and max(map(len, data)) >= _RATE_BYTES:
         raise ValueError(f"keccak256_many hashes messages of at most {_RATE_BYTES - 1} bytes")
-    digests = {m: _memo.pop(m, None) for m in dict.fromkeys(data)}
+    digests = {m: _memo.get(m) for m in dict.fromkeys(data)}
     fresh = [m for m, digest in digests.items() if digest is None]
     if fresh:
         digests.update(zip(fresh, _sponge_256(fresh, 0x01)))
     for m, digest in digests.items():
-        if len(_memo) >= MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-        _memo[m] = digest
+        _remember(m, digest)
     return [digests[m] for m in data]
+
+
+def _remember(data: bytes, digest: bytes) -> None:
+    if data not in _memo and len(_memo) >= MEMO_SIZE:
+        _memo.popitem(last=False)
+    _memo[data] = digest
+    _memo.move_to_end(data)

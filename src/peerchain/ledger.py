@@ -31,6 +31,7 @@ Gas charges per event (words per the configured table):
   layout, one comparison; accepted reveals add one new storage word.  A
   message with any bit beyond its batch's slots is malformed and
   discarded, so an accepted message is exactly the one that was hashed.
+  Accepted (message, key) pairs hold the answers; ``revealed_cells`` reads them.
 * settle: tx_base; the mechanism's compute pattern via
   `gas_model.charge_settlement_compute`; one update word per party paid.
 """
@@ -255,7 +256,6 @@ class Ledger:
         # a committed batch's first reveal puts it in exactly one of these two
         self.accepted: dict[tuple[str, int], tuple[int, int]] = {}  # (message, key value)
         self.discarded: dict[tuple[str, int], LedgerNote] = {}
-        self.revealed_cells: dict[tuple[str, str], int] = {}
         self.gas = GasLedger(config.gas_table)
         self.notes: list[LedgerNote] = []
         self.events: list[str] = []
@@ -421,8 +421,6 @@ class Ledger:
         if not cmt.verify_reveal(commitment_, vector, key):
             return self._discard("failed-verification", agent, batch)
         self.accepted[(agent, batch)] = (message, key_value)
-        for q, bit in vector.answers().items():
-            self.revealed_cells[(agent, q)] = bit
         self.gas.charge("reveal", agent, "storage_write_new_word", 1)
         return True
 
@@ -438,9 +436,15 @@ class Ledger:
 
     # -- settlement ---------------------------------------------------------------
 
+    @property
+    def revealed_cells(self) -> dict[tuple[str, str], int]:
+        """(agent, question) -> bit of every accepted answer, decoded from ``accepted``."""
+        return {(agent, q): bit for (agent, batch), (message, _key) in self.accepted.items()
+                for q, bit in cmt.answers_of(message, self.batches[agent][batch]).items()}
+
     def revealed_matrix(self) -> AnswerMatrix:
         """Registered agents x posted questions holding every accepted answer."""
-        return AnswerMatrix(tuple(self.batches), self.questions, dict(self.revealed_cells))
+        return AnswerMatrix(tuple(self.batches), self.questions, self.revealed_cells)
 
     def settle(self) -> SettlementReport:
         self._require_phase(Phase.REVEAL)
@@ -556,20 +560,16 @@ class Ledger:
     # -- audit -------------------------------------------------------------------------
 
     def audit(self) -> list[str]:
-        """Hard-invariant findings; an empty list means the round is clean."""
+        """Hard-invariant findings, none for a clean round: each accepted batch has a commitment
+        that its (message, key) reproduces; settled transfers sum to zero and return 0..deposit."""
         findings = []
-        accepted_cells = set()
         for (agent, batch), (message, key_value) in self.accepted.items():
             vector = cmt.decode(message, self.batches[agent][batch])
-            accepted_cells.update((agent, q) for q in vector.answers())
             commitment_ = self.commitments.get((agent, batch))
             if commitment_ is None:
                 findings.append(f"accepted reveal without commitment: {agent} batch {batch}")
             elif not cmt.verify_reveal(commitment_, vector, cmt.SecretKey(key_value)):
                 findings.append(f"stored reveal fails verification: {agent} batch {batch}")
-        for cell in self.revealed_cells:
-            if cell not in accepted_cells:
-                findings.append(f"revealed cell {cell} lacks an accepted batch")
         if self.phase is Phase.SETTLED:
             if sum(self.settlement.transfers.values()) != 0:
                 findings.append("settlement transfers do not sum to zero")

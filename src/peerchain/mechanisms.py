@@ -142,21 +142,21 @@ class AnswerMatrix:
             raise ValueError("duplicate agent ids")
         if len(self.question_index) != len(self.questions):
             raise ValueError("duplicate question ids")
+        flat = []  # each cell's row-major index
         for (a, q), bit in cells.items():
-            if a not in self.agent_index:
+            if (i := self.agent_index.get(a)) is None:
                 raise ValueError(f"cell references unknown agent {a!r}")
-            if q not in self.question_index:
+            if (j := self.question_index.get(q)) is None:
                 raise ValueError(f"cell references unknown question {q!r}")
             if bit not in (0, 1):
                 raise ValueError(f"cell ({a!r}, {q!r}) holds {bit!r}, want 0 or 1")
+            flat.append(i * shape[1] + j)
         self.cells = dict(cells)
 
         self.answered = np.zeros(shape, dtype=np.int64)
         self.ones = np.zeros(shape, dtype=np.int64)
-        at = (np.array([self.agent_index[a] for a, _q in self.cells], dtype=np.intp),
-              np.array([self.question_index[q] for _a, q in self.cells], dtype=np.intp))
-        self.answered[at] = 1
-        self.ones[at] = list(self.cells.values())
+        np.put(self.answered, flat, 1)
+        np.put(self.ones, flat, list(self.cells.values()))
         self.answerers_per_question = self.answered.sum(axis=0)
         self.ones_per_question = self.ones.sum(axis=0)
 

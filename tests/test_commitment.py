@@ -15,6 +15,7 @@ from peerchain.commitment import (
     Commitment,
     PackedAnswerVector,
     SecretKey,
+    answers_of,
     commit,
     decode,
     layout_bytes,
@@ -125,6 +126,59 @@ def test_decode_keeps_every_bit_or_refuses(tmp_path):
         check()
     finally:
         set_hypothesis_home_dir(None)
+
+
+def _answers_slot_by_slot(message, order):
+    """The reference decode: slot j's answered flag at bit 2j, its answer at
+    bit 2j+1; a slot whose flag is 0 is skipped."""
+    answers = {}
+    for j, q in enumerate(order):
+        if (message >> 2 * j) & 1:
+            answers[q] = (message >> (2 * j + 1)) & 1
+    return answers
+
+
+@st.composite
+def order_and_any_message(draw):
+    """An order of 0-42 questions and a message of its 2n slot bits, with
+    bits above slot n half the time."""
+    n = draw(st.integers(0, MAX_ANSWERS))
+    message = draw(st.integers(0, 4**n - 1))
+    high = draw(st.one_of(st.just(0), st.integers(1, 1 << MESSAGE_BITS)))
+    return [f"q{i}" for i in range(n)], message | high << 2 * n
+
+
+def test_answers_of_reads_each_slot_like_the_reference(tmp_path):
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(order_and_any_message())
+    def check(case):
+        order, message = case
+        expected = _answers_slot_by_slot(message, order)
+        assert answers_of(message, tuple(order)) == expected
+        try:
+            vec = decode(message, order)
+        except ValueError:
+            # decode refuses exactly the messages with bits above the slots
+            # or an answer bit without its flag
+            assert message >> 2 * len(order) or any(
+                (message >> 2 * j) & 0b11 == 0b10 for j in range(len(order)))
+            return
+        assert vec.answers() == expected
+
+    # keep Hypothesis' constants cache out of the working tree
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_answers_of_every_message_of_a_short_order(n):
+    order = tuple(f"q{i}" for i in range(n))
+    for message in range(4**n):
+        for high in (0, 1, 0b1011 << 40):
+            assert answers_of(message | high << 2 * n, order) == _answers_slot_by_slot(message, order)
 
 
 def test_key_range_checked():

@@ -398,6 +398,57 @@ def test_discard_is_final():
     assert ledger.settle().reward_report is None
 
 
+def _round_with_every_reveal_outcome():
+    """A settled two-question-batch OA round whose reveals are accepted,
+    duplicated, malformed and failed, and the cells its accepted batches hold."""
+    ledger = Ledger(LedgerConfig(mechanism=Mechanism.OA, batch_size=2))
+    questions = ("q1", "q2", "q3", "q4", "q5")
+    ledger.post_questions(questions, 1000)
+    answers = {
+        "A": [("q1", 1), ("q2", 0), ("q3", 1), ("q5", 0)],
+        "B": [("q1", 1), ("q4", 1)],
+        "C": [("q2", 1), ("q3", 0), ("q4", 0)],
+        "D": [("q1", 0), ("q5", 1)],
+    }
+    for agent, cells in answers.items():
+        ledger.select_questions(agent, [q for q, _bit in cells])
+    ledger.tick(10)
+    keys = {agent: _commit_and_reveal(ledger, agent, cells) for agent, cells in answers.items()}
+    kept = {}
+    for agent, batches in keys.items():
+        for b, (vec, key) in batches.items():
+            if (agent, b) == ("C", 0):
+                assert not ledger.reveal(agent, b, 0b10, key.value)  # answer bit without its flag
+            elif (agent, b) == ("D", 0):
+                assert not ledger.reveal(agent, b, vec.message(), key.value ^ 1)
+            else:
+                assert ledger.reveal_vector(agent, b, vec, key)
+                kept.update({(agent, q): bit for q, bit in answers[agent] if q in vec.question_order})
+    vec, key = keys["B"][0]
+    assert not ledger.reveal_vector("B", 0, vec, key)
+    assert sorted(n.kind for n in ledger.notes) == ["duplicate", "failed-verification", "malformed"]
+    ledger.settle()
+    return ledger, kept
+
+
+def test_accepted_batches_are_the_only_store_of_revealed_answers():
+    ledger, kept = _round_with_every_reveal_outcome()
+    union = {}
+    for (agent, b), (message, _key) in ledger.accepted.items():
+        union.update({(agent, q): bit for q, bit in cmt.answers_of(message, ledger.batches[agent][b]).items()})
+    assert ledger.revealed_cells == union == kept
+    assert list(ledger.revealed_cells) == list(kept)  # in the order the batches were accepted
+    assert ledger.audit() == []
+    replayed = Ledger.load(ledger.dump())
+    assert replayed.revealed_cells == ledger.revealed_cells
+    ours, theirs = ledger.revealed_matrix(), replayed.revealed_matrix()
+    assert (theirs.answered == ours.answered).all() and (theirs.ones == ours.ones).all()
+    assert ours.total_answers == len(kept)
+    with pytest.raises(AttributeError):
+        ledger.revealed_cells = {}
+    assert ledger.revealed_cells == kept
+
+
 def test_batching_splits_along_posted_order():
     cfg = LedgerConfig(batch_size=42)
     ledger = Ledger(cfg)

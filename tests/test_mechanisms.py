@@ -1,7 +1,9 @@
 """Reward mechanisms against hand-computed and brute-force oracles."""
 
 import hashlib
+import itertools
 import random
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
@@ -51,6 +53,30 @@ def test_matrix_validation():
         AnswerMatrix(("A",), ("q1",), {("A", "q1"): 2})
     with pytest.raises(ValueError):
         AnswerMatrix(("A", "A"), ("q1",), {("A", "q1"): 1})
+
+
+BAD_CELLS = {
+    "agent": ((("Z", "q1"), 1), "unknown agent 'Z'"),
+    "question": ((("A", "zz"), 1), "unknown question 'zz'"),
+    "bit": ((("B", "q1"), 2), "holds 2, want 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("first, second", list(itertools.permutations(BAD_CELLS, 2)))
+def test_matrix_raises_for_the_first_bad_cell(first, second):
+    cells = dict([(("A", "q1"), 1), BAD_CELLS[first][0], BAD_CELLS[second][0]])
+    with pytest.raises(ValueError, match=re.escape(BAD_CELLS[first][1])):
+        AnswerMatrix(("A", "B"), ("q1",), cells)
+
+
+@pytest.mark.parametrize("cell, message", [
+    ((("Z", "zz"), 2), "unknown agent 'Z'"),
+    ((("Z", "q1"), 2), "unknown agent 'Z'"),
+    ((("A", "zz"), 2), "unknown question 'zz'"),
+])
+def test_within_a_cell_an_unknown_agent_comes_before_its_question_and_its_bit(cell, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AnswerMatrix(("A",), ("q1",), dict([cell]))
 
 
 def test_matrix_refuses_2_31_cells_before_allocating():

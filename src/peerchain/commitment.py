@@ -93,10 +93,6 @@ class PackedAnswerVector:
         if self.bits >> 1 & ~self.bits & ANSWERED:
             raise ValueError("unanswered slots must carry answer bit 0")
 
-    def answers(self) -> dict[str, int]:
-        """Mapping question id -> answer bit for the answered slots."""
-        return answers_of(self.bits, self.question_order)
-
     def message(self) -> int:
         """The packed message m as an integer of at most 85 bits."""
         return self.bits

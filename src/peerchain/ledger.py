@@ -31,7 +31,7 @@ Gas charges per event (words per the configured table):
   layout, one comparison; accepted reveals add one new storage word.  A
   message with any bit beyond its batch's slots is malformed and
   discarded, so an accepted message is exactly the one that was hashed.
-  Accepted (message, key) pairs hold the answers; ``revealed_cells`` reads them.
+  Accepted (message, key) pairs hold the answers; ``revealed_matrix`` decodes them.
 * settle: tx_base; the mechanism's compute pattern via
   `gas_model.charge_settlement_compute`; one update word per party paid.
 """
@@ -43,7 +43,10 @@ from dataclasses import asdict, dataclass, fields
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from math import ceil
+
+import numpy as np
 
 from . import commitment as cmt
 from .errors import (
@@ -438,13 +441,19 @@ class Ledger:
 
     @property
     def revealed_cells(self) -> dict[tuple[str, str], int]:
-        """(agent, question) -> bit of every accepted answer, decoded from ``accepted``."""
-        return {(agent, q): bit for (agent, batch), (message, _key) in self.accepted.items()
-                for q, bit in cmt.answers_of(message, self.batches[agent][batch]).items()}
+        """(agent, question) -> bit of every accepted answer, in acceptance order."""
+        return self.revealed_matrix().cells
 
     def revealed_matrix(self) -> AnswerMatrix:
-        """Registered agents x posted questions holding every accepted answer."""
-        return AnswerMatrix(tuple(self.batches), self.questions, self.revealed_cells)
+        """Registered agents x posted questions holding every accepted answer, in acceptance order."""
+        row = {agent: i for i, agent in enumerate(self.batches)}
+        decoded = [cmt.answers_of(message, self.batches[agent][batch])
+                   for (agent, batch), (message, _key) in self.accepted.items()]
+        sizes = list(map(len, decoded))
+        questions = map(self._posted_order.__getitem__, chain.from_iterable(decoded))
+        bits = chain.from_iterable(answers.values() for answers in decoded)
+        return AnswerMatrix(tuple(self.batches), self.questions, np.repeat([row[a] for a, _ in self.accepted], sizes),
+                            np.fromiter(questions, np.int64, sum(sizes)), np.fromiter(bits, np.int64, sum(sizes)))
 
     def settle(self) -> SettlementReport:
         self._require_phase(Phase.REVEAL)

@@ -22,9 +22,9 @@ return equal ``RewardReport``s: rewards, ``r_min`` and scaling as
 bitwise-identical exact rationals.  The naive path is the reference
 oracle and the baseline for cost accounting.
 
-``AnswerMatrix`` turns answers into numbers once, as 0/1 arrays and their
-per-question sums that the kernels, the gas model and the DG validity
-check read; its dict views are derived from the arrays on first use.
+``AnswerMatrix`` turns its entries, one (agent index, question index, bit)
+per answer, into 0/1 arrays and per-question sums once for the kernels, the
+gas model and the DG check; its dict views (``cells`` too) come on first use.
 
 Peers are either all co-answerers of a question or a seeded sample drawn
 per (agent, question) cell; sampling uses a substream so results do not
@@ -114,55 +114,64 @@ PeerMode = AllPeers | SampledPeers
 ALL_PEERS = AllPeers()
 
 
+def _refuse_first_bad_entry(agents: tuple[str, ...], questions: tuple[str, ...], given: list[np.ndarray]) -> None:
+    """Raise for the first bad entry: its agent index, question index, bit or an answered pair."""
+    seen = set()
+    for t, (i, j, bit) in enumerate(zip(*(e.tolist() for e in given))):
+        if not 0 <= i < len(agents):
+            raise ValueError(f"entry {t} has agent index {i}, want 0..{len(agents) - 1}")
+        if not 0 <= j < len(questions):
+            raise ValueError(f"entry {t} has question index {j}, want 0..{len(questions) - 1}")
+        cell = agents[i], questions[j]
+        if bit not in (0, 1):
+            raise ValueError(f"entry {t} {cell!r} holds bit {bit!r}, want 0 or 1")
+        if (i, j) in seen:
+            raise ValueError(f"entry {t} answers {cell!r} again")
+        seen.add((i, j))
+
+
 class AnswerMatrix:
-    """Sparse agent x question matrix of binary reports.
+    """Sparse agent x question matrix of binary reports, one entry t per answer:
+    agent ``agent_idx[t]`` gave question ``question_idx[t]`` the bit ``bits[t]``.
+    ``answered`` and ``ones`` are its agents x questions int64 0/1 arrays, and
+    ``answerers_per_question`` and ``ones_per_question`` their column sums."""
 
-    ``cells`` maps (agent, question) to 0/1; absence means the agent did
-    not answer that question.  ``answered`` and ``ones`` are the agents x
-    questions int64 0/1 arrays (answered, answered 1) in matrix order, and
-    ``answerers_per_question`` and ``ones_per_question`` their column sums.
-    """
-
-    def __init__(
-        self,
-        agents: Iterable[str],
-        questions: Iterable[str],
-        cells: Mapping[tuple[str, str], int],
-    ):
+    def __init__(self, agents: Iterable[str], questions: Iterable[str],
+                 agent_idx: np.typing.ArrayLike, question_idx: np.typing.ArrayLike, bits: np.typing.ArrayLike):
         self.agents = tuple(agents)
         self.questions = tuple(questions)
-        shape = (len(self.agents), len(self.questions))
+        n, m = shape = (len(self.agents), len(self.questions))
         # counts are at most Q, their products at most Q**2 and sums of
         # products over all pairs at most (n*Q)**2: all far inside int64
-        if shape[0] * shape[1] >= 2**31:
-            raise ValueError(f"{shape[0]} agents x {shape[1]} questions is 2**31 cells or more")
+        if n * m >= 2**31:
+            raise ValueError(f"{n} agents x {m} questions is 2**31 cells or more")
         self.agent_index = {a: i for i, a in enumerate(self.agents)}
         self.question_index = {q: j for j, q in enumerate(self.questions)}
-        if len(self.agent_index) != len(self.agents):
+        if len(self.agent_index) != n:
             raise ValueError("duplicate agent ids")
-        if len(self.question_index) != len(self.questions):
+        if len(self.question_index) != m:
             raise ValueError("duplicate question ids")
-        flat = []  # each cell's row-major index
-        for (a, q), bit in cells.items():
-            if (i := self.agent_index.get(a)) is None:
-                raise ValueError(f"cell references unknown agent {a!r}")
-            if (j := self.question_index.get(q)) is None:
-                raise ValueError(f"cell references unknown question {q!r}")
-            if bit not in (0, 1):
-                raise ValueError(f"cell ({a!r}, {q!r}) holds {bit!r}, want 0 or 1")
-            flat.append(i * shape[1] + j)
-        self.cells = dict(cells)
-
-        self.answered = np.zeros(shape, dtype=np.int64)
-        self.ones = np.zeros(shape, dtype=np.int64)
-        np.put(self.answered, flat, 1)
-        np.put(self.ones, flat, list(self.cells.values()))
+        given = [np.asarray(entries) for entries in (agent_idx, question_idx, bits)]
+        for name, e in zip(("agent_idx", "question_idx", "bits"), given):  # an empty list is float64
+            if e.ndim != 1 or e.size and e.dtype.kind not in "biu" or e.size != given[0].size:
+                raise ValueError(f"want equal-length 1-D int arrays; {name} is {e.dtype} of shape {e.shape}")
+        ai, qi, b = given  # compared in their own dtypes, so no cast can wrap a value into range
+        if not ((0 <= ai) & (ai < n) & (0 <= qi) & (qi < m) & (0 <= b) & (b <= 1)).all():
+            _refuse_first_bad_entry(self.agents, self.questions, given)
+        self._entries = ai, qi, b = np.array(given, dtype=np.int64)
+        self.total_answers = b.size
+        flat = ai * m + qi
+        self.answered = np.bincount(flat, minlength=n * m).reshape(shape)
+        if self.answered.max(initial=0) > 1:
+            _refuse_first_bad_entry(self.agents, self.questions, given)
+        self.ones = np.bincount(flat[b == 1], minlength=n * m).reshape(shape)
         self.answerers_per_question = self.answered.sum(axis=0)
         self.ones_per_question = self.ones.sum(axis=0)
 
-    @property
-    def total_answers(self) -> int:
-        return len(self.cells)
+    @cached_property
+    def cells(self) -> dict[tuple[str, str], int]:
+        """(agent, question) -> bit of every answer, in entry order."""
+        return {(self.agents[i], self.questions[j]): bit for i, j, bit in zip(*self._entries.tolist())}
 
     @cached_property
     def answers_by_agent(self) -> dict[str, dict[str, int]]:

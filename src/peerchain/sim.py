@@ -23,6 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from math import floor, isfinite
 
+import numpy as np
+
 from . import commitment as cmt
 from .errors import EmptyDataset, NoNonCommonQuestions, require_ints
 from .gas_model import DEFAULT_GAS_TABLE, GasTable
@@ -130,19 +132,16 @@ class QoSDataset:
 
 
 def binarize(dataset: QoSDataset, threshold_seconds: float = 1.0) -> AnswerMatrix:
-    """Ground-truth matrix: time <= threshold -> 1, else 0, missing dropped."""
+    """Ground-truth matrix: time <= threshold -> 1, else 0, missing dropped; row-major entries."""
     if threshold_seconds <= 0:
         raise ValueError("threshold must be positive")
+    rt = np.array(dataset.response_times)
+    seen = rt != MISSING
+    if not seen.any():
+        raise EmptyDataset("every cell in the dataset is missing")
     agents = tuple(f"a{i:03d}" for i in range(dataset.n_agents))
     questions = tuple(f"s{j:04d}" for j in range(dataset.n_services))
-    cells = {}
-    for i, row in enumerate(dataset.response_times):
-        for j, v in enumerate(row):
-            if v != MISSING:
-                cells[(agents[i], questions[j])] = 1 if v <= threshold_seconds else 0
-    if not cells:
-        raise EmptyDataset("every cell in the dataset is missing")
-    return AnswerMatrix(agents, questions, cells)
+    return AnswerMatrix(agents, questions, *np.nonzero(seen), rt[seen] <= threshold_seconds)
 
 
 class Behavior(Enum):
@@ -194,20 +193,17 @@ class AgentPopulation:
 
 
 def generate_reports(truth: AnswerMatrix, population: AgentPopulation, seed: int) -> AnswerMatrix:
-    """Apply the behavior mix to the ground truth; same sparsity pattern."""
-    behaviors = population.assign(truth.agents)
+    """Apply the behavior mix to the ground truth; same sparsity pattern, row-major entries.
+
+    Random agents draw one ``randint(0, 1)`` per cell, in agent and then question order."""
+    behaviors = population.assign(truth.agents).values()  # in truth.agents order
+    agent_idx, question_idx = np.nonzero(truth.answered)
+    bits = truth.ones[agent_idx, question_idx]
+    bits ^= np.array([b is Behavior.ADVERSARIAL for b in behaviors], dtype=bool)[agent_idx]
+    drawn = np.array([b is Behavior.RANDOM for b in behaviors], dtype=bool)[agent_idx]
     rng = random.Random(f"reports:{seed}")
-    cells = {}
-    for a, row in truth.answers_by_agent.items():
-        b = behaviors[a]
-        for q, bit in row.items():
-            if b is Behavior.TRUTHFUL:
-                cells[(a, q)] = bit
-            elif b is Behavior.RANDOM:
-                cells[(a, q)] = rng.randint(0, 1)
-            else:
-                cells[(a, q)] = 1 - bit
-    return AnswerMatrix(truth.agents, truth.questions, cells)
+    bits[drawn] = [rng.randint(0, 1) for _ in range(np.count_nonzero(drawn))]
+    return AnswerMatrix(truth.agents, truth.questions, agent_idx, question_idx, bits)
 
 
 def assert_dg_valid(matrix: AnswerMatrix) -> None:

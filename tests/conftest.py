@@ -50,6 +50,17 @@ def desk_truth(desk_dataset) -> AnswerMatrix:
     return truth
 
 
+def matrix_of(agents, questions, cells) -> AnswerMatrix:
+    """The matrix holding ``cells`` ((agent, question) -> bit), one entry
+    per cell in the dict's order: the name-keyed form tests write by hand,
+    mapped to the constructor's index arrays."""
+    agents, questions = tuple(agents), tuple(questions)
+    row = {a: i for i, a in enumerate(agents)}
+    column = {q: j for j, q in enumerate(questions)}
+    return AnswerMatrix(agents, questions, [row[a] for a, _ in cells], [column[q] for _, q in cells],
+                        list(cells.values()))
+
+
 def random_matrix(rng: random.Random, agents: int, questions: int,
                   p_answer: float = 0.7) -> AnswerMatrix:
     """Random sparse matrix; at least one answer guaranteed."""
@@ -62,7 +73,7 @@ def random_matrix(rng: random.Random, agents: int, questions: int,
                 cells[(a, q)] = rng.randint(0, 1)
     if not cells:
         cells[(names_a[0], names_q[0])] = 1
-    return AnswerMatrix(names_a, names_q, cells)
+    return matrix_of(names_a, names_q, cells)
 
 
 def skip_one_matrix(rng: random.Random, n: int) -> AnswerMatrix:
@@ -73,7 +84,7 @@ def skip_one_matrix(rng: random.Random, n: int) -> AnswerMatrix:
         (names_a[i], names_q[j]): rng.randint(0, 1)
         for i in range(n) for j in range(n) if i != j
     }
-    return AnswerMatrix(names_a, names_q, cells)
+    return matrix_of(names_a, names_q, cells)
 
 
 def frac(a, b=1) -> Fraction:

@@ -6,6 +6,7 @@ import re
 from dataclasses import fields
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -447,6 +448,24 @@ def test_accepted_batches_are_the_only_store_of_revealed_answers():
     with pytest.raises(AttributeError):
         ledger.revealed_cells = {}
     assert ledger.revealed_cells == kept
+
+
+def test_revealed_matrix_holds_the_union_of_the_accepted_batches():
+    ledger, kept = _round_with_every_reveal_outcome()
+    unpacked = run_experiment(ExperimentConfig(mechanism=Mechanism.DG, packed=False, agents=6, seed=3),
+                              QoSDataset.skip_one(6, 8, seed=3)).ledger
+    for source in (ledger, Ledger.load(ledger.dump()), unpacked, Ledger.load(unpacked.dump())):
+        m = source.revealed_matrix()
+        assert (m.agents, m.questions) == (tuple(source.batches), source.questions)
+        answered, ones = np.zeros_like(m.answered), np.zeros_like(m.ones)
+        for (agent, b), (message, _key) in source.accepted.items():
+            for q, bit in cmt.answers_of(message, source.batches[agent][b]).items():
+                answered[m.agents.index(agent), m.questions.index(q)] += 1
+                ones[m.agents.index(agent), m.questions.index(q)] += bit
+        assert (m.answered == answered).all() and (m.ones == ones).all()
+        assert m.total_answers == answered.sum() > 0
+        assert source.revealed_cells == m.cells
+    assert ledger.revealed_matrix().cells == kept
 
 
 def test_batching_splits_along_posted_order():

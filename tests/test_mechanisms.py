@@ -29,10 +29,10 @@ from peerchain.mechanisms import (
 from peerchain.peer_selection import DRAW_MEMO_SIZE, SelectionSeed, _memo, sample_peers
 from peerchain.sim import assert_dg_valid
 
-from conftest import BAD_ALPHAS, count_draws, random_matrix, skip_one_matrix
+from conftest import BAD_ALPHAS, count_draws, matrix_of, random_matrix, skip_one_matrix
 
 # three agents, two questions; worked through by hand in the module docs
-M1 = AnswerMatrix(("A", "B", "C"), ("q1", "q2"), {
+M1 = matrix_of(("A", "B", "C"), ("q1", "q2"), {
     ("A", "q1"): 1, ("A", "q2"): 0,
     ("B", "q1"): 1, ("B", "q2"): 1,
     ("C", "q1"): 0, ("C", "q2"): 1,
@@ -42,41 +42,72 @@ M1 = AnswerMatrix(("A", "B", "C"), ("q1", "q2"), {
 def test_matrix_validation():
     # empty matrices are legal (a round where nobody revealed), but
     # reward computation refuses them
-    empty = AnswerMatrix(("A",), ("q1",), {})
+    empty = AnswerMatrix(("A",), ("q1",), [], [], [])
+    assert empty.total_answers == 0 and empty.cells == {}
     with pytest.raises(EmptyMatrix):
         compute_rewards(empty, Mechanism.OA)
-    with pytest.raises(ValueError):
-        AnswerMatrix(("A",), ("q1",), {("Z", "q1"): 1})
-    with pytest.raises(ValueError):
-        AnswerMatrix(("A",), ("q1",), {("A", "zz"): 1})
-    with pytest.raises(ValueError):
-        AnswerMatrix(("A",), ("q1",), {("A", "q1"): 2})
-    with pytest.raises(ValueError):
-        AnswerMatrix(("A", "A"), ("q1",), {("A", "q1"): 1})
+    for entries in (([1], [0], [1]), ([-1], [0], [1]), ([0], [1], [1]), ([0], [-1], [1]),
+                    ([0], [0], [2]), ([0], [0], [-1]), ([0, 0], [0, 0], [1, 1])):
+        with pytest.raises(ValueError):
+            AnswerMatrix(("A",), ("q1",), *entries)
+    with pytest.raises(ValueError, match="duplicate agent ids"):
+        AnswerMatrix(("A", "A"), ("q1",), [0], [0], [1])
+    with pytest.raises(ValueError, match="duplicate question ids"):
+        AnswerMatrix(("A",), ("q1", "q1"), [0], [0], [1])
 
 
-BAD_CELLS = {
-    "agent": ((("Z", "q1"), 1), "unknown agent 'Z'"),
-    "question": ((("A", "zz"), 1), "unknown question 'zz'"),
-    "bit": ((("B", "q1"), 2), "holds 2, want 0 or 1"),
+@pytest.mark.parametrize("entries, message", [
+    (([0, 1], [0], [1, 1]), "question_idx is int64 of shape (1,)"),
+    (([0], [0], []), "bits is float64 of shape (0,)"),
+    (([[0]], [[0]], [[1]]), "agent_idx is int64 of shape (1, 1)"),
+    (([0], 0, [1]), "question_idx is int64 of shape ()"),
+    (([0.0], [0], [1]), "agent_idx is float64 of shape (1,)"),
+    (([0], [0], [1.5]), "bits is float64 of shape (1,)"),  # not truncated to 1
+    (([0], ["0"], [1]), "question_idx is <U1 of shape (1,)"),
+    (([0], [0], [None]), "bits is object of shape (1,)"),
+    (([0], [0], [2**70]), "bits is object of shape (1,)"),
+])
+def test_matrix_refuses_entries_that_are_not_one_int_per_answer(entries, message):
+    with pytest.raises(ValueError, match=re.escape(f"want equal-length 1-D int arrays; {message}")):
+        AnswerMatrix(("A", "B"), ("q1",), *entries)
+
+
+def test_matrix_accepts_any_int_or_bool_dtype():
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64, np.int64, np.bool_):
+        m = AnswerMatrix(("A", "B"), ("q1",), np.array([1, 0], dtype), np.array([0, 0], dtype),
+                         np.array([0, 1], dtype))
+        assert m.cells == {("B", "q1"): 0, ("A", "q1"): 1}
+        assert m.ones.tolist() == [[1], [0]] and m.answered.tolist() == [[1], [1]]
+    # a uint64 index is compared before any cast, so 2**64 - 1 is not read as -1
+    with pytest.raises(ValueError, match="agent index 18446744073709551615"):
+        AnswerMatrix(("A",), ("q1",), np.array([2**64 - 1], np.uint64), [0], [1])
+
+
+# each bad entry follows the good entry 0, ("A", "q1") -> 1
+BAD_ENTRIES = {
+    "agent": ((2, 0, 1), "has agent index 2, want 0..1"),
+    "question": ((0, 1, 1), "has question index 1, want 0..0"),
+    "bit": ((1, 0, 2), "('B', 'q1') holds bit 2, want 0 or 1"),
+    "repeat": ((0, 0, 0), "answers ('A', 'q1') again"),
 }
 
 
-@pytest.mark.parametrize("first, second", list(itertools.permutations(BAD_CELLS, 2)))
+@pytest.mark.parametrize("first, second", list(itertools.permutations(BAD_ENTRIES, 2)))
 def test_matrix_raises_for_the_first_bad_cell(first, second):
-    cells = dict([(("A", "q1"), 1), BAD_CELLS[first][0], BAD_CELLS[second][0]])
-    with pytest.raises(ValueError, match=re.escape(BAD_CELLS[first][1])):
-        AnswerMatrix(("A", "B"), ("q1",), cells)
+    entries = [(0, 0, 1), BAD_ENTRIES[first][0], BAD_ENTRIES[second][0]]
+    with pytest.raises(ValueError, match=re.escape(f"entry 1 {BAD_ENTRIES[first][1]}")):
+        AnswerMatrix(("A", "B"), ("q1",), *zip(*entries))
 
 
-@pytest.mark.parametrize("cell, message", [
-    ((("Z", "zz"), 2), "unknown agent 'Z'"),
-    ((("Z", "q1"), 2), "unknown agent 'Z'"),
-    ((("A", "zz"), 2), "unknown question 'zz'"),
+@pytest.mark.parametrize("entry, message", [
+    ((5, 7, 2), "entry 1 has agent index 5"),
+    ((5, 0, 2), "entry 1 has agent index 5"),
+    ((0, 7, 2), "entry 1 has question index 7"),
+    ((0, 0, 2), "entry 1 ('A', 'q1') holds bit 2"),  # the bit before the repeated pair
 ])
-def test_within_a_cell_an_unknown_agent_comes_before_its_question_and_its_bit(cell, message):
+def test_within_a_cell_an_unknown_agent_comes_before_its_question_and_its_bit(entry, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        AnswerMatrix(("A",), ("q1",), dict([cell]))
+        AnswerMatrix(("A",), ("q1",), *zip((0, 0, 1), entry))
 
 
 def test_matrix_refuses_2_31_cells_before_allocating():
@@ -85,7 +116,7 @@ def test_matrix_refuses_2_31_cells_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="2\\*\\*31 cells"):
-            AnswerMatrix(agents, questions, {})
+            AnswerMatrix(agents, questions, [], [], [])
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -105,9 +136,9 @@ def test_matrix_views():
 def test_matrix_arrays_and_views_match_cells():
     rng = random.Random(3)
     matrices = [
-        AnswerMatrix(("A", "B"), ("q1", "q2"), {}),
+        matrix_of(("A", "B"), ("q1", "q2"), {}),
         # C answers nothing and nobody answers q2
-        AnswerMatrix(("A", "B", "C"), ("q1", "q2", "q3"),
+        matrix_of(("A", "B", "C"), ("q1", "q2", "q3"),
                      {("B", "q1"): 0, ("A", "q3"): 0, ("A", "q1"): 1}),
     ]
     matrices += [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), p_answer=0.5)
@@ -139,8 +170,8 @@ def test_ptsc_frequency_excludes_own_answers():
     for computer in (compute_rewards, rewards_naive):
         assert computer(M1, Mechanism.PTSC).r_min == F(1, 4)
     # a zero count gives frequency 0: the cell scores 0 and r_min skips it
-    lone = AnswerMatrix(("A", "B"), ("q1",), {("A", "q1"): 1, ("B", "q1"): 1})
-    split = AnswerMatrix(("A", "B"), ("q1",), {("A", "q1"): 1, ("B", "q1"): 0})
+    lone = matrix_of(("A", "B"), ("q1",), {("A", "q1"): 1, ("B", "q1"): 1})
+    split = matrix_of(("A", "B"), ("q1",), {("A", "q1"): 1, ("B", "q1"): 0})
     for m, r_min in ((lone, F(1)), (split, None)):
         for computer in (compute_rewards, rewards_naive):
             report = computer(m, Mechanism.PTSC)
@@ -154,19 +185,19 @@ def test_oa_hand_oracle():
 
 
 def test_oa_perfect_consensus_is_one():
-    m = AnswerMatrix(("A", "B"), ("q1",), {("A", "q1"): 1, ("B", "q1"): 1})
+    m = matrix_of(("A", "B"), ("q1",), {("A", "q1"): 1, ("B", "q1"): 1})
     assert compute_rewards(m, Mechanism.OA).per_agent_reward == {"A": F(1), "B": F(1)}
 
 
 def test_dg_hand_oracles():
     # disjoint-exclusive pair with zero blind agreement
-    m2 = AnswerMatrix(("A", "B"), ("q1", "q2", "q3", "q4"), {
+    m2 = matrix_of(("A", "B"), ("q1", "q2", "q3", "q4"), {
         ("A", "q1"): 1, ("A", "q2"): 0, ("A", "q3"): 1,
         ("B", "q2"): 1, ("B", "q3"): 1, ("B", "q4"): 0,
     })
     assert compute_rewards(m2, Mechanism.DG).per_agent_reward == {"A": F(1, 2), "B": F(1, 2)}
     # full blind agreement: penalty 1 on every used pair
-    m3 = AnswerMatrix(("A", "B"), ("q1", "q2", "q3", "q4"), {
+    m3 = matrix_of(("A", "B"), ("q1", "q2", "q3", "q4"), {
         ("A", "q1"): 1, ("A", "q2"): 1, ("A", "q3"): 0,
         ("B", "q2"): 0, ("B", "q3"): 0, ("B", "q4"): 1,
     })
@@ -174,7 +205,7 @@ def test_dg_hand_oracles():
 
 
 def test_dg_requires_exclusive_questions():
-    m = AnswerMatrix(("A", "B"), ("q1", "q2"), {
+    m = matrix_of(("A", "B"), ("q1", "q2"), {
         ("A", "q1"): 1, ("A", "q2"): 0, ("B", "q1"): 1, ("B", "q2"): 0,
     })
     with pytest.raises(NoNonCommonQuestions):
@@ -193,7 +224,7 @@ def test_ptsc_hand_oracle():
 
 def test_ptsc_zero_frequency_rule():
     # D's answer 0 is unique: R_D(0) = 0, so D's term is 0, not -alpha
-    m4 = AnswerMatrix(("A", "B", "D"), ("q1", "q2"), {
+    m4 = matrix_of(("A", "B", "D"), ("q1", "q2"), {
         ("A", "q1"): 1, ("A", "q2"): 1,
         ("B", "q1"): 1, ("B", "q2"): 1,
         ("D", "q1"): 0,
@@ -289,7 +320,7 @@ def test_relabeling_invariance():
     m = skip_one_matrix(rng, 5)
     a_map = {a: f"agent-{a}" for a in m.agents}
     q_map = {q: f"question-{q}" for q in m.questions}
-    relabeled = AnswerMatrix(
+    relabeled = matrix_of(
         (a_map[a] for a in m.agents),
         (q_map[q] for q in m.questions),
         {(a_map[a], q_map[q]): bit for (a, q), bit in m.cells.items()},
@@ -478,7 +509,7 @@ def test_dg_raises_exactly_when_naive_raises():
 
     # A and B answer the same questions; sampling one peer per cell, seed 0
     # never pairs them, so neither path raises
-    m = AnswerMatrix(("A", "B", "C", "D"), ("q1", "q2", "q3"), {
+    m = matrix_of(("A", "B", "C", "D"), ("q1", "q2", "q3"), {
         ("A", "q1"): 1, ("A", "q2"): 0,
         ("B", "q1"): 1, ("B", "q2"): 1,
         ("C", "q1"): 0, ("C", "q3"): 1,
@@ -562,7 +593,7 @@ def scoring_cases(draw):
     ))
     mechanism = draw(st.sampled_from(Mechanism))
     alpha = draw(st.sampled_from((1, F(3, 2), F(1, 7))))
-    return AnswerMatrix(agents, questions, cells), mechanism, alpha, mode
+    return matrix_of(agents, questions, cells), mechanism, alpha, mode
 
 
 def _report_or_error(computer, m, mechanism, alpha, mode):

@@ -6,6 +6,9 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from peerchain import commitment as cmt
 from peerchain import keccak, mechanisms, peer_selection, sim
@@ -27,7 +30,7 @@ from peerchain.sim import (
     sweep_packing,
     sweep_peers,
 )
-from conftest import random_matrix
+from conftest import matrix_of, random_matrix
 
 
 def test_dataset_validation():
@@ -66,6 +69,84 @@ def test_binarize_threshold_inclusive():
         binarize(QoSDataset(((MISSING, MISSING),)))
     with pytest.raises(ValueError):
         binarize(ds, threshold_seconds=0)
+
+
+def _binarize_by_cell(dataset, threshold_seconds):
+    """The per-cell reference: (agent, question) -> bit of every measured cell, row by row."""
+    return {(f"a{i:03d}", f"s{j:04d}"): 1 if v <= threshold_seconds else 0
+            for i, row in enumerate(dataset.response_times)
+            for j, v in enumerate(row) if v != MISSING}
+
+
+# times straddling and hitting the thresholds below, as ints and floats
+TIMES = st.one_of(st.just(MISSING), st.sampled_from((0, 1, 2, 3, 0.5, 1.0, 2.5, 3.0)),
+                  st.integers(0, 10**6), st.floats(0, 10, allow_nan=False))
+
+
+@st.composite
+def datasets_and_thresholds(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(TIMES, min_size=m, max_size=m).map(tuple), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [tuple(MISSING for _ in row) for row in rows]
+    return QoSDataset(tuple(rows)), draw(st.sampled_from((1.0, 0.5, 2, 2.5, 3.0)))
+
+
+def test_binarize_equals_the_per_cell_reference(tmp_path):
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(datasets_and_thresholds())
+    def check(case):
+        dataset, threshold = case
+        expected = _binarize_by_cell(dataset, threshold)
+        if not expected:
+            with pytest.raises(EmptyDataset):
+                binarize(dataset, threshold)
+            return
+        m = binarize(dataset, threshold)
+        assert m.agents == tuple(f"a{i:03d}" for i in range(dataset.n_agents))
+        assert m.questions == tuple(f"s{j:04d}" for j in range(dataset.n_services))
+        assert list(m.cells.items()) == list(expected.items())  # row-major entries
+
+    # keep Hypothesis' constants cache out of the working tree
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+def _reports_by_cell(truth, population, seed):
+    """The per-cell reference walk: one randint(0, 1) per random agent's
+    cell, in agent and then question order."""
+    behaviors = population.assign(truth.agents)
+    rng = random.Random(f"reports:{seed}")
+    cells = {}
+    for a, row in truth.answers_by_agent.items():
+        for q, bit in row.items():
+            if behaviors[a] is Behavior.TRUTHFUL:
+                cells[(a, q)] = bit
+            elif behaviors[a] is Behavior.RANDOM:
+                cells[(a, q)] = rng.randint(0, 1)
+            else:
+                cells[(a, q)] = 1 - bit
+    return cells
+
+
+def test_generate_reports_equals_the_per_cell_walk(desk_truth):
+    rng = random.Random(29)
+    # the second matrix lists its cells out of row-major order
+    shuffled = list(random_matrix(rng, 7, 9, p_answer=0.6).cells.items())
+    rng.shuffle(shuffled)
+    truths = [desk_truth, matrix_of((f"a{i}" for i in range(7)), (f"q{j}" for j in range(9)), dict(shuffled)),
+              binarize(QoSDataset.skip_one(9, 9, seed=4))]
+    populations = [AgentPopulation(F(1), F(0), F(0)), AgentPopulation(F(0), F(1), F(0)),
+                   AgentPopulation(F(0), F(0), F(1)), AgentPopulation()]
+    for truth in truths:
+        for population in populations:
+            for seed in (0, 1, 7, 123):
+                reports = generate_reports(truth, population, seed)
+                assert (reports.agents, reports.questions) == (truth.agents, truth.questions)
+                assert list(reports.cells.items()) == list(_reports_by_cell(truth, population, seed).items())
 
 
 def test_population_counts_and_assignment():

@@ -8,7 +8,6 @@ from .commitment import (
     PackedAnswerVector,
     SecretKey,
     commit,
-    decode,
     pack,
     verify_reveal,
 )

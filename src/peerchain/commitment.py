@@ -8,9 +8,13 @@ with more than 42 selected questions use several batches, each under an
 independent secret key.
 
 A packed vector is its message, one int.  For a batch of n questions only
-the low 2n bits may be set, and an answer bit only with its answered bit;
-``decode`` refuses any other int, so a reveal opens to exactly the message
-that was hashed or to nothing.  ``answers_of`` is the one slot decoder.
+the low 2n bits may be set, and an answer bit only with its answered bit.
+This slot rule, the key range and the layout below each live once here,
+shared by `PackedAnswerVector`, `SecretKey`, `layout_bytes` and
+`verify_reveal`, which checks a reveal from its two integers (message,
+key) and refuses any message the rule rejects, so a reveal opens to
+exactly the message that was hashed or to nothing.  ``answers_of`` is the
+one slot decoder.
 
 Canonical byte layout (22 bytes, 176 bits, bit i = bit i%8 of byte i//8):
 
@@ -38,6 +42,30 @@ ANSWERED = ((1 << 2 * MAX_ANSWERS) - 1) // 3  # bits 0, 2, ..., 82: the answered
 _BIT = {"0": 0, "1": 1}
 
 
+def _require_message(message: int, slots: int) -> None:
+    """The slot rule: an int within the 2n slot bits of an n-slot batch, n at
+    most 42, with no answer bit set without its answered bit."""
+    require_ints(message=message, slots=slots)
+    if slots > MAX_ANSWERS:
+        raise TooManyAnswers(f"{slots} slots exceed the {MAX_ANSWERS}-answer capacity")
+    if not 0 <= message < 1 << 2 * slots:
+        raise ValueError(f"message has bits beyond its {slots} slots")
+    if message >> 1 & ~message & ANSWERED:
+        raise ValueError("unanswered slots must carry answer bit 0")
+
+
+def _require_key(key: int) -> None:
+    """The key range: an int of at most 85 bits."""
+    require_ints(key=key)
+    if not 0 <= key < 1 << KEY_BITS:
+        raise ValueError(f"secret key must fit in {KEY_BITS} bits")
+
+
+def _layout(message: int, key: int) -> bytes:
+    """The canonical 22 bytes: key in bits 0..84, message from bit 85."""
+    return (key | message << KEY_BITS).to_bytes(LAYOUT_BYTES, "little")
+
+
 @dataclass(frozen=True)
 class SecretKey:
     """An 85-bit blinding key, generated off-ledger."""
@@ -45,9 +73,7 @@ class SecretKey:
     value: int
 
     def __post_init__(self):
-        require_ints(value=self.value)
-        if not 0 <= self.value < (1 << KEY_BITS):
-            raise ValueError(f"secret key must fit in {KEY_BITS} bits")
+        _require_key(self.value)
 
     @classmethod
     def from_rng(cls, rng) -> "SecretKey":
@@ -75,23 +101,16 @@ class Commitment:
 class PackedAnswerVector:
     """One batch's answers as its message m: slot j's bits 2j and 2j+1.
 
-    ``bits`` is the message itself; no other form is kept.  It must fit in
-    the 2n slot bits of its n-question order, and no answer bit may be set
-    without its answered bit, so ``decode`` and ``message`` are inverses.
+    ``bits`` is the message itself; no other form is kept.  It must obey
+    the slot rule for its n-question order: it fits in the 2n slot bits,
+    and no answer bit is set without its answered bit.
     """
 
     bits: int
     question_order: tuple[str, ...]
 
     def __post_init__(self):
-        require_ints(bits=self.bits)
-        n = len(self.question_order)
-        if n > MAX_ANSWERS:
-            raise TooManyAnswers(f"{n} slots exceed the {MAX_ANSWERS}-answer capacity")
-        if not 0 <= self.bits < 1 << 2 * n:
-            raise ValueError(f"message has bits beyond its {n} slots")
-        if self.bits >> 1 & ~self.bits & ANSWERED:
-            raise ValueError("unanswered slots must carry answer bit 0")
+        _require_message(self.bits, len(self.question_order))
 
     def message(self) -> int:
         """The packed message m as an integer of at most 85 bits."""
@@ -131,18 +150,13 @@ def pack(answers: list[tuple[str, int]], question_order: list[str] | tuple[str, 
     return PackedAnswerVector(m, order)
 
 
-def decode(message: int, question_order: list[str] | tuple[str, ...]) -> PackedAnswerVector:
-    """The vector whose message is ``message``; ValueError if none is."""
-    return PackedAnswerVector(message, tuple(question_order))
-
-
 def layout_bytes(v: PackedAnswerVector, s: SecretKey) -> bytes:
     """Canonical 22-byte layout hashed by ``commit`` (key low, message high)."""
     if not (isinstance(v, PackedAnswerVector) and isinstance(s, SecretKey)):
         raise ValueError(
             f"a layout needs a PackedAnswerVector and a SecretKey, got {type(v).__name__} and {type(s).__name__}"
         )
-    return (s.value | (v.message() << KEY_BITS)).to_bytes(LAYOUT_BYTES, "little")
+    return _layout(v.bits, s.value)
 
 
 def commit(v: PackedAnswerVector, s: SecretKey) -> Commitment:
@@ -150,8 +164,14 @@ def commit(v: PackedAnswerVector, s: SecretKey) -> Commitment:
     return Commitment(keccak256(layout_bytes(v, s)))
 
 
-def verify_reveal(c: Commitment, v: PackedAnswerVector, s: SecretKey) -> bool:
-    """True iff the revealed (answers, key) reproduce the commitment."""
+def verify_reveal(c: Commitment, message: int, key: int, slots: int) -> bool:
+    """True iff the revealed (message, key) of a ``slots``-question batch reproduce ``c``.
+
+    Raises as `PackedAnswerVector` and `SecretKey` would for a message or key
+    they refuse, and ValueError for a ``c`` that is not a Commitment.
+    """
+    _require_message(message, slots)
+    _require_key(key)
     if not isinstance(c, Commitment):
         raise ValueError(f"a reveal is checked against a Commitment, got {type(c).__name__}")
-    return commit(v, s).digest == c.digest
+    return keccak256(_layout(message, key)) == c.digest

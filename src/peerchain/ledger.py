@@ -4,8 +4,9 @@ A round moves through Posting -> Selection -> Commit -> Reveal -> Settled.
 Time is a logical block counter; phase deadlines are block counts from the
 config.  Every mutation is an event appended to a replayable log, one line
 per event: ``block_number,event_type,party,payload_hex`` with the payload
-hex-encoding canonical JSON.  Replaying a dumped log rebuilds the ledger
-bit for bit, gas totals included.
+hex-encoding canonical JSON (sorted keys, no spaces, ASCII, so UTF-8),
+which `Ledger.load` reads as UTF-8 text only.  Replaying a dumped log
+rebuilds the ledger bit for bit, gas totals included.
 
 The first line, genesis, holds the `LedgerConfig`: one key per field, the
 mechanism, alpha, peer mode and gas table encoded.  A payload whose keys
@@ -28,10 +29,12 @@ Gas charges per event (words per the configured table):
   off-ledger, so no hash gas here.  Packing shows as fewer commitments,
   one per batch of up to 42 answers.
 * reveal: tx_base; one storage read (the digest), one hash of the 22-byte
-  layout, one comparison; accepted reveals add one new storage word.  A
-  message with any bit beyond its batch's slots is malformed and
-  discarded, so an accepted message is exactly the one that was hashed.
-  Accepted (message, key) pairs hold the answers; ``revealed_matrix`` decodes them.
+  layout, one comparison; accepted reveals add one new storage word.
+  `commitment.verify_reveal` checks the (message, key) integers: a message
+  the slot rule refuses or a key beyond 85 bits is malformed and discarded,
+  so an accepted message is exactly the one that was hashed.  `audit`
+  re-checks each accepted pair the same way.  Accepted (message, key)
+  pairs hold the answers; ``revealed_matrix`` decodes them.
 * settle: tx_base; the mechanism's compute pattern via
   `gas_model.charge_settlement_compute`; one update word per party paid.
 """
@@ -76,6 +79,8 @@ from .mechanisms import (
 from .peer_selection import SelectionSeed
 
 DEFAULT_SCALE = 10**9
+# what json.dumps(payload, sort_keys=True, separators=(",", ":")) builds anew on each call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class Phase(Enum):
@@ -269,7 +274,7 @@ class Ledger:
     # -- event plumbing -----------------------------------------------------
 
     def _record(self, event_type: str, party: str, payload: dict) -> None:
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        blob = _ENCODER.encode(payload).encode()
         self.events.append(f"{self.block},{event_type},{party},{blob.hex()}")
 
     def _require_phase(self, expected: Phase) -> None:
@@ -417,11 +422,10 @@ class Ledger:
             self.notes.append(LedgerNote("duplicate", agent, batch, self.block))
             return False
         try:
-            vector = cmt.decode(message, batches[batch])
-            key = cmt.SecretKey(key_value)
+            opened = cmt.verify_reveal(commitment_, message, key_value, len(batches[batch]))
         except (ValueError, cmt.TooManyAnswers):
             return self._discard("malformed", agent, batch)
-        if not cmt.verify_reveal(commitment_, vector, key):
+        if not opened:
             return self._discard("failed-verification", agent, batch)
         self.accepted[(agent, batch)] = (message, key_value)
         self.gas.charge("reveal", agent, "storage_write_new_word", 1)
@@ -533,7 +537,7 @@ class Ledger:
             try:
                 if len(fields) != 4:
                     raise ValueError(f"want 4 comma-separated fields, got {len(fields)}")
-                party, payload = fields[2], json.loads(bytes.fromhex(fields[3]))
+                party, payload = fields[2], json.loads(bytes.fromhex(fields[3]).decode())
                 if not isinstance(payload, dict):
                     raise ValueError("payload is not an object")
                 if ledger is None:
@@ -573,11 +577,12 @@ class Ledger:
         that its (message, key) reproduces; settled transfers sum to zero and return 0..deposit."""
         findings = []
         for (agent, batch), (message, key_value) in self.accepted.items():
-            vector = cmt.decode(message, self.batches[agent][batch])
+            order = self.batches[agent][batch]
             commitment_ = self.commitments.get((agent, batch))
             if commitment_ is None:
+                cmt.PackedAnswerVector(message, order)  # the stored message must still obey the slot rule
                 findings.append(f"accepted reveal without commitment: {agent} batch {batch}")
-            elif not cmt.verify_reveal(commitment_, vector, cmt.SecretKey(key_value)):
+            elif not cmt.verify_reveal(commitment_, message, key_value, len(order)):
                 findings.append(f"stored reveal fails verification: {agent} batch {batch}")
         if self.phase is Phase.SETTLED:
             if sum(self.settlement.transfers.values()) != 0:

@@ -55,7 +55,7 @@ def test_commitment_capacity():
         order = [f"q{j}" for j in range(rng.randint(1, 42))]
         answers = [(q, rng.randint(0, 1)) for q in order if rng.random() < 0.6]
         vec = cmt.pack(answers, order)
-        if cmt.decode(vec.message(), order) != vec:
+        if cmt.PackedAnswerVector(vec.message(), tuple(order)) != vec:
             ok = False
             break
     _verdict("capacity: 85/42 constants, 43rd rejected, round-trip",
@@ -95,14 +95,15 @@ def test_commit_reveal_integrity():
         else:
             # flip one answer bit of an answered slot
             j = rng.randrange(len(order))
-            drawn.append((vec, key, cmt.decode(vec.message() ^ (1 << (2 * j + 1)), order), key))
+            drawn.append((vec, key, cmt.PackedAnswerVector(vec.message() ^ (1 << (2 * j + 1)), tuple(order)), key))
     layouts = [[cmt.layout_bytes(vec, key), cmt.layout_bytes(bad_vec, bad_key)]
                for vec, key, bad_vec, bad_key in drawn]
     honest_ok = tampered_rejected = 0
     for vec, key, bad_vec, bad_key in _prehashed(drawn, layouts):
         com = cmt.commit(vec, key)
-        honest_ok += cmt.verify_reveal(com, vec, key)
-        tampered_rejected += not cmt.verify_reveal(com, bad_vec, bad_key)
+        slots = len(vec.question_order)
+        honest_ok += cmt.verify_reveal(com, vec.message(), key.value, slots)
+        tampered_rejected += not cmt.verify_reveal(com, bad_vec.message(), bad_key.value, slots)
     ok = honest_ok == trials and tampered_rejected == trials
     _verdict("commit-reveal integrity: all tampers rejected, honest accepted",
              ok, f"{trials} trials, {tampered_rejected} rejections")

@@ -17,7 +17,6 @@ from peerchain.commitment import (
     SecretKey,
     answers_of,
     commit,
-    decode,
     layout_bytes,
     pack,
     verify_reveal,
@@ -68,13 +67,15 @@ def test_vector_validation():
         PackedAnswerVector(0b1100, ("qa",))  # bits beyond the slots
 
 
-def test_decode_rejects_malformed_messages():
+def test_vector_rejects_malformed_messages():
     with pytest.raises(ValueError):
-        decode(1 << MESSAGE_BITS, ["qa"])
+        PackedAnswerVector(1 << MESSAGE_BITS, ("qa",))
     with pytest.raises(ValueError):
-        decode(0b10, ["qa"])  # answer bit set on an unanswered slot
+        PackedAnswerVector(0b11 | 1 << 84, ("qa",))  # a bit beyond the batch's slots
     with pytest.raises(ValueError):
-        decode(0b11 | 1 << 84, ["qa"])  # a bit beyond the batch's slots
+        PackedAnswerVector(-1, ("qa",))
+    with pytest.raises(TooManyAnswers):
+        PackedAnswerVector(0, tuple(f"q{i}" for i in range(MAX_ANSWERS + 1)))
 
 
 def test_roundtrip_random_vectors():
@@ -85,7 +86,7 @@ def test_roundtrip_random_vectors():
         answered = [q for q in order if rng.random() < 0.8]
         answers = [(q, rng.randint(0, 1)) for q in answered]
         vec = pack(answers, order)
-        back = decode(vec.message(), order)
+        back = PackedAnswerVector(vec.message(), tuple(order))
         assert back == vec
         assert answers_of(back.message(), back.question_order) == dict(answers)
 
@@ -108,13 +109,13 @@ def order_and_message(draw):
     return [f"q{i}" for i in range(n)], message
 
 
-def test_decode_keeps_every_bit_or_refuses(tmp_path):
+def test_vector_keeps_every_bit_or_refuses(tmp_path):
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(order_and_message())
     def check(case):
         order, message = case
         try:
-            vec = decode(message, order)
+            vec = PackedAnswerVector(message, tuple(order))
         except ValueError:
             return
         assert vec.message() == message
@@ -156,9 +157,9 @@ def test_answers_of_reads_each_slot_like_the_reference(tmp_path):
         expected = _answers_slot_by_slot(message, order)
         assert answers_of(message, tuple(order)) == expected
         try:
-            vec = decode(message, order)
+            vec = PackedAnswerVector(message, tuple(order))
         except ValueError:
-            # decode refuses exactly the messages with bits above the slots
+            # the vector refuses exactly the messages with bits above the slots
             # or an answer bit without its flag
             assert message >> 2 * len(order) or any(
                 (message >> 2 * j) & 0b11 == 0b10 for j in range(len(order)))
@@ -195,13 +196,13 @@ def test_commit_verify_and_tampering():
     vec = pack([(q, rng.randint(0, 1)) for q in order], order)
     key = SecretKey.from_rng(rng)
     c = commit(vec, key)
-    assert verify_reveal(c, vec, key)
+    assert verify_reveal(c, vec.message(), key.value, len(order))
     # any single-bit flip of the key is rejected
     for bit in range(KEY_BITS):
-        assert not verify_reveal(c, vec, SecretKey(key.value ^ (1 << bit)))
+        assert not verify_reveal(c, vec.message(), key.value ^ (1 << bit), len(order))
     # any single answer-bit flip is rejected
     for j in range(len(order)):
-        assert not verify_reveal(c, decode(vec.message() ^ 1 << (2 * j + 1), order), key)
+        assert not verify_reveal(c, vec.message() ^ 1 << (2 * j + 1), key.value, len(order))
 
 
 def test_commitment_hex_roundtrip():
@@ -209,3 +210,68 @@ def test_commitment_hex_roundtrip():
     assert Commitment.from_hex(c.hex()) == c
     with pytest.raises(ValueError):
         Commitment(b"\x00" * 31)
+
+
+def _opening_by_objects(c, message, key, order):
+    """The reference check: build the vector and the key, hash their layout
+    and compare digests."""
+    try:
+        vec = PackedAnswerVector(message, order)
+        secret = SecretKey(key)
+    except (ValueError, TooManyAnswers):
+        return "malformed"
+    return "opens" if commit(vec, secret).digest == c.digest else "fails"
+
+
+def _opening(c, message, key, slots):
+    try:
+        return "opens" if verify_reveal(c, message, key, slots) else "fails"
+    except (ValueError, TooManyAnswers):
+        return "malformed"
+
+
+@st.composite
+def reveal_cases(draw):
+    """A commitment to an honest (message, key) of 1-43 slots, and a reveal:
+    the honest pair, or a pair with a bit flipped, out of range or negative;
+    sometimes the commitment's digest has one bit flipped."""
+    n = draw(st.integers(1, MAX_ANSWERS + 1))
+    slots = draw(st.lists(SLOT, min_size=n, max_size=n))
+    # 43 slots never open; the modulus keeps that honest message inside the layout
+    honest = sum(slot << 2 * j for j, slot in enumerate(slots)) % (1 << 2 * MAX_ANSWERS)
+    honest_key = draw(st.integers(0, (1 << KEY_BITS) - 1))
+    c = Commitment(keccak256((honest_key | honest << KEY_BITS).to_bytes(LAYOUT_BYTES, "little")))
+    if draw(st.booleans()):
+        flip = draw(st.integers(0, 255))
+        c = Commitment((int.from_bytes(c.digest, "little") ^ 1 << flip).to_bytes(32, "little"))
+    message = draw(st.one_of(
+        st.just(honest),
+        st.integers(0, MESSAGE_BITS + 2).map(lambda bit: honest ^ 1 << bit),  # incl. answer without flag
+        st.integers(-(1 << 90), 1 << 90),
+    ))
+    key = draw(st.one_of(
+        st.just(honest_key),
+        st.integers(0, KEY_BITS + 2).map(lambda bit: honest_key ^ 1 << bit),
+        st.sampled_from((1 << KEY_BITS, (1 << KEY_BITS) + 1, 1 << 100, -1, -honest_key - 1)),
+    ))
+    return c, message, key, tuple(f"q{i}" for i in range(n))
+
+
+def test_verify_reveal_opens_exactly_like_the_vector_and_key(tmp_path):
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+    @given(reveal_cases())
+    def check(case):
+        c, message, key, order = case
+        outcome = _opening(c, message, key, len(order))
+        assert outcome == _opening_by_objects(c, message, key, order)
+        seen.add(outcome)
+
+    # keep Hypothesis' constants cache out of the working tree
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
+    assert seen == {"opens", "fails", "malformed"}

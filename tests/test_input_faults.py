@@ -41,15 +41,19 @@ FAULTS = {
     # commitments
     "key-float": (lambda: cmt.SecretKey(1.5), ValueError),
     "key-bool": (lambda: cmt.SecretKey(True), ValueError),
-    "decode-float": (lambda: cmt.decode(1.0, ("q",)), ValueError),
+    "vector-float": (lambda: cmt.PackedAnswerVector(1.0, ("q",)), ValueError),
     "vector-bool": (lambda: cmt.PackedAnswerVector(True, ("q",)), ValueError),
     "commitment-str": (lambda: cmt.Commitment("x" * 32), ValueError),
     "commit-vector-none": (lambda: cmt.commit(None, KEY), ValueError),
     "commit-key-int": (lambda: cmt.commit(VECTOR, 5), ValueError),
     "layout-message-int": (lambda: cmt.layout_bytes(VECTOR.message(), KEY), ValueError),
-    "verify-commitment-none": (lambda: cmt.verify_reveal(None, VECTOR, KEY), ValueError),
-    "verify-commitment-digest": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY).digest, VECTOR, KEY), ValueError),
-    "verify-key-int": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), VECTOR, 1), ValueError),
+    "verify-commitment-none": (lambda: cmt.verify_reveal(None, 0b11, 1, 1), ValueError),
+    "verify-commitment-digest": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY).digest, 0b11, 1, 1), ValueError),
+    "verify-vector-object": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), VECTOR, KEY, 1), ValueError),
+    "verify-message-float": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), 3.0, 1, 1), ValueError),
+    "verify-key-bool": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), 0b11, True, 1), ValueError),
+    "verify-slots-float": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), 0b11, 1, 1.0), ValueError),
+    "verify-slots-negative": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), 0, 1, -1), ValueError),
     # peer selection seeds: two uint256 words
     "seed-timestamp-float": (lambda: SelectionSeed(1.5, 2), ValueError),
     "seed-timestamp-2**256": (lambda: SelectionSeed(2**256, 1), ValueError),

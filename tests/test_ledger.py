@@ -565,6 +565,13 @@ def _with_payload(dump, number, **fields):
     return _with_line(dump, number, f"{head},{blob}")
 
 
+def _recoded(dump, number, encoding, text=None):
+    """Line ``number`` with its payload (or ``text``) hex-encoded in ``encoding``."""
+    head, payload_hex = dump.splitlines()[number - 1].rsplit(",", 1)
+    text = bytes.fromhex(payload_hex).decode() if text is None else text
+    return _with_line(dump, number, f"{head},{text.encode(encoding, 'surrogatepass').hex()}")
+
+
 def _line_of(dump, event_type):
     return next(n for n, line in enumerate(dump.splitlines(), 1) if line.split(",")[1] == event_type)
 
@@ -580,8 +587,14 @@ def _line_of(dump, event_type):
     (lambda d: _with_line(d, _line_of(d, "tick"), "0,tick,chain," + b"\xff\xfe{".hex()), "tick"),
     (lambda d: _with_line(d, _line_of(d, "tick"), "0,tick,chain," + b"{blocks: 1}".hex()), "tick"),
     (lambda d: _with_payload(d, _line_of(d, "tick"), blocks=True), "tick"),
+    # JSON that is not UTF-8 text: json.loads would sniff these bytes and parse them
+    (lambda d: _recoded(d, _line_of(d, "tick"), "utf-16"), "tick"),
+    (lambda d: _recoded(d, _line_of(d, "tick"), "utf-16-le"), "tick"),
+    (lambda d: _recoded(d, _line_of(d, "tick"), "utf-8-sig"), "tick"),
+    (lambda d: _recoded(d, _line_of(d, "tick"), "utf-8", '{"\ud800":0,"blocks":10}'), "tick"),
 ], ids=["post-budget-float", "genesis-batch-size-float", "genesis-seed-float", "three-fields", "one-field",
-        "non-hex-payload", "payload-not-utf8", "payload-not-json", "tick-blocks-bool"])
+        "non-hex-payload", "payload-not-utf8", "payload-not-json", "tick-blocks-bool",
+        "payload-utf16", "payload-utf16-without-bom", "payload-utf8-bom", "payload-lone-surrogate"])
 def test_load_names_the_line_of_every_value_error(tamper, event_type):
     ledger = _oa_round()
     ledger.settle()
@@ -721,6 +734,33 @@ def _staged(phase):
         ledger.submit_commitment("A", 0, cmt.commit(vec, key))
     assert ledger.phase is phase
     return ledger, vec, key
+
+
+@pytest.mark.parametrize("tamper, outcome", [
+    (lambda led: None, []),
+    (lambda led: led.commitments.clear(), ["accepted reveal without commitment: A batch 0"]),
+    (lambda led: led.accepted.update({("A", 0): (0b0011, 7)}), ["stored reveal fails verification: A batch 0"]),
+    (lambda led: led.accepted.update({("A", 0): (0b0111, 8)}), ["stored reveal fails verification: A batch 0"]),
+    (lambda led: led.accepted.update({("A", 0): (0b1011, 7)}), ValueError),  # answer bit without its flag
+    (lambda led: led.accepted.update({("A", 0): (0b0011, 1 << cmt.KEY_BITS)}), ValueError),
+    (lambda led: led.accepted.update({("A", 0): (1 << 4, 7)}), ValueError),
+    (lambda led: (led.commitments.clear(), led.accepted.update({("A", 0): (1 << 4, 7)})), ValueError),
+    # without its commitment a stored key is not read
+    (lambda led: (led.commitments.clear(), led.accepted.update({("A", 0): (0b0011, -1)})),
+     ["accepted reveal without commitment: A batch 0"]),
+    (lambda led: led.commitments.update({("A", 0): b"\0" * 32}), ValueError),
+], ids=["clean", "no-commitment", "other-message", "other-key", "answer-without-flag", "key-out-of-range",
+        "bits-beyond-slots", "no-commitment-bits-beyond-slots", "no-commitment-key-out-of-range",
+        "digest-not-a-commitment"])
+def test_audit_rechecks_each_stored_reveal(tamper, outcome):
+    ledger, vec, key = _staged(Phase.REVEAL)
+    assert ledger.reveal("A", 0, vec.message(), key.value)
+    tamper(ledger)
+    if isinstance(outcome, list):
+        assert ledger.audit() == outcome
+    else:
+        with pytest.raises(outcome):
+            ledger.audit()
 
 
 @pytest.mark.parametrize("phase, call", [
@@ -865,6 +905,42 @@ def test_replay_outputs_do_not_depend_on_the_keccak_memo(monkeypatch):
     assert any(n.kind == "failed-verification" and n.agent == "C" for n in replayed.notes)
 
 
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "unpacked"])
+def test_one_hash_per_commitment_at_commit_reveal_load_and_audit(packed, monkeypatch):
+    """Every call of `commitment.keccak256`, memo hit or miss, counted by the
+    outermost of commit, reveal, `Ledger.load` and audit it ran under."""
+    running, hashes = [], {}
+    real_hash = cmt.keccak256
+
+    def counted(data):
+        hashes[running[0]] = hashes.get(running[0], 0) + 1  # IndexError for a hash outside the four
+        return real_hash(data)
+
+    def labelled(owner, attr, label):
+        real = getattr(owner, attr)
+
+        def run(*args):
+            running.append(label)
+            try:
+                return real(*args)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(owner, attr, run)
+
+    monkeypatch.setattr(cmt, "keccak256", counted)
+    labelled(cmt, "commit", "commit")
+    labelled(Ledger, "reveal", "reveal")
+    labelled(Ledger, "load", "load")
+    labelled(Ledger, "audit", "audit")
+    config = ExperimentConfig(mechanism=Mechanism.PTSC, packed=packed, agents=12, seed=1)
+    round_ = run_experiment(config, QoSDataset.synthetic(12, 40, seed=1)).ledger
+    assert Ledger.load(round_.dump()).audit() == []
+    n = len(round_.commitments)
+    assert n == (12 if packed else len(round_.revealed_cells))
+    assert hashes == {"commit": n, "reveal": n, "load": n, "audit": n}
+
+
 @pytest.mark.parametrize("mechanism", [Mechanism.DG, Mechanism.OA], ids=["dg", "oa"])
 def test_replay_outputs_do_not_depend_on_the_draw_memo(mechanism, monkeypatch):
     config = ExperimentConfig(mechanism=mechanism, peer_mode=SampledPeers(3, SelectionSeed(5, 6)),
@@ -922,7 +998,7 @@ def test_a_flipped_key_bit_fails_verification_with_the_honest_layout_memoised(mo
         ledger, _vec, _key = _staged(Phase.COMMIT)
         ledger.submit_commitment("A", 0, commitment_)
         misses.clear()
-        assert cmt.verify_reveal(commitment_, vec, key)
+        assert cmt.verify_reveal(commitment_, vec.message(), key.value, 2)
         assert misses == []  # the honest layout is memoised
         assert not ledger.reveal("A", 0, vec.message(), key.value ^ 1 << bit)
         assert ledger.discarded[("A", 0)].kind == "failed-verification"

@@ -13,8 +13,8 @@ This slot rule, the key range and the layout below each live once here,
 shared by `PackedAnswerVector`, `SecretKey`, `layout_bytes` and
 `verify_reveal`, which checks a reveal from its two integers (message,
 key) and refuses any message the rule rejects, so a reveal opens to
-exactly the message that was hashed or to nothing.  ``answers_of`` is the
-one slot decoder.
+exactly the message that was hashed or to nothing.  ``decode_slots`` is the
+one slot decoder: it reads a whole list of messages in one numpy pass.
 
 Canonical byte layout (22 bytes, 176 bits, bit i = bit i%8 of byte i//8):
 
@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DuplicateAnswer, TooManyAnswers, UnknownQuestion, require_ints
 from .keccak import keccak256
 
@@ -39,7 +41,7 @@ KEY_BITS = MESSAGE_BITS                  # 85
 MAX_ANSWERS = MESSAGE_BITS // 2          # 42
 LAYOUT_BYTES = 22                        # ceil((85 + 85 + 6 padding) / 8)
 ANSWERED = ((1 << 2 * MAX_ANSWERS) - 1) // 3  # bits 0, 2, ..., 82: the answered flags
-_BIT = {"0": 0, "1": 1}
+_MESSAGE_BYTES = 11                      # ceil(85 / 8): one message, little-endian
 
 
 def _require_message(message: int, slots: int) -> None:
@@ -117,10 +119,19 @@ class PackedAnswerVector:
         return self.bits
 
 
-def answers_of(message: int, question_order: tuple[str, ...]) -> dict[str, int]:
-    """Question id -> bit of each answered slot j: characters 2j, 2j+1 of the reversed binary string."""
-    bits = iter(bin(message)[:1:-1] + "0")  # the 0 completes a top slot; slots past the end are unanswered
-    return {q: _BIT[answer] for q, flag, answer in zip(question_order, bits, bits) if flag == "1"}
+def decode_slots(messages: list[int], slots: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every answered slot of every message, in message then slot order, as
+    three int64 arrays: the message's index t, the slot j and its answer bit.
+
+    Message t is read over its first ``slots[t]`` slots (slot j: answered
+    flag at bit 2j, answer bit at 2j+1); bits above them are ignored.  Each
+    message is an int in [0, 2**85), so all are unpacked in one numpy pass.
+    """
+    raw = b"".join(m.to_bytes(_MESSAGE_BYTES, "little") for m in messages)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little").reshape(len(messages), 8 * _MESSAGE_BYTES)
+    flags = bits[:, 0:2 * MAX_ANSWERS:2] & (np.arange(MAX_ANSWERS) < np.array(slots, np.int64)[:, None])
+    t, j = np.nonzero(flags)
+    return t, j, bits[t, 2 * j + 1].astype(np.int64)
 
 
 def pack(answers: list[tuple[str, int]], question_order: list[str] | tuple[str, ...]) -> PackedAnswerVector:

@@ -16,8 +16,13 @@ are not the fields is refused; the gas table is read by `GasTable.from_dict`
 Money is integer units throughout.  Mechanism rewards stay exact rationals
 until settlement, where the fixed-point scale (10^9 units per mechanism
 unit) converts penalties and the requester's budget is divided
-proportionally over the clamped nonnegative rewards.  Settlement is
-zero-sum: the net transfers of all parties add up to exactly zero.
+proportionally over the clamped nonnegative rewards.  The split is done in
+integers over one common denominator: with L the lcm of the rewards'
+denominators and r = v / L, an agent with v > 0 is paid
+budget * v // (sum of the positive v), and one with v < 0 owes the raw
+penalty (-v * scale) // L, the floors of budget * r / (sum of the positive
+r) and -r * scale.  Settlement is zero-sum: the net transfers of all
+parties add up to exactly zero.
 
 Gas charges per event (words per the configured table):
 
@@ -34,7 +39,8 @@ Gas charges per event (words per the configured table):
   the slot rule refuses or a key beyond 85 bits is malformed and discarded,
   so an accepted message is exactly the one that was hashed.  `audit`
   re-checks each accepted pair the same way.  Accepted (message, key)
-  pairs hold the answers; ``revealed_matrix`` decodes them.
+  pairs hold the answers; ``revealed_matrix`` decodes them all in one
+  `commitment.decode_slots` call.
 * settle: tx_base; the mechanism's compute pattern via
   `gas_model.charge_settlement_compute`; one update word per party paid.
 """
@@ -47,7 +53,7 @@ from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from math import ceil
+from math import ceil, lcm
 
 import numpy as np
 
@@ -451,13 +457,14 @@ class Ledger:
     def revealed_matrix(self) -> AnswerMatrix:
         """Registered agents x posted questions holding every accepted answer, in acceptance order."""
         row = {agent: i for i, agent in enumerate(self.batches)}
-        decoded = [cmt.answers_of(message, self.batches[agent][batch])
-                   for (agent, batch), (message, _key) in self.accepted.items()]
-        sizes = list(map(len, decoded))
-        questions = map(self._posted_order.__getitem__, chain.from_iterable(decoded))
-        bits = chain.from_iterable(answers.values() for answers in decoded)
-        return AnswerMatrix(tuple(self.batches), self.questions, np.repeat([row[a] for a, _ in self.accepted], sizes),
-                            np.fromiter(questions, np.int64, sum(sizes)), np.fromiter(bits, np.int64, sum(sizes)))
+        orders = [self.batches[agent][batch] for agent, batch in self.accepted]
+        sizes = list(map(len, orders))
+        batch, slot, bits = cmt.decode_slots([message for message, _key in self.accepted.values()], sizes)
+        # slot j of accepted batch t is entry starts[t] + j of every batch order, concatenated
+        posted = np.fromiter(map(self._posted_order.__getitem__, chain.from_iterable(orders)), np.int64, sum(sizes))
+        starts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
+        agents = np.array([row[agent] for agent, _ in self.accepted], np.int64)
+        return AnswerMatrix(tuple(self.batches), self.questions, agents[batch], posted[starts[batch] + slot], bits)
 
     def settle(self) -> SettlementReport:
         self._require_phase(Phase.REVEAL)
@@ -485,18 +492,21 @@ class Ledger:
         self.gas.charge("settle", self.REQUESTER, "storage_write_update_word", len(self.batches) + 1)
         agent_gas = self.gas.per_agent
 
-        positive_total = sum((r for r in rewards.values() if r > 0), Fraction(0))
+        # every reward over one common denominator, r = v / common: see the module docstring
+        common = lcm(*(r.denominator for r in rewards.values()))
+        units = {agent: r.numerator * (common // r.denominator) for agent, r in rewards.items()}
+        positive_total = sum(v for v in units.values() if v > 0)
         revealed_agents = {a for (a, _b) in self.accepted}
         remaining = self.requester_deposit  # gas reimbursements, registration order
         budget_paid = penalties = 0
         transfers: dict[str, int] = {}
         rows = []
         for agent, deposit in self.agent_deposits.items():
-            r = rewards[agent]
-            pay = int(self.budget * r / positive_total) if r > 0 else 0
+            v = units[agent]
+            pay = self.budget * v // positive_total if v > 0 else 0
             penalty = 0
-            if r < 0:
-                raw = int(-r * self.config.scale)
+            if v < 0:
+                raw = -v * self.config.scale // common
                 penalty = min(deposit, raw)
                 if raw > deposit:
                     self.notes.append(LedgerNote("deposit-shortfall", agent, None, self.block, raw - deposit))
@@ -505,7 +515,7 @@ class Ledger:
             budget_paid += pay
             penalties += penalty
             transfers[agent] = pay - penalty + reimb
-            rows.append(SettlementRow(agent, r, pay, deposit - penalty, reimb))
+            rows.append(SettlementRow(agent, rewards[agent], pay, deposit - penalty, reimb))
         transfers[self.REQUESTER] = penalties - budget_paid - (self.requester_deposit - remaining)
         assert sum(transfers.values()) == 0, "settlement must be zero-sum"
 

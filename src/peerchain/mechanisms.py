@@ -44,29 +44,33 @@ it.  The gas model prices the same ``PeerVisits``.
 
 The optimized path is one exact integer kernel that reads only
 ``PeerVisits`` and the matrix's counts.  It makes one ``peer_visits`` call
-and one pass over each agent's cells.  Each agent's reward is a sum of
-rationals whose numerators are summed as integers per denominator and
-turned into one ``Fraction`` per agent at the end; array counts enter that
-arithmetic only as Python ints.  OA and DG add a cell's matches under its
-peer count; PTSC adds its term under n times the count behind R_i(y),
-which comes from the per-agent row sums.  The DG penalty of a pair,
-(a0*b0 + a1*b1) / (|ex_i| * |ex_p|), depends only on 0/1 counts over the
-two agents' exclusive questions, so ``PairCounts`` derives every pair's
-numerator and denominator from products of the matrix's 0/1 arrays, and
-a pair's penalty is weighted by how many of the agent's cells of each
-peer count score it, so no peer is visited one by one.  Conversion to
-integer units happens only at ledger settlement.
+and works in arrays over the scored cells (the nonzero peer counts): each
+scored cell gives one (agent, denominator, numerator) term, the
+numerators are summed per (agent, denominator) by one ``np.lexsort`` and
+``np.add.reduceat``, and each agent's sums become one ``Fraction`` at the
+end; array values enter that arithmetic only as Python ints.  OA and DG
+put a cell's matches over its peer count; PTSC puts its term over n times
+the count behind R_i(y), which comes from the per-agent row sums.  The DG
+penalty of a pair, (a0*b0 + a1*b1) / (|ex_i| * |ex_p|), depends only on
+0/1 counts over the two agents' exclusive questions, so ``PairCounts``
+derives every pair's numerator and denominator from products of the
+matrix's 0/1 arrays, and a pair's penalty adds one term per peer count s,
+weighted by how many of the agent's cells with s peers score it, so no
+peer is visited one by one.  Terms and their sums are int64, which the
+2**31-cell cap keeps exact, except the DG products of a pair numerator and
+its weight: those are Python ints (an object array) whenever a bound from
+the matrix does not show they fit (``compute_rewards`` gives the bounds).
+Conversion to integer units happens only at ledger settlement.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -373,14 +377,40 @@ class PairCounts:
         self.den = exclusive * exclusive.T
 
 
-def _exact_mean(sums: Mapping[int, int], count: int, scale: Fraction = ONE) -> Fraction:
-    """scale * (sum of numerator/denominator over ``sums``) / count, built as
-    one Fraction; 0 for an agent with no scored cell."""
+def _exact_mean(dens: list[int], nums: list[int], count: int, scale: Fraction = ONE) -> Fraction:
+    """scale * (sum of nums[t]/dens[t]) / count, built as one Fraction from
+    Python ints; 0 for an agent with no scored cell."""
     if not count:
         return ZERO
-    common = lcm(*sums)
-    total = sum(num * (common // den) for den, num in sums.items())
+    common = lcm(*dens)
+    total = sum(num * (common // den) for den, num in zip(dens, nums))
     return Fraction(scale.numerator * total, scale.denominator * common * count)
+
+
+def _dg_terms(pairs: PairCounts, visits: PeerVisits) -> list[tuple[np.ndarray, ...]]:
+    """The DG penalty terms (agent i, denominator den[i, p]*s, numerator
+    -num[i, p]*w) of the pairs (i, p) that w > 0 of agent i's cells with s
+    peers score, one triple of arrays per s.  The numerators are int64 when
+    the bound in ``compute_rewards`` shows that one agent's sums fit, and
+    Python ints (an object array) otherwise."""
+    most_visits = int(visits.visited().sum(axis=1).max(initial=0))
+    dtype = np.int64 if (int(pairs.num.max(initial=0)) + 1) * most_visits < 2**63 else object
+    terms = []
+    for s, visited in visits.by_size.items():
+        i, p = np.nonzero(visited)
+        terms.append((i, pairs.den[i, p] * s, -pairs.num[i, p].astype(dtype) * visited[i, p]))
+    return terms
+
+
+def _grouped_sums(agent: np.ndarray, den: np.ndarray, num: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The numerators summed per (agent, denominator): one (agent, den, sum)
+    per distinct pair, sorted by agent and then denominator."""
+    order = np.lexsort((den, agent))
+    agent, den, num = agent[order], den[order], num[order]
+    first = np.ones(len(agent), dtype=bool)
+    first[1:] = (agent[1:] != agent[:-1]) | (den[1:] != den[:-1])
+    starts = np.flatnonzero(first)
+    return agent[starts], den[starts], np.add.reduceat(num, starts) if len(num) else num
 
 
 def require_exclusive_questions(matrix: AnswerMatrix, peer_mode: PeerMode, visits: PeerVisits) -> None:
@@ -419,54 +449,49 @@ def compute_rewards(
     (i, p) is penalised once per cell of i that scores p, weighted by the
     count of those cells per peer count.  Questions where the agent has no
     peer are left out of its mean; an agent with no scored cell gets 0.
+
+    Exact in int64 for every matrix ``AnswerMatrix`` admits (N = n*Q <
+    2**31 cells, n agents, Q questions): a cell's peer count n and matches
+    m are below n, and R_i(y)'s counts at most N, so a PTSC term is at most
+    n*N and one agent's sum over its Q cells at most N**2 < 2**62.  A DG
+    pair's denominator |ex_i|*|ex_p|*s is at most (Q/2)**2 * n < 2**60.
+    Its numerator times its weight w is not bounded so (two agents with
+    2**22 questions each reach 2**63), but one agent's sums are at most
+    (largest pair numerator + 1) times its peer visits, as each visit adds
+    its match and weighs one penalty; the products are int64 when that
+    bound is below 2**63 and Python ints otherwise, on the same path.
     """
     alpha = _require_inputs(matrix, mechanism, alpha, peer_mode)
     visits = peer_visits(matrix, peer_mode)
+    agent, q = np.nonzero(visits.peers)
+    n, m = visits.peers[agent, q], visits.matches[agent, q]
+    terms = [(agent, n, m)]
+    r_min: Fraction | None = None
     ptsc = mechanism is Mechanism.PTSC
     if ptsc:
-        # R_i(y) counts every answer but agent i's own
-        totals = (matrix.total_answers - matrix.answered.sum(axis=1)).tolist()
-        said_one = (int(matrix.ones_per_question.sum()) - matrix.ones.sum(axis=1)).tolist()
-        freqs = [((t - o, o), t) for t, o in zip(totals, said_one)]
-    else:
-        freqs = [((0, 0), 0)] * len(matrix.agents)  # OA and DG read no frequency
-    sums = []
-    for ys, ns, ms, (others, total) in zip(
-        matrix.ones.tolist(), visits.peers.tolist(), visits.matches.tolist(), freqs,
-    ):
-        acc = defaultdict(int)
-        for y, n, m in zip(ys, ns, ms):
-            if not n:
-                continue
-            if not ptsc:
-                acc[n] += m
-            elif others[y]:
-                d = n * others[y]
-                acc[d] += m * total - d
-        sums.append(acc)
-
-    if mechanism is Mechanism.DG:
-        require_exclusive_questions(matrix, peer_mode, visits)
-        num, den = matrix.pair_counts.num.tolist(), matrix.pair_counts.den.tolist()
-        for s, visited in visits.by_size.items():
-            rows, cols = np.nonzero(visited)
-            for i, p, w in zip(rows.tolist(), cols.tolist(), visited[rows, cols].tolist()):
-                sums[i][den[i][p] * s] -= num[i][p] * w
-
-    r_min: Fraction | None = None
-    if ptsc:
+        # R_i(y) = others[i, y] / totals[i] counts every answer but agent i's own
+        totals = matrix.total_answers - matrix.answered.sum(axis=1)
+        said_one = matrix.ones_per_question.sum() - matrix.ones.sum(axis=1)
+        others = np.stack([totals - said_one, said_one], axis=1)
+        y = matrix.ones[agent, q]
+        kept = others[agent, y] > 0
+        agent, y, n, m = agent[kept], y[kept], n[kept], m[kept]
+        d = n * others[agent, y]
+        terms = [(agent, d, m * totals[agent] - d)]
         # the smallest nonzero R_i(y) of an answer y that agent i gave in a scored cell
-        scored = visits.peers > 0
-        gave = [(scored & (matrix.ones == y)).any(axis=1).tolist() for y in (0, 1)]
-        r_min = min(
-            (Fraction(others[y], total)
-             for i, (others, total) in enumerate(freqs)
-             for y in (0, 1) if gave[y][i] and others[y]),
-            default=None,
-        )
+        i, y = np.divmod(np.unique(agent * 2 + y), 2)
+        r_min = min(map(Fraction, others[i, y].tolist(), totals[i].tolist()), default=None)
+    elif mechanism is Mechanism.DG:
+        require_exclusive_questions(matrix, peer_mode, visits)
+        terms += _dg_terms(matrix.pair_counts, visits)
+
+    groups, dens, sums = _grouped_sums(*(np.concatenate(column) for column in zip(*terms)))
+    bounds = np.searchsorted(groups, np.arange(len(matrix.agents) + 1)).tolist()
+    dens, sums = dens.tolist(), sums.tolist()
     scale = alpha if ptsc else ONE
     counts = np.count_nonzero(visits.peers, axis=1).tolist()
-    rewards = {agent: _exact_mean(acc, count, scale) for agent, acc, count in zip(matrix.agents, sums, counts)}
+    rewards = {a: _exact_mean(dens[lo:hi], sums[lo:hi], count, scale)
+               for a, lo, hi, count in zip(matrix.agents, bounds, bounds[1:], counts)}
     return RewardReport(rewards, mechanism, scale, peer_mode, r_min=r_min)
 
 

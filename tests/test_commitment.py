@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +16,8 @@ from peerchain.commitment import (
     Commitment,
     PackedAnswerVector,
     SecretKey,
-    answers_of,
     commit,
+    decode_slots,
     layout_bytes,
     pack,
     verify_reveal,
@@ -88,7 +89,7 @@ def test_roundtrip_random_vectors():
         vec = pack(answers, order)
         back = PackedAnswerVector(vec.message(), tuple(order))
         assert back == vec
-        assert answers_of(back.message(), back.question_order) == dict(answers)
+        assert _decoded([back.message()], [back.question_order]) == [dict(answers)]
 
 
 SLOT = st.sampled_from((0b00, 0b01, 0b11))  # unanswered, answered 0, answered 1
@@ -119,7 +120,7 @@ def test_vector_keeps_every_bit_or_refuses(tmp_path):
         except ValueError:
             return
         assert vec.message() == message
-        assert pack(list(answers_of(vec.message(), vec.question_order).items()), order) == vec
+        assert pack(list(_decoded([vec.message()], [vec.question_order])[0].items()), order) == vec
 
     # keep Hypothesis' constants cache out of the working tree
     set_hypothesis_home_dir(tmp_path)
@@ -139,32 +140,45 @@ def _answers_slot_by_slot(message, order):
     return answers
 
 
+def _decoded(messages, orders):
+    """``decode_slots`` over all messages in one call, as one question -> bit
+    dict per message; its entries must come in message then slot order."""
+    t, j, bits = decode_slots(messages, [len(order) for order in orders])
+    assert t.dtype == j.dtype == bits.dtype == np.int64
+    entries = list(zip(t.tolist(), j.tolist()))
+    assert entries == sorted(set(entries))
+    out = [{} for _ in messages]
+    for (message, slot), bit in zip(entries, bits.tolist()):
+        out[message][orders[message][slot]] = bit
+    return out
+
+
 @st.composite
 def order_and_any_message(draw):
-    """An order of 0-42 questions and a message of its 2n slot bits, with
-    bits above slot n half the time."""
+    """An order of 0-42 questions and an 85-bit message of its 2n slot bits,
+    with bits above slot n half the time."""
     n = draw(st.integers(0, MAX_ANSWERS))
     message = draw(st.integers(0, 4**n - 1))
-    high = draw(st.one_of(st.just(0), st.integers(1, 1 << MESSAGE_BITS)))
+    high = draw(st.one_of(st.just(0), st.integers(1, (1 << MESSAGE_BITS - 2 * n) - 1)))
     return [f"q{i}" for i in range(n)], message | high << 2 * n
 
 
-def test_answers_of_reads_each_slot_like_the_reference(tmp_path):
-    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
-    @given(order_and_any_message())
-    def check(case):
-        order, message = case
-        expected = _answers_slot_by_slot(message, order)
-        assert answers_of(message, tuple(order)) == expected
-        try:
-            vec = PackedAnswerVector(message, tuple(order))
-        except ValueError:
-            # the vector refuses exactly the messages with bits above the slots
-            # or an answer bit without its flag
-            assert message >> 2 * len(order) or any(
-                (message >> 2 * j) & 0b11 == 0b10 for j in range(len(order)))
-            return
-        assert vec.message() == message  # the vector holds the message answers_of read
+def test_decode_slots_reads_each_slot_like_the_reference(tmp_path):
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(order_and_any_message(), max_size=8))
+    def check(cases):
+        orders, messages = [order for order, _ in cases], [message for _, message in cases]
+        assert _decoded(messages, orders) == [_answers_slot_by_slot(m, o) for m, o in zip(messages, orders)]
+        for order, message in cases:
+            try:
+                vec = PackedAnswerVector(message, tuple(order))
+            except ValueError:
+                # the vector refuses exactly the messages with bits above the slots
+                # or an answer bit without its flag
+                assert message >> 2 * len(order) or any(
+                    (message >> 2 * j) & 0b11 == 0b10 for j in range(len(order)))
+                continue
+            assert vec.message() == message  # the vector holds the message decode_slots read
 
     # keep Hypothesis' constants cache out of the working tree
     set_hypothesis_home_dir(tmp_path)
@@ -175,11 +189,19 @@ def test_answers_of_reads_each_slot_like_the_reference(tmp_path):
 
 
 @pytest.mark.parametrize("n", range(5))
-def test_answers_of_every_message_of_a_short_order(n):
+def test_decode_slots_on_every_message_of_a_short_order(n):
     order = tuple(f"q{i}" for i in range(n))
-    for message in range(4**n):
-        for high in (0, 1, 0b1011 << 40):
-            assert answers_of(message | high << 2 * n, order) == _answers_slot_by_slot(message, order)
+    messages = [message | high << 2 * n for message in range(4**n) for high in (0, 1, 0b1011 << 40)]
+    expected = [_answers_slot_by_slot(message, order) for message in messages]
+    assert _decoded(messages, [order] * len(messages)) == expected
+
+
+def test_decode_slots_on_random_42_slot_messages():
+    rng = random.Random(42)
+    messages = [rng.getrandbits(MESSAGE_BITS) for _ in range(2000)]
+    orders = [tuple(f"q{i}" for i in range(rng.choice((MAX_ANSWERS, rng.randint(0, MAX_ANSWERS)))))
+              for _ in messages]
+    assert _decoded(messages, orders) == [_answers_slot_by_slot(m, o) for m, o in zip(messages, orders)]
 
 
 def test_key_range_checked():

@@ -5,6 +5,7 @@ import json
 import re
 from dataclasses import fields
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import peerchain.commitment as cmt
+import peerchain.ledger as ledger_module
 from peerchain.errors import (
     DuplicateCommitment,
     InsufficientDeposit,
@@ -25,11 +27,11 @@ from peerchain.errors import (
     WrongPhase,
     ZeroBudget,
 )
-from peerchain import keccak
+from peerchain import gas_model, keccak, mechanisms
 from peerchain.gas_model import GasTable
 from peerchain.keccak import _memo
 from peerchain.ledger import Ledger, LedgerConfig, Phase, format_decimal
-from peerchain.mechanisms import ALL_PEERS, Mechanism, SampledPeers
+from peerchain.mechanisms import ALL_PEERS, Mechanism, RewardReport, SampledPeers
 from peerchain.peer_selection import SelectionSeed, _memo as _draw_memo
 from peerchain.sim import ExperimentConfig, QoSDataset, run_experiment
 
@@ -399,6 +401,12 @@ def test_discard_is_final():
     assert ledger.settle().reward_report is None
 
 
+def _answers_of(message, order):
+    """Question -> bit of each answered slot of one accepted batch, decoded alone."""
+    _t, slots, bits = cmt.decode_slots([message], [len(order)])
+    return {order[j]: bit for j, bit in zip(slots.tolist(), bits.tolist())}
+
+
 def _round_with_every_reveal_outcome():
     """A settled two-question-batch OA round whose reveals are accepted,
     duplicated, malformed and failed, and the cells its accepted batches hold."""
@@ -436,7 +444,7 @@ def test_accepted_batches_are_the_only_store_of_revealed_answers():
     ledger, kept = _round_with_every_reveal_outcome()
     union = {}
     for (agent, b), (message, _key) in ledger.accepted.items():
-        union.update({(agent, q): bit for q, bit in cmt.answers_of(message, ledger.batches[agent][b]).items()})
+        union.update({(agent, q): bit for q, bit in _answers_of(message, ledger.batches[agent][b]).items()})
     assert ledger.revealed_cells == union == kept
     assert list(ledger.revealed_cells) == list(kept)  # in the order the batches were accepted
     assert ledger.audit() == []
@@ -459,7 +467,7 @@ def test_revealed_matrix_holds_the_union_of_the_accepted_batches():
         assert (m.agents, m.questions) == (tuple(source.batches), source.questions)
         answered, ones = np.zeros_like(m.answered), np.zeros_like(m.ones)
         for (agent, b), (message, _key) in source.accepted.items():
-            for q, bit in cmt.answers_of(message, source.batches[agent][b]).items():
+            for q, bit in _answers_of(message, source.batches[agent][b]).items():
                 answered[m.agents.index(agent), m.questions.index(q)] += 1
                 ones[m.agents.index(agent), m.questions.index(q)] += bit
         assert (m.answered == answered).all() and (m.ones == ones).all()
@@ -495,6 +503,118 @@ def test_gas_reimbursement_registration_order():
     assert rows["A"].gas_reimbursed == 50_000
     assert rows["B"].gas_reimbursed == 0
     assert sum(report.transfers.values()) == 0
+
+
+PRIMES_NEAR_10_12 = (999999999937, 999999999959, 999999999961, 999999999989)
+
+
+@st.composite
+def settlement_cases(draw):
+    """Rewards of 1-6 agents (mixed signs, zeros, denominators up to 10**12,
+    often distinct primes), in two cases of three made all nonpositive but
+    for one positive agent or none, with a budget, deposits, a requester
+    deposit and a scale."""
+    n = draw(st.integers(1, 6))
+    denominator = st.one_of(st.integers(1, 10**12), st.sampled_from(PRIMES_NEAR_10_12))
+    reward = st.one_of(st.just(F(0)), st.builds(F, st.integers(-3 * 10**12, 3 * 10**12), denominator))
+    rewards = draw(st.lists(reward, min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("any", "one positive", "none positive")))
+    if shape != "any":
+        rewards = [-abs(r) for r in rewards]
+        if shape == "one positive":
+            rewards[draw(st.integers(0, n - 1))] = draw(st.builds(F, st.integers(1, 10**12), denominator))
+    deposits = draw(st.lists(st.integers(0, 10**13), min_size=n, max_size=n))
+    return (rewards, deposits, draw(st.integers(1, 10**15)), draw(st.integers(0, 10**6)),
+            draw(st.integers(1, 10**12)))
+
+
+def _settled_with_rewards(rewards, deposits, budget, requester_deposit, scale):
+    """A one-question OA round of len(rewards) agents, all revealed, settled
+    with the kernel's rewards replaced by ``rewards``."""
+    ledger = Ledger(LedgerConfig(mechanism=Mechanism.OA, scale=scale))
+    ledger.post_questions(("q",), budget, requester_deposit)
+    agents = [f"a{i}" for i in range(len(rewards))]
+    for agent, deposit in zip(agents, deposits):
+        ledger.select_questions(agent, ("q",), deposit)
+    ledger.tick(10)
+    vec, key = cmt.pack([("q", 1)], ("q",)), cmt.SecretKey(12345)  # one digest: one hash per case
+    for agent in agents:
+        ledger.submit_commitment(agent, 0, cmt.commit(vec, key))
+    for agent in agents:
+        assert ledger.reveal_vector(agent, 0, vec, key)
+    report = RewardReport(dict(zip(agents, rewards)), Mechanism.OA)
+    with mock.patch.object(ledger_module, "compute_rewards", lambda *args: report):
+        return ledger, ledger.settle()
+
+
+def test_integer_budget_split_equals_the_fraction_formula(tmp_path):
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(settlement_cases())
+    def check(case):
+        rewards, deposits, budget, requester_deposit, scale = case
+        ledger, report = _settled_with_rewards(rewards, deposits, budget, requester_deposit, scale)
+        # the split as exact Fractions: floored share of the budget, floored penalty
+        positive_total = sum((r for r in rewards if r > 0), F(0))
+        transfers, shortfalls, remaining = {}, [], requester_deposit
+        for row, r, deposit in zip(report.rows, rewards, deposits):
+            pay = int(budget * r / positive_total) if r > 0 else 0
+            raw = int(-r * scale) if r < 0 else 0
+            penalty = min(deposit, raw)
+            if raw > deposit:
+                shortfalls.append((row.agent, raw - deposit))
+            reimb = min(ledger.gas.per_agent[row.agent], remaining)
+            remaining -= reimb
+            assert (row.mechanism_reward, row.payment_units, row.deposit_returned, row.gas_reimbursed) == (
+                r, pay, deposit - penalty, reimb)
+            transfers[row.agent] = pay - penalty + reimb
+        transfers[Ledger.REQUESTER] = -sum(transfers.values())
+        assert report.transfers == transfers
+        assert [(n.agent, n.shortfall) for n in ledger.notes if n.kind == "deposit-shortfall"] == shortfalls
+        assert report.budget_paid == sum(row.payment_units for row in report.rows) <= budget
+
+    # keep Hypothesis' constants cache out of the working tree
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+@pytest.mark.parametrize("peer_mode", [ALL_PEERS, SampledPeers(3, 7)], ids=["all-peers", "sampled"])
+def test_each_settle_builds_one_matrix_and_visits_peers_twice(mechanism, peer_mode, monkeypatch):
+    """A round's settle and its replay's each build one `AnswerMatrix`, make
+    one `peer_visits` call in the kernel and one in the gas model, and, when
+    sampled, one `sample_peers` call per scored cell in each."""
+    calls = []
+
+    def counted(owner, attr):
+        real = getattr(owner, attr)
+
+        def run(*args, **kwargs):
+            calls.append(attr)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, run)
+
+    counted(ledger_module, "AnswerMatrix")
+    counted(mechanisms, "peer_visits")
+    counted(gas_model, "peer_visits")
+    counted(mechanisms, "sample_peers")
+    config = ExperimentConfig(mechanism=mechanism, peer_mode=peer_mode, agents=12, seed=3)
+    round_ = run_experiment(config, QoSDataset.skip_one(12, 12, seed=4)).ledger
+    settles = [calls.copy()]
+    calls.clear()
+    Ledger.load(round_.dump())
+    settles.append(calls.copy())
+    monkeypatch.undo()
+    m = round_.revealed_matrix()
+    cells = int(((m.answered == 1) & (m.answerers_per_question > 1)).sum())
+    assert cells == 12 * 11
+    sampled = cells if isinstance(peer_mode, SampledPeers) else 0
+    for settle in settles:
+        assert [c for c in settle if c != "sample_peers"] == ["AnswerMatrix", "peer_visits", "peer_visits"]
+        assert settle.count("sample_peers") == 2 * sampled
 
 
 def test_event_log_replay_is_byte_identical():

@@ -6,6 +6,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,7 +20,10 @@ from peerchain.errors import EmptyMatrix, NoNonCommonQuestions
 from peerchain.mechanisms import (
     ALL_PEERS,
     AnswerMatrix,
+    _dg_terms,
+    _grouped_sums,
     Mechanism,
+    PeerVisits,
     SampledPeers,
     compute_rewards,
     peer_visits,
@@ -569,6 +573,30 @@ def test_rewards_are_exact_python_ints():
                         values.append(report.r_min)
                     for r in values:
                         assert type(r.numerator) is int and type(r.denominator) is int, (mech, mode)
+
+
+def test_dg_terms_past_int64_are_summed_exactly_as_python_ints():
+    # pair numerators near 2**42 times weights near 2**21 pass 2**63; agent 0's
+    # pairs with agents 1 (s = 1) and 2 (s = 2) share the denominator 2**44
+    num = np.array([[0, 3 * 2**42 + 1, 2**42 + 5], [2**42 - 1, 0, 0], [7, 0, 0]], dtype=np.int64)
+    den = np.array([[0, 2**44, 2**43], [2**44, 0, 0], [2**40, 0, 0]], dtype=np.int64)
+    by_size = {1: np.array([[0, 2**21 + 3, 0], [2**21, 0, 0], [0, 0, 0]]),
+               2: np.array([[0, 0, 2**22 - 1], [0, 0, 0], [5, 0, 0]])}
+    reference, wrapped = {}, {}
+    for s, visited in by_size.items():
+        for (i, p), w in np.ndenumerate(visited):
+            if w:
+                key = (i, int(den[i, p]) * s)
+                reference[key] = reference.get(key, 0) - int(num[i, p]) * int(w)
+                wrapped[key] = wrapped.get(key, 0) + int((-num * visited)[i, p])  # int64 products
+    assert max(map(abs, reference.values())) >= 2**63
+    assert wrapped != reference  # so int64 terms would not be exact here
+
+    visits = PeerVisits(np.zeros((3, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.int64), by_size)
+    columns = (np.concatenate(column) for column in zip(*_dg_terms(SimpleNamespace(num=num, den=den), visits)))
+    agents, dens, sums = (array.tolist() for array in _grouped_sums(*columns))
+    assert all(type(v) is int for v in agents + dens + sums)
+    assert dict(zip(zip(agents, dens), sums)) == reference
 
 
 @st.composite

@@ -47,7 +47,8 @@ _MESSAGE_BYTES = 11                      # ceil(85 / 8): one message, little-end
 def _require_message(message: int, slots: int) -> None:
     """The slot rule: an int within the 2n slot bits of an n-slot batch, n at
     most 42, with no answer bit set without its answered bit."""
-    require_ints(message=message, slots=slots)
+    if type(message) is not int or type(slots) is not int:
+        require_ints(message=message, slots=slots)  # raises its error for a non-int
     if slots > MAX_ANSWERS:
         raise TooManyAnswers(f"{slots} slots exceed the {MAX_ANSWERS}-answer capacity")
     if not 0 <= message < 1 << 2 * slots:
@@ -58,7 +59,8 @@ def _require_message(message: int, slots: int) -> None:
 
 def _require_key(key: int) -> None:
     """The key range: an int of at most 85 bits."""
-    require_ints(key=key)
+    if type(key) is not int:
+        require_ints(key=key)  # raises its error for a non-int
     if not 0 <= key < 1 << KEY_BITS:
         raise ValueError(f"secret key must fit in {KEY_BITS} bits")
 

@@ -9,9 +9,17 @@ matters for the cost trends; the shipped defaults follow Ethereum
 yellow-paper-era constants so desk numbers are comparable across
 implementations.
 
-`GasLedger` stores only the words charged per (phase, party, op kind);
-every gas figure it reports is derived as words x the table's cost, and
-`GasTable.cost` answers only for the table's own entries.
+Every charge is one `GasBundle`: the (op kind, words) pairs an event
+charges, in charge order, checked once when the bundle is built.  The
+ledger's commit and reveal bundles are built once, at import, and
+`charge_settlement_compute` charges its whole pattern as one bundle.
+`GasLedger` stores only how many times each (phase, party, bundle) was
+charged; every gas figure it reports is derived from those counts as
+words x the table's cost, and `GasTable.cost` answers only for the
+table's own entries.  The report rows expand the counts per (phase,
+party, op kind), bundles in first-charge order: a key is first charged by
+the first bundle holding it, so each row sits where its key was first
+charged, as if every op kind had been charged on its own.
 
 `charge_settlement_compute` prices the cells the reward paths score, read
 from the `mechanisms.PeerVisits` that `mechanisms.peer_visits` builds:
@@ -111,6 +119,11 @@ class GasTable:
         except (KeyError, TypeError):
             raise UnknownOpKind(op_kind) from None
 
+    def gas(self, bundle: GasBundle) -> int:
+        """The gas of one charge of ``bundle``: its words x this table's costs."""
+        cost = self.__dict__
+        return sum(cost[op_kind] * words for op_kind, words in bundle)
+
     @classmethod
     def from_dict(cls, raw: object) -> "GasTable":
         """The one reader of a gas-table object (a ``--gas-table`` file, a
@@ -135,9 +148,37 @@ class GasTable:
 DEFAULT_GAS_TABLE = GasTable()
 
 
+_OP_KINDS = frozenset(f.name for f in fields(GasTable))
+
+
+class GasBundle(tuple):
+    """The words one event charges: (op kind, words) pairs in charge order.
+
+    Built once and checked here: an op kind that is not a `GasTable` field
+    is UnknownOpKind, and a word count that is not a nonnegative Python int
+    is ValueError.  An op kind may appear more than once; its words add.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pairs) -> GasBundle:
+        bundle = super().__new__(cls, pairs)
+        if not bundle:
+            raise ValueError("a gas bundle charges at least one op kind")
+        for pair in bundle:
+            if type(pair) is not tuple or len(pair) != 2:
+                raise ValueError(f"a gas bundle holds (op kind, words) pairs, got {pair!r}")
+            op_kind, words = pair
+            if not isinstance(op_kind, str) or op_kind not in _OP_KINDS:
+                raise UnknownOpKind(op_kind)
+            if type(words) is not int or words < 0:
+                raise ValueError(f"word count must be a nonnegative int, got {words!r}")
+        return bundle
+
+
 class GasLedger:
-    """Itemized gas charges: the words charged per (phase, party, op kind)
-    in first-charge order; gas is words x the table's cost when read.
+    """Itemized gas charges: how many times each (phase, party, bundle) was
+    charged, in first-charge order; words and gas are derived when read.
 
     ``party`` is an agent id or the literal string "requester"; the
     per-agent view excludes the requester so that
@@ -148,32 +189,37 @@ class GasLedger:
 
     def __init__(self, table: GasTable | None = None):
         self.table = table or DEFAULT_GAS_TABLE
-        self._words: dict[tuple[str, str, str], int] = {}
+        self._counts: dict[tuple[str, str, GasBundle], int] = {}
 
-    def charge(self, phase: str, party: str, op_kind: str, words: int = 1) -> int:
-        # a type test, not require_ints: a round makes thousands of charges
-        if type(words) is not int or words < 0:
-            raise ValueError(f"word count must be a nonnegative int, got {words!r}")
-        gas = self.table.cost(op_kind) * words
-        key = (phase, party, op_kind)
-        self._words[key] = self._words.get(key, 0) + words
-        return gas
+    def charge(self, phase: str, party: str, bundle: GasBundle) -> None:
+        """Charge ``party`` every pair of ``bundle`` in ``phase``: one count."""
+        if type(bundle) is not GasBundle:
+            raise ValueError(f"a charge takes a GasBundle, got {type(bundle).__name__}")
+        key = (phase, party, bundle)
+        self._counts[key] = self._counts.get(key, 0) + 1
 
     def report_rows(self) -> list[tuple[str, str, str, int, int]]:
-        """Rows for the gas report CSV: phase, party, op_kind, words, gas."""
+        """Rows for the gas report CSV: phase, party, op_kind, words, gas,
+        in the order each (phase, party, op kind) was first charged."""
+        words: dict[tuple[str, str, str], int] = {}
+        for (phase, party, bundle), count in self._counts.items():
+            for op_kind, w in bundle:
+                key = (phase, party, op_kind)
+                words[key] = words.get(key, 0) + count * w
         cost = self.table.cost
-        return [(phase, party, op_kind, words, cost(op_kind) * words)
-                for (phase, party, op_kind), words in self._words.items()]
+        return [(phase, party, op_kind, w, cost(op_kind) * w) for (phase, party, op_kind), w in words.items()]
 
     def _gas_by(self, column: int) -> dict[str, int]:
+        """Gas per phase (column 0) or per party (column 1)."""
+        gas = self.table.gas
         out: dict[str, int] = {}
-        for row in self.report_rows():
-            out[row[column]] = out.get(row[column], 0) + row[4]
+        for key, count in self._counts.items():
+            out[key[column]] = out.get(key[column], 0) + count * gas(key[2])
         return out
 
     @property
     def total(self) -> int:
-        return sum(row[4] for row in self.report_rows())
+        return sum(self._gas_by(0).values())
 
     @property
     def per_phase(self) -> dict[str, int]:
@@ -185,7 +231,9 @@ class GasLedger:
 
     @property
     def per_agent(self) -> dict[str, int]:
-        return {p: g for p, g in self.per_party.items() if p != self.REQUESTER}
+        out = self.per_party
+        out.pop(self.REQUESTER, None)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +248,14 @@ def charge_settlement_compute(
     optimized: bool = True,
 ) -> int:
     """Charge the reward-computation pattern documented in the module
-    docstring to the requester's settle phase.  Returns the gas added."""
+    docstring to the requester's settle phase, as one bundle.  Returns the
+    gas added."""
     require_scoring(mechanism, peer_mode)  # before the first charge
 
-    added = 0
+    pairs: list[tuple[str, int]] = []
 
     def charge(op_kind: str, words: int) -> None:
-        nonlocal added
-        added += gas.charge("settle", GasLedger.REQUESTER, op_kind, words)
+        pairs.append((op_kind, words))
 
     sampled = not isinstance(peer_mode, AllPeers)
 
@@ -299,4 +347,6 @@ def charge_settlement_compute(
 
     # per-agent averaging
     charge("arithmetic_op", 2 * n_agents)
-    return added
+    bundle = GasBundle(pairs)
+    gas.charge("settle", GasLedger.REQUESTER, bundle)
+    return gas.table.gas(bundle)

@@ -24,24 +24,28 @@ penalty (-v * scale) // L, the floors of budget * r / (sum of the positive
 r) and -r * scale.  Settlement is zero-sum: the net transfers of all
 parties add up to exactly zero.
 
-Gas charges per event (words per the configured table):
+Gas charges per event (words per the configured table).  Each event
+makes one `GasLedger.charge` of one `gas_model.GasBundle`, after its
+outcome is known; commit and reveal charge bundles built once, at import,
+and post, select and settle build theirs per call:
 
 * post: tx_base; new storage words for each question plus budget and
   deposit escrow.
 * select: tx_base; one deposit word plus one word per 16 chosen question
   indices.
-* commit: tx_base; one new storage word (the digest).  Hashing happened
-  off-ledger, so no hash gas here.  Packing shows as fewer commitments,
-  one per batch of up to 42 answers.
-* reveal: tx_base; one storage read (the digest), one hash of the 22-byte
-  layout, one comparison; accepted reveals add one new storage word.
+* commit (`_COMMIT_GAS`): tx_base; one new storage word (the digest).
+  Hashing happened off-ledger, so no hash gas here.  Packing shows as
+  fewer commitments, one per batch of up to 42 answers.
+* reveal (`_REVEAL_GAS`): tx_base; one storage read (the digest), one hash
+  of the 22-byte layout, one comparison.  An accepted reveal charges
+  `_ACCEPTED_REVEAL_GAS` instead: the same words plus one new storage word.
   `commitment.verify_reveal` checks the (message, key) integers: a message
   the slot rule refuses or a key beyond 85 bits is malformed and discarded,
   so an accepted message is exactly the one that was hashed.  `audit`
   re-checks each accepted pair the same way.  Accepted (message, key)
   pairs hold the answers; ``revealed_matrix`` decodes them all in one
   `commitment.decode_slots` call.
-* settle: tx_base; the mechanism's compute pattern via
+* settle: three charges, tx_base; the mechanism's compute pattern via
   `gas_model.charge_settlement_compute`; one update word per party paid.
 """
 
@@ -69,7 +73,7 @@ from .errors import (
     ZeroBudget,
     require_ints,
 )
-from .gas_model import DEFAULT_GAS_TABLE, GasLedger, GasTable, charge_settlement_compute
+from .gas_model import DEFAULT_GAS_TABLE, GasBundle, GasLedger, GasTable, charge_settlement_compute
 from .mechanisms import (
     ALL_PEERS,
     AllPeers,
@@ -87,6 +91,11 @@ from .peer_selection import SelectionSeed
 DEFAULT_SCALE = 10**9
 # what json.dumps(payload, sort_keys=True, separators=(",", ":")) builds anew on each call
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# the words each commit and reveal charges, in charge order: see the module docstring
+_COMMIT_GAS = GasBundle([("tx_base", 1), ("storage_write_new_word", 1)])
+_REVEAL_GAS = GasBundle([("tx_base", 1), ("storage_read_word", 1), ("hash_base", 1), ("hash_per_word", 1),
+                         ("comparison_op", 1)])
+_ACCEPTED_REVEAL_GAS = GasBundle([*_REVEAL_GAS, ("storage_write_new_word", 1)])
 
 
 class Phase(Enum):
@@ -338,8 +347,8 @@ class Ledger:
         self._posted_order = {q: i for i, q in enumerate(questions)}
         self.budget = budget
         self.requester_deposit = requester_deposit
-        self.gas.charge("posting", self.REQUESTER, "tx_base")
-        self.gas.charge("posting", self.REQUESTER, "storage_write_new_word", len(questions) + 2)
+        self.gas.charge("posting", self.REQUESTER,
+                        GasBundle([("tx_base", 1), ("storage_write_new_word", len(questions) + 2)]))
         self.phase = Phase.SELECTION
         self._selection_end = self.block + self.config.selection_blocks
 
@@ -354,27 +363,37 @@ class Ledger:
         if agent == self.REQUESTER or agent == self.CHAIN:
             raise ValueError(f"{agent!r} is a reserved party name")
         ids = tuple(question_ids)
+        # canonical posted order makes batch slicing independent of input order;
+        # each id's position is looked up once, and the checks run in full only on a fault
+        try:
+            sel = tuple(sorted(ids, key=self._posted_order.__getitem__))
+        except (KeyError, TypeError):  # an unposted or unhashable id
+            sel = ()
+        if (not sel or set(map(type, ids)) != {str} or len(set(ids)) != len(ids)
+                or deposit < self.config.min_agent_deposit):
+            self._check_selection(ids, deposit)
+        self._record("select", agent, {"questions": list(ids), "deposit": deposit})
+        bs = self.config.batch_size
+        self.batches[agent] = tuple(sel[i:i + bs] for i in range(0, len(sel), bs))
+        self._uncommitted += len(self.batches[agent])
+        self.agent_deposits[agent] = deposit
+        self.gas.charge("selection", agent,
+                        GasBundle([("tx_base", 1), ("storage_write_new_word", 1 + ceil(len(ids) / 16))]))
+
+    def _check_selection(self, ids: tuple, deposit: int) -> None:
+        """Raise the first fault of a selection, in this order: a non-str id,
+        an empty or repeated selection, an unposted id, a short deposit."""
         _require_question_ids(ids)
         if not ids or len(set(ids)) != len(ids):
             raise ValueError("question selection must be nonempty and unique")
-        order = self._posted_order
         for q in ids:
-            if q not in order:
+            if q not in self._posted_order:
                 raise UnknownQuestion(f"question {q!r} was never posted")
         if deposit < self.config.min_agent_deposit:
             raise InsufficientDeposit(
                 f"{self.config.mechanism.value} rounds require at least "
                 f"{self.config.min_agent_deposit} units, got {deposit}"
             )
-        self._record("select", agent, {"questions": list(ids), "deposit": deposit})
-        # canonical posted order makes batch slicing independent of input order
-        sel = tuple(sorted(ids, key=order.__getitem__))
-        bs = self.config.batch_size
-        self.batches[agent] = tuple(sel[i:i + bs] for i in range(0, len(sel), bs))
-        self._uncommitted += len(self.batches[agent])
-        self.agent_deposits[agent] = deposit
-        self.gas.charge("selection", agent, "tx_base")
-        self.gas.charge("selection", agent, "storage_write_new_word", 1 + ceil(len(ids) / 16))
 
     def agent_batches(self, agent: str) -> tuple[tuple[str, ...], ...]:
         """The agent's selected questions sliced into commitment batches."""
@@ -387,7 +406,8 @@ class Ledger:
 
     def submit_commitment(self, agent: str, batch: int, commitment_: cmt.Commitment) -> None:
         self._require_phase(Phase.COMMIT)
-        require_ints(batch=batch)
+        if type(batch) is not int:
+            require_ints(batch=batch)  # raises its error for a non-int
         if not isinstance(commitment_, cmt.Commitment):
             raise ValueError(f"commitment must be a Commitment, got {type(commitment_).__name__}")
         batches = self.agent_batches(agent)
@@ -397,8 +417,7 @@ class Ledger:
             raise DuplicateCommitment(f"batch {batch} of agent {agent!r} already committed")
         self._record("commit", agent, {"batch": batch, "commitment": commitment_.hex()})
         self.commitments[(agent, batch)] = commitment_
-        self.gas.charge("commit", agent, "tx_base")
-        self.gas.charge("commit", agent, "storage_write_new_word", 1)
+        self.gas.charge("commit", agent, _COMMIT_GAS)
         self._uncommitted -= 1
         if not self._uncommitted:
             self._enter_reveal()
@@ -413,35 +432,33 @@ class Ledger:
         its gas and changes nothing else.
         """
         self._require_phase(Phase.REVEAL)
-        require_ints(batch=batch, message=message, key_value=key_value)
+        if type(batch) is not int or type(message) is not int or type(key_value) is not int:
+            require_ints(batch=batch, message=message, key_value=key_value)  # raises its error for a non-int
         batches = self.agent_batches(agent)
         commitment_ = self.commitments.get((agent, batch))
         if commitment_ is None:
             raise NoCommitment(f"no commitment on record for {agent!r} batch {batch}")
         self._record("reveal", agent, {"batch": batch, "message": message, "key": key_value})
-        self.gas.charge("reveal", agent, "tx_base")
-        self.gas.charge("reveal", agent, "storage_read_word", 1)
-        self.gas.charge("reveal", agent, "hash_base", 1)
-        self.gas.charge("reveal", agent, "hash_per_word", 1)
-        self.gas.charge("reveal", agent, "comparison_op", 1)
+        opened = False
         if (agent, batch) in self.accepted or (agent, batch) in self.discarded:
             self.notes.append(LedgerNote("duplicate", agent, batch, self.block))
-            return False
-        try:
-            opened = cmt.verify_reveal(commitment_, message, key_value, len(batches[batch]))
-        except (ValueError, cmt.TooManyAnswers):
-            return self._discard("malformed", agent, batch)
-        if not opened:
-            return self._discard("failed-verification", agent, batch)
-        self.accepted[(agent, batch)] = (message, key_value)
-        self.gas.charge("reveal", agent, "storage_write_new_word", 1)
-        return True
+        else:
+            try:
+                opened = cmt.verify_reveal(commitment_, message, key_value, len(batches[batch]))
+            except (ValueError, cmt.TooManyAnswers):
+                self._discard("malformed", agent, batch)
+            else:
+                if opened:
+                    self.accepted[(agent, batch)] = (message, key_value)
+                else:
+                    self._discard("failed-verification", agent, batch)
+        self.gas.charge("reveal", agent, _ACCEPTED_REVEAL_GAS if opened else _REVEAL_GAS)
+        return opened
 
-    def _discard(self, kind: str, agent: str, batch: int) -> bool:
+    def _discard(self, kind: str, agent: str, batch: int) -> None:
         note = LedgerNote(kind, agent, batch, self.block)
         self.notes.append(note)
         self.discarded[(agent, batch)] = note
-        return False
 
     def reveal_vector(self, agent: str, batch: int, vector: cmt.PackedAnswerVector, key: cmt.SecretKey) -> bool:
         """Convenience wrapper over `reveal` for already-packed answers."""
@@ -483,13 +500,13 @@ class Ledger:
             rewards = {a: Fraction(0) for a in self.batches}
 
         self._record("settle", self.REQUESTER, {})
-        self.gas.charge("settle", self.REQUESTER, "tx_base")
+        self.gas.charge("settle", self.REQUESTER, GasBundle([("tx_base", 1)]))
         if report is not None:
             charge_settlement_compute(
                 self.gas, matrix, self.config.mechanism, self.config.peer_mode,
                 self.config.optimized,
             )
-        self.gas.charge("settle", self.REQUESTER, "storage_write_update_word", len(self.batches) + 1)
+        self.gas.charge("settle", self.REQUESTER, GasBundle([("storage_write_update_word", len(self.batches) + 1)]))
         agent_gas = self.gas.per_agent
 
         # every reward over one common denominator, r = v / common: see the module docstring

@@ -28,7 +28,7 @@ from peerchain.errors import (
     ZeroBudget,
 )
 from peerchain import gas_model, keccak, mechanisms
-from peerchain.gas_model import GasTable
+from peerchain.gas_model import GasLedger, GasTable
 from peerchain.keccak import _memo
 from peerchain.ledger import Ledger, LedgerConfig, Phase, format_decimal
 from peerchain.mechanisms import ALL_PEERS, Mechanism, RewardReport, SampledPeers
@@ -962,6 +962,38 @@ def test_question_ids_must_be_str(bad_id):
             Ledger.load(tampered)
 
 
+class _Id(str):
+    pass
+
+
+@pytest.mark.parametrize("ids, deposit, error, message", [
+    (("q1", 5), 1, ValueError, "question ids must be str, got 5"),
+    (("q1", ["q2"]), 1, ValueError, r"question ids must be str, got \['q2'\]"),
+    (("q1", True), 1, ValueError, "question ids must be str, got True"),
+    (("zz", "zz", None), 0, ValueError, "question ids must be str, got None"),
+    ((), 1, ValueError, "question selection must be nonempty and unique"),
+    ((), 0, ValueError, "question selection must be nonempty and unique"),
+    (("q2", "q1", "q2"), 1, ValueError, "question selection must be nonempty and unique"),
+    (("zz", "zz"), 0, ValueError, "question selection must be nonempty and unique"),
+    (("q1", "zz", "yy"), 1, UnknownQuestion, "question 'zz' was never posted"),
+    (("zz",), 0, UnknownQuestion, "question 'zz' was never posted"),
+    (("q2", "q1"), 0, InsufficientDeposit, "ptsc rounds require at least 1 units, got 0"),
+], ids=["int", "list", "bool", "non-str-first", "empty", "empty-before-deposit", "duplicate",
+        "duplicate-before-unknown", "unknown", "unknown-before-deposit", "deposit"])
+def test_select_questions_raises_the_first_fault_in_order(ids, deposit, error, message):
+    """A non-str id, then an empty or repeated selection, then an unposted
+    id, then a short deposit: the first fault raises, and nothing changes."""
+    ledger = Ledger(LedgerConfig(mechanism=Mechanism.PTSC, alpha=F(1, 2), scale=2))
+    ledger.post_questions(("q1", "q2", "q3"), 1000)
+    before = (list(ledger.events), ledger.gas.report_rows())
+    with pytest.raises(error, match=f"^{message}$"):
+        ledger.select_questions("A", ids, deposit)
+    assert (ledger.events, ledger.gas.report_rows(), ledger.batches) == (*before, {})
+    ledger.select_questions("A", ("q3", "q1"), 1)
+    ledger.select_questions("B", (_Id("q2"),), 1)  # a str subclass is a str id
+    assert ledger.batches == {"A": (("q1", "q3"),), "B": (("q2",),)}
+
+
 def test_a_plain_agent_id_replays_byte_for_byte():
     ledger, vec, key = _staged(Phase.SELECTION)
     agent = "agent 7: é\t;"
@@ -1059,6 +1091,33 @@ def test_one_hash_per_commitment_at_commit_reveal_load_and_audit(packed, monkeyp
     n = len(round_.commitments)
     assert n == (12 if packed else len(round_.revealed_cells))
     assert hashes == {"commit": n, "reveal": n, "load": n, "audit": n}
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "unpacked"])
+def test_one_gas_charge_per_select_commit_and_reveal_event(packed, monkeypatch):
+    """A round and its replay each make exactly one `GasLedger.charge` per
+    select, commit and reveal event, one for the post and three for the settle."""
+    charges = []
+    real_charge = GasLedger.charge
+
+    def counted(gas, phase, party, bundle):
+        charges.append(phase)
+        return real_charge(gas, phase, party, bundle)
+
+    monkeypatch.setattr(GasLedger, "charge", counted)
+    config = ExperimentConfig(mechanism=Mechanism.PTSC, packed=packed, agents=12, seed=1)
+    round_ = run_experiment(config, QoSDataset.synthetic(12, 12 if packed else 40, seed=1)).ledger
+    runs = [charges.copy()]
+    charges.clear()
+    Ledger.load(round_.dump())
+    runs.append(charges.copy())
+    events = [line.split(",")[1] for line in round_.events]
+    expected = {"posting": 1, "selection": events.count("select"), "commit": events.count("commit"),
+                "reveal": events.count("reveal"), "settle": 3}
+    assert expected["commit"] == expected["reveal"] == (12 if packed else len(round_.revealed_cells))
+    for run in runs:
+        assert {phase: run.count(phase) for phase in expected} == expected
+        assert len(run) == sum(expected.values())
 
 
 @pytest.mark.parametrize("mechanism", [Mechanism.DG, Mechanism.OA], ids=["dg", "oa"])

@@ -121,8 +121,7 @@ class GasTable:
 
     def gas(self, bundle: GasBundle) -> int:
         """The gas of one charge of ``bundle``: its words x this table's costs."""
-        cost = self.__dict__
-        return sum(cost[op_kind] * words for op_kind, words in bundle)
+        return sum(self.cost(op_kind) * words for op_kind, words in bundle)
 
     @classmethod
     def from_dict(cls, raw: object) -> "GasTable":

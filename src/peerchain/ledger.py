@@ -363,15 +363,21 @@ class Ledger:
         if agent == self.REQUESTER or agent == self.CHAIN:
             raise ValueError(f"{agent!r} is a reserved party name")
         ids = tuple(question_ids)
+        if set(map(type, ids)) != {str}:
+            _require_question_ids(ids)
+        if not ids or len(set(ids)) != len(ids):
+            raise ValueError("question selection must be nonempty and unique")
         # canonical posted order makes batch slicing independent of input order;
-        # each id's position is looked up once, and the checks run in full only on a fault
+        # sorted computes keys in input order, so the first unposted id is named
         try:
             sel = tuple(sorted(ids, key=self._posted_order.__getitem__))
-        except (KeyError, TypeError):  # an unposted or unhashable id
-            sel = ()
-        if (not sel or set(map(type, ids)) != {str} or len(set(ids)) != len(ids)
-                or deposit < self.config.min_agent_deposit):
-            self._check_selection(ids, deposit)
+        except KeyError as e:
+            raise UnknownQuestion(f"question {e.args[0]!r} was never posted") from None
+        if deposit < self.config.min_agent_deposit:
+            raise InsufficientDeposit(
+                f"{self.config.mechanism.value} rounds require at least "
+                f"{self.config.min_agent_deposit} units, got {deposit}"
+            )
         self._record("select", agent, {"questions": list(ids), "deposit": deposit})
         bs = self.config.batch_size
         self.batches[agent] = tuple(sel[i:i + bs] for i in range(0, len(sel), bs))
@@ -379,21 +385,6 @@ class Ledger:
         self.agent_deposits[agent] = deposit
         self.gas.charge("selection", agent,
                         GasBundle([("tx_base", 1), ("storage_write_new_word", 1 + ceil(len(ids) / 16))]))
-
-    def _check_selection(self, ids: tuple, deposit: int) -> None:
-        """Raise the first fault of a selection, in this order: a non-str id,
-        an empty or repeated selection, an unposted id, a short deposit."""
-        _require_question_ids(ids)
-        if not ids or len(set(ids)) != len(ids):
-            raise ValueError("question selection must be nonempty and unique")
-        for q in ids:
-            if q not in self._posted_order:
-                raise UnknownQuestion(f"question {q!r} was never posted")
-        if deposit < self.config.min_agent_deposit:
-            raise InsufficientDeposit(
-                f"{self.config.mechanism.value} rounds require at least "
-                f"{self.config.min_agent_deposit} units, got {deposit}"
-            )
 
     def agent_batches(self, agent: str) -> tuple[tuple[str, ...], ...]:
         """The agent's selected questions sliced into commitment batches."""

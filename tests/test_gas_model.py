@@ -100,6 +100,8 @@ def test_ledger_aggregation_and_invariant():
         ("settle", "requester", "memory_word", 0, 0),
     ]
     assert DEFAULT_GAS_TABLE.gas(GasBundle([("tx_base", 1), ("hash_base", 2)])) == 21_060
+    with pytest.raises(UnknownOpKind):     # a plain tuple is priced through cost()
+        DEFAULT_GAS_TABLE.gas((("tx_base", 1), ("nonsense", 2)))
 
 
 @pytest.mark.parametrize("op_kind", ["from_dict", "cost", "gas", "__doc__", "", "__init__", None, ["tx_base"]])

@@ -1,5 +1,6 @@
 """Ledger state machine: lifecycle, integrity, settlement, replay."""
 
+import hashlib
 import itertools
 import json
 import re
@@ -407,12 +408,13 @@ def _answers_of(message, order):
     return {order[j]: bit for j, bit in zip(slots.tolist(), bits.tolist())}
 
 
-def _round_with_every_reveal_outcome():
-    """A settled two-question-batch OA round whose reveals are accepted,
-    duplicated, malformed and failed, and the cells its accepted batches hold."""
-    ledger = Ledger(LedgerConfig(mechanism=Mechanism.OA, batch_size=2))
+def _round_with_every_reveal_outcome(mechanism=Mechanism.OA, requester_deposit=0):
+    """A settled two-question-batch round whose reveals are accepted,
+    duplicated, malformed and failed, and the cells its accepted batches hold.
+    Every agent pays the mechanism's minimum deposit."""
+    ledger = Ledger(LedgerConfig(mechanism=mechanism, alpha=F(1, 2), batch_size=2))
     questions = ("q1", "q2", "q3", "q4", "q5")
-    ledger.post_questions(questions, 1000)
+    ledger.post_questions(questions, 1000, requester_deposit)
     answers = {
         "A": [("q1", 1), ("q2", 0), ("q3", 1), ("q5", 0)],
         "B": [("q1", 1), ("q4", 1)],
@@ -420,7 +422,7 @@ def _round_with_every_reveal_outcome():
         "D": [("q1", 0), ("q5", 1)],
     }
     for agent, cells in answers.items():
-        ledger.select_questions(agent, [q for q, _bit in cells])
+        ledger.select_questions(agent, [q for q, _bit in cells], ledger.config.min_agent_deposit)
     ledger.tick(10)
     keys = {agent: _commit_and_reveal(ledger, agent, cells) for agent, cells in answers.items()}
     kept = {}
@@ -438,6 +440,36 @@ def _round_with_every_reveal_outcome():
     assert sorted(n.kind for n in ledger.notes) == ["duplicate", "failed-verification", "malformed"]
     ledger.settle()
     return ledger, kept
+
+
+# SHA-256 of the event log, the gas report rows (one comma-joined line each)
+# and the settlement CSV of `_round_with_every_reveal_outcome(Mechanism.PTSC,
+# 500_000)`: the only pinned round with discarded and duplicate reveals
+DISCARDED_REVEALS_SHA256 = {
+    "log": "8315d2db0632ad1c8708a2a303ee14b4391a29d629b44a4a235517406c61d6c0",
+    "gas": "23d6bb10258f6a1e9151d2d857accdaee355dff3da7e7d7fc4568258b0d58927",
+    "csv": "ca6f396cabec8b4551d5f405a2cd7727c30e83b5f14402a956c7c11c8b3295e3",
+}
+
+
+def _pinned_outputs(ledger):
+    gas = "".join(",".join(map(str, row)) + "\n" for row in ledger.gas.report_rows())
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in (("log", ledger.dump()), ("gas", gas), ("csv", ledger.settlement.to_csv()))}
+
+
+def test_a_round_with_discarded_reveals_and_its_replay_are_pinned():
+    # a malformed reveal, a failed verification and a duplicate each pay the
+    # reveal's words without the accepted reveal's storage word; the requester's
+    # deposit runs out part way through C's gas, and D, with nothing accepted,
+    # is not reimbursed
+    ledger, _kept = _round_with_every_reveal_outcome(Mechanism.PTSC, 500_000)
+    assert [n.kind for n in ledger.notes if n.batch is not None] == ["malformed", "failed-verification", "duplicate"]
+    reimbursed = [row.gas_reimbursed for row in ledger.settlement.rows]
+    assert reimbursed[:2] == [ledger.gas.per_agent[a] for a in "AB"]
+    assert 0 < reimbursed[2] < ledger.gas.per_agent["C"] and reimbursed[3] == 0
+    assert _pinned_outputs(ledger) == DISCARDED_REVEALS_SHA256
+    assert _pinned_outputs(Ledger.load(ledger.dump())) == DISCARDED_REVEALS_SHA256
 
 
 def test_accepted_batches_are_the_only_store_of_revealed_answers():

@@ -13,8 +13,11 @@ This slot rule, the key range and the layout below each live once here,
 shared by `PackedAnswerVector`, `SecretKey`, `layout_bytes` and
 `verify_reveal`, which checks a reveal from its two integers (message,
 key) and refuses any message the rule rejects, so a reveal opens to
-exactly the message that was hashed or to nothing.  ``decode_slots`` is the
-one slot decoder: it reads a whole list of messages in one numpy pass.
+exactly the message that was hashed or to nothing.  ``encode_slots`` is the
+one slot encoder and ``decode_slots`` its inverse, the one slot decoder:
+each handles every message of a round in one numpy pass.  ``pack`` checks
+one batch's (question, bit) pairs and builds its message with
+``encode_slots``.
 
 Canonical byte layout (22 bytes, 176 bits, bit i = bit i%8 of byte i//8):
 
@@ -136,12 +139,56 @@ def decode_slots(messages: list[int], slots: list[int]) -> tuple[np.ndarray, np.
     return t, j, bits[t, 2 * j + 1].astype(np.int64)
 
 
+def encode_slots(t: np.typing.ArrayLike, j: np.typing.ArrayLike, bits: np.typing.ArrayLike,
+                 count: int) -> list[int]:
+    """The inverse of `decode_slots`: ``count`` messages in which message
+    ``t[e]`` holds the answer bit ``bits[e]`` in slot ``j[e]``, for every
+    entry e of the three equal-length int arrays.  Every other bit is 0.  All
+    messages are packed in one numpy pass.
+
+    Raises ValueError for inputs that are not equal-length 1-D int arrays, a
+    message index outside 0..count-1, a negative slot or a bit outside
+    {0, 1}; TooManyAnswers for a slot of 42 or more; DuplicateAnswer for a
+    (t, j) pair given twice.
+    """
+    if type(count) is not int:
+        require_ints(count=count)  # raises its error for a non-int
+    if count < 0:
+        raise ValueError(f"message count must be nonnegative, got {count}")
+    given = [np.asarray(entries) for entries in (t, j, bits)]
+    for name, e in zip(("t", "j", "bits"), given):  # an empty list is float64
+        if e.ndim != 1 or e.size and e.dtype.kind not in "biu" or e.size != given[0].size:
+            raise ValueError(f"want equal-length 1-D int arrays; {name} is {e.dtype} of shape {e.shape}")
+    if given[0].size:  # compared in their own dtypes, so no cast can wrap a value into range
+        t, j, bits = given
+        if t.min() < 0 or t.max() >= count:
+            raise ValueError(f"message indices must be in 0..{count - 1}")
+        if j.min() < 0:
+            raise ValueError("slots must be nonnegative")
+        if j.max() >= MAX_ANSWERS:
+            raise TooManyAnswers(f"slot {j.max()} is beyond the {MAX_ANSWERS}-answer capacity")
+        if bits.min() < 0 or bits.max() > 1:
+            raise ValueError("answers must be 0 or 1")
+    t, j, bits = np.array(given, dtype=np.int64)
+    grid = np.zeros((count, 8 * _MESSAGE_BYTES), np.uint8)
+    grid[t, 2 * j] = 1
+    if np.count_nonzero(grid) != t.size:
+        taken = set()
+        for pair in zip(t.tolist(), j.tolist()):
+            if pair in taken:
+                raise DuplicateAnswer(f"slot {pair[1]} of message {pair[0]} answered twice")
+            taken.add(pair)
+    grid[t, 2 * j + 1] = bits
+    raw = np.packbits(grid, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(raw[i:i + _MESSAGE_BYTES], "little") for i in range(0, len(raw), _MESSAGE_BYTES)]
+
+
 def pack(answers: list[tuple[str, int]], question_order: list[str] | tuple[str, ...]) -> PackedAnswerVector:
     """Pack (question id, bit) pairs into slots following ``question_order``.
 
     Questions absent from ``answers`` stay unanswered (both bits 0).  Raises
     TooManyAnswers past the 42-slot capacity and UnknownQuestion for ids
-    outside the order.
+    outside the order; the message is built by `encode_slots`.
     """
     order = tuple(question_order)
     if len(answers) > MAX_ANSWERS or len(order) > MAX_ANSWERS:
@@ -150,17 +197,17 @@ def pack(answers: list[tuple[str, int]], question_order: list[str] | tuple[str, 
             f"(got {max(len(answers), len(order))})"
         )
     index = {q: j for j, q in enumerate(order)}
-    m = 0
+    slots: dict[int, int] = {}  # slot -> answer bit, in answer order
     for q, bit in answers:
         if q not in index:
             raise UnknownQuestion(f"question {q!r} not in the commitment's question order")
-        shift = 2 * index[q]
-        if m >> shift & 1:
+        if index[q] in slots:
             raise DuplicateAnswer(f"question {q!r} answered twice")
         if bit not in (0, 1):
             raise ValueError("answers must be 0 or 1")
-        m |= (0b11 if bit else 0b01) << shift
-    return PackedAnswerVector(m, order)
+        slots[index[q]] = 1 if bit else 0
+    (message,) = encode_slots([0] * len(slots), list(slots), list(slots.values()), 1)
+    return PackedAnswerVector(message, order)
 
 
 def layout_bytes(v: PackedAnswerVector, s: SecretKey) -> bytes:

@@ -16,10 +16,12 @@ ledger's commit and reveal bundles are built once, at import, and
 `GasLedger` stores only how many times each (phase, party, bundle) was
 charged; every gas figure it reports is derived from those counts as
 words x the table's cost, and `GasTable.cost` answers only for the
-table's own entries.  The report rows expand the counts per (phase,
-party, op kind), bundles in first-charge order: a key is first charged by
-the first bundle holding it, so each row sits where its key was first
-charged, as if every op kind had been charged on its own.
+table's own entries.  A read of `total`, `per_phase`, `per_party` or
+`per_agent` prices each distinct bundle once.  The report rows expand the
+counts per (phase, party, op kind), bundles in first-charge order: a key
+is first charged by the first bundle holding it, so each row sits where
+its key was first charged, as if every op kind had been charged on its
+own.
 
 `charge_settlement_compute` prices the cells the reward paths score, read
 from the `mechanisms.PeerVisits` that `mechanisms.peer_visits` builds:
@@ -209,11 +211,15 @@ class GasLedger:
         return [(phase, party, op_kind, w, cost(op_kind) * w) for (phase, party, op_kind), w in words.items()]
 
     def _gas_by(self, column: int) -> dict[str, int]:
-        """Gas per phase (column 0) or per party (column 1)."""
-        gas = self.table.gas
+        """Gas per phase (column 0) or per party (column 1), pricing each
+        distinct bundle once."""
+        price: dict[GasBundle, int] = {}
         out: dict[str, int] = {}
         for key, count in self._counts.items():
-            out[key[column]] = out.get(key[column], 0) + count * gas(key[2])
+            gas = price.get(key[2])
+            if gas is None:
+                gas = price[key[2]] = self.table.gas(key[2])
+            out[key[column]] = out.get(key[column], 0) + count * gas
         return out
 
     @property

@@ -56,6 +56,7 @@ from dataclasses import asdict, dataclass, fields
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import ceil, lcm
 
@@ -173,9 +174,10 @@ class LedgerConfig:
             raise ValueError("phase windows must be at least one block")
         object.__setattr__(self, "alpha", require_alpha(self.alpha))
 
-    @property
+    @cached_property
     def min_agent_deposit(self) -> int:
-        """Deposit floor sized to the worst-case negative reward.
+        """Deposit floor sized to the worst-case negative reward, computed on
+        first read and kept (not a field, so not in the genesis payload).
 
         PTSC rewards are bounded below by -alpha and DG by -1 per round;
         OA is never negative, so no deposit is demanded.

@@ -6,13 +6,17 @@ Binarization turns times of at most the threshold (default 1 second,
 inclusive) into answer 1 ("good") and the rest into 0.  Reports are then
 generated from a behavior mix: Truthful agents copy the ground truth,
 Random agents toss a fair coin independent of it, Adversarial agents flip
-every bit.  The default mix is 50/25/25.
+every bit.  The default mix is 50/25/25.  The coin tosses draw exactly the
+stream of one ``randint(0, 1)`` per cell, through C-level iterators.
 
 `run_experiment` drives a complete ledger round (post, select, commit,
 reveal, settle) for one configuration and returns the per-phase gas
 totals plus mean mechanism rewards per behavior class; sweeps over
 packing, mechanisms, and peer counts expose the protocol's cost trends.
-Every output is a pure function of (config, seed).
+The agents' side of the round is built from the reports' row-major
+arrays: their selections, and every batch's message in one
+`commitment.encode_slots` pass.  Every output is a pure function of
+(config, seed).
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from math import floor, isfinite
 
 import numpy as np
@@ -125,9 +131,12 @@ class QoSDataset:
         return cls(tuple(rows))
 
     def corner(self, agents: int, services: int) -> "QoSDataset":
-        """Top-left desk-scale slice, the documented default for tests."""
+        """Top-left desk-scale slice, the documented default for tests; the
+        dataset itself when the slice is all of it."""
         if agents > self.n_agents or services > self.n_services:
             raise ValueError("corner larger than the dataset")
+        if (agents, services) == (self.n_agents, self.n_services):
+            return self
         return QoSDataset(tuple(row[:services] for row in self.response_times[:agents]))
 
 
@@ -192,17 +201,26 @@ class AgentPopulation:
         return out
 
 
+def _coin_tosses(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` fair bits, the values and stream of ``[rng.randint(0, 1) for _
+    in range(count)]``: randint(0, 1) draws ``getrandbits(2)`` until one is
+    below 2, and so does this, through C-level iterators, not a Python loop."""
+    draws = filter((2).__gt__, iter(partial(rng.getrandbits, 2), None))  # None never comes
+    return np.fromiter(islice(draws, count), np.int64, count)
+
+
 def generate_reports(truth: AnswerMatrix, population: AgentPopulation, seed: int) -> AnswerMatrix:
     """Apply the behavior mix to the ground truth; same sparsity pattern, row-major entries.
 
-    Random agents draw one ``randint(0, 1)`` per cell, in agent and then question order."""
+    Random agents toss one fair coin per cell, in agent and then question
+    order, with `_coin_tosses`: the bits and stream of one ``randint(0, 1)``
+    per cell."""
     behaviors = population.assign(truth.agents).values()  # in truth.agents order
     agent_idx, question_idx = np.nonzero(truth.answered)
     bits = truth.ones[agent_idx, question_idx]
     bits ^= np.array([b is Behavior.ADVERSARIAL for b in behaviors], dtype=bool)[agent_idx]
     drawn = np.array([b is Behavior.RANDOM for b in behaviors], dtype=bool)[agent_idx]
-    rng = random.Random(f"reports:{seed}")
-    bits[drawn] = [rng.randint(0, 1) for _ in range(np.count_nonzero(drawn))]
+    bits[drawn] = _coin_tosses(random.Random(f"reports:{seed}"), np.count_nonzero(drawn))
     return AnswerMatrix(truth.agents, truth.questions, agent_idx, question_idx, bits)
 
 
@@ -296,8 +314,8 @@ def run_experiment(config: ExperimentConfig, dataset: QoSDataset | None = None) 
     """One full protocol round; deterministic in (config, dataset).
 
     The requester posts, every agent with answers selects its questions,
-    and the agents prepare every commitment off-ledger (pack each batch,
-    draw its key, hash its layout) before any is submitted; then every
+    and the agents prepare every commitment off-ledger (encode the batches,
+    draw their keys, hash their layouts) before any is submitted; then every
     batch is committed, revealed and the round settled.  Key draws, and
     commits and reveals, follow agent order and batch order.
     """
@@ -309,29 +327,47 @@ def run_experiment(config: ExperimentConfig, dataset: QoSDataset | None = None) 
     truth = binarize(dataset)
     reports = generate_reports(truth, POPULATION, config.seed)
 
-    # per-agent question set: answered columns in dataset order, truncated
-    selections = {a: list(row)[:config.questions_per_agent] for a, row in reports.answers_by_agent.items()}
+    # each agent selects its answered questions in dataset order, the first
+    # questions_per_agent of them: row-major entries keep an agent's answers
+    # together, so an entry's rank is its place among them
+    agent_idx, question_idx = np.nonzero(reports.answered)
+    if config.questions_per_agent is not None:
+        answered = reports.answered.sum(axis=1)
+        rank = np.arange(agent_idx.size) - (np.cumsum(answered) - answered)[agent_idx]
+        kept = rank < config.questions_per_agent
+        agent_idx, question_idx = agent_idx[kept], question_idx[kept]
+    selected = np.bincount(agent_idx, minlength=len(reports.agents))
 
     led_cfg = config.ledger_config
     ledger = Ledger(led_cfg)
     ledger.post_questions(reports.questions, BUDGET, REQUESTER_DEPOSIT)
     deposit = led_cfg.min_agent_deposit
-    active = [a for a in reports.agents if selections[a]]
-    for a in active:
-        ledger.select_questions(a, selections[a], deposit)
+    names = list(map(reports.questions.__getitem__, question_idx.tolist()))
+    active = []
+    end = 0
+    for a, n in zip(reports.agents, selected.tolist()):
+        if n:
+            ledger.select_questions(a, names[end:end + n], deposit)
+            active.append(a)
+        end += n
     ledger.tick(led_cfg.selection_blocks)
 
-    # off-ledger, every agent packs its batches, draws their keys and hashes
-    # their layouts; the hashing runs as one batch per MEMO_SIZE commitments,
-    # so each digest is still in the memo when `commit` and the contract's
-    # reveal check ask for it
+    # off-ledger, the agents encode every batch in one pass, draw the keys
+    # and hash the layouts.  An agent's batches, concatenated, are its
+    # selection in posted order, so the round's batches, in agent and batch
+    # order, cut the kept entries into runs of their sizes: slot j of batch t
+    # holds entry j of run t.  The hashing runs as one batch per MEMO_SIZE
+    # commitments, so each digest is still in the memo when `commit` and the
+    # contract's reveal check ask for it
+    sizes = [len(batch_qs) for a in active for batch_qs in ledger.agent_batches(a)]
+    batch = np.repeat(np.arange(len(sizes)), sizes)
+    slot = np.arange(batch.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    messages = iter(cmt.encode_slots(batch, slot, reports.ones[agent_idx, question_idx], len(sizes)))
     prepared: list[tuple[str, int, cmt.PackedAnswerVector, cmt.SecretKey]] = []
     for a in active:
         key_rng = random.Random(f"key:{config.seed}:{a}")
-        row = reports.answers_by_agent[a]
         for b, batch_qs in enumerate(ledger.agent_batches(a)):
-            answers = [(q, row[q]) for q in batch_qs if q in row]
-            prepared.append((a, b, cmt.pack(answers, batch_qs), cmt.SecretKey.from_rng(key_rng)))
+            prepared.append((a, b, cmt.PackedAnswerVector(next(messages), batch_qs), cmt.SecretKey.from_rng(key_rng)))
     slices = [prepared[i:i + MEMO_SIZE] for i in range(0, len(prepared), MEMO_SIZE)]
     layouts = [[cmt.layout_bytes(vec, key) for _a, _b, vec, key in part] for part in slices]
     for part, part_layouts in zip(slices, layouts):
@@ -355,10 +391,11 @@ def run_experiment(config: ExperimentConfig, dataset: QoSDataset | None = None) 
         else:
             means[b] = None
 
+    per_phase = ledger.gas.per_phase
     return ExperimentReport(
         config=config,
-        gas_per_phase=ledger.gas.per_phase,
-        gas_total=ledger.gas.total,
+        gas_per_phase=per_phase,
+        gas_total=sum(per_phase.values()),
         reward_report=reward_report,
         behavior_means=means,
         ledger=ledger,

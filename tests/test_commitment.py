@@ -18,6 +18,7 @@ from peerchain.commitment import (
     SecretKey,
     commit,
     decode_slots,
+    encode_slots,
     layout_bytes,
     pack,
     verify_reveal,
@@ -202,6 +203,79 @@ def test_decode_slots_on_random_42_slot_messages():
     orders = [tuple(f"q{i}" for i in range(rng.choice((MAX_ANSWERS, rng.randint(0, MAX_ANSWERS)))))
               for _ in messages]
     assert _decoded(messages, orders) == [_answers_slot_by_slot(m, o) for m, o in zip(messages, orders)]
+
+
+@st.composite
+def answered_batches(draw):
+    """Up to 8 batches of up to 42 slots, each with any answered subset: the
+    slot counts and the (t, j, bit) entries in message then slot order."""
+    slots = draw(st.lists(st.integers(0, MAX_ANSWERS), max_size=8))
+    entries = [(t, j, draw(st.integers(0, 1))) for t, n in enumerate(slots)
+               for j in sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else ())]
+    return slots, entries
+
+
+def test_encode_slots_is_the_inverse_of_decode_slots_and_builds_pack(tmp_path):
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(answered_batches(), st.randoms(use_true_random=False))
+    def check(case, rng):
+        slots, entries = case
+        t, j, bits = (list(column) for column in zip(*entries)) if entries else ([], [], [])
+        messages = encode_slots(t, j, bits, len(slots))
+        assert len(messages) == len(slots)
+        assert [a.tolist() for a in decode_slots(messages, slots)] == [t, j, bits]
+        shuffled = rng.sample(entries, len(entries))
+        columns = [np.array([entry[k] for entry in shuffled], np.int64) for k in range(3)]
+        assert encode_slots(*columns, len(slots)) == messages  # entry order does not matter
+        for batch, (n, message) in enumerate(zip(slots, messages)):
+            order = [f"q{i}" for i in range(n)]
+            mine = [(slot, bit) for tt, slot, bit in entries if tt == batch]
+            (one,) = encode_slots([0] * len(mine), [slot for slot, _ in mine], [bit for _, bit in mine], 1)
+            answers = [(order[slot], bit) for slot, bit in mine]
+            assert pack(rng.sample(answers, len(answers)), order).message() == one == message
+
+    # keep Hypothesis' constants cache out of the working tree
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+@pytest.mark.parametrize("t, j, bits, count, error, message", [
+    ([0, 0], [1], [1, 0], 1, ValueError, "want equal-length 1-D int arrays; j is int64 of shape (1,)"),
+    ([0], [0], [1, 1], 1, ValueError, "want equal-length 1-D int arrays; bits is int64 of shape (2,)"),
+    ([[0]], [[0]], [[1]], 1, ValueError, "want equal-length 1-D int arrays; t is int64 of shape (1, 1)"),
+    ([0], [0.0], [1], 1, ValueError, "want equal-length 1-D int arrays; j is float64 of shape (1,)"),
+    ([0], [42], [1], 1, TooManyAnswers, "slot 42 is beyond the 42-answer capacity"),
+    ([0, 1], [3, 41], [1, 0], 2, None, None),
+    ([0], [0], [2], 1, ValueError, "answers must be 0 or 1"),
+    ([0], [0], [-1], 1, ValueError, "answers must be 0 or 1"),
+    ([0, 1, 1], [4, 2, 2], [1, 0, 1], 2, DuplicateAnswer, "slot 2 of message 1 answered twice"),
+    ([1], [0], [1], 1, ValueError, "message indices must be in 0..0"),
+    ([-1], [0], [1], 1, ValueError, "message indices must be in 0..0"),
+    ([0], [-1], [1], 1, ValueError, "slots must be nonnegative"),
+    ([], [], [], -1, ValueError, "message count must be nonnegative, got -1"),
+    ([], [], [], 1.0, ValueError, "count must be an int, got 1.0"),
+], ids=["short-j", "long-bits", "2-d", "float-slot", "slot-42", "slot-41-accepted", "bit-2", "bit-minus-1",
+        "repeated-pair", "index-past-count", "negative-index", "negative-slot", "negative-count", "float-count"])
+def test_encode_slots_refuses_bad_entries(t, j, bits, count, error, message):
+    if error is None:
+        assert encode_slots(t, j, bits, count) == [0b11 << 6, 0b01 << 82]
+        return
+    with pytest.raises(error) as raised:
+        encode_slots(t, j, bits, count)
+    assert message in str(raised.value)
+
+
+def test_encode_slots_compares_each_entry_in_its_own_dtype():
+    # uint64 2**64 - 1 must not wrap to -1, nor a uint8 slot 255 to 255 % 42
+    with pytest.raises(ValueError, match="message indices"):
+        encode_slots(np.array([2**64 - 1], np.uint64), [0], [1], 1)
+    with pytest.raises(TooManyAnswers):
+        encode_slots([0], np.array([255], np.uint8), [1], 1)
+    assert encode_slots(np.array([0], np.uint8), np.array([41], np.uint8), np.array([True]), 1) == [0b11 << 82]
+    assert encode_slots([], [], [], 0) == [] and encode_slots([], [], [], 2) == [0, 0]
 
 
 def test_key_range_checked():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import re
 from dataclasses import fields
 from fractions import Fraction as F
@@ -88,6 +89,28 @@ def test_config_validation_and_min_deposits():
     assert LedgerConfig(mechanism=Mechanism.DG).min_agent_deposit == 10**9
     assert LedgerConfig(mechanism=Mechanism.PTSC, alpha=F(1, 2)).min_agent_deposit == 5 * 10**8
     assert LedgerConfig(mechanism=Mechanism.PTSC, alpha=F(1, 3)).min_agent_deposit == 333333334
+
+
+def test_min_agent_deposit_is_computed_once_per_config(tmp_path):
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.sampled_from(list(Mechanism)), st.integers(1, 10**12),
+           st.fractions(min_value=F(1, 10**9), max_value=10**3, max_denominator=10**9).filter(bool))
+    def check(mechanism, scale, alpha):
+        config = LedgerConfig(mechanism=mechanism, alpha=alpha, scale=scale)
+        want = {Mechanism.PTSC: math.ceil(alpha * scale), Mechanism.DG: scale, Mechanism.OA: 0}[mechanism]
+        with mock.patch.object(ledger_module, "ceil", wraps=math.ceil) as ceil:
+            assert config.min_agent_deposit == config.min_agent_deposit == want
+        assert ceil.call_count == (mechanism is Mechanism.PTSC)
+        # kept beside the fields, not one of them: the genesis payload is unchanged
+        assert "min_agent_deposit" not in {f.name for f in fields(config)} | config.to_payload().keys()
+        assert LedgerConfig.from_payload(config.to_payload()) == config
+
+    # keep Hypothesis' constants cache out of the working tree
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -13,6 +13,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from peerchain import commitment as cmt
 from peerchain import keccak, mechanisms, peer_selection, sim
 from peerchain.errors import EmptyDataset, NoNonCommonQuestions
+from peerchain.gas_model import GasLedger, GasTable
 from peerchain.ledger import Ledger, LedgerConfig, Phase
 from peerchain.mechanisms import Mechanism, SampledPeers, compute_rewards
 from peerchain.peer_selection import SelectionSeed
@@ -149,6 +150,15 @@ def test_generate_reports_equals_the_per_cell_walk(desk_truth):
                 assert list(reports.cells.items()) == list(_reports_by_cell(truth, population, seed).items())
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 777, 4096])
+@pytest.mark.parametrize("seed", [0, 1, "reports:7", 2**70])
+def test_coin_tosses_draw_the_bits_and_stream_of_randint(seed, count):
+    fast, reference = random.Random(seed), random.Random(seed)
+    drawn = sim._coin_tosses(fast, count)
+    assert drawn.tolist() == [reference.randint(0, 1) for _ in range(count)]
+    assert fast.getstate() == reference.getstate()
+
+
 def test_population_counts_and_assignment():
     pop = AgentPopulation()
     assert pop.counts(50) == (25, 13, 12)
@@ -241,6 +251,15 @@ def test_run_experiment_deterministic_and_reconciled(desk_dataset):
     assert r1.behavior_means[Behavior.TRUTHFUL] > r1.behavior_means[Behavior.ADVERSARIAL]
 
 
+def test_corner_of_the_whole_dataset_is_the_dataset(desk_dataset):
+    assert desk_dataset.corner(50, 50) is desk_dataset
+    part = desk_dataset.corner(12, 50)
+    assert part.response_times == desk_dataset.response_times[:12]
+    assert desk_dataset.corner(50, 7).response_times == tuple(row[:7] for row in desk_dataset.response_times)
+    with pytest.raises(ValueError, match="corner larger"):
+        desk_dataset.corner(51, 50)
+
+
 def test_run_experiment_rejects_small_dataset(desk_dataset):
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(agents=51), desk_dataset)
@@ -326,6 +345,39 @@ def test_selection_seed_is_hashed_once_per_round_and_replay(monkeypatch):
     Ledger.load(report.ledger.dump())  # a new SelectionSeed from the log
     assert [m for messages, _pad in sponges for m in messages].count(payload) == 0
     assert 1 <= len(lookups) <= 3
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "unpacked"])
+def test_a_round_encodes_every_batch_in_one_call_and_prices_each_bundle_once_per_view(packed, monkeypatch):
+    """A packed 12x12 and an unpacked 12x40 round: one `encode_slots` call,
+    no `pack` call, and every read of a `GasLedger` view calls `GasTable.gas`
+    at most once per distinct bundle."""
+    encodes = _counting(monkeypatch, cmt, "encode_slots")
+    packs = _counting(monkeypatch, cmt, "pack")
+    priced, views = [], []  # every bundle GasTable.gas priced; those of each view read
+    real_gas, real_view = GasTable.gas, GasLedger._gas_by
+
+    def gas(table, bundle):
+        priced.append(bundle)
+        return real_gas(table, bundle)
+
+    def view(ledger, column):
+        start = len(priced)
+        out = real_view(ledger, column)
+        views.append(priced[start:])
+        return out
+
+    monkeypatch.setattr(GasTable, "gas", gas)
+    monkeypatch.setattr(GasLedger, "_gas_by", view)
+    config = ExperimentConfig(mechanism=Mechanism.PTSC, packed=packed, agents=12, seed=1)
+    report = run_experiment(config, QoSDataset.synthetic(12, 12 if packed else 40, seed=1))
+    assert (len(encodes), packs) == (1, [])
+    counts = report.ledger.gas._counts
+    assert len(views) == 2  # per_agent at the settle and per_phase for the report
+    for bundles in views:
+        assert sorted(map(repr, bundles)) == sorted({repr(bundle) for _phase, _party, bundle in counts})
+    assert report.gas_total == report.ledger.gas.total == sum(report.gas_per_phase.values())
+    assert len(report.ledger.commitments) == (12 if packed else len(report.ledger.revealed_cells))
 
 
 # (config, dataset, commitments, gas total, SHA-256 of the event log and of

@@ -5,8 +5,6 @@ from .commitment import (
     LAYOUT_BYTES,
     MAX_ANSWERS,
     Commitment,
-    PackedAnswerVector,
-    SecretKey,
     commit,
     pack,
     verify_reveal,

@@ -7,16 +7,17 @@ commitment therefore covers a whole batch of an agent's answers; rounds
 with more than 42 selected questions use several batches, each under an
 independent secret key.
 
-A packed vector is its message, one int.  For a batch of n questions only
-the low 2n bits may be set, and an answer bit only with its answered bit.
-This slot rule, the key range and the layout below each live once here,
-shared by `PackedAnswerVector`, `SecretKey`, `layout_bytes` and
-`verify_reveal`, which checks a reveal from its two integers (message,
-key) and refuses any message the rule rejects, so a reveal opens to
-exactly the message that was hashed or to nothing.  ``encode_slots`` is the
-one slot encoder and ``decode_slots`` its inverse, the one slot decoder:
-each handles every message of a round in one numpy pass.  ``pack`` checks
-one batch's (question, bit) pairs and builds its message with
+An opening is two ints, the message and the key, from the agent's commit
+to the auditor's check.  For a batch of n questions only the low 2n bits
+of the message may be set, and an answer bit only with its answered bit
+(`require_message`); the key has at most 85 bits.  ``layout_bytes`` is the
+one checked layout: it applies the slot rule and the key range and builds
+the 22 bytes below.  Its two users, ``commit`` and ``verify_reveal``, each
+hash it with one ``keccak256`` call, so a reveal opens to exactly the
+message that was hashed or to nothing.  ``encode_slots`` is the one slot
+encoder and ``decode_slots`` its inverse, the one slot decoder: each
+handles every message of a round in one numpy pass.  ``pack`` checks one
+batch's (question, bit) pairs and builds its message with
 ``encode_slots``.
 
 Canonical byte layout (22 bytes, 176 bits, bit i = bit i%8 of byte i//8):
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateAnswer, TooManyAnswers, UnknownQuestion, require_ints
+from .errors import DuplicateAnswer, TooManyAnswers, UnknownQuestion, require_int_arrays, require_ints
 from .keccak import keccak256
 
 DIGEST_BITS = 256
@@ -47,7 +48,7 @@ ANSWERED = ((1 << 2 * MAX_ANSWERS) - 1) // 3  # bits 0, 2, ..., 82: the answered
 _MESSAGE_BYTES = 11                      # ceil(85 / 8): one message, little-endian
 
 
-def _require_message(message: int, slots: int) -> None:
+def require_message(message: int, slots: int) -> None:
     """The slot rule: an int within the 2n slot bits of an n-slot batch, n at
     most 42, with no answer bit set without its answered bit."""
     if type(message) is not int or type(slots) is not int:
@@ -68,26 +69,6 @@ def _require_key(key: int) -> None:
         raise ValueError(f"secret key must fit in {KEY_BITS} bits")
 
 
-def _layout(message: int, key: int) -> bytes:
-    """The canonical 22 bytes: key in bits 0..84, message from bit 85."""
-    return (key | message << KEY_BITS).to_bytes(LAYOUT_BYTES, "little")
-
-
-@dataclass(frozen=True)
-class SecretKey:
-    """An 85-bit blinding key, generated off-ledger."""
-
-    value: int
-
-    def __post_init__(self):
-        _require_key(self.value)
-
-    @classmethod
-    def from_rng(cls, rng) -> "SecretKey":
-        """Deterministic key for simulations; ``rng`` needs ``getrandbits``."""
-        return cls(rng.getrandbits(KEY_BITS))
-
-
 @dataclass(frozen=True)
 class Commitment:
     digest: bytes
@@ -102,26 +83,6 @@ class Commitment:
     @classmethod
     def from_hex(cls, s: str) -> "Commitment":
         return cls(bytes.fromhex(s))
-
-
-@dataclass(frozen=True)
-class PackedAnswerVector:
-    """One batch's answers as its message m: slot j's bits 2j and 2j+1.
-
-    ``bits`` is the message itself; no other form is kept.  It must obey
-    the slot rule for its n-question order: it fits in the 2n slot bits,
-    and no answer bit is set without its answered bit.
-    """
-
-    bits: int
-    question_order: tuple[str, ...]
-
-    def __post_init__(self):
-        _require_message(self.bits, len(self.question_order))
-
-    def message(self) -> int:
-        """The packed message m as an integer of at most 85 bits."""
-        return self.bits
 
 
 def decode_slots(messages: list[int], slots: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,10 +116,7 @@ def encode_slots(t: np.typing.ArrayLike, j: np.typing.ArrayLike, bits: np.typing
         require_ints(count=count)  # raises its error for a non-int
     if count < 0:
         raise ValueError(f"message count must be nonnegative, got {count}")
-    given = [np.asarray(entries) for entries in (t, j, bits)]
-    for name, e in zip(("t", "j", "bits"), given):  # an empty list is float64
-        if e.ndim != 1 or e.size and e.dtype.kind not in "biu" or e.size != given[0].size:
-            raise ValueError(f"want equal-length 1-D int arrays; {name} is {e.dtype} of shape {e.shape}")
+    given = require_int_arrays(t=t, j=j, bits=bits)
     if given[0].size:  # compared in their own dtypes, so no cast can wrap a value into range
         t, j, bits = given
         if t.min() < 0 or t.max() >= count:
@@ -183,8 +141,8 @@ def encode_slots(t: np.typing.ArrayLike, j: np.typing.ArrayLike, bits: np.typing
     return [int.from_bytes(raw[i:i + _MESSAGE_BYTES], "little") for i in range(0, len(raw), _MESSAGE_BYTES)]
 
 
-def pack(answers: list[tuple[str, int]], question_order: list[str] | tuple[str, ...]) -> PackedAnswerVector:
-    """Pack (question id, bit) pairs into slots following ``question_order``.
+def pack(answers: list[tuple[str, int]], question_order: list[str] | tuple[str, ...]) -> int:
+    """The message of (question id, bit) pairs in slots following ``question_order``.
 
     Questions absent from ``answers`` stay unanswered (both bits 0).  Raises
     TooManyAnswers past the 42-slot capacity and UnknownQuestion for ids
@@ -207,31 +165,34 @@ def pack(answers: list[tuple[str, int]], question_order: list[str] | tuple[str, 
             raise ValueError("answers must be 0 or 1")
         slots[index[q]] = 1 if bit else 0
     (message,) = encode_slots([0] * len(slots), list(slots), list(slots.values()), 1)
-    return PackedAnswerVector(message, order)
+    return message
 
 
-def layout_bytes(v: PackedAnswerVector, s: SecretKey) -> bytes:
-    """Canonical 22-byte layout hashed by ``commit`` (key low, message high)."""
-    if not (isinstance(v, PackedAnswerVector) and isinstance(s, SecretKey)):
-        raise ValueError(
-            f"a layout needs a PackedAnswerVector and a SecretKey, got {type(v).__name__} and {type(s).__name__}"
-        )
-    return _layout(v.bits, s.value)
+def layout_bytes(message: int, key: int, slots: int) -> bytes:
+    """The canonical 22 bytes of a ``slots``-question batch's opening: key in
+    bits 0..84, message from bit 85.
+
+    Raises as `require_message` for a message the slot rule refuses
+    (ValueError, or TooManyAnswers past 42 slots), then ValueError for a
+    key that is not an int of at most 85 bits.
+    """
+    require_message(message, slots)
+    _require_key(key)
+    return (key | message << KEY_BITS).to_bytes(LAYOUT_BYTES, "little")
 
 
-def commit(v: PackedAnswerVector, s: SecretKey) -> Commitment:
-    """Keccak-256 commitment over the canonical layout of (S, m)."""
-    return Commitment(keccak256(layout_bytes(v, s)))
+def commit(message: int, key: int, slots: int) -> Commitment:
+    """Keccak-256 commitment over the checked layout of (message, key)."""
+    return Commitment(keccak256(layout_bytes(message, key, slots)))
 
 
 def verify_reveal(c: Commitment, message: int, key: int, slots: int) -> bool:
     """True iff the revealed (message, key) of a ``slots``-question batch reproduce ``c``.
 
-    Raises as `PackedAnswerVector` and `SecretKey` would for a message or key
-    they refuse, and ValueError for a ``c`` that is not a Commitment.
+    Raises as `layout_bytes` does for a message or key it refuses, and
+    ValueError for a ``c`` that is not a Commitment.
     """
-    _require_message(message, slots)
-    _require_key(key)
+    layout = layout_bytes(message, key, slots)
     if not isinstance(c, Commitment):
         raise ValueError(f"a reveal is checked against a Commitment, got {type(c).__name__}")
-    return keccak256(_layout(message, key)) == c.digest
+    return keccak256(layout) == c.digest

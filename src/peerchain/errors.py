@@ -1,10 +1,13 @@
 """Domain errors shared across the protocol modules.
 
 Every error the CLI maps to exit code 1 derives from ``PeerchainError``.
-``require_ints`` is the one check that a count, index or seed is an int.
+``require_ints`` is the one check that a count, index or seed is an int,
+and ``require_int_arrays`` the one check of a set of entry arrays.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def require_ints(**values: object) -> None:
@@ -12,6 +15,17 @@ def require_ints(**values: object) -> None:
     for name, v in values.items():
         if isinstance(v, bool) or not isinstance(v, int):
             raise ValueError(f"{name} must be an int, got {v!r}")
+
+
+def require_int_arrays(**entries: np.typing.ArrayLike) -> list[np.ndarray]:
+    """The entries as arrays, in the order given; ValueError for the first
+    that is not a 1-D int array as long as the first (an empty list is
+    float64, so it passes as long as it is empty)."""
+    given = [np.asarray(e) for e in entries.values()]
+    for name, e in zip(entries, given):
+        if e.ndim != 1 or e.size and e.dtype.kind not in "biu" or e.size != given[0].size:
+            raise ValueError(f"want equal-length 1-D int arrays; {name} is {e.dtype} of shape {e.shape}")
+    return given
 
 
 class PeerchainError(Exception):

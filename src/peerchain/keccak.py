@@ -29,15 +29,17 @@ entry evicts the oldest with ``popitem(last=False)``.  A commitment's
 22-byte layout is hashed four times: by the agent when it commits, by the
 contract when it checks the reveal, by ``Ledger.load`` when a replay
 checks that reveal again, and by ``audit`` over the replayed ledger.
-``sim.run_experiment`` hashes every layout of a round through
-``keccak256_many`` before it commits, so each of the four ``keccak256``
-calls finds the digest in the memo.  The memo is keyed on the exact input
-bytes, so a hit returns the digest the sponge would compute;
-``bytearray`` and ``memoryview`` inputs are copied to ``bytes`` first, so
-a buffer mutated after it was hashed is hashed afresh.  Every digest takes
-bytes-like input only, through ``memoryview``: an int, a str, a list of
-ints or ``None`` raises ``TypeError`` rather than hash what ``bytes()``
-would make of it (an int n makes n zero bytes).  ``MEMO_SIZE`` is 1,024
+``sim.run_experiment`` pre-hashes: it builds every layout of a round with
+``commitment.layout_bytes`` from the batch's (message, key) ints, the
+bytes ``commit`` and ``verify_reveal`` build from the same ints, and
+hashes them through ``keccak256_many`` before it commits, so each of the
+four ``keccak256`` calls finds the digest in the memo.  The memo is keyed
+on the exact input bytes, so a hit returns the digest the sponge would
+compute; ``bytearray`` and ``memoryview`` inputs are copied to ``bytes``
+first, so a buffer mutated after it was hashed is hashed afresh.  Every
+digest takes bytes-like input only, through ``memoryview``: an int, a str,
+a list of ints or ``None`` raises ``TypeError`` rather than hash what
+``bytes()`` would make of it (an int n makes n zero bytes).  ``MEMO_SIZE`` is 1,024
 layouts, about 160 kB, well above the 112 commitments of a packed 56x56
 round and the 333-353 of a 12x40 unpacked one.  A hit costs about
 0.3 us.  A batch of more than ``MEMO_SIZE`` distinct messages returns

@@ -39,12 +39,15 @@ and post, select and settle build theirs per call:
 * reveal (`_REVEAL_GAS`): tx_base; one storage read (the digest), one hash
   of the 22-byte layout, one comparison.  An accepted reveal charges
   `_ACCEPTED_REVEAL_GAS` instead: the same words plus one new storage word.
-  `commitment.verify_reveal` checks the (message, key) integers: a message
-  the slot rule refuses or a key beyond 85 bits is malformed and discarded,
-  so an accepted message is exactly the one that was hashed.  `audit`
-  re-checks each accepted pair the same way.  Accepted (message, key)
-  pairs hold the answers; ``revealed_matrix`` decodes them all in one
-  `commitment.decode_slots` call.
+  `reveal` is the one way to open a commitment, from the (message, key)
+  integers, which `commitment.verify_reveal` checks: a message the slot
+  rule refuses or a key beyond 85 bits is malformed and discarded, so an
+  accepted message is exactly the one that was hashed.  `audit` re-checks
+  each accepted pair the same way; for an accepted batch without a
+  commitment it checks only the message, by `commitment.require_message`,
+  and reads no key.  Accepted (message, key) pairs hold the answers;
+  ``revealed_matrix`` decodes them all in one `commitment.decode_slots`
+  call.
 * settle: three charges, tx_base; the mechanism's compute pattern via
   `gas_model.charge_settlement_compute`; one update word per party paid.
 """
@@ -453,10 +456,6 @@ class Ledger:
         self.notes.append(note)
         self.discarded[(agent, batch)] = note
 
-    def reveal_vector(self, agent: str, batch: int, vector: cmt.PackedAnswerVector, key: cmt.SecretKey) -> bool:
-        """Convenience wrapper over `reveal` for already-packed answers."""
-        return self.reveal(agent, batch, vector.message(), key.value)
-
     # -- settlement ---------------------------------------------------------------
 
     @property
@@ -600,7 +599,7 @@ class Ledger:
             order = self.batches[agent][batch]
             commitment_ = self.commitments.get((agent, batch))
             if commitment_ is None:
-                cmt.PackedAnswerVector(message, order)  # the stored message must still obey the slot rule
+                cmt.require_message(message, len(order))  # the stored message must still obey the slot rule
                 findings.append(f"accepted reveal without commitment: {agent} batch {batch}")
             elif not cmt.verify_reveal(commitment_, message, key_value, len(order)):
                 findings.append(f"stored reveal fails verification: {agent} batch {batch}")

@@ -74,7 +74,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyMatrix, NoNonCommonQuestions, require_ints
+from .errors import EmptyMatrix, NoNonCommonQuestions, require_int_arrays, require_ints
 from .peer_selection import (
     DRAW_MEMO_SIZE,
     SelectionSeed,
@@ -155,10 +155,7 @@ class AnswerMatrix:
             raise ValueError("duplicate agent ids")
         if len(self.question_index) != m:
             raise ValueError("duplicate question ids")
-        given = [np.asarray(entries) for entries in (agent_idx, question_idx, bits)]
-        for name, e in zip(("agent_idx", "question_idx", "bits"), given):  # an empty list is float64
-            if e.ndim != 1 or e.size and e.dtype.kind not in "biu" or e.size != given[0].size:
-                raise ValueError(f"want equal-length 1-D int arrays; {name} is {e.dtype} of shape {e.shape}")
+        given = require_int_arrays(agent_idx=agent_idx, question_idx=question_idx, bits=bits)
         ai, qi, b = given  # compared in their own dtypes, so no cast can wrap a value into range
         if not ((0 <= ai) & (ai < n) & (0 <= qi) & (qi < m) & (0 <= b) & (b <= 1)).all():
             _refuse_first_bad_entry(self.agents, self.questions, given)
@@ -209,7 +206,8 @@ class RewardReport:
     r_min: Fraction | None = None  # smallest nonzero R_i(y) used (PTSC only)
 
     def validate_bounds(self) -> None:
-        """Assert the mechanism-specific reward range; used by tests."""
+        """Assert the mechanism-specific reward range; the tests and the
+        benchmark's round check (`perfbench` `_check_round`, every round) call it."""
         for agent, r in self.per_agent_reward.items():
             if self.mechanism is Mechanism.OA:
                 ok = ZERO <= r <= ONE

@@ -102,11 +102,8 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next(self) -> int:
-        # _finalize written out: draws are the hot loop of peer sampling
-        z = self.state = (self.state + _GOLDEN) & _MASK64
-        z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ z >> 27) * 0x94D049BB133111EB) & _MASK64
-        return z ^ z >> 31
+        self.state = (self.state + _GOLDEN) & _MASK64
+        return _finalize(self.state)
 
 
 @dataclass(frozen=True)
@@ -130,8 +127,7 @@ def seed_state(seed: SelectionSeed | int) -> int:
     """The 64-bit state a seed starts its stream from: a ``SelectionSeed``'s
     ``seed64()``, or an int mod 2**64.  Raises ValueError for anything else,
     a bool included."""
-    # the exact type first: `peer_visits` passes one int seed per sampled cell
-    if type(seed) is int or isinstance(seed, int) and not isinstance(seed, bool):
+    if isinstance(seed, int) and not isinstance(seed, bool):
         return seed & _MASK64
     if isinstance(seed, SelectionSeed):
         return seed.seed64()

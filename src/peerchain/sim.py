@@ -363,21 +363,21 @@ def run_experiment(config: ExperimentConfig, dataset: QoSDataset | None = None) 
     batch = np.repeat(np.arange(len(sizes)), sizes)
     slot = np.arange(batch.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     messages = iter(cmt.encode_slots(batch, slot, reports.ones[agent_idx, question_idx], len(sizes)))
-    prepared: list[tuple[str, int, cmt.PackedAnswerVector, cmt.SecretKey]] = []
+    prepared: list[tuple[str, int, int, int, int]] = []  # (agent, batch, message, key, slots)
     for a in active:
         key_rng = random.Random(f"key:{config.seed}:{a}")
         for b, batch_qs in enumerate(ledger.agent_batches(a)):
-            prepared.append((a, b, cmt.PackedAnswerVector(next(messages), batch_qs), cmt.SecretKey.from_rng(key_rng)))
+            prepared.append((a, b, next(messages), key_rng.getrandbits(cmt.KEY_BITS), len(batch_qs)))
     slices = [prepared[i:i + MEMO_SIZE] for i in range(0, len(prepared), MEMO_SIZE)]
-    layouts = [[cmt.layout_bytes(vec, key) for _a, _b, vec, key in part] for part in slices]
+    layouts = [[cmt.layout_bytes(m, k, n) for _a, _b, m, k, n in part] for part in slices]
     for part, part_layouts in zip(slices, layouts):
         keccak256_many(part_layouts)
-        for a, b, vec, key in part:
-            ledger.submit_commitment(a, b, cmt.commit(vec, key))
+        for a, b, m, k, n in part:
+            ledger.submit_commitment(a, b, cmt.commit(m, k, n))
     for part, part_layouts in zip(slices, layouts):
         keccak256_many(part_layouts)  # memo hits, unless the round outgrew the memo
-        for a, b, vec, key in part:
-            ledger.reveal_vector(a, b, vec, key)
+        for a, b, m, k, _n in part:
+            ledger.reveal(a, b, m, k)
     settlement = ledger.settle()
 
     reward_report = settlement.reward_report

@@ -51,13 +51,18 @@ def test_commitment_capacity():
 
     rng = random.Random("capacity")
     trips = 10_000
+    orders, answers, messages = [], [], []
     for _ in range(trips):
         order = [f"q{j}" for j in range(rng.randint(1, 42))]
-        answers = [(q, rng.randint(0, 1)) for q in order if rng.random() < 0.6]
-        vec = cmt.pack(answers, order)
-        if cmt.PackedAnswerVector(vec.message(), tuple(order)) != vec:
-            ok = False
-            break
+        orders.append(order)
+        answers.append({q: rng.randint(0, 1) for q in order if rng.random() < 0.6})
+        messages.append(cmt.pack(list(answers[-1].items()), order))
+    # every message decodes back to its answers
+    t, j, bits = cmt.decode_slots(messages, list(map(len, orders)))
+    decoded = [{} for _ in messages]
+    for message, slot, bit in zip(t.tolist(), j.tolist(), bits.tolist()):
+        decoded[message][orders[message][slot]] = bit
+    ok = ok and decoded == answers
     _verdict("capacity: 85/42 constants, 43rd rejected, round-trip",
              ok, f"{trips} random vectors")
 
@@ -83,27 +88,26 @@ def _prehashed(trials: list, layouts: list[list[bytes]]):
 def test_commit_reveal_integrity():
     rng = random.Random("integrity")
     trials = 10_000
-    drawn = []  # (honest vector, key, tampered vector, tampered key)
+    drawn = []  # (slots, honest message, key, tampered message, tampered key)
     for _ in range(trials):
         order = [f"q{j}" for j in range(rng.randint(1, 42))]
         answers = [(q, rng.randint(0, 1)) for q in order]
-        vec = cmt.pack(answers, order)
-        key = cmt.SecretKey.from_rng(rng)
+        message = cmt.pack(answers, order)
+        key = rng.getrandbits(cmt.KEY_BITS)
         if rng.random() < 0.5:
             # flip one bit of the secret key
-            drawn.append((vec, key, vec, cmt.SecretKey(key.value ^ (1 << rng.randrange(cmt.KEY_BITS)))))
+            drawn.append((len(order), message, key, message, key ^ (1 << rng.randrange(cmt.KEY_BITS))))
         else:
             # flip one answer bit of an answered slot
             j = rng.randrange(len(order))
-            drawn.append((vec, key, cmt.PackedAnswerVector(vec.message() ^ (1 << (2 * j + 1)), tuple(order)), key))
-    layouts = [[cmt.layout_bytes(vec, key), cmt.layout_bytes(bad_vec, bad_key)]
-               for vec, key, bad_vec, bad_key in drawn]
+            drawn.append((len(order), message, key, message ^ (1 << (2 * j + 1)), key))
+    layouts = [[cmt.layout_bytes(message, key, slots), cmt.layout_bytes(bad_message, bad_key, slots)]
+               for slots, message, key, bad_message, bad_key in drawn]
     honest_ok = tampered_rejected = 0
-    for vec, key, bad_vec, bad_key in _prehashed(drawn, layouts):
-        com = cmt.commit(vec, key)
-        slots = len(vec.question_order)
-        honest_ok += cmt.verify_reveal(com, vec.message(), key.value, slots)
-        tampered_rejected += not cmt.verify_reveal(com, bad_vec.message(), bad_key.value, slots)
+    for slots, message, key, bad_message, bad_key in _prehashed(drawn, layouts):
+        com = cmt.commit(message, key, slots)
+        honest_ok += cmt.verify_reveal(com, message, key, slots)
+        tampered_rejected += not cmt.verify_reveal(com, bad_message, bad_key, slots)
     ok = honest_ok == trials and tampered_rejected == trials
     _verdict("commit-reveal integrity: all tampers rejected, honest accepted",
              ok, f"{trials} trials, {tampered_rejected} rejections")
@@ -315,8 +319,8 @@ def _draw_round(rng: random.Random, mech: Mechanism):
     for a in active:
         row = matrix.answers_by_agent[a]
         for b, order in enumerate(ledger.agent_batches(a)):
-            vec = cmt.pack([(q, row[q]) for q in order if q in row], order)
-            reveals.append((a, b, vec, cmt.SecretKey.from_rng(rng)))
+            message = cmt.pack([(q, row[q]) for q in order if q in row], order)
+            reveals.append((a, b, message, rng.getrandbits(cmt.KEY_BITS), len(order)))
     # DG needs the full skip-one pattern to stay valid, so only OA and
     # PTSC rounds exercise the non-revealer path
     skips = [mech is not Mechanism.DG and rng.random() < 0.1 for _ in reveals]
@@ -324,11 +328,11 @@ def _draw_round(rng: random.Random, mech: Mechanism):
 
 
 def _play_round(ledger: Ledger, reveals, skips):
-    for a, b, vec, key in reveals:
-        ledger.submit_commitment(a, b, cmt.commit(vec, key))
-    for (a, b, vec, key), skipped in zip(reveals, skips):
+    for a, b, message, key, slots in reveals:
+        ledger.submit_commitment(a, b, cmt.commit(message, key, slots))
+    for (a, b, message, key, _slots), skipped in zip(reveals, skips):
         if not skipped:
-            assert ledger.reveal_vector(a, b, vec, key)
+            assert ledger.reveal(a, b, message, key)
     if any(skips):
         ledger.tick(ledger.config.reveal_blocks)
     return ledger.settle()
@@ -340,7 +344,7 @@ def test_ledger_conservation():
     negative_rounds = 0
     ok = True
     drawn = [_draw_round(rng, list(Mechanism)[i % 3]) for i in range(rounds)]
-    layouts = [[cmt.layout_bytes(vec, key) for _a, _b, vec, key in reveals]
+    layouts = [[cmt.layout_bytes(message, key, slots) for _a, _b, message, key, slots in reveals]
                for _ledger, reveals, _skips, _budget, _deposit in drawn]
     for ledger, reveals, skips, budget, deposit in _prehashed(drawn, layouts):
         report = _play_round(ledger, reveals, skips)

@@ -14,13 +14,12 @@ from peerchain.commitment import (
     MAX_ANSWERS,
     MESSAGE_BITS,
     Commitment,
-    PackedAnswerVector,
-    SecretKey,
     commit,
     decode_slots,
     encode_slots,
     layout_bytes,
     pack,
+    require_message,
     verify_reveal,
 )
 from peerchain.errors import DuplicateAnswer, TooManyAnswers, UnknownQuestion
@@ -35,13 +34,13 @@ def test_capacity_constants_follow_from_digest_size():
 
 
 def test_pack_small_example_layout():
-    vec = pack([("qa", 1)], ["qa", "qb"])
-    assert vec.message() == 0b11
-    raw = layout_bytes(vec, SecretKey(1))
+    message = pack([("qa", 1)], ["qa", "qb"])
+    assert message == 0b11
+    raw = layout_bytes(message, 1, 2)
     # key bit 0 -> byte 0; message bits 85,86 -> byte 10 bits 5,6
     expected = bytes([1] + [0] * 9 + [0x60] + [0] * 11)
     assert raw == expected
-    assert commit(vec, SecretKey(1)).digest == keccak256(expected)
+    assert commit(message, 1, 2).digest == keccak256(expected)
 
 
 def test_pack_rejects_43rd_answer():
@@ -62,35 +61,34 @@ def test_pack_input_validation():
         pack([("qa", 2)], ["qa"])
 
 
-def test_vector_validation():
+def test_slot_rule_validation():
     with pytest.raises(ValueError):
-        PackedAnswerVector(0b10, ("qa",))  # unanswered slot with answer bit
+        require_message(0b10, 1)  # unanswered slot with answer bit
     with pytest.raises(ValueError):
-        PackedAnswerVector(0b1100, ("qa",))  # bits beyond the slots
+        require_message(0b1100, 1)  # bits beyond the slots
 
 
-def test_vector_rejects_malformed_messages():
+def test_slot_rule_rejects_malformed_messages():
     with pytest.raises(ValueError):
-        PackedAnswerVector(1 << MESSAGE_BITS, ("qa",))
+        require_message(1 << MESSAGE_BITS, 1)
     with pytest.raises(ValueError):
-        PackedAnswerVector(0b11 | 1 << 84, ("qa",))  # a bit beyond the batch's slots
+        require_message(0b11 | 1 << 84, 1)  # a bit beyond the batch's slots
     with pytest.raises(ValueError):
-        PackedAnswerVector(-1, ("qa",))
+        require_message(-1, 1)
     with pytest.raises(TooManyAnswers):
-        PackedAnswerVector(0, tuple(f"q{i}" for i in range(MAX_ANSWERS + 1)))
+        require_message(0, MAX_ANSWERS + 1)
 
 
-def test_roundtrip_random_vectors():
+def test_roundtrip_random_messages():
     rng = random.Random(2024)
     for _ in range(1000):
         n = rng.randint(1, MAX_ANSWERS)
         order = [f"q{i}" for i in range(n)]
         answered = [q for q in order if rng.random() < 0.8]
         answers = [(q, rng.randint(0, 1)) for q in answered]
-        vec = pack(answers, order)
-        back = PackedAnswerVector(vec.message(), tuple(order))
-        assert back == vec
-        assert _decoded([back.message()], [back.question_order]) == [dict(answers)]
+        message = pack(answers, order)
+        require_message(message, n)
+        assert _decoded([message], [order]) == [dict(answers)]
 
 
 SLOT = st.sampled_from((0b00, 0b01, 0b11))  # unanswered, answered 0, answered 1
@@ -111,17 +109,16 @@ def order_and_message(draw):
     return [f"q{i}" for i in range(n)], message
 
 
-def test_vector_keeps_every_bit_or_refuses(tmp_path):
+def test_slot_rule_keeps_every_bit_or_refuses(tmp_path):
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(order_and_message())
     def check(case):
         order, message = case
         try:
-            vec = PackedAnswerVector(message, tuple(order))
+            require_message(message, len(order))
         except ValueError:
             return
-        assert vec.message() == message
-        assert pack(list(_decoded([vec.message()], [vec.question_order])[0].items()), order) == vec
+        assert pack(list(_decoded([message], [order])[0].items()), order) == message
 
     # keep Hypothesis' constants cache out of the working tree
     set_hypothesis_home_dir(tmp_path)
@@ -171,15 +168,16 @@ def test_decode_slots_reads_each_slot_like_the_reference(tmp_path):
         orders, messages = [order for order, _ in cases], [message for _, message in cases]
         assert _decoded(messages, orders) == [_answers_slot_by_slot(m, o) for m, o in zip(messages, orders)]
         for order, message in cases:
+            # the slot rule refuses exactly the messages with bits above the
+            # slots or an answer bit without its flag
             try:
-                vec = PackedAnswerVector(message, tuple(order))
+                require_message(message, len(order))
             except ValueError:
-                # the vector refuses exactly the messages with bits above the slots
-                # or an answer bit without its flag
                 assert message >> 2 * len(order) or any(
                     (message >> 2 * j) & 0b11 == 0b10 for j in range(len(order)))
-                continue
-            assert vec.message() == message  # the vector holds the message decode_slots read
+            else:
+                assert not message >> 2 * len(order)
+                assert all((message >> 2 * j) & 0b11 != 0b10 for j in range(len(order)))
 
     # keep Hypothesis' constants cache out of the working tree
     set_hypothesis_home_dir(tmp_path)
@@ -232,7 +230,7 @@ def test_encode_slots_is_the_inverse_of_decode_slots_and_builds_pack(tmp_path):
             mine = [(slot, bit) for tt, slot, bit in entries if tt == batch]
             (one,) = encode_slots([0] * len(mine), [slot for slot, _ in mine], [bit for _, bit in mine], 1)
             answers = [(order[slot], bit) for slot, bit in mine]
-            assert pack(rng.sample(answers, len(answers)), order).message() == one == message
+            assert pack(rng.sample(answers, len(answers)), order) == one == message
 
     # keep Hypothesis' constants cache out of the working tree
     set_hypothesis_home_dir(tmp_path)
@@ -279,51 +277,51 @@ def test_encode_slots_compares_each_entry_in_its_own_dtype():
 
 
 def test_key_range_checked():
-    SecretKey((1 << KEY_BITS) - 1)
-    with pytest.raises(ValueError):
-        SecretKey(1 << KEY_BITS)
-    with pytest.raises(ValueError):
-        SecretKey(-1)
+    assert layout_bytes(0, (1 << KEY_BITS) - 1, 0) == ((1 << KEY_BITS) - 1).to_bytes(LAYOUT_BYTES, "little")
+    with pytest.raises(ValueError, match="secret key must fit in 85 bits"):
+        layout_bytes(0, 1 << KEY_BITS, 0)
+    with pytest.raises(ValueError, match="secret key must fit in 85 bits"):
+        commit(0, -1, 0)
 
 
 def test_commit_verify_and_tampering():
     rng = random.Random(7)
     order = [f"q{i}" for i in range(10)]
-    vec = pack([(q, rng.randint(0, 1)) for q in order], order)
-    key = SecretKey.from_rng(rng)
-    c = commit(vec, key)
-    assert verify_reveal(c, vec.message(), key.value, len(order))
+    message = pack([(q, rng.randint(0, 1)) for q in order], order)
+    key = rng.getrandbits(KEY_BITS)
+    c = commit(message, key, len(order))
+    assert verify_reveal(c, message, key, len(order))
     # any single-bit flip of the key is rejected
     for bit in range(KEY_BITS):
-        assert not verify_reveal(c, vec.message(), key.value ^ (1 << bit), len(order))
+        assert not verify_reveal(c, message, key ^ (1 << bit), len(order))
     # any single answer-bit flip is rejected
     for j in range(len(order)):
-        assert not verify_reveal(c, vec.message() ^ 1 << (2 * j + 1), key.value, len(order))
+        assert not verify_reveal(c, message ^ 1 << (2 * j + 1), key, len(order))
 
 
 def test_commitment_hex_roundtrip():
-    c = commit(pack([("qa", 1)], ["qa"]), SecretKey(5))
+    c = commit(pack([("qa", 1)], ["qa"]), 5, 1)
     assert Commitment.from_hex(c.hex()) == c
     with pytest.raises(ValueError):
         Commitment(b"\x00" * 31)
 
 
-def _opening_by_objects(c, message, key, order):
-    """The reference check: build the vector and the key, hash their layout
-    and compare digests."""
-    try:
-        vec = PackedAnswerVector(message, order)
-        secret = SecretKey(key)
-    except (ValueError, TooManyAnswers):
+def _reference_opening(c, message, key, slots):
+    """The reference check: the slot rule and the key range as plain integer
+    tests, then keccak256 of the raw layout against the digest."""
+    if not (slots <= MAX_ANSWERS and 0 <= message < 4**slots and 0 <= key < 1 << KEY_BITS
+            and all((message >> 2 * j) & 0b11 != 0b10 for j in range(slots))):
         return "malformed"
-    return "opens" if commit(vec, secret).digest == c.digest else "fails"
+    raw = (key | message << KEY_BITS).to_bytes(LAYOUT_BYTES, "little")
+    return "opens" if keccak256(raw) == c.digest else "fails"
 
 
-def _opening(c, message, key, slots):
+def _refusal(call, *args):
+    """What ``call(*args)`` returns, or the type and message of its refusal."""
     try:
-        return "opens" if verify_reveal(c, message, key, slots) else "fails"
-    except (ValueError, TooManyAnswers):
-        return "malformed"
+        return call(*args), None
+    except (ValueError, TooManyAnswers) as e:
+        return None, (type(e), str(e))
 
 
 @st.composite
@@ -353,15 +351,21 @@ def reveal_cases(draw):
     return c, message, key, tuple(f"q{i}" for i in range(n))
 
 
-def test_verify_reveal_opens_exactly_like_the_vector_and_key(tmp_path):
+def test_commit_and_verify_reveal_open_like_the_reference_layout(tmp_path):
     seen = set()
 
     @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
     @given(reveal_cases())
     def check(case):
         c, message, key, order = case
-        outcome = _opening(c, message, key, len(order))
-        assert outcome == _opening_by_objects(c, message, key, order)
+        n = len(order)
+        committed, commit_refusal = _refusal(commit, message, key, n)
+        opened, verify_refusal = _refusal(verify_reveal, c, message, key, n)
+        assert commit_refusal == verify_refusal  # the same refusal, type and message, or none
+        outcome = "malformed" if verify_refusal else "opens" if opened else "fails"
+        assert outcome == _reference_opening(c, message, key, n)
+        if committed is not None:
+            assert verify_reveal(committed, message, key, n)
         seen.add(outcome)
 
     # keep Hypothesis' constants cache out of the working tree

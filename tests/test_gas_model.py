@@ -284,9 +284,8 @@ def _play_gas_round(selections, commits, reveals):
     keys = {}
     for agent, b in commits:
         order = ledger.agent_batches(agent)[b]
-        vec = cmt.pack([(q, len(q) % 2) for q in order], order)
-        keys[(agent, b)] = (vec.message(), cmt.SecretKey(1000 + 7 * b + int(agent[1:])).value)
-        ledger.submit_commitment(agent, b, cmt.commit(vec, cmt.SecretKey(keys[(agent, b)][1])))
+        keys[(agent, b)] = (cmt.pack([(q, len(q) % 2) for q in order], order), 1000 + 7 * b + int(agent[1:]))
+        ledger.submit_commitment(agent, b, cmt.commit(*keys[(agent, b)], len(order)))
         ref.charge("commit", agent, "tx_base")
         ref.charge("commit", agent, "storage_write_new_word", 1)
         check()

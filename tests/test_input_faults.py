@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 
 from peerchain import cli, commitment as cmt, sim
 from peerchain import incentives as inc
-from peerchain.errors import DegeneratePrior, NonPositiveBeta, PeerchainError
+from peerchain.errors import DegeneratePrior, NonPositiveBeta, PeerchainError, TooManyAnswers
 from peerchain.peer_selection import SelectionSeed
 
 BELIEFS = inc.BeliefModel(F(19, 20), F(24, 25))
-VECTOR = cmt.pack([("q", 1)], ("q",))
-KEY = cmt.SecretKey(1)
+COMMITMENT = cmt.commit(cmt.pack([("q", 1)], ("q",)), 1, 1)
 
 FAULTS = {
     # incentive scenarios: every number goes through exact_number
@@ -39,21 +38,22 @@ FAULTS = {
     "alpha-bound-c-none": (lambda: inc.alpha_bound(10, None, BELIEFS), ValueError),
     "max-saving-none": (lambda: inc.max_saving(None), ValueError),
     # commitments
-    "key-float": (lambda: cmt.SecretKey(1.5), ValueError),
-    "key-bool": (lambda: cmt.SecretKey(True), ValueError),
-    "vector-float": (lambda: cmt.PackedAnswerVector(1.0, ("q",)), ValueError),
-    "vector-bool": (lambda: cmt.PackedAnswerVector(True, ("q",)), ValueError),
+    "commit-key-float": (lambda: cmt.commit(0b11, 1.5, 1), ValueError),
+    "commit-key-bool": (lambda: cmt.commit(0b11, True, 1), ValueError),
+    "message-float": (lambda: cmt.require_message(1.0, 1), ValueError),
+    "message-bool": (lambda: cmt.require_message(True, 1), ValueError),
     "commitment-str": (lambda: cmt.Commitment("x" * 32), ValueError),
-    "commit-vector-none": (lambda: cmt.commit(None, KEY), ValueError),
-    "commit-key-int": (lambda: cmt.commit(VECTOR, 5), ValueError),
-    "layout-message-int": (lambda: cmt.layout_bytes(VECTOR.message(), KEY), ValueError),
+    "commit-message-none": (lambda: cmt.commit(None, 1, 1), ValueError),
+    "commit-slots-none": (lambda: cmt.commit(0b11, 1, None), ValueError),
+    "layout-key-str": (lambda: cmt.layout_bytes(0b11, "1", 1), ValueError),
+    "layout-slots-43": (lambda: cmt.layout_bytes(0, 1, 43), TooManyAnswers),
     "verify-commitment-none": (lambda: cmt.verify_reveal(None, 0b11, 1, 1), ValueError),
-    "verify-commitment-digest": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY).digest, 0b11, 1, 1), ValueError),
-    "verify-vector-object": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), VECTOR, KEY, 1), ValueError),
-    "verify-message-float": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), 3.0, 1, 1), ValueError),
-    "verify-key-bool": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), 0b11, True, 1), ValueError),
-    "verify-slots-float": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), 0b11, 1, 1.0), ValueError),
-    "verify-slots-negative": (lambda: cmt.verify_reveal(cmt.commit(VECTOR, KEY), 0, 1, -1), ValueError),
+    "verify-commitment-digest": (lambda: cmt.verify_reveal(COMMITMENT.digest, 0b11, 1, 1), ValueError),
+    "verify-message-bytes": (lambda: cmt.verify_reveal(COMMITMENT, b"\x03", 1, 1), ValueError),
+    "verify-message-float": (lambda: cmt.verify_reveal(COMMITMENT, 3.0, 1, 1), ValueError),
+    "verify-key-bool": (lambda: cmt.verify_reveal(COMMITMENT, 0b11, True, 1), ValueError),
+    "verify-slots-float": (lambda: cmt.verify_reveal(COMMITMENT, 0b11, 1, 1.0), ValueError),
+    "verify-slots-negative": (lambda: cmt.verify_reveal(COMMITMENT, 0, 1, -1), ValueError),
     # peer selection seeds: two uint256 words
     "seed-timestamp-float": (lambda: SelectionSeed(1.5, 2), ValueError),
     "seed-timestamp-2**256": (lambda: SelectionSeed(2**256, 1), ValueError),

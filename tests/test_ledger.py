@@ -44,10 +44,10 @@ def _commit_and_reveal(ledger, agent, answers):
     """Commit and reveal one agent's answers across all batches."""
     keys = {}
     for b, order in enumerate(ledger.agent_batches(agent)):
-        vec = cmt.pack([(q, bit) for q, bit in answers if q in order], order)
-        key = cmt.SecretKey(1000 + 7 * b + sum(ord(ch) for ch in agent))
-        ledger.submit_commitment(agent, b, cmt.commit(vec, key))
-        keys[b] = (vec, key)
+        message = cmt.pack([(q, bit) for q, bit in answers if q in order], order)
+        key = 1000 + 7 * b + sum(ord(ch) for ch in agent)
+        ledger.submit_commitment(agent, b, cmt.commit(message, key, len(order)))
+        keys[b] = (message, key)
     return keys
 
 
@@ -62,8 +62,8 @@ def _oa_round(budget=1000, requester_deposit=0, peer_mode=ALL_PEERS):
     kb = _commit_and_reveal(ledger, "B", [("q1", 1), ("q2", 0)])
     assert ledger.phase is Phase.REVEAL  # all batches in -> early transition
     for agent, keys in (("A", ka), ("B", kb)):
-        for b, (vec, key) in keys.items():
-            assert ledger.reveal_vector(agent, b, vec, key)
+        for b, (message, key) in keys.items():
+            assert ledger.reveal(agent, b, message, key)
     return ledger
 
 
@@ -264,8 +264,8 @@ def test_ptsc_penalties_draw_on_deposits():
                "C": [("q1", 0), ("q2", 1)]}
     keys = {a: _commit_and_reveal(ledger, a, answers[a]) for a in answers}
     for a, ks in keys.items():
-        for b, (vec, key) in ks.items():
-            assert ledger.reveal_vector(a, b, vec, key)
+        for b, (message, key) in ks.items():
+            assert ledger.reveal(a, b, message, key)
     report = ledger.settle()
     rows = {r.agent: r for r in report.rows}
     assert rows["A"].mechanism_reward == F(-1, 3)
@@ -303,15 +303,15 @@ def test_phase_machine_rejections():
     ledger.tick(10)
     with pytest.raises(WrongPhase):
         ledger.reveal("A", 0, 0, 0)
-    vec = cmt.pack([("q1", 1)], ("q1",))
-    key = cmt.SecretKey(5)
-    ledger.submit_commitment("A", 0, cmt.commit(vec, key))
+    message = cmt.pack([("q1", 1)], ("q1",))
+    key = 5
+    ledger.submit_commitment("A", 0, cmt.commit(message, key, 1))
     with pytest.raises(DuplicateCommitment):
-        ledger.submit_commitment("A", 0, cmt.commit(vec, key))
+        ledger.submit_commitment("A", 0, cmt.commit(message, key, 1))
     assert ledger.phase is Phase.COMMIT
     with pytest.raises(ValueError):
-        ledger.submit_commitment("A", 5, cmt.commit(vec, key))  # no such batch
-    ledger.submit_commitment("B", 0, cmt.commit(vec, key))
+        ledger.submit_commitment("A", 5, cmt.commit(message, key, 1))  # no such batch
+    ledger.submit_commitment("B", 0, cmt.commit(message, key, 1))
     # all batches committed -> reveal phase; unrevealed batches block settle
     assert ledger.phase is Phase.REVEAL
     with pytest.raises(WrongPhase):
@@ -325,14 +325,14 @@ def test_commit_deadline_forces_reveal_phase():
     ledger.select_questions("B", ("q1",))
     ledger.tick(10)
     assert ledger.phase is Phase.COMMIT
-    vec = cmt.pack([("q1", 1)], ("q1",))
-    key = cmt.SecretKey(9)
-    ledger.submit_commitment("A", 0, cmt.commit(vec, key))
+    message = cmt.pack([("q1", 1)], ("q1",))
+    key = 9
+    ledger.submit_commitment("A", 0, cmt.commit(message, key, 1))
     ledger.tick(10)  # commit window closes with B missing
     assert ledger.phase is Phase.REVEAL
     with pytest.raises(NoCommitment):
         ledger.reveal("B", 0, 0, 0)
-    assert ledger.reveal_vector("A", 0, vec, key)
+    assert ledger.reveal("A", 0, message, key)
     report = ledger.settle()
     rows = {r.agent: r for r in report.rows}
     assert rows["B"].mechanism_reward == F(0)
@@ -345,12 +345,12 @@ def test_settle_blocked_while_reveals_outstanding():
     ledger.select_questions("A", ("q1",))
     ledger.select_questions("B", ("q1",))
     ledger.tick(10)
-    vec = cmt.pack([("q1", 0)], ("q1",))
-    ka, kb = cmt.SecretKey(1), cmt.SecretKey(2)
-    ledger.submit_commitment("A", 0, cmt.commit(vec, ka))
-    ledger.submit_commitment("B", 0, cmt.commit(vec, kb))
+    message = cmt.pack([("q1", 0)], ("q1",))
+    ka, kb = 1, 2
+    ledger.submit_commitment("A", 0, cmt.commit(message, ka, 1))
+    ledger.submit_commitment("B", 0, cmt.commit(message, kb, 1))
     assert ledger.phase is Phase.REVEAL
-    ledger.reveal_vector("A", 0, vec, ka)
+    ledger.reveal("A", 0, message, ka)
     with pytest.raises(WrongPhase):
         ledger.settle()  # B's reveal still possible inside the window
     ledger.tick(10)
@@ -364,22 +364,22 @@ def test_reveal_integrity_paths():
     ledger.select_questions("A", ("q1", "q2"))
     ledger.select_questions("B", ("q1",))
     ledger.tick(10)
-    vec = cmt.pack([("q1", 1), ("q2", 0)], ("q1", "q2"))
-    key = cmt.SecretKey(31337)
-    ledger.submit_commitment("A", 0, cmt.commit(vec, key))
-    vb = cmt.pack([("q1", 1)], ("q1",))
-    kb = cmt.SecretKey(5)
-    ledger.submit_commitment("B", 0, cmt.commit(vb, kb))
+    message = cmt.pack([("q1", 1), ("q2", 0)], ("q1", "q2"))
+    key = 31337
+    ledger.submit_commitment("A", 0, cmt.commit(message, key, 2))
+    mb = cmt.pack([("q1", 1)], ("q1",))
+    kb = 5
+    ledger.submit_commitment("B", 0, cmt.commit(mb, kb, 1))
 
     with pytest.raises(UnregisteredAgent):
         ledger.reveal("Z", 0, 0, 0)
     with pytest.raises(NoCommitment):
         ledger.reveal("A", 1, 0, 0)
     # wrong key: discarded, not raised
-    assert not ledger.reveal("A", 0, vec.message(), key.value ^ 1)
+    assert not ledger.reveal("A", 0, message, key ^ 1)
     assert ("A", 0) in ledger.discarded
     # malformed message: answer bit without answered bit
-    assert not ledger.reveal("B", 0, 0b10, kb.value)
+    assert not ledger.reveal("B", 0, 0b10, kb)
     # honest reveal still lands after a failed attempt? no: one discard
     # burns the batch, which is exactly what a contract would do, so the
     # message here is that A's answers stay out of the matrix
@@ -397,11 +397,11 @@ def test_duplicate_reveal_discarded():
     ledger.post_questions(("q1",), budget=100)
     ledger.select_questions("A", ("q1",))
     ledger.tick(10)
-    vec = cmt.pack([("q1", 1)], ("q1",))
-    key = cmt.SecretKey(4)
-    ledger.submit_commitment("A", 0, cmt.commit(vec, key))
-    assert ledger.reveal_vector("A", 0, vec, key)
-    assert not ledger.reveal_vector("A", 0, vec, key)
+    message = cmt.pack([("q1", 1)], ("q1",))
+    key = 4
+    ledger.submit_commitment("A", 0, cmt.commit(message, key, 1))
+    assert ledger.reveal("A", 0, message, key)
+    assert not ledger.reveal("A", 0, message, key)
     assert any(n.kind == "duplicate" for n in ledger.notes)
     assert ledger.revealed_cells == {("A", "q1"): 1}
 
@@ -411,13 +411,13 @@ def test_discard_is_final():
     ledger.post_questions(("q1",), budget=100)
     ledger.select_questions("A", ("q1",))
     ledger.tick(10)
-    vec = cmt.pack([("q1", 1)], ("q1",))
-    key = cmt.SecretKey(4)
-    ledger.submit_commitment("A", 0, cmt.commit(vec, key))
-    assert not ledger.reveal("A", 0, vec.message(), key.value ^ 1)
+    message = cmt.pack([("q1", 1)], ("q1",))
+    key = 4
+    ledger.submit_commitment("A", 0, cmt.commit(message, key, 1))
+    assert not ledger.reveal("A", 0, message, key ^ 1)
     gas = ledger.gas.total
     # the right key comes too late: it pays its gas and lands nothing
-    assert not ledger.reveal_vector("A", 0, vec, key)
+    assert not ledger.reveal("A", 0, message, key)
     assert ledger.gas.total > gas and ledger.events[-1].split(",")[1] == "reveal"
     assert ledger.revealed_cells == {} and ledger.accepted == {}
     assert list(ledger.discarded) == [("A", 0)]
@@ -450,16 +450,16 @@ def _round_with_every_reveal_outcome(mechanism=Mechanism.OA, requester_deposit=0
     keys = {agent: _commit_and_reveal(ledger, agent, cells) for agent, cells in answers.items()}
     kept = {}
     for agent, batches in keys.items():
-        for b, (vec, key) in batches.items():
+        for b, (message, key) in batches.items():
             if (agent, b) == ("C", 0):
-                assert not ledger.reveal(agent, b, 0b10, key.value)  # answer bit without its flag
+                assert not ledger.reveal(agent, b, 0b10, key)  # answer bit without its flag
             elif (agent, b) == ("D", 0):
-                assert not ledger.reveal(agent, b, vec.message(), key.value ^ 1)
+                assert not ledger.reveal(agent, b, message, key ^ 1)
             else:
-                assert ledger.reveal_vector(agent, b, vec, key)
-                kept.update({(agent, q): bit for q, bit in answers[agent] if q in vec.question_order})
-    vec, key = keys["B"][0]
-    assert not ledger.reveal_vector("B", 0, vec, key)
+                assert ledger.reveal(agent, b, message, key)
+                kept.update({(agent, q): bit for q, bit in answers[agent] if q in ledger.agent_batches(agent)[b]})
+    message, key = keys["B"][0]
+    assert not ledger.reveal("B", 0, message, key)
     assert sorted(n.kind for n in ledger.notes) == ["duplicate", "failed-verification", "malformed"]
     ledger.settle()
     return ledger, kept
@@ -592,11 +592,11 @@ def _settled_with_rewards(rewards, deposits, budget, requester_deposit, scale):
     for agent, deposit in zip(agents, deposits):
         ledger.select_questions(agent, ("q",), deposit)
     ledger.tick(10)
-    vec, key = cmt.pack([("q", 1)], ("q",)), cmt.SecretKey(12345)  # one digest: one hash per case
+    message, key = cmt.pack([("q", 1)], ("q",)), 12345  # one digest: one hash per case
     for agent in agents:
-        ledger.submit_commitment(agent, 0, cmt.commit(vec, key))
+        ledger.submit_commitment(agent, 0, cmt.commit(message, key, 1))
     for agent in agents:
-        assert ledger.reveal_vector(agent, 0, vec, key)
+        assert ledger.reveal(agent, 0, message, key)
     report = RewardReport(dict(zip(agents, rewards)), Mechanism.OA)
     with mock.patch.object(ledger_module, "compute_rewards", lambda *args: report):
         return ledger, ledger.settle()
@@ -898,17 +898,17 @@ def test_replay_raises_on_a_line_it_does_not_reproduce(tamper):
 def _staged(phase):
     """A one-agent OA ledger driven to `phase`, with that agent's batch."""
     ledger = Ledger(LedgerConfig(mechanism=Mechanism.OA))
-    vec = cmt.pack([("q1", 1), ("q2", 0)], ("q1", "q2"))
-    key = cmt.SecretKey(7)
+    message = cmt.pack([("q1", 1), ("q2", 0)], ("q1", "q2"))
+    key = 7
     if phase is not Phase.POSTING:
         ledger.post_questions(("q1", "q2"), 1000)
     if phase in (Phase.COMMIT, Phase.REVEAL):
         ledger.select_questions("A", ("q1", "q2"))
         ledger.tick(10)
     if phase is Phase.REVEAL:
-        ledger.submit_commitment("A", 0, cmt.commit(vec, key))
+        ledger.submit_commitment("A", 0, cmt.commit(message, key, 2))
     assert ledger.phase is phase
-    return ledger, vec, key
+    return ledger, message, key
 
 
 @pytest.mark.parametrize("tamper, outcome", [
@@ -928,8 +928,8 @@ def _staged(phase):
         "bits-beyond-slots", "no-commitment-bits-beyond-slots", "no-commitment-key-out-of-range",
         "digest-not-a-commitment"])
 def test_audit_rechecks_each_stored_reveal(tamper, outcome):
-    ledger, vec, key = _staged(Phase.REVEAL)
-    assert ledger.reveal("A", 0, vec.message(), key.value)
+    ledger, message, key = _staged(Phase.REVEAL)
+    assert ledger.reveal("A", 0, message, key)
     tamper(ledger)
     if isinstance(outcome, list):
         assert ledger.audit() == outcome
@@ -939,32 +939,32 @@ def test_audit_rechecks_each_stored_reveal(tamper, outcome):
 
 
 @pytest.mark.parametrize("phase, call", [
-    (Phase.POSTING, lambda led, vec, key: led.post_questions(("q1",), 2.5)),
-    (Phase.POSTING, lambda led, vec, key: led.post_questions(("q1",), True)),
-    (Phase.POSTING, lambda led, vec, key: led.post_questions(("q1",), 10, 0.0)),
-    (Phase.SELECTION, lambda led, vec, key: led.select_questions("A", ("q1",), 0.0)),
-    (Phase.COMMIT, lambda led, vec, key: led.submit_commitment("A", 0.0, cmt.commit(vec, key))),
-    (Phase.REVEAL, lambda led, vec, key: led.reveal("A", 0.0, vec.message(), key.value)),
-    (Phase.REVEAL, lambda led, vec, key: led.reveal("A", False, vec.message(), key.value)),
-    (Phase.REVEAL, lambda led, vec, key: led.reveal("A", 0, "x", key.value)),
-    (Phase.REVEAL, lambda led, vec, key: led.reveal("A", 0, vec.message(), 5.0)),
-    (Phase.POSTING, lambda led, vec, key: SampledPeers(2.0, 1)),
-    (Phase.POSTING, lambda led, vec, key: SampledPeers(True, 1)),
-    (Phase.POSTING, lambda led, vec, key: LedgerConfig(batch_size=2.5)),
-    (Phase.POSTING, lambda led, vec, key: LedgerConfig(scale=1.5)),
-    (Phase.POSTING, lambda led, vec, key: LedgerConfig(selection_blocks=1.5)),
-    (Phase.POSTING, lambda led, vec, key: LedgerConfig(commit_blocks=True)),
-    (Phase.POSTING, lambda led, vec, key: LedgerConfig(reveal_blocks=2.0)),
-    (Phase.POSTING, lambda led, vec, key: LedgerConfig(optimized="yes")),
+    (Phase.POSTING, lambda led, message, key: led.post_questions(("q1",), 2.5)),
+    (Phase.POSTING, lambda led, message, key: led.post_questions(("q1",), True)),
+    (Phase.POSTING, lambda led, message, key: led.post_questions(("q1",), 10, 0.0)),
+    (Phase.SELECTION, lambda led, message, key: led.select_questions("A", ("q1",), 0.0)),
+    (Phase.COMMIT, lambda led, message, key: led.submit_commitment("A", 0.0, cmt.commit(message, key, 2))),
+    (Phase.REVEAL, lambda led, message, key: led.reveal("A", 0.0, message, key)),
+    (Phase.REVEAL, lambda led, message, key: led.reveal("A", False, message, key)),
+    (Phase.REVEAL, lambda led, message, key: led.reveal("A", 0, "x", key)),
+    (Phase.REVEAL, lambda led, message, key: led.reveal("A", 0, message, 5.0)),
+    (Phase.POSTING, lambda led, message, key: SampledPeers(2.0, 1)),
+    (Phase.POSTING, lambda led, message, key: SampledPeers(True, 1)),
+    (Phase.POSTING, lambda led, message, key: LedgerConfig(batch_size=2.5)),
+    (Phase.POSTING, lambda led, message, key: LedgerConfig(scale=1.5)),
+    (Phase.POSTING, lambda led, message, key: LedgerConfig(selection_blocks=1.5)),
+    (Phase.POSTING, lambda led, message, key: LedgerConfig(commit_blocks=True)),
+    (Phase.POSTING, lambda led, message, key: LedgerConfig(reveal_blocks=2.0)),
+    (Phase.POSTING, lambda led, message, key: LedgerConfig(optimized="yes")),
 ], ids=["budget-float", "budget-bool", "requester-deposit-float", "deposit-float", "commit-batch-float",
         "reveal-batch-float", "reveal-batch-bool", "reveal-message-str", "reveal-key-float",
         "k-float", "k-bool", "batch-size-float", "scale-float", "selection-blocks-float",
         "commit-blocks-bool", "reveal-blocks-float", "optimized-str"])
 def test_entry_points_take_only_ints(phase, call):
-    ledger, vec, key = _staged(phase)
+    ledger, message, key = _staged(phase)
     events, gas = list(ledger.events), ledger.gas.total
     with pytest.raises(ValueError):
-        call(ledger, vec, key)
+        call(ledger, message, key)
     assert (ledger.events, ledger.gas.total) == (events, gas)
 
 
@@ -972,8 +972,8 @@ def test_entry_points_take_only_ints(phase, call):
     lambda c: c.digest, lambda c: bytearray(c.digest), lambda c: c.hex(), lambda c: None,
 ], ids=["digest-bytes", "digest-bytearray", "digest-hex", "none"])
 def test_submit_commitment_takes_only_a_commitment(raw):
-    ledger, vec, key = _staged(Phase.COMMIT)
-    commitment_ = cmt.commit(vec, key)
+    ledger, message, key = _staged(Phase.COMMIT)
+    commitment_ = cmt.commit(message, key, 2)
     before = (list(ledger.events), ledger.gas.total, ledger._uncommitted)
     with pytest.raises(ValueError, match="must be a Commitment"):
         ledger.submit_commitment("A", 0, raw(commitment_))
@@ -981,7 +981,7 @@ def test_submit_commitment_takes_only_a_commitment(raw):
     assert ledger.phase is Phase.COMMIT
     ledger.submit_commitment("A", 0, commitment_)
     assert ledger.phase is Phase.REVEAL
-    assert ledger.reveal_vector("A", 0, vec, key)
+    assert ledger.reveal("A", 0, message, key)
 
 
 # a comma would split the party field and a line break the line itself:
@@ -989,7 +989,7 @@ def test_submit_commitment_takes_only_a_commitment(raw):
 @pytest.mark.parametrize("agent", ["a,b", ",", "a\nb", "a\n", "a\r\nb", "\r", "a\x0bb", "a\x0cb", "a\x1cb",
                                    "a\x85b", "a\u2028b", "a\u2029b", 5, None, b"A", ("A",)])
 def test_select_questions_refuses_an_agent_id_its_log_cannot_carry(agent):
-    ledger, _vec, _key = _staged(Phase.SELECTION)
+    ledger, _message, _key = _staged(Phase.SELECTION)
     before = (list(ledger.events), ledger.gas.total)
     with pytest.raises(ValueError, match="agent id"):
         ledger.select_questions(agent, ("q1", "q2"))
@@ -1050,12 +1050,12 @@ def test_select_questions_raises_the_first_fault_in_order(ids, deposit, error, m
 
 
 def test_a_plain_agent_id_replays_byte_for_byte():
-    ledger, vec, key = _staged(Phase.SELECTION)
+    ledger, message, key = _staged(Phase.SELECTION)
     agent = "agent 7: é\t;"
     ledger.select_questions(agent, ("q1", "q2"))
     ledger.tick(10)
-    ledger.submit_commitment(agent, 0, cmt.commit(vec, key))
-    assert ledger.reveal_vector(agent, 0, vec, key)
+    ledger.submit_commitment(agent, 0, cmt.commit(message, key, 2))
+    assert ledger.reveal(agent, 0, message, key)
     ledger.settle()
     assert Ledger.load(ledger.dump()).dump() == ledger.dump()
 
@@ -1070,9 +1070,9 @@ def _settled_round_with_a_failed_reveal():
     keys = {agent: _commit_and_reveal(ledger, agent, [("q1", 1), ("q2", i % 2)])
             for i, agent in enumerate("ABC")}
     for agent, batches in keys.items():
-        for b, (vec, key) in batches.items():
-            value = key.value ^ 1 if agent == "C" else key.value
-            assert ledger.reveal(agent, b, vec.message(), value) == (agent != "C")
+        for b, (message, key) in batches.items():
+            value = key ^ 1 if agent == "C" else key
+            assert ledger.reveal(agent, b, message, value) == (agent != "C")
     ledger.settle()
     return ledger
 
@@ -1224,17 +1224,17 @@ def test_a_cold_sampled_round_draws_in_batches_and_its_replay_draws_nothing(mech
 
 
 def test_a_flipped_key_bit_fails_verification_with_the_honest_layout_memoised(monkeypatch):
-    vec = cmt.pack([("q1", 1), ("q2", 0)], ("q1", "q2"))
-    key = cmt.SecretKey(0x1234_5678_9ABC_DEF0_1357)
-    commitment_ = cmt.commit(vec, key)
+    message = cmt.pack([("q1", 1), ("q2", 0)], ("q1", "q2"))
+    key = 0x1234_5678_9ABC_DEF0_1357
+    commitment_ = cmt.commit(message, key, 2)
     misses = _sponge_runs(monkeypatch)
     for bit in range(cmt.KEY_BITS):
-        ledger, _vec, _key = _staged(Phase.COMMIT)
+        ledger, _message, _key = _staged(Phase.COMMIT)
         ledger.submit_commitment("A", 0, commitment_)
         misses.clear()
-        assert cmt.verify_reveal(commitment_, vec.message(), key.value, 2)
+        assert cmt.verify_reveal(commitment_, message, key, 2)
         assert misses == []  # the honest layout is memoised
-        assert not ledger.reveal("A", 0, vec.message(), key.value ^ 1 << bit)
+        assert not ledger.reveal("A", 0, message, key ^ 1 << bit)
         assert ledger.discarded[("A", 0)].kind == "failed-verification"
         assert ledger.revealed_cells == {}
 

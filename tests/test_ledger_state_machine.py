@@ -71,7 +71,7 @@ class LedgerMachine(RuleBasedStateMachine):
             mechanism=self.mechanism, alpha=F(1, 2), peer_mode=peer_mode,
             batch_size=batch_size, selection_blocks=3, commit_blocks=3, reveal_blocks=3,
         ))
-        self.openings = {}  # (agent, batch) -> (vector, key) of its commitment
+        self.openings = {}  # (agent, batch) -> (message, key, slots) of its commitment
         self.post(budget, deposit)
         for agent, questions in registrations:
             self.select(agent, questions, 0)
@@ -119,13 +119,12 @@ class LedgerMachine(RuleBasedStateMachine):
         batches = self.ledger.batches.get(agent, ())
         if 0 <= batch < len(batches):
             order = batches[batch]
-            vector = cmt.pack([(q, a) for q, a in zip(order, answers) if a is not None], order)
+            message = cmt.pack([(q, a) for q, a in zip(order, answers) if a is not None], order)
         else:
-            vector = cmt.pack([], ())
-        secret = cmt.SecretKey(key)
-        self._call(self.ledger.submit_commitment, agent, batch, cmt.commit(vector, secret))
+            order, message = (), 0
+        self._call(self.ledger.submit_commitment, agent, batch, cmt.commit(message, key, len(order)))
         if (agent, batch) in self.ledger.commitments:
-            self.openings.setdefault((agent, batch), (vector, secret))
+            self.openings.setdefault((agent, batch), (message, key, len(order)))
 
     @in_phase(Phase.REVEAL)
     @rule(anywhere=st.booleans(), pick=st.integers(0, 63),
@@ -135,8 +134,7 @@ class LedgerMachine(RuleBasedStateMachine):
         """Open a committed batch (perhaps again), or anywhere: any (agent, batch)."""
         if self.ledger.commitments and not anywhere:
             agent, batch = list(self.ledger.commitments)[pick % len(self.ledger.commitments)]
-        vector, secret = self.openings.get((agent, batch), (cmt.pack([], ()), cmt.SecretKey(0)))
-        message, key = vector.message(), secret.value
+        message, key, slots = self.openings.get((agent, batch), (0, 0, 0))
         if how == "wrong-key":
             key ^= 1
         elif how == "malformed":
@@ -144,7 +142,7 @@ class LedgerMachine(RuleBasedStateMachine):
         elif how == "out-of-range":
             message = 1 << cmt.MESSAGE_BITS
         elif how == "padded":  # the honest message plus one bit beyond its slots
-            message |= 1 << 2 * len(vector.question_order)
+            message |= 1 << 2 * slots
         decided = (agent, batch) in self.ledger.accepted or (agent, batch) in self.ledger.discarded
         accepted = self._call(self.ledger.reveal, agent, batch, message, key)
         if decided:

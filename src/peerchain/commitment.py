@@ -53,6 +53,8 @@ def require_message(message: int, slots: int) -> None:
     most 42, with no answer bit set without its answered bit."""
     if type(message) is not int or type(slots) is not int:
         require_ints(message=message, slots=slots)  # raises its error for a non-int
+    if slots < 0:
+        raise ValueError(f"slots must be a nonnegative slot count, got {slots}")
     if slots > MAX_ANSWERS:
         raise TooManyAnswers(f"{slots} slots exceed the {MAX_ANSWERS}-answer capacity")
     if not 0 <= message < 1 << 2 * slots:

@@ -37,11 +37,23 @@ the block size.  Agent 0's PTSC utility reads the same four-entry score
 table as the population's, scaled by alpha.  The simulated population is
 capped at MAX_MC_AGENTS, where a chunk keeps about 300 MB and an estimate,
 drawing each chunk beside the last, about 600 MB; the closed forms take any n.
+
+Each chunk uses two threads (numpy's random fills and array loops release
+the GIL).  A helper thread draws the peer stream while the calling thread
+draws the world, and it scores the first half of the rows' population
+scores while the calling thread scores the second half.  Each thread
+scores through its own scratch buffers, so memory grows by one block of
+scratch per thread.  The helper runs under the caller's numpy error
+state, at most one is alive at a time, and it is joined before
+`_Chunk.__init__` or `_Chunk.score_sums` returns.  The world is drawn, and
+every sum taken, on the calling thread in chunk order, and each row's
+score lands in its own slot, so the estimates do not depend on the threads.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -357,6 +369,30 @@ def _chunk_rng(master_seed: int, tag: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, tag, chunk])))
 
 
+def _concurrently(background, foreground) -> None:
+    """Run background() on a helper thread, under this thread's numpy error
+    state, while foreground() runs on this one.  Returns when both are done;
+    an error of foreground() wins, else the helper's error is raised here."""
+    errors = []
+    state = np.geterr()
+
+    def run():
+        try:
+            with np.errstate(**state):
+                background()
+        except BaseException as exc:
+            errors.append(exc)
+
+    helper = threading.Thread(target=run, name="peerchain-mc-helper")
+    helper.start()
+    try:
+        foreground()
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
+
+
 class _Chunk:
     """One chunk's reports x (rounds x n, int8) and raw peer draws (rounds x n,
     the smallest unsigned type that holds n - 1), drawn once for all the
@@ -372,7 +408,9 @@ class _Chunk:
     while `_mc_loop` draws the next.  The draws are made, and the population's
     scores and 0 reports summed, one row block of about BLOCK_CELLS cells at a
     time; each such loop fills scratch buffers of one block, made once per
-    chunk, with ``out=``; every other statistic holds one value per round.
+    chunk and thread, with ``out=``; every other statistic holds one value per
+    round.  The peer draws and the first half of the score rows are the
+    helper thread's (`_concurrently`).
     """
 
     def __init__(self, scenario: IncentiveScenario, master_seed: int, index: int, size: int):
@@ -383,12 +421,18 @@ class _Chunk:
         r0 = 1.0 - r1
         # 1[y = y_peer]/R(y) - 1, indexed by 2 * own report + peer's report
         self.score = np.array([1.0 / r0 - 1.0, 0.0 / r0 - 1.0, 0.0 / r1 - 1.0, 1.0 / r1 - 1.0])
-        self.x = scenario.world.sample_observations(_chunk_rng(master_seed, _TAG_WORLD, index), size, n)
-        self.x0 = self.x[:, 0]
         peer_rng = _chunk_rng(master_seed, _TAG_PEERS, index)
         self.draws = np.empty((size, n), dtype=np.min_scalar_type(n - 1))
-        for s, e in _row_blocks(size, n):
-            self.draws[s:e] = peer_rng.integers(0, n - 1, size=(e - s, n), dtype=np.int32)
+
+        def draw_peers():
+            for s, e in _row_blocks(size, n):
+                self.draws[s:e] = peer_rng.integers(0, n - 1, size=(e - s, n), dtype=np.int32)
+
+        def draw_world():
+            self.x = scenario.world.sample_observations(_chunk_rng(master_seed, _TAG_WORLD, index), size, n)
+
+        _concurrently(draw_peers, draw_world)
+        self.x0 = self.x[:, 0]
 
     @cached_property
     def zeros(self) -> np.ndarray:
@@ -418,15 +462,25 @@ class _Chunk:
         peer on the shared question, where answers are correlated; that gap
         is the whole PTSC incentive.
         """
-        n = self.n
-        sums = np.empty(len(self.x))
-        up = _block_scratch(len(self.x), n, np.bool_)
-        flat = _block_scratch(len(self.x), n, np.int32)
-        code = _block_scratch(len(self.x), n, np.int8)
-        terms = _block_scratch(len(self.x), n, np.float64)
+        rows = len(self.x)
+        sums = np.empty(rows)
+        # the helper thread scores the first half of the rows
+        half = rows // 2
+        _concurrently(lambda: self._score_rows(sums, 0, half), lambda: self._score_rows(sums, half, rows))
+        return sums
+
+    def _score_rows(self, sums: np.ndarray, start: int, stop: int) -> None:
+        """`score_sums` of rows start..stop into sums[start:stop], in row
+        blocks through scratch buffers of one block."""
+        n, rows = self.n, stop - start
+        up = _block_scratch(rows, n, np.bool_)
+        flat = _block_scratch(rows, n, np.int32)
+        code = _block_scratch(rows, n, np.int8)
+        terms = _block_scratch(rows, n, np.float64)
         row_starts = np.arange(0, len(flat) * n, n, dtype=np.int32)[:, None]
         agents = np.arange(n, dtype=self.draws.dtype)
-        for s, e in _row_blocks(len(self.x), n):
+        for s, e in _row_blocks(rows, n):
+            s, e = start + s, start + e
             b, x, d = e - s, self.x[s:e], self.draws[s:e]
             # the flat index within the block of each agent's peer's report
             np.greater_equal(d, agents, out=up[:b])
@@ -438,7 +492,6 @@ class _Chunk:
             code[:b] += x
             np.take(self.score, code[:b], out=terms[:b], mode="clip")
             terms[:b].sum(axis=1, out=sums[s:e])
-        return sums
 
     @cached_property
     def peer0(self) -> np.ndarray:

@@ -317,7 +317,7 @@ def peer_visits(matrix: AnswerMatrix, peer_mode: PeerMode) -> PeerVisits:
         # a cell's matches: the other answerers of its question with the same bit
         same = np.where(ones == 1, said_one, answerers - said_one) - 1
         by_size = {}
-        for s in np.unique(pools[pools > 0]).tolist():
+        for s in np.flatnonzero(np.bincount(pools[pools > 0])).tolist():
             block = answered[:, pools == s]
             shared = block @ block.T  # questions with s peers both answered
             np.fill_diagonal(shared, 0)
@@ -351,7 +351,7 @@ def peer_visits(matrix: AnswerMatrix, peer_mode: PeerMode) -> PeerVisits:
     pair, size = agent * n_agents + drawn, np.repeat(sizes, sizes)
     by_size = {
         s: np.bincount(pair[size == s], minlength=n_agents**2).reshape(n_agents, n_agents)
-        for s in np.unique(sizes).tolist()
+        for s in np.flatnonzero(np.bincount(sizes)).tolist()
     }
     return PeerVisits(peers, matches, by_size)
 
@@ -477,7 +477,7 @@ def compute_rewards(
         d = n * others[agent, y]
         terms = [(agent, d, m * totals[agent] - d)]
         # the smallest nonzero R_i(y) of an answer y that agent i gave in a scored cell
-        i, y = np.divmod(np.unique(agent * 2 + y), 2)
+        i, y = np.divmod(np.flatnonzero(np.bincount(agent * 2 + y)), 2)
         r_min = min(map(Fraction, others[i, y].tolist(), totals[i].tolist()), default=None)
     elif mechanism is Mechanism.DG:
         require_exclusive_questions(matrix, peer_mode, visits)

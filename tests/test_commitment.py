@@ -79,6 +79,15 @@ def test_slot_rule_rejects_malformed_messages():
         require_message(0, MAX_ANSWERS + 1)
 
 
+def test_a_negative_slot_count_is_refused_by_name():
+    # refused before the slot count becomes a shift count
+    c = commit(0, 1, 0)
+    for call in (lambda: require_message(0, -1), lambda: layout_bytes(0, 1, -1),
+                 lambda: commit(0, 1, -1), lambda: verify_reveal(c, 0, 1, -1)):
+        with pytest.raises(ValueError, match="slots must be a nonnegative slot count, got -1"):
+            call()
+
+
 def test_roundtrip_random_messages():
     rng = random.Random(2024)
     for _ in range(1000):

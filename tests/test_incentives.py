@@ -1,5 +1,7 @@
 """Belief formulas, world calibration, and Monte-Carlo equilibrium checks."""
 
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction as F
 from math import sqrt
@@ -409,6 +411,17 @@ def test_estimates_equal_the_whole_population_reference_at_the_population_cap():
     _assert_equal_to_the_reference(sc, 2 * inc._block_rows(sc.n) + 1, 7, 0.6)
 
 
+def test_estimates_equal_the_whole_population_reference_when_threads_switch_often():
+    # the helper thread draws the peers and scores half the rows beside the
+    # calling thread; every switch between them must leave the estimates alone
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_equal_to_the_reference(example_scenario(), 2 * inc._block_rows(10) + 3, 5, 0.7)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("n", [2, 10, 300])
 @pytest.mark.parametrize("block_cells", [1, 7, 64])
 def test_estimates_do_not_depend_on_the_block_size(monkeypatch, n, block_cells):
@@ -447,6 +460,45 @@ def test_a_chunk_peaks_below_ten_bytes_per_round_and_agent(estimate):
     finally:
         tracemalloc.stop()
     assert peak / (CHUNK_ROUNDS * sc.n) < 10
+
+
+@pytest.mark.parametrize("broken", ["peer stream", "world"])
+def test_an_error_on_either_thread_reaches_the_caller(monkeypatch, broken):
+    # the peer stream is drawn on the helper thread, the world on the caller's
+    before = threading.active_count()
+    alive = []
+    chunk_rng = inc._chunk_rng
+
+    class Broken:
+        def integers(self, *args, **kwargs):
+            alive.append(threading.active_count())
+            raise RuntimeError(f"{broken} broke")
+
+        random = integers
+
+    def rng(master_seed, tag, chunk):
+        wanted = inc._TAG_PEERS if broken == "peer stream" else inc._TAG_WORLD
+        return Broken() if tag == wanted else chunk_rng(master_seed, tag, chunk)
+
+    monkeypatch.setattr(inc, "_chunk_rng", rng)
+    for estimate in (payment_mc, lambda sc, rounds: incentive_estimates(sc, [ALWAYS_0], rounds)):
+        with pytest.raises(RuntimeError, match=f"{broken} broke"):
+            estimate(example_scenario(), rounds=CHUNK_ROUNDS + 1)
+        assert threading.active_count() == before
+    # at most one helper thread, alive while it draws the peers
+    assert len(alive) == 2 and all(count <= before + 1 for count in alive)
+    if broken == "peer stream":
+        assert alive == [before + 1] * 2
+
+
+def test_the_helper_thread_runs_under_the_callers_numpy_error_state():
+    # numpy's error state is per thread, and an overflow's RuntimeWarning is
+    # an error under this suite's warning filters
+    huge = np.array([1e308])
+    with np.errstate(over="ignore"):
+        inc._concurrently(lambda: huge * 10, lambda: None)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        inc._concurrently(lambda: huge * 10, lambda: None)
 
 
 def test_mc_population_is_capped_before_any_draw(monkeypatch):

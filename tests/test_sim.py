@@ -1,9 +1,12 @@
 """Dataset handling, behavior mixes, and the end-to-end experiment driver."""
 
 import hashlib
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -453,3 +456,24 @@ def test_dg_settle_builds_pair_counts_once(monkeypatch):
     builds.clear()
     Ledger.load(report.ledger.dump())
     assert len(builds) == 1
+
+
+def test_a_round_and_its_replay_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 18 ms of a fresh
+    # process; settlement takes its distinct small ints with np.bincount
+    script = (
+        "import sys\n"
+        "from peerchain import sim\n"
+        "from peerchain.ledger import Ledger\n"
+        "from peerchain.mechanisms import Mechanism, SampledPeers\n"
+        "ds = sim.QoSDataset.synthetic(12, 40, 1)\n"
+        "for mechanism in Mechanism:\n"
+        "    for peer_mode in (sim.ALL_PEERS, SampledPeers(3, 1)):\n"
+        "        config = sim.ExperimentConfig(mechanism, peer_mode, agents=12)\n"
+        "        Ledger.load(sim.run_experiment(config, ds).ledger.dump()).audit()\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(sim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False"]

@@ -1,6 +1,5 @@
 """Belief formulas, world calibration, and Monte-Carlo equilibrium checks."""
 
-import sys
 import threading
 import tracemalloc
 from fractions import Fraction as F
@@ -409,17 +408,6 @@ def test_estimates_equal_the_whole_population_reference_at_the_population_cap():
     assert inc._Chunk(sc, 0, 0, 1).draws.dtype == np.uint16
     # two row blocks and one row
     _assert_equal_to_the_reference(sc, 2 * inc._block_rows(sc.n) + 1, 7, 0.6)
-
-
-def test_estimates_equal_the_whole_population_reference_when_threads_switch_often():
-    # the helper thread draws the peers and scores half the rows beside the
-    # calling thread; every switch between them must leave the estimates alone
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _assert_equal_to_the_reference(example_scenario(), 2 * inc._block_rows(10) + 3, 5, 0.7)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("n", [2, 10, 300])

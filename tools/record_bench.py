@@ -10,19 +10,19 @@ Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` in a fresh process, one at a time; its last line of output is
 the JSON summary read here.  Per workload the file holds each end-to-end
 metric's median and quartiles over the runs, with every run's value in run
-order, and the git commit and ``src/peerchain`` digest the runs printed,
-the seeds and the run length.
+order, the ``src/peerchain`` digest the runs printed, the seeds and the run
+length.  Its ``commit`` is the checkout's HEAD, with ``+dirty`` appended
+when ``src/`` or ``perfbench/`` differ from it (run.py itself reads HEAD
+alone).
 
-``--baseline DIR`` runs the same workloads in the checkout at DIR as well,
+``--baseline DIR`` runs the same workloads in the checkout at DIR as well
+(make it with ``git clone``, so that its commit is named),
 alternating the two runs of each pair and which goes first, and writes
 ``BENCH_<label>-baseline.json`` beside the other file.  ``--compare A B``
 prints, per workload and metric, both medians, the relative change,
 whether it is larger than A's interquartile range, and, when both files
 hold the same number of runs (as a ``--baseline`` recording does), in how
 many pairs taken in run order B was the better.
-
-``--tiny`` runs the seconds-long workloads of the benchmark's self-test
-in this process instead; it exists to check the file's layout.
 """
 
 from __future__ import annotations
@@ -48,9 +48,21 @@ def _env_fields(lines: list[str]) -> dict[str, str]:
     return {}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def checkout_commit(checkout: Path) -> str:
+    """The checkout's HEAD commit, ``<sha>+dirty`` when ``src/`` or
+    ``perfbench/`` hold changes or untracked files."""
+    git = ["git", "-C", str(checkout)]
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
+    if head.returncode:
+        return "unknown (not a git checkout)"
+    status = subprocess.run(git + ["status", "--porcelain", "--", "src", "perfbench"],
+                            capture_output=True, text=True, check=True)
+    return head.stdout.strip() + ("+dirty" if status.stdout.strip() else "")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, commit: str) -> dict:
     """One benchmark run in a fresh process: its JSON summary, with the
-    commit and source digest it printed."""
+    given commit and the source digest the run printed."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -59,21 +71,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = done.stdout.splitlines()
     if not lines:
         raise RuntimeError(f"{workload} seed {seed} in {checkout} printed nothing: {done.stderr[-2000:]}")
-    summary = json.loads(lines[-1])
-    env = _env_fields(lines)
-    summary["git_commit"] = env.get("git_commit", "unknown")
-    summary["source_sha256"] = env.get("source_sha256", "unknown")
-    return summary
-
-
-def tiny_once(workload: str, seed: int) -> dict:
-    """One run of the self-test's tiny workload in this process."""
-    sys.path[:0] = [p for p in (str(ROOT / "src"), str(ROOT / "perfbench")) if p not in sys.path]
-    from pcbench import runner
-
-    summary = runner.run(workload, seed, 0.001, False, tiny=True).summary()
-    env = runner.environment(ROOT, seed)
-    summary["git_commit"], summary["source_sha256"] = env["git_commit"], env["source_sha256"]
+    try:
+        summary = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise RuntimeError(f"{workload} seed {seed} in {checkout} ended without its JSON summary "
+                           f"(exit {done.returncode}): {done.stderr[-2000:]}") from None
+    summary["git_commit"] = commit
+    summary["source_sha256"] = _env_fields(lines).get("source_sha256", "unknown")
     return summary
 
 
@@ -83,8 +87,7 @@ def _spread(values: list[float]) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3}
 
 
-def summarise(label: str, summaries: dict[str, list[dict]], seeds: list[int], seconds: float,
-              tiny: bool = False) -> dict:
+def summarise(label: str, summaries: dict[str, list[dict]], seeds: list[int], seconds: float) -> dict:
     """The BENCH file's contents from each workload's run summaries, in run order."""
     runs = [s for per_workload in summaries.values() for s in per_workload]
     commits = sorted({s["git_commit"] for s in runs})
@@ -112,26 +115,23 @@ def summarise(label: str, summaries: dict[str, list[dict]], seeds: list[int], se
         "seeds": seeds,
         "seconds": seconds,
         "runs_per_seed": len(runs) // max(1, len(seeds) * len(summaries)),
-        "tiny": tiny,
         "workloads": workloads,
     }
 
 
 def record(label: str, out_dir: Path, workloads: list[str], seeds: list[int], runs: int, seconds: float,
-           baseline: Path | None = None, tiny: bool = False) -> list[Path]:
+           baseline: Path | None = None) -> list[Path]:
     """Run every (workload, seed) ``runs`` times and write the BENCH file(s)."""
     measured: dict[str, list[dict]] = {w: [] for w in workloads}
     base: dict[str, list[dict]] = {w: [] for w in workloads}
+    commits = {checkout: checkout_commit(checkout) for checkout in (ROOT, baseline) if checkout}
     pair = 0
     for workload in workloads:
         for seed in seeds:
             for _ in range(runs):
-                if tiny:
-                    measured[workload].append(tiny_once(workload, seed))
-                    continue
                 order = [(ROOT, measured), (baseline, base)] if baseline else [(ROOT, measured)]
                 for checkout, into in order[::-1] if pair % 2 else order:
-                    into[workload].append(run_once(checkout, workload, seed, seconds))
+                    into[workload].append(run_once(checkout, workload, seed, seconds, commits[checkout]))
                     _progress(label if into is measured else f"{label}-baseline", workload, seed, into[workload][-1])
                 pair += 1
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -139,7 +139,7 @@ def record(label: str, out_dir: Path, workloads: list[str], seeds: list[int], ru
     paths = []
     for name, summaries in written:
         path = out_dir / f"BENCH_{name}.json"
-        path.write_text(json.dumps(summarise(name, summaries, seeds, seconds, tiny), indent=1) + "\n")
+        path.write_text(json.dumps(summarise(name, summaries, seeds, seconds), indent=1) + "\n")
         paths.append(path)
     return paths
 
@@ -186,7 +186,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0, help="length of each run")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of the BENCH files")
     parser.add_argument("--baseline", type=Path, help="a second checkout, run alternately")
-    parser.add_argument("--tiny", action="store_true", help="the self-test's tiny workloads, in-process")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.compare:
@@ -197,11 +196,8 @@ def main(argv=None) -> int:
         parser.error("--label is required unless --compare is given")
     if args.runs < 1 or args.seconds <= 0 or any(s < 0 for s in args.seeds):
         parser.error("--runs must be positive, --seconds positive and --seeds nonnegative")
-    if args.baseline and args.tiny:
-        parser.error("--baseline runs fresh processes; it does not combine with --tiny")
     baseline = args.baseline.resolve() if args.baseline else None
-    for path in record(args.label, args.out, args.workloads, args.seeds, args.runs, args.seconds,
-                       baseline, args.tiny):
+    for path in record(args.label, args.out, args.workloads, args.seeds, args.runs, args.seconds, baseline):
         print(path)
     return 0
 

@@ -6,7 +6,6 @@ from .commitment import (
     MAX_ANSWERS,
     Commitment,
     commit,
-    pack,
     verify_reveal,
 )
 from .errors import PeerchainError

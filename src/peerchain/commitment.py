@@ -16,9 +16,7 @@ the 22 bytes below.  Its two users, ``commit`` and ``verify_reveal``, each
 hash it with one ``keccak256`` call, so a reveal opens to exactly the
 message that was hashed or to nothing.  ``encode_slots`` is the one slot
 encoder and ``decode_slots`` its inverse, the one slot decoder: each
-handles every message of a round in one numpy pass.  ``pack`` checks one
-batch's (question, bit) pairs and builds its message with
-``encode_slots``.
+handles every message of a round in one numpy pass.
 
 Canonical byte layout (22 bytes, 176 bits, bit i = bit i%8 of byte i//8):
 
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateAnswer, TooManyAnswers, UnknownQuestion, require_int_arrays, require_ints
+from .errors import DuplicateAnswer, TooManyAnswers, require_int_arrays, require_ints
 from .keccak import keccak256
 
 DIGEST_BITS = 256
@@ -141,33 +139,6 @@ def encode_slots(t: np.typing.ArrayLike, j: np.typing.ArrayLike, bits: np.typing
     grid[t, 2 * j + 1] = bits
     raw = np.packbits(grid, axis=1, bitorder="little").tobytes()
     return [int.from_bytes(raw[i:i + _MESSAGE_BYTES], "little") for i in range(0, len(raw), _MESSAGE_BYTES)]
-
-
-def pack(answers: list[tuple[str, int]], question_order: list[str] | tuple[str, ...]) -> int:
-    """The message of (question id, bit) pairs in slots following ``question_order``.
-
-    Questions absent from ``answers`` stay unanswered (both bits 0).  Raises
-    TooManyAnswers past the 42-slot capacity and UnknownQuestion for ids
-    outside the order; the message is built by `encode_slots`.
-    """
-    order = tuple(question_order)
-    if len(answers) > MAX_ANSWERS or len(order) > MAX_ANSWERS:
-        raise TooManyAnswers(
-            f"at most {MAX_ANSWERS} answers fit in one commitment "
-            f"(got {max(len(answers), len(order))})"
-        )
-    index = {q: j for j, q in enumerate(order)}
-    slots: dict[int, int] = {}  # slot -> answer bit, in answer order
-    for q, bit in answers:
-        if q not in index:
-            raise UnknownQuestion(f"question {q!r} not in the commitment's question order")
-        if index[q] in slots:
-            raise DuplicateAnswer(f"question {q!r} answered twice")
-        if bit not in (0, 1):
-            raise ValueError("answers must be 0 or 1")
-        slots[index[q]] = 1 if bit else 0
-    (message,) = encode_slots([0] * len(slots), list(slots), list(slots.values()), 1)
-    return message
 
 
 def layout_bytes(message: int, key: int, slots: int) -> bytes:

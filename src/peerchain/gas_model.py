@@ -16,8 +16,8 @@ ledger's commit and reveal bundles are built once, at import, and
 `GasLedger` stores only how many times each (phase, party, bundle) was
 charged; every gas figure it reports is derived from those counts as
 words x the table's cost, and `GasTable.cost` answers only for the
-table's own entries.  A read of `total`, `per_phase`, `per_party` or
-`per_agent` prices each distinct bundle once.  The report rows expand the
+table's own entries.  A read of `per_phase`, `per_party` or `per_agent`
+prices each distinct bundle once.  The report rows expand the
 counts per (phase, party, op kind), bundles in first-charge order: a key
 is first charged by the first bundle holding it, so each row sits where
 its key was first charged, as if every op kind had been charged on its
@@ -137,13 +137,9 @@ class GasTable:
         return cls(**raw)
 
     @classmethod
-    def from_json(cls, text: str) -> "GasTable":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def load(cls, path) -> "GasTable":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            return cls.from_dict(json.load(fh))
 
 
 DEFAULT_GAS_TABLE = GasTable()
@@ -183,7 +179,7 @@ class GasLedger:
 
     ``party`` is an agent id or the literal string "requester"; the
     per-agent view excludes the requester so that
-    total = sum(per_phase) = sum(per_agent) + requester gas.
+    sum(per_phase) = sum(per_party) = sum(per_agent) + requester gas.
     """
 
     REQUESTER = "requester"
@@ -221,10 +217,6 @@ class GasLedger:
                 gas = price[key[2]] = self.table.gas(key[2])
             out[key[column]] = out.get(key[column], 0) + count * gas
         return out
-
-    @property
-    def total(self) -> int:
-        return sum(self._gas_by(0).values())
 
     @property
     def per_phase(self) -> dict[str, int]:

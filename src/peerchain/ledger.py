@@ -55,6 +55,7 @@ and post, select and settle build theirs per call:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 from decimal import Decimal, localcontext
 from enum import Enum
@@ -294,7 +295,13 @@ class Ledger:
     # -- event plumbing -----------------------------------------------------
 
     def _record(self, event_type: str, party: str, payload: dict) -> None:
-        blob = _ENCODER.encode(payload).encode()
+        """Append one event line; every caller records before it changes any
+        state, so a payload the log cannot write leaves the ledger as it was."""
+        try:
+            blob = _ENCODER.encode(payload).encode()
+        except ValueError:  # a payload holds only ints, strs and lists: an int too long to write
+            raise ValueError(f"{event_type} event: an int has more than {sys.get_int_max_str_digits()} digits, "
+                             "which the event log cannot write") from None
         self.events.append(f"{self.block},{event_type},{party},{blob.hex()}")
 
     def _require_phase(self, expected: Phase) -> None:

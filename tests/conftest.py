@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from peerchain import peer_selection
+from peerchain.commitment import encode_slots
 from peerchain.mechanisms import AnswerMatrix
 from peerchain.sim import QoSDataset, assert_dg_valid, binarize
 
@@ -59,6 +60,14 @@ def matrix_of(agents, questions, cells) -> AnswerMatrix:
     column = {q: j for j, q in enumerate(questions)}
     return AnswerMatrix(agents, questions, [row[a] for a, _ in cells], [column[q] for _, q in cells],
                         list(cells.values()))
+
+
+def message_of(answers, order) -> int:
+    """The message of (question, bit) pairs in the slots of ``order``,
+    built by `encode_slots`."""
+    slot = {q: j for j, q in enumerate(order)}
+    (message,) = encode_slots([0] * len(answers), [slot[q] for q, _ in answers], [bit for _, bit in answers], 1)
+    return message
 
 
 def random_matrix(rng: random.Random, agents: int, questions: int,

@@ -30,7 +30,7 @@ from peerchain.sim import (
     sweep_packing,
     sweep_peers,
 )
-from conftest import ACCEPTANCE_RESULTS, random_matrix, skip_one_matrix
+from conftest import ACCEPTANCE_RESULTS, message_of, random_matrix, skip_one_matrix
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -44,7 +44,7 @@ def test_commitment_capacity():
     ok = cmt.KEY_BITS == 256 // 3 == 85 and cmt.MAX_ANSWERS == 85 // 2 == 42
     order43 = [f"q{j}" for j in range(43)]
     try:
-        cmt.pack([(q, 1) for q in order43], order43)
+        message_of([(q, 1) for q in order43], order43)
         ok = False
     except Exception as e:
         ok = ok and type(e).__name__ == "TooManyAnswers"
@@ -56,7 +56,7 @@ def test_commitment_capacity():
         order = [f"q{j}" for j in range(rng.randint(1, 42))]
         orders.append(order)
         answers.append({q: rng.randint(0, 1) for q in order if rng.random() < 0.6})
-        messages.append(cmt.pack(list(answers[-1].items()), order))
+        messages.append(message_of(list(answers[-1].items()), order))
     # every message decodes back to its answers
     t, j, bits = cmt.decode_slots(messages, list(map(len, orders)))
     decoded = [{} for _ in messages]
@@ -92,7 +92,7 @@ def test_commit_reveal_integrity():
     for _ in range(trials):
         order = [f"q{j}" for j in range(rng.randint(1, 42))]
         answers = [(q, rng.randint(0, 1)) for q in order]
-        message = cmt.pack(answers, order)
+        message = message_of(answers, order)
         key = rng.getrandbits(cmt.KEY_BITS)
         if rng.random() < 0.5:
             # flip one bit of the secret key
@@ -319,7 +319,7 @@ def _draw_round(rng: random.Random, mech: Mechanism):
     for a in active:
         row = matrix.answers_by_agent[a]
         for b, order in enumerate(ledger.agent_batches(a)):
-            message = cmt.pack([(q, row[q]) for q in order if q in row], order)
+            message = message_of([(q, row[q]) for q in order if q in row], order)
             reveals.append((a, b, message, rng.getrandbits(cmt.KEY_BITS), len(order)))
     # DG needs the full skip-one pattern to stay valid, so only OA and
     # PTSC rounds exercise the non-revealer path

@@ -22,6 +22,8 @@ from peerchain.gas_model import (
 from peerchain.ledger import Ledger, LedgerConfig, Phase
 from peerchain.mechanisms import ALL_PEERS, Mechanism, SampledPeers
 
+from conftest import message_of
+
 # frozen settlement-compute totals on the canonical desk truth matrix
 DESK_SETTLE_GAS = {
     ("oa", True): 397_292,
@@ -76,10 +78,11 @@ def test_table_json_roundtrip(tmp_path):
     assert GasTable.load(path) == DEFAULT_GAS_TABLE
     parsed = json.loads(path.read_text())
     assert parsed["tx_base"] == 21000
-    mutated = GasTable.from_json(json.dumps({**parsed, "tx_base": 30000}))
-    assert mutated.tx_base == 30000
+    path.write_text(json.dumps({**parsed, "tx_base": 30000}))
+    assert GasTable.load(path).tx_base == 30000
+    path.write_text(json.dumps({**parsed, "quantum_op": 5}))
     with pytest.raises(UnknownOpKind):
-        GasTable.from_json(json.dumps({**parsed, "quantum_op": 5}))
+        GasTable.load(path)
 
 
 def test_ledger_aggregation_and_invariant():
@@ -89,8 +92,7 @@ def test_ledger_aggregation_and_invariant():
     gas.charge("commit", "a1", GasBundle([("tx_base", 1)]))   # an equal bundle aggregates
     gas.charge("commit", "a1", GasBundle([("hash_base", 2)]))
     gas.charge("settle", "requester", GasBundle([("arithmetic_op", 4), ("memory_word", 0), ("arithmetic_op", 6)]))
-    assert gas.total == 2 * 21000 + 30 * 2 + 5 * 10
-    assert gas.total == sum(gas.per_phase.values()) == sum(gas.per_party.values())
+    assert sum(gas.per_phase.values()) == sum(gas.per_party.values()) == 2 * 21000 + 30 * 2 + 5 * 10
     assert gas.per_agent == {"a1": 42_060}
     assert gas.per_phase["commit"] == 42_060
     assert gas.report_rows() == [          # first-charge order, gas = words x cost
@@ -134,11 +136,13 @@ def test_charge_takes_only_a_bundle(bundle):
     with pytest.raises(ValueError, match="takes a GasBundle"):
         gas.charge("posting", "requester", bundle)
     assert gas.report_rows() == [("posting", "requester", "tx_base", 1, 21000)]
-    assert gas.total == 21000
+    assert sum(gas.per_phase.values()) == 21000
 
 
-def test_table_json_missing_entry_gets_its_default():
-    table = GasTable.from_json(json.dumps({"tx_base": 30000}))
+def test_table_json_missing_entry_gets_its_default(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"tx_base": 30000}))
+    table = GasTable.load(path)
     assert table == GasTable(tx_base=30000)
     assert table.cost("hash_base") == DEFAULT_GAS_TABLE.hash_base
 
@@ -150,7 +154,7 @@ def test_settlement_compute_frozen_desk_values(desk_truth):
         got = charge_settlement_compute(
             gas, desk_truth, Mechanism(mech), ALL_PEERS, optimized=optimized
         )
-        assert got == gas.total - 21000 == expected, (mech, optimized)
+        assert got == sum(gas.per_phase.values()) - 21000 == expected, (mech, optimized)
 
 
 def test_settlement_compute_frozen_desk_sampled_values(desk_truth):
@@ -159,7 +163,7 @@ def test_settlement_compute_frozen_desk_sampled_values(desk_truth):
         got = charge_settlement_compute(
             gas, desk_truth, Mechanism(mech), SampledPeers(k, 0), optimized=optimized
         )
-        assert got == gas.total == expected, (mech, k, optimized)
+        assert got == sum(gas.per_phase.values()) == expected, (mech, k, optimized)
 
 
 def test_settlement_compute_orderings(desk_truth):
@@ -266,7 +270,7 @@ def _play_gas_round(selections, commits, reveals):
         gas = ledger.gas
         total, *views = ref.views()
         assert gas.report_rows() == ref.rows()
-        assert gas.total == total
+        assert sum(gas.per_phase.values()) == total
         # equal in content and in first-charge order
         assert [list(v.items()) for v in (gas.per_phase, gas.per_party, gas.per_agent)] == [
             list(v.items()) for v in views]
@@ -284,7 +288,7 @@ def _play_gas_round(selections, commits, reveals):
     keys = {}
     for agent, b in commits:
         order = ledger.agent_batches(agent)[b]
-        keys[(agent, b)] = (cmt.pack([(q, len(q) % 2) for q in order], order), 1000 + 7 * b + int(agent[1:]))
+        keys[(agent, b)] = (message_of([(q, len(q) % 2) for q in order], order), 1000 + 7 * b + int(agent[1:]))
         ledger.submit_commitment(agent, b, cmt.commit(*keys[(agent, b)], len(order)))
         ref.charge("commit", agent, "tx_base")
         ref.charge("commit", agent, "storage_write_new_word", 1)

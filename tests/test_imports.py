@@ -1,9 +1,16 @@
 """Every name a module or test imports is used in it, every private
 module-level definition of the package is read somewhere in the package,
-and every public function, class and method of the package is read
-outside the tests: in the package, the benchmark's ``perfbench/pcbench``
-or the README; a method only as an attribute (``x.method``) or as a
-``Class.method`` mention in the README.
+and every public function, class and method of the package is read by the
+program: the package or the benchmark's ``perfbench/pcbench``.
+
+A public module-level function or class counts as read only through a
+loaded bare name, an import from peerchain, an attribute of a peerchain
+module (``cmt.decode_slots``, not ``args.pack``) or one of perfbench's
+string references: the tracer's ``BOUNDARIES`` attribute names and
+``mc_block``'s estimator names.  A method counts as read only through an
+attribute read (``x.method``) or those strings.  README words, comments
+and re-exports from the package's ``__init__`` do not count.  The names
+kept only as test oracles are listed in ``TEST_ORACLES`` with their reason.
 
 The package's ``__init__.py`` re-exports its imports and is left out of
 the import check.  A name read only inside a string annotation does not
@@ -11,7 +18,6 @@ count as used: no module needs a ``TYPE_CHECKING`` import.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -19,7 +25,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "peerchain").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench" / "pcbench").glob("*.py"))
-README = ROOT / "README.md"
+MODULES = {p.stem for p in PACKAGE} - {"__init__"}
 FILES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")] if p.name != "__init__.py")
 
 
@@ -86,26 +92,117 @@ def _public_definitions(tree: ast.Module):
                             if isinstance(m, defs) and not m.name.startswith("_"))
 
 
+# names the program keeps though only the tests read them, with the reason
+TEST_ORACLES = {
+    "rewards_naive": "the plain-Python oracle that every fast reward path must equal",
+}
+
+
+def _module_aliases(tree: ast.Module) -> set[str]:
+    """Names a file binds to a peerchain module: ``from . import ledger``,
+    ``from peerchain import incentives as inc``, ``import peerchain.sim as s``."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module == "peerchain" or node.level and not node.module):
+            aliases |= {alias.asname or alias.name for alias in node.names if alias.name in MODULES}
+        elif isinstance(node, ast.Import):
+            aliases |= {alias.asname for alias in node.names
+                        if alias.asname and alias.name in {f"peerchain.{m}" for m in MODULES}}
+    return aliases
+
+
+def _assigns(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` assigns (or augments) the bare name ``name``."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AugAssign) else []
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def _perfbench_strings(tree: ast.Module) -> set[str]:
+    """The names perfbench reaches only by string: the attribute names of the
+    tracer's ``BOUNDARIES`` rows and the estimator names of ``mc_block``."""
+    found = set()
+    for node in ast.walk(tree):
+        if _assigns(node, "BOUNDARIES"):
+            found |= {row.elts[1].value for row in node.value.elts}
+        elif isinstance(node, ast.FunctionDef) and node.name == "mc_block":
+            found |= {c.value for sub in ast.walk(node) if _assigns(sub, "estimators")
+                      for c in ast.walk(sub.value) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return found
+
+
+def surface_reads(package: list[str], benchmark: list[str]) -> tuple[set[str], set[str]]:
+    """(names, attributes) that the package's and perfbench's sources read.
+
+    A name is read as a loaded bare name, an import from peerchain, an
+    attribute of a peerchain module (``cmt.decode_slots``) or a perfbench
+    string reference; an attribute is any ``x.attr`` read, or a perfbench
+    string reference.
+    """
+    names, attributes = set(), set()
+    for source in [*package, *benchmark]:
+        tree = ast.parse(source)
+        aliases = _module_aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("peerchain")):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    names.add(node.attr)
+    for source in benchmark:
+        strings = _perfbench_strings(ast.parse(source))
+        names |= strings
+        attributes |= strings
+    return names, attributes
+
+
+def is_read(name: str, reads: tuple[set[str], set[str]]) -> bool:
+    """Whether a public module-level definition (``name``) or method
+    (``Class.name``) is read; a method counts only as an attribute."""
+    names, attributes = reads
+    if "." in name:
+        return name.rsplit(".", 1)[1] in attributes
+    return name in names or name in TEST_ORACLES
+
+
+@pytest.mark.parametrize("reader, perfbench, name, expected", [
+    ("def main(args):\n    return args.pack\n", "", "pack", False),
+    ('"""`pack(answers, order)` and `GasLedger.total`, as README words."""\n', "", "pack", False),
+    ('"""`pack(answers, order)` and `GasLedger.total`, as README words."""\n', "", "GasLedger.total", False),
+    ("import json\njson.loads('1')\n", "", "loads", False),
+    ("from dataclasses import replace\n", "", "replace", False),
+    ("def f(x):\n    return x\n", "", "f", False),
+    ("def f(x):\n    return x\nf(1)\n", "", "f", True),
+    ("from . import commitment as cmt\ncmt.decode_slots([], [])\n", "", "decode_slots", True),
+    ("", "from peerchain import incentives as inc\ninc.payment_mc(1)\n", "payment_mc", True),
+    ("", "import peerchain.sim as s\ns.binarize(1)\n", "binarize", True),
+    ("", "from peerchain.mechanisms import peers_for_cell\n", "peers_for_cell", True),
+    ("from .gas_model import GasTable\n", "", "GasTable", True),
+    ("", "BOUNDARIES = ((ledger, 'compute_rewards', 'mechanisms.compute_rewards', None),)\n",
+     "compute_rewards", True),
+    ("", "def mc_block(self):\n    estimators = [('payment_mc', ())]\n"
+         "    estimators += [('equilibrium_check', (d,)) for d in D]\n", "equilibrium_check", True),
+    ("", "def other(self):\n    estimators = [('payment_mc', ())]\n", "payment_mc", False),
+    ("gas = ledger.gas\n", "", "GasLedger.total", False),
+    ("gas = ledger.gas.total\n", "", "GasLedger.total", True),
+    ("", "", "rewards_naive", True),
+], ids=["argparse-attribute", "prose-word", "prose-method", "unrelated-module", "stdlib-import", "defined-only", "bare-call",
+        "package-module-attribute", "perfbench-module-attribute", "module-import-alias", "perfbench-import",
+        "package-import", "tracer-boundary", "mc-block-estimator", "other-function-string",
+        "method-unread", "method-attribute", "test-oracle"])
+def test_is_read_counts_only_real_reads(reader, perfbench, name, expected):
+    assert is_read(name, surface_reads([reader], [perfbench])) is expected
+
+
 def test_every_public_definition_is_read_outside_the_tests():
-    # library code that only tests use is deleted or wired into an output
-    # a re-export from the package's __init__ is not a use
-    readers = [ast.parse(path.read_text(), filename=str(path))
-               for path in [*PACKAGE, *BENCHMARK] if path.name != "__init__.py"]
-    read = set().union(*map(_read, readers))
-    readme = README.read_text(encoding="utf-8")
-    read |= set(re.findall(r"\w+", readme))
-    # a method counts as read only through an attribute read (``x.name``)
-    # or a ``Class.method`` mention in the README, not through a local or
-    # a word that happens to share its name
-    methods = {node.attr for tree in readers for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    mentioned = set(re.findall(r"(?=\b(\w+\.\w+))", readme))
-
-    def is_read(name):
-        if "." not in name:
-            return name in read
-        return name.rsplit(".", 1)[1] in methods or name in mentioned
-
+    # library code that only tests use is deleted or wired into an output;
+    # a re-export from the package's __init__ is not a use, and neither is
+    # a README word
+    reads = surface_reads([p.read_text() for p in PACKAGE if p.name != "__init__.py"],
+                          [p.read_text() for p in BENCHMARK])
     unread = [f"{path.name}:{line} {name}" for path in PACKAGE
               for name, line in _public_definitions(ast.parse(path.read_text(), filename=str(path)))
-              if not is_read(name)]
+              if not is_read(name, reads)]
     assert not unread, f"public definitions only the tests read: {unread}"

@@ -3,6 +3,7 @@ in a TypeError, AttributeError, OverflowError or ZeroDivisionError, and never
 in a later step that accepted it."""
 
 import json
+import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -14,10 +15,13 @@ from hypothesis import strategies as st
 from peerchain import cli, commitment as cmt, sim
 from peerchain import incentives as inc
 from peerchain.errors import DegeneratePrior, NonPositiveBeta, PeerchainError, TooManyAnswers
+from peerchain.ledger import Ledger, LedgerConfig, Phase
 from peerchain.peer_selection import SelectionSeed
 
+from conftest import message_of
+
 BELIEFS = inc.BeliefModel(F(19, 20), F(24, 25))
-COMMITMENT = cmt.commit(cmt.pack([("q", 1)], ("q",)), 1, 1)
+COMMITMENT = cmt.commit(message_of([("q", 1)], ("q",)), 1, 1)
 
 FAULTS = {
     # incentive scenarios: every number goes through exact_number
@@ -75,6 +79,45 @@ FAULTS = {
 def test_every_input_fault_raises_a_value_error_or_its_domain_error(build, error):
     with pytest.raises(error):
         build()
+
+
+HUGE = 10**5000  # more digits than Python writes as text by default
+
+
+def _ledger_in(phase: Phase) -> Ledger:
+    """A ledger in ``phase``: question q posted, and agent A's one batch
+    committed (which opens the reveal phase) when ``phase`` is REVEAL."""
+    ledger = Ledger(LedgerConfig())
+    if phase is not Phase.POSTING:
+        ledger.post_questions(("q",), budget=10)
+    if phase is Phase.REVEAL:
+        ledger.select_questions("A", ("q",))
+        ledger.tick(ledger.config.selection_blocks)
+        ledger.submit_commitment("A", 0, COMMITMENT)
+    return ledger
+
+
+@pytest.mark.parametrize("phase, event, act", [
+    (Phase.POSTING, "tick", lambda ledger: ledger.tick(HUGE)),
+    (Phase.POSTING, "post", lambda ledger: ledger.post_questions(("q",), budget=HUGE)),
+    (Phase.POSTING, "post", lambda ledger: ledger.post_questions(("q",), 10, requester_deposit=HUGE)),
+    (Phase.SELECTION, "select", lambda ledger: ledger.select_questions("A", ("q",), deposit=HUGE)),
+    (Phase.REVEAL, "reveal", lambda ledger: ledger.reveal("A", 0, HUGE, 1)),
+    (Phase.REVEAL, "reveal", lambda ledger: ledger.reveal("A", 0, 0b11, HUGE)),
+], ids=["tick-blocks", "post-budget", "post-deposit", "select-deposit", "reveal-message", "reveal-key"])
+def test_an_int_the_event_log_cannot_write_is_refused_by_name_and_changes_nothing(phase, event, act):
+    ledger = _ledger_in(phase)
+    before = (ledger.phase, ledger.block, list(ledger.events), ledger.gas.report_rows(), list(ledger.notes))
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError, match=f"^{event} event: an int has more than {limit} digits, which the event log"):
+        act(ledger)
+    assert (ledger.phase, ledger.block, ledger.events, ledger.gas.report_rows(), ledger.notes) == before
+    assert not ledger.accepted and not ledger.discarded
+
+
+def test_a_genesis_int_the_event_log_cannot_write_is_refused_by_name():
+    with pytest.raises(ValueError, match=f"^genesis event: an int has more than {sys.get_int_max_str_digits()} digits"):
+        Ledger(LedgerConfig(scale=HUGE))
 
 
 @pytest.mark.parametrize("prior, bump, error", [

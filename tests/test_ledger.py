@@ -37,14 +37,14 @@ from peerchain.mechanisms import ALL_PEERS, Mechanism, RewardReport, SampledPeer
 from peerchain.peer_selection import SelectionSeed, _memo as _draw_memo
 from peerchain.sim import ExperimentConfig, QoSDataset, run_experiment
 
-from conftest import BAD_ALPHAS, count_draws
+from conftest import BAD_ALPHAS, count_draws, message_of
 
 
 def _commit_and_reveal(ledger, agent, answers):
     """Commit and reveal one agent's answers across all batches."""
     keys = {}
     for b, order in enumerate(ledger.agent_batches(agent)):
-        message = cmt.pack([(q, bit) for q, bit in answers if q in order], order)
+        message = message_of([(q, bit) for q, bit in answers if q in order], order)
         key = 1000 + 7 * b + sum(ord(ch) for ch in agent)
         ledger.submit_commitment(agent, b, cmt.commit(message, key, len(order)))
         keys[b] = (message, key)
@@ -204,10 +204,12 @@ def _genesis_log(**changes):
     return f"{head},{json.dumps(payload, sort_keys=True, separators=(',', ':')).encode().hex()}\n"
 
 
-def test_genesis_gas_table_is_read_like_a_gas_table_file():
+def test_genesis_gas_table_is_read_like_a_gas_table_file(tmp_path):
     entries = {**LedgerConfig().to_payload()["gas_table"], "quantum_op": 5}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(entries))
     with pytest.raises(UnknownOpKind, match="quantum_op") as from_file:
-        GasTable.from_json(json.dumps(entries))
+        GasTable.load(path)
     with pytest.raises(UnknownOpKind, match="quantum_op") as from_log:
         Ledger.load(_genesis_log(gas_table=entries))
     assert str(from_log.value) == str(from_file.value)
@@ -303,7 +305,7 @@ def test_phase_machine_rejections():
     ledger.tick(10)
     with pytest.raises(WrongPhase):
         ledger.reveal("A", 0, 0, 0)
-    message = cmt.pack([("q1", 1)], ("q1",))
+    message = message_of([("q1", 1)], ("q1",))
     key = 5
     ledger.submit_commitment("A", 0, cmt.commit(message, key, 1))
     with pytest.raises(DuplicateCommitment):
@@ -325,7 +327,7 @@ def test_commit_deadline_forces_reveal_phase():
     ledger.select_questions("B", ("q1",))
     ledger.tick(10)
     assert ledger.phase is Phase.COMMIT
-    message = cmt.pack([("q1", 1)], ("q1",))
+    message = message_of([("q1", 1)], ("q1",))
     key = 9
     ledger.submit_commitment("A", 0, cmt.commit(message, key, 1))
     ledger.tick(10)  # commit window closes with B missing
@@ -345,7 +347,7 @@ def test_settle_blocked_while_reveals_outstanding():
     ledger.select_questions("A", ("q1",))
     ledger.select_questions("B", ("q1",))
     ledger.tick(10)
-    message = cmt.pack([("q1", 0)], ("q1",))
+    message = message_of([("q1", 0)], ("q1",))
     ka, kb = 1, 2
     ledger.submit_commitment("A", 0, cmt.commit(message, ka, 1))
     ledger.submit_commitment("B", 0, cmt.commit(message, kb, 1))
@@ -364,10 +366,10 @@ def test_reveal_integrity_paths():
     ledger.select_questions("A", ("q1", "q2"))
     ledger.select_questions("B", ("q1",))
     ledger.tick(10)
-    message = cmt.pack([("q1", 1), ("q2", 0)], ("q1", "q2"))
+    message = message_of([("q1", 1), ("q2", 0)], ("q1", "q2"))
     key = 31337
     ledger.submit_commitment("A", 0, cmt.commit(message, key, 2))
-    mb = cmt.pack([("q1", 1)], ("q1",))
+    mb = message_of([("q1", 1)], ("q1",))
     kb = 5
     ledger.submit_commitment("B", 0, cmt.commit(mb, kb, 1))
 
@@ -397,7 +399,7 @@ def test_duplicate_reveal_discarded():
     ledger.post_questions(("q1",), budget=100)
     ledger.select_questions("A", ("q1",))
     ledger.tick(10)
-    message = cmt.pack([("q1", 1)], ("q1",))
+    message = message_of([("q1", 1)], ("q1",))
     key = 4
     ledger.submit_commitment("A", 0, cmt.commit(message, key, 1))
     assert ledger.reveal("A", 0, message, key)
@@ -411,14 +413,14 @@ def test_discard_is_final():
     ledger.post_questions(("q1",), budget=100)
     ledger.select_questions("A", ("q1",))
     ledger.tick(10)
-    message = cmt.pack([("q1", 1)], ("q1",))
+    message = message_of([("q1", 1)], ("q1",))
     key = 4
     ledger.submit_commitment("A", 0, cmt.commit(message, key, 1))
     assert not ledger.reveal("A", 0, message, key ^ 1)
-    gas = ledger.gas.total
+    gas = sum(ledger.gas.per_phase.values())
     # the right key comes too late: it pays its gas and lands nothing
     assert not ledger.reveal("A", 0, message, key)
-    assert ledger.gas.total > gas and ledger.events[-1].split(",")[1] == "reveal"
+    assert sum(ledger.gas.per_phase.values()) > gas and ledger.events[-1].split(",")[1] == "reveal"
     assert ledger.revealed_cells == {} and ledger.accepted == {}
     assert list(ledger.discarded) == [("A", 0)]
     assert [n.kind for n in ledger.notes] == ["failed-verification", "duplicate"]
@@ -592,7 +594,7 @@ def _settled_with_rewards(rewards, deposits, budget, requester_deposit, scale):
     for agent, deposit in zip(agents, deposits):
         ledger.select_questions(agent, ("q",), deposit)
     ledger.tick(10)
-    message, key = cmt.pack([("q", 1)], ("q",)), 12345  # one digest: one hash per case
+    message, key = message_of([("q", 1)], ("q",)), 12345  # one digest: one hash per case
     for agent in agents:
         ledger.submit_commitment(agent, 0, cmt.commit(message, key, 1))
     for agent in agents:
@@ -683,7 +685,7 @@ def test_event_log_replay_is_byte_identical():
 
     replayed = Ledger.load(dump)
     assert replayed.dump() == dump
-    assert replayed.gas.total == ledger.gas.total
+    assert sum(replayed.gas.per_phase.values()) == sum(ledger.gas.per_phase.values())
     assert replayed.phase is Phase.SETTLED
     assert replayed.settlement.to_csv() == ledger.settlement.to_csv()
     assert replayed.settlement.transfers == ledger.settlement.transfers
@@ -898,7 +900,7 @@ def test_replay_raises_on_a_line_it_does_not_reproduce(tamper):
 def _staged(phase):
     """A one-agent OA ledger driven to `phase`, with that agent's batch."""
     ledger = Ledger(LedgerConfig(mechanism=Mechanism.OA))
-    message = cmt.pack([("q1", 1), ("q2", 0)], ("q1", "q2"))
+    message = message_of([("q1", 1), ("q2", 0)], ("q1", "q2"))
     key = 7
     if phase is not Phase.POSTING:
         ledger.post_questions(("q1", "q2"), 1000)
@@ -962,10 +964,10 @@ def test_audit_rechecks_each_stored_reveal(tamper, outcome):
         "commit-blocks-bool", "reveal-blocks-float", "optimized-str"])
 def test_entry_points_take_only_ints(phase, call):
     ledger, message, key = _staged(phase)
-    events, gas = list(ledger.events), ledger.gas.total
+    events, gas = list(ledger.events), sum(ledger.gas.per_phase.values())
     with pytest.raises(ValueError):
         call(ledger, message, key)
-    assert (ledger.events, ledger.gas.total) == (events, gas)
+    assert (ledger.events, sum(ledger.gas.per_phase.values())) == (events, gas)
 
 
 @pytest.mark.parametrize("raw", [
@@ -974,10 +976,10 @@ def test_entry_points_take_only_ints(phase, call):
 def test_submit_commitment_takes_only_a_commitment(raw):
     ledger, message, key = _staged(Phase.COMMIT)
     commitment_ = cmt.commit(message, key, 2)
-    before = (list(ledger.events), ledger.gas.total, ledger._uncommitted)
+    before = (list(ledger.events), sum(ledger.gas.per_phase.values()), ledger._uncommitted)
     with pytest.raises(ValueError, match="must be a Commitment"):
         ledger.submit_commitment("A", 0, raw(commitment_))
-    assert (ledger.events, ledger.gas.total, ledger._uncommitted) == before
+    assert (ledger.events, sum(ledger.gas.per_phase.values()), ledger._uncommitted) == before
     assert ledger.phase is Phase.COMMIT
     ledger.submit_commitment("A", 0, commitment_)
     assert ledger.phase is Phase.REVEAL
@@ -990,10 +992,10 @@ def test_submit_commitment_takes_only_a_commitment(raw):
                                    "a\x85b", "a\u2028b", "a\u2029b", 5, None, b"A", ("A",)])
 def test_select_questions_refuses_an_agent_id_its_log_cannot_carry(agent):
     ledger, _message, _key = _staged(Phase.SELECTION)
-    before = (list(ledger.events), ledger.gas.total)
+    before = (list(ledger.events), sum(ledger.gas.per_phase.values()))
     with pytest.raises(ValueError, match="agent id"):
         ledger.select_questions(agent, ("q1", "q2"))
-    assert (ledger.events, ledger.gas.total, ledger.batches) == (*before, {})
+    assert (ledger.events, sum(ledger.gas.per_phase.values()), ledger.batches) == (*before, {})
 
 
 @pytest.mark.parametrize("bad_id", [["q1"], 1, None, True], ids=repr)
@@ -1001,7 +1003,7 @@ def test_question_ids_must_be_str(bad_id):
     fresh = Ledger(LedgerConfig())
     with pytest.raises(ValueError, match="question ids must be str"):
         fresh.post_questions(("q1", bad_id), 1000)
-    assert (fresh.phase, len(fresh.events), fresh.gas.total) == (Phase.POSTING, 1, 0)
+    assert (fresh.phase, len(fresh.events), sum(fresh.gas.per_phase.values())) == (Phase.POSTING, 1, 0)
     ledger = _oa_round()
     ledger.settle()
     dump = ledger.dump()
@@ -1224,7 +1226,7 @@ def test_a_cold_sampled_round_draws_in_batches_and_its_replay_draws_nothing(mech
 
 
 def test_a_flipped_key_bit_fails_verification_with_the_honest_layout_memoised(monkeypatch):
-    message = cmt.pack([("q1", 1), ("q2", 0)], ("q1", "q2"))
+    message = message_of([("q1", 1), ("q2", 0)], ("q1", "q2"))
     key = 0x1234_5678_9ABC_DEF0_1357
     commitment_ = cmt.commit(message, key, 2)
     misses = _sponge_runs(monkeypatch)

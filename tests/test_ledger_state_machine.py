@@ -32,6 +32,8 @@ from peerchain.keccak import keccak256
 from peerchain.ledger import Ledger, LedgerConfig, Phase
 from peerchain.mechanisms import ALL_PEERS, Mechanism, SampledPeers
 
+from conftest import message_of
+
 AGENTS = ("A", "B", "C", Ledger.REQUESTER)
 QUESTIONS = ("q1", "q2", "q3")
 AGENT = st.sampled_from(AGENTS)
@@ -119,7 +121,7 @@ class LedgerMachine(RuleBasedStateMachine):
         batches = self.ledger.batches.get(agent, ())
         if 0 <= batch < len(batches):
             order = batches[batch]
-            message = cmt.pack([(q, a) for q, a in zip(order, answers) if a is not None], order)
+            message = message_of([(q, a) for q, a in zip(order, answers) if a is not None], order)
         else:
             order, message = (), 0
         self._call(self.ledger.submit_commitment, agent, batch, cmt.commit(message, key, len(order)))

@@ -23,16 +23,17 @@ def _recorder():
     return module
 
 
-def _tiny_summary(workload, seed):
-    summary = runner.run(workload, seed, 0.001, False, tiny=True).summary()
+def _tiny_summary(recorder, workload, seed):
+    result = runner.run(workload, seed, 0.001, False, tiny=True)
     env = runner.environment(ROOT, seed)
-    return {**summary, "git_commit": env["git_commit"], "source_sha256": env["source_sha256"]}
+    return {**result.summary(), "git_commit": env["git_commit"], "source_sha256": env["source_sha256"],
+            "speed_reference_ms": recorder.speed_reference_ms(runner.report_lines(result, env))}
 
 
 def test_a_tiny_recording_holds_every_end_to_end_metric_with_its_quartiles():
     recorder = _recorder()
     workloads = [w["name"] for w in DECLARED["workloads"]]
-    summaries = {w: [_tiny_summary(w, 3) for _ in range(2)] for w in workloads}
+    summaries = {w: [_tiny_summary(recorder, w, 3) for _ in range(2)] for w in workloads}
     bench = json.loads(json.dumps(recorder.summarise("tiny", summaries, [3], 0.001)))
     assert set(bench) == {"label", "commit", "source_sha256", "seeds", "seconds", "runs_per_seed", "workloads"}
     assert (bench["label"], bench["seeds"], bench["seconds"], bench["runs_per_seed"]) == ("tiny", [3], 0.001, 2)
@@ -43,13 +44,30 @@ def test_a_tiny_recording_holds_every_end_to_end_metric_with_its_quartiles():
         assert workload["attempted"] > 0
         assert [(name, m["unit"], m["better"]) for name, m in workload["metrics"].items()] == [
             (m["name"], m["unit"], m["better"]) for m in DECLARED["end_to_end"]]
-        for m in workload["metrics"].values():
+        reference = workload["speed_reference_ms"]
+        assert (reference["unit"], reference["better"]) == ("ms", "lower")
+        for m in [*workload["metrics"].values(), reference]:
             assert len(m["values"]) == 2
             assert min(m["values"]) <= m["q1"] <= m["median"] <= m["q3"] <= max(m["values"])
 
     lines = recorder.compare(bench, bench)
-    assert len(lines) == 1 + len(workloads) * (1 + len(DECLARED["end_to_end"]))
+    assert len(lines) == 1 + len(workloads) * (2 + len(DECLARED["end_to_end"]))
     assert all("+0.00%  within A's IQR  B better in 0/2 pairs" in line for line in lines if line.startswith("  "))
+    assert sum(line.startswith("  speed_reference_ms ") for line in lines) == len(workloads)
+    # a file recorded before the speed reference was kept still compares, without it
+    older = json.loads(json.dumps(bench))
+    for workload in older["workloads"].values():
+        del workload["speed_reference_ms"]
+    for a, b in ((older, bench), (bench, older)):
+        assert recorder.compare(a, b) == [line for line in lines if not line.startswith("  speed_reference_ms ")]
+
+
+def test_the_speed_reference_is_read_from_its_report_line():
+    recorder = _recorder()
+    lines = ["env python=3.11", "speed reference median 9.301 ms over 120 operations (nominal 10.0 ms); times below",
+             "operations 120 attempted, 0 failed"]
+    assert recorder.speed_reference_ms(lines) == 9.301
+    assert recorder.speed_reference_ms(lines[::2]) is None
 
 
 def test_a_checkout_names_its_commit_and_whether_its_sources_differ(tmp_path):

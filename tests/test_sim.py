@@ -243,7 +243,7 @@ def test_run_experiment_deterministic_and_reconciled(desk_dataset):
     assert r1.gas_per_phase == r2.gas_per_phase
     assert r1.behavior_means == r2.behavior_means
     assert r1.gas_total == sum(r1.gas_per_phase.values())
-    assert r1.gas_total == r1.ledger.gas.total
+    assert r1.gas_total == sum(r1.ledger.gas.per_phase.values())
     assert r1.ledger.phase is Phase.SETTLED
     rows = r1.csv_rows()
     assert len(rows) == len(r1.gas_per_phase)
@@ -353,10 +353,9 @@ def test_selection_seed_is_hashed_once_per_round_and_replay(monkeypatch):
 @pytest.mark.parametrize("packed", [True, False], ids=["packed", "unpacked"])
 def test_a_round_encodes_every_batch_in_one_call_and_prices_each_bundle_once_per_view(packed, monkeypatch):
     """A packed 12x12 and an unpacked 12x40 round: one `encode_slots` call,
-    no `pack` call, and every read of a `GasLedger` view calls `GasTable.gas`
+    and every read of a `GasLedger` view calls `GasTable.gas`
     at most once per distinct bundle."""
     encodes = _counting(monkeypatch, cmt, "encode_slots")
-    packs = _counting(monkeypatch, cmt, "pack")
     priced, views = [], []  # every bundle GasTable.gas priced; those of each view read
     real_gas, real_view = GasTable.gas, GasLedger._gas_by
 
@@ -374,12 +373,12 @@ def test_a_round_encodes_every_batch_in_one_call_and_prices_each_bundle_once_per
     monkeypatch.setattr(GasLedger, "_gas_by", view)
     config = ExperimentConfig(mechanism=Mechanism.PTSC, packed=packed, agents=12, seed=1)
     report = run_experiment(config, QoSDataset.synthetic(12, 12 if packed else 40, seed=1))
-    assert (len(encodes), packs) == (1, [])
+    assert len(encodes) == 1
     counts = report.ledger.gas._counts
     assert len(views) == 2  # per_agent at the settle and per_phase for the report
     for bundles in views:
         assert sorted(map(repr, bundles)) == sorted({repr(bundle) for _phase, _party, bundle in counts})
-    assert report.gas_total == report.ledger.gas.total == sum(report.gas_per_phase.values())
+    assert report.gas_total == sum(report.ledger.gas.per_phase.values()) == sum(report.gas_per_phase.values())
     assert len(report.ledger.commitments) == (12 if packed else len(report.ledger.revealed_cells))
 
 

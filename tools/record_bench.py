@@ -10,10 +10,12 @@ Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` in a fresh process, one at a time; its last line of output is
 the JSON summary read here.  Per workload the file holds each end-to-end
 metric's median and quartiles over the runs, with every run's value in run
-order, the ``src/peerchain`` digest the runs printed, the seeds and the run
-length.  Its ``commit`` is the checkout's HEAD, with ``+dirty`` appended
-when ``src/`` or ``perfbench/`` differ from it (run.py itself reads HEAD
-alone).
+order, and in the same form ``speed_reference_ms``: each run's ``speed
+reference median X ms`` line, the machine-speed probe that normalises its
+times.  It also holds the ``src/peerchain`` digest the runs printed, the
+seeds and the run length.  Its ``commit`` is the checkout's HEAD, with
+``+dirty`` appended when ``src/`` or ``perfbench/`` differ from it (run.py
+itself reads HEAD alone).
 
 ``--baseline DIR`` runs the same workloads in the checkout at DIR as well
 (make it with ``git clone``, so that its commit is named),
@@ -22,13 +24,15 @@ alternating the two runs of each pair and which goes first, and writes
 prints, per workload and metric, both medians, the relative change,
 whether it is larger than A's interquartile range, and, when both files
 hold the same number of runs (as a ``--baseline`` recording does), in how
-many pairs taken in run order B was the better.
+many pairs taken in run order B was the better; the speed reference is
+printed after the metrics when both files hold it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in DECLARED["workloads"]]
 METRICS = {m["name"]: m for m in DECLARED["end_to_end"]}
+SPEED_REFERENCE = re.compile(r"speed reference median ([0-9.]+) ms over \d+ operations")
 
 
 def _env_fields(lines: list[str]) -> dict[str, str]:
@@ -46,6 +51,15 @@ def _env_fields(lines: list[str]) -> dict[str, str]:
         if line.startswith("env "):
             return dict(field.partition("=")[::2] for field in line[4:].split("  ") if "=" in field)
     return {}
+
+
+def speed_reference_ms(lines: list[str]) -> float | None:
+    """The median of a run's speed-reference line, None when it printed none."""
+    for line in lines:
+        found = SPEED_REFERENCE.match(line)
+        if found:
+            return float(found.group(1))
+    return None
 
 
 def checkout_commit(checkout: Path) -> str:
@@ -78,6 +92,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, commit: s
                            f"(exit {done.returncode}): {done.stderr[-2000:]}") from None
     summary["git_commit"] = commit
     summary["source_sha256"] = _env_fields(lines).get("source_sha256", "unknown")
+    summary["speed_reference_ms"] = speed_reference_ms(lines)
     return summary
 
 
@@ -85,6 +100,12 @@ def _spread(values: list[float]) -> dict:
     """Median and quartiles (inclusive method, as numpy's default)."""
     q1, _, q3 = quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median(values), "q1": q1, "q3": q3}
+
+
+def _distribution(values: list[float], unit: str, better: str) -> dict:
+    """One metric's entry: unit, direction, median and quartiles, the values."""
+    spread = _spread(values) if values else {"median": None, "q1": None, "q3": None}
+    return {"unit": unit, "better": better, **spread, "values": values}
 
 
 def summarise(label: str, summaries: dict[str, list[dict]], seeds: list[int], seconds: float) -> dict:
@@ -98,15 +119,15 @@ def summarise(label: str, summaries: dict[str, list[dict]], seeds: list[int], se
         for name, declared in METRICS.items():
             values = [s["metrics"][name]["value"] for s in per_workload
                       if s["metrics"].get(name, {}).get("value") is not None]
-            metrics[name] = {"unit": declared["unit"], "better": declared["better"],
-                             **(_spread(values) if values else {"median": None, "q1": None, "q3": None}),
-                             "values": values}
+            metrics[name] = _distribution(values, declared["unit"], declared["better"])
+        references = [s["speed_reference_ms"] for s in per_workload if s["speed_reference_ms"] is not None]
         workloads[workload] = {
             "runs": len(per_workload),
             "incorrect_runs": sum(not s["correct"] for s in per_workload),
             "attempted": sum(s["attempted"] for s in per_workload),
             "failed": sum(s["failed"] for s in per_workload),
             "metrics": metrics,
+            "speed_reference_ms": _distribution(references, "ms", "lower"),
         }
     return {
         "label": label,
@@ -151,17 +172,20 @@ def _progress(label: str, workload: str, seed: int, summary: dict) -> None:
 
 
 def compare(a: dict, b: dict) -> list[str]:
-    """Per workload and metric: both medians, the change, and whether it
-    exceeds A's interquartile range; pair wins when the run counts match."""
+    """Per workload and metric, then the speed reference where both files
+    hold it: both medians, the change, and whether it exceeds A's
+    interquartile range; pair wins when the run counts match."""
     lines = [f"A = {a['label']} ({a['commit']}), B = {b['label']} ({b['commit']})"]
     for workload, wa in a["workloads"].items():
         wb = b["workloads"].get(workload)
         if wb is None:
             continue
         lines.append(f"{workload}: A {wa['runs']} runs, B {wb['runs']} runs")
-        for name, ma in wa["metrics"].items():
-            mb = wb["metrics"].get(name)
-            if mb is None or ma["median"] is None or mb["median"] is None:
+        reference = "speed_reference_ms"
+        in_b = {**wb["metrics"], reference: wb.get(reference)}
+        for name, ma in [*wa["metrics"].items(), (reference, wa.get(reference))]:
+            mb = in_b.get(name)
+            if ma is None or mb is None or ma["median"] is None or mb["median"] is None:
                 continue
             delta = mb["median"] - ma["median"]
             change = delta / ma["median"] if ma["median"] else float("nan")

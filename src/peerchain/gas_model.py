@@ -37,10 +37,13 @@ cell, so it picks the peers the mechanism scored.  Every second draw is
 a hit in the sampler's memo of drawn positions (`peer_selection`): the
 kernel's `peer_visits` filled it a batch of `DRAW_MEMO_SIZE` cells at a
 time, and this one passes the same batches through it again, so each
-cell costs a lookup and a naming, not k draws, however many cells the
-settle has.  Passing the kernel's `PeerVisits` in instead ("draw once")
-would halve the sampler calls that the round benchmark counts, so it is
-left to a change of that benchmark.
+cell costs one `sample_peers` call that looks its positions up and
+copies them (about 1 us at k = 10), not k draws, however many cells the
+settle has; one numpy gather then names every cell's peers.  Only DG
+pricing reads the per-pair counts (`PeerVisits.visited`), so OA and PTSC
+pricing never count them.  Passing the kernel's `PeerVisits` in instead
+("draw once") would halve the sampler calls that the round benchmark
+counts, so it is left to a change of that benchmark.
 
 Cost patterns (T total answers, n_q answerers on question q, t_i answers
 by agent i):

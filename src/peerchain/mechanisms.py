@@ -31,14 +31,19 @@ per (agent, question) cell; sampling uses a substream so results do not
 depend on evaluation order.  ``peer_visits`` is the one place a settle
 asks which: its ``PeerVisits`` holds, as int arrays, the peers scored in
 every cell, how many of them match, and per peer count s how often each
-agent's cells with s peers score each other agent.  With all peers these
-come from the matrix's 0/1 arrays.  Sampled cells take their substream
-seeds from one numpy pass (``peer_selection.cell_seeds``); each batch of
+agent's cells with s peers score each other agent (``by_size``, counted on
+its first read, which only DG makes).  With all peers these come from the
+matrix's 0/1 arrays.  Sampled cells take their substream seeds from one
+numpy pass (``peer_selection.cell_seeds``); each batch of
 ``DRAW_MEMO_SIZE`` of them is drawn in one numpy pass
 (``peer_selection.draw_positions_many``) into the sampler's memo, and
-then every cell makes one ``sample_peers`` call, in row-major order, from
-the question's answerer list with the agent sliced out, which finds its
-draw there.  ``peers_for_cell`` is the cell-by-cell
+then every cell makes one ``sample_peers`` call, in row-major order, on
+the positions ``0..pool-1`` of its pool (one list per pool size, shared by
+the cells), which finds its draw there.  The drawn positions are
+flattened into one array and named by one gather over every question's
+answerers, laid out question after question: position ``pos`` of agent
+i's pool on question j is the answerer at place ``pos + (pos >= r)`` of
+j, where r is i's own place.  ``peers_for_cell`` is the cell-by-cell
 reference that the naive path uses; a test holds ``PeerVisits`` equal to
 it.  The gas model prices the same ``PeerVisits``.
 
@@ -68,9 +73,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from math import lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -285,12 +291,17 @@ class PeerVisits:
     ``peers[i, j]`` is the number of peers scored in cell (i, j), 0 when the
     cell is not scored; ``matches[i, j]`` how many of them gave agent i's
     answer; ``by_size[s][i, p]`` how many of agent i's cells with s peers
-    score agent p.
+    score agent p, counted by ``count_by_size()`` on its first read (OA and
+    PTSC read only ``peers`` and ``matches``).
     """
 
     peers: np.ndarray
     matches: np.ndarray
-    by_size: dict[int, np.ndarray]
+    count_by_size: Callable[[], dict[int, np.ndarray]]
+
+    @cached_property
+    def by_size(self) -> dict[int, np.ndarray]:
+        return self.count_by_size()
 
     def visited(self) -> np.ndarray:
         """[i, p]: how many of agent i's cells score agent p."""
@@ -298,15 +309,40 @@ class PeerVisits:
         return sum(self.by_size.values(), np.zeros((n, n), dtype=np.int64))
 
 
+def _shared_by_size(answered: np.ndarray, pools: np.ndarray) -> dict[int, np.ndarray]:
+    """All peers' ``by_size``: [i, p] counts the questions with s peers that
+    agents i and p both answered."""
+    by_size = {}
+    for s in np.flatnonzero(np.bincount(pools[pools > 0])).tolist():
+        block = answered[:, pools == s]
+        shared = block @ block.T
+        np.fill_diagonal(shared, 0)
+        by_size[s] = shared
+    return by_size
+
+
+def _drawn_by_size(agent: np.ndarray, sizes: np.ndarray, peer: np.ndarray, n_agents: int) -> dict[int, np.ndarray]:
+    """A sample's ``by_size``: scored cell c is agent ``agent[c]``'s, with
+    ``sizes[c]`` peers, and its peers are the next ``sizes[c]`` of ``peer``."""
+    pair = np.repeat(agent * n_agents, sizes) + peer
+    size = np.repeat(sizes, sizes)
+    return {
+        s: np.bincount(pair[size == s], minlength=n_agents**2).reshape(n_agents, n_agents)
+        for s in np.flatnonzero(np.bincount(sizes)).tolist()
+    }
+
+
 def peer_visits(matrix: AnswerMatrix, peer_mode: PeerMode) -> PeerVisits:
     """The ``PeerVisits`` of scoring ``matrix`` under ``peer_mode``: every
     answered cell whose question has another answerer is scored.
 
-    A sampled cell makes one ``sample_peers`` call, in row-major order, on
-    the pool ``peers_for_cell`` draws from, held as agent indices; the
-    sampler picks by position, so the draws are the same.  Each
-    ``DRAW_MEMO_SIZE`` cells are first drawn as one batch, so those calls
-    find their draws in the memo.
+    A sampled cell makes one ``sample_peers`` call, in row-major order,
+    whose candidates are the positions ``0..pool-1`` of its pool (one list
+    per pool size, shared by the cells); each ``DRAW_MEMO_SIZE`` cells are
+    first drawn as one batch, so those calls find their draws in the memo.
+    Position ``pos`` of agent i's pool on question j is the answerer of j
+    at place ``pos + (pos >= r)``, r being i's own place, which is the peer
+    ``peers_for_cell`` names; every visit's peer is read by one gather.
     """
     require_peer_mode(peer_mode)
     answered, ones = matrix.answered, matrix.ones
@@ -316,44 +352,36 @@ def peer_visits(matrix: AnswerMatrix, peer_mode: PeerMode) -> PeerVisits:
     if isinstance(peer_mode, AllPeers):
         # a cell's matches: the other answerers of its question with the same bit
         same = np.where(ones == 1, said_one, answerers - said_one) - 1
-        by_size = {}
-        for s in np.flatnonzero(np.bincount(pools[pools > 0])).tolist():
-            block = answered[:, pools == s]
-            shared = block @ block.T  # questions with s peers both answered
-            np.fill_diagonal(shared, 0)
-            by_size[s] = shared
-        return PeerVisits(np.where(scored, pools, 0), np.where(scored, same, 0), by_size)
+        return PeerVisits(np.where(scored, pools, 0), np.where(scored, same, 0),
+                          partial(_shared_by_size, answered, pools))
 
     n_agents, n_questions = answered.shape
     # k capped at n_agents, above every pool, so a huge k never meets numpy
     peers = np.where(scored, np.minimum(pools, min(peer_mode.k, n_agents)), 0)
-    columns = [np.flatnonzero(column).tolist() for column in answered.T]
-    # the agent's position among the answerers of each question it answered
-    ranks = (np.cumsum(answered, axis=0) - 1).tolist()
     cells = np.flatnonzero(scored)
+    agent, q = np.divmod(cells, n_questions)
     sizes = peers.flat[cells]
-    cell_list, pool_list, k_list = cells.tolist(), pools[cells % n_questions].tolist(), sizes.tolist()
+    pool_list, k_list = pools[q].tolist(), sizes.tolist()
     states = cell_seeds(peer_mode.seed, n_agents, n_questions).flat[cells].tolist()
+    spots = {pool: list(range(pool)) for pool in set(pool_list)}
     drawn = []
     for start in range(0, len(cells), DRAW_MEMO_SIZE):
         part = slice(start, start + DRAW_MEMO_SIZE)
         draw_positions_many(pool_list[part], k_list[part], states[part])
-        for cell, k, state in zip(cell_list[part], k_list[part], states[part]):
-            i, j = divmod(cell, n_questions)
-            column, r = columns[j], ranks[i][j]
-            drawn += sample_peers(column[:r] + column[r + 1:], k, state)
-    # one entry per visit: its cell, the cell's agent and question, the peer
-    visit = np.repeat(cells, sizes)
-    agent, q = np.divmod(visit, n_questions)
-    drawn = np.array(drawn, dtype=np.intp)
-    agree = ones[drawn, q] == ones.flat[visit]
-    matches = np.bincount(visit[agree], minlength=peers.size).reshape(peers.shape)
-    pair, size = agent * n_agents + drawn, np.repeat(sizes, sizes)
-    by_size = {
-        s: np.bincount(pair[size == s], minlength=n_agents**2).reshape(n_agents, n_agents)
-        for s in np.flatnonzero(np.bincount(sizes)).tolist()
-    }
-    return PeerVisits(peers, matches, by_size)
+        drawn += chain.from_iterable(
+            map(sample_peers, map(spots.__getitem__, pool_list[part]), k_list[part], states[part]))
+    pos = np.fromiter(drawn, dtype=np.intp, count=len(drawn))
+    # every question's answerers in agent order, one question after another, and their bits
+    taken = np.flatnonzero(answered.T)
+    answerer, bit = taken % n_agents, ones.T.flat[taken]
+    first = np.cumsum(answerers) - answerers
+    place = (np.cumsum(answered, axis=0) - 1).flat[cells]  # the agent's place among them
+    # one entry per visit, cell after cell: where its peer sits in `answerer`
+    at = np.repeat(first[q], sizes) + pos + (pos >= np.repeat(place, sizes))
+    agree = bit[at] == np.repeat(ones.flat[cells], sizes)
+    matches = np.zeros_like(peers)
+    matches.flat[cells] = np.add.reduceat(agree, np.cumsum(sizes) - sizes, dtype=np.int64)
+    return PeerVisits(peers, matches, partial(_drawn_by_size, agent, sizes, answerer[at], n_agents))
 
 
 class PairCounts:

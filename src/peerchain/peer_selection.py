@@ -33,24 +33,28 @@ the oldest entry with ``popitem(last=False)``, so it never holds more than
 ``DRAW_MEMO_SIZE`` = 4,096 draws, about 0.9 MiB at k = 10 (tracemalloc).
 
 ``draw_positions_many(sizes, ks, states)`` fills the memo for a whole
-batch of cells at once.  A batch the memo already holds changes nothing.
-Otherwise the keys it holds move to its end, so that the batch's inserts
-evict none of them, and the missing ones are drawn together: SplitMix64
-as wrapping numpy ``uint64`` operations, and the swap-remove prefix as k
-steps over a padded (cells x largest pool) array of positions in which
-every row keeps its own live size, a row with a smaller k stopping after
-its k steps.  The results enter the memo in batch order.  A sampled
-settle (``mechanisms.peer_visits``) passes its cells through this batch
-``DRAW_MEMO_SIZE`` at a time and then makes its per-cell ``sample_peers``
-calls, which all hit, so it runs no scalar draw however many cells it
-has.  The gas model's second ``peer_visits`` and a replay in the same
-process find every draw in the memo; a replay in another process draws
-them in one batch.  On 3,080 cells drawing 10 of 55 (2-core Xeon, Python
-3.11, numpy 2.4) the batch takes about 5 ms against about 60 ms for the
-scalar draws, and a batch that is all hits about 0.3 ms.  ``sample_peers``
-called on its own, as the naive path's ``peers_for_cell`` calls it,
-draws a miss with ``_draw_positions``, which is also the reference the
-batch is tested against.
+batch of cells at once.  A batch the memo already holds changes nothing;
+one pass over its keys, stopping at the first miss, tells.  Otherwise the
+missing keys are drawn together: SplitMix64 as wrapping numpy ``uint64``
+operations, and the swap-remove prefix as k steps over a padded (cells x
+largest pool) array of positions in which every row keeps its own live
+size, a row with a smaller k stopping after its k steps.  When the batch
+also holds hits, those first move to the memo's end, so that its inserts
+evict none of them.  The drawn rows enter the memo in batch order with
+one ``OrderedDict.update``, and the oldest entries past ``DRAW_MEMO_SIZE``
+then leave it, which is what one ``_remember`` per missing key would
+leave.  A sampled settle (``mechanisms.peer_visits``) passes its cells
+through this batch ``DRAW_MEMO_SIZE`` at a time and then makes its
+per-cell ``sample_peers`` calls, which all hit, so it runs no scalar draw
+however many cells it has.  The gas model's second ``peer_visits`` and a
+replay in the same process find every draw in the memo; a replay in
+another process draws them in one batch.  On 3,080 cells drawing 10 of
+54 (2-core Xeon, Python 3.11, numpy 2.4; best of 25) the batch takes
+about 4 ms against about 23 ms for the scalar draws, and a batch that is
+all hits about 0.5 ms.  ``sample_peers`` called on its own, as the naive
+path's ``peers_for_cell`` calls it, draws a miss with
+``_draw_positions``, which is also the reference the batch is tested
+against.
 
 ``cell_seed(seed, i, j)`` is the seed of one (agent, question) cell's
 draws.  ``cell_seeds`` derives the seeds of every cell of an agents x
@@ -189,10 +193,11 @@ def draw_positions_many(sizes: Sequence[int], ks: Sequence[int], states: Sequenc
     order, so a batch of more than ``DRAW_MEMO_SIZE`` keys leaves its last
     ``DRAW_MEMO_SIZE`` there.
     """
-    keys = list(zip(sizes, ks, states))
-    missing = list(dict.fromkeys(key for key in keys if key not in _memo))
-    if not missing:
+    if all(map(_memo.__contains__, zip(sizes, ks, states))):  # stops at the first miss
         return
+    keys = list(zip(sizes, ks, states))
+    distinct = dict.fromkeys(keys)
+    missing = [key for key in distinct if key not in _memo]
     if set(map(type, chain.from_iterable(missing))) != {int}:
         raise ValueError("sizes, ks and states must be ints")
     try:
@@ -204,11 +209,14 @@ def draw_positions_many(sizes: Sequence[int], ks: Sequence[int], states: Sequenc
     if bad.any():
         c = int(np.argmax(bad))
         raise KTooLarge(f"k={ks[c]} outside 1..{sizes[c]}")
-    for key in keys:  # so that the inserts below evict none of the batch's hits
-        if key in _memo:
-            _memo.move_to_end(key)
-    for key, positions in zip(missing, _draw_rows(sizes, ks, states)):
-        _remember(key, positions)
+    if len(missing) < len(distinct):  # so that the inserts below evict none of the batch's hits
+        for key in keys:
+            if key in _memo:
+                _memo.move_to_end(key)
+    # as one _remember per missing key: insert, then evict the oldest past the size
+    _memo.update(zip(missing, _draw_rows(sizes, ks, states)))
+    for _ in range(len(_memo) - DRAW_MEMO_SIZE):
+        _memo.popitem(last=False)
 
 
 def _draw_rows(sizes: np.ndarray, ks: np.ndarray, states: np.ndarray) -> list[tuple[int, ...]]:
@@ -232,10 +240,11 @@ def _draw_rows(sizes: np.ndarray, ks: np.ndarray, states: np.ndarray) -> list[tu
         picked[:active, t] = pool[r, idx]
         live[:active] -= np.uint64(1)
         pool[r, idx] = pool[r, live[:active]]
-    drawn = [None] * len(order)
-    for row, positions, k in zip(order.tolist(), picked.tolist(), ks.tolist()):
-        drawn[row] = tuple(positions[:k])
-    return drawn
+    back = np.empty_like(order)  # the batch's row order again
+    back[order] = rows
+    if ks[0] == ks[-1]:  # one k: every row is drawn whole
+        return list(map(tuple, picked[back].tolist()))
+    return [tuple(positions[:k]) for positions, k in zip(picked[back].tolist(), ks[back].tolist())]
 
 
 def cell_seed(seed: SelectionSeed | int, agent_index: int, question_index: int) -> int:

@@ -1,5 +1,6 @@
 """Ledger state machine: lifecycle, integrity, settlement, replay."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -672,6 +673,35 @@ def test_each_settle_builds_one_matrix_and_visits_peers_twice(mechanism, peer_mo
     for settle in settles:
         assert [c for c in settle if c != "sample_peers"] == ["AnswerMatrix", "peer_visits", "peer_visits"]
         assert settle.count("sample_peers") == 2 * sampled
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+@pytest.mark.parametrize("peer_mode", [ALL_PEERS, SampledPeers(3, 7)], ids=["all-peers", "sampled"])
+def test_only_dg_settles_count_visits_by_peer_count(mechanism, peer_mode, monkeypatch):
+    """OA and PTSC settles read a `PeerVisits`' per-cell counts alone, so
+    its `by_size` is never built; a DG settle builds it once in each of its
+    two `PeerVisits`, the kernel's and the gas model's."""
+    built, made = [], []
+    real_visits, real_by_size = mechanisms.peer_visits, mechanisms.PeerVisits.by_size.func
+
+    def visits(*args):
+        made.append(real_visits(*args))
+        return made[-1]
+
+    def by_size(self):
+        built.append(self)
+        return real_by_size(self)
+
+    counted = functools.cached_property(by_size)
+    counted.__set_name__(mechanisms.PeerVisits, "by_size")
+    monkeypatch.setattr(mechanisms.PeerVisits, "by_size", counted)
+    monkeypatch.setattr(mechanisms, "peer_visits", visits)
+    monkeypatch.setattr(gas_model, "peer_visits", visits)
+    config = ExperimentConfig(mechanism=mechanism, peer_mode=peer_mode, agents=12, seed=3)
+    round_ = run_experiment(config, QoSDataset.skip_one(12, 12, seed=4)).ledger
+    Ledger.load(round_.dump())
+    assert len(made) == 4  # the settle's two and the replay's two
+    assert built == (made if mechanism is Mechanism.DG else [])
 
 
 def test_event_log_replay_is_byte_identical():

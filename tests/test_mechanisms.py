@@ -392,10 +392,50 @@ def test_cell_plan_matches_peer_scan_on_skip_one(k):
     assert _visit_lists(peer_visits(m, mode)) == _peer_scan(m, mode)
 
 
-def test_cell_plan_draws_more_cells_than_the_memo_holds_in_batches(monkeypatch):
+@st.composite
+def sparse_matrices(draw):
+    """A matrix of up to 7 x 7 cells, each unanswered, 0 or 1: agents with
+    no answer, questions with one answerer and matrices with no scored cell
+    among them."""
+    n, n_q = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    slots = draw(st.lists(st.sampled_from((None, 0, 1)), min_size=n * n_q, max_size=n * n_q))
+    agents, questions = [f"a{i}" for i in range(n)], [f"q{j}" for j in range(n_q)]
+    return matrix_of(agents, questions, {(agents[i], questions[j]): slots[i * n_q + j]
+                                         for i in range(n) for j in range(n_q) if slots[i * n_q + j] is not None})
+
+
+GATHER_SEEDS = st.one_of(
+    st.integers(-4, 15),
+    st.integers(2**64 - 8, 2**64 + 8),
+    st.builds(SelectionSeed, st.integers(0, 2**64), st.integers(0, 2**64)),
+)
+
+
+def test_the_sampled_gather_equals_the_peer_scan(tmp_path):
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(m=sparse_matrices(), k=st.one_of(st.integers(1, 10), st.integers(1, 10**30)), seed=GATHER_SEEDS)
+    def check(m, k, seed):
+        mode = SampledPeers(k, seed)
+        expected = _peer_scan(m, mode)
+        _memo.clear()
+        # cold: the batch draws every cell; warm: every cell is a hit
+        assert _visit_lists(peer_visits(m, mode)) == expected
+        assert _visit_lists(peer_visits(m, mode)) == expected
+
+    lone = matrix_of(("a0", "a1", "a2"), ("q0", "q1"), {("a0", "q0"): 1, ("a1", "q1"): 0})
+    assert not peer_visits(lone, SampledPeers(3, 1)).peers.any()  # no scored cell
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+@pytest.mark.parametrize("mode", [SampledPeers(10, SelectionSeed(100, 10)), SampledPeers(3, 2**64 - 1)],
+                         ids=["k10-selection-seed", "k3-seed-2**64-1"])
+def test_cell_plan_draws_more_cells_than_the_memo_holds_in_batches(monkeypatch, mode):
     # 9,900 sampled cells: three batches of at most DRAW_MEMO_SIZE cells
     m = skip_one_matrix(random.Random(100), 100)
-    mode = SampledPeers(10, SelectionSeed(100, 10))
     _memo.clear()
     scalar, batched = count_draws(monkeypatch)
     visits = peer_visits(m, mode)
@@ -592,7 +632,7 @@ def test_dg_terms_past_int64_are_summed_exactly_as_python_ints():
     assert max(map(abs, reference.values())) >= 2**63
     assert wrapped != reference  # so int64 terms would not be exact here
 
-    visits = PeerVisits(np.zeros((3, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.int64), by_size)
+    visits = PeerVisits(np.zeros((3, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.int64), lambda: by_size)
     columns = (np.concatenate(column) for column in zip(*_dg_terms(SimpleNamespace(num=num, den=den), visits)))
     agents, dens, sums = (array.tolist() for array in _grouped_sums(*columns))
     assert all(type(v) is int for v in agents + dens + sums)

@@ -1,7 +1,8 @@
 """SplitMix64 reference vectors, seed derivation, sampler statistics, and
 the draw memo and its batch fill against an unmemoised sampler."""
 
-from collections import Counter
+import random
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -317,6 +318,47 @@ def test_a_batch_keeps_its_hits_in_a_full_memo(monkeypatch):
     for size, k, state in held + fresh:
         assert sample_peers(range(size), k, state) == reference_sample(range(size), k, state)
     assert scalar == []
+
+
+def test_batches_leave_the_memo_as_sequential_remembers_do(monkeypatch):
+    """Each batch leaves the memo's entries, in order, as the reference
+    leaves a copy: the batch's hits moved to the end in batch order, then
+    one `_remember` call per distinct missing key in batch order."""
+    rng = random.Random(33)
+    fresh = iter(range(10**6))
+
+    def keys(hits, misses, copies):
+        held = list(_memo)
+        batch = rng.sample(held, min(hits, len(held))) + [(5, 2, next(fresh)) for _ in range(misses)]
+        batch += rng.choices(batch, k=copies)  # duplicates
+        rng.shuffle(batch)
+        return batch
+
+    _memo.clear()
+    reference = OrderedDict()
+    batches = [
+        lambda: keys(0, 300, 20),                 # misses only
+        lambda: keys(100, 100, 50),               # hits, misses and duplicates
+        lambda: keys(0, 0, 0) + list(_memo)[:200],  # hits only: nothing moves
+        lambda: keys(250, DRAW_MEMO_SIZE + 100, 300),  # more keys than the memo holds
+        lambda: keys(DRAW_MEMO_SIZE - 10, 40, 10),     # a full memo, its hits the oldest entries
+        lambda: keys(30, 5, 400),
+    ]
+    for make in batches:
+        batch = make()
+        draw_positions_many(*zip(*batch))
+        with monkeypatch.context() as patch:
+            patch.setattr(peer_selection, "_memo", reference)
+            missing = [key for key in dict.fromkeys(batch) if key not in reference]
+            if missing:
+                for key in batch:
+                    if key in reference:
+                        reference.move_to_end(key)
+                for key in missing:
+                    peer_selection._remember(key, _draw_positions(*key))
+        assert list(_memo.items()) == list(reference.items())
+        assert len(_memo) <= DRAW_MEMO_SIZE
+    assert len(_memo) == DRAW_MEMO_SIZE
 
 
 @pytest.mark.parametrize("sizes, ks, states, error, message", [

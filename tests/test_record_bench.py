@@ -11,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+LAYER_NAMES = [m["name"] for m in DECLARED["per_layer"]]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from pcbench import runner  # noqa: E402
@@ -23,18 +24,19 @@ def _recorder():
     return module
 
 
-def _tiny_summary(recorder, workload, seed):
-    result = runner.run(workload, seed, 0.001, False, tiny=True)
+def _tiny_summary(recorder, workload, seed, trace=False):
+    result = runner.run(workload, seed, 0.001, trace, tiny=True)
     env = runner.environment(ROOT, seed)
     return {**result.summary(), "git_commit": env["git_commit"], "source_sha256": env["source_sha256"],
             "speed_reference_ms": recorder.speed_reference_ms(runner.report_lines(result, env))}
 
 
-def test_a_tiny_recording_holds_every_end_to_end_metric_with_its_quartiles():
+def test_a_tiny_recording_holds_every_end_to_end_and_layer_metric_with_its_quartiles():
     recorder = _recorder()
     workloads = [w["name"] for w in DECLARED["workloads"]]
     summaries = {w: [_tiny_summary(recorder, w, 3) for _ in range(2)] for w in workloads}
-    bench = json.loads(json.dumps(recorder.summarise("tiny", summaries, [3], 0.001)))
+    traced = {w: [_tiny_summary(recorder, w, 3, trace=True) for _ in range(2)] for w in workloads}
+    bench = json.loads(json.dumps(recorder.summarise("tiny", summaries, traced, [3], 0.001)))
     assert set(bench) == {"label", "commit", "source_sha256", "seeds", "seconds", "runs_per_seed", "workloads"}
     assert (bench["label"], bench["seeds"], bench["seconds"], bench["runs_per_seed"]) == ("tiny", [3], 0.001, 2)
     assert isinstance(bench["commit"], str) and len(bench["source_sha256"]) == 64
@@ -44,22 +46,34 @@ def test_a_tiny_recording_holds_every_end_to_end_metric_with_its_quartiles():
         assert workload["attempted"] > 0
         assert [(name, m["unit"], m["better"]) for name, m in workload["metrics"].items()] == [
             (m["name"], m["unit"], m["better"]) for m in DECLARED["end_to_end"]]
+        layers = workload["layers"]
+        assert (layers["runs"], layers["incorrect_runs"]) == (2, 0)
+        assert [(name, m["unit"], m["better"]) for name, m in layers["metrics"].items()] == [
+            (m["name"], m["unit"], m["better"]) for m in DECLARED["per_layer"]]
         reference = workload["speed_reference_ms"]
         assert (reference["unit"], reference["better"]) == ("ms", "lower")
-        for m in [*workload["metrics"].values(), reference]:
+        for m in [*workload["metrics"].values(), *layers["metrics"].values(), reference]:
             assert len(m["values"]) == 2
             assert min(m["values"]) <= m["q1"] <= m["median"] <= m["q3"] <= max(m["values"])
 
     lines = recorder.compare(bench, bench)
-    assert len(lines) == 1 + len(workloads) * (2 + len(DECLARED["end_to_end"]))
-    assert all("+0.00%  within A's IQR  B better in 0/2 pairs" in line for line in lines if line.startswith("  "))
+    end_to_end, per_layer = len(DECLARED["end_to_end"]), len(DECLARED["per_layer"])
+    assert len(lines) == 1 + len(workloads) * (2 + end_to_end + per_layer)
+    # per workload: its heading, the end-to-end metrics, the per-layer ones, the speed reference
+    names = [line.split()[0] for line in lines[2:2 + end_to_end + per_layer + 1]]
+    assert names == [*(m["name"] for m in DECLARED["end_to_end"]),
+                     *(m["name"] for m in DECLARED["per_layer"]), "speed_reference_ms"]
+    compared = [line for line in lines if line.startswith("  ") and "+nan%" not in line]
+    assert all("+0.00%  within A's IQR  B better in 0/2 pairs" in line for line in compared)
     assert sum(line.startswith("  speed_reference_ms ") for line in lines) == len(workloads)
-    # a file recorded before the speed reference was kept still compares, without it
+    # a file recorded before the speed reference and the layers were kept
+    # still compares, without them
     older = json.loads(json.dumps(bench))
     for workload in older["workloads"].values():
-        del workload["speed_reference_ms"]
+        del workload["speed_reference_ms"], workload["layers"]
+    kept = [line for line in lines if line.split()[0] not in ("speed_reference_ms", *LAYER_NAMES)]
     for a, b in ((older, bench), (bench, older)):
-        assert recorder.compare(a, b) == [line for line in lines if not line.startswith("  speed_reference_ms ")]
+        assert recorder.compare(a, b) == kept
 
 
 def test_the_speed_reference_is_read_from_its_report_line():

@@ -1,4 +1,4 @@
-"""Record the round benchmark's end-to-end metrics into ``BENCH_<label>.json``.
+"""Record the round benchmark's end-to-end and per-layer metrics into ``BENCH_<label>.json``.
 
 Run from anywhere; it measures the checkout this file lives in:
 
@@ -7,15 +7,18 @@ Run from anywhere; it measures the checkout this file lives in:
     python3 tools/record_bench.py --compare BENCH_30.json BENCH_31.json
 
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` in a fresh process, one at a time; its last line of output is
-the JSON summary read here.  Per workload the file holds each end-to-end
-metric's median and quartiles over the runs, with every run's value in run
-order, and in the same form ``speed_reference_ms``: each run's ``speed
-reference median X ms`` line, the machine-speed probe that normalises its
-times.  It also holds the ``src/peerchain`` digest the runs printed, the
-seeds and the run length.  Its ``commit`` is the checkout's HEAD, with
-``+dirty`` appended when ``src/`` or ``perfbench/`` differ from it (run.py
-itself reads HEAD alone).
+--trace 0`` in a fresh process, one at a time, and each is followed by the
+same command with ``--trace 1``; the last line of a run's output is the
+JSON summary read here.  Per workload the file holds each end-to-end
+metric's median and quartiles over the untraced runs, with every run's
+value in run order, and in the same form ``speed_reference_ms``: each
+untraced run's ``speed reference median X ms`` line, the machine-speed
+probe that normalises its times.  Its ``layers`` hold, in the same form,
+each per-layer metric of ``BENCHMARK.json`` over the traced runs, with
+their run and incorrect-run counts.  The file also holds the
+``src/peerchain`` digest the runs printed, the seeds and the run length.
+Its ``commit`` is the checkout's HEAD, with ``+dirty`` appended when
+``src/`` or ``perfbench/`` differ from it (run.py itself reads HEAD alone).
 
 ``--baseline DIR`` runs the same workloads in the checkout at DIR as well
 (make it with ``git clone``, so that its commit is named),
@@ -24,8 +27,9 @@ alternating the two runs of each pair and which goes first, and writes
 prints, per workload and metric, both medians, the relative change,
 whether it is larger than A's interquartile range, and, when both files
 hold the same number of runs (as a ``--baseline`` recording does), in how
-many pairs taken in run order B was the better; the speed reference is
-printed after the metrics when both files hold it.
+many pairs taken in run order B was the better.  The end-to-end metrics
+come first, then the per-layer metrics and the speed reference, each
+where both files hold it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in DECLARED["workloads"]]
 METRICS = {m["name"]: m for m in DECLARED["end_to_end"]}
+LAYERS = {m["name"]: m for m in DECLARED["per_layer"]}
 SPEED_REFERENCE = re.compile(r"speed reference median ([0-9.]+) ms over \d+ operations")
 
 
@@ -74,12 +79,12 @@ def checkout_commit(checkout: Path) -> str:
     return head.stdout.strip() + ("+dirty" if status.stdout.strip() else "")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, commit: str) -> dict:
-    """One benchmark run in a fresh process: its JSON summary, with the
-    given commit and the source digest the run printed."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, commit: str, trace: bool = False) -> dict:
+    """One benchmark run in a fresh process, traced or not: its JSON
+    summary, with the given commit and the source digest the run printed."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(int(trace))],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = done.stdout.splitlines()
@@ -108,26 +113,39 @@ def _distribution(values: list[float], unit: str, better: str) -> dict:
     return {"unit": unit, "better": better, **spread, "values": values}
 
 
-def summarise(label: str, summaries: dict[str, list[dict]], seeds: list[int], seconds: float) -> dict:
-    """The BENCH file's contents from each workload's run summaries, in run order."""
-    runs = [s for per_workload in summaries.values() for s in per_workload]
+def _distributions(declared: dict[str, dict], summaries: list[dict]) -> dict[str, dict]:
+    """Each declared metric's entry over the runs that give it a value."""
+    entries = {}
+    for name, metric in declared.items():
+        values = [s["metrics"][name]["value"] for s in summaries
+                  if s["metrics"].get(name, {}).get("value") is not None]
+        entries[name] = _distribution(values, metric["unit"], metric["better"])
+    return entries
+
+
+def summarise(label: str, summaries: dict[str, list[dict]], traced: dict[str, list[dict]],
+              seeds: list[int], seconds: float) -> dict:
+    """The BENCH file's contents from each workload's untraced and traced
+    run summaries, in run order."""
+    runs = [s for per_workload in [*summaries.values(), *traced.values()] for s in per_workload]
     commits = sorted({s["git_commit"] for s in runs})
     sources = sorted({s["source_sha256"] for s in runs})
     workloads = {}
     for workload, per_workload in summaries.items():
-        metrics = {}
-        for name, declared in METRICS.items():
-            values = [s["metrics"][name]["value"] for s in per_workload
-                      if s["metrics"].get(name, {}).get("value") is not None]
-            metrics[name] = _distribution(values, declared["unit"], declared["better"])
         references = [s["speed_reference_ms"] for s in per_workload if s["speed_reference_ms"] is not None]
+        layers = traced.get(workload, [])
         workloads[workload] = {
             "runs": len(per_workload),
             "incorrect_runs": sum(not s["correct"] for s in per_workload),
             "attempted": sum(s["attempted"] for s in per_workload),
             "failed": sum(s["failed"] for s in per_workload),
-            "metrics": metrics,
+            "metrics": _distributions(METRICS, per_workload),
             "speed_reference_ms": _distribution(references, "ms", "lower"),
+            "layers": {
+                "runs": len(layers),
+                "incorrect_runs": sum(not s["correct"] for s in layers),
+                "metrics": _distributions(LAYERS, layers),
+            },
         }
     return {
         "label": label,
@@ -135,46 +153,52 @@ def summarise(label: str, summaries: dict[str, list[dict]], seeds: list[int], se
         "source_sha256": sources[0] if len(sources) == 1 else sources,
         "seeds": seeds,
         "seconds": seconds,
-        "runs_per_seed": len(runs) // max(1, len(seeds) * len(summaries)),
+        "runs_per_seed": sum(map(len, summaries.values())) // max(1, len(seeds) * len(summaries)),
         "workloads": workloads,
     }
 
 
 def record(label: str, out_dir: Path, workloads: list[str], seeds: list[int], runs: int, seconds: float,
            baseline: Path | None = None) -> list[Path]:
-    """Run every (workload, seed) ``runs`` times and write the BENCH file(s)."""
-    measured: dict[str, list[dict]] = {w: [] for w in workloads}
-    base: dict[str, list[dict]] = {w: [] for w in workloads}
-    commits = {checkout: checkout_commit(checkout) for checkout in (ROOT, baseline) if checkout}
+    """Run every (workload, seed) ``runs`` times untraced and as often
+    traced, and write the BENCH file(s)."""
+    labels = {ROOT: label, baseline: f"{label}-baseline"} if baseline else {ROOT: label}
+    commits = {checkout: checkout_commit(checkout) for checkout in labels}
+    # per checkout and trace flag, each workload's run summaries in run order
+    kept = {(checkout, trace): {w: [] for w in workloads} for checkout in labels for trace in (False, True)}
     pair = 0
     for workload in workloads:
         for seed in seeds:
             for _ in range(runs):
-                order = [(ROOT, measured), (baseline, base)] if baseline else [(ROOT, measured)]
-                for checkout, into in order[::-1] if pair % 2 else order:
-                    into[workload].append(run_once(checkout, workload, seed, seconds, commits[checkout]))
-                    _progress(label if into is measured else f"{label}-baseline", workload, seed, into[workload][-1])
+                for trace in (False, True):
+                    order = list(labels)
+                    for checkout in order[::-1] if pair % 2 else order:
+                        summary = run_once(checkout, workload, seed, seconds, commits[checkout], trace)
+                        kept[checkout, trace][workload].append(summary)
+                        _progress(labels[checkout], workload, seed, trace, summary)
                 pair += 1
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = [(label, measured)] + ([(f"{label}-baseline", base)] if baseline else [])
     paths = []
-    for name, summaries in written:
+    for checkout, name in labels.items():
         path = out_dir / f"BENCH_{name}.json"
-        path.write_text(json.dumps(summarise(name, summaries, seeds, seconds), indent=1) + "\n")
+        bench = summarise(name, kept[checkout, False], kept[checkout, True], seeds, seconds)
+        path.write_text(json.dumps(bench, indent=1) + "\n")
         paths.append(path)
     return paths
 
 
-def _progress(label: str, workload: str, seed: int, summary: dict) -> None:
-    mc = summary["metrics"].get("mc_rounds_per_s", {}).get("value")
-    print(f"{label} {workload} seed {seed}: correct={summary['correct']} mc_rounds_per_s={mc}",
+def _progress(label: str, workload: str, seed: int, trace: bool, summary: dict) -> None:
+    metric = "peer_selection.sample_s" if trace else "mc_rounds_per_s"
+    value = summary["metrics"].get(metric, {}).get("value")
+    print(f"{label} {workload} seed {seed} trace {int(trace)}: correct={summary['correct']} {metric}={value}",
           file=sys.stderr, flush=True)
 
 
 def compare(a: dict, b: dict) -> list[str]:
-    """Per workload and metric, then the speed reference where both files
-    hold it: both medians, the change, and whether it exceeds A's
-    interquartile range; pair wins when the run counts match."""
+    """Per workload: the end-to-end metrics, then the per-layer metrics and
+    the speed reference where both files hold them, each with both medians,
+    the change, and whether it exceeds A's interquartile range; pair wins
+    when the run counts match."""
     lines = [f"A = {a['label']} ({a['commit']}), B = {b['label']} ({b['commit']})"]
     for workload, wa in a["workloads"].items():
         wb = b["workloads"].get(workload)
@@ -182,8 +206,9 @@ def compare(a: dict, b: dict) -> list[str]:
             continue
         lines.append(f"{workload}: A {wa['runs']} runs, B {wb['runs']} runs")
         reference = "speed_reference_ms"
-        in_b = {**wb["metrics"], reference: wb.get(reference)}
-        for name, ma in [*wa["metrics"].items(), (reference, wa.get(reference))]:
+        layers_a, layers_b = (w.get("layers", {}).get("metrics", {}) for w in (wa, wb))
+        in_b = {**wb["metrics"], **layers_b, reference: wb.get(reference)}
+        for name, ma in [*wa["metrics"].items(), *layers_a.items(), (reference, wa.get(reference))]:
             mb = in_b.get(name)
             if ma is None or mb is None or ma["median"] is None or mb["median"] is None:
                 continue
@@ -191,7 +216,7 @@ def compare(a: dict, b: dict) -> list[str]:
             change = delta / ma["median"] if ma["median"] else float("nan")
             sign = 1 if ma["better"] == "higher" else -1
             beyond = abs(delta) > ma["q3"] - ma["q1"]
-            line = (f"  {name:18s} A {ma['median']:<12.6g} B {mb['median']:<12.6g} "
+            line = (f"  {name:30s} A {ma['median']:<12.6g} B {mb['median']:<12.6g} "
                     f"{change:+8.2%}  {'beyond' if beyond else 'within'} A's IQR")
             va, vb = ma["values"], mb["values"]
             if len(va) == len(vb) and va:
@@ -206,7 +231,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", help="names the output file BENCH_<label>.json")
     parser.add_argument("--workloads", nargs="+", default=WORKLOADS, choices=WORKLOADS)
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
-    parser.add_argument("--runs", type=int, default=10, help="runs per workload and seed")
+    parser.add_argument("--runs", type=int, default=10, help="untraced and traced runs per workload and seed")
     parser.add_argument("--seconds", type=float, default=20.0, help="length of each run")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of the BENCH files")
     parser.add_argument("--baseline", type=Path, help="a second checkout, run alternately")

@@ -65,6 +65,15 @@ def test_a_tiny_recording_holds_every_end_to_end_and_layer_metric_with_its_quart
                      *(m["name"] for m in DECLARED["per_layer"]), "speed_reference_ms"]
     compared = [line for line in lines if line.startswith("  ") and "+nan%" not in line]
     assert all("+0.00%  within A's IQR  B better in 0/2 pairs" in line for line in compared)
+    # a change is relative to A's size, so a rise from a negative median reads as a rise
+    overhead = json.loads(json.dumps(bench))
+    for workload, sign in zip(overhead["workloads"].values(), (-1, 1, -1)):
+        workload["layers"]["metrics"]["trace.overhead_frac"].update(median=sign * 0.25, q1=-1.0, q3=1.0)
+    rise = json.loads(json.dumps(overhead))
+    for workload in rise["workloads"].values():
+        workload["layers"]["metrics"]["trace.overhead_frac"]["median"] += 0.05
+    changes = [line.split()[5] for line in recorder.compare(overhead, rise) if line.startswith("  trace.overhead_frac ")]
+    assert changes == ["+20.00%"] * len(workloads)
     assert sum(line.startswith("  speed_reference_ms ") for line in lines) == len(workloads)
     # a file recorded before the speed reference and the layers were kept
     # still compares, without them

@@ -213,7 +213,9 @@ def compare(a: dict, b: dict) -> list[str]:
             if ma is None or mb is None or ma["median"] is None or mb["median"] is None:
                 continue
             delta = mb["median"] - ma["median"]
-            change = delta / ma["median"] if ma["median"] else float("nan")
+            # relative to A's size, so the change has delta's sign even where A
+            # is negative (trace.overhead_frac can be)
+            change = delta / abs(ma["median"]) if ma["median"] else float("nan")
             sign = 1 if ma["better"] == "higher" else -1
             beyond = abs(delta) > ma["q3"] - ma["q1"]
             line = (f"  {name:30s} A {ma['median']:<12.6g} B {mb['median']:<12.6g} "

@@ -339,9 +339,9 @@ def test_batches_leave_the_memo_as_sequential_remembers_do(monkeypatch):
     batches = [
         lambda: keys(0, 300, 20),                 # misses only
         lambda: keys(100, 100, 50),               # hits, misses and duplicates
-        lambda: keys(0, 0, 0) + list(_memo)[:200],  # hits only: nothing moves
+        lambda: list(_memo)[:200],                # hits only: nothing moves
         lambda: keys(250, DRAW_MEMO_SIZE + 100, 300),  # more keys than the memo holds
-        lambda: keys(DRAW_MEMO_SIZE - 10, 40, 10),     # a full memo, its hits the oldest entries
+        lambda: keys(DRAW_MEMO_SIZE - 10, 40, 10),     # a full memo, nearly every entry a hit
         lambda: keys(30, 5, 400),
     ]
     for make in batches:

@@ -242,8 +242,6 @@ def _draw_rows(sizes: np.ndarray, ks: np.ndarray, states: np.ndarray) -> list[tu
         pool[r, idx] = pool[r, live[:active]]
     back = np.empty_like(order)  # the batch's row order again
     back[order] = rows
-    if ks[0] == ks[-1]:  # one k: every row is drawn whole
-        return list(map(tuple, picked[back].tolist()))
     return [tuple(positions[:k]) for positions, k in zip(picked[back].tolist(), ks[back].tolist())]
 
 

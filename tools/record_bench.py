@@ -234,7 +234,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=WORKLOADS, choices=WORKLOADS)
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--runs", type=int, default=10, help="untraced and traced runs per workload and seed")
-    parser.add_argument("--seconds", type=float, default=20.0, help="length of each run")
+    parser.add_argument("--seconds", type=float, default=float(DECLARED["run_seconds"]),
+                        help="length of each run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of the BENCH files")
     parser.add_argument("--baseline", type=Path, help="a second checkout, run alternately")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))

@@ -2,7 +2,7 @@
 
 Run from anywhere; it measures the checkout this file lives in:
 
-    python3 tools/record_bench.py --label 31 --seeds 1 --runs 10 --seconds 20
+    python3 tools/record_bench.py --label 31 --seeds 1 --runs 10
     python3 tools/record_bench.py --label 31 --runs 10 --baseline ../parent
     python3 tools/record_bench.py --compare BENCH_30.json BENCH_31.json
 
@@ -16,7 +16,8 @@ untraced run's ``speed reference median X ms`` line, the machine-speed
 probe that normalises its times.  Its ``layers`` hold, in the same form,
 each per-layer metric of ``BENCHMARK.json`` over the traced runs, with
 their run and incorrect-run counts.  The file also holds the
-``src/peerchain`` digest the runs printed, the seeds and the run length.
+``src/peerchain`` digest the runs printed, the seeds and the run length
+(``--seconds``, by default ``BENCHMARK.json``'s ``run_seconds``).
 Its ``commit`` is the checkout's HEAD, with ``+dirty`` appended when
 ``src/`` or ``perfbench/`` differ from it (run.py itself reads HEAD alone).
 

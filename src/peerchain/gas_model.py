@@ -33,13 +33,11 @@ they price come from the per-question answerer counts.  The function
 builds its own `PeerVisits` because its signature takes the matrix, not
 the kernel's visits, so in sampled mode every cell's `sample_peers` call
 is made a second time; the draw is a pure function of the seed and the
-cell, so it picks the peers the mechanism scored.  Every second draw is
-a hit in the sampler's memo of drawn positions (`peer_selection`): the
-kernel's `peer_visits` filled it a batch of `DRAW_MEMO_SIZE` cells at a
-time, and this one passes the same batches through it again, so each
-cell costs one `sample_peers` call that looks its positions up and
-copies them (about 1 us at k = 10), not k draws, however many cells the
-settle has; one numpy gather then names every cell's peers.  Only DG
+cell, so it picks the peers the mechanism scored.  On a settle of at
+most `DRAW_MEMO_SIZE` cells every second draw is a hit in the sampler's
+memo (`peer_selection`), which still holds the kernel's one batch, so a
+cell costs one `sample_peers` call that copies its positions (about 1 us
+at k = 10), not k draws; a larger settle draws each batch again.  Only DG
 pricing reads the per-pair counts (`PeerVisits.visited`), so OA and PTSC
 pricing never count them.  Passing the kernel's `PeerVisits` in instead
 ("draw once") would halve the sampler calls that the round benchmark

@@ -36,10 +36,10 @@ its first read, which only DG makes).  With all peers these come from the
 matrix's 0/1 arrays.  Sampled cells take their substream seeds from one
 numpy pass (``peer_selection.cell_seeds``); each batch of
 ``DRAW_MEMO_SIZE`` of them is drawn in one numpy pass
-(``peer_selection.draw_positions_many``) into the sampler's memo, and
-then every cell makes one ``sample_peers`` call, in row-major order, on
-the positions ``0..pool-1`` of its pool (one list per pool size, shared by
-the cells), which finds its draw there.  The drawn positions are
+(``peer_selection.draw_positions_many``), which the memo then holds,
+before each of its cells makes one ``sample_peers`` call, in row-major
+order, on the positions ``0..pool-1`` of its pool (one list per pool
+size, shared by the cells).  The drawn positions are
 flattened into one array and named by one gather over every question's
 answerers, laid out question after question: position ``pos`` of agent
 i's pool on question j is the answerer at place ``pos + (pos >= r)`` of
@@ -338,8 +338,8 @@ def peer_visits(matrix: AnswerMatrix, peer_mode: PeerMode) -> PeerVisits:
 
     A sampled cell makes one ``sample_peers`` call, in row-major order,
     whose candidates are the positions ``0..pool-1`` of its pool (one list
-    per pool size, shared by the cells); each ``DRAW_MEMO_SIZE`` cells are
-    first drawn as one batch, so those calls find their draws in the memo.
+    per pool size, shared by the cells); each batch of ``DRAW_MEMO_SIZE``
+    cells is drawn just before its calls, which find it in the memo.
     Position ``pos`` of agent i's pool on question j is the answerer of j
     at place ``pos + (pos >= r)``, r being i's own place, which is the peer
     ``peers_for_cell`` names; every visit's peer is read by one gather.

@@ -27,34 +27,26 @@ candidates in a fresh list.  Which positions are drawn depends only on the
 pool size, k and the seed's state, so the draw is memoised on those three
 ints: a pool of agent names and a pool of agent indices of one size share
 an entry, and so do a ``SelectionSeed`` and its ``seed64()``.  The memo,
-``_memo``, is an ``OrderedDict`` kept in least-recently-used order: a hit
-moves its entry to the end, and each insert into a full memo first evicts
-the oldest entry with ``popitem(last=False)``, so it never holds more than
-``DRAW_MEMO_SIZE`` = 4,096 draws, about 0.9 MiB at k = 10 (tracemalloc).
+``_memo``, holds the draws of the last batch ``draw_positions_many`` drew,
+at most ``DRAW_MEMO_SIZE`` = 4,096 of them, about 0.9 MiB at k = 10
+(tracemalloc); ``sample_peers`` reads it and draws a miss on its own with
+``_draw_positions``, storing nothing.
 
-``draw_positions_many(sizes, ks, states)`` fills the memo for a whole
-batch of cells at once.  A batch the memo already holds changes nothing;
-one pass over its keys, stopping at the first miss, tells.  Otherwise the
-missing keys are drawn together: SplitMix64 as wrapping numpy ``uint64``
-operations, and the swap-remove prefix as k steps over a padded (cells x
+``draw_positions_many(sizes, ks, states)`` draws a batch of cells at once.
+A batch the memo already holds changes nothing.  Otherwise its distinct
+keys are drawn together, SplitMix64 as wrapping numpy ``uint64``
+operations and the swap-remove prefix as k steps over a padded (cells x
 largest pool) array of positions in which every row keeps its own live
-size, a row with a smaller k stopping after its k steps.  When the batch
-also holds hits, those first move to the memo's end, so that its inserts
-evict none of them.  The drawn rows enter the memo in batch order with
-one ``OrderedDict.update``, and the oldest entries past ``DRAW_MEMO_SIZE``
-then leave it, which is what one ``_remember`` per missing key would
-leave.  A sampled settle (``mechanisms.peer_visits``) passes its cells
-through this batch ``DRAW_MEMO_SIZE`` at a time and then makes its
-per-cell ``sample_peers`` calls, which all hit, so it runs no scalar draw
-however many cells it has.  The gas model's second ``peer_visits`` and a
-replay in the same process find every draw in the memo; a replay in
-another process draws them in one batch.  On 3,080 cells drawing 10 of
-54 (2-core Xeon, Python 3.11, numpy 2.4; best of 25) the batch takes
-about 4 ms against about 23 ms for the scalar draws, and a batch that is
-all hits about 0.5 ms.  ``sample_peers`` called on its own, as the naive
-path's ``peers_for_cell`` calls it, draws a miss with
-``_draw_positions``, which is also the reference the batch is tested
-against.
+size, and they replace the memo.  A sampled settle
+(``mechanisms.peer_visits``) passes its cells through this batch
+``DRAW_MEMO_SIZE`` at a time, each followed by its per-cell
+``sample_peers`` calls, which all hit, so it runs no scalar draw however
+many cells it has; the gas model's second ``peer_visits`` of a settle of
+at most ``DRAW_MEMO_SIZE`` cells finds its one batch there.  On 3,080
+cells drawing 10 of 54 (2-core Xeon, Python 3.11, numpy 2.4; best of 25)
+the batch takes about 4 ms against about 23 ms for the scalar draws, and
+a batch that is all hits about 0.5 ms.  ``_draw_positions`` is also the
+reference the batch is tested against.
 
 ``cell_seed(seed, i, j)`` is the seed of one (agent, question) cell's
 draws.  ``cell_seeds`` derives the seeds of every cell of an agents x
@@ -67,7 +59,6 @@ cell_seed(seed, i, j)`` for every cell.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -81,10 +72,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _LEAP = 0xD1B54A32D192ED03
 
-DRAW_MEMO_SIZE = 4096  # draws kept by the memo
+DRAW_MEMO_SIZE = 4096  # most distinct keys one batch draws
 
-# (pool size, k, seed state) -> positions drawn, least recently used first
-_memo: OrderedDict[tuple[int, int, int], tuple[int, ...]] = OrderedDict()
+# (pool size, k, seed state) -> positions drawn, for the last batch drawn
+_memo: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
 def _finalize(z: int) -> int:
@@ -143,8 +134,8 @@ def sample_peers(candidates: Sequence[str], k: int, seed: SelectionSeed | int) -
 
     Each draw indexes the remaining pool modulo its size; the chosen entry
     is swapped out by the pool tail.  The modulo bias is below 2^-48 for
-    any realistic pool and is accepted.  The draw picks positions, which
-    the memo keeps; this names them, in a fresh list.
+    any realistic pool and is accepted.  The positions come from the last
+    batch's memo when it holds them; this names them, in a fresh list.
     """
     # the exact types first: `peer_visits` passes an int k and seed per sampled cell
     if type(k) is not int:
@@ -153,19 +144,8 @@ def sample_peers(candidates: Sequence[str], k: int, seed: SelectionSeed | int) -
     if not 1 <= k <= size:
         raise KTooLarge(f"k={k} outside 1..{size}")
     key = (size, k, seed & _MASK64 if type(seed) is int else seed_state(seed))
-    positions = _memo.get(key)
-    if positions is None:
-        positions = _draw_positions(*key)
-        _remember(key, positions)
-    else:
-        _memo.move_to_end(key)
+    positions = _memo.get(key) or _draw_positions(*key)
     return [candidates[p] for p in positions]
-
-
-def _remember(key: tuple[int, int, int], positions: tuple[int, ...]) -> None:
-    if len(_memo) >= DRAW_MEMO_SIZE:
-        _memo.popitem(last=False)
-    _memo[key] = positions
 
 
 def _draw_positions(size: int, k: int, state: int) -> tuple[int, ...]:
@@ -183,25 +163,24 @@ def _draw_positions(size: int, k: int, state: int) -> tuple[int, ...]:
 
 
 def draw_positions_many(sizes: Sequence[int], ks: Sequence[int], states: Sequence[int]) -> None:
-    """Put ``_draw_positions(size, k, state)`` for every ``(sizes[c],
-    ks[c], states[c])`` in the memo, computing the missing ones in one pass.
+    """Make the memo hold ``_draw_positions(size, k, state)`` for the
+    batch's keys ``(sizes[c], ks[c], states[c])``, and nothing else,
+    unless it holds them all already.
 
-    The three sequences hold ints.  For every key the memo lacks, k must
-    lie in 1..size (``KTooLarge`` otherwise) and all three in 0..2**64-1
-    (``ValueError`` otherwise).  When some key is missing, the keys the
-    memo holds move to its end and the missing ones then enter it in batch
-    order, so a batch of more than ``DRAW_MEMO_SIZE`` keys leaves its last
-    ``DRAW_MEMO_SIZE`` there.
+    The three sequences hold ints.  A batch with a key the memo lacks must
+    have at most ``DRAW_MEMO_SIZE`` distinct keys, each with all three in
+    0..2**64-1 (``ValueError`` otherwise) and k in 1..size (``KTooLarge``
+    otherwise); a refused batch leaves the memo as it was.
     """
     if all(map(_memo.__contains__, zip(sizes, ks, states))):  # stops at the first miss
         return
-    keys = list(zip(sizes, ks, states))
-    distinct = dict.fromkeys(keys)
-    missing = [key for key in distinct if key not in _memo]
-    if set(map(type, chain.from_iterable(missing))) != {int}:
+    keys = list(dict.fromkeys(zip(sizes, ks, states)))
+    if len(keys) > DRAW_MEMO_SIZE:
+        raise ValueError(f"{len(keys)} distinct keys, more than DRAW_MEMO_SIZE = {DRAW_MEMO_SIZE}")
+    if set(map(type, chain.from_iterable(keys))) != {int}:
         raise ValueError("sizes, ks and states must be ints")
     try:
-        table = np.fromiter(chain.from_iterable(missing), dtype=np.uint64, count=3 * len(missing))
+        table = np.fromiter(chain.from_iterable(keys), dtype=np.uint64, count=3 * len(keys))
     except OverflowError:
         raise ValueError("sizes, ks and states lie in 0..2**64-1") from None
     sizes, ks, states = table.reshape(-1, 3).T
@@ -209,14 +188,9 @@ def draw_positions_many(sizes: Sequence[int], ks: Sequence[int], states: Sequenc
     if bad.any():
         c = int(np.argmax(bad))
         raise KTooLarge(f"k={ks[c]} outside 1..{sizes[c]}")
-    if len(missing) < len(distinct):  # so that the inserts below evict none of the batch's hits
-        for key in keys:
-            if key in _memo:
-                _memo.move_to_end(key)
-    # as one _remember per missing key: insert, then evict the oldest past the size
-    _memo.update(zip(missing, _draw_rows(sizes, ks, states)))
-    for _ in range(len(_memo) - DRAW_MEMO_SIZE):
-        _memo.popitem(last=False)
+    rows = _draw_rows(sizes, ks, states)
+    _memo.clear()
+    _memo.update(zip(keys, rows))
 
 
 def _draw_rows(sizes: np.ndarray, ks: np.ndarray, states: np.ndarray) -> list[tuple[int, ...]]:

@@ -30,7 +30,7 @@ from peerchain.errors import (
     WrongPhase,
     ZeroBudget,
 )
-from peerchain import gas_model, keccak, mechanisms
+from peerchain import gas_model, keccak, mechanisms, peer_selection
 from peerchain.gas_model import GasLedger, GasTable
 from peerchain.keccak import _memo
 from peerchain.ledger import Ledger, LedgerConfig, Phase, format_decimal
@@ -1225,8 +1225,9 @@ def test_replay_outputs_do_not_depend_on_the_draw_memo(mechanism, monkeypatch):
         scalar.clear()
         batched.clear()
         replayed = Ledger.load(dump)
-        # cold: the kernel's batch draws every sampled cell and the gas model finds it
-        assert (len(scalar), len(batched)) == (0, cells if cold else 0)
+        # the kernel's batch draws every sampled cell and the gas model finds it; warm, the
+        # memo holds the forged replay's batch, whose discarded reveal changed the pools
+        assert (len(scalar), len(batched)) == (0, cells)
         forged = Ledger.load(tampered)
         runs.append((replayed.dump(), replayed.settlement.to_csv(), replayed.gas.report_rows(),
                      replayed.audit(), forged.settlement.to_csv(), dict(forged.discarded)))
@@ -1253,6 +1254,25 @@ def test_a_cold_sampled_round_draws_in_batches_and_its_replay_draws_nothing(mech
     replayed = Ledger.load(round_.dump())
     assert (scalar, batched) == ([], [])
     assert replayed.dump() == round_.dump()
+
+
+def test_sampled_rounds_in_one_process_each_draw_one_batch(monkeypatch):
+    dataset = QoSDataset.skip_one(14, 14, seed=5)
+    _draw_memo.clear()  # once: each round starts from the last one's memo
+    scalar, _batched = count_draws(monkeypatch)
+    counted, batches = peer_selection._draw_rows, []
+    monkeypatch.setattr(peer_selection, "_draw_rows",
+                        lambda sizes, ks, states: batches.append(len(sizes)) or counted(sizes, ks, states))
+    for mechanism, seed in ((Mechanism.OA, 11), (Mechanism.PTSC, 12), (Mechanism.DG, 13)):
+        config = ExperimentConfig(mechanism=mechanism, peer_mode=SampledPeers(4, seed), agents=14, seed=2)
+        batches.clear()
+        round_ = run_experiment(config, dataset).ledger
+        # the kernel draws one batch; its gas model, the replay and the audit find it in the memo
+        assert batches == [14 * 13]
+        replayed = Ledger.load(round_.dump())
+        assert replayed.audit() == [] and replayed.dump() == round_.dump()
+        assert batches == [14 * 13]
+    assert scalar == []
 
 
 def test_a_flipped_key_bit_fails_verification_with_the_honest_layout_memoised(monkeypatch):

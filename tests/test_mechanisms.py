@@ -440,7 +440,8 @@ def test_cell_plan_draws_more_cells_than_the_memo_holds_in_batches(monkeypatch, 
     scalar, batched = count_draws(monkeypatch)
     visits = peer_visits(m, mode)
     assert scalar == [] and len(batched) == 9_900 > 2 * DRAW_MEMO_SIZE
-    assert len(_memo) == DRAW_MEMO_SIZE
+    # the memo holds the last batch's 1,708 keys
+    assert list(_memo) == batched[2 * DRAW_MEMO_SIZE:] and len(_memo) == 1_708
     assert _visit_lists(visits) == _peer_scan(m, mode)
 
 

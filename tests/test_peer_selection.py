@@ -1,8 +1,7 @@
 """SplitMix64 reference vectors, seed derivation, sampler statistics, and
 the draw memo and its batch fill against an unmemoised sampler."""
 
-import random
-from collections import Counter, OrderedDict
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -107,9 +106,11 @@ def test_sample_peers_exact_draw_count_and_distinctness(monkeypatch):
         assert [stream.draws for stream in streams] == [k]
         assert len(picked) == len(set(picked)) == k
         assert set(picked) <= set(pool)
-        # a repeat finds the draw in the memo and opens no stream
+        # once a batch has drawn the cell, a repeat finds it in the memo and opens no stream
+        streams.clear()
+        draw_positions_many([10], [k], [99])
         assert sample_peers(pool, k, 99) == picked
-        assert [stream.draws for stream in streams] == [k]
+        assert streams == []
 
 
 def test_sample_peers_bounds_checked():
@@ -206,31 +207,34 @@ def test_memoised_sampler_equals_the_unmemoised_reference_cold_and_warm(size, na
     with pytest.MonkeyPatch.context() as monkeypatch:
         scalar, _batched = count_draws(monkeypatch)
         for warm in (False, True):
+            if warm:
+                draw_positions_many([size] * size, list(range(1, size + 1)), [seed_state(seed)] * size)
             scalar.clear()
             assert [sample_peers(pool, k, seed) for k in range(1, size + 1)] == expected
-            # cold: one draw per k; warm: every call is a hit
+            # cold: one draw per k; warm: the batch drew every k, so every call is a hit
             assert len(scalar) == (0 if warm else size)
 
 
 def test_pools_of_one_size_share_their_drawn_positions(monkeypatch):
     names = [f"n{i}" for i in range(12)]
     ints = list(range(100, 112))
+    chain_seed = SelectionSeed(12, 34)
+    # a SelectionSeed, its seed64() and that int plus 2**64 are one entry, and so are 5 and 2**64 + 5
+    seeds = (0, 5, 2**64 + 5, chain_seed, chain_seed.seed64(), chain_seed.seed64() + 2**64)
     _memo.clear()
-    for seed in (0, 5, 2**64 + 5, SelectionSeed(12, 34)):
+    draw_positions_many([12, 12, 12], [4, 4, 4], [0, 5, chain_seed.seed64()])
+    scalar, _batched = count_draws(monkeypatch)
+    for seed in seeds:
         picked = sample_peers(names, 4, seed)
         positions = [names.index(name) for name in picked]
         assert sample_peers(ints, 4, seed) == [ints[p] for p in positions]
         assert sample_peers(ints, 4, seed) == reference_sample(ints, 4, seed)
-    # a SelectionSeed, its seed64() and that int plus 2**64 are one entry
-    seed = SelectionSeed(12, 34)
-    scalar, _batched = count_draws(monkeypatch)
-    sample_peers(ints, 4, seed.seed64())
-    sample_peers(ints, 4, seed.seed64() + 2**64)
     assert scalar == []
-    # the same seed, another pool size or k: another draw, not a memo entry
+    # the same seed, another pool size or k: another key, drawn on its own and not kept
     assert sample_peers(names[:11], 4, 5) == reference_sample(names[:11], 4, 5)
     assert sample_peers(names, 3, 5) == reference_sample(names, 3, 5)
     assert scalar == [(11, 4, 5), (12, 3, 5)]
+    assert len(_memo) == 3
 
 
 def test_a_mutated_sample_does_not_reach_the_next_call():
@@ -243,23 +247,6 @@ def test_a_mutated_sample_does_not_reach_the_next_call():
     assert sample_peers(pool, 3, 11) is not sample_peers(pool, 3, 11)
 
 
-def test_draw_memo_stays_within_its_bound(monkeypatch):
-    pool = list(range(5))
-    _memo.clear()
-    scalar, _batched = count_draws(monkeypatch)
-    for seed in range(DRAW_MEMO_SIZE + 1):
-        sample_peers(pool, 2, seed)
-        assert len(_memo) <= DRAW_MEMO_SIZE
-    assert len(_memo) == DRAW_MEMO_SIZE
-    # least recently used first: seed 0 is gone, and a hit on seed 1 moves it last
-    assert next(iter(_memo)) == (5, 2, 1)
-    sample_peers(pool, 2, 1)
-    assert list(_memo)[-1] == (5, 2, 1)
-    assert len(scalar) == DRAW_MEMO_SIZE + 1
-    sample_peers(pool, 2, 0)
-    assert len(scalar) == DRAW_MEMO_SIZE + 2 and (5, 2, 2) not in _memo
-
-
 STATES = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 16, 2**64 - 1), st.integers(0, 15))
 KEYS = st.integers(1, 60).flatmap(lambda size: st.tuples(st.just(size), st.integers(1, size), STATES))
 
@@ -269,96 +256,63 @@ KEYS = st.integers(1, 60).flatmap(lambda size: st.tuples(st.just(size), st.integ
        repeats=st.lists(st.integers(0, 39), max_size=10))
 def test_batch_draws_equal_the_scalar_draws(keys, held, repeats):
     keys = keys + [keys[r % len(keys)] for r in repeats]
-    held = {keys[h % len(keys)] for h in held}
+    held = list(dict.fromkeys(keys[h % len(keys)] for h in held))
     _memo.clear()
-    for key in held:  # drawn before the batch, one by one
-        sample_peers(range(key[0]), key[1], key[2])
+    if held:  # drawn by an earlier batch
+        draw_positions_many(*zip(*held))
     with pytest.MonkeyPatch.context() as monkeypatch:
         scalar, batched = count_draws(monkeypatch)
         draw_positions_many(*zip(*keys))
-        # the keys the memo lacked are drawn once each, in batch order, all in the batch
+        # a batch with a miss draws each of its keys once, in batch order, all in the batch
         assert scalar == []
-        assert batched == [key for key in dict.fromkeys(keys) if key not in held]
+        assert batched == ([] if set(keys) <= set(held) else list(dict.fromkeys(keys)))
     for key in keys:
         assert _memo[key] == _draw_positions(*key)
         size, k, state = key
         assert list(_memo[key]) == reference_sample(range(size), k, state)
-    # the batch's keys end the memo: those it held first, then the new ones
-    tail = list(_memo)[-len(set(keys)):]
-    assert set(tail) == set(keys)
-    assert tail[len(held):] == [key for key in dict.fromkeys(keys) if key not in held]
 
 
-def test_batch_fills_the_memo_up_to_its_bound(monkeypatch):
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(pool=st.lists(KEYS, min_size=1, max_size=12, unique=True),
+       batches=st.lists(st.tuples(st.booleans(), st.lists(st.integers(0, 11), min_size=1, max_size=20)),
+                        min_size=1, max_size=8))
+def test_the_memo_holds_the_last_batch_drawn(pool, batches):
     _memo.clear()
-    keys = [(7, 3, state) for state in range(DRAW_MEMO_SIZE + 1)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        scalar, batched = count_draws(monkeypatch)
+        for from_memo, picks in batches:
+            # hits only when the batch picks from the memo, else hits, misses and duplicates from the pool
+            source = list(_memo) if from_memo and _memo else pool
+            batch = [source[p % len(source)] for p in picks]
+            before = dict(_memo)
+            batched.clear()
+            draw_positions_many(*zip(*batch))
+            if set(batch) <= set(before):
+                assert _memo == before and batched == []
+            else:  # one pass draws the batch's distinct keys, and they replace the memo
+                assert batched == list(dict.fromkeys(batch))
+                assert _memo == {key: _draw_positions(*key) for key in batched}
+            # every cell of the batch finds its draw
+            for size, k, state in batch:
+                assert sample_peers(range(size), k, state) == reference_sample(range(size), k, state)
+        assert scalar == []
+
+
+def test_a_batch_of_more_distinct_keys_than_the_memo_holds_is_refused(monkeypatch):
+    _memo.clear()
+    draw_positions_many([7], [3], [0])
+    held = dict(_memo)
     scalar, batched = count_draws(monkeypatch)
-    draw_positions_many(*zip(*keys))
-    assert scalar == [] and batched == keys
-    assert list(_memo) == keys[1:]
-    # the memo's entries are found by sample_peers, not drawn again
+    with pytest.raises(ValueError, match="4097 distinct keys, more than DRAW_MEMO_SIZE"):
+        draw_positions_many(*zip(*[(7, 3, state) for state in range(1, DRAW_MEMO_SIZE + 2)]))
+    assert _memo == held and batched == []
+    # DRAW_MEMO_SIZE distinct keys, each given twice, are drawn once each
+    keys = [(7, 3, state) for state in range(1, DRAW_MEMO_SIZE + 1)]
+    draw_positions_many(*zip(*(keys + keys)))
+    assert batched == list(_memo) == keys
     assert [sample_peers("abcdefg", 3, state) for _size, _k, state in keys[-3:]] == [
         reference_sample("abcdefg", 3, state) for _size, _k, state in keys[-3:]]
     assert scalar == []
-
-
-def test_a_batch_keeps_its_hits_in_a_full_memo(monkeypatch):
-    _memo.clear()
-    held = [(9, 4, state) for state in range(10)]
-    fresh = [(9, 4, state) for state in range(10, 20)]
-    # the batch's hits are the memo's oldest entries, and the memo is full
-    draw_positions_many(*zip(*held))
-    draw_positions_many(*zip(*[(6, 2, state) for state in range(DRAW_MEMO_SIZE - len(held))]))
-    assert list(_memo)[:len(held)] == held and len(_memo) == DRAW_MEMO_SIZE
-    scalar, batched = count_draws(monkeypatch)
-    draw_positions_many(*zip(*(held + fresh)))
-    assert batched == fresh
-    assert list(_memo)[-20:] == held + fresh
-    # so every cell of the batch finds its draw
-    for size, k, state in held + fresh:
-        assert sample_peers(range(size), k, state) == reference_sample(range(size), k, state)
-    assert scalar == []
-
-
-def test_batches_leave_the_memo_as_sequential_remembers_do(monkeypatch):
-    """Each batch leaves the memo's entries, in order, as the reference
-    leaves a copy: the batch's hits moved to the end in batch order, then
-    one `_remember` call per distinct missing key in batch order."""
-    rng = random.Random(33)
-    fresh = iter(range(10**6))
-
-    def keys(hits, misses, copies):
-        held = list(_memo)
-        batch = rng.sample(held, min(hits, len(held))) + [(5, 2, next(fresh)) for _ in range(misses)]
-        batch += rng.choices(batch, k=copies)  # duplicates
-        rng.shuffle(batch)
-        return batch
-
-    _memo.clear()
-    reference = OrderedDict()
-    batches = [
-        lambda: keys(0, 300, 20),                 # misses only
-        lambda: keys(100, 100, 50),               # hits, misses and duplicates
-        lambda: list(_memo)[:200],                # hits only: nothing moves
-        lambda: keys(250, DRAW_MEMO_SIZE + 100, 300),  # more keys than the memo holds
-        lambda: keys(DRAW_MEMO_SIZE - 10, 40, 10),     # a full memo, nearly every entry a hit
-        lambda: keys(30, 5, 400),
-    ]
-    for make in batches:
-        batch = make()
-        draw_positions_many(*zip(*batch))
-        with monkeypatch.context() as patch:
-            patch.setattr(peer_selection, "_memo", reference)
-            missing = [key for key in dict.fromkeys(batch) if key not in reference]
-            if missing:
-                for key in batch:
-                    if key in reference:
-                        reference.move_to_end(key)
-                for key in missing:
-                    peer_selection._remember(key, _draw_positions(*key))
-        assert list(_memo.items()) == list(reference.items())
-        assert len(_memo) <= DRAW_MEMO_SIZE
-    assert len(_memo) == DRAW_MEMO_SIZE
 
 
 @pytest.mark.parametrize("sizes, ks, states, error, message", [
@@ -371,6 +325,8 @@ def test_batches_leave_the_memo_as_sequential_remembers_do(monkeypatch):
 ], ids=repr)
 def test_batch_refuses_keys_the_scalar_sampler_refuses(sizes, ks, states, error, message):
     _memo.clear()
+    draw_positions_many([5], [2], [1])
+    held = dict(_memo)
     with pytest.raises(error, match=message):
         draw_positions_many(sizes, ks, states)
-    assert len(_memo) == 0
+    assert _memo == held

@@ -247,6 +247,24 @@ def test_a_mutated_sample_does_not_reach_the_next_call():
     assert sample_peers(pool, 3, 11) is not sample_peers(pool, 3, 11)
 
 
+def test_draw_memo_stays_within_its_bound(monkeypatch):
+    pool = list(range(5))
+    _memo.clear()
+    held_keys = [(5, 2, seed) for seed in range(3)]
+    draw_positions_many(*zip(*held_keys))
+    held = dict(_memo)
+    scalar, batched = count_draws(monkeypatch)
+    # sample_peers stores nothing: its misses, past the bound, leave the last batch's memo
+    for seed in range(DRAW_MEMO_SIZE + 1):
+        assert sample_peers(pool, 2, seed) == reference_sample(pool, 2, seed)
+        assert _memo == held
+    assert batched == [] and scalar == [(5, 2, seed) for seed in range(3, DRAW_MEMO_SIZE + 1)]
+    # a batch replaces the memo instead of adding to it: one full batch after another
+    for start in (0, DRAW_MEMO_SIZE):
+        draw_positions_many(*zip(*[(5, 2, seed) for seed in range(start, start + DRAW_MEMO_SIZE)]))
+        assert len(_memo) == DRAW_MEMO_SIZE and min(state for _s, _k, state in _memo) == start
+
+
 STATES = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 16, 2**64 - 1), st.integers(0, 15))
 KEYS = st.integers(1, 60).flatmap(lambda size: st.tuples(st.just(size), st.integers(1, size), STATES))
 
@@ -305,11 +323,18 @@ def test_a_batch_of_more_distinct_keys_than_the_memo_holds_is_refused(monkeypatc
     scalar, batched = count_draws(monkeypatch)
     with pytest.raises(ValueError, match="4097 distinct keys, more than DRAW_MEMO_SIZE"):
         draw_positions_many(*zip(*[(7, 3, state) for state in range(1, DRAW_MEMO_SIZE + 2)]))
-    assert _memo == held and batched == []
-    # DRAW_MEMO_SIZE distinct keys, each given twice, are drawn once each
+    assert _memo == held and batched == [] and scalar == []
+
+
+def test_batch_fills_the_memo_up_to_its_bound(monkeypatch):
+    _memo.clear()
+    draw_positions_many([7], [3], [0])
+    scalar, batched = count_draws(monkeypatch)
+    # DRAW_MEMO_SIZE distinct keys, each given twice, are drawn once each and fill the memo
     keys = [(7, 3, state) for state in range(1, DRAW_MEMO_SIZE + 1)]
     draw_positions_many(*zip(*(keys + keys)))
-    assert batched == list(_memo) == keys
+    assert batched == list(_memo) == keys and len(_memo) == DRAW_MEMO_SIZE
+    # the memo's entries are found by sample_peers, not drawn again
     assert [sample_peers("abcdefg", 3, state) for _size, _k, state in keys[-3:]] == [
         reference_sample("abcdefg", 3, state) for _size, _k, state in keys[-3:]]
     assert scalar == []

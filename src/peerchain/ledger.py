@@ -6,7 +6,10 @@ config.  Every mutation is an event appended to a replayable log, one line
 per event: ``block_number,event_type,party,payload_hex`` with the payload
 hex-encoding canonical JSON (sorted keys, no spaces, ASCII, so UTF-8),
 which `Ledger.load` reads as UTF-8 text only.  Replaying a dumped log
-rebuilds the ledger bit for bit, gas totals included.
+rebuilds the ledger bit for bit, gas totals included.  `load` parses each
+line alone first; if all the payloads, encoded in one call, hex-encode to the
+hex fields joined by "2c" (a comma), an event equal to its line as data
+(entry points refuse bools and floats) appends the line unencoded.
 
 The first line, genesis, holds the `LedgerConfig`: one key per field, the
 mechanism, alpha, peer mode and gas table encoded.  A payload whose keys
@@ -96,6 +99,7 @@ from .peer_selection import SelectionSeed
 DEFAULT_SCALE = 10**9
 # what json.dumps(payload, sort_keys=True, separators=(",", ":")) builds anew on each call
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder()  # json.loads' decoder, whose raw_decode `Ledger.load` calls on an object's text
 # the words each commit and reveal charges, in charge order: see the module docstring
 _COMMIT_GAS = GasBundle([("tx_base", 1), ("storage_write_new_word", 1)])
 _REVEAL_GAS = GasBundle([("tx_base", 1), ("storage_read_word", 1), ("hash_base", 1), ("hash_per_word", 1),
@@ -268,6 +272,7 @@ class Ledger:
 
     REQUESTER = GasLedger.REQUESTER
     CHAIN = "chain"
+    _expected: tuple | None = None  # ((block, type, party, payload), line) of a canonical line `load` replays
 
     def __init__(self, config: LedgerConfig):
         self.config = config
@@ -297,6 +302,8 @@ class Ledger:
     def _record(self, event_type: str, party: str, payload: dict) -> None:
         """Append one event line; every caller records before it changes any
         state, so a payload the log cannot write leaves the ledger as it was."""
+        if self._expected and self._expected[0] == (str(self.block), event_type, party, payload):
+            return self.events.append(self._expected[1])  # the canonical line a replay reproduces
         try:
             blob = _ENCODER.encode(payload).encode()
         except ValueError:  # a payload holds only ints, strs and lists: an int too long to write
@@ -546,42 +553,48 @@ class Ledger:
 
     @classmethod
     def load(cls, text: str) -> "Ledger":
-        """Rebuild a ledger by re-running its log.
+        """Rebuild a ledger by re-running its log, each line ended by "\n".
 
         Every regenerated line must equal the line it came from; the first
-        that does not raises `ReplayDivergence`, so a replay either
-        reproduces the log byte for byte or fails.  A `ValueError` raised
-        for a line names it: a line without four comma-separated fields, a
-        payload that is not hex-encoded UTF-8 JSON or not an object, and a
-        field that is missing or that the entry point it feeds rejects.  A
-        `PeerchainError` from a replayed entry point passes unchanged.
+        that does not raises `ReplayDivergence`, naming the first field that
+        differs.  Every line is parsed first (module docstring); a line's
+        `ValueError`, raised when the replay reaches it, names the line: one
+        without four comma-separated fields or its newline, a payload that
+        is not hex-encoded UTF-8 JSON or not an object, or a field that is
+        missing or that the entry point it feeds rejects.  A `PeerchainError`
+        from a replayed entry point passes unchanged.
         """
-        ledger = None
-        for number, line in enumerate(text.splitlines(), 1):
+        if not text:
+            raise ValueError("empty event log")
+        lines, entries = text.removesuffix("\n").split("\n"), []  # entries: (fields, payload or the line's error)
+        for line in lines:
             fields = line.split(",", 3)
-            event_type = fields[1] if len(fields) > 1 else "?"
             try:
                 if len(fields) != 4:
                     raise ValueError(f"want 4 comma-separated fields, got {len(fields)}")
-                party, payload = fields[2], json.loads(bytes.fromhex(fields[3]).decode())
+                blob = bytes.fromhex(fields[3]).decode()
+                payload, end = _DECODER.raw_decode(blob) if blob[:1] == "{" else (None, None)
+                payload = payload if end == len(blob) else json.loads(blob)  # as json.loads reads or refuses it
                 if not isinstance(payload, dict):
                     raise ValueError("payload is not an object")
+            except (ValueError, RecursionError) as e:
+                payload = e
+            entries.append((fields, payload))
+        parsed = [(fields[3], payload) for fields, payload in entries if isinstance(payload, dict)]
+        canonical = _ENCODER.encode([p for _, p in parsed]).encode().hex()[2:-2] == "2c".join(h for h, _ in parsed)
+        ledger = None
+        for number, (line, (fields, payload)) in enumerate(zip(lines, entries), 1):
+            event_type = fields[1] if len(fields) > 1 else "?"
+            try:
+                if not isinstance(payload, dict):
+                    raise payload
                 if ledger is None:
                     if event_type != "genesis":
                         raise ValueError("event log must start with a genesis event")
                     ledger = cls(LedgerConfig.from_payload(payload))
-                elif event_type == "tick":
-                    ledger.tick(payload["blocks"])
-                elif event_type == "post":
-                    ledger.post_questions(payload["questions"], payload["budget"], payload["deposit"])
-                elif event_type == "select":
-                    ledger.select_questions(party, payload["questions"], payload["deposit"])
-                elif event_type == "commit":
-                    ledger.submit_commitment(party, payload["batch"], cmt.Commitment.from_hex(payload["commitment"]))
-                elif event_type == "reveal":
-                    ledger.reveal(party, payload["batch"], payload["message"], payload["key"])
-                elif event_type == "settle":
-                    ledger.settle()
+                elif event_type in _REPLAY:
+                    ledger._expected = ((fields[0], event_type, fields[2], payload), line) if canonical else None
+                    _REPLAY[event_type](ledger, fields[2], payload)
                 else:
                     raise ValueError(f"unknown event type {event_type!r}")
             except (KeyError, TypeError) as e:
@@ -591,9 +604,10 @@ class Ledger:
             except ValueError as e:
                 raise ValueError(f"event log line {number} ({event_type}): {e}") from None
             if ledger.events[-1] != line:
-                raise ReplayDivergence(f"event log line {number} ({event_type}) does not replay byte for byte")
-        if ledger is None:
-            raise ValueError("empty event log")
+                raise ReplayDivergence(f"event log line {number} ({event_type}) does not replay byte for byte: "
+                                       + _first_difference(fields, payload, ledger.events[-1]))
+        if not text.endswith("\n"):
+            raise ValueError(f"event log line {number} ({event_type}): no newline at the end of the log")
         return ledger
 
     # -- audit -------------------------------------------------------------------------
@@ -618,3 +632,26 @@ class Ledger:
                 if not 0 <= row.deposit_returned <= dep:
                     findings.append(f"deposit accounting broken for {row.agent}")
         return findings
+
+
+def _first_difference(fields: list[str], payload: dict, regenerated: str) -> str:
+    """The first field that a regenerated line writes otherwise than the log, with both values."""
+    wrote = regenerated.split(",", 3)
+    replayed = json.loads(bytes.fromhex(wrote[3]))
+    named = [*zip(("block", "type", "party"), fields, wrote), *(
+        (f"payload key {key!r}:", *(_ENCODER.encode(p[key]) if key in p else "absent" for p in (payload, replayed)))
+        for key in sorted(payload.keys() | replayed.keys()))]
+    return next((f"{name} {logged} in the log, {written} replayed" for name, logged, written in named
+                 if logged != written), "the payload holds the same values, written in another form")
+
+
+# each replayed event type: its entry point, called with the line's party and its payload's keys, read in order
+_REPLAY = {
+    "tick": lambda ledger, _party, p: ledger.tick(p["blocks"]),
+    "post": lambda ledger, _party, p: ledger.post_questions(p["questions"], p["budget"], p["deposit"]),
+    "select": lambda ledger, party, p: ledger.select_questions(party, p["questions"], p["deposit"]),
+    "commit": lambda ledger, party, p: ledger.submit_commitment(party, p["batch"],
+                                                                cmt.Commitment.from_hex(p["commitment"])),
+    "reveal": lambda ledger, party, p: ledger.reveal(party, p["batch"], p["message"], p["key"]),
+    "settle": lambda ledger, _party, _p: ledger.settle(),
+}

@@ -901,6 +901,216 @@ def test_load_of_a_mutated_log_replays_it_or_raises_a_named_error(tmp_path):
         set_hypothesis_home_dir(None)
 
 
+def _reference_load(text):
+    """`Ledger.load` without its parse-first pass: each line split by
+    `splitlines`, parsed by `json.loads` when the replay reaches it, handed
+    to its entry point by an if chain, and every replayed event encoded."""
+    ledger = None
+    for number, line in enumerate(text.splitlines(), 1):
+        fields = line.split(",", 3)
+        event_type = fields[1] if len(fields) > 1 else "?"
+        try:
+            if len(fields) != 4:
+                raise ValueError(f"want 4 comma-separated fields, got {len(fields)}")
+            party, payload = fields[2], json.loads(bytes.fromhex(fields[3]).decode())
+            if not isinstance(payload, dict):
+                raise ValueError("payload is not an object")
+            if ledger is None:
+                if event_type != "genesis":
+                    raise ValueError("event log must start with a genesis event")
+                ledger = Ledger(LedgerConfig.from_payload(payload))
+            elif event_type == "tick":
+                ledger.tick(payload["blocks"])
+            elif event_type == "post":
+                ledger.post_questions(payload["questions"], payload["budget"], payload["deposit"])
+            elif event_type == "select":
+                ledger.select_questions(party, payload["questions"], payload["deposit"])
+            elif event_type == "commit":
+                ledger.submit_commitment(party, payload["batch"], cmt.Commitment.from_hex(payload["commitment"]))
+            elif event_type == "reveal":
+                ledger.reveal(party, payload["batch"], payload["message"], payload["key"])
+            elif event_type == "settle":
+                ledger.settle()
+            else:
+                raise ValueError(f"unknown event type {event_type!r}")
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"event log line {number} ({event_type}): malformed payload") from e
+        except ValueError as e:
+            raise ValueError(f"event log line {number} ({event_type}): {e}") from None
+        assert ledger._expected is None  # so `_record` encoded the event
+        if ledger.events[-1] != line:
+            raise ReplayDivergence(f"event log line {number} ({event_type}) does not replay byte for byte")
+    if ledger is None:
+        raise ValueError("empty event log")
+    return ledger
+
+
+def _outcome(load, text):
+    """What a loader makes of a log: the error's type and the line it names
+    (a domain error's whole message), or the replay's outputs."""
+    try:
+        ledger = load(text)
+    except (PeerchainError, ValueError) as e:
+        named = re.match(r"event log line (\d+) ", str(e))
+        return type(e), named.group(1) if named else str(e)
+    settlement = ledger.settlement.to_csv() if ledger.settlement else None
+    return ledger.dump(), ledger.gas.report_rows(), settlement, ledger.audit()
+
+
+def test_load_equals_the_reference_loader_on_mutated_logs(tmp_path):
+    ledger = _oa_round(peer_mode=SampledPeers(1, SelectionSeed(5, 6)))
+    ledger.settle()
+    valid = ledger.dump().splitlines()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.lists(MUTATION, min_size=1, max_size=3))
+    def check(mutations):
+        lines = list(valid)
+        for mutation in mutations:
+            _mutate(lines, mutation)
+        text = "\n".join(lines) + "\n"
+        assert _outcome(Ledger.load, text) == _outcome(_reference_load, text)
+
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+def _int_paths(value, path=()):
+    """The path of every int (not bool) inside a payload, lists included."""
+    if isinstance(value, dict):
+        return [p for key, item in value.items() for p in _int_paths(item, (*path, key))]
+    if isinstance(value, list):
+        return [p for i, item in enumerate(value) for p in _int_paths(item, (*path, i))]
+    return [path] if type(value) is int else []
+
+
+def _with_value(dump, number, path, value):
+    """Line ``number`` with the payload value at ``path`` replaced, written canonically."""
+    head, payload_hex = dump.splitlines()[number - 1].rsplit(",", 1)
+    payload = json.loads(bytes.fromhex(payload_hex))
+    *parents, leaf = path
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[leaf] = value
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode().hex()
+    return _with_line(dump, number, f"{head},{blob}")
+
+
+def test_every_int_field_set_to_a_bool_or_a_float_is_refused_at_its_line():
+    """A replayed event is compared with its canonical line as data, and
+    True == 1 == 1.0 in Python: the comparison is sound only because every
+    entry point refuses bools and floats before it records."""
+    ledger = _oa_round(peer_mode=SampledPeers(1, SelectionSeed(5, 6)))
+    ledger.settle()
+    dump = ledger.dump()
+    cases = 0
+    for number, line in enumerate(dump.splitlines(), 1):
+        for path in _int_paths(json.loads(bytes.fromhex(line.rsplit(",", 1)[1]))):
+            for value in (True, 1.0):
+                tampered = _with_value(dump, number, path, value)
+                outcome = _outcome(Ledger.load, tampered)
+                assert outcome == (ValueError, str(number)), (number, path, value)
+                assert outcome == _outcome(_reference_load, tampered)
+                cases += 1
+    assert cases > 60
+
+
+def _with_payload_text(dump, number, text):
+    head, _payload_hex = dump.splitlines()[number - 1].rsplit(",", 1)
+    return _with_line(dump, number, f"{head},{text.encode().hex()}")
+
+
+def _reveal_lines(dump):
+    return [n for n, line in enumerate(dump.splitlines(), 1) if line.split(",")[1] == "reveal"]
+
+
+def test_three_lines_whose_payloads_join_into_canonical_json_are_refused():
+    """Each payload is parsed alone: joined by commas these three are three
+    canonical objects, but none of the lines holds one."""
+    ledger = _oa_round()
+    ledger.settle()
+    dump = ledger.dump()
+    first = _reveal_lines(dump)[0]
+    texts = ['{"batch":0', '"key":5,"message":7}', '{"blocks":1},{"blocks":1}']
+    joined = ",".join(texts)
+    assert ledger_module._ENCODER.encode(json.loads(f"[{joined}]"))[1:-1] == joined
+    tampered = dump
+    for number, text in zip(range(first, first + 3), texts):
+        tampered = _with_payload_text(tampered, number, text)
+    assert _outcome(Ledger.load, tampered) == _outcome(_reference_load, tampered) == (ValueError, str(first))
+
+
+def _hex_upper(dump, number):
+    head, payload_hex = dump.splitlines()[number - 1].rsplit(",", 1)
+    return _with_line(dump, number, f"{head},{payload_hex.upper()}")
+
+
+def _hex_spaced(dump, number):
+    head, payload_hex = dump.splitlines()[number - 1].rsplit(",", 1)
+    return _with_line(dump, number, f"{head}, {payload_hex[:4]} {payload_hex[4:]}")
+
+
+def _zero_padded_block(dump, number):
+    return _with_line(dump, number, "0" + dump.splitlines()[number - 1])
+
+
+def _keys_reordered(dump, number):
+    head, payload_hex = dump.splitlines()[number - 1].rsplit(",", 1)
+    payload = json.loads(bytes.fromhex(payload_hex))
+    return _with_payload_text(dump, number, json.dumps(dict(reversed(payload.items())), separators=(",", ":")))
+
+
+@pytest.mark.parametrize("tamper, genesis_error", [
+    (_hex_upper, ReplayDivergence), (_hex_spaced, ReplayDivergence), (_zero_padded_block, ReplayDivergence),
+    (_keys_reordered, ReplayDivergence),
+    (lambda dump, number: _with_payload(dump, number, extra=1), ValueError),  # genesis refuses unknown keys
+], ids=["hex-uppercase", "hex-space-padded", "block-zero-padded", "keys-reordered", "extra-key"])
+def test_a_line_that_is_not_its_own_canonical_encoding_diverges_at_its_number(tamper, genesis_error):
+    ledger = _oa_round()
+    ledger.settle()
+    dump = ledger.dump()
+    # every line the tamper changes: a payload of one key has no other order
+    changed = [n for n in range(1, len(dump.splitlines()) + 1) if tamper(dump, n) != dump]
+    assert {1, _reveal_lines(dump)[-1]} <= set(changed)
+    for number in changed:
+        tampered = tamper(dump, number)
+        assert _outcome(Ledger.load, tampered) == _outcome(_reference_load, tampered) == (
+            genesis_error if number == 1 else ReplayDivergence, str(number))
+
+
+def test_a_canonical_log_replays_with_two_encodings_and_any_other_encodes_every_event(monkeypatch):
+    """Genesis and the one check of all the payloads are the only encodings
+    of a canonical replay; one line in another form turns the check off."""
+    ledger = _oa_round()
+    ledger.settle()
+    dump = ledger.dump()
+    calls = []
+    encoder = ledger_module._ENCODER
+
+    class Counting:
+        def encode(self, value):
+            calls.append(value)
+            return encoder.encode(value)
+
+    monkeypatch.setattr(ledger_module, "_ENCODER", Counting())
+    assert Ledger.load(dump).dump() == dump
+    assert len(calls) == 2 and isinstance(calls[0], list) and len(calls[0]) == len(dump.splitlines())
+    calls.clear()
+    tampered = _hex_upper(dump, 1)  # genesis still replays: its line is compared by encoding
+    with pytest.raises(ReplayDivergence, match="^event log line 1 "):
+        Ledger.load(tampered)
+    calls.clear()
+    # the last payload padded with a space: genesis, the check, then every other event encoded
+    last = len(dump.splitlines())
+    with pytest.raises(ReplayDivergence, match=rf"^event log line {last} "):
+        Ledger.load(_with_payload_text(dump, last, " {}"))
+    assert len(calls) == 1 + last
+
+
 def _bump_settle_block(dump):
     head, last = dump.rstrip("\n").rsplit("\n", 1)
     block, rest = last.split(",", 1)
@@ -925,6 +1135,86 @@ def test_replay_raises_on_a_line_it_does_not_reproduce(tamper):
     assert tampered != ledger.dump()
     with pytest.raises(ReplayDivergence):
         Ledger.load(tampered)
+
+
+def _settled_oa_dump():
+    ledger = _oa_round()
+    ledger.settle()
+    return ledger.dump()
+
+
+def test_a_crlf_log_diverges_at_its_first_line():
+    dump = _settled_oa_dump()
+    text = dump.replace("\n", "\r\n")
+    assert _reference_load(text).dump() != text  # splitlines took "\r\n" for a line break
+    with pytest.raises(ReplayDivergence, match=r"^event log line 1 \(genesis\) "):
+        Ledger.load(text)
+
+
+def test_a_log_split_by_bare_carriage_returns_is_one_line_that_does_not_parse():
+    dump = _settled_oa_dump()
+    text = dump.replace("\n", "\r")
+    assert _reference_load(text).dump() != text
+    with pytest.raises(ValueError, match=r"^event log line 1 \(genesis\): non-hexadecimal"):
+        Ledger.load(text)
+
+
+def test_a_log_without_its_final_newline_fails_at_its_last_line_after_the_others_replay():
+    dump = _settled_oa_dump()
+    text = dump[:-1]
+    assert _reference_load(text).dump() != text
+    last = len(dump.splitlines())
+    with pytest.raises(ValueError, match=rf"^event log line {last} \(settle\): no newline at the end of the log$"):
+        Ledger.load(text)
+    # an earlier line's error still wins
+    lines = dump.splitlines()
+    commit = _line_of(dump, "commit")
+    with pytest.raises(DuplicateCommitment):
+        Ledger.load("\n".join(lines[:commit] + lines[commit - 1:]))
+
+
+def _party_of_tick(dump):
+    number = _line_of(dump, "tick")
+    return _with_line(dump, number, dump.splitlines()[number - 1].replace(",chain,", ",A,"))
+
+
+def _uppercase_commitment(dump):
+    number = _line_of(dump, "commit")
+    head, payload_hex = dump.splitlines()[number - 1].rsplit(",", 1)
+    payload = json.loads(bytes.fromhex(payload_hex))
+    return _with_payload(dump, number, commitment=payload["commitment"].upper())
+
+
+@pytest.mark.parametrize("tamper, difference", [
+    (_bump_settle_block, "block 1009 in the log, 10 replayed"),
+    (_party_of_tick, "party A in the log, chain replayed"),
+    (lambda dump: _with_payload(dump, _reveal_lines(dump)[0], extra=[1]), r"payload key 'extra': \[1\] in the log, "
+                                                                          "absent replayed"),
+    (_uppercase_commitment, r"payload key 'commitment': \"[0-9A-F]{64}\" in the log, \"[0-9a-f]{64}\" replayed"),
+    # a gas table without an entry replays with the entry's default
+    (lambda dump: _with_payload(dump, 1, gas_table={"tx_base": 30000}),
+     r'payload key \'gas_table\': \{"tx_base":30000\} in the log, \{"arithmetic_op":5,.*\} replayed'),
+    (_reorder_reveal_payload, "the payload holds the same values, written in another form"),
+], ids=["block", "party", "payload-key-extra", "payload-key-value", "genesis-payload-key", "payload-form"])
+def test_a_divergence_names_the_first_field_that_differs(tamper, difference):
+    dump = _settled_oa_dump()
+    tampered = tamper(dump)
+    number = next(n for n, (a, b) in enumerate(zip(dump.splitlines(), tampered.splitlines()), 1) if a != b)
+    with pytest.raises(ReplayDivergence, match=rf"^event log line {number} \(\w+\) does not replay byte for byte: "
+                                               rf"{difference}$"):
+        Ledger.load(tampered)
+
+
+def test_a_divergence_names_the_event_type_the_replay_wrote(monkeypatch):
+    """No entry point records a type other than its own, so an entry point
+    that does is put in the replay table here."""
+    dump = _settled_oa_dump()
+    monkeypatch.setitem(ledger_module._REPLAY, "tick",
+                        lambda ledger, _party, _payload: ledger._record("tock", ledger.CHAIN, {}))
+    number = _line_of(dump, "tick")
+    with pytest.raises(ReplayDivergence, match=rf"^event log line {number} \(tick\) .*: type tick in the log, "
+                                               "tock replayed$"):
+        Ledger.load(dump)
 
 
 def _staged(phase):

@@ -36,8 +36,12 @@ def test_a_tiny_recording_holds_every_end_to_end_and_layer_metric_with_its_quart
     workloads = [w["name"] for w in DECLARED["workloads"]]
     summaries = {w: [_tiny_summary(recorder, w, 3) for _ in range(2)] for w in workloads}
     traced = {w: [_tiny_summary(recorder, w, 3, trace=True) for _ in range(2)] for w in workloads}
-    bench = json.loads(json.dumps(recorder.summarise("tiny", summaries, traced, [3], 0.001)))
-    assert set(bench) == {"label", "commit", "source_sha256", "seeds", "seconds", "runs_per_seed", "workloads"}
+    probes = {"cold_verify_s": [0.25, 0.5]}
+    bench = json.loads(json.dumps(recorder.summarise("tiny", summaries, traced, [3], 0.001, probes)))
+    assert set(bench) == {"label", "commit", "source_sha256", "seeds", "seconds", "runs_per_seed", "workloads",
+                          "probes"}
+    assert bench["probes"] == {"cold_verify_s": {"unit": "s", "better": "lower", "median": 0.375, "q1": 0.3125,
+                                                 "q3": 0.4375, "values": [0.25, 0.5]}}
     assert (bench["label"], bench["seeds"], bench["seconds"], bench["runs_per_seed"]) == ("tiny", [3], 0.001, 2)
     assert isinstance(bench["commit"], str) and len(bench["source_sha256"]) == 64
     assert list(bench["workloads"]) == workloads
@@ -58,7 +62,9 @@ def test_a_tiny_recording_holds_every_end_to_end_and_layer_metric_with_its_quart
 
     lines = recorder.compare(bench, bench)
     end_to_end, per_layer = len(DECLARED["end_to_end"]), len(DECLARED["per_layer"])
-    assert len(lines) == 1 + len(workloads) * (2 + end_to_end + per_layer)
+    assert len(lines) == 1 + len(workloads) * (2 + end_to_end + per_layer) + 2
+    # the probes come last, after a heading of their own
+    assert lines[-2] == "probes:" and lines[-1].split()[0] == "cold_verify_s"
     # per workload: its heading, the end-to-end metrics, the per-layer ones, the speed reference
     names = [line.split()[0] for line in lines[2:2 + end_to_end + per_layer + 1]]
     assert names == [*(m["name"] for m in DECLARED["end_to_end"]),
@@ -77,14 +83,28 @@ def test_a_tiny_recording_holds_every_end_to_end_and_layer_metric_with_its_quart
     changes = [line.split()[5] for line in recorder.compare(overhead, rise) if line.startswith("  trace.overhead_frac ")]
     assert changes == ["+20.00%"] * len(workloads)
     assert sum(line.startswith("  speed_reference_ms ") for line in lines) == len(workloads)
-    # a file recorded before the speed reference and the layers were kept
-    # still compares, without them
+    # a file recorded before the speed reference, the layers and the probes
+    # were kept still compares, without them
     older = json.loads(json.dumps(bench))
+    del older["probes"]
     for workload in older["workloads"].values():
         del workload["speed_reference_ms"], workload["layers"]
-    kept = [line for line in lines if line.split()[0] not in ("speed_reference_ms", *LAYER_NAMES)]
+    kept = [line for line in lines
+            if line.split()[0] not in ("speed_reference_ms", "probes:", "cold_verify_s", *LAYER_NAMES)]
     for a, b in ((older, bench), (bench, older)):
         assert recorder.compare(a, b) == kept
+
+
+def test_the_cold_verify_probe_times_a_clean_replay_of_its_fixed_log(tmp_path):
+    recorder = _recorder()
+    log = tmp_path / "cold_verify.log"
+    log.write_text(recorder.cold_verify_log(ROOT))
+    assert len(log.read_text().splitlines()) == 694
+    assert 0 < recorder.cold_verify_s(ROOT, log) < 60
+    # a log the replay does not reproduce is refused, with the probe's stderr
+    log.write_text(log.read_text().replace("\n", "\r\n"))
+    with pytest.raises(RuntimeError, match="(?s)a probe in .* failed .*ReplayDivergence: event log line 1 "):
+        recorder.cold_verify_s(ROOT, log)
 
 
 def test_the_speed_reference_is_read_from_its_report_line():

@@ -21,8 +21,16 @@ their run and incorrect-run counts.  The file also holds the
 Its ``commit`` is the checkout's HEAD, with ``+dirty`` appended when
 ``src/`` or ``perfbench/`` differ from it (run.py itself reads HEAD alone).
 
-``--baseline DIR`` runs the same workloads in the checkout at DIR as well
-(make it with ``git clone``, so that its commit is named),
+Before the workloads run, the recording times one probe that no workload
+runs, ``--runs`` times, each in a fresh interpreter: ``cold_verify_s``, the
+``Ledger.load`` plus ``audit`` of one fixed log (the OA round of
+``COLD_VERIFY_ROUND``: 12 agents, 40 synthetic services at seed 3, one
+commitment per answer), imports excluded.  The log is written once, by this
+checkout, and every run checks that the replay is clean and byte-identical.
+Its median, quartiles and run values are the file's top-level ``probes``.
+
+``--baseline DIR`` runs the same workloads and probe in the checkout at DIR
+as well (make it with ``git clone``, so that its commit is named),
 alternating the two runs of each pair and which goes first, and writes
 ``BENCH_<label>-baseline.json`` beside the other file.  ``--compare A B``
 prints, per workload and metric, both medians, the relative change,
@@ -30,16 +38,18 @@ whether it is larger than A's interquartile range, and, when both files
 hold the same number of runs (as a ``--baseline`` recording does), in how
 many pairs taken in run order B was the better.  The end-to-end metrics
 come first, then the per-layer metrics and the speed reference, each
-where both files hold it.
+where both files hold it, and last the probes both files hold.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -49,6 +59,26 @@ WORKLOADS = [w["name"] for w in DECLARED["workloads"]]
 METRICS = {m["name"]: m for m in DECLARED["end_to_end"]}
 LAYERS = {m["name"]: m for m in DECLARED["per_layer"]}
 SPEED_REFERENCE = re.compile(r"speed reference median ([0-9.]+) ms over \d+ operations")
+# prints the cold-verify probe's log: an unpacked 12 x 40 OA round, seed 3 (694 events, 339 commitments)
+COLD_VERIFY_ROUND = """
+import sys
+from peerchain import sim
+config = sim.ExperimentConfig(packed=False, agents=12, seed=3)
+sys.stdout.write(sim.run_experiment(config, sim.QoSDataset.synthetic(12, 40, seed=3)).ledger.dump())
+"""
+# prints the seconds one Ledger.load plus audit of the log at argv[1] takes
+COLD_VERIFY = """
+import sys, time
+from peerchain.ledger import Ledger
+text = open(sys.argv[1], encoding="utf-8", newline="").read()  # the bytes as written: no newline translation
+start = time.perf_counter()
+ledger = Ledger.load(text)
+findings = ledger.audit()
+seconds = time.perf_counter() - start
+if findings or ledger.dump() != text:
+    sys.exit(f"the replay is not clean: {findings[:3]}")
+print(seconds)
+"""
 
 
 def _env_fields(lines: list[str]) -> dict[str, str]:
@@ -102,6 +132,25 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, commit: s
     return summary
 
 
+def _python(checkout: Path, code: str, *args: str) -> str:
+    """What ``code`` prints, run by a fresh interpreter on the checkout's ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"a probe in {checkout} failed (exit {done.returncode}): {done.stderr[-2000:]}")
+    return done.stdout
+
+
+def cold_verify_log(checkout: Path) -> str:
+    """The cold-verify probe's log, as the checkout writes it."""
+    return _python(checkout, COLD_VERIFY_ROUND)
+
+
+def cold_verify_s(checkout: Path, log: Path) -> float:
+    """One fresh interpreter's ``Ledger.load`` plus ``audit`` of the log file, in seconds."""
+    return float(_python(checkout, COLD_VERIFY, str(log)))
+
+
 def _spread(values: list[float]) -> dict:
     """Median and quartiles (inclusive method, as numpy's default)."""
     q1, _, q3 = quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
@@ -125,9 +174,9 @@ def _distributions(declared: dict[str, dict], summaries: list[dict]) -> dict[str
 
 
 def summarise(label: str, summaries: dict[str, list[dict]], traced: dict[str, list[dict]],
-              seeds: list[int], seconds: float) -> dict:
+              seeds: list[int], seconds: float, probes: dict[str, list[float]]) -> dict:
     """The BENCH file's contents from each workload's untraced and traced
-    run summaries, in run order."""
+    run summaries and each probe's values (seconds, lower is better), in run order."""
     runs = [s for per_workload in [*summaries.values(), *traced.values()] for s in per_workload]
     commits = sorted({s["git_commit"] for s in runs})
     sources = sorted({s["source_sha256"] for s in runs})
@@ -156,6 +205,7 @@ def summarise(label: str, summaries: dict[str, list[dict]], traced: dict[str, li
         "seconds": seconds,
         "runs_per_seed": sum(map(len, summaries.values())) // max(1, len(seeds) * len(summaries)),
         "workloads": workloads,
+        "probes": {name: _distribution(values, "s", "lower") for name, values in probes.items()},
     }
 
 
@@ -167,6 +217,15 @@ def record(label: str, out_dir: Path, workloads: list[str], seeds: list[int], ru
     commits = {checkout: checkout_commit(checkout) for checkout in labels}
     # per checkout and trace flag, each workload's run summaries in run order
     kept = {(checkout, trace): {w: [] for w in workloads} for checkout in labels for trace in (False, True)}
+    probes = {checkout: [] for checkout in labels}
+    with tempfile.TemporaryDirectory() as scratch:
+        log = Path(scratch) / "cold_verify.log"
+        log.write_text(cold_verify_log(ROOT))
+        for pair in range(runs):
+            order = list(labels)
+            for checkout in order[::-1] if pair % 2 else order:
+                probes[checkout].append(cold_verify_s(checkout, log))
+                print(f"{labels[checkout]} cold_verify_s={probes[checkout][-1]:.4f}", file=sys.stderr, flush=True)
     pair = 0
     for workload in workloads:
         for seed in seeds:
@@ -182,7 +241,8 @@ def record(label: str, out_dir: Path, workloads: list[str], seeds: list[int], ru
     paths = []
     for checkout, name in labels.items():
         path = out_dir / f"BENCH_{name}.json"
-        bench = summarise(name, kept[checkout, False], kept[checkout, True], seeds, seconds)
+        bench = summarise(name, kept[checkout, False], kept[checkout, True], seeds, seconds,
+                          {"cold_verify_s": probes[checkout]})
         path.write_text(json.dumps(bench, indent=1) + "\n")
         paths.append(path)
     return paths
@@ -195,11 +255,33 @@ def _progress(label: str, workload: str, seed: int, trace: bool, summary: dict) 
           file=sys.stderr, flush=True)
 
 
+def _compared(name: str, ma: dict, mb: dict) -> str:
+    """One metric's line: both medians, the change, whether it exceeds A's
+    interquartile range, and the pairs B won when the run counts match."""
+    delta = mb["median"] - ma["median"]
+    # relative to A's size, so the change has delta's sign even where A
+    # is negative (trace.overhead_frac can be)
+    change = delta / abs(ma["median"]) if ma["median"] else float("nan")
+    sign = 1 if ma["better"] == "higher" else -1
+    beyond = abs(delta) > ma["q3"] - ma["q1"]
+    line = (f"  {name:30s} A {ma['median']:<12.6g} B {mb['median']:<12.6g} "
+            f"{change:+8.2%}  {'beyond' if beyond else 'within'} A's IQR")
+    va, vb = ma["values"], mb["values"]
+    if len(va) == len(vb) and va:
+        wins = sum(sign * (y - x) > 0 for x, y in zip(va, vb))
+        line += f"  B better in {wins}/{len(va)} pairs"
+    return line
+
+
+def _both(ma: dict | None, mb: dict | None) -> bool:
+    return not (ma is None or mb is None or ma["median"] is None or mb["median"] is None)
+
+
 def compare(a: dict, b: dict) -> list[str]:
     """Per workload: the end-to-end metrics, then the per-layer metrics and
     the speed reference where both files hold them, each with both medians,
     the change, and whether it exceeds A's interquartile range; pair wins
-    when the run counts match."""
+    when the run counts match.  Then the probes both files hold."""
     lines = [f"A = {a['label']} ({a['commit']}), B = {b['label']} ({b['commit']})"]
     for workload, wa in a["workloads"].items():
         wb = b["workloads"].get(workload)
@@ -210,22 +292,13 @@ def compare(a: dict, b: dict) -> list[str]:
         layers_a, layers_b = (w.get("layers", {}).get("metrics", {}) for w in (wa, wb))
         in_b = {**wb["metrics"], **layers_b, reference: wb.get(reference)}
         for name, ma in [*wa["metrics"].items(), *layers_a.items(), (reference, wa.get(reference))]:
-            mb = in_b.get(name)
-            if ma is None or mb is None or ma["median"] is None or mb["median"] is None:
-                continue
-            delta = mb["median"] - ma["median"]
-            # relative to A's size, so the change has delta's sign even where A
-            # is negative (trace.overhead_frac can be)
-            change = delta / abs(ma["median"]) if ma["median"] else float("nan")
-            sign = 1 if ma["better"] == "higher" else -1
-            beyond = abs(delta) > ma["q3"] - ma["q1"]
-            line = (f"  {name:30s} A {ma['median']:<12.6g} B {mb['median']:<12.6g} "
-                    f"{change:+8.2%}  {'beyond' if beyond else 'within'} A's IQR")
-            va, vb = ma["values"], mb["values"]
-            if len(va) == len(vb) and va:
-                wins = sum(sign * (y - x) > 0 for x, y in zip(va, vb))
-                line += f"  B better in {wins}/{len(va)} pairs"
-            lines.append(line)
+            if _both(ma, in_b.get(name)):
+                lines.append(_compared(name, ma, in_b[name]))
+    probes_a, probes_b = a.get("probes", {}), b.get("probes", {})
+    probes = [name for name, ma in probes_a.items() if _both(ma, probes_b.get(name))]
+    if probes:
+        lines.append("probes:")
+        lines += [_compared(name, probes_a[name], probes_b[name]) for name in probes]
     return lines
 
 

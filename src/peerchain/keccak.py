@@ -44,10 +44,10 @@ layouts, about 160 kB, well above the 112 commitments of a packed 56x56
 round and the 333-353 of a 12x40 unpacked one.  A hit costs about
 0.3 us.  A batch of more than ``MEMO_SIZE`` distinct messages returns
 every digest but leaves only the last ``MEMO_SIZE`` in the memo.  So
-``run_experiment`` hashes and commits ``MEMO_SIZE`` layouts at a time,
-and passes each slice through ``keccak256_many`` again before it reveals
-it: all hits while the round fits in the memo, one batch for the evicted
-layouts of a round that does not.
+``run_experiment`` hashes and commits ``MEMO_SIZE`` layouts at a time.  A
+round that fits in one slice reveals from the memo as it stands; in a round
+of more slices each slice's hashing evicts the one before, so each is passed
+through ``keccak256_many`` again, as one batch, before it is revealed.
 """
 
 from __future__ import annotations

@@ -5,11 +5,15 @@ Time is a logical block counter; phase deadlines are block counts from the
 config.  Every mutation is an event appended to a replayable log, one line
 per event: ``block_number,event_type,party,payload_hex`` with the payload
 hex-encoding canonical JSON (sorted keys, no spaces, ASCII, so UTF-8),
-which `Ledger.load` reads as UTF-8 text only.  Replaying a dumped log
-rebuilds the ledger bit for bit, gas totals included.  `load` parses each
-line alone first; if all the payloads, encoded in one call, hex-encode to the
-hex fields joined by "2c" (a comma), an event equal to its line as data
-(entry points refuse bools and floats) appends the line unencoded.
+which `Ledger.load` reads as UTF-8 text only.  One table, `_EVENTS`, gives
+each event type its payload keys, replay and writer: genesis and post are
+written by `_ENCODER`, the others fill a template as it would (``%d`` for an
+int, ``encode_basestring_ascii`` for a str).  Replaying a dumped log rebuilds
+the ledger bit for bit, gas totals included.  `load` parses each line alone
+first; if all the payloads, encoded by `_ENCODER` in one call, hex-encode to
+the hex fields joined by "2c" (a comma), an event whose values equal its
+line's as data (entry points refuse bools and floats) appends the line
+unwritten.  So that one call also checks every writer on every log replayed.
 
 The first line, genesis, holds the `LedgerConfig`: one key per field, the
 mechanism, alpha, peer mode and gas table encoded.  A payload whose keys
@@ -58,14 +62,18 @@ and post, select and settle build theirs per call:
 from __future__ import annotations
 
 import json
+import re
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 from math import ceil, lcm
+from operator import itemgetter
 
 import numpy as np
 
@@ -165,10 +173,8 @@ class LedgerConfig:
     optimized: bool = True  # the settlement gas pattern; rewards do not depend on it
 
     def __post_init__(self):
-        require_ints(
-            batch_size=self.batch_size, scale=self.scale, selection_blocks=self.selection_blocks,
-            commit_blocks=self.commit_blocks, reveal_blocks=self.reveal_blocks,
-        )
+        require_ints(batch_size=self.batch_size, scale=self.scale, selection_blocks=self.selection_blocks,
+                     commit_blocks=self.commit_blocks, reveal_blocks=self.reveal_blocks)
         require_scoring(self.mechanism, self.peer_mode)
         if not isinstance(self.gas_table, GasTable):
             raise ValueError(f"gas_table must be a GasTable, got {self.gas_table!r}")
@@ -254,10 +260,8 @@ class SettlementReport:
     def to_csv(self) -> str:
         lines = ["agent,mechanism_reward,payment_units,deposit_returned,gas_reimbursed"]
         for r in self.rows:
-            lines.append(
-                f"{r.agent},{format_decimal(r.mechanism_reward)},"
-                f"{r.payment_units},{r.deposit_returned},{r.gas_reimbursed}"
-            )
+            lines.append(f"{r.agent},{format_decimal(r.mechanism_reward)},"
+                         f"{r.payment_units},{r.deposit_returned},{r.gas_reimbursed}")
         return "\n".join(lines) + "\n"
 
 
@@ -272,7 +276,7 @@ class Ledger:
 
     REQUESTER = GasLedger.REQUESTER
     CHAIN = "chain"
-    _expected: tuple | None = None  # ((block, type, party, payload), line) of a canonical line `load` replays
+    _expected: tuple | None = None  # ((block, type, party, values), line) of a canonical line `load` replays
 
     def __init__(self, config: LedgerConfig):
         self.config = config
@@ -295,21 +299,21 @@ class Ledger:
         self.events: list[str] = []
         self.settlement: SettlementReport | None = None
         self._selection_end = self._commit_end = self._reveal_end = None
-        self._record("genesis", self.CHAIN, config.to_payload())
+        self._record("genesis", self.CHAIN, *config.to_payload().values())
 
     # -- event plumbing -----------------------------------------------------
 
-    def _record(self, event_type: str, party: str, payload: dict) -> None:
-        """Append one event line; every caller records before it changes any
-        state, so a payload the log cannot write leaves the ledger as it was."""
-        if self._expected and self._expected[0] == (str(self.block), event_type, party, payload):
+    def _record(self, event_type: str, party: str, *values) -> None:
+        """Append one event line, its payload `values` under the type's keys (`_EVENTS`); every caller
+        records before it changes any state, so a payload the log cannot write leaves the ledger as it was."""
+        if self._expected and self._expected[0] == (str(self.block), event_type, party, values):
             return self.events.append(self._expected[1])  # the canonical line a replay reproduces
         try:
-            blob = _ENCODER.encode(payload).encode()
+            text = _EVENTS[event_type][3](values)
         except ValueError:  # a payload holds only ints, strs and lists: an int too long to write
             raise ValueError(f"{event_type} event: an int has more than {sys.get_int_max_str_digits()} digits, "
                              "which the event log cannot write") from None
-        self.events.append(f"{self.block},{event_type},{party},{blob.hex()}")
+        self.events.append(f"{self.block},{event_type},{party},{text.encode().hex()}")
 
     def _require_phase(self, expected: Phase) -> None:
         if self.phase is not expected:
@@ -318,27 +322,20 @@ class Ledger:
     # -- block time -----------------------------------------------------------
 
     def tick(self, blocks: int = 1) -> None:
-        """Advance the logical block counter, crossing phase deadlines.
-
-        Each deadline crossed is entered at its own block, so the next
-        window is measured from there, as if the blocks came one by one.
-        """
+        """Advance the logical block counter, crossing phase deadlines: each deadline crossed is entered
+        at its own block, so the next window is measured from there, as if the blocks came one by one."""
         require_ints(blocks=blocks)
         if blocks < 1:
             raise ValueError("tick must advance a positive integer number of blocks")
-        self._record("tick", self.CHAIN, {"blocks": blocks})
+        self._record("tick", self.CHAIN, blocks)
         target = self.block + blocks
         if self.phase is Phase.SELECTION and target >= self._selection_end:
             self.block = self._selection_end
-            self._enter_commit()
+            self.phase, self._commit_end = Phase.COMMIT, self.block + self.config.commit_blocks
         if self.phase is Phase.COMMIT and target >= self._commit_end:
             self.block = self._commit_end
             self._enter_reveal()
         self.block = target
-
-    def _enter_commit(self) -> None:
-        self.phase = Phase.COMMIT
-        self._commit_end = self.block + self.config.commit_blocks
 
     def _enter_reveal(self) -> None:
         self.phase = Phase.REVEAL
@@ -357,11 +354,7 @@ class Ledger:
             raise ZeroBudget(f"budget must be positive, got {budget}")
         if requester_deposit < 0:
             raise ValueError("requester deposit must be nonnegative")
-        self._record(
-            "post",
-            self.REQUESTER,
-            {"questions": list(questions), "budget": budget, "deposit": requester_deposit},
-        )
+        self._record("post", self.REQUESTER, budget, requester_deposit, list(questions))
         self.questions = questions
         self._posted_order = {q: i for i, q in enumerate(questions)}
         self.budget = budget
@@ -393,11 +386,9 @@ class Ledger:
         except KeyError as e:
             raise UnknownQuestion(f"question {e.args[0]!r} was never posted") from None
         if deposit < self.config.min_agent_deposit:
-            raise InsufficientDeposit(
-                f"{self.config.mechanism.value} rounds require at least "
-                f"{self.config.min_agent_deposit} units, got {deposit}"
-            )
-        self._record("select", agent, {"questions": list(ids), "deposit": deposit})
+            raise InsufficientDeposit(f"{self.config.mechanism.value} rounds require at least "
+                                      f"{self.config.min_agent_deposit} units, got {deposit}")
+        self._record("select", agent, deposit, list(ids))
         bs = self.config.batch_size
         self.batches[agent] = tuple(sel[i:i + bs] for i in range(0, len(sel), bs))
         self._uncommitted += len(self.batches[agent])
@@ -425,7 +416,7 @@ class Ledger:
             raise ValueError(f"agent {agent!r} has {len(batches)} batches, got index {batch}")
         if (agent, batch) in self.commitments:
             raise DuplicateCommitment(f"batch {batch} of agent {agent!r} already committed")
-        self._record("commit", agent, {"batch": batch, "commitment": commitment_.hex()})
+        self._record("commit", agent, batch, commitment_.hex())
         self.commitments[(agent, batch)] = commitment_
         self.gas.charge("commit", agent, _COMMIT_GAS)
         self._uncommitted -= 1
@@ -448,7 +439,7 @@ class Ledger:
         commitment_ = self.commitments.get((agent, batch))
         if commitment_ is None:
             raise NoCommitment(f"no commitment on record for {agent!r} batch {batch}")
-        self._record("reveal", agent, {"batch": batch, "message": message, "key": key_value})
+        self._record("reveal", agent, batch, key_value, message)
         opened = False
         if (agent, batch) in self.accepted or (agent, batch) in self.discarded:
             self.notes.append(LedgerNote("duplicate", agent, batch, self.block))
@@ -493,25 +484,19 @@ class Ledger:
         self._require_phase(Phase.REVEAL)
         outstanding = len(self.commitments) - len(self.accepted) - len(self.discarded)
         if self.block < self._reveal_end and outstanding:
-            raise WrongPhase(
-                f"reveal window open until block {self._reveal_end} "
-                f"and reveals are still outstanding at block {self.block}"
-            )
+            raise WrongPhase(f"reveal window open until block {self._reveal_end} "
+                             f"and reveals are still outstanding at block {self.block}")
         matrix = self.revealed_matrix()
+        report = None
         if matrix.total_answers > 0:
             report = compute_rewards(matrix, self.config.mechanism, self.config.alpha, self.config.peer_mode)
-            rewards = report.per_agent_reward
-        else:
-            report = None
-            rewards = {a: Fraction(0) for a in self.batches}
+        rewards = report.per_agent_reward if report is not None else {a: Fraction(0) for a in self.batches}
 
-        self._record("settle", self.REQUESTER, {})
+        self._record("settle", self.REQUESTER)
         self.gas.charge("settle", self.REQUESTER, GasBundle([("tx_base", 1)]))
         if report is not None:
-            charge_settlement_compute(
-                self.gas, matrix, self.config.mechanism, self.config.peer_mode,
-                self.config.optimized,
-            )
+            charge_settlement_compute(self.gas, matrix, self.config.mechanism, self.config.peer_mode,
+                                      self.config.optimized)
         self.gas.charge("settle", self.REQUESTER, GasBundle([("storage_write_update_word", len(self.batches) + 1)]))
         agent_gas = self.gas.per_agent
 
@@ -555,15 +540,12 @@ class Ledger:
     def load(cls, text: str) -> "Ledger":
         """Rebuild a ledger by re-running its log, each line ended by "\n".
 
-        Every regenerated line must equal the line it came from; the first
-        that does not raises `ReplayDivergence`, naming the first field that
-        differs.  Every line is parsed first (module docstring); a line's
-        `ValueError`, raised when the replay reaches it, names the line: one
-        without four comma-separated fields or its newline, a payload that
-        is not hex-encoded UTF-8 JSON or not an object, or a field that is
-        missing or that the entry point it feeds rejects.  A `PeerchainError`
-        from a replayed entry point passes unchanged.
-        """
+        Every regenerated line must equal the line it came from; the first that does not raises
+        `ReplayDivergence`, naming the first field that differs.  Every line is parsed first (module
+        docstring); a line's `ValueError`, raised when the replay reaches it, names the line: one without
+        four comma-separated fields or its newline, a payload that is not hex-encoded UTF-8 JSON or not an
+        object, or a field that is missing or that the entry point it feeds rejects.  A `PeerchainError`
+        from a replayed entry point passes unchanged."""
         if not text:
             raise ValueError("empty event log")
         lines, entries = text.removesuffix("\n").split("\n"), []  # entries: (fields, payload or the line's error)
@@ -592,15 +574,17 @@ class Ledger:
                     if event_type != "genesis":
                         raise ValueError("event log must start with a genesis event")
                     ledger = cls(LedgerConfig.from_payload(payload))
-                elif event_type in _REPLAY:
-                    ledger._expected = ((fields[0], event_type, fields[2], payload), line) if canonical else None
-                    _REPLAY[event_type](ledger, fields[2], payload)
+                elif event_type in _EVENTS and event_type != "genesis":
+                    keys, read, replay, _write = _EVENTS[event_type]
+                    values = read(payload)
+                    exact = canonical and len(payload) == len(keys)  # the payload holds the keys and no other
+                    ledger._expected = ((fields[0], event_type, fields[2], values), line) if exact else None
+                    replay(ledger, fields[2], values)
                 else:
                     raise ValueError(f"unknown event type {event_type!r}")
             except (KeyError, TypeError) as e:
-                raise ValueError(
-                    f"event log line {number} ({event_type}): malformed payload ({type(e).__name__}: {e})"
-                ) from None
+                raise ValueError(f"event log line {number} ({event_type}): malformed payload "
+                                 f"({type(e).__name__}: {e})") from None
             except ValueError as e:
                 raise ValueError(f"event log line {number} ({event_type}): {e}") from None
             if ledger.events[-1] != line:
@@ -645,13 +629,29 @@ def _first_difference(fields: list[str], payload: dict, regenerated: str) -> str
                  if logged != written), "the payload holds the same values, written in another form")
 
 
-# each replayed event type: its entry point, called with the line's party and its payload's keys, read in order
-_REPLAY = {
-    "tick": lambda ledger, _party, p: ledger.tick(p["blocks"]),
-    "post": lambda ledger, _party, p: ledger.post_questions(p["questions"], p["budget"], p["deposit"]),
-    "select": lambda ledger, party, p: ledger.select_questions(party, p["questions"], p["deposit"]),
-    "commit": lambda ledger, party, p: ledger.submit_commitment(party, p["batch"],
-                                                                cmt.Commitment.from_hex(p["commitment"])),
-    "reveal": lambda ledger, party, p: ledger.reveal(party, p["batch"], p["message"], p["key"]),
-    "settle": lambda ledger, _party, _p: ledger.settle(),
+def _event(shape: tuple[str, ...] | str, replay: Callable | None, escape: Callable | None = None) -> tuple:
+    """An entry of `_EVENTS`.  `shape` is the payload's keys, for `_ENCODER` to write, or a fixed shape's
+    canonical JSON with a %-conversion for each value, which the writer fills with v or with `escape(v)`."""
+    keys, write = shape, lambda v: _ENCODER.encode(dict(zip(shape, v)))
+    if isinstance(shape, str):
+        keys = tuple(re.findall(r'"(\w+)":', shape))
+        write = shape.__mod__ if escape is None else lambda v: shape % escape(v)
+    read = itemgetter(*keys) if len(keys) > 1 else lambda payload: tuple(map(payload.__getitem__, keys))
+    return keys, read, replay, write
+
+
+# each event type: (its payload's keys, sorted (genesis: the config's fields), then of v, their values in order:
+# its reader, a payload -> v (KeyError names a missing key); its replay, (ledger, party, v) -> the entry point's
+# call (None for genesis, which `load` reads); its writer, v -> the payload's canonical JSON)
+_EVENTS = {
+    "genesis": _event(tuple(f.name for f in fields(LedgerConfig)), None),
+    "tick": _event('{"blocks":%d}', lambda led, _party, v: led.tick(v[0])),
+    "post": _event(("budget", "deposit", "questions"), lambda led, _party, v: led.post_questions(v[2], v[0], v[1])),
+    "select": _event('{"deposit":%d,"questions":[%s]}', lambda led, party, v: led.select_questions(party, v[1], v[0]),
+                     lambda v: (v[0], ",".join(map(_json_str, v[1])))),
+    "commit": _event('{"batch":%d,"commitment":%s}',
+                     lambda led, party, v: led.submit_commitment(party, v[0], cmt.Commitment.from_hex(v[1])),
+                     lambda v: (v[0], _json_str(v[1]))),
+    "reveal": _event('{"batch":%d,"key":%d,"message":%d}', lambda led, party, v: led.reveal(party, v[0], v[2], v[1])),
+    "settle": _event("{}", lambda led, _party, _v: led.settle()),
 }

@@ -167,18 +167,19 @@ def draw_positions_many(sizes: Sequence[int], ks: Sequence[int], states: Sequenc
     batch's keys ``(sizes[c], ks[c], states[c])``, and nothing else,
     unless it holds them all already.
 
-    The three sequences hold ints.  A batch with a key the memo lacks must
-    have at most ``DRAW_MEMO_SIZE`` distinct keys, each with all three in
-    0..2**64-1 (``ValueError`` otherwise) and k in 1..size (``KTooLarge``
-    otherwise); a refused batch leaves the memo as it was.
+    The three sequences hold ints, every one of them (``ValueError``
+    otherwise, memo or not: True equals 1 as a key).  A batch with a key the
+    memo lacks must have at most ``DRAW_MEMO_SIZE`` distinct keys, each with
+    all three in 0..2**64-1 (``ValueError`` otherwise) and k in 1..size
+    (``KTooLarge`` otherwise); a refused batch leaves the memo as it was.
     """
+    if set(map(type, chain(sizes, ks, states))) - {int}:
+        raise ValueError("sizes, ks and states must be ints")
     if all(map(_memo.__contains__, zip(sizes, ks, states))):  # stops at the first miss
         return
     keys = list(dict.fromkeys(zip(sizes, ks, states)))
     if len(keys) > DRAW_MEMO_SIZE:
         raise ValueError(f"{len(keys)} distinct keys, more than DRAW_MEMO_SIZE = {DRAW_MEMO_SIZE}")
-    if set(map(type, chain.from_iterable(keys))) != {int}:
-        raise ValueError("sizes, ks and states must be ints")
     try:
         table = np.fromiter(chain.from_iterable(keys), dtype=np.uint64, count=3 * len(keys))
     except OverflowError:

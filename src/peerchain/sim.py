@@ -358,7 +358,8 @@ def run_experiment(config: ExperimentConfig, dataset: QoSDataset | None = None) 
     # order, cut the kept entries into runs of their sizes: slot j of batch t
     # holds entry j of run t.  The hashing runs as one batch per MEMO_SIZE
     # commitments, so each digest is still in the memo when `commit` and the
-    # contract's reveal check ask for it
+    # contract's reveal check ask for it; a round of one batch is all still
+    # there when its reveals begin
     sizes = [len(batch_qs) for a in active for batch_qs in ledger.agent_batches(a)]
     batch = np.repeat(np.arange(len(sizes)), sizes)
     slot = np.arange(batch.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -375,7 +376,8 @@ def run_experiment(config: ExperimentConfig, dataset: QoSDataset | None = None) 
         for a, b, m, k, n in part:
             ledger.submit_commitment(a, b, cmt.commit(m, k, n))
     for part, part_layouts in zip(slices, layouts):
-        keccak256_many(part_layouts)  # memo hits, unless the round outgrew the memo
+        if len(slices) > 1:  # each slice's hashing evicted the one before, so each is hashed again
+            keccak256_many(part_layouts)
         for a, b, m, k, _n in part:
             ledger.reveal(a, b, m, k)
     settlement = ledger.settle()

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from dataclasses import fields
 from fractions import Fraction as F
 from unittest import mock
@@ -1084,31 +1085,162 @@ def test_a_line_that_is_not_its_own_canonical_encoding_diverges_at_its_number(ta
 
 def test_a_canonical_log_replays_with_two_encodings_and_any_other_encodes_every_event(monkeypatch):
     """Genesis and the one check of all the payloads are the only encodings
-    of a canonical replay; one line in another form turns the check off."""
+    of a canonical replay, and genesis is the one event written; one line in
+    another form turns the check off, and every event is written again, the
+    fixed shapes by their templates and genesis and post by the encoder."""
     ledger = _oa_round()
     ledger.settle()
     dump = ledger.dump()
-    calls = []
+    encoded, written = [], []
     encoder = ledger_module._ENCODER
 
     class Counting:
         def encode(self, value):
-            calls.append(value)
+            encoded.append(value)
             return encoder.encode(value)
 
     monkeypatch.setattr(ledger_module, "_ENCODER", Counting())
+    for event_type, (keys, read, replay, write) in list(ledger_module._EVENTS.items()):
+        monkeypatch.setitem(ledger_module._EVENTS, event_type,
+                            (keys, read, replay, lambda v, write=write, t=event_type: written.append(t) or write(v)))
     assert Ledger.load(dump).dump() == dump
-    assert len(calls) == 2 and isinstance(calls[0], list) and len(calls[0]) == len(dump.splitlines())
-    calls.clear()
+    assert len(encoded) == 2 and isinstance(encoded[0], list) and len(encoded[0]) == len(dump.splitlines())
+    assert written == ["genesis"]
+    encoded.clear()
+    written.clear()
     tampered = _hex_upper(dump, 1)  # genesis still replays: its line is compared by encoding
     with pytest.raises(ReplayDivergence, match="^event log line 1 "):
         Ledger.load(tampered)
-    calls.clear()
-    # the last payload padded with a space: genesis, the check, then every other event encoded
-    last = len(dump.splitlines())
-    with pytest.raises(ReplayDivergence, match=rf"^event log line {last} "):
-        Ledger.load(_with_payload_text(dump, last, " {}"))
-    assert len(calls) == 1 + last
+    encoded.clear()
+    written.clear()
+    # the last payload padded with a space: the check, then every event written
+    lines = dump.splitlines()
+    with pytest.raises(ReplayDivergence, match=rf"^event log line {len(lines)} "):
+        Ledger.load(_with_payload_text(dump, len(lines), " {}"))
+    assert written == [line.split(",")[1] for line in lines]
+    assert len(encoded) == 1 + written.count("genesis") + written.count("post")
+
+
+def _round_of_every_reveal_note():
+    """A scripted OA round whose reveals are accepted, duplicate, failed and malformed."""
+    ledger = Ledger(LedgerConfig(mechanism=Mechanism.OA))
+    order = ("q1", "q2", "q3")
+    ledger.post_questions(order, 1000)
+    for agent in ("A", "B", "C"):
+        ledger.select_questions(agent, order)
+    ledger.tick(10)
+    message = message_of([("q1", 1), ("q2", 0), ("q3", 1)], order)
+    for agent, key in (("A", 5), ("B", 6), ("C", 7)):
+        ledger.submit_commitment(agent, 0, cmt.commit(message, key, len(order)))
+    assert ledger.reveal("A", 0, message, 5)
+    assert not ledger.reveal("A", 0, message, 5)
+    assert not ledger.reveal("B", 0, message, 99)
+    assert not ledger.reveal("C", 0, 1 << 80, 7)
+    assert [note.kind for note in ledger.notes] == ["duplicate", "failed-verification", "malformed"]
+    ledger.settle()
+    return ledger
+
+
+LIVE_ROUNDS = {
+    "skip-one-packed-all-peers": lambda: run_experiment(ExperimentConfig(agents=16, seed=1),
+                                                        QoSDataset.skip_one(16, 16, 1)).ledger,
+    "skip-one-packed-k10": lambda: run_experiment(
+        ExperimentConfig(mechanism=Mechanism.PTSC, peer_mode=SampledPeers(10, 7), agents=16, seed=1),
+        QoSDataset.skip_one(16, 16, 1)).ledger,
+    "synthetic-12x40-unpacked": lambda: run_experiment(ExperimentConfig(packed=False, agents=12, seed=3),
+                                                       QoSDataset.synthetic(12, 40, seed=3)).ledger,
+    "every-reveal-note": _round_of_every_reveal_note,
+}
+
+
+@pytest.mark.parametrize("play", LIVE_ROUNDS.values(), ids=LIVE_ROUNDS.keys())
+def test_a_live_round_encodes_genesis_and_post_and_templates_write_every_other_event(monkeypatch, play):
+    encoded = []
+    encoder = ledger_module._ENCODER
+
+    class Counting:
+        def encode(self, value):
+            encoded.append(value)
+            return encoder.encode(value)
+
+    monkeypatch.setattr(ledger_module, "_ENCODER", Counting())
+    ledger = play()
+    monkeypatch.undo()
+    genesis, post = (json.loads(bytes.fromhex(line.split(",")[3])) for line in ledger.events[:2])
+    assert encoded == [genesis, post] == [ledger.config.to_payload(), {
+        "budget": ledger.budget, "deposit": ledger.requester_deposit, "questions": list(ledger.questions)}]
+    assert {line.split(",")[1] for line in ledger.events[2:]} >= {"select", "tick", "commit", "reveal", "settle"}
+    assert Ledger.load(ledger.dump()).dump() == ledger.dump()
+
+
+class _OddInt(int):
+    """An int whose own text is not its digits: the log writes the digits."""
+
+    def __repr__(self):
+        return "odd"
+
+    __str__ = __format__ = __repr__
+
+
+class _OddStr(str):
+    def __str__(self):
+        return "odd"
+
+    __repr__ = __format__ = __str__
+
+
+_DIGITS = sys.get_int_max_str_digits()
+_LOG_INTS = st.one_of(
+    st.integers(), st.integers(-(2**200), 2**200).map(_OddInt),
+    st.integers(10 ** (_DIGITS - 1), 10**_DIGITS - 1), st.integers(-(10**_DIGITS) + 1, -(10 ** (_DIGITS - 1))),
+)
+_LOG_STRS = st.one_of(
+    st.text(st.characters(blacklist_categories=())),  # surrogates, controls and every plane
+    st.text(st.sampled_from('"\\/\x00\x1f\x7f\x80\u2028\ufeffé€😀\ud800\b\f\n\r\t ')),
+    st.text().map(_OddStr),
+)
+# each fixed-shape event type's values, as its entry point records them
+_FIXED_SHAPES = {
+    "tick": st.tuples(_LOG_INTS),
+    "select": st.tuples(_LOG_INTS, st.one_of(st.lists(_LOG_STRS, max_size=3), st.lists(_LOG_STRS, max_size=300))),
+    "commit": st.tuples(_LOG_INTS, _LOG_STRS),
+    "reveal": st.tuples(_LOG_INTS, _LOG_INTS, _LOG_INTS),
+    "settle": st.just(()),
+}
+
+
+_TOO_LONG = {"tick": (10**_DIGITS,), "select": (10**_DIGITS, ["q"]), "commit": (10**_DIGITS, "ab"),
+             "reveal": (0, 10**_DIGITS, 1)}
+
+
+def test_every_event_type_but_genesis_and_post_has_a_template_over_its_sorted_keys():
+    events = ledger_module._EVENTS
+    assert set(events) - set(_FIXED_SHAPES) == {"genesis", "post"}
+    assert events["genesis"][0] == tuple(f.name for f in fields(LedgerConfig))
+    for event_type, (keys, read, _replay, _write) in events.items():
+        assert event_type == "genesis" or list(keys) == sorted(keys)
+        payload = dict(zip(keys[::-1], range(len(keys))[::-1]))  # the keys in another order
+        assert read(payload) == tuple(range(len(keys)))
+
+
+@pytest.mark.parametrize("event_type", _FIXED_SHAPES)
+def test_a_template_writes_what_the_encoder_writes(tmp_path, event_type):
+    keys, _read, _replay, write = ledger_module._EVENTS[event_type]
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_FIXED_SHAPES[event_type])
+    def check(values):
+        assert write(values) == ledger_module._ENCODER.encode(dict(zip(keys, values)))
+
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
+    if event_type in _TOO_LONG:  # both refuse an int past the digit limit
+        for writer in (write, lambda v: ledger_module._ENCODER.encode(dict(zip(keys, v)))):
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                writer(_TOO_LONG[event_type])
 
 
 def _bump_settle_block(dump):
@@ -1207,10 +1339,13 @@ def test_a_divergence_names_the_first_field_that_differs(tamper, difference):
 
 def test_a_divergence_names_the_event_type_the_replay_wrote(monkeypatch):
     """No entry point records a type other than its own, so an entry point
-    that does is put in the replay table here."""
+    that does is put in the event table here."""
     dump = _settled_oa_dump()
-    monkeypatch.setitem(ledger_module._REPLAY, "tick",
-                        lambda ledger, _party, _payload: ledger._record("tock", ledger.CHAIN, {}))
+    events = ledger_module._EVENTS
+    keys, read, _replay, write = events["tick"]
+    monkeypatch.setitem(events, "tock", events["settle"])
+    monkeypatch.setitem(events, "tick", (keys, read, lambda ledger, _party, _v: ledger._record("tock", ledger.CHAIN),
+                                         write))
     number = _line_of(dump, "tick")
     with pytest.raises(ReplayDivergence, match=rf"^event log line {number} \(tick\) .*: type tick in the log, "
                                                "tock replayed$"):

@@ -316,6 +316,19 @@ def test_the_memo_holds_the_last_batch_drawn(pool, batches):
         assert scalar == []
 
 
+@pytest.mark.parametrize("sizes, ks, states", [
+    ([3], [True], [0]), ([3.0], [1], [0]), ([3], [1], [np.uint64(0)]), ([3, 3], [1, True], [0, 0]),
+], ids=repr)
+def test_a_key_that_is_not_all_ints_is_refused_though_it_equals_a_key_the_memo_holds(monkeypatch, sizes, ks, states):
+    _memo.clear()
+    draw_positions_many([3], [1], [0])
+    held = dict(_memo)
+    scalar, batched = count_draws(monkeypatch)
+    with pytest.raises(ValueError, match="^sizes, ks and states must be ints$"):
+        draw_positions_many(sizes, ks, states)
+    assert _memo == held and batched == [] and scalar == []
+
+
 def test_a_batch_of_more_distinct_keys_than_the_memo_holds_is_refused(monkeypatch):
     _memo.clear()
     draw_positions_many([7], [3], [0])
@@ -345,6 +358,7 @@ def test_batch_fills_the_memo_up_to_its_bound(monkeypatch):
     ([3], [0], [0], KTooLarge, "k=0 outside 1..3"),
     ([3], [2.0], [0], ValueError, "must be ints"),
     ([3], [True], [0], ValueError, "must be ints"),
+    ([3, 3], [1, True], [0, 0], ValueError, "must be ints"),  # True == 1, so the two keys are one
     ([3], [2], [-1], ValueError, "lie in 0..2..64-1"),
     ([3], [2], [2**64], ValueError, "lie in 0..2..64-1"),
 ], ids=repr)

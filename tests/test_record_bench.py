@@ -15,6 +15,11 @@ LAYER_NAMES = [m["name"] for m in DECLARED["per_layer"]]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from pcbench import runner  # noqa: E402
+from pcbench.workloads import DEVIATIONS  # noqa: E402
+
+# the raw wall p50 of each Monte-Carlo estimator a cycle runs, in run order
+RAW_ESTIMATORS = ["mc_payment_mc_p50_s", "mc_saving_mc_p50_s",
+                  *(f"mc_equilibrium_check[{d.name}]_p50_s" for d in DEVIATIONS)]
 
 
 def _recorder():
@@ -24,18 +29,20 @@ def _recorder():
     return module
 
 
-def _tiny_summary(recorder, workload, seed, trace=False):
+def _tiny_summary(recorder, out_dir, workload, seed, trace=False):
     result = runner.run(workload, seed, 0.001, trace, tiny=True)
     env = runner.environment(ROOT, seed)
+    details = runner.write_outputs(result, env, out_dir)
     return {**result.summary(), "git_commit": env["git_commit"], "source_sha256": env["source_sha256"],
-            "speed_reference_ms": recorder.speed_reference_ms(runner.report_lines(result, env))}
+            "speed_reference_ms": recorder.speed_reference_ms(runner.report_lines(result, env)),
+            "raw_wall_p50_s": recorder.raw_wall_p50_s(details)}
 
 
-def test_a_tiny_recording_holds_every_end_to_end_and_layer_metric_with_its_quartiles():
+def test_a_tiny_recording_holds_every_end_to_end_and_layer_metric_with_its_quartiles(tmp_path):
     recorder = _recorder()
     workloads = [w["name"] for w in DECLARED["workloads"]]
-    summaries = {w: [_tiny_summary(recorder, w, 3) for _ in range(2)] for w in workloads}
-    traced = {w: [_tiny_summary(recorder, w, 3, trace=True) for _ in range(2)] for w in workloads}
+    summaries = {w: [_tiny_summary(recorder, tmp_path, w, 3) for _ in range(2)] for w in workloads}
+    traced = {w: [_tiny_summary(recorder, tmp_path, w, 3, trace=True) for _ in range(2)] for w in workloads}
     probes = {"cold_verify_s": [0.25, 0.5]}
     bench = json.loads(json.dumps(recorder.summarise("tiny", summaries, traced, [3], 0.001, probes)))
     assert set(bench) == {"label", "commit", "source_sha256", "seeds", "seconds", "runs_per_seed", "workloads",
@@ -56,18 +63,28 @@ def test_a_tiny_recording_holds_every_end_to_end_and_layer_metric_with_its_quart
             (m["name"], m["unit"], m["better"]) for m in DECLARED["per_layer"]]
         reference = workload["speed_reference_ms"]
         assert (reference["unit"], reference["better"]) == ("ms", "lower")
-        for m in [*workload["metrics"].values(), *layers["metrics"].values(), reference]:
+        # a raw wall p50 beside each round and verify metric, and one per estimator
+        raw = workload["raw_wall_p50_s"]
+        timed = [name for name in workload["metrics"] if name.startswith(("round_", "verify_"))]
+        assert sorted(name for name in raw if not name.startswith("mc_")) == sorted(timed)
+        assert [name for name in raw if name.startswith("mc_")] == RAW_ESTIMATORS
+        assert all((m["unit"], m["better"]) == ("s", "lower") and m["median"] > 0 for m in raw.values())
+        for m in [*workload["metrics"].values(), *raw.values(), *layers["metrics"].values(), reference]:
             assert len(m["values"]) == 2
             assert min(m["values"]) <= m["q1"] <= m["median"] <= m["q3"] <= max(m["values"])
 
     lines = recorder.compare(bench, bench)
     end_to_end, per_layer = len(DECLARED["end_to_end"]), len(DECLARED["per_layer"])
-    assert len(lines) == 1 + len(workloads) * (2 + end_to_end + per_layer) + 2
+    raws = 6 + len(RAW_ESTIMATORS)
+    assert len(lines) == 1 + len(workloads) * (2 + end_to_end + raws + per_layer) + 2
     # the probes come last, after a heading of their own
     assert lines[-2] == "probes:" and lines[-1].split()[0] == "cold_verify_s"
-    # per workload: its heading, the end-to-end metrics, the per-layer ones, the speed reference
-    names = [line.split()[0] for line in lines[2:2 + end_to_end + per_layer + 1]]
-    assert names == [*(m["name"] for m in DECLARED["end_to_end"]),
+    # per workload: its heading, the end-to-end metrics each with its raw wall p50 where it has one, the
+    # estimators' raw wall p50s, the per-layer metrics, the speed reference
+    names = [line.split()[0] for line in lines[2:2 + end_to_end + raws + per_layer + 1]]
+    assert names == [*(n for m in DECLARED["end_to_end"]
+                       for n in [m["name"], f"raw.{m['name']}"][:1 + m["name"].startswith(("round_", "verify_"))]),
+                     *(f"raw.{name}" for name in RAW_ESTIMATORS),
                      *(m["name"] for m in DECLARED["per_layer"]), "speed_reference_ms"]
     # a per-layer median can be 0 (a layer the workload never enters), and its change reads nan
     compared = [line for line in lines
@@ -88,9 +105,9 @@ def test_a_tiny_recording_holds_every_end_to_end_and_layer_metric_with_its_quart
     older = json.loads(json.dumps(bench))
     del older["probes"]
     for workload in older["workloads"].values():
-        del workload["speed_reference_ms"], workload["layers"]
-    kept = [line for line in lines
-            if line.split()[0] not in ("speed_reference_ms", "probes:", "cold_verify_s", *LAYER_NAMES)]
+        del workload["speed_reference_ms"], workload["layers"], workload["raw_wall_p50_s"]
+    kept = [line for line in lines if line.split()[0] not in ("speed_reference_ms", "probes:", "cold_verify_s",
+                                                              *LAYER_NAMES) and not line.startswith("  raw.")]
     for a, b in ((older, bench), (bench, older)):
         assert recorder.compare(a, b) == kept
 
@@ -105,6 +122,22 @@ def test_the_cold_verify_probe_times_a_clean_replay_of_its_fixed_log(tmp_path):
     log.write_text(log.read_text().replace("\n", "\r\n"))
     with pytest.raises(RuntimeError, match="(?s)a probe in .* failed .*ReplayDivergence: event log line 1 "):
         recorder.cold_verify_s(ROOT, log)
+
+
+def test_a_run_names_its_details_file_and_the_raw_wall_p50s_come_from_its_untraced_correct_operations(tmp_path):
+    recorder = _recorder()
+    lines = ["speed reference median 9.3 ms over 4 operations", "details in out/run.json", "{}"]
+    assert recorder.details_path(tmp_path, lines) == tmp_path / "out" / "run.json"
+    assert recorder.details_path(tmp_path, lines[::2]) is None
+    # (kind, label, traced, ok, wall_s): the traced and the failed round are left out
+    ops = [("round", "oa", False, True, 0.004), ("round", "oa", False, True, 0.002),
+           ("round", "oa", False, True, 0.009), ("round", "oa", True, True, 1.0), ("round", "oa", False, False, 1.0),
+           ("verify", "dg", False, True, 0.5)]
+    details = tmp_path / "run.json"
+    details.write_text(json.dumps({"operations": [
+        {"kind": kind, "label": label, "traced": traced, "ok": ok, "wall_s": wall}
+        for kind, label, traced, ok, wall in ops]}))
+    assert recorder.raw_wall_p50_s(details) == {"round_oa_p50_s": 0.004, "verify_dg_p50_s": 0.5}
 
 
 def test_the_speed_reference_is_read_from_its_report_line():

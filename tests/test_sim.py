@@ -431,6 +431,17 @@ def test_the_large_layout_round_outgrows_the_memo():
     assert LAYOUT_ROUNDS["unpacked-past-the-memo"][2] > keccak.MEMO_SIZE
 
 
+@pytest.mark.parametrize("name", LAYOUT_ROUNDS)
+def test_the_reveals_hash_the_layouts_again_only_in_a_round_of_more_than_one_slice(monkeypatch, name):
+    config, dataset, commitments, *_ = LAYOUT_ROUNDS[name]
+    batches = []
+    real = sim.keccak256_many
+    monkeypatch.setattr(sim, "keccak256_many", lambda layouts: batches.append(len(layouts)) or real(layouts))
+    run_experiment(config, dataset)
+    slices = [min(keccak.MEMO_SIZE, commitments - start) for start in range(0, commitments, keccak.MEMO_SIZE)]
+    assert batches == (slices if len(slices) == 1 else slices * 2)
+
+
 @pytest.mark.parametrize("mechanism", list(Mechanism))
 def test_selection_seed_rounds_equal_its_seed64_rounds(mechanism):
     ds = QoSDataset.skip_one(12, 12, seed=5)

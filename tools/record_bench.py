@@ -13,7 +13,13 @@ JSON summary read here.  Per workload the file holds each end-to-end
 metric's median and quartiles over the untraced runs, with every run's
 value in run order, and in the same form ``speed_reference_ms``: each
 untraced run's ``speed reference median X ms`` line, the machine-speed
-probe that normalises its times.  Its ``layers`` hold, in the same form,
+probe that normalises its times, and ``raw_wall_p50_s``: for each
+operation kind and label, the median raw wall time of each untraced run's
+correct untraced operations, read from the details file its ``details in``
+line names (``operations[].wall_s``), under the name of the normalised
+metric it stands beside (``round_oa_p50_s``; ``mc_payment_mc_p50_s`` for
+an estimator, which no normalised metric names one by one).  Its
+``layers`` hold, in the same form,
 each per-layer metric of ``BENCHMARK.json`` over the traced runs, with
 their run and incorrect-run counts.  The file also holds the
 ``src/peerchain`` digest the runs printed, the seeds and the run length
@@ -37,8 +43,10 @@ prints, per workload and metric, both medians, the relative change,
 whether it is larger than A's interquartile range, and, when both files
 hold the same number of runs (as a ``--baseline`` recording does), in how
 many pairs taken in run order B was the better.  The end-to-end metrics
-come first, then the per-layer metrics and the speed reference, each
-where both files hold it, and last the probes both files hold.
+come first, each followed by its raw wall p50 as ``raw.<name>``, then the
+raw wall p50s of the estimators, the per-layer metrics and the speed
+reference, each where both files hold it, and last the probes both files
+hold.  So a claim can be read both normalised and raw.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ WORKLOADS = [w["name"] for w in DECLARED["workloads"]]
 METRICS = {m["name"]: m for m in DECLARED["end_to_end"]}
 LAYERS = {m["name"]: m for m in DECLARED["per_layer"]}
 SPEED_REFERENCE = re.compile(r"speed reference median ([0-9.]+) ms over \d+ operations")
+DETAILS = re.compile(r"details in (.+)$")
 # prints the cold-verify probe's log: an unpacked 12 x 40 OA round, seed 3 (694 events, 339 commitments)
 COLD_VERIFY_ROUND = """
 import sys
@@ -98,6 +107,26 @@ def speed_reference_ms(lines: list[str]) -> float | None:
     return None
 
 
+def raw_wall_p50_s(details: Path) -> dict[str, float]:
+    """Per operation kind and label, in first-run order, the median raw wall
+    time of a details file's correct untraced operations, each under the
+    name ``<kind>_<label>_p50_s`` of the normalised metric beside it."""
+    walls: dict[str, list[float]] = {}
+    for op in json.loads(details.read_text())["operations"]:
+        if op["ok"] and not op["traced"]:
+            walls.setdefault(f"{op['kind']}_{op['label']}_p50_s", []).append(op["wall_s"])
+    return {name: median(values) for name, values in walls.items()}
+
+
+def details_path(checkout: Path, lines: list[str]) -> Path | None:
+    """The details file a run's ``details in`` line names, None when it printed none."""
+    for line in lines:
+        found = DETAILS.match(line)
+        if found:
+            return checkout / found.group(1)
+    return None
+
+
 def checkout_commit(checkout: Path) -> str:
     """The checkout's HEAD commit, ``<sha>+dirty`` when ``src/`` or
     ``perfbench/`` hold changes or untracked files."""
@@ -129,6 +158,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, commit: s
     summary["git_commit"] = commit
     summary["source_sha256"] = _env_fields(lines).get("source_sha256", "unknown")
     summary["speed_reference_ms"] = speed_reference_ms(lines)
+    details = details_path(checkout, lines)
+    summary["raw_wall_p50_s"] = raw_wall_p50_s(details) if details else {}
     return summary
 
 
@@ -163,6 +194,13 @@ def _distribution(values: list[float], unit: str, better: str) -> dict:
     return {"unit": unit, "better": better, **spread, "values": values}
 
 
+def _raw_distributions(summaries: list[dict]) -> dict[str, dict]:
+    """Each operation kind and label's raw wall p50 over the runs that hold it."""
+    names = dict.fromkeys(name for s in summaries for name in s.get("raw_wall_p50_s", {}))
+    return {name: _distribution([s["raw_wall_p50_s"][name] for s in summaries if name in s.get("raw_wall_p50_s", {})],
+                                "s", "lower") for name in names}
+
+
 def _distributions(declared: dict[str, dict], summaries: list[dict]) -> dict[str, dict]:
     """Each declared metric's entry over the runs that give it a value."""
     entries = {}
@@ -190,6 +228,7 @@ def summarise(label: str, summaries: dict[str, list[dict]], traced: dict[str, li
             "attempted": sum(s["attempted"] for s in per_workload),
             "failed": sum(s["failed"] for s in per_workload),
             "metrics": _distributions(METRICS, per_workload),
+            "raw_wall_p50_s": _raw_distributions(per_workload),
             "speed_reference_ms": _distribution(references, "ms", "lower"),
             "layers": {
                 "runs": len(layers),
@@ -278,8 +317,9 @@ def _both(ma: dict | None, mb: dict | None) -> bool:
 
 
 def compare(a: dict, b: dict) -> list[str]:
-    """Per workload: the end-to-end metrics, then the per-layer metrics and
-    the speed reference where both files hold them, each with both medians,
+    """Per workload: the end-to-end metrics, each with its raw wall p50,
+    then the estimators' raw wall p50s, the per-layer metrics and the speed
+    reference where both files hold them, each with both medians,
     the change, and whether it exceeds A's interquartile range; pair wins
     when the run counts match.  Then the probes both files hold."""
     lines = [f"A = {a['label']} ({a['commit']}), B = {b['label']} ({b['commit']})"]
@@ -290,8 +330,12 @@ def compare(a: dict, b: dict) -> list[str]:
         lines.append(f"{workload}: A {wa['runs']} runs, B {wb['runs']} runs")
         reference = "speed_reference_ms"
         layers_a, layers_b = (w.get("layers", {}).get("metrics", {}) for w in (wa, wb))
-        in_b = {**wb["metrics"], **layers_b, reference: wb.get(reference)}
-        for name, ma in [*wa["metrics"].items(), *layers_a.items(), (reference, wa.get(reference))]:
+        raw_a, raw_b = ({f"raw.{name}": m for name, m in w.get("raw_wall_p50_s", {}).items()} for w in (wa, wb))
+        in_b = {**wb["metrics"], **raw_b, **layers_b, reference: wb.get(reference)}
+        # each end-to-end metric with its raw counterpart, then the raw ones that have none
+        paired = [item for name, ma in wa["metrics"].items()
+                  for item in [(name, ma), (f"raw.{name}", raw_a.pop(f"raw.{name}", None))]]
+        for name, ma in [*paired, *raw_a.items(), *layers_a.items(), (reference, wa.get(reference))]:
             if _both(ma, in_b.get(name)):
                 lines.append(_compared(name, ma, in_b[name]))
     probes_a, probes_b = a.get("probes", {}), b.get("probes", {})

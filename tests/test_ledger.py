@@ -1155,6 +1155,7 @@ LIVE_ROUNDS = {
 
 @pytest.mark.parametrize("play", LIVE_ROUNDS.values(), ids=LIVE_ROUNDS.keys())
 def test_a_live_round_encodes_genesis_and_post_and_templates_write_every_other_event(monkeypatch, play):
+    """And its replay takes the data path on every line but genesis."""
     encoded = []
     encoder = ledger_module._ENCODER
 
@@ -1165,12 +1166,14 @@ def test_a_live_round_encodes_genesis_and_post_and_templates_write_every_other_e
 
     monkeypatch.setattr(ledger_module, "_ENCODER", Counting())
     ledger = play()
-    monkeypatch.undo()
     genesis, post = (json.loads(bytes.fromhex(line.split(",")[3])) for line in ledger.events[:2])
     assert encoded == [genesis, post] == [ledger.config.to_payload(), {
         "budget": ledger.budget, "deposit": ledger.requester_deposit, "questions": list(ledger.questions)}]
     assert {line.split(",")[1] for line in ledger.events[2:]} >= {"select", "tick", "commit", "reveal", "settle"}
+    # its replay encodes the check and genesis only: every other line took the data path
+    encoded.clear()
     assert Ledger.load(ledger.dump()).dump() == ledger.dump()
+    assert len(encoded) == 2 and len(encoded[0]) == len(ledger.events) and encoded[1] == genesis
 
 
 class _OddInt(int):

@@ -406,10 +406,13 @@ def test_a_round_never_runs_the_sponge_on_a_commitment_layout(monkeypatch, confi
                                                               gas, log_sha, csv_sha):
     # the agents' batch hash fills the memo slice by slice; every commit and
     # reveal check finds its layout there, also past MEMO_SIZE commitments,
-    # and so do the replay and audit of a round that fits in the memo
+    # and so do the replay and audit of a round that fits in the memo.  The
+    # slices are hashed again before the reveals only in a round of more
+    # than one, where each slice's hashing evicted the one before
     keccak._memo.clear()
     single = []  # the messages keccak256 passes to the sponge: its misses
     real = keccak._sponge_256
+    batches = []  # the size of each batch run_experiment hashes
 
     def sponge(messages, pad_byte):
         if sys._getframe(1).f_code.co_name != "keccak256_many":
@@ -417,7 +420,11 @@ def test_a_round_never_runs_the_sponge_on_a_commitment_layout(monkeypatch, confi
         return real(messages, pad_byte)
 
     monkeypatch.setattr(keccak, "_sponge_256", sponge)
+    monkeypatch.setattr(sim, "keccak256_many", lambda layouts: batches.append(len(layouts)) or
+                        keccak.keccak256_many(layouts))
     report = run_experiment(config, dataset)
+    slices = [min(keccak.MEMO_SIZE, commitments - start) for start in range(0, commitments, keccak.MEMO_SIZE)]
+    assert batches == (slices if len(slices) == 1 else slices * 2)
     if commitments <= keccak.MEMO_SIZE:
         assert Ledger.load(report.ledger.dump()).audit() == []
     assert [m for m in single if len(m) == cmt.LAYOUT_BYTES] == []
@@ -429,17 +436,6 @@ def test_a_round_never_runs_the_sponge_on_a_commitment_layout(monkeypatch, confi
 
 def test_the_large_layout_round_outgrows_the_memo():
     assert LAYOUT_ROUNDS["unpacked-past-the-memo"][2] > keccak.MEMO_SIZE
-
-
-@pytest.mark.parametrize("name", LAYOUT_ROUNDS)
-def test_the_reveals_hash_the_layouts_again_only_in_a_round_of_more_than_one_slice(monkeypatch, name):
-    config, dataset, commitments, *_ = LAYOUT_ROUNDS[name]
-    batches = []
-    real = sim.keccak256_many
-    monkeypatch.setattr(sim, "keccak256_many", lambda layouts: batches.append(len(layouts)) or real(layouts))
-    run_experiment(config, dataset)
-    slices = [min(keccak.MEMO_SIZE, commitments - start) for start in range(0, commitments, keccak.MEMO_SIZE)]
-    assert batches == (slices if len(slices) == 1 else slices * 2)
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))

@@ -1182,14 +1182,14 @@ class _OddInt(int):
     def __repr__(self):
         return "odd"
 
-    __str__ = __format__ = __repr__
+    __str__ = __repr__
 
 
 class _OddStr(str):
     def __str__(self):
         return "odd"
 
-    __repr__ = __format__ = __str__
+    __repr__ = __str__
 
 
 _DIGITS = sys.get_int_max_str_digits()
@@ -1198,7 +1198,7 @@ _LOG_INTS = st.one_of(
     st.integers(10 ** (_DIGITS - 1), 10**_DIGITS - 1), st.integers(-(10**_DIGITS) + 1, -(10 ** (_DIGITS - 1))),
 )
 _LOG_STRS = st.one_of(
-    st.text(st.characters(blacklist_categories=())),  # surrogates, controls and every plane
+    st.text(st.characters(exclude_categories=())),  # surrogates, controls and every plane
     st.text(st.sampled_from('"\\/\x00\x1f\x7f\x80\u2028\ufeffé€😀\ud800\b\f\n\r\t ')),
     st.text().map(_OddStr),
 )
